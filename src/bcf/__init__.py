@@ -24,7 +24,6 @@ from .errors import (
     PrecisionExhausted,
     ReduciblePolynomial,
     RootCountNotOne,
-    SingularRFactor,
 )
 from .expansion import (
     ExpansionState,
@@ -40,8 +39,6 @@ from .fields import (
     DecimalApproximation,
     NumberField,
     approximate,
-    field_create,
-    field_ops,
     floor_of,
 )
 from .literals import RatFunc, fraction_str, parse_digits, parse_number
@@ -79,7 +76,6 @@ from .validation import (
     check_proper,
     validate,
 )
-from ._kernels import IMPLEMENTATION as KERNEL_IMPLEMENTATION
 
 __version__ = "1.0.0"
 
@@ -95,7 +91,6 @@ __all__ = [
     "FieldMismatch",
     "IndexOutOfRange",
     "InvalidSequence",
-    "KERNEL_IMPLEMENTATION",
     "MixedFields",
     "NonPositiveInput",
     "NotFound",
@@ -112,7 +107,6 @@ __all__ = [
     "RULE_EQUAL_THEN_B_ZERO",
     "ScanRecord",
     "SequencePair",
-    "SingularRFactor",
     "Terminated",
     "ValidationReport",
     "approximate",
@@ -129,8 +123,6 @@ __all__ = [
     "convergent_sequence",
     "det_invariant",
     "detect_period",
-    "field_create",
-    "field_ops",
     "floor_of",
     "fraction_str",
     "gap_diagnostics",

@@ -5,8 +5,8 @@ standard output unless ``--format text`` selects the plain rendering; the
 scanner emits one JSON record per line.  Exit codes: 0 for success
 (including a completed validation that found violations), 2 for input
 errors (bad usage, unparsable literals, malformed digit pairs, nonpositive
-inputs), 3 for computation errors (degenerate recovery systems, exhausted
-precision in approximate mode).
+inputs, alpha and beta from different fields), 3 for computation errors
+(degenerate recovery systems, exhausted precision in approximate mode).
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ from fractions import Fraction
 from .errors import (
     BcfError,
     DegreeOutOfRange,
+    FieldMismatch,
     IndexOutOfRange,
     InvalidSequence,
-    MixedFields,
     NonPositiveInput,
     ParseError,
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from .expansion import bcf_expand, bcf_expand_heuristic
+from .expansion import _unify_pair, bcf_expand, bcf_expand_heuristic
 from .fields import AlgebraicNumber, approximate
 from .literals import RatFunc, fraction_str, parse_digits, parse_number
 from .recovery import conjecture_scan, recover_cubic_eventual, recover_cubic_pure
@@ -43,7 +43,7 @@ _INPUT_ERRORS = (
     DegreeOutOfRange,
     NonPositiveInput,
     InvalidSequence,
-    MixedFields,
+    FieldMismatch,
     IndexOutOfRange,
     ZeroDivisionError,
     ValueError,
@@ -151,6 +151,7 @@ def _prepare_expand(args):
     beta = parse_number(args.beta)
     if isinstance(beta, RatFunc):
         beta = beta.evaluate(alpha)
+    alpha, beta = _unify_pair(alpha, beta)
     if alpha <= 0 or beta <= 0:
         raise NonPositiveInput("alpha and beta must be positive")
     return {"mode": "exact", "alpha": alpha, "beta": beta}

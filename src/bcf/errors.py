@@ -37,14 +37,6 @@ class DegenerateSystem(BcfError):
     """A recovery system collapsed and no cubic can be extracted."""
 
 
-class SingularRFactor(BcfError):
-    """A digit matrix failed to invert.
-
-    Cannot occur (every digit matrix has determinant 1); retained so the
-    recovery contract names the impossibility explicitly.
-    """
-
-
 class PrecisionExhausted(BcfError):
     """A heuristic floating-point mode could not certify a digit decision."""
 

@@ -156,21 +156,14 @@ def bcf_expand_rational(alpha, beta):
     denominators strictly decrease, so the run always terminates.  The
     result is digit-for-digit identical to bcf_expand on the same inputs.
     """
-    u, v, w = _common_denominator_form(alpha, beta)
-    a, b, term_num, term_den, done = rational_digits(u, v, w, -1)
-    assert done, "unlimited rational expansion cannot exhaust its budget"
-    return SequencePair(a, b, terminal=Fraction(term_num, term_den))
+    a, b, trace = rational_digits(*_common_denominator_form(alpha, beta))
+    u, _, w = trace[-1]
+    return SequencePair(a, b, terminal=Fraction(u, w))
 
 
 def rational_expansion_trace(alpha, beta):
     """All (u, v, w) triples visited by the rational fast path, in order."""
-    u, v, w = _common_denominator_form(alpha, beta)
-    trace = [(u, v, w)]
-    while v % w != 0:
-        a_i, b_i = u // w, v // w
-        u, v, w = w, u - a_i * w, v - b_i * w
-        trace.append((u, v, w))
-    return trace
+    return rational_digits(*_common_denominator_form(alpha, beta))[2]
 
 
 def bcf_expand_heuristic(alpha, beta, max_terms=64, guard_digits=12):

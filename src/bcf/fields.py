@@ -355,9 +355,6 @@ class AlgebraicNumber:
             e >>= 1
         return result
 
-    def __bool__(self):
-        return any(self._coeffs)
-
     # -- exact predicates -------------------------------------------------
 
     def _rational_value(self):
@@ -509,30 +506,6 @@ class AlgebraicNumber:
 
 
 # -- module-level operations ------------------------------------------------
-
-
-def field_create(min_poly, root_interval):
-    """Construct a number field from an integer polynomial and root interval."""
-    return NumberField(min_poly, root_interval)
-
-
-_FIELD_OPS = {
-    "add": lambda x, y: x + y,
-    "sub": lambda x, y: x - y,
-    "mul": lambda x, y: x * y,
-    "div": lambda x, y: x / y,
-}
-
-
-def field_ops(x, y, op):
-    """Apply one of 'add', 'sub', 'mul', 'div' to two exact numbers."""
-    try:
-        fn = _FIELD_OPS[op]
-    except KeyError:
-        raise ValueError(
-            f"unknown operation {op!r}; expected one of {sorted(_FIELD_OPS)}"
-        ) from None
-    return fn(x, y)
 
 
 def floor_of(x):

@@ -122,19 +122,6 @@ def divmod_q(f, g):
     return trim(q), trim(rem[len(q):])
 
 
-def gcd_q(f, g):
-    """Monic gcd in Q[x] (empty tuple if both inputs are zero)."""
-    r0 = trim(Fraction(c) for c in f)
-    r1 = trim(Fraction(c) for c in g)
-    while r1:
-        _, r = divmod_q(r0, r1)
-        r0, r1 = r1, r
-    if r0:
-        lead = r0[0]
-        r0 = tuple(c / lead for c in r0)
-    return r0
-
-
 def ext_gcd_q(f, g):
     """Extended Euclid in Q[x]: returns (d, s, t) with s*f + t*g = d, d monic."""
     r0 = trim(Fraction(c) for c in f)

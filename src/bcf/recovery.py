@@ -261,27 +261,25 @@ def recover_cubic_pure(seqs):
     return _build_result(quartic, beta_num, beta_den, periodic, quartic5, None)
 
 
-def _digit_matrix(a, b):
-    return ((a, b, 1), (1, 0, 0), (0, 1, 0))
-
-
-def _digit_matrix_inverse(a, b):
-    return ((0, 1, 0), (0, 0, 1), (1, -a, -b))
-
-
-_IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _mat_mul(x, y):
+def _adjugate(m):
+    """Adjugate of a 3x3 matrix, so that adj(m) * m = det(m) * I."""
     return tuple(
-        tuple(sum(x[i][k] * y[k][j] for k in range(3)) for j in range(3))
+        tuple(
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
         for i in range(3)
     )
 
 
-def _mat_det(m):
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+def _digit_product(pair):
+    """R_{n-1} ... R_0 over the pair's n digit matrices (identity if n = 0).
+
+    The convergent-matrix kernel accumulates exactly this product, transposed.
+    """
+    rows = _kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
+    return tuple(zip(*rows))
 
 
 def transfer_matrix(preperiod, period):
@@ -289,19 +287,12 @@ def transfer_matrix(preperiod, period):
 
     P multiplies the preperiod digit matrices in decreasing index order
     (identity for an empty preperiod) and Q does the same over one period;
-    every factor has determinant 1, so M is integral and unimodular.
+    every factor has determinant 1, so P^-1 = adj(P) and M is integral and
+    unimodular.
     """
-    pre = as_pair(preperiod)
-    per = as_pair(period)
-    forward = _IDENTITY
-    backward = _IDENTITY
-    for a_i, b_i in zip(pre.a, pre.b):
-        forward = _mat_mul(_digit_matrix(a_i, b_i), forward)
-        backward = _mat_mul(backward, _digit_matrix_inverse(a_i, b_i))
-    cycle = _IDENTITY
-    for a_i, b_i in zip(per.a, per.b):
-        cycle = _mat_mul(_digit_matrix(a_i, b_i), cycle)
-    return _mat_mul(backward, _mat_mul(cycle, forward))
+    p = _digit_product(as_pair(preperiod))
+    q = _digit_product(as_pair(period))
+    return _kernels.mat_mul3(_adjugate(p), _kernels.mat_mul3(q, p))
 
 
 def recover_cubic_eventual(preperiod, period):
@@ -325,7 +316,7 @@ def recover_cubic_eventual(preperiod, period):
     pair = _validated_periodic_pair(pre.a + per.a, pre.b + per.b, k, m)
 
     matrix = transfer_matrix(pre, per)
-    assert _mat_det(matrix) == 1, "transfer matrix must be unimodular"
+    assert _kernels.det3(matrix) == 1, "transfer matrix must be unimodular"
     (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = matrix
     beta_num = polys.trim((-m13, m11 - m33, m31))
     beta_den = polys.trim((m23, -m21))

@@ -28,11 +28,6 @@ def _digit_lists(pair, n):
     return a, b
 
 
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-
-
 @dataclass(frozen=True)
 class ConvergentTriple:
     """Exact n-term convergent data: integers A, B, C with alpha_n = A/C."""
@@ -175,7 +170,7 @@ def det_invariant(seqs, n):
     if n < 2:
         raise IndexOutOfRange(f"determinant needs n >= 2, got {n}")
     a, b = _digit_lists(pair, n)
-    return _det3(_kernels.convergent_matrix(a, b, n))
+    return _kernels.det3(_kernels.convergent_matrix(a, b, n))
 
 
 def gap_diagnostics(seqs, N):

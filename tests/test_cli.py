@@ -94,6 +94,10 @@ def test_expand_ratfunc_only_for_beta(capsys):
 def test_expand_rejects_bad_literal(capsys):
     assert run(["expand", "--alpha", "rat:x", "--beta", "rat:1"]) == 2
     assert "rat:<int>" in capsys.readouterr().err
+    # alpha and beta from two different fields
+    assert run(["expand", "--alpha", "alg:1,0,-2@1,2",
+                "--beta", "alg:1,0,-3@1,2"]) == 2
+    assert "same field" in capsys.readouterr().err
 
 
 def test_expand_rejects_nonpositive(capsys):

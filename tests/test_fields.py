@@ -10,8 +10,6 @@ from bcf import (
     AlgebraicNumber,
     NumberField,
     approximate,
-    field_create,
-    field_ops,
     floor_of,
 )
 from bcf.errors import (
@@ -208,21 +206,6 @@ def test_approximate_free_function():
     assert approximate(-Fraction(1, 3), 3).text == "-0.333"
     assert approximate(7, 3).text == "7.000"
     assert approximate(theta(), 6).text == "1.839287"
-
-
-# -- module-level operation wrappers ---------------------------------------------
-
-
-def test_field_create_and_ops():
-    field = field_create((1, -1, -1, -1), (1, 2))
-    assert field == TRIBONACCI
-    t = field.generator()
-    assert field_ops(t, t, "add") == 2 * t
-    assert field_ops(t, 1, "sub") == t - 1
-    assert field_ops(t, t, "mul") == t**2
-    assert field_ops(1, t, "div") == 1 / t
-    with pytest.raises(ValueError):
-        field_ops(t, t, "pow")
 
 
 # -- randomized properties -------------------------------------------------------

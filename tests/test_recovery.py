@@ -179,6 +179,25 @@ def test_transfer_matrix_worked_example():
     assert matrix == ((4, 5, 2), (2, 2, 1), (1, 1, 0))
 
 
+def _reference_transfer_matrix(pre, per):
+    """P^-1 Q P from explicit digit matrices and their inverses."""
+
+    def mul(x, y):
+        return tuple(
+            tuple(sum(x[r][k] * y[k][c] for k in range(3)) for c in range(3))
+            for r in range(3)
+        )
+
+    identity = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    forward = backward = cycle = identity
+    for a_i, b_i in zip(pre.a, pre.b):
+        forward = mul(((a_i, b_i, 1), (1, 0, 0), (0, 1, 0)), forward)
+        backward = mul(backward, ((0, 1, 0), (0, 0, 1), (1, -a_i, -b_i)))
+    for a_i, b_i in zip(per.a, per.b):
+        cycle = mul(((a_i, b_i, 1), (1, 0, 0), (0, 1, 0)), cycle)
+    return mul(backward, mul(cycle, forward))
+
+
 def test_transfer_matrix_unimodular():
     rng = random.Random(111)
     for _ in range(30):
@@ -193,6 +212,12 @@ def test_transfer_matrix_unimodular():
             + matrix[0][2] * (matrix[1][0] * matrix[2][1] - matrix[1][1] * matrix[2][0])
         )
         assert det == 1
+        assert matrix == _reference_transfer_matrix(pre, per)
+    # an empty preperiod leaves the period product itself
+    empty, period = SequencePair((), ()), SequencePair((2, 1), (1, 0))
+    assert transfer_matrix(empty, period) == (
+        _reference_transfer_matrix(empty, period)
+    )
 
 
 def test_recover_eventual_period_two():
