@@ -20,6 +20,7 @@ from .errors import (
     InvalidSequence,
     MixedFields,
     NonPositiveInput,
+    OutputTooLarge,
     ParseError,
     PrecisionExhausted,
     ReduciblePolynomial,
@@ -95,6 +96,7 @@ __all__ = [
     "NonPositiveInput",
     "NotFound",
     "NumberField",
+    "OutputTooLarge",
     "ParseError",
     "PeriodicityResult",
     "PrecisionExhausted",

@@ -6,7 +6,8 @@ scanner emits one JSON record per line.  Exit codes: 0 for success
 (including a completed validation that found violations), 2 for input
 errors (bad usage, unparsable literals, malformed digit pairs, nonpositive
 inputs, alpha and beta from different fields), 3 for computation errors
-(degenerate recovery systems, exhausted precision in approximate mode).
+(degenerate recovery systems, exhausted precision in approximate mode,
+an integer too long to print).
 """
 
 from __future__ import annotations
@@ -30,7 +31,13 @@ from .errors import (
 )
 from .expansion import _unify_pair, bcf_expand, bcf_expand_heuristic
 from .fields import AlgebraicNumber, approximate
-from .literals import RatFunc, fraction_str, parse_digits, parse_number
+from .literals import (
+    RatFunc,
+    bounded_str,
+    fraction_str,
+    parse_digits,
+    parse_number,
+)
 from .recovery import conjecture_scan, recover_cubic_eventual, recover_cubic_pure
 from .sequences import SequencePair
 from .treeval import convergent, convergent_sequence, render_tree
@@ -90,7 +97,7 @@ def _exact_str(value):
     if isinstance(value, AlgebraicNumber):
         if value.is_rational():
             return fraction_str(value.as_fraction())
-        return repr(value)
+        return bounded_str(value, repr)
     return str(value)
 
 
@@ -102,9 +109,9 @@ def _convergent_records(pair, digits):
         records.append(
             {
                 "n": triple.n,
-                "A": str(triple.A),
-                "B": str(triple.B),
-                "C": str(triple.C),
+                "A": bounded_str(triple.A),
+                "B": bounded_str(triple.B),
+                "C": bounded_str(triple.C),
                 "alpha": fraction_str(triple.alpha),
                 "beta": fraction_str(triple.beta),
                 "alpha_dec": approximate(triple.alpha, digits).text,
@@ -221,9 +228,9 @@ def _execute_eval(args, job):
     triple = convergent(job["pair"], job["n"])
     record = {
         "n": triple.n,
-        "A": str(triple.A),
-        "B": str(triple.B),
-        "C": str(triple.C),
+        "A": bounded_str(triple.A),
+        "B": bounded_str(triple.B),
+        "C": bounded_str(triple.C),
         "alpha": fraction_str(triple.alpha),
         "beta": fraction_str(triple.beta),
         "alpha_dec": approximate(triple.alpha, args.digits).text,

@@ -41,6 +41,10 @@ class PrecisionExhausted(BcfError):
     """A heuristic floating-point mode could not certify a digit decision."""
 
 
+class OutputTooLarge(BcfError):
+    """A number is too long to render under Python's integer-string limit."""
+
+
 class ParseError(BcfError, ValueError):
     """A textual literal could not be parsed."""
 

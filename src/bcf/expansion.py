@@ -92,9 +92,8 @@ def bcf_step(state):
     a_i = floor_of(alpha)
     if _is_integral(beta):
         return a_i, b_i, Terminated(alpha)
-    den = beta - b_i
-    next_alpha = 1 / den
-    next_beta = (alpha - a_i) / den
+    next_alpha = 1 / (beta - b_i)
+    next_beta = (alpha - a_i) * next_alpha
     return a_i, b_i, ExpansionState(next_alpha, next_beta, state.index + 1)
 
 

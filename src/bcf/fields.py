@@ -3,15 +3,19 @@
 A :class:`NumberField` is Q[x]/(f) for an irreducible integer polynomial f
 of degree 1 to 3, together with an open rational interval isolating one real
 root theta of f.  An :class:`AlgebraicNumber` is an element of such a field,
-stored as exact rational coordinates in the power basis 1, theta, ...,
-theta^(d-1).  All predicates (sign, floor, comparisons) are decided exactly:
-rational elements directly, irrational ones by refining the isolating
-interval until the answer is certified.
+stored as integer numerators over one positive common denominator in the
+power basis 1, theta, ..., theta^(d-1), normalised after every operation so
+that the denominator is coprime to the numerators' content.  Products reduce
+an integer convolution modulo f; inverses come from the adjugate of the
+integer multiplication matrix.  All predicates (sign, floor, comparisons)
+are decided exactly: rational elements directly, irrational ones by refining
+the isolating interval until the answer is certified.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,7 +108,9 @@ class NumberField:
         self._lo = lo
         self._hi = hi
         self._sign_lo = polys._sign(polys.evaluate(coeffs, lo))
-        self._theta_powers = self._build_power_table()
+        # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
+        self._lead = coeffs[0]
+        self._low = tuple(reversed(coeffs[1:]))
 
     @property
     def min_poly(self):
@@ -118,22 +124,20 @@ class NumberField:
     def degree(self):
         return len(self._min_poly) - 1
 
-    def _build_power_table(self):
-        """Ascending coordinates of theta^k for k = 0 .. 2d-2."""
+    def _reduce(self, conv, den):
+        """The element conv / den, conv an integer polynomial in theta of
+        degree < 2d (ascending), reduced modulo the minimal polynomial."""
         d = self.degree
-        lead = self._min_poly[0]
-        # theta^d in the power basis, from the minimal polynomial.
-        theta_d = tuple(
-            Fraction(-c, lead) for c in reversed(self._min_poly[1:])
-        )
-        table = []
-        current = (Fraction(1),) + (Fraction(0),) * (d - 1)
-        for _ in range(2 * d - 1):
-            table.append(current)
-            shifted = (Fraction(0),) + current[: d - 1]
-            overflow = current[d - 1]
-            current = tuple(s + overflow * t for s, t in zip(shifted, theta_d))
-        return tuple(table)
+        lead = self._lead
+        for k in range(len(conv) - 1, d - 1, -1):
+            top = conv.pop()
+            if lead != 1:
+                conv = [c * lead for c in conv]
+                den *= lead
+            if top:
+                for i, f in enumerate(self._low, k - d):
+                    conv[i] -= top * f
+        return _element(self, tuple(conv), den)
 
     def interval(self):
         """Current cached isolating interval (shrinks as queries refine it)."""
@@ -163,16 +167,14 @@ class NumberField:
     def generator(self):
         """The distinguished root theta as a field element."""
         if self.degree == 1:
-            theta = Fraction(-self._min_poly[1], self._min_poly[0])
-            return AlgebraicNumber(self, (theta,))
-        coords = [Fraction(0)] * self.degree
-        coords[1] = Fraction(1)
-        return AlgebraicNumber(self, coords)
+            return _element(self, (-self._low[0],), self._lead)
+        return _element(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def element(self, value):
         """Embed a rational number into the field."""
-        coords = [Fraction(value)] + [Fraction(0)] * (self.degree - 1)
-        return AlgebraicNumber(self, coords)
+        value = Fraction(value)
+        zeros = (0,) * (self.degree - 1)
+        return _element(self, (value.numerator,) + zeros, value.denominator)
 
     def __eq__(self, other):
         if not isinstance(other, NumberField):
@@ -197,33 +199,50 @@ class NumberField:
         return f"NumberField(min_poly={self._min_poly}, root_interval=({lo}, {hi}))"
 
 
-def _interval_pow(lo, hi, k):
-    if k == 0:
-        return Fraction(1), Fraction(1)
-    if k == 1:
-        return lo, hi
-    a, b = lo**k, hi**k
-    if lo < 0 < hi and k % 2 == 0:
-        return Fraction(0), max(a, b)
-    return min(a, b), max(a, b)
+def _element(field, num, den):
+    """The element num / den of field, normalised: den > 0 and
+    gcd(den, *num) == 1, so equal elements have equal (num, den)."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple(n // g for n in num)
+        den //= g
+    x = object.__new__(AlgebraicNumber)
+    x._field = field
+    x._num = num
+    x._den = den
+    return x
+
+
+def _sum(x, y, sign):
+    """x + sign * y for elements of one field."""
+    dx, dy = x._den, y._den
+    num = tuple(a * dy + sign * b * dx for a, b in zip(x._num, y._num))
+    return _element(x._field, num, dx * dy)
 
 
 class AlgebraicNumber:
-    """An element of a NumberField, exact in the power basis of theta."""
+    """An element of a NumberField: integer numerators over one positive
+    denominator, in the power basis of theta."""
 
-    __slots__ = ("_field", "_coeffs")
+    __slots__ = ("_field", "_num", "_den")
 
     def __init__(self, field, coeffs):
-        coeffs = tuple(Fraction(c) for c in coeffs)
+        coeffs = [Fraction(c) for c in coeffs]
         d = field.degree
         if len(coeffs) > d:
             raise ValueError(
                 f"need at most {d} coordinates for a degree-{d} field, "
                 f"got {len(coeffs)}"
             )
-        coeffs = coeffs + (Fraction(0),) * (d - len(coeffs))
+        coeffs += [Fraction(0)] * (d - len(coeffs))
+        # Over the lcm of reduced denominators the numerators share no
+        # prime with it, so this form is already normalised.
+        den = math.lcm(*(c.denominator for c in coeffs))
         self._field = field
-        self._coeffs = coeffs
+        self._num = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self._den = den
 
     @property
     def field(self):
@@ -232,14 +251,12 @@ class AlgebraicNumber:
     @property
     def coeffs(self):
         """Coordinates in ascending powers of theta: c0 + c1*theta + ..."""
-        return self._coeffs
+        return tuple(Fraction(n, self._den) for n in self._num)
 
     # -- classification -------------------------------------------------
 
     def is_rational(self):
-        if self._field.degree == 1:
-            return True
-        return all(c == 0 for c in self._coeffs[1:])
+        return self._field.degree == 1 or not any(self._num[1:])
 
     def as_fraction(self):
         """Exact rational value; raises ValueError for irrational elements."""
@@ -269,64 +286,66 @@ class AlgebraicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgebraicNumber(
-            self._field, tuple(a + b for a, b in zip(self._coeffs, other._coeffs))
-        )
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return AlgebraicNumber(self._field, tuple(-c for c in self._coeffs))
+        return _element(self._field, tuple(-c for c in self._num), self._den)
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return AlgebraicNumber(
-            self._field, tuple(a - b for a, b in zip(self._coeffs, other._coeffs))
-        )
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other - self
+        return _sum(other, self, -1)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = self._field.degree
-        conv = [Fraction(0)] * (2 * d - 1)
-        for i, a in enumerate(self._coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other._coeffs):
-                if b:
-                    conv[i + j] += a * b
-        table = self._field._theta_powers
-        out = [Fraction(0)] * d
-        for k, c in enumerate(conv):
-            if c == 0:
-                continue
-            for idx, t in enumerate(table[k]):
-                out[idx] += c * t
-        return AlgebraicNumber(self._field, out)
+        b = other._num
+        conv = [0] * (2 * len(b) - 1)
+        for i, x in enumerate(self._num):
+            if x:
+                for j, y in enumerate(b, i):
+                    conv[j] += x * y
+        return self._field._reduce(conv, self._den * other._den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not any(self._coeffs):
+        """1 / self from the adjugate of the multiplication matrix.
+
+        Column j of the integer matrix M holds the numerators of
+        self * (lead * theta)^j.  Then 1 / self has numerators
+        den * lead^j * adj(M)[j][0] over det(M), expanded along row 0.
+        """
+        if not any(self._num):
             raise ZeroDivisionError("division by zero field element")
-        # Descending-order polynomial representing this element.
-        g = polys.trim(tuple(reversed(self._coeffs)))
-        f = tuple(Fraction(c) for c in self._field.min_poly)
-        gcd, _, t = polys.ext_gcd_q(f, g)
-        if gcd != (Fraction(1),):
-            raise ZeroDivisionError("element is not invertible")
-        _, t = polys.divmod_q(t, f)
-        coeffs = list(reversed(polys.trim(t)))
-        return AlgebraicNumber(self._field, coeffs)
+        field = self._field
+        lead, low = field._lead, field._low
+        cols = [self._num]
+        for _ in range(1, len(low)):
+            v = cols[-1]
+            shifted = zip((0,) + v[:-1], low)
+            cols.append(tuple(lead * c - v[-1] * f for c, f in shifted))
+        rows = tuple(zip(*cols))
+        if len(rows) == 1:
+            cof = (1,)
+        elif len(rows) == 2:
+            cof = (rows[1][1], -rows[1][0])
+        else:
+            (p0, p1, p2), (q0, q1, q2) = rows[1], rows[2]
+            cof = (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
+        det = sum(m * c for m, c in zip(rows[0], cof))
+        num = tuple(self._den * lead**j * c for j, c in enumerate(cof))
+        return _element(field, num, det)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -359,36 +378,48 @@ class AlgebraicNumber:
 
     def _rational_value(self):
         """Exact Fraction value if this element is rational, else None."""
-        if self._field.degree == 1 or all(c == 0 for c in self._coeffs[1:]):
-            return self._coeffs[0]
+        if self.is_rational():
+            return Fraction(self._num[0], self._den)
         return None
 
-    def value_interval(self):
-        """Exact rational bounds on the value from the current theta interval."""
+    def _bounds(self):
+        """Integers (lo, hi, den), den > 0, with lo/den <= value <= hi/den
+        from the current theta interval: the same bounds as value_interval."""
         lo, hi = self._field.interval()
-        total_lo = Fraction(0)
-        total_hi = Fraction(0)
-        for k, c in enumerate(self._coeffs):
+        q = math.lcm(lo.denominator, hi.denominator)
+        pl = lo.numerator * (q // lo.denominator)
+        ph = hi.numerator * (q // hi.denominator)
+        top = len(self._num) - 1
+        total_lo = total_hi = 0
+        for k, c in enumerate(self._num):
             if c == 0:
                 continue
-            plo, phi = _interval_pow(lo, hi, k)
+            # theta^k lies in [plo, phi] / q^k; scale both to q^top.
+            a, b = pl**k * q ** (top - k), ph**k * q ** (top - k)
+            plo, phi = (a, b) if a <= b else (b, a)
+            if k and k % 2 == 0 and pl < 0 < ph:
+                plo = 0
             if c > 0:
                 total_lo += c * plo
                 total_hi += c * phi
             else:
                 total_lo += c * phi
                 total_hi += c * plo
-        return total_lo, total_hi
+        return total_lo, total_hi, self._den * q**top
+
+    def value_interval(self):
+        """Exact rational bounds on the value from the current theta interval."""
+        lo, hi, den = self._bounds()
+        return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self):
         """Exact sign: -1, 0, or 1."""
-        rational = self._rational_value()
-        if rational is not None:
-            return polys._sign(rational)
+        if self.is_rational():
+            return polys._sign(self._num[0])
         # Irrational (a nonconstant element of a minimal field is never
         # rational), hence nonzero: refinement must eventually decide.
         while True:
-            lo, hi = self.value_interval()
+            lo, hi, _ = self._bounds()
             if lo > 0:
                 return 1
             if hi < 0:
@@ -396,14 +427,11 @@ class AlgebraicNumber:
             self._field.refine()
 
     def floor(self):
-        """Exact floor as a Python int."""
-        rational = self._rational_value()
-        if rational is not None:
-            return math.floor(rational)
+        """Exact floor as a Python int (a rational's bounds are its value)."""
         while True:
-            lo, hi = self.value_interval()
-            flo, fhi = math.floor(lo), math.floor(hi)
-            if flo == fhi:
+            lo, hi, den = self._bounds()
+            flo = lo // den
+            if flo == hi // den:
                 return flo
             self._field.refine()
 
@@ -418,16 +446,11 @@ class AlgebraicNumber:
         error_bound <= 10**-decimal_digits / 2.  For an irrational element
         the enclosing interval is refined until both endpoints round to the
         same string, which must happen because the value never sits exactly
-        on a rounding boundary (those are rational).
+        on a rounding boundary (those are rational).  A rational element's
+        interval is its value, so it needs no refinement.
         """
         if decimal_digits < 1:
             raise ValueError("decimal_digits must be at least 1")
-        rational = self._rational_value()
-        if rational is not None:
-            rounded = _round_half_away(rational, decimal_digits)
-            return DecimalApproximation(
-                _format_decimal(rounded, decimal_digits), abs(rounded - rational)
-            )
         while True:
             lo, hi = self.value_interval()
             rounded = _round_half_away(lo, decimal_digits)
@@ -451,16 +474,16 @@ class AlgebraicNumber:
 
     # -- comparisons ------------------------------------------------------
 
-    def _compare(self, other):
+    def _compare(self, other, op):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self - other).sign()
+        return op((self - other).sign(), 0)
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicNumber):
             if self._field == other._field:
-                return self._coeffs == other._coeffs
+                return self._num == other._num and self._den == other._den
             a, b = self._rational_value(), other._rational_value()
             return a is not None and b is not None and a == b
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
@@ -472,27 +495,23 @@ class AlgebraicNumber:
         rational = self._rational_value()
         if rational is not None:
             return hash(rational)
-        return hash((self._field, self._coeffs))
+        return hash((self._field, self._num, self._den))
 
     def __lt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s < 0
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        s = self._compare(other)
-        return NotImplemented if s is NotImplemented else s >= 0
+        return self._compare(other, operator.ge)
 
     def __repr__(self):
         terms = []
-        for k, c in enumerate(self._coeffs):
+        for k, c in enumerate(self.coeffs):
             if c == 0:
                 continue
             if k == 0:

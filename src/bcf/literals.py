@@ -20,12 +20,13 @@ and the expected grammar fragment.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import polys
-from .errors import ParseError
+from .errors import OutputTooLarge, ParseError
 from .fields import NumberField
 
 RAT_GRAMMAR = "rat:<int>[/<int>]"
@@ -202,7 +203,20 @@ def parse_digits(text):
     )
 
 
+def bounded_str(value, render=str):
+    """render(value), raising OutputTooLarge where an integer in it exceeds
+    Python's digit limit for integer-to-string conversion."""
+    try:
+        return render(value)
+    except ValueError:
+        raise OutputTooLarge(
+            "an integer in the output has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
+            "for integer-to-string conversion"
+        ) from None
+
+
 def fraction_str(value):
     """Render a rational as 'p/q' with the denominator always explicit."""
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{bounded_str(value.numerator)}/{bounded_str(value.denominator)}"

@@ -122,25 +122,6 @@ def divmod_q(f, g):
     return trim(q), trim(rem[len(q):])
 
 
-def ext_gcd_q(f, g):
-    """Extended Euclid in Q[x]: returns (d, s, t) with s*f + t*g = d, d monic."""
-    r0 = trim(Fraction(c) for c in f)
-    r1 = trim(Fraction(c) for c in g)
-    s0, s1 = (Fraction(1),), ()
-    t0, t1 = (), (Fraction(1),)
-    while r1:
-        q, r = divmod_q(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, sub(s0, multiply(q, s1))
-        t0, t1 = t1, sub(t0, multiply(q, t1))
-    if r0:
-        inv = 1 / r0[0]
-        r0 = tuple(c * inv for c in r0)
-        s0 = tuple(c * inv for c in s0)
-        t0 = tuple(c * inv for c in t0)
-    return r0, s0, t0
-
-
 def sturm_chain(coeffs):
     """Canonical Sturm chain of a nonzero polynomial (Fraction coefficients)."""
     p0 = trim(Fraction(c) for c in coeffs)

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
 import json
+import sys
 
 import pytest
 
@@ -179,6 +180,19 @@ def test_eval_length_mismatch(capsys):
 def test_eval_index_out_of_range(capsys):
     assert run(["eval", "--a", "1,2", "--b", "1,0", "--n", "5"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_eval_integer_too_long_to_print_is_exit_3(capsys, fmt):
+    digits = ",".join(["9" * 200] * 30)
+    argv = ["eval", "--a", digits, "--b", digits, "--format", fmt]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert str(sys.get_int_max_str_digits()) in captured.err
+    assert "Traceback" not in captured.err
 
 
 # -- render ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Digit expansion: stepping, rational fast path, periodicity, heuristics."""
 
+import hashlib
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcf import (
+    AlgebraicNumber,
     ExpansionState,
     NumberField,
     SequencePair,
@@ -20,6 +22,7 @@ from bcf import (
     rational_expansion_trace,
     validate,
 )
+from bcf import expansion
 from bcf.errors import (
     FieldMismatch,
     NonPositiveInput,
@@ -205,6 +208,80 @@ def test_truncation_keeps_open_shape():
 def test_expansion_types_are_exact():
     pair = bcf_expand(Fraction(7, 4), Fraction(3, 2))
     assert all(isinstance(d, int) for d in pair.a + pair.b)
+
+
+# -- pinned cubic digits -----------------------------------------------------------
+
+# x^3 - 2x^2 - 2x - 2, beta = theta^2 + theta: no period within 128 terms.
+PINNED_A = (
+    "2,2,13,1,1,16,4,5,1,2,5,1,1,39,1,1,9,8,1,1,1,665,1,7,2,15,2,2,6,1,3,19,1,1,"
+    "2,1,3,1,1,2,2,2,1,1,4,2,35,4,2,4,1,2,3,1,5,4,1,56,2,1,2,1,4,1,2,2,1,2,4,3,"
+    "3,1,1,12,2,1,2,5,2,2,1,1,2,1,1,4,1,2,9,16,1,3,1,2,2,4,9,1,6,2,1,3,1,4,2,1,"
+    "3,9,7,1,1,2,1,61,14,23,500,1,16,1,2,6,3,1,6,1,5,1"
+)
+PINNED_B = (
+    "11,2,3,1,1,3,3,3,0,0,1,0,0,23,0,1,1,3,0,0,1,454,1,4,2,8,1,0,0,0,0,4,0,1,1,"
+    "0,0,0,0,1,0,1,0,0,4,1,23,1,0,0,0,0,0,1,1,1,0,2,1,0,0,0,1,1,1,0,0,1,2,0,2,"
+    "0,0,11,1,1,2,1,1,0,0,0,0,0,0,1,0,0,5,7,0,0,1,2,1,0,0,0,5,0,1,1,0,4,1,0,2,"
+    "8,3,0,0,0,0,19,0,6,352,0,6,0,0,2,1,1,6,1,2,0"
+)
+
+# (min_poly, root interval, beta as a function of theta, terms, first digits
+# of a, sha256 of "a;b" written as comma-separated digits).  The last field
+# is non-monic.
+PINNED_DIGESTS = (
+    ((1, -2, -2, 2), (0, Fraction(3, 2)), lambda t: t * t + t, 128,
+     (0, 6, 4, 1, 4, 1, 1, 4),
+     "5920f8edfa8824060042163774ea58f68304fb162700f871411ae1060181ed1c"),
+    ((1, 2, 2, -1), (-3, 3), lambda t: t * t, 64,
+     (0, 8, 1, 53, 1, 2, 2, 3),
+     "e210bbe3af054b661182568f65de76ea359dadcc336f72f34e22bc6bc1f5cc40"),
+    ((3, 0, -2, -5), (1, 2), lambda t: t * t + 1, 64,
+     (1, 1, 2, 3, 5, 1, 7, 2),
+     "78518980f75885703cd046f31618e9dd4d1a8e5d01a679fbc4b651bb922698dc"),
+)
+
+
+def _csv(digits):
+    return ",".join(str(d) for d in digits)
+
+
+def test_pinned_cubic_digits():
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    pair = bcf_expand(t, t * t + t, max_terms=128)
+    assert (_csv(pair.a), _csv(pair.b)) == (PINNED_A, PINNED_B)
+    assert pair.periodicity is None and not pair.terminated
+
+
+@pytest.mark.parametrize("case", PINNED_DIGESTS, ids=lambda c: str(c[0]))
+def test_pinned_cubic_digests(case):
+    poly, interval, beta, terms, head, digest = case
+    t = NumberField(poly, interval).generator()
+    pair = bcf_expand(t, beta(t), max_terms=terms)
+    assert len(pair.a) == len(pair.b) == terms
+    assert pair.a[: len(head)] == head
+    text = f"{_csv(pair.a)};{_csv(pair.b)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_one_inversion_per_step(monkeypatch):
+    counts = {"inverse": 0, "step": 0}
+    inverse, step = AlgebraicNumber.inverse, expansion.bcf_step
+
+    def counted_inverse(self):
+        counts["inverse"] += 1
+        return inverse(self)
+
+    def counted_step(state):
+        counts["step"] += 1
+        return step(state)
+
+    monkeypatch.setattr(AlgebraicNumber, "inverse", counted_inverse)
+    monkeypatch.setattr(expansion, "bcf_step", counted_step)
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    pair = bcf_expand(t, t * t + t, max_terms=40)
+    assert len(pair.a) == 40 and counts["step"] == 40
+    assert counts["inverse"] == counts["step"]
 
 
 # -- heuristic mode ---------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Cubic number fields: construction, exact arithmetic, certified decimals."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import (
@@ -12,6 +13,7 @@ from bcf import (
     approximate,
     floor_of,
 )
+from bcf import polys
 from bcf.errors import (
     DegreeOutOfRange,
     FieldMismatch,
@@ -149,6 +151,15 @@ def test_sign_and_floor():
     assert floor_of(5) == 5
 
 
+def test_even_power_bound_when_interval_straddles_zero():
+    # x^3 - 2 has one real root (~1.26), so (-3, 2) isolates it; theta^2
+    # is then only known to lie in [0, 9], not [4, 9].
+    t = NumberField((1, 0, 0, -2), (-3, 2)).generator()
+    lo, hi = (t * t).value_interval()
+    assert lo == 0 and hi == 9
+    assert floor_of(t * t) == 1
+
+
 def test_comparisons():
     t = theta()
     assert 1 < t < 2
@@ -237,3 +248,99 @@ def test_ring_axioms(x, y):
 def test_floor_brackets_value(x):
     n = x.floor()
     assert n <= x < n + 1
+
+
+# -- integer coordinates against a Fraction reference ----------------------------
+
+
+@st.composite
+def small_fields(draw):
+    """Irreducible polynomials of degree 1-3, leading coefficient 1-5."""
+    d = draw(st.integers(1, 3))
+    lead = draw(st.integers(1, 5))
+    rest = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    poly = polys.primitive((lead, *rest))
+    assume(rest[-1] != 0 and polys.is_irreducible(poly))
+    intervals = polys.isolating_intervals(poly)
+    assume(intervals)
+    return NumberField(poly, draw(st.sampled_from(intervals)))
+
+
+def ref_mul(min_poly, x, y):
+    """Product of coordinate tuples in Q[x]/(min_poly), all in Fractions."""
+    d = len(min_poly) - 1
+    conv = [Fraction(0)] * (2 * d - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            conv[i + j] += a * b
+    asc = min_poly[::-1]
+    for k in range(2 * d - 2, d - 1, -1):
+        top = conv.pop() / asc[d]
+        for i in range(d):
+            conv[k - d + i] -= top * asc[i]
+    return tuple(conv)
+
+
+def ref_inverse(min_poly, x):
+    """Solve x * b = 1 by Gauss-Jordan elimination over the Fractions."""
+    d = len(min_poly) - 1
+    units = [tuple(Fraction(int(i == j)) for i in range(d)) for j in range(d)]
+    cols = [ref_mul(min_poly, x, e) for e in units]
+    rows = [[cols[j][i] for j in range(d)] + [units[0][i]] for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return tuple(row[d] for row in rows)
+
+
+def assert_normalised(x):
+    assert x._den > 0
+    assert math.gcd(x._den, *x._num) == 1
+    assert x.coeffs == tuple(Fraction(n, x._den) for n in x._num)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_arithmetic_matches_fraction_reference(data):
+    field = data.draw(small_fields())
+    d = field.degree
+    coords = st.lists(COORD, min_size=d, max_size=d).map(tuple)
+    xc, yc = data.draw(coords), data.draw(coords)
+    x, y = AlgebraicNumber(field, xc), AlgebraicNumber(field, yc)
+    f = field.min_poly
+    results = {
+        "add": (x + y, tuple(a + b for a, b in zip(xc, yc))),
+        "sub": (x - y, tuple(a - b for a, b in zip(xc, yc))),
+        "mul": (x * y, ref_mul(f, xc, yc)),
+    }
+    if any(yc):
+        inv = ref_inverse(f, yc)
+        results["inverse"] = (y.inverse(), inv)
+        results["div"] = (x / y, ref_mul(f, xc, inv))
+        assert y * y.inverse() == 1
+    for name, (got, want) in results.items():
+        assert got.coeffs == want, name
+        assert_normalised(got)
+        rebuilt = AlgebraicNumber(field, want)
+        assert got == rebuilt and hash(got) == hash(rebuilt), name
+    assert_normalised(x)
+    assert (x * y) * x == x * (y * x)
+    assert hash((x + y) - y) == hash(x)
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rational_elements_hash_like_fractions(data):
+    field = data.draw(small_fields())
+    q = data.draw(COORD)
+    built = [field.element(q), AlgebraicNumber(field, (q,)), field.element(q) * 1]
+    if field.degree > 1:
+        t = field.generator()
+        built.append((t + q) - t)
+    for x in built:
+        assert x == q and hash(x) == hash(q)
+        assert_normalised(x)

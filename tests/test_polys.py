@@ -68,14 +68,6 @@ def test_divmod_roundtrip(f, g):
     assert polys.degree(r) < polys.degree(g)
 
 
-def test_gcd_and_bezout():
-    f, h = (1, -1, -1, -1), (3, -2, -1)
-    g, s, t = polys.ext_gcd_q(f, h)
-    lhs = polys.add(polys.multiply(s, f), polys.multiply(t, h))
-    assert polys.trim(lhs) == polys.trim(g)
-    assert polys.degree(g) == 0  # squarefree cubic is coprime to its derivative
-
-
 def test_sturm_count_roots():
     chain = polys.sturm_chain((1, -1, -1, -1))
     assert polys.count_roots(chain, Fraction(1), Fraction(2)) == 1
