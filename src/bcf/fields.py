@@ -55,10 +55,13 @@ def _format_decimal(value, digits):
     scaled = Fraction(value) * 10**digits
     if scaled.denominator != 1:
         raise ValueError("value is not aligned to the requested digit grid")
+    # Deferred: literals imports this module.
+    from .literals import bounded_str
+
     n = scaled.numerator
     sign = "-" if n < 0 else ""
     whole, frac = divmod(abs(n), 10**digits)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{bounded_str(whole)}.{bounded_str(frac).zfill(digits)}"
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,8 @@ class NumberField:
         lo, hi = (Fraction(x) for x in root_interval)
         if not lo < hi:
             raise ValueError(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
-        if polys.evaluate(coeffs, lo) == 0 or polys.evaluate(coeffs, hi) == 0:
+        sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
+        if not sign_lo or not polys._sign_at(coeffs, hi.numerator, hi.denominator):
             raise RootCountNotOne(
                 "root interval endpoints must not be roots of the polynomial"
             )
@@ -107,7 +111,7 @@ class NumberField:
         # Mutable cache: shrinks monotonically, always contains the root.
         self._lo = lo
         self._hi = hi
-        self._sign_lo = polys._sign(polys.evaluate(coeffs, lo))
+        self._sign_lo = sign_lo
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
@@ -146,13 +150,13 @@ class NumberField:
     def refine(self):
         """Halve the cached isolating interval, keeping the root inside."""
         mid = (self._lo + self._hi) / 2
-        s = polys._sign(polys.evaluate(self._min_poly, mid))
+        s = polys._sign_at(self._min_poly, mid.numerator, mid.denominator)
         if s == 0:
             # Only possible for a degree-1 field, where the root is rational:
-            # shrink symmetrically around the midpoint instead.
+            # shrink symmetrically around the midpoint instead.  The new lo
+            # lies between the old lo and the root, so its sign is unchanged.
             quarter = (self._hi - self._lo) / 4
             self._lo, self._hi = mid - quarter, mid + quarter
-            self._sign_lo = polys._sign(polys.evaluate(self._min_poly, self._lo))
         elif s == self._sign_lo:
             self._lo = mid
         else:
@@ -451,14 +455,19 @@ class AlgebraicNumber:
         """
         if decimal_digits < 1:
             raise ValueError("decimal_digits must be at least 1")
+        unit = 10**decimal_digits
         while True:
-            lo, hi = self.value_interval()
-            rounded = _round_half_away(lo, decimal_digits)
-            if rounded == _round_half_away(hi, decimal_digits):
-                bound = max(abs(rounded - lo), abs(rounded - hi))
-                return DecimalApproximation(
-                    _format_decimal(rounded, decimal_digits), bound
-                )
+            lo, hi, den = self._bounds()
+            # Both ends can round alike only once the interval is narrower
+            # than one unit in the last place.
+            if (hi - lo) * unit < den:
+                lo, hi = Fraction(lo, den), Fraction(hi, den)
+                rounded = _round_half_away(lo, decimal_digits)
+                if rounded == _round_half_away(hi, decimal_digits):
+                    bound = max(abs(rounded - lo), abs(rounded - hi))
+                    return DecimalApproximation(
+                        _format_decimal(rounded, decimal_digits), bound
+                    )
             self._field.refine()
 
     def __float__(self):

@@ -2,7 +2,10 @@
 
 Polynomials are tuples of coefficients in descending order of power; the
 zero polynomial is the empty tuple.  Rational-coefficient helpers work on
-``fractions.Fraction`` values, integer helpers on plain ``int``.
+``fractions.Fraction`` values, integer helpers on plain ``int``.  Real-root
+counting is integer-only: Sturm chains have integer coefficients and are
+evaluated at a rational n/d through the homogeneous integer form of the
+polynomial.
 """
 
 from __future__ import annotations
@@ -91,15 +94,19 @@ def primitive(coeffs):
     return tuple(c // g for c in coeffs)
 
 
+def _positive_primitive(coeffs):
+    """The integer polynomial with content 1 that is coeffs (rational or
+    integer) times a positive rational; unlike primitive, signs are kept."""
+    coeffs = trim(coeffs)
+    lcm = math.lcm(*(c.denominator for c in coeffs))
+    coeffs = [c.numerator * (lcm // c.denominator) for c in coeffs]
+    g = content(coeffs) or 1
+    return tuple(c // g for c in coeffs)
+
+
 def clear_denominators(coeffs):
     """Scale a rational polynomial to coprime integer coefficients."""
-    coeffs = trim(Fraction(c) for c in coeffs)
-    if not coeffs:
-        return ()
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    return primitive(int(c * lcm) for c in coeffs)
+    return primitive(_positive_primitive(Fraction(c) for c in coeffs))
 
 
 def divmod_q(f, g):
@@ -122,20 +129,34 @@ def divmod_q(f, g):
     return trim(q), trim(rem[len(q):])
 
 
+def _remainder(f, g):
+    """A positive multiple of the remainder of integer f by integer g."""
+    rem, lead = list(f), g[0]
+    top = len(f) - len(g) + 1
+    for i in range(top):
+        c = rem[i] if lead > 0 else -rem[i]
+        rem = [abs(lead) * x for x in rem]
+        for j, gc in enumerate(g, i):
+            rem[j] -= c * gc
+    return trim(rem[top:])
+
+
 def sturm_chain(coeffs):
-    """Canonical Sturm chain of a nonzero polynomial (Fraction coefficients)."""
-    p0 = trim(Fraction(c) for c in coeffs)
+    """Canonical Sturm chain p, p', -rem(p, p'), ... of a nonzero polynomial,
+    each member scaled by a positive rational to integers of content 1, so
+    every sign, and hence every root count, is the classical chain's."""
+    p0 = _positive_primitive(coeffs)
     if not p0:
         raise ValueError("Sturm chain of the zero polynomial")
     chain = [p0]
-    p1 = derivative(p0)
+    p1 = _positive_primitive(derivative(p0))
     if p1:
         chain.append(p1)
-        while degree(chain[-1]) >= 1:
-            _, r = divmod_q(chain[-2], chain[-1])
+        while len(chain[-1]) > 1:
+            r = _remainder(chain[-2], chain[-1])
             if not r:
                 break
-            chain.append(negate(r))
+            chain.append(negate(_positive_primitive(r)))
     return chain
 
 
@@ -143,18 +164,30 @@ def _sign(x):
     return (x > 0) - (x < 0)
 
 
-def sign_variations(chain, x):
-    """Number of sign changes of the chain evaluated at x (zeros skipped)."""
-    signs = [s for s in (_sign(evaluate(p, x)) for p in chain) if s != 0]
-    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+def _sign_at(coeffs, n, d):
+    """Sign of an integer polynomial at n / d, d > 0, in integers only: the
+    sign of the homogeneous sum of c_i * n**(deg-i) * d**i."""
+    acc = coeffs[0]
+    dk = 1
+    for c in coeffs[1:]:
+        dk *= d
+        acc = acc * n + c * dk
+    return _sign(acc)
+
+
+def _sign_variations(chain, n, d):
+    """Sign changes of the chain at n / d, d > 0 (zeros skipped)."""
+    signs = [s for s in (_sign_at(p, n, d) for p in chain) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 def count_roots(chain, lo, hi):
-    """Distinct real roots in the open interval (lo, hi).
+    """Distinct real roots in the open interval (lo, hi), lo and hi rational.
 
     Requires that neither endpoint is a root of the chain's first polynomial.
     """
-    return sign_variations(chain, lo) - sign_variations(chain, hi)
+    return (_sign_variations(chain, lo.numerator, lo.denominator)
+            - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
 def is_perfect_square(n):
@@ -186,27 +219,25 @@ def integer_roots_monic(coeffs):
         return sorted(roots)
     bound = 1 + max(abs(c) for c in g[1:])
     chain = sturm_chain(g)
-    half = Fraction(1, 2)
-    stack = [(Fraction(-bound) - half, Fraction(bound) + half)]
+
+    def variations(k):
+        return _sign_variations(chain, 2 * k + 1, 2)
+
+    # (lo, hi, variations at lo + 1/2, variations at hi + 1/2): bisection
+    # between half-integers, held as ints, where no monic g has a root.
+    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
     while stack:
-        lo, hi = stack.pop()
-        if count_roots(chain, lo, hi) == 0:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
             continue
-        if hi - lo <= 1:
-            k = math.floor(lo) + 1
-            if k < hi and evaluate(g, k) == 0:
-                roots.add(k)
+        if hi - lo == 1:
+            if evaluate(g, hi) == 0:
+                roots.add(hi)
             continue
-        mid = (lo + hi) / 2
-        if mid.denominator == 1 and evaluate(g, int(mid)) == 0:
-            # An integer root sits exactly on the midpoint; the half-unit
-            # neighbourhood around it contains no other integer.
-            roots.add(int(mid))
-            stack.append((lo, mid - half))
-            stack.append((mid + half, hi))
-            continue
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        mid = (lo + hi) // 2
+        v_mid = variations(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     return sorted(roots)
 
 
@@ -255,20 +286,26 @@ def isolating_intervals(coeffs):
         return []
     chain = sturm_chain(c)
     bound = 1 + Fraction(max(abs(x) for x in c[1:]), abs(c[0]))
+
+    def variations(x):
+        return _sign_variations(chain, x.numerator, x.denominator)
+
     out = []
-    stack = [(Fraction(-bound), bound)]
+    # (lo, hi, variations at lo, variations at hi)
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
     while stack:
-        lo, hi = stack.pop()
-        n = count_roots(chain, lo, hi)
+        lo, hi, v_lo, v_hi = stack.pop()
+        n = v_lo - v_hi
         if n == 0:
             continue
         if n == 1:
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if evaluate(c, mid) == 0:
+        if _sign_at(chain[0], mid.numerator, mid.denominator) == 0:
             raise ValueError("rational root encountered during isolation")
-        stack.append((lo, mid))
-        stack.append((mid, hi))
+        v_mid = variations(mid)
+        stack.append((lo, mid, v_lo, v_mid))
+        stack.append((mid, hi, v_mid, v_hi))
     out.sort()
     return out

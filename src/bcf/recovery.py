@@ -171,7 +171,6 @@ def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
         raise DegenerateSystem(
             "no irrational root remains after removing rational factors"
         )
-    assert polys.is_irreducible(min_poly), "residual factor must be irreducible"
     interval = _certified_root_interval(min_poly, ball_pair)
     field = NumberField(min_poly, interval)
     alpha = field.generator()

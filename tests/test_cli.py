@@ -195,6 +195,19 @@ def test_eval_integer_too_long_to_print_is_exit_3(capsys, fmt):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1,2", "--b", "2,3"],
+    ["recover", "--period-a", "1", "--period-b", "1"],
+])
+def test_decimals_past_digit_limit_are_exit_3(capsys, argv):
+    assert run(argv + ["--digits", "5000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 # -- render ---------------------------------------------------------------------
 
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import polys
@@ -141,3 +141,64 @@ def test_isolating_intervals_random_cubics(degree, data):
     intervals = polys.isolating_intervals(poly)
     for lo, hi in intervals:
         assert polys.count_roots(chain, lo, hi) == 1
+
+
+BIG = 2**70  # past 2**64, so no coefficient fits a machine word
+
+
+@st.composite
+def planted_polys(draw):
+    """(integer polynomial, its distinct rational roots, k or None) built
+    from linear factors q*x - p, some repeated, times x**2 - k when k is
+    drawn (k is never a square, so that factor has no rational root)."""
+    roots = draw(st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+        ),
+        min_size=1, max_size=3,
+    ))
+    poly = (draw(st.integers(1, BIG)) * draw(st.sampled_from((1, -1))),)
+    for r in roots:
+        for _ in range(draw(st.integers(1, 2))):
+            poly = polys.multiply(poly, (r.denominator, -r.numerator))
+    k = draw(st.one_of(
+        st.none(),
+        st.integers(-6, 12).filter(lambda k: not polys.is_perfect_square(k)),
+    ))
+    if k is not None:
+        poly = polys.multiply(poly, (1, 0, -k))
+    return poly, sorted(set(roots)), k
+
+
+def _endpoint(roots):
+    near_root = st.tuples(
+        st.sampled_from(roots), st.integers(-BIG, BIG), st.integers(1, BIG)
+    ).map(lambda t: t[0] + Fraction(t[1], t[2]) / BIG)
+    anywhere = st.builds(
+        Fraction, st.integers(-4 * BIG, 4 * BIG), st.integers(1, BIG)
+    )
+    return st.one_of(near_root, anywhere)
+
+
+def _above_sqrt(x, k):
+    """x > sqrt(k) for rational x and integer k > 0, exactly."""
+    return x > 0 and x * x > k
+
+
+@given(planted_polys(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_planted_roots_found_and_counted(planted, data):
+    poly, roots, k = planted
+    assert polys.rational_roots(poly) == roots
+    chain = polys.sturm_chain(poly)
+    assert all(type(c) is int for p in chain for c in p)
+    for _ in range(3):
+        lo, hi = sorted((data.draw(_endpoint(roots)), data.draw(_endpoint(roots))))
+        assume(lo < hi and lo not in roots and hi not in roots)
+        expected = sum(lo < r < hi for r in roots)
+        if k is not None and k > 0:
+            # sqrt(k) lies in (lo, hi); so does -sqrt(k) (negate the interval)
+            expected += not _above_sqrt(lo, k) and _above_sqrt(hi, k)
+            expected += not _above_sqrt(-hi, k) and _above_sqrt(-lo, k)
+        assert polys.count_roots(chain, lo, hi) == expected

@@ -246,6 +246,46 @@ def test_recover_eventual_matches_pure_on_tail():
     assert pure.poly == eventual.poly
 
 
+# Long-period recoveries whose monicised cubic has coefficients past 2^64,
+# pinned from the Fraction-based Sturm search: (preperiod, period) ->
+# (min_poly, root interval, beta_expr, alpha to 30 places).
+LONG_PERIOD_RECOVERIES = [
+    (((5,), (5,)), ((7, 5, 9, 7, 7), (6, 5, 7, 7, 5)),
+     (2267669, -2649543, -48463664, -69609937),
+     (Fraction(96338050250628317, 16661444928110675),
+      Fraction(96348882947145533, 16661444928110675)),
+     ((-3157, 11901, 36741), (410, -2371)),
+     "5.782419653900351714949585917075"),
+    (((8, 5), (4, 5)), ((4, 8, 8, 3, 5, 1), (1, 4, 2, 3, 3, 0)),
+     (34881425, -970809400, 8995200465, -27749817167),
+     (Fraction(1017903788561, 113167602080),
+      Fraction(1017952015889, 113167602080)),
+     ((5265, 539833, -5281707), (149530, -1345003)),
+     "8.994870289028000750656845159038"),
+    (((8, 2, 4), (4, 1, 0)), ((5, 2, 8, 6, 8, 9), (0, 2, 1, 6, 4, 7)),
+     (60113460, -1739500848, 16513124568, -51594205297),
+     (Fraction(3390478511212, 393885460445),
+      Fraction(3392319064588, 393885460445)),
+     ((287874, -3776013, 11170633), (249968, -2152253)),
+     "8.610114177779287068244513232401"),
+]
+
+
+@pytest.mark.parametrize(
+    "preperiod, period, poly, interval, beta_expr, alpha_text",
+    LONG_PERIOD_RECOVERIES,
+)
+def test_recover_eventual_long_period_pinned(
+    preperiod, period, poly, interval, beta_expr, alpha_text
+):
+    assert max(abs(c) for c in polys.monicize(poly)) >= 2**64
+    result = recover_cubic_eventual(preperiod, period)
+    assert result.poly == poly
+    assert result.field.root_interval == interval
+    assert result.beta_expr == beta_expr
+    assert result.alpha.approximate(30).text == alpha_text
+
+
 def test_recover_eventual_rejects_bad_digits():
     with pytest.raises(InvalidSequence):
         recover_cubic_eventual(((2,), (2,)), ((), ()))
