@@ -101,23 +101,25 @@ def _exact_str(value):
     return str(value)
 
 
+def _convergent_record(triple, digits):
+    return {
+        "n": triple.n,
+        "A": bounded_str(triple.A),
+        "B": bounded_str(triple.B),
+        "C": bounded_str(triple.C),
+        "alpha": fraction_str(triple.alpha),
+        "beta": fraction_str(triple.beta),
+        "alpha_dec": approximate(triple.alpha, digits).text,
+    }
+
+
 def _convergent_records(pair, digits):
     if not pair.a:
         return []
-    records = []
-    for triple in convergent_sequence(pair, len(pair.a) - 1):
-        records.append(
-            {
-                "n": triple.n,
-                "A": bounded_str(triple.A),
-                "B": bounded_str(triple.B),
-                "C": bounded_str(triple.C),
-                "alpha": fraction_str(triple.alpha),
-                "beta": fraction_str(triple.beta),
-                "alpha_dec": approximate(triple.alpha, digits).text,
-            }
-        )
-    return records
+    return [
+        _convergent_record(triple, digits)
+        for triple in convergent_sequence(pair, len(pair.a) - 1)
+    ]
 
 
 def _ratfunc_str(num, den):
@@ -226,16 +228,8 @@ def _prepare_eval(args):
 
 def _execute_eval(args, job):
     triple = convergent(job["pair"], job["n"])
-    record = {
-        "n": triple.n,
-        "A": bounded_str(triple.A),
-        "B": bounded_str(triple.B),
-        "C": bounded_str(triple.C),
-        "alpha": fraction_str(triple.alpha),
-        "beta": fraction_str(triple.beta),
-        "alpha_dec": approximate(triple.alpha, args.digits).text,
-        "beta_dec": approximate(triple.beta, args.digits).text,
-    }
+    record = _convergent_record(triple, args.digits)
+    record["beta_dec"] = approximate(triple.beta, args.digits).text
     if args.format == "json":
         _emit_json(record)
     else:

@@ -162,12 +162,6 @@ class NumberField:
         else:
             self._hi = mid
 
-    def refine_below(self, width):
-        """Refine until the cached interval is strictly narrower than width."""
-        while self._hi - self._lo >= width:
-            self.refine()
-        return self._lo, self._hi
-
     def generator(self):
         """The distinguished root theta as a field element."""
         if self.degree == 1:

@@ -1,17 +1,20 @@
-"""Exact polynomial utilities over the integers and rationals.
+"""Exact polynomial utilities over the integers.
 
 Polynomials are tuples of coefficients in descending order of power; the
-zero polynomial is the empty tuple.  Rational-coefficient helpers work on
-``fractions.Fraction`` values, integer helpers on plain ``int``.  Real-root
-counting is integer-only: Sturm chains have integer coefficients and are
-evaluated at a rational n/d through the homogeneous integer form of the
-polynomial.
+zero polynomial is the empty tuple.  The arithmetic helpers (``evaluate``,
+``add``, ``multiply``, ...) accept any numbers; the rest take integer
+coefficients and compute in integers only.  Sturm chains have integer
+coefficients and are evaluated at a rational n/d through the homogeneous
+integer form.  ``rational_roots`` bisects the polynomial's own chain on the
+grid its leading coefficient fixes; ``deflate`` divides a root out exactly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+from .errors import ReduciblePolynomial
 
 
 def trim(coeffs):
@@ -95,38 +98,10 @@ def primitive(coeffs):
 
 
 def _positive_primitive(coeffs):
-    """The integer polynomial with content 1 that is coeffs (rational or
-    integer) times a positive rational; unlike primitive, signs are kept."""
+    """coeffs divided by its content; unlike primitive, signs are kept."""
     coeffs = trim(coeffs)
-    lcm = math.lcm(*(c.denominator for c in coeffs))
-    coeffs = [c.numerator * (lcm // c.denominator) for c in coeffs]
     g = content(coeffs) or 1
     return tuple(c // g for c in coeffs)
-
-
-def clear_denominators(coeffs):
-    """Scale a rational polynomial to coprime integer coefficients."""
-    return primitive(_positive_primitive(Fraction(c) for c in coeffs))
-
-
-def divmod_q(f, g):
-    """Quotient and remainder in Q[x]; coefficients become Fractions."""
-    fn = list(trim(Fraction(c) for c in f))
-    gn = list(trim(Fraction(c) for c in g))
-    if not gn:
-        raise ZeroDivisionError("polynomial division by zero polynomial")
-    if len(fn) < len(gn):
-        return (), tuple(fn)
-    q = [Fraction(0)] * (len(fn) - len(gn) + 1)
-    rem = fn[:]
-    lead = gn[0]
-    for i in range(len(q)):
-        coef = rem[i] / lead
-        q[i] = coef
-        if coef:
-            for j, gc in enumerate(gn):
-                rem[i + j] -= coef * gc
-    return trim(q), trim(rem[len(q):])
 
 
 def _remainder(f, g):
@@ -142,9 +117,10 @@ def _remainder(f, g):
 
 
 def sturm_chain(coeffs):
-    """Canonical Sturm chain p, p', -rem(p, p'), ... of a nonzero polynomial,
-    each member scaled by a positive rational to integers of content 1, so
-    every sign, and hence every root count, is the classical chain's."""
+    """Canonical Sturm chain p, p', -rem(p, p'), ... of a nonzero integer
+    polynomial, each member an integer polynomial of content 1: the classical
+    member times a positive rational, so every sign, and hence every root
+    count, is the classical chain's."""
     p0 = _positive_primitive(coeffs)
     if not p0:
         raise ValueError("Sturm chain of the zero polynomial")
@@ -194,45 +170,36 @@ def is_perfect_square(n):
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def monicize(coeffs):
-    """Monic integer polynomial whose roots are lead * (roots of coeffs)."""
-    coeffs = trim(coeffs)
-    lead = coeffs[0]
-    out = [1]
-    power = 1
-    for c in coeffs[1:]:
-        out.append(c * power)
-        power *= lead
-    return tuple(out)
+def rational_roots(coeffs):
+    """Sorted distinct rational roots of an integer polynomial.
 
-
-def integer_roots_monic(coeffs):
-    """Sorted distinct integer roots of a monic integer polynomial."""
-    g = trim(coeffs)
-    if g[0] != 1:
-        raise ValueError("polynomial is not monic")
-    roots = set()
-    while len(g) > 1 and g[-1] == 0:
-        roots.add(0)
-        g = g[:-1]
-    if len(g) <= 1:
-        return sorted(roots)
-    bound = 1 + max(abs(c) for c in g[1:])
-    chain = sturm_chain(g)
+    A root p/q in lowest terms has q dividing the leading coefficient, so
+    every rational root is k / |lead| for an integer k, and none lies on
+    the half-grid (2k + 1) / (2 |lead|).  The polynomial's own Sturm chain
+    is bisected between half-grid points, held as the int k, down to cells
+    holding one grid point, which is then tested exactly.
+    """
+    if degree(coeffs) < 1:
+        return []
+    chain = sturm_chain(coeffs)
+    c = chain[0]
+    lead = abs(c[0])
+    # Cauchy: every root has |x| < 1 + max|c_i| / lead = bound / lead.
+    bound = lead + max(abs(x) for x in c[1:])
 
     def variations(k):
-        return _sign_variations(chain, 2 * k + 1, 2)
+        return _sign_variations(chain, 2 * k + 1, 2 * lead)
 
-    # (lo, hi, variations at lo + 1/2, variations at hi + 1/2): bisection
-    # between half-integers, held as ints, where no monic g has a root.
+    roots = []
+    # (lo, hi, variations at lo, variations at hi), each end a half-grid k.
     stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo == v_hi:
             continue
         if hi - lo == 1:
-            if evaluate(g, hi) == 0:
-                roots.add(hi)
+            if _sign_at(c, hi, lead) == 0:
+                roots.append(Fraction(hi, lead))
             continue
         mid = (lo + hi) // 2
         v_mid = variations(mid)
@@ -241,18 +208,20 @@ def integer_roots_monic(coeffs):
     return sorted(roots)
 
 
-def rational_roots(coeffs):
-    """Sorted distinct rational roots of an integer polynomial."""
-    c = trim(coeffs)
-    if degree(c) < 1:
-        return []
-    lead = c[0]
-    out = set()
-    for k in integer_roots_monic(monicize(c)):
-        r = Fraction(k, lead)
-        if evaluate(c, r) == 0:
-            out.add(r)
-    return sorted(out)
+def deflate(coeffs, root):
+    """The quotient of an integer polynomial by q*x - p, where root = p/q
+    is one of its roots; by Gauss's lemma the quotient has integer
+    coefficients, so the division runs in integers."""
+    p, q = root.numerator, root.denominator
+    quotient = [0]
+    for c in trim(coeffs):
+        top, rem = divmod(c + p * quotient[-1], q)
+        if rem:
+            raise ValueError(f"{root} is not a root of {coeffs}")
+        quotient.append(top)
+    if quotient[-1]:
+        raise ValueError(f"{root} is not a root of {coeffs}")
+    return tuple(quotient[1:-1])
 
 
 def is_irreducible(coeffs):
@@ -275,11 +244,12 @@ def is_irreducible(coeffs):
 
 
 def isolating_intervals(coeffs):
-    """Disjoint open rational intervals, one per real root.
+    """Sorted disjoint open rational intervals, one per distinct real root
+    of an integer polynomial, found by bisection on its Sturm chain.
 
-    Requires a squarefree integer polynomial with no rational roots (for
-    example an irreducible polynomial of degree >= 2), so that bisection
-    midpoints can never land on a root.
+    Raises ReduciblePolynomial when a bisection midpoint is a root: that
+    root is rational, so the polynomial (of degree >= 2, since a degree-1
+    root is isolated by the starting interval) is reducible.
     """
     c = trim(coeffs)
     if degree(c) < 1:
@@ -303,7 +273,9 @@ def isolating_intervals(coeffs):
             continue
         mid = (lo + hi) / 2
         if _sign_at(chain[0], mid.numerator, mid.denominator) == 0:
-            raise ValueError("rational root encountered during isolation")
+            raise ReduciblePolynomial(
+                f"polynomial {c} has the rational root {mid}"
+            )
         v_mid = variations(mid)
         stack.append((lo, mid, v_lo, v_mid))
         stack.append((mid, hi, v_mid, v_hi))

@@ -21,7 +21,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import _kernels, polys
-from .errors import BcfError, DegenerateSystem, InvalidSequence, MixedFields
+from .errors import (
+    BcfError,
+    DegenerateSystem,
+    InvalidSequence,
+    MixedFields,
+    ReduciblePolynomial,
+)
 from .expansion import _is_integral, bcf_expand
 from .fields import AlgebraicNumber, NumberField
 from .sequences import SequencePair, as_pair
@@ -128,16 +134,12 @@ def _canonical_ratfunc(num, den):
 
 
 def _strip_rational_roots(relation):
-    """Divide out every rational root, leaving the irrational-root factor."""
+    """Divide out every rational root, with multiplicity, leaving the
+    irrational-root factor (primitive, since each factor q*x - p is)."""
     h = polys.primitive(relation)
-    while polys.degree(h) >= 1:
-        roots = polys.rational_roots(h)
-        if not roots:
-            break
-        r = roots[0]
-        quotient, remainder = polys.divmod_q(h, (r.denominator, -r.numerator))
-        assert not remainder, "claimed rational root does not divide"
-        h = polys.clear_denominators(quotient)
+    for r in polys.rational_roots(h):
+        while polys.evaluate(h, r) == 0:
+            h = polys.deflate(h, r)
     return h
 
 
@@ -393,15 +395,16 @@ def _scan_single_poly(task):
     if polys.degree(coeffs) != 3:
         record(STATUS_ERROR)
         return records
-    if not polys.is_irreducible(coeffs):
+    roots = []
+    try:
+        for lo, hi in polys.isolating_intervals(coeffs):
+            field = NumberField(coeffs, (lo, hi))
+            alpha = field.generator()
+            if alpha > 0:
+                roots.append(((lo, hi), alpha))
+    except ReduciblePolynomial:
         record(STATUS_SKIPPED_REDUCIBLE)
         return records
-    roots = []
-    for lo, hi in polys.isolating_intervals(coeffs):
-        field = NumberField(coeffs, (lo, hi))
-        alpha = field.generator()
-        if alpha > 0:
-            roots.append(((lo, hi), alpha))
     if not roots:
         record(STATUS_SKIPPED_NO_POSITIVE_ROOT)
         return records

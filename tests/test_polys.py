@@ -1,4 +1,5 @@
-"""Exact polynomial utilities: division, Sturm chains, root isolation."""
+"""Exact polynomial utilities: Sturm chains, rational roots, deflation,
+root isolation."""
 
 from fractions import Fraction
 
@@ -7,9 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import polys
-
-SMALL_POLY = st.lists(st.integers(-9, 9), min_size=0, max_size=5).map(tuple)
-NONZERO_POLY = SMALL_POLY.filter(lambda p: polys.trim(p))
+from bcf.errors import ReduciblePolynomial
 
 
 def test_trim_and_degree():
@@ -43,29 +42,6 @@ def test_content_primitive_clear():
     assert polys.primitive((4, -6, 2)) == (2, -3, 1)
     assert polys.primitive((-4, -6)) == (2, 3)
     assert polys.content((-4, -6)) == 2
-    assert polys.clear_denominators(
-        (Fraction(1, 2), Fraction(-1, 3))
-    ) == (3, -2)
-
-
-def test_divmod_exact():
-    q, r = polys.divmod_q((1, 0, -1), (1, 1))
-    assert q == (1, -1) and r == ()
-    q, r = polys.divmod_q((1, 0, 0, -2), (1, -1))
-    assert polys.add(polys.multiply(q, (1, -1)), r) == (1, 0, 0, -2)
-    with pytest.raises(ZeroDivisionError):
-        polys.divmod_q((1, 1), ())
-
-
-@given(f=SMALL_POLY, g=NONZERO_POLY)
-@settings(max_examples=150, deadline=None)
-def test_divmod_roundtrip(f, g):
-    q, r = polys.divmod_q(f, g)
-    recomposed = polys.add(polys.multiply(q, g), r)
-    assert polys.trim(recomposed) == polys.trim(
-        tuple(Fraction(c) for c in f)
-    )
-    assert polys.degree(r) < polys.degree(g)
 
 
 def test_sturm_count_roots():
@@ -78,15 +54,6 @@ def test_sturm_count_roots():
     assert polys.count_roots(chain2, Fraction(-2), Fraction(2)) == 2
 
 
-def test_monicize_and_integer_roots():
-    # 2x^2 - x - 1 = (2x + 1)(x - 1); monicized y^2 - y - 2 has roots 2, -1
-    assert polys.monicize((2, -1, -1)) == (1, -1, -2)
-    assert sorted(polys.integer_roots_monic((1, -1, -2))) == [-1, 2]
-    assert polys.integer_roots_monic((1, 0, 1)) == []
-    # zero roots are found too
-    assert 0 in polys.integer_roots_monic((1, -1, 0))
-
-
 def test_rational_roots():
     assert sorted(polys.rational_roots((2, -1, -1))) == [
         Fraction(-1, 2),
@@ -97,6 +64,11 @@ def test_rational_roots():
         Fraction(1, 3),
         Fraction(1, 2),
     ]
+    assert polys.rational_roots((1, 0, 1)) == []
+    assert polys.rational_roots((1, -1, 0)) == [0, 1]
+    # -2x^3 + x^2 + x = -x(2x + 1)(x - 1): a zero root and a negative lead
+    assert polys.rational_roots((-2, 1, 1, 0)) == [Fraction(-1, 2), 0, 1]
+    assert polys.rational_roots((7,)) == []
 
 
 def test_is_perfect_square():
@@ -128,6 +100,9 @@ def test_isolating_intervals():
     (lo, hi), (lo2, hi2) = sorted(intervals)
     assert lo < -Fraction(14142, 10000) < hi
     assert lo2 < Fraction(14142, 10000) < hi2
+    # x^3 - x = (x + 1) x (x - 1): the first midpoint, 0, is a root
+    with pytest.raises(ReduciblePolynomial):
+        polys.isolating_intervals((1, 0, -1, 0))
 
 
 @given(st.integers(1, 3), st.data())
@@ -148,9 +123,10 @@ BIG = 2**70  # past 2**64, so no coefficient fits a machine word
 
 @st.composite
 def planted_polys(draw):
-    """(integer polynomial, its distinct rational roots, k or None) built
-    from linear factors q*x - p, some repeated, times x**2 - k when k is
-    drawn (k is never a square, so that factor has no rational root)."""
+    """(integer polynomial, its distinct rational roots, k or None, every
+    planted root as often as it was planted) built from linear factors
+    q*x - p, some repeated, times x**2 - k when k is drawn (k is never a
+    square, so that factor has no rational root)."""
     roots = draw(st.lists(
         st.one_of(
             st.just(Fraction(0)),
@@ -159,16 +135,18 @@ def planted_polys(draw):
         min_size=1, max_size=3,
     ))
     poly = (draw(st.integers(1, BIG)) * draw(st.sampled_from((1, -1))),)
+    planted = []
     for r in roots:
         for _ in range(draw(st.integers(1, 2))):
             poly = polys.multiply(poly, (r.denominator, -r.numerator))
+            planted.append(r)
     k = draw(st.one_of(
         st.none(),
         st.integers(-6, 12).filter(lambda k: not polys.is_perfect_square(k)),
     ))
     if k is not None:
         poly = polys.multiply(poly, (1, 0, -k))
-    return poly, sorted(set(roots)), k
+    return poly, sorted(set(roots)), k, planted
 
 
 def _endpoint(roots):
@@ -189,7 +167,7 @@ def _above_sqrt(x, k):
 @given(planted_polys(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_planted_roots_found_and_counted(planted, data):
-    poly, roots, k = planted
+    poly, roots, k, _ = planted
     assert polys.rational_roots(poly) == roots
     chain = polys.sturm_chain(poly)
     assert all(type(c) is int for p in chain for c in p)
@@ -202,3 +180,26 @@ def test_planted_roots_found_and_counted(planted, data):
             expected += not _above_sqrt(lo, k) and _above_sqrt(hi, k)
             expected += not _above_sqrt(-hi, k) and _above_sqrt(-lo, k)
         assert polys.count_roots(chain, lo, hi) == expected
+
+
+@given(planted_polys())
+@settings(max_examples=60, deadline=None)
+def test_deflate_planted_roots(planted):
+    poly, _, _, planted_roots = planted
+    quotient = poly
+    for r in planted_roots:
+        quotient = polys.deflate(quotient, r)
+        assert all(type(c) is int for c in quotient)
+    assert polys.rational_roots(quotient) == []
+    product = quotient
+    for r in planted_roots:
+        product = polys.multiply(product, (r.denominator, -r.numerator))
+    assert product == poly
+
+
+def test_deflate_rejects_non_root():
+    assert polys.deflate((2, -1, -1), Fraction(-1, 2)) == (1, -1)
+    with pytest.raises(ValueError):
+        polys.deflate((1, 0, -2), Fraction(1))      # remainder -1
+    with pytest.raises(ValueError):
+        polys.deflate((1, 0, -2), Fraction(1, 2))   # 2x - 1 does not divide

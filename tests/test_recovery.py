@@ -22,6 +22,7 @@ from bcf import (
 from bcf.errors import InvalidSequence, MixedFields
 from bcf.recovery import (
     NotFound,
+    _strip_rational_roots,
     PeriodicityResult,
     STATUS_EXHAUSTED,
     STATUS_PERIODIC,
@@ -246,6 +247,16 @@ def test_recover_eventual_matches_pure_on_tail():
     assert pure.poly == eventual.poly
 
 
+def test_strip_rational_roots_with_multiplicity():
+    # -3 (x - 1)^2 (2x + 1) (x^2 - 2): content, a negative lead, a double
+    # root and a root that is not an integer; only x^2 - 2 remains
+    relation = (-3,)
+    for factor in ((1, -1), (1, -1), (2, 1), (1, 0, -2)):
+        relation = polys.multiply(relation, factor)
+    assert _strip_rational_roots(relation) == (1, 0, -2)
+    assert _strip_rational_roots((2, 0, -4)) == (1, 0, -2)
+
+
 # Long-period recoveries whose monicised cubic has coefficients past 2^64,
 # pinned from the Fraction-based Sturm search: (preperiod, period) ->
 # (min_poly, root interval, beta_expr, alpha to 30 places).
@@ -278,7 +289,9 @@ LONG_PERIOD_RECOVERIES = [
 def test_recover_eventual_long_period_pinned(
     preperiod, period, poly, interval, beta_expr, alpha_text
 ):
-    assert max(abs(c) for c in polys.monicize(poly)) >= 2**64
+    # the monicised cubic, with coefficients c_i * lead**(i-1), is past 2^64
+    monic = [c * poly[0] ** (i - 1) for i, c in enumerate(poly) if i]
+    assert max(abs(c) for c in monic) >= 2**64
     result = recover_cubic_eventual(preperiod, period)
     assert result.poly == poly
     assert result.field.root_interval == interval
@@ -342,6 +355,21 @@ def test_scan_skips_reducible_and_rootless():
     # x^3 + 1 is also reducible; x^3 + 2x^2 + 2x + 1 too ((x+1) factor)
     assert statuses[(1, 0, 0, 1)] == STATUS_SKIPPED_REDUCIBLE
     assert statuses[(1, 2, 2, 1)] == STATUS_SKIPPED_REDUCIBLE
+
+
+def test_scan_reducible_found_by_isolation_or_field():
+    records = conjecture_scan(
+        # x^3 - x: a bisection midpoint is the root 0; (x - 3)(x^2 + 1): one
+        # real root, so NumberField's own check rejects it; tribonacci
+        [(1, 0, -1, 0), (1, -3, 1, -3), (1, -1, -1, -1)],
+        [((1, 0, 0), (1,))],
+        horizon=8,
+    )
+    assert [r.status for r in records[:2]] == [STATUS_SKIPPED_REDUCIBLE] * 2
+    assert len(records) == 3 and records[2].min_poly == (1, -1, -1, -1)
+    assert records[2].status in {
+        STATUS_PERIODIC, STATUS_TERMINATED, STATUS_EXHAUSTED
+    }
 
 
 def test_scan_no_positive_root():
