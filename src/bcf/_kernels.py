@@ -5,32 +5,35 @@ and 3x3 matrices given as tuples of row tuples.
 """
 
 
-def rational_digits(u, v, w):
+def rational_digits(u, v, w, limit=None):
     """Expand the rational pair (alpha, beta) = (u/w, v/w) digit by digit.
 
     Runs the integer triple recurrence u' = w, v' = u - a*w, w' = v - b*w,
     where a = floor(u/w) and b = floor(v/w), until beta becomes integral
     (w divides v).  The denominators strictly decrease, so the run always
-    terminates.
+    terminates.  With ``limit`` it stops after that many digit pairs, like
+    ``bcf_expand(max_terms=limit)``, unless beta turns integral first.
 
-    Returns ``(a, b, trace)``: the b-side carries one digit more than the
-    a-side, and ``trace`` lists every (u, v, w) triple visited, starting
-    with the input; the unreduced terminal alpha is u/w of its last entry.
+    Returns ``(a, b, trace)``; ``trace`` lists every (u, v, w) triple
+    visited, starting with the input.  A terminated run's b-side carries
+    one digit more than its a-side, and its unreduced terminal alpha is u/w
+    of the last triple; a run stopped by ``limit`` has equal sides.
     """
     a = []
     b = []
     trace = [(u, v, w)]
-    while True:
+    while len(b) != limit:
         bi = v // w
         r = v - bi * w
         if r == 0:
             b.append(bi)
-            return a, b, trace
+            break
         ai = u // w
         a.append(ai)
         b.append(bi)
         u, v, w = w, u - ai * w, r
         trace.append((u, v, w))
+    return a, b, trace
 
 
 def convergent_triples(a, b, n):

@@ -29,14 +29,20 @@ from .errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from .expansion import _unify_pair, bcf_expand, bcf_expand_heuristic
-from .fields import AlgebraicNumber, approximate
+from .expansion import (
+    _unify_pair,
+    bcf_expand,
+    bcf_expand_heuristic,
+    bcf_expand_rational,
+)
+from .fields import AlgebraicNumber, _rounded_decimal
 from .literals import (
     RatFunc,
     bounded_str,
     fraction_str,
     parse_digits,
     parse_number,
+    ratio_str,
 )
 from .recovery import conjecture_scan, recover_cubic_eventual, recover_cubic_pure
 from .sequences import SequencePair
@@ -102,14 +108,15 @@ def _exact_str(value):
 
 
 def _convergent_record(triple, digits):
+    A, B, C = triple.A, triple.B, triple.C
     return {
         "n": triple.n,
-        "A": bounded_str(triple.A),
-        "B": bounded_str(triple.B),
-        "C": bounded_str(triple.C),
-        "alpha": fraction_str(triple.alpha),
-        "beta": fraction_str(triple.beta),
-        "alpha_dec": approximate(triple.alpha, digits).text,
+        "A": bounded_str(A),
+        "B": bounded_str(B),
+        "C": bounded_str(C),
+        "alpha": ratio_str(A, C),
+        "beta": ratio_str(B, C),
+        "alpha_dec": _rounded_decimal(A, C, digits)[1],
     }
 
 
@@ -174,6 +181,8 @@ def _execute_expand(args, job):
             max_terms=args.terms,
             guard_digits=args.guard_digits,
         )
+    elif isinstance(job["alpha"], Fraction):
+        pair = bcf_expand_rational(job["alpha"], job["beta"], max_terms=args.terms)
     else:
         pair = bcf_expand(job["alpha"], job["beta"], max_terms=args.terms)
     records = _convergent_records(pair, args.digits)
@@ -229,7 +238,7 @@ def _prepare_eval(args):
 def _execute_eval(args, job):
     triple = convergent(job["pair"], job["n"])
     record = _convergent_record(triple, args.digits)
-    record["beta_dec"] = approximate(triple.beta, args.digits).text
+    record["beta_dec"] = _rounded_decimal(triple.B, triple.C, args.digits)[1]
     if args.format == "json":
         _emit_json(record)
     else:

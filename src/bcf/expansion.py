@@ -8,9 +8,12 @@ beta_i non-integral,
     beta_{i+1}  = (alpha_i - a_i) / (beta_i - b_i).
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
-terminal value rather than floored.  Rational inputs always terminate and
-have an integer-only fast path; algebraic inputs are tracked exactly and
-recurring states are detected on the fly.
+terminal value rather than floored.  Algebraic inputs are tracked exactly,
+one inversion per step, and recurring states are detected on the fly by
+their raw normalised coordinates.  Rational inputs always terminate; besides
+the generic loop they have an integer-only fast path with an optional step
+cap, ``bcf_expand_rational``, which the CLI uses for every exact rational
+pair.  The generic loop stays the independent reference for that kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import FieldMismatch, NonPositiveInput, PrecisionExhausted
-from .fields import AlgebraicNumber, floor_of
+from .fields import AlgebraicNumber, _step, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
@@ -46,12 +49,12 @@ class Terminated:
 
 
 def _normalize(value, name):
+    if isinstance(value, (Fraction, AlgebraicNumber)):
+        return value
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an exact number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, (Fraction, AlgebraicNumber)):
-        return value
     raise TypeError(
         f"{name} must be a Fraction or AlgebraicNumber, got {type(value).__name__}"
     )
@@ -84,26 +87,33 @@ def _unify_pair(alpha, beta):
 
 def bcf_step(state):
     """Advance one step: returns (a_i, b_i, next state or Terminated)."""
-    alpha = _normalize(state.alpha, "alpha")
-    beta = _normalize(state.beta, "beta")
+    alpha, beta = _unify_pair(state.alpha, state.beta)
     if state.index == 0 and (alpha <= 0 or beta <= 0):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     b_i = floor_of(beta)
     a_i = floor_of(alpha)
     if _is_integral(beta):
         return a_i, b_i, Terminated(alpha)
-    next_alpha = 1 / (beta - b_i)
-    next_beta = (alpha - a_i) * next_alpha
+    next_alpha, next_beta = _step(alpha, beta, a_i, b_i)
     return a_i, b_i, ExpansionState(next_alpha, next_beta, state.index + 1)
+
+
+def _key(value):
+    """The raw normal form of an exact number: equal values, equal keys."""
+    if isinstance(value, AlgebraicNumber):
+        return value._num, value._den
+    return value.numerator, value.denominator
 
 
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    The exact orbit is tracked as it is generated; if a state recurs before
-    the budget is used up, the remaining digits are read off the cycle and
-    the result's periodicity field records (preperiod, period).  Rational
-    inputs terminate instead, with the exact final alpha in ``terminal``.
+    The exact orbit is tracked as it is generated, keyed on the raw
+    normalised coordinates of each state (every state of one run lives in
+    one field); if a state recurs before the budget is used up, the
+    remaining digits are read off the cycle and the result's periodicity
+    field records (preperiod, period).  Rational inputs terminate instead,
+    with the exact final alpha in ``terminal``.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
@@ -118,7 +128,7 @@ def bcf_expand(alpha, beta, max_terms=64):
     periodicity = None
     state = ExpansionState(alpha, beta, 0)
     for i in range(max_terms):
-        key = (state.alpha, state.beta)
+        key = _key(state.alpha), _key(state.beta)
         if key in seen:
             k = seen[key]
             m = i - k
@@ -147,15 +157,22 @@ def _common_denominator_form(alpha, beta):
     return int(alpha * w), int(beta * w), w
 
 
-def bcf_expand_rational(alpha, beta):
+def bcf_expand_rational(alpha, beta, max_terms=None):
     """Expand a positive rational pair with the integer triple recurrence.
 
     Writing alpha_i = u_i/w_i and beta_i = v_i/w_i over one denominator, a
     step is u' = w, v' = u - a*w, w' = v - b*w with a = u//w, b = v//w; the
     denominators strictly decrease, so the run always terminates.  The
-    result is digit-for-digit identical to bcf_expand on the same inputs.
+    result is digit-for-digit identical to bcf_expand on the same inputs,
+    and with ``max_terms`` to bcf_expand(max_terms=...): a run cut by the
+    cap is open, with no terminal.  The CLI expands every exact rational
+    pair here.
     """
-    a, b, trace = rational_digits(*_common_denominator_form(alpha, beta))
+    if max_terms is not None and max_terms < 1:
+        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+    a, b, trace = rational_digits(*_common_denominator_form(alpha, beta), max_terms)
+    if len(b) == len(a):
+        return SequencePair(a, b)
     u, _, w = trace[-1]
     return SequencePair(a, b, terminal=Fraction(u, w))
 

@@ -39,29 +39,25 @@ def _coerce_int(value, what):
     return as_fraction.numerator
 
 
-def _round_half_away(value, digits):
-    """Round a Fraction to `digits` decimal places, halves away from zero."""
-    scaled = Fraction(value) * 10**digits
-    magnitude = (2 * abs(scaled.numerator) + scaled.denominator) // (
-        2 * scaled.denominator
-    )
-    if scaled < 0:
-        magnitude = -magnitude
-    return Fraction(magnitude, 10**digits)
+def _rounded_decimal(num, den, digits):
+    """num / den rounded half away from zero to `digits` places.
 
-
-def _format_decimal(value, digits):
-    """Render a Fraction that is an exact multiple of 10**-digits."""
-    scaled = Fraction(value) * 10**digits
-    if scaled.denominator != 1:
-        raise ValueError("value is not aligned to the requested digit grid")
+    Returns (n, text): the rounded value is n / 10**digits and text is its
+    decimal rendering, with a minus sign only when n < 0.  One integer
+    division, with no gcd; den == 0 raises ZeroDivisionError.
+    """
     # Deferred: literals imports this module.
     from .literals import bounded_str
 
-    n = scaled.numerator
-    sign = "-" if n < 0 else ""
-    whole, frac = divmod(abs(n), 10**digits)
-    return f"{sign}{bounded_str(whole)}.{bounded_str(frac).zfill(digits)}"
+    if den < 0:
+        num, den = -num, -den
+    unit = 10**digits
+    n = (2 * abs(num) * unit + den) // (2 * den)
+    whole, frac = divmod(n, unit)
+    text = f"{bounded_str(whole)}.{bounded_str(frac).zfill(digits)}"
+    if num < 0 and n:
+        return -n, "-" + text
+    return n, text
 
 
 @dataclass(frozen=True)
@@ -112,6 +108,7 @@ class NumberField:
         self._lo = lo
         self._hi = hi
         self._sign_lo = sign_lo
+        self._powers = None  # _power_bounds of (_lo, _hi); reset by refine
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
@@ -147,8 +144,32 @@ class NumberField:
         """Current cached isolating interval (shrinks as queries refine it)."""
         return self._lo, self._hi
 
+    def _power_bounds(self):
+        """Integer bounds on the powers of theta from the cached interval.
+
+        Returns (bounds, scale): bounds[k] = (lo_k, hi_k) with
+        lo_k <= theta**k * scale <= hi_k for k < degree, where scale is
+        q**(degree - 1) and q the common denominator of the interval ends.
+        """
+        if self._powers is None:
+            lo, hi = self._lo, self._hi
+            q = math.lcm(lo.denominator, hi.denominator)
+            pl = lo.numerator * (q // lo.denominator)
+            ph = hi.numerator * (q // hi.denominator)
+            top = self.degree - 1
+            bounds = []
+            for k in range(top + 1):
+                a, b = pl**k * q ** (top - k), ph**k * q ** (top - k)
+                plo, phi = (a, b) if a <= b else (b, a)
+                if k and k % 2 == 0 and pl < 0 < ph:
+                    plo = 0
+                bounds.append((plo, phi))
+            self._powers = tuple(bounds), q**top
+        return self._powers
+
     def refine(self):
         """Halve the cached isolating interval, keeping the root inside."""
+        self._powers = None
         mid = (self._lo + self._hi) / 2
         s = polys._sign_at(self._min_poly, mid.numerator, mid.denominator)
         if s == 0:
@@ -175,12 +196,12 @@ class NumberField:
         return _element(self, (value.numerator,) + zeros, value.denominator)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, NumberField):
             return NotImplemented
         if self._min_poly != other._min_poly:
             return False
-        if self is other:
-            return True
         if self.degree == 1:
             return True  # a degree-1 polynomial has a single root
         lo = max(self._lo, other._lo)
@@ -206,6 +227,11 @@ def _element(field, num, den):
     if g != 1:
         num = tuple(n // g for n in num)
         den //= g
+    return _normal(field, num, den)
+
+
+def _normal(field, num, den):
+    """The element num / den of field, (num, den) already normalised."""
     x = object.__new__(AlgebraicNumber)
     x._field = field
     x._num = num
@@ -218,6 +244,37 @@ def _sum(x, y, sign):
     dx, dy = x._den, y._den
     num = tuple(a * dy + sign * b * dx for a, b in zip(x._num, y._num))
     return _element(x._field, num, dx * dy)
+
+
+def _product(x, y):
+    """x * y for elements of one field."""
+    b = y._num
+    conv = [0] * (2 * len(b) - 1)
+    for i, c in enumerate(x._num):
+        if c:
+            for j, e in enumerate(b, i):
+                conv[j] += c * e
+    return x._field._reduce(conv, x._den * y._den)
+
+
+def _shift(x, k):
+    """x - k for an integer k.  The denominator is unchanged and the form
+    stays normal, since gcd(den, n0 - k*den, n1, ...) = gcd(den, n0, n1, ...)."""
+    num = x._num
+    return _normal(x._field, (num[0] - k * x._den,) + num[1:], x._den)
+
+
+def _step(alpha, beta, a, b):
+    """(1 / (beta - b), (alpha - a) / (beta - b)) with one inversion.
+
+    a and b are integers; alpha and beta are both elements of one field,
+    or both rationals.  Raises ZeroDivisionError when beta == b.
+    """
+    if isinstance(beta, AlgebraicNumber):
+        inv = _shift(beta, b).inverse()
+        return inv, _product(_shift(alpha, a), inv)
+    inv = 1 / (beta - b)
+    return inv, (alpha - a) * inv
 
 
 class AlgebraicNumber:
@@ -307,13 +364,7 @@ class AlgebraicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        b = other._num
-        conv = [0] * (2 * len(b) - 1)
-        for i, x in enumerate(self._num):
-            if x:
-                for j, y in enumerate(b, i):
-                    conv[j] += x * y
-        return self._field._reduce(conv, self._den * other._den)
+        return _product(self, other)
 
     __rmul__ = __mul__
 
@@ -383,27 +434,16 @@ class AlgebraicNumber:
     def _bounds(self):
         """Integers (lo, hi, den), den > 0, with lo/den <= value <= hi/den
         from the current theta interval: the same bounds as value_interval."""
-        lo, hi = self._field.interval()
-        q = math.lcm(lo.denominator, hi.denominator)
-        pl = lo.numerator * (q // lo.denominator)
-        ph = hi.numerator * (q // hi.denominator)
-        top = len(self._num) - 1
+        powers, scale = self._field._power_bounds()
         total_lo = total_hi = 0
-        for k, c in enumerate(self._num):
-            if c == 0:
-                continue
-            # theta^k lies in [plo, phi] / q^k; scale both to q^top.
-            a, b = pl**k * q ** (top - k), ph**k * q ** (top - k)
-            plo, phi = (a, b) if a <= b else (b, a)
-            if k and k % 2 == 0 and pl < 0 < ph:
-                plo = 0
+        for c, (plo, phi) in zip(self._num, powers):
             if c > 0:
                 total_lo += c * plo
                 total_hi += c * phi
-            else:
+            elif c:
                 total_lo += c * phi
                 total_hi += c * plo
-        return total_lo, total_hi, self._den * q**top
+        return total_lo, total_hi, self._den * scale
 
     def value_interval(self):
         """Exact rational bounds on the value from the current theta interval."""
@@ -455,13 +495,14 @@ class AlgebraicNumber:
             # Both ends can round alike only once the interval is narrower
             # than one unit in the last place.
             if (hi - lo) * unit < den:
-                lo, hi = Fraction(lo, den), Fraction(hi, den)
-                rounded = _round_half_away(lo, decimal_digits)
-                if rounded == _round_half_away(hi, decimal_digits):
-                    bound = max(abs(rounded - lo), abs(rounded - hi))
-                    return DecimalApproximation(
-                        _format_decimal(rounded, decimal_digits), bound
+                n, text = _rounded_decimal(lo, den, decimal_digits)
+                if n == _rounded_decimal(hi, den, decimal_digits)[0]:
+                    rounded = Fraction(n, unit)
+                    bound = max(
+                        abs(rounded - Fraction(lo, den)),
+                        abs(rounded - Fraction(hi, den)),
                     )
+                    return DecimalApproximation(text, bound)
             self._field.refine()
 
     def __float__(self):
@@ -544,7 +585,5 @@ def approximate(x, decimal_digits):
     if decimal_digits < 1:
         raise ValueError("decimal_digits must be at least 1")
     value = Fraction(x)
-    rounded = _round_half_away(value, decimal_digits)
-    return DecimalApproximation(
-        _format_decimal(rounded, decimal_digits), abs(rounded - value)
-    )
+    n, text = _rounded_decimal(value.numerator, value.denominator, decimal_digits)
+    return DecimalApproximation(text, abs(Fraction(n, 10**decimal_digits) - value))

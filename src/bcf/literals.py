@@ -20,6 +20,7 @@ and the expected grammar fragment.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -219,4 +220,14 @@ def bounded_str(value, render=str):
 def fraction_str(value):
     """Render a rational as 'p/q' with the denominator always explicit."""
     value = Fraction(value)
-    return f"{bounded_str(value.numerator)}/{bounded_str(value.denominator)}"
+    return ratio_str(value.numerator, value.denominator)
+
+
+def ratio_str(num, den):
+    """fraction_str(Fraction(num, den)) from the two integers, with one gcd."""
+    if not den:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = math.gcd(num, den)
+    if den < 0:
+        g = -g
+    return f"{bounded_str(num // g)}/{bounded_str(den // g)}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
 from .expansion import _unify_pair
-from .fields import floor_of
+from .fields import _step, floor_of
 from .sequences import as_pair
 
 RULE_A_BELOW_ONE = "a_below_one"
@@ -92,9 +92,7 @@ def _tail_states(alpha, beta, pair, n):
         raise IndexOutOfRange(f"n must be nonnegative, got {n}")
     yield 0, alpha, beta
     for i in range(n):
-        a_i, b_i = pair.digit_a(i), pair.digit_b(i)
-        den = beta - b_i
-        alpha, beta = 1 / den, (alpha - a_i) / den
+        alpha, beta = _step(alpha, beta, pair.digit_a(i), pair.digit_b(i))
         yield i + 1, alpha, beta
 
 

@@ -1,11 +1,18 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
+import hashlib
 import json
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bcf.cli import run
+from bcf import bcf_expand, bcf_expand_rational, cli, expansion
+from bcf.cli import _convergent_record, run
+from bcf.fields import _rounded_decimal
+from bcf.treeval import ConvergentTriple
 
 
 def run_json(capsys, argv):
@@ -81,6 +88,125 @@ def test_expand_text_shows_terminal(capsys):
     assert code == 0
     assert "terminal: 2/1" in out
     assert "terminated: true" in out
+
+
+# The first 30-digit pair of the benchmark's digits_recover catalogue.
+ALPHA_30 = "rat:713722173205991698923043325531/865535494447169240923082592683"
+BETA_30 = "rat:381433033348889187677694374246/328022014863927355196443824330"
+
+
+def _stdout(capsys, argv):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return captured.out
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_rational_expand_bytes_match_generic_loop(capsys, monkeypatch, fmt, offset):
+    length = len(bcf_expand_rational(Fraction(ALPHA_30[4:]), Fraction(BETA_30[4:])).b)
+    argv = ["expand", "--alpha", ALPHA_30, "--beta", BETA_30,
+            "--terms", str(length + offset), "--format", fmt]
+    kernel = _stdout(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "bcf_expand_rational",
+                  lambda alpha, beta, max_terms: bcf_expand(alpha, beta, max_terms))
+        generic = _stdout(capsys, argv)
+    assert kernel == generic
+    assert ("terminal: " in kernel or '"terminated":true' in kernel) == (offset >= 0)
+
+
+def test_rational_expand_skips_generic_loop(capsys, monkeypatch):
+    def generic(*args, **kwargs):
+        raise AssertionError("the generic loop ran")
+
+    monkeypatch.setattr(cli, "bcf_expand", generic)
+    monkeypatch.setattr(expansion, "bcf_step", generic)
+    out = _stdout(capsys, ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2",
+                           "--terms", "2", "--format", "text"])
+    assert out.splitlines()[:3] == ["a: 1,2", "b: 1,1", "terminated: false"]
+
+
+# (argv, sha256 of stdout): one depth-256 cubic expansion and one 30-digit
+# rational expansion from the benchmark catalogues, pinned on the code that
+# expanded them with generic field and Fraction arithmetic.
+PINNED_STDOUT = (
+    (["expand", "--alpha", "alg:1,-2,-2,-2@-3,3", "--beta", "ratfunc:1,1,0/1",
+      "--terms", "256"],
+     "8a50c91c2d62a8668135c82699d6f1ca8a02ea6369a8a4a4e13bc33279e35656"),
+    (["expand", "--alpha", ALPHA_30, "--beta", BETA_30, "--terms", "200",
+      "--format", "text"],
+     "5ec08b3067d9656f8e86ac18330efd6583af135eac5a58cfc98db5fb36ba535d"),
+)
+
+
+@pytest.mark.parametrize("argv, digest", PINNED_STDOUT, ids=["cubic", "rational"])
+def test_expand_stdout_pinned(capsys, argv, digest):
+    out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_expand_integer_too_long_to_print_is_exit_3(capsys):
+    # Digits a = b = 10**100 repeat forever, so A_n has about 100*n digits.
+    big = 10**100
+    argv = ["expand", "--alpha", f"alg:1,-{big},-{big},-1@{big},{big + 2}",
+            "--beta", f"ratfunc:1,-{big},0/1", "--terms", "60"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert str(sys.get_int_max_str_digits()) in captured.err
+
+
+def _reference_decimal(value, digits):
+    """Round half away from zero through Fraction arithmetic."""
+    scaled = value * 10**digits
+    magnitude = (2 * abs(scaled.numerator) + scaled.denominator) // (
+        2 * scaled.denominator
+    )
+    n = -magnitude if scaled < 0 else magnitude
+    whole, frac = divmod(abs(n), 10**digits)
+    return n, f"{'-' if n < 0 else ''}{whole}.{str(frac).zfill(digits)}"
+
+
+BIG = 2**200
+
+
+@st.composite
+def record_inputs(draw):
+    digits = draw(st.integers(1, 60))
+    sign = draw(st.sampled_from([1, -1]))
+    if draw(st.booleans()):
+        # A / C exactly half a unit in the last place, unreduced.
+        half_units = 2 * draw(st.integers(0, 10**70)) + 1
+        scale = draw(st.integers(1, 2**40))
+        A, C = sign * half_units * scale, 2 * 10**digits * scale
+    else:
+        A = draw(st.one_of(st.just(0), st.integers(-BIG, BIG)))
+        C = sign * draw(st.integers(1, BIG))
+    if draw(st.booleans()):
+        C = -C
+    B = draw(st.integers(-BIG, BIG))
+    return A, B, C, digits
+
+
+@given(record_inputs())
+@settings(max_examples=300, deadline=None)
+def test_integer_record_matches_fraction_reference(inputs):
+    A, B, C, digits = inputs
+    alpha, beta = Fraction(A, C), Fraction(B, C)
+    assert _rounded_decimal(A, C, digits) == _reference_decimal(alpha, digits)
+    assert _convergent_record(ConvergentTriple(7, A, B, C), digits) == {
+        "n": 7,
+        "A": str(A),
+        "B": str(B),
+        "C": str(C),
+        "alpha": f"{alpha.numerator}/{alpha.denominator}",
+        "beta": f"{beta.numerator}/{beta.denominator}",
+        "alpha_dec": _reference_decimal(alpha, digits)[1],
+    }
 
 
 def test_expand_ratfunc_only_for_beta(capsys):
@@ -170,6 +296,14 @@ def test_eval_interior_index(capsys):
         capsys, ["eval", "--a", "1,1,1", "--b", "1,1,1", "--n", "1"]
     )
     assert (payload["A"], payload["B"], payload["C"]) == ("2", "2", "1")
+
+
+def test_eval_zero_denominator_is_exit_3(capsys):
+    # a_1 = 0 gives C_1 = 0, so the convergent has no value.
+    assert run(["eval", "--a", "1,0", "--b", "0,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Fraction(0, 0)\n"
 
 
 def test_eval_length_mismatch(capsys):

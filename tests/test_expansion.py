@@ -23,6 +23,8 @@ from bcf import (
     validate,
 )
 from bcf import expansion
+from bcf._kernels import rational_digits
+from bcf.cli import _exact_str
 from bcf.errors import (
     FieldMismatch,
     NonPositiveInput,
@@ -282,6 +284,60 @@ def test_one_inversion_per_step(monkeypatch):
     pair = bcf_expand(t, t * t + t, max_terms=40)
     assert len(pair.a) == 40 and counts["step"] == 40
     assert counts["inverse"] == counts["step"]
+
+
+# -- recurrence detection on raw states ---------------------------------------------
+
+
+@pytest.mark.parametrize("poly, interval, beta, periodicity", [
+    ((1, -1, -1, -1), (1, 2), lambda t: 1 + 1 / t, (0, 1)),  # tribonacci
+    ((1, -1, -2, -1), (2, 3), lambda r: 2 + 1 / r, (1, 2)),
+], ids=["tribonacci", "preperiod-one"])
+def test_recurrence_pinned(poly, interval, beta, periodicity):
+    t = NumberField(poly, interval).generator()
+    pair = bcf_expand(t, beta(t), max_terms=30)
+    assert pair.periodicity == periodicity
+    assert len(pair.a) == len(pair.b) == 30
+
+
+def test_field_terminal_after_steps():
+    # Built backwards from alpha_2 = (theta^2 + 1)/3 and beta_2 = 1, with
+    # digits that match the floors: beta turns integral after two steps.
+    t = NumberField((1, -1, -1, -1), (1, 2)).generator()
+    z = (t * t + 1) / 3
+    a1, b1 = 2 + 1 / z, 1 + 1 / z
+    pair = bcf_expand(3 + b1 / a1, 1 + 1 / a1)
+    assert (pair.a, pair.b) == ((3, 2), (1, 1, 1))
+    assert isinstance(pair.terminal, AlgebraicNumber) and pair.terminal == z
+    assert _exact_str(pair.terminal) == "<AlgebraicNumber 1/3 + 1/3*theta^2>"
+
+
+# -- the capped rational kernel ------------------------------------------------------
+
+
+def test_rational_digits_cap():
+    u, v, w = 713722173205991698923043325531, 381433033348889187677694374246, 10**30
+    a, b, trace = rational_digits(u, v, w)
+    assert len(b) == len(a) + 1 > 10
+    capped = rational_digits(u, v, w, 10)
+    assert capped == (a[:10], b[:10], trace[:11])
+    assert rational_digits(u, v, w, len(b)) == (a, b, trace)
+    assert rational_digits(u, v, w, len(b) + 5) == (a, b, trace)
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 50])
+def test_capped_fast_path_matches_generic(terms):
+    # (7/5, 3/2) terminates after three b-digits.
+    alpha, beta = Fraction(7, 5), Fraction(3, 2)
+    fast = bcf_expand_rational(alpha, beta, max_terms=terms)
+    assert fast == bcf_expand(alpha, beta, max_terms=terms)
+    assert fast.terminated == (terms >= 3)
+    assert (fast.terminal is None) == (terms < 3)
+
+
+def test_capped_fast_path_rejects_zero_terms():
+    with pytest.raises(ValueError):
+        bcf_expand_rational(Fraction(7, 5), Fraction(3, 2), max_terms=0)
 
 
 # -- heuristic mode ---------------------------------------------------------------

@@ -67,6 +67,20 @@ def test_detect_period_eventually_periodic():
     assert (result.preperiod, result.period) == (1, 2)
 
 
+def test_expand_finds_the_repeat_detect_period_finds():
+    # bcf_expand keys states on raw coordinates, detect_period on values.
+    rng = random.Random(4242)
+    for _ in range(10):
+        result = recover_cubic_pure(random_cyclic_pair(rng))
+        alpha, beta = result.alpha, result.beta
+        a = rng.randint(1, 3)
+        b = rng.randint(0, a)
+        for x, y in ((alpha, beta), (a + beta / alpha, b + 1 / alpha)):
+            found = detect_period(_states(x, y, 16))
+            pair = bcf_expand(x, y, max_terms=17)
+            assert pair.periodicity == (found.preperiod, found.period)
+
+
 def test_detect_period_not_found_on_rationals():
     states = _states(Fraction(7, 4), Fraction(3, 2), 10)
     result = detect_period(states)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from bcf import (
+    AlgebraicNumber,
     NumberField,
     SequencePair,
     RULE_A_BELOW_ONE,
@@ -148,6 +149,34 @@ def test_zero_division_signals_breakdown():
         check_proper(Fraction(5, 2), Fraction(2), ((2, 1), (2, 1)), 1)
     with pytest.raises(ZeroDivisionError):
         check_appropriate(Fraction(5, 2), Fraction(2), ((2, 1), (2, 1)), 1)
+
+
+def test_zero_division_in_a_field():
+    # beta_0 = 2 is an integral field element equal to b_0.
+    t = TRIBONACCI.generator()
+    two = TRIBONACCI.element(2)
+    with pytest.raises(ZeroDivisionError):
+        check_proper(t, two, ((1, 1), (2, 1)), 1)
+    with pytest.raises(ZeroDivisionError):
+        check_appropriate(t, two, ((1, 1), (2, 1)), 1)
+
+
+def test_one_inversion_per_tail_step(monkeypatch):
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    beta = t * t + t
+    pair = bcf_expand(t, beta, max_terms=41)
+    count = [0]
+    inverse = AlgebraicNumber.inverse
+
+    def counted_inverse(self):
+        count[0] += 1
+        return inverse(self)
+
+    monkeypatch.setattr(AlgebraicNumber, "inverse", counted_inverse)
+    assert check_proper(t, beta, pair, 40)
+    assert count[0] == 40
+    assert check_appropriate(t, beta, pair, 40)
+    assert count[0] == 80
 
 
 def test_tail_index_errors():
