@@ -15,6 +15,7 @@ from .errors import (
     BcfError,
     DegenerateSystem,
     DegreeOutOfRange,
+    EmptyInterval,
     FieldMismatch,
     IndexOutOfRange,
     InvalidSequence,
@@ -88,6 +89,7 @@ __all__ = [
     "DecimalApproximation",
     "DegenerateSystem",
     "DegreeOutOfRange",
+    "EmptyInterval",
     "ExpansionState",
     "FieldMismatch",
     "IndexOutOfRange",

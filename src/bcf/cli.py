@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fractions import Fraction
 from .errors import (
     BcfError,
     DegreeOutOfRange,
+    EmptyInterval,
     FieldMismatch,
     IndexOutOfRange,
     InvalidSequence,
@@ -58,8 +60,8 @@ _INPUT_ERRORS = (
     InvalidSequence,
     FieldMismatch,
     IndexOutOfRange,
+    EmptyInterval,
     ZeroDivisionError,
-    ValueError,
 )
 
 _DEFAULT_SCAN_BETAS = (
@@ -107,15 +109,24 @@ def _exact_str(value):
     return str(value)
 
 
+def _ratio_text(num, den, num_text, den_text):
+    """ratio_str(num, den), reusing both rendered integers when num/den is
+    already in lowest terms with a positive denominator."""
+    if den > 0 and math.gcd(num, den) == 1:
+        return f"{num_text}/{den_text}"
+    return ratio_str(num, den)
+
+
 def _convergent_record(triple, digits):
     A, B, C = triple.A, triple.B, triple.C
+    a, b, c = bounded_str(A), bounded_str(B), bounded_str(C)
     return {
         "n": triple.n,
-        "A": bounded_str(A),
-        "B": bounded_str(B),
-        "C": bounded_str(C),
-        "alpha": ratio_str(A, C),
-        "beta": ratio_str(B, C),
+        "A": a,
+        "B": b,
+        "C": c,
+        "alpha": _ratio_text(A, C, a, c),
+        "beta": _ratio_text(B, C, b, c),
         "alpha_dec": _rounded_decimal(A, C, digits)[1],
     }
 

@@ -49,5 +49,9 @@ class ParseError(BcfError, ValueError):
     """A textual literal could not be parsed."""
 
 
+class EmptyInterval(BcfError, ValueError):
+    """An interval given as (lo, hi) does not satisfy lo < hi."""
+
+
 class IndexOutOfRange(BcfError, IndexError):
     """A sequence index lies outside the available digit range."""

@@ -8,12 +8,15 @@ beta_i non-integral,
     beta_{i+1}  = (alpha_i - a_i) / (beta_i - b_i).
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
-terminal value rather than floored.  Algebraic inputs are tracked exactly,
-one inversion per step, and recurring states are detected on the fly by
-their raw normalised coordinates.  Rational inputs always terminate; besides
-the generic loop they have an integer-only fast path with an optional step
-cap, ``bcf_expand_rational``, which the CLI uses for every exact rational
-pair.  The generic loop stays the independent reference for that kernel.
+terminal value rather than floored.  ``bcf_expand`` validates its input once,
+then loops on raw state: the normalised (num, den) pairs of two field
+elements, stepped by ``fields._step`` (one inversion) and floored from the
+field's cached power bounds; a recurring state is found by that raw state
+itself, and only the terminal becomes an element again.  ``bcf_step`` is the
+validated single-step API over the same step.  Rational inputs always
+terminate and keep Fraction arithmetic in the same loop, the independent
+reference for ``bcf_expand_rational``: an integer-only fast path with an
+optional step cap, which the CLI uses for every exact rational pair.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import FieldMismatch, NonPositiveInput, PrecisionExhausted
-from .fields import AlgebraicNumber, _step, floor_of
+from .fields import AlgebraicNumber, _floor, _normal, _step, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
@@ -85,24 +88,45 @@ def _unify_pair(alpha, beta):
     return alpha, beta
 
 
+def _raw_state(alpha, beta):
+    """(field, alpha, beta) of a unified pair: field elements become their
+    raw normalised (num, den) pairs; a rational pair keeps its Fractions
+    and has field None."""
+    if isinstance(alpha, AlgebraicNumber):
+        return alpha.field, alpha._raw, beta._raw
+    return None, alpha, beta
+
+
+def _exact(field, x):
+    """The exact number of one raw coordinate."""
+    return x if field is None else _normal(field, *x)
+
+
+def _advance(field, alpha, beta):
+    """One step on raw state: (a_i, b_i, next (alpha, beta)), with None for
+    the next state once beta is an integer."""
+    if field is None:
+        b_i, a_i = floor_of(beta), floor_of(alpha)
+        last = beta.denominator == 1
+    else:
+        b_i, a_i = _floor(field, beta), _floor(field, alpha)
+        last = beta[1] == 1 and not any(beta[0][1:])
+    if last:
+        return a_i, b_i, None
+    return a_i, b_i, _step(field, alpha, beta, a_i, b_i)
+
+
 def bcf_step(state):
     """Advance one step: returns (a_i, b_i, next state or Terminated)."""
     alpha, beta = _unify_pair(state.alpha, state.beta)
     if state.index == 0 and (alpha <= 0 or beta <= 0):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-    b_i = floor_of(beta)
-    a_i = floor_of(alpha)
-    if _is_integral(beta):
+    field, x, y = _raw_state(alpha, beta)
+    a_i, b_i, nxt = _advance(field, x, y)
+    if nxt is None:
         return a_i, b_i, Terminated(alpha)
-    next_alpha, next_beta = _step(alpha, beta, a_i, b_i)
-    return a_i, b_i, ExpansionState(next_alpha, next_beta, state.index + 1)
-
-
-def _key(value):
-    """The raw normal form of an exact number: equal values, equal keys."""
-    if isinstance(value, AlgebraicNumber):
-        return value._num, value._den
-    return value.numerator, value.denominator
+    alpha, beta = (_exact(field, v) for v in nxt)
+    return a_i, b_i, ExpansionState(alpha, beta, state.index + 1)
 
 
 def bcf_expand(alpha, beta, max_terms=64):
@@ -121,16 +145,16 @@ def bcf_expand(alpha, beta, max_terms=64):
     if alpha <= 0 or beta <= 0:
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
 
+    field, alpha, beta = _raw_state(alpha, beta)
     a_digits = []
     b_digits = []
     seen = {}
     terminal = None
     periodicity = None
-    state = ExpansionState(alpha, beta, 0)
     for i in range(max_terms):
-        key = _key(state.alpha), _key(state.beta)
-        if key in seen:
-            k = seen[key]
+        state = alpha, beta
+        if state in seen:
+            k = seen[state]
             m = i - k
             periodicity = (k, m)
             for j in range(i, max_terms):
@@ -138,14 +162,14 @@ def bcf_expand(alpha, beta, max_terms=64):
                 a_digits.append(a_digits[idx])
                 b_digits.append(b_digits[idx])
             break
-        seen[key] = i
-        a_i, b_i, nxt = bcf_step(state)
+        seen[state] = i
+        a_i, b_i, nxt = _advance(field, alpha, beta)
         b_digits.append(b_i)
-        if isinstance(nxt, Terminated):
-            terminal = nxt.terminal
+        if nxt is None:
+            terminal = _exact(field, alpha)
             break
         a_digits.append(a_i)
-        state = nxt
+        alpha, beta = nxt
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 
 

@@ -5,24 +5,30 @@ of degree 1 to 3, together with an open rational interval isolating one real
 root theta of f.  An :class:`AlgebraicNumber` is an element of such a field,
 stored as integer numerators over one positive common denominator in the
 power basis 1, theta, ..., theta^(d-1), normalised after every operation so
-that the denominator is coprime to the numerators' content.  Products reduce
-an integer convolution modulo f; inverses come from the adjugate of the
-integer multiplication matrix.  All predicates (sign, floor, comparisons)
-are decided exactly: rational elements directly, irrational ones by refining
-the isolating interval until the answer is certified.
+that the denominator is coprime to the numerators' content.  Products and
+inverses are one closed form per degree on these raw (num, den) pairs: an
+integer convolution reduced modulo f, and the adjugate of the integer
+multiplication matrix.  The expansion step ``_step`` is straight-line code
+over the same closed forms, so a loop can step raw pairs without building
+elements.  All predicates (sign, floor, comparisons) are decided exactly:
+rational elements directly, irrational ones by refining the isolating
+interval until the answer is certified.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
 from .errors import (
     DegreeOutOfRange,
+    EmptyInterval,
     FieldMismatch,
+    OutputTooLarge,
     ReduciblePolynomial,
     RootCountNotOne,
 )
@@ -39,6 +45,19 @@ def _coerce_int(value, what):
     return as_fraction.numerator
 
 
+def bounded_str(value, render=str):
+    """render(value), raising OutputTooLarge where an integer in it exceeds
+    Python's digit limit for integer-to-string conversion."""
+    try:
+        return render(value)
+    except ValueError:
+        raise OutputTooLarge(
+            "an integer in the output has more than "
+            f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
+            "for integer-to-string conversion"
+        ) from None
+
+
 def _rounded_decimal(num, den, digits):
     """num / den rounded half away from zero to `digits` places.
 
@@ -46,9 +65,6 @@ def _rounded_decimal(num, den, digits):
     decimal rendering, with a minus sign only when n < 0.  One integer
     division, with no gcd; den == 0 raises ZeroDivisionError.
     """
-    # Deferred: literals imports this module.
-    from .literals import bounded_str
-
     if den < 0:
         num, den = -num, -den
     unit = 10**digits
@@ -89,7 +105,7 @@ class NumberField:
             )
         lo, hi = (Fraction(x) for x in root_interval)
         if not lo < hi:
-            raise ValueError(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
+            raise EmptyInterval(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
         sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
         if not sign_lo or not polys._sign_at(coeffs, hi.numerator, hi.denominator):
             raise RootCountNotOne(
@@ -124,21 +140,6 @@ class NumberField:
     @property
     def degree(self):
         return len(self._min_poly) - 1
-
-    def _reduce(self, conv, den):
-        """The element conv / den, conv an integer polynomial in theta of
-        degree < 2d (ascending), reduced modulo the minimal polynomial."""
-        d = self.degree
-        lead = self._lead
-        for k in range(len(conv) - 1, d - 1, -1):
-            top = conv.pop()
-            if lead != 1:
-                conv = [c * lead for c in conv]
-                den *= lead
-            if top:
-                for i, f in enumerate(self._low, k - d):
-                    conv[i] -= top * f
-        return _element(self, tuple(conv), den)
 
     def interval(self):
         """Current cached isolating interval (shrinks as queries refine it)."""
@@ -218,16 +219,21 @@ class NumberField:
         return f"NumberField(min_poly={self._min_poly}, root_interval=({lo}, {hi}))"
 
 
-def _element(field, num, den):
-    """The element num / den of field, normalised: den > 0 and
-    gcd(den, *num) == 1, so equal elements have equal (num, den)."""
+def _normalised(num, den):
+    """(num, den) over their gcd with den > 0: the normal form, in which
+    equal elements have equal (num, den)."""
     g = math.gcd(den, *num)
     if den < 0:
         g = -g
     if g != 1:
-        num = tuple(n // g for n in num)
+        num = tuple([n // g for n in num])
         den //= g
-    return _normal(field, num, den)
+    return num, den
+
+
+def _element(field, num, den):
+    """The element num / den of field, normalised."""
+    return _normal(field, *_normalised(num, den))
 
 
 def _normal(field, num, den):
@@ -246,35 +252,105 @@ def _sum(x, y, sign):
     return _element(x._field, num, dx * dy)
 
 
-def _product(x, y):
-    """x * y for elements of one field."""
-    b = y._num
-    conv = [0] * (2 * len(b) - 1)
-    for i, c in enumerate(x._num):
-        if c:
-            for j, e in enumerate(b, i):
-                conv[j] += c * e
-    return x._field._reduce(conv, x._den * y._den)
+# -- raw arithmetic on normalised (num, den) pairs ---------------------------
+# With f = lead*x^d + f_(d-1)*x^(d-1) + ... + f_0 (field._lead, field._low),
+# lead*theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)).
 
 
-def _shift(x, k):
-    """x - k for an integer k.  The denominator is unchanged and the form
-    stays normal, since gcd(den, n0 - k*den, n1, ...) = gcd(den, n0, n1, ...)."""
-    num = x._num
-    return _normal(x._field, (num[0] - k * x._den,) + num[1:], x._den)
+def _multiply(field, x, y):
+    """x * y: the convolution of the numerators reduced modulo f, over
+    den_x * den_y * lead^(d-1), normalised."""
+    (p, dp), (q, dq) = x, y
+    lead, den = field._lead, dp * dq
+    if len(p) == 3:
+        (p0, p1, p2), (q0, q1, q2), (f0, f1, f2) = p, q, field._low
+        c4 = p2 * q2
+        # theta^3 coefficient of lead * x * y once theta^4 is reduced
+        c3 = lead * (p1 * q2 + p2 * q1) - c4 * f2
+        num = (
+            lead * lead * p0 * q0 - c3 * f0,
+            lead * (lead * (p0 * q1 + p1 * q0) - c4 * f0) - c3 * f1,
+            lead * (lead * (p0 * q2 + p1 * q1 + p2 * q0) - c4 * f1) - c3 * f2,
+        )
+        den *= lead * lead
+    elif len(p) == 2:
+        (p0, p1), (q0, q1), (f0, f1) = p, q, field._low
+        c2 = p1 * q1
+        num = (lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1)
+        den *= lead
+    else:
+        num = (p[0] * q[0],)
+    return _normalised(num, den)
 
 
-def _step(alpha, beta, a, b):
+def _inverse(field, x):
+    """1 / x from the adjugate of the integer multiplication matrix.
+
+    Column j of M holds the numerators of x * (lead * theta)^j.  Then 1 / x
+    has numerators den * lead^j * adj(M)[j][0] over det(M), expanded along
+    row 0; normalised.
+    """
+    num, den = x
+    if not any(num):
+        raise ZeroDivisionError("division by zero field element")
+    lead = field._lead
+    if len(num) == 3:
+        (n0, n1, n2), (f0, f1, f2) = num, field._low
+        m0, m1, m2 = -n2 * f0, lead * n0 - n2 * f1, lead * n1 - n2 * f2
+        k0, k1, k2 = -m2 * f0, lead * m0 - m2 * f1, lead * m1 - m2 * f2
+        c0, c1, c2 = m1 * k2 - k1 * m2, k1 * n2 - n1 * k2, n1 * m2 - m1 * n2
+        det = n0 * c0 + m0 * c1 + k0 * c2
+        num = (den * c0, den * lead * c1, den * lead * lead * c2)
+    elif len(num) == 2:
+        (n0, n1), (f0, f1) = num, field._low
+        m1 = lead * n0 - n1 * f1
+        det = n0 * m1 + n1 * n1 * f0
+        num = (den * m1, -den * lead * n1)
+    else:
+        num, det = (den,), num[0]
+    return _normalised(num, det)
+
+
+def _step(field, alpha, beta, a, b):
     """(1 / (beta - b), (alpha - a) / (beta - b)) with one inversion.
 
-    a and b are integers; alpha and beta are both elements of one field,
-    or both rationals.  Raises ZeroDivisionError when beta == b.
+    a and b are integers.  With a field, alpha and beta are raw normalised
+    (num, den) pairs of its elements, and so is the result; the shifts by a
+    and b keep the denominator.  With field None they are Fractions.
+    Raises ZeroDivisionError when beta == b.
     """
-    if isinstance(beta, AlgebraicNumber):
-        inv = _shift(beta, b).inverse()
-        return inv, _product(_shift(alpha, a), inv)
-    inv = 1 / (beta - b)
-    return inv, (alpha - a) * inv
+    if field is None:
+        inv = 1 / (beta - b)
+        return inv, (alpha - a) * inv
+    (p, dp), (q, dq) = alpha, beta
+    inv = _inverse(field, ((q[0] - b * dq,) + q[1:], dq))
+    return inv, _multiply(field, ((p[0] - a * dp,) + p[1:], dp), inv)
+
+
+def _bounds(field, x):
+    """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den from the
+    field's cached bounds on the powers of theta."""
+    powers, scale = field._power_bounds()
+    total_lo = total_hi = 0
+    for c, (plo, phi) in zip(x[0], powers):
+        if c > 0:
+            total_lo += c * plo
+            total_hi += c * phi
+        elif c:
+            total_lo += c * phi
+            total_hi += c * plo
+    return total_lo, total_hi, x[1] * scale
+
+
+def _floor(field, x):
+    """Exact floor of x, refining the field's interval until both bounds
+    agree (a rational's bounds are its value)."""
+    while True:
+        lo, hi, den = _bounds(field, x)
+        flo = lo // den
+        if flo == hi // den:
+            return flo
+        field.refine()
 
 
 class AlgebraicNumber:
@@ -302,6 +378,10 @@ class AlgebraicNumber:
     @property
     def field(self):
         return self._field
+
+    @property
+    def _raw(self):
+        return self._num, self._den
 
     @property
     def coeffs(self):
@@ -364,37 +444,13 @@ class AlgebraicNumber:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _product(self, other)
+        return _normal(self._field, *_multiply(self._field, self._raw, other._raw))
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """1 / self from the adjugate of the multiplication matrix.
-
-        Column j of the integer matrix M holds the numerators of
-        self * (lead * theta)^j.  Then 1 / self has numerators
-        den * lead^j * adj(M)[j][0] over det(M), expanded along row 0.
-        """
-        if not any(self._num):
-            raise ZeroDivisionError("division by zero field element")
-        field = self._field
-        lead, low = field._lead, field._low
-        cols = [self._num]
-        for _ in range(1, len(low)):
-            v = cols[-1]
-            shifted = zip((0,) + v[:-1], low)
-            cols.append(tuple(lead * c - v[-1] * f for c, f in shifted))
-        rows = tuple(zip(*cols))
-        if len(rows) == 1:
-            cof = (1,)
-        elif len(rows) == 2:
-            cof = (rows[1][1], -rows[1][0])
-        else:
-            (p0, p1, p2), (q0, q1, q2) = rows[1], rows[2]
-            cof = (p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0)
-        det = sum(m * c for m, c in zip(rows[0], cof))
-        num = tuple(self._den * lead**j * c for j, c in enumerate(cof))
-        return _element(field, num, det)
+        """1 / self, from the closed-form adjugate (see _inverse)."""
+        return _normal(self._field, *_inverse(self._field, self._raw))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -431,23 +487,9 @@ class AlgebraicNumber:
             return Fraction(self._num[0], self._den)
         return None
 
-    def _bounds(self):
-        """Integers (lo, hi, den), den > 0, with lo/den <= value <= hi/den
-        from the current theta interval: the same bounds as value_interval."""
-        powers, scale = self._field._power_bounds()
-        total_lo = total_hi = 0
-        for c, (plo, phi) in zip(self._num, powers):
-            if c > 0:
-                total_lo += c * plo
-                total_hi += c * phi
-            elif c:
-                total_lo += c * phi
-                total_hi += c * plo
-        return total_lo, total_hi, self._den * scale
-
     def value_interval(self):
         """Exact rational bounds on the value from the current theta interval."""
-        lo, hi, den = self._bounds()
+        lo, hi, den = _bounds(self._field, self._raw)
         return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self):
@@ -457,7 +499,7 @@ class AlgebraicNumber:
         # Irrational (a nonconstant element of a minimal field is never
         # rational), hence nonzero: refinement must eventually decide.
         while True:
-            lo, hi, _ = self._bounds()
+            lo, hi, _ = _bounds(self._field, self._raw)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -465,13 +507,8 @@ class AlgebraicNumber:
             self._field.refine()
 
     def floor(self):
-        """Exact floor as a Python int (a rational's bounds are its value)."""
-        while True:
-            lo, hi, den = self._bounds()
-            flo = lo // den
-            if flo == hi // den:
-                return flo
-            self._field.refine()
+        """Exact floor as a Python int."""
+        return _floor(self._field, self._raw)
 
     def __floor__(self):
         return self.floor()
@@ -491,7 +528,7 @@ class AlgebraicNumber:
             raise ValueError("decimal_digits must be at least 1")
         unit = 10**decimal_digits
         while True:
-            lo, hi, den = self._bounds()
+            lo, hi, den = _bounds(self._field, self._raw)
             # Both ends can round alike only once the interval is narrower
             # than one unit in the last place.
             if (hi - lo) * unit < den:

@@ -21,14 +21,13 @@ and the expected grammar fragment.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 from . import polys
-from .errors import OutputTooLarge, ParseError
-from .fields import NumberField
+from .errors import ParseError
+from .fields import NumberField, bounded_str
 
 RAT_GRAMMAR = "rat:<int>[/<int>]"
 ALG_GRAMMAR = "alg:<c_d>,...,<c_0>@<lo>,<hi>"
@@ -202,19 +201,6 @@ def parse_digits(text):
         _parse_int(token.strip(), i, "<int>,<int>,...")
         for i, token in enumerate(text.split(","))
     )
-
-
-def bounded_str(value, render=str):
-    """render(value), raising OutputTooLarge where an integer in it exceeds
-    Python's digit limit for integer-to-string conversion."""
-    try:
-        return render(value)
-    except ValueError:
-        raise OutputTooLarge(
-            "an integer in the output has more than "
-            f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
-            "for integer-to-string conversion"
-        ) from None
 
 
 def fraction_str(value):

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import IndexOutOfRange
-from .expansion import _unify_pair
+from .expansion import _exact, _raw_state, _unify_pair
 from .fields import _step, floor_of
 from .sequences import as_pair
 
@@ -91,9 +91,10 @@ def _tail_states(alpha, beta, pair, n):
     if n < 0:
         raise IndexOutOfRange(f"n must be nonnegative, got {n}")
     yield 0, alpha, beta
+    field, x, y = _raw_state(alpha, beta)
     for i in range(n):
-        alpha, beta = _step(alpha, beta, pair.digit_a(i), pair.digit_b(i))
-        yield i + 1, alpha, beta
+        x, y = _step(field, x, y, pair.digit_a(i), pair.digit_b(i))
+        yield i + 1, _exact(field, x), _exact(field, y)
 
 
 def check_proper(alpha, beta, seqs, n):

@@ -239,6 +239,26 @@ def test_expand_ratfunc_pole_is_input_error(capsys):
     capsys.readouterr()
 
 
+def test_reversed_root_interval_is_input_error(capsys):
+    code = run(["expand", "--alpha", "alg:1,0,-2@2,1", "--beta", "rat:1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: root interval must satisfy lo < hi")
+
+
+def test_internal_value_error_is_not_input_error(monkeypatch):
+    # A ValueError from a bug inside prepare is not bad input: it must not
+    # leave through the exit-2 path.
+    def broken(text):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "parse_digits", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        run(["eval", "--a", "1,2", "--b", "2,3"])
+
+
 def test_expand_dec_requires_approx(capsys):
     assert run(["expand", "--alpha", "dec:1.75", "--beta", "rat:2"]) == 2
     capsys.readouterr()

@@ -1,12 +1,13 @@
 """Digit expansion: stepping, rational fast path, periodicity, heuristics."""
 
 import hashlib
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import (
@@ -22,7 +23,7 @@ from bcf import (
     rational_expansion_trace,
     validate,
 )
-from bcf import expansion
+from bcf import expansion, fields, polys
 from bcf._kernels import rational_digits
 from bcf.cli import _exact_str
 from bcf.errors import (
@@ -268,22 +269,113 @@ def test_pinned_cubic_digests(case):
 
 def test_one_inversion_per_step(monkeypatch):
     counts = {"inverse": 0, "step": 0}
-    inverse, step = AlgebraicNumber.inverse, expansion.bcf_step
+    inverse, step = fields._inverse, expansion._step
 
-    def counted_inverse(self):
+    def counted_inverse(field, x):
         counts["inverse"] += 1
-        return inverse(self)
+        return inverse(field, x)
 
-    def counted_step(state):
+    def counted_step(*args):
         counts["step"] += 1
-        return step(state)
+        return step(*args)
 
-    monkeypatch.setattr(AlgebraicNumber, "inverse", counted_inverse)
-    monkeypatch.setattr(expansion, "bcf_step", counted_step)
+    monkeypatch.setattr(fields, "_inverse", counted_inverse)
+    monkeypatch.setattr(expansion, "_step", counted_step)
     t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
     pair = bcf_expand(t, t * t + t, max_terms=40)
     assert len(pair.a) == 40 and counts["step"] == 40
     assert counts["inverse"] == counts["step"]
+
+
+# -- the raw-state loop against the public operators -----------------------------
+
+
+def _reference_expand(alpha, beta, terms):
+    """bcf_expand through public operators only: floor, -, 1 / x, * and ==."""
+    a, b, states = [], [], []
+    for i in range(terms):
+        for k, state in enumerate(states):
+            if state[0] == alpha and state[1] == beta:
+                m = i - k
+                for j in range(i, terms):
+                    a.append(a[k + (j - k) % m])
+                    b.append(b[k + (j - k) % m])
+                return a, b, None, (k, m)
+        states.append((alpha, beta))
+        a_i, b_i = math.floor(alpha), math.floor(beta)
+        b.append(b_i)
+        if beta == b_i:
+            return a, b, alpha, None
+        a.append(a_i)
+        inv = 1 / (beta - b_i)
+        assert inv * (beta - b_i) == 1
+        alpha, beta = inv, (alpha - a_i) * inv
+    return a, b, None, None
+
+
+# beta as a function of theta: the scan's default family and the tribonacci
+# form, among which periodic expansions are common.
+FAMILY = (lambda t: t * t, lambda t: t * t + t, lambda t: t * t - t,
+          lambda t: t + 1, lambda t: 1 + 1 / t)
+
+
+def _positive(x):
+    return -x if x < 0 else x if x > 0 else x + 1
+
+
+@st.composite
+def field_pairs(draw):
+    """A positive pair in a random field of degree 1-3 whose minimal
+    polynomial has leading coefficient 1-5, and a number of terms."""
+    d = draw(st.sampled_from((1, 2, 3, 3)))
+    poly = (draw(st.integers(1, 5)),) + tuple(
+        draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
+    )
+    assume(polys.is_irreducible(poly))
+    roots = polys.isolating_intervals(poly)
+    assume(roots)
+    field = NumberField(poly, draw(st.sampled_from(roots)))
+    theta = field.generator()
+    terms = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        assume(theta != 0)
+        return _positive(theta), _positive(draw(st.sampled_from(FAMILY))(theta)), terms
+
+    def element():
+        den = draw(st.integers(1, 4))
+        coeffs = draw(st.lists(st.integers(-9, 9), min_size=d, max_size=d))
+        return _positive(AlgebraicNumber(field, [Fraction(c, den) for c in coeffs]))
+
+    return element(), element(), terms
+
+
+@given(field_pairs())
+@settings(max_examples=200, deadline=None)
+def test_raw_loop_matches_public_operators(case):
+    alpha, beta, terms = case
+    a, b, terminal, periodicity = _reference_expand(alpha, beta, terms)
+    pair = bcf_expand(alpha, beta, max_terms=terms)
+    assert (pair.a, pair.b) == (tuple(a), tuple(b))
+    assert pair.periodicity == periodicity
+    assert pair.terminal == terminal
+    assert (pair.terminal is None) == (terminal is None)
+
+
+def test_public_step_reproduces_expand():
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    state = ExpansionState(t, t * t + t, 0)
+    a, b = [], []
+    for _ in range(64):
+        a_i, b_i, state = bcf_step(state)
+        a.append(a_i)
+        b.append(b_i)
+    pair = bcf_expand(t, t * t + t, max_terms=64)
+    assert (tuple(a), tuple(b)) == (pair.a, pair.b)
+    assert state.index == 64
+    with pytest.raises(NonPositiveInput):
+        bcf_step(ExpansionState(-t, t, 0))
+    with pytest.raises(FieldMismatch):
+        bcf_step(ExpansionState(t, MOORE.generator(), 0))
 
 
 # -- recurrence detection on raw states ---------------------------------------------
