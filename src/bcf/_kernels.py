@@ -1,5 +1,11 @@
 """Integer kernels for the digit-sequence loops and 3x3 integer matrices.
 
+Every convergent comes from one third-order recurrence,
+X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}: ``convergent_triples`` runs it
+forward, ``convergent_matrix`` accumulates it as a product of digit
+matrices, and ``backward_entry`` runs it from the tail.  ``det3``,
+``mat_mul3`` and ``_adjugate`` are the one set of 3x3 integer matrix helpers.
+
 Every function works on plain arbitrary-precision integers, Python sequences
 and 3x3 matrices given as tuples of row tuples.
 """
@@ -93,27 +99,6 @@ def convergent_matrix(a, b, n):
     return tuple(tuple(r) for r in rows)
 
 
-def gap_series(a, b, n):
-    """Return unreduced (numerator, denominator) pairs for the convergent gaps.
-
-    The j-th entry (j = 1..n) is |A_j/C_j - A_{j-1}/C_{j-1}| expressed as
-    (|A_j*C_{j-1} - A_{j-1}*C_j|, C_j*C_{j-1}) without reduction.
-    """
-    a1, a2, a3 = 1, 0, 0
-    c1, c2, c3 = 0, 0, 1
-    out = []
-    for i in range(n + 1):
-        ai = a[i]
-        bi = b[i]
-        ta = ai * a1 + bi * a2 + a3
-        tc = ai * c1 + bi * c2 + c3
-        if i:
-            out.append((abs(ta * c1 - a1 * tc), tc * c1))
-        a1, a2, a3 = ta, a1, a2
-        c1, c2, c3 = tc, c1, c2
-    return out
-
-
 def det3(m):
     """Determinant of a 3x3 matrix."""
     (a, b, c), (d, e, f), (g, h, i) = m
@@ -125,4 +110,16 @@ def mat_mul3(x, y):
     return tuple(
         tuple(sum(p * q for p, q in zip(row, col)) for col in zip(*y))
         for row in x
+    )
+
+
+def _adjugate(m):
+    """Adjugate of a 3x3 matrix, so that adj(m) * m = det(m) * I."""
+    return tuple(
+        tuple(
+            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
+            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
+            for j in range(3)
+        )
+        for i in range(3)
     )

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 
 from .errors import (
@@ -76,26 +76,28 @@ def _emit_json(payload):
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
-def _positive_int(text):
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _int_at_least(bound):
+    """argparse type for an integer >= bound, which is 0 or 1."""
+    kind = "positive" if bound == 1 else "nonnegative"
+
+    def parse(text):
+        try:
+            value = int(text, 10)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}"
+            )
+        if value < bound:
+            raise argparse.ArgumentTypeError(
+                f"expected a {kind} integer, got {value}"
+            )
+        return value
+
+    return parse
 
 
-def _nonnegative_int(text):
-    try:
-        value = int(text, 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a nonnegative integer, got {value}"
-        )
-    return value
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 def _exact_str(value):
@@ -150,10 +152,12 @@ def _ratfunc_str(num, den):
 
 
 def _to_decimal(value, precision):
-    if isinstance(value, Decimal):
-        return value
+    """value rounded once to the heuristic's precision and exponent range."""
     with localcontext() as ctx:
         ctx.prec = precision
+        ctx.traps[Underflow] = True
+        if isinstance(value, Decimal):
+            return +value
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
@@ -167,7 +171,14 @@ def _prepare_expand(args):
                     f"{name}: only rat: and dec: literals are valid in "
                     f"approximate mode"
                 )
-            parsed.append(_to_decimal(value, args.guard_digits + 30))
+            precision = args.guard_digits + 30
+            try:
+                parsed.append(_to_decimal(value, precision))
+            except (Overflow, Underflow):
+                raise ParseError(
+                    f"{name}: too large or too small for {precision}-digit "
+                    f"decimals"
+                ) from None
         alpha, beta = parsed
         if alpha <= 0 or beta <= 0:
             raise NonPositiveInput("alpha and beta must be positive")
@@ -269,6 +280,8 @@ def _build_pair(args, allow_terminal=False):
     periodicity = None
     if args.period is not None:
         periodicity = (args.preperiod or 0, args.period)
+    elif args.preperiod is not None:
+        raise ParseError("--preperiod needs --period")
     terminal = None
     if allow_terminal and getattr(args, "terminal", None):
         terminal = parse_number(args.terminal)

@@ -2,11 +2,14 @@
 
 An eventually periodic expansion pins down its source pair algebraically.
 Each digit pair contributes a unimodular matrix R_i = [[a_i, b_i, 1],
-[1, 0, 0], [0, 1, 0]]; one full period (conjugated past the preperiod)
-yields an integer transfer matrix M with the row eigen-relation
-(alpha, beta, 1) M = lambda (alpha, beta, 1).  Eliminating lambda gives
-beta as a rational function of alpha and, after substitution, an integer
-polynomial relation for alpha whose degree-4 coefficient cancels
+[1, 0, 0], [0, 1, 0]], one step of the convergent recurrence
+X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}.  Both recovery routes read their
+products from the one kernel ``_kernels.convergent_matrix`` and combine
+them with the kernel module's 3x3 helpers.  One full period (conjugated
+past the preperiod) yields an integer transfer matrix M with the row
+eigen-relation (alpha, beta, 1) M = lambda (alpha, beta, 1).  Eliminating
+lambda gives beta as a rational function of alpha and, after substitution,
+an integer polynomial relation for alpha whose degree-4 coefficient cancels
 identically — so alpha is at most cubic.  The recovery functions extract
 that relation, certify it, isolate alpha's root, and rebuild the exact
 (alpha, beta) pair.  A scanner then probes cubic fields for periodic
@@ -30,14 +33,10 @@ from .errors import (
 )
 from .expansion import _is_integral, bcf_expand
 from .fields import AlgebraicNumber, NumberField
+from .literals import RatFunc
 from .sequences import SequencePair, as_pair
 from .treeval import convergent, gap_diagnostics
 from .validation import validate
-
-# (A, B, C) at the notional indices -1 and -2 that seed the recurrences.
-_NOTIONAL_MINUS_1 = (1, 0, 0)
-_NOTIONAL_MINUS_2 = (0, 1, 0)
-
 
 @dataclass(frozen=True)
 class PeriodicityResult:
@@ -165,7 +164,6 @@ def _certified_root_interval(poly, pair):
 
 
 def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
-    relation = polys.primitive(relation)
     if polys.degree(relation) < 1:
         raise DegenerateSystem("elimination produced a constant relation")
     min_poly = _strip_rational_roots(relation)
@@ -176,7 +174,7 @@ def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
     interval = _certified_root_interval(min_poly, ball_pair)
     field = NumberField(min_poly, interval)
     alpha = field.generator()
-    beta = polys.evaluate(beta_num, alpha) / polys.evaluate(beta_den, alpha)
+    beta = RatFunc(beta_num, beta_den).evaluate(alpha)
     return RecoveredCubic(
         poly=min_poly,
         beta_expr=_canonical_ratfunc(beta_num, beta_den),
@@ -198,22 +196,22 @@ def _validated_periodic_pair(a, b, preperiod, period):
     return pair
 
 
-def _triples_with_notional(a, b, n):
-    triples = _kernels.convergent_triples(list(a), list(b), n)
+def _digit_product(pair):
+    """R_{n-1} ... R_0 over the pair's n digit matrices (identity if n = 0).
 
-    def triple(i):
-        if i >= 0:
-            return triples[i]
-        return _NOTIONAL_MINUS_1 if i == -1 else _NOTIONAL_MINUS_2
-
-    return triple(n), triple(n - 1), triple(n - 2)
+    The convergent-matrix kernel accumulates exactly this product, transposed.
+    """
+    rows = _kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
+    return tuple(zip(*rows))
 
 
 def recover_cubic_pure(seqs):
     """Recover (alpha, beta) from one full period of a purely periodic pair.
 
-    With period length n+1, the convergent triples at n, n-1, n-2 (using
-    notional values at negative indices) give the bilinear relation
+    With period length n+1, the rows of the digit-matrix product are the
+    convergent triples at n, n-1, n-2 (its identity start holds the notional
+    triples (1, 0, 0) at -1 and (0, 1, 0) at -2); they give the bilinear
+    relation
     C_n a^2 + C_{n-1} ab + (C_{n-2} - A_n) a - A_{n-1} b - A_{n-2} = 0;
     solving it for beta and substituting into its B-row companion yields
     the elimination quartic whose alpha^4 term cancels.  The surviving
@@ -237,9 +235,8 @@ def recover_cubic_pure(seqs):
         raise InvalidSequence("period must contain at least one digit pair")
     periodic = _validated_periodic_pair(a, b, 0, m)
 
-    n = m - 1
     (A_n, B_n, C_n), (A_n1, B_n1, C_n1), (A_n2, B_n2, C_n2) = (
-        _triples_with_notional(a, b, n)
+        _digit_product(periodic)
     )
     beta_num = polys.trim((C_n, C_n2 - A_n, -A_n2))
     beta_den = polys.trim((-C_n1, A_n1))
@@ -262,27 +259,6 @@ def recover_cubic_pure(seqs):
     return _build_result(quartic, beta_num, beta_den, periodic, quartic5, None)
 
 
-def _adjugate(m):
-    """Adjugate of a 3x3 matrix, so that adj(m) * m = det(m) * I."""
-    return tuple(
-        tuple(
-            m[(j + 1) % 3][(i + 1) % 3] * m[(j + 2) % 3][(i + 2) % 3]
-            - m[(j + 1) % 3][(i + 2) % 3] * m[(j + 2) % 3][(i + 1) % 3]
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-
-
-def _digit_product(pair):
-    """R_{n-1} ... R_0 over the pair's n digit matrices (identity if n = 0).
-
-    The convergent-matrix kernel accumulates exactly this product, transposed.
-    """
-    rows = _kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
-    return tuple(zip(*rows))
-
-
 def transfer_matrix(preperiod, period):
     """Integer matrix M = P^-1 Q P for the given preperiod and period digits.
 
@@ -293,7 +269,7 @@ def transfer_matrix(preperiod, period):
     """
     p = _digit_product(as_pair(preperiod))
     q = _digit_product(as_pair(period))
-    return _kernels.mat_mul3(_adjugate(p), _kernels.mat_mul3(q, p))
+    return _kernels.mat_mul3(_kernels._adjugate(p), _kernels.mat_mul3(q, p))
 
 
 def recover_cubic_eventual(preperiod, period):
@@ -412,11 +388,7 @@ def _scan_single_poly(task):
         for num, den in candidates:
             beta_expr = _canonical_ratfunc(num, den)
             try:
-                den_value = polys.evaluate(den, alpha)
-                if den_value == 0:
-                    record(STATUS_ERROR, interval, beta_expr)
-                    continue
-                beta = polys.evaluate(num, alpha) / den_value
+                beta = RatFunc(num, den).evaluate(alpha)
                 if not beta > 0:
                     record(
                         STATUS_SKIPPED_NONPOSITIVE_BETA, interval, beta_expr

@@ -189,7 +189,11 @@ def gap_diagnostics(seqs, N):
             raise InvalidSequence(
                 f"diagnostics require a[{i}] >= 1, got {a[i]}"
             )
-    delta = tuple(Fraction(num, den) for num, den in _kernels.gap_series(a, b, N))
+    triples = _kernels.convergent_triples(a, b, N)
+    delta = tuple(
+        Fraction(abs(A * C1 - A1 * C), C * C1)
+        for (A1, _, C1), (A, _, C) in zip(triples, triples[1:])
+    )
     dmax = tuple(
         max(delta[n - 2], delta[n - 3], delta[n - 4]) for n in range(4, N + 1)
     )

@@ -285,6 +285,21 @@ def test_expand_approx_precision_exhausted_is_exit_3(capsys):
     assert captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expand", "--approx", "--alpha", "dec:1e999999999", "--beta", "rat:1"],
+    ["expand", "--approx", "--alpha", "dec:1e-999999999", "--beta", "rat:1/2"],
+], ids=["overflow", "underflow"])
+def test_expand_approx_decimal_out_of_range_is_exit_2(capsys, argv):
+    # A decimal outside the heuristic's exponent range is bad input; it must
+    # neither escape as decimal.Overflow nor round to zero inside the run.
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: --alpha: too large or too small")
+
+
 def test_expand_approx_rejects_alg_literals(capsys):
     code = run(
         ["expand", "--approx",
@@ -430,6 +445,15 @@ def test_validate_shape_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_preperiod_without_period_is_exit_2(capsys, command):
+    code = run([command, "--a", "1,1", "--b", "1,1", "--preperiod", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --preperiod needs --period\n"
+
+
 # -- recover ---------------------------------------------------------------------
 
 
@@ -522,6 +546,21 @@ def test_usage_error_is_exit_2(capsys):
     assert run(["expand"]) == 2  # missing required flags
     assert run(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--alpha", "rat:1", "--beta", "rat:1", "--terms", "0"],
+     "argument --terms: expected a positive integer, got 0"),
+    (["render", "--a", "1", "--b", "1", "--depth", "-1"],
+     "argument --depth: expected a nonnegative integer, got -1"),
+    (["eval", "--a", "1", "--b", "1", "--n", "x"],
+     "argument --n: expected an integer, got 'x'"),
+    (["scan", "--horizon", "0"],
+     "argument --horizon: expected a positive integer, got 0"),
+], ids=["terms", "depth", "n", "horizon"])
+def test_integer_option_out_of_range_is_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_help_is_exit_0(capsys):

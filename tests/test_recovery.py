@@ -246,11 +246,18 @@ def test_recover_eventual_period_two():
 
 
 def test_recover_eventual_empty_preperiod_matches_pure():
-    eventual = recover_cubic_eventual(((), ()), ((1,), (1,)))
-    pure = recover_cubic_pure(((1,), (1,)))
-    assert eventual.poly == pure.poly
-    assert eventual.alpha == pure.alpha
-    assert eventual.beta == pure.beta
+    rng = random.Random(333)
+    periods = [SequencePair((1,), (1,), periodicity=(0, 1))]
+    periods += [random_cyclic_pair(rng, max_period=3) for _ in range(15)]
+    for pair in periods:
+        period = SequencePair(pair.a, pair.b)
+        eventual = recover_cubic_eventual(((), ()), period)
+        pure = recover_cubic_pure(pair)
+        assert eventual.poly == pure.poly
+        assert eventual.beta_expr == pure.beta_expr
+        assert eventual.field.root_interval == pure.field.root_interval
+        assert eventual.alpha == pure.alpha
+        assert eventual.beta == pure.beta
 
 
 def test_recover_eventual_matches_pure_on_tail():

@@ -159,6 +159,19 @@ def test_matrix_transpose_is_digit_product():
     assert product == transposed
 
 
+def test_adjugate_times_matrix_is_det_identity():
+    rng = random.Random(55)
+    for _ in range(100):
+        m = tuple(
+            tuple(rng.randint(-50, 50) for _ in range(3)) for _ in range(3)
+        )
+        d = _kernels.det3(m)
+        identity = tuple(
+            tuple(d if r == c else 0 for c in range(3)) for r in range(3)
+        )
+        assert _kernels.mat_mul3(_kernels._adjugate(m), m) == identity
+
+
 def test_det_invariant_needs_three_triples():
     with pytest.raises(IndexOutOfRange):
         det_invariant(((1, 1), (1, 1)), 1)
@@ -195,6 +208,19 @@ def test_gap_diagnostics_tribonacci():
         assert diag.dmax_at(n + 4) < Fraction(35, 36) * diag.dmax_at(n)
     # the n-th gap |alpha^(n) - alpha^(n-1)| is 1-indexed
     assert diag.delta_at(1) == abs(Fraction(2, 1) - Fraction(1, 1))
+
+
+def test_gap_diagnostics_matches_convergent_differences():
+    rng = random.Random(66)
+    for _ in range(30):
+        a, b = random_valid_digits(rng, rng.randint(9, 25))
+        N = len(a) - 1
+        diag = gap_diagnostics((a, b), N)
+        for n in range(1, N + 1):
+            expected = abs(
+                convergent((a, b), n).alpha - convergent((a, b), n - 1).alpha
+            )
+            assert diag.delta_at(n) == expected
 
 
 def test_gap_diagnostics_requires_depth():
