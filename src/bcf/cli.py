@@ -46,7 +46,11 @@ from .literals import (
     parse_number,
     ratio_str,
 )
-from .recovery import conjecture_scan, recover_cubic_eventual, recover_cubic_pure
+from .recovery import (
+    _validated_periodic_pair,
+    conjecture_scan,
+    recover_cubic_eventual,
+)
 from .sequences import SequencePair
 from .treeval import convergent, convergent_sequence, render_tree
 from .validation import validate
@@ -352,25 +356,15 @@ def _prepare_recover(args):
     if not period_a:
         raise InvalidSequence("period digits must be nonempty")
     preperiod = SequencePair(pre_a, pre_b)
-    combined = SequencePair(
-        pre_a + period_a, pre_b + period_b,
-        periodicity=(len(pre_a), len(period_a)),
+    _validated_periodic_pair(
+        pre_a + period_a, pre_b + period_b, len(pre_a), len(period_a)
     )
-    report = validate(combined)
-    if not report.valid:
-        raise InvalidSequence(
-            f"digits fail the admissibility rules at {list(report.violations)}"
-        )
     return {"preperiod": preperiod, "period": period}
 
 
 def _execute_recover(args, job):
-    if job["preperiod"].a:
-        result = recover_cubic_eventual(job["preperiod"], job["period"])
-        method = "eventual"
-    else:
-        result = recover_cubic_pure(job["period"])
-        method = "pure"
+    result = recover_cubic_eventual(job["preperiod"], job["period"])
+    method = "eventual" if job["preperiod"].a else "pure"
     lo, hi = result.field.root_interval
     num, den = result.beta_expr
     payload = {

@@ -3,17 +3,19 @@
 An eventually periodic expansion pins down its source pair algebraically.
 Each digit pair contributes a unimodular matrix R_i = [[a_i, b_i, 1],
 [1, 0, 0], [0, 1, 0]], one step of the convergent recurrence
-X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}.  Both recovery routes read their
-products from the one kernel ``_kernels.convergent_matrix`` and combine
-them with the kernel module's 3x3 helpers.  One full period (conjugated
-past the preperiod) yields an integer transfer matrix M with the row
+X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}.  The preperiod product P and
+the period product Q are read from the one kernel
+``_kernels.convergent_matrix`` and combined with the kernel module's 3x3
+helpers into the integer transfer matrix M = P^-1 Q P, with the row
 eigen-relation (alpha, beta, 1) M = lambda (alpha, beta, 1).  Eliminating
 lambda gives beta as a rational function of alpha and, after substitution,
 an integer polynomial relation for alpha whose degree-4 coefficient cancels
-identically — so alpha is at most cubic.  The recovery functions extract
-that relation, certify it, isolate alpha's root, and rebuild the exact
-(alpha, beta) pair.  A scanner then probes cubic fields for periodic
-expansions experimentally.
+identically — so alpha is at most cubic.  That elimination is written
+once, in ``recover_cubic_eventual``; a purely periodic pair is the case
+P = I.  Recovery extracts the relation, certifies it, isolates alpha's
+root in a convergent ball that the number field itself checks, and
+rebuilds the exact (alpha, beta) pair.  A scanner then probes cubic fields
+for periodic expansions experimentally.
 """
 
 from __future__ import annotations
@@ -29,13 +31,15 @@ from .errors import (
     DegenerateSystem,
     InvalidSequence,
     MixedFields,
+    NonPositiveInput,
     ReduciblePolynomial,
+    RootCountNotOne,
 )
 from .expansion import _is_integral, bcf_expand
 from .fields import AlgebraicNumber, NumberField
 from .literals import RatFunc
 from .sequences import SequencePair, as_pair
-from .treeval import convergent, gap_diagnostics
+from .treeval import convergent_sequence
 from .validation import validate
 
 @dataclass(frozen=True)
@@ -97,8 +101,9 @@ class RecoveredCubic:
     tuples expressing beta as a rational function of alpha.  ``field``,
     ``alpha``, and ``beta`` carry the reconstructed exact values;
     ``quartic`` is the degree-4 elimination polynomial as a 5-tuple whose
-    leading entry is certified zero; ``matrix`` is the integer transfer
-    matrix (None for the pure-period route, which never forms one).
+    leading entry is certified zero (its sign is whatever the elimination
+    gives, so only its roots carry meaning); ``matrix`` is the integer
+    transfer matrix, the plain period product for a pure period.
     """
 
     poly: tuple
@@ -107,7 +112,7 @@ class RecoveredCubic:
     alpha: AlgebraicNumber
     beta: AlgebraicNumber
     quartic: tuple
-    matrix: Optional[tuple]
+    matrix: tuple
 
 
 def _pad5(coeffs):
@@ -142,27 +147,6 @@ def _strip_rational_roots(relation):
     return h
 
 
-def _certified_root_interval(poly, pair):
-    """A rational interval around the pair's limit alpha isolating one root.
-
-    The convergent alpha_N sits within 144 * D_{N+1} of the limit: the gap
-    series Delta is dominated by the monotone D-series, which contracts by
-    35/36 every four indices, so the tail sum is at most 4 * 36 * D.  The
-    horizon doubles until the certified ball isolates exactly one root of
-    the polynomial.
-    """
-    chain = polys.sturm_chain(poly)
-    horizon = 8
-    while True:
-        diagnostics = gap_diagnostics(pair, horizon + 1)
-        radius = 144 * diagnostics.dmax_at(horizon + 1)
-        center = convergent(pair, horizon).alpha
-        lo, hi = center - radius, center + radius
-        if polys.count_roots(chain, lo, hi) == 1:
-            return lo, hi
-        horizon *= 2
-
-
 def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
     if polys.degree(relation) < 1:
         raise DegenerateSystem("elimination produced a constant relation")
@@ -171,8 +155,23 @@ def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
         raise DegenerateSystem(
             "no irrational root remains after removing rational factors"
         )
-    interval = _certified_root_interval(min_poly, ball_pair)
-    field = NumberField(min_poly, interval)
+    # alpha_h sits within 144 * max(Delta_{h-2}, Delta_{h-1}, Delta_h) of the
+    # limit: the gap series is dominated by that monotone maximum, which
+    # contracts by 35/36 every four indices, so the tail sum is at most
+    # 4 * 36 times it.  The ball is never empty (consecutive convergent
+    # triples have determinant 1), and the horizon doubles until the field
+    # finds exactly one root of the polynomial in it.
+    horizon = 8
+    while True:
+        alphas = [t.alpha for t in convergent_sequence(ball_pair, horizon)[-4:]]
+        radius = 144 * max(abs(x - y) for x, y in zip(alphas, alphas[1:]))
+        try:
+            field = NumberField(
+                min_poly, (alphas[-1] - radius, alphas[-1] + radius)
+            )
+            break
+        except RootCountNotOne:
+            horizon *= 2
     alpha = field.generator()
     beta = RatFunc(beta_num, beta_den).evaluate(alpha)
     return RecoveredCubic(
@@ -208,15 +207,10 @@ def _digit_product(pair):
 def recover_cubic_pure(seqs):
     """Recover (alpha, beta) from one full period of a purely periodic pair.
 
-    With period length n+1, the rows of the digit-matrix product are the
-    convergent triples at n, n-1, n-2 (its identity start holds the notional
-    triples (1, 0, 0) at -1 and (0, 1, 0) at -2); they give the bilinear
-    relation
-    C_n a^2 + C_{n-1} ab + (C_{n-2} - A_n) a - A_{n-1} b - A_{n-2} = 0;
-    solving it for beta and substituting into its B-row companion yields
-    the elimination quartic whose alpha^4 term cancels.  The surviving
-    irreducible factor containing the expansion's limit is alpha's
-    minimal polynomial.
+    A pure period is the eventual case with an empty preperiod (P = I, so
+    the transfer matrix is the period's own digit product): the pair's
+    period is read off (its marked period, or all its digits when it is
+    unmarked) and handed to ``recover_cubic_eventual``.
     """
     pair = as_pair(seqs)
     if pair.terminated:
@@ -230,33 +224,7 @@ def recover_cubic_pure(seqs):
         a, b = pair.a[:m], pair.b[:m]
     else:
         a, b = pair.a, pair.b
-    m = len(a)
-    if m < 1:
-        raise InvalidSequence("period must contain at least one digit pair")
-    periodic = _validated_periodic_pair(a, b, 0, m)
-
-    (A_n, B_n, C_n), (A_n1, B_n1, C_n1), (A_n2, B_n2, C_n2) = (
-        _digit_product(periodic)
-    )
-    beta_num = polys.trim((C_n, C_n2 - A_n, -A_n2))
-    beta_den = polys.trim((-C_n1, A_n1))
-    if not beta_den:
-        raise DegenerateSystem("beta denominator vanished in the pure route")
-    quartic = polys.sub(
-        polys.add(
-            polys.scale(polys.multiply(beta_num, beta_num), C_n1),
-            polys.multiply(
-                polys.multiply(polys.trim((C_n, C_n2 - B_n1)), beta_num),
-                beta_den,
-            ),
-        ),
-        polys.multiply(
-            polys.trim((B_n, B_n2)), polys.multiply(beta_den, beta_den)
-        ),
-    )
-    quartic5 = _pad5(quartic)
-    assert quartic5[0] == 0, "alpha^4 coefficient must vanish"
-    return _build_result(quartic, beta_num, beta_den, periodic, quartic5, None)
+    return recover_cubic_eventual(((), ()), (a, b))
 
 
 def transfer_matrix(preperiod, period):
@@ -389,12 +357,10 @@ def _scan_single_poly(task):
             beta_expr = _canonical_ratfunc(num, den)
             try:
                 beta = RatFunc(num, den).evaluate(alpha)
-                if not beta > 0:
-                    record(
-                        STATUS_SKIPPED_NONPOSITIVE_BETA, interval, beta_expr
-                    )
-                    continue
                 pair = bcf_expand(alpha, beta, max_terms=horizon)
+            except NonPositiveInput:
+                record(STATUS_SKIPPED_NONPOSITIVE_BETA, interval, beta_expr)
+                continue
             except (BcfError, ZeroDivisionError):
                 record(STATUS_ERROR, interval, beta_expr)
                 continue

@@ -13,11 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from . import _kernels
-from .errors import IndexOutOfRange, InvalidSequence
+from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
 from .fields import AlgebraicNumber
 from .sequences import as_pair as _as_pair
+
+# render_tree writes at most this many nodes (node_counts over both towers);
+# depth 27 is the first depth past it.
+_RENDER_NODE_BUDGET = 2**20
 
 
 def _digit_lists(pair, n):
@@ -205,6 +210,14 @@ def gap_diagnostics(seqs, N):
     return ConvergenceDiagnostics(delta, dmax, monotone and contracting)
 
 
+def _level_counts():
+    """Yield (alpha-tree a-nodes, beta-tree b-nodes) for levels 0, 1, ..."""
+    fa, fb, beta = 1, 0, 1
+    while True:
+        yield fa, beta
+        fa, fb, beta = fa + fb, fa, fb
+
+
 def node_counts(depth):
     """Nodes per level: a-nodes of the alpha tree, b-nodes of the beta tree.
 
@@ -215,17 +228,8 @@ def node_counts(depth):
     """
     if depth < 0:
         raise ValueError(f"depth must be nonnegative, got {depth}")
-    alpha_counts = []
-    fa, fb = 1, 0
-    for _ in range(depth + 1):
-        alpha_counts.append(fa)
-        fa, fb = fa + fb, fa
-    beta_counts = []
-    fa, fb = 0, 1
-    for _ in range(depth + 1):
-        beta_counts.append(fb)
-        fa, fb = fa + fb, fa
-    return tuple(alpha_counts), tuple(beta_counts)
+    levels = list(islice(_level_counts(), depth + 1))
+    return tuple(a for a, _ in levels), tuple(b for _, b in levels)
 
 
 def _render_ascii(pair, depth):
@@ -274,11 +278,20 @@ def render_tree(seqs, depth, format="ascii"):
     a literal ``num 1`` and a ``den`` branch.  Nodes at the cutoff level
     show just their digit.  In ``latex`` format each tower collapses to one
     line of nested ``\\cfrac`` markup.  Output uses LF separators, has no
-    trailing whitespace, and carries no trailing newline.
+    trailing whitespace, and carries no trailing newline.  Raises
+    OutputTooLarge when the two towers hold more than 2**20 nodes (from
+    depth 27 on).
     """
     pair = _as_pair(seqs)
     if depth < 0:
         raise IndexOutOfRange(f"depth must be nonnegative, got {depth}")
+    total = 0
+    for alpha_nodes, beta_nodes in islice(_level_counts(), depth + 1):
+        total += alpha_nodes + beta_nodes
+        if total > _RENDER_NODE_BUDGET:
+            raise OutputTooLarge(
+                f"depth {depth} renders more than {_RENDER_NODE_BUDGET} nodes"
+            )
     if format == "ascii":
         return _render_ascii(pair, depth)
     if format == "latex":

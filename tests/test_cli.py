@@ -405,6 +405,19 @@ def test_render_depth_beyond_digits(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("style", ["ascii", "latex"])
+@pytest.mark.parametrize("depth", ["27", "2000"])
+def test_render_beyond_the_node_budget_is_exit_3(capsys, style, depth):
+    code = run(["render", "--a", "1", "--b", "1", "--period", "1",
+                "--depth", depth, "--style", style])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: depth {depth} renders more than 1048576 nodes\n"
+    )
+
+
 def test_render_periodic_extension(capsys):
     code = run(
         ["render", "--a", "1", "--b", "1", "--period", "1", "--depth", "4"]
@@ -479,6 +492,17 @@ def test_recover_eventual_json(capsys):
     assert payload["method"] == "eventual"
     assert payload["alpha_dec"] == "2.147899035705"
     assert payload["beta_dec"] == "2.465571231877"
+
+
+def test_recover_pure_doubles_the_horizon(capsys):
+    # the horizon-8 ball around alpha_8 holds more than one root here
+    code = run(["recover", "--period-a", "1,3", "--period-b", "0,0"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        '{"alpha_dec":"1.246979603717","beta_dec":"0.307978528370",'
+        '"beta_expr":"-3,3,1/1,-1","interval":["71148837934/57126242257",'
+        '"71321626006/57126242257"],"method":"pure","min_poly":[1,1,-2,-1]}\n'
+    )
 
 
 def test_recover_rejects_invalid_digits(capsys):

@@ -25,8 +25,10 @@ from bcf.recovery import (
     _strip_rational_roots,
     PeriodicityResult,
     STATUS_EXHAUSTED,
+    STATUS_ERROR,
     STATUS_PERIODIC,
     STATUS_SKIPPED_NO_POSITIVE_ROOT,
+    STATUS_SKIPPED_NONPOSITIVE_BETA,
     STATUS_SKIPPED_REDUCIBLE,
     STATUS_TERMINATED,
 )
@@ -260,6 +262,31 @@ def test_recover_eventual_empty_preperiod_matches_pure():
         assert eventual.beta == pure.beta
 
 
+def test_recover_pure_carries_the_period_transfer_matrix():
+    rng = random.Random(334)
+    for _ in range(10):
+        pair = random_cyclic_pair(rng, max_period=4)
+        period = (pair.a[:pair.period], pair.b[:pair.period])
+        result = recover_cubic_pure(pair)
+        assert result.matrix == transfer_matrix(((), ()), period)
+        assert result.quartic[0] == 0
+
+
+def test_recover_builds_three_sturm_chains(monkeypatch):
+    # one each in the rational-root strip, the field's irreducibility test
+    # and the field's own root count; horizon 8 already isolates this root
+    calls = []
+    original = polys.sturm_chain
+
+    def counting(coeffs):
+        calls.append(tuple(coeffs))
+        return original(coeffs)
+
+    monkeypatch.setattr(polys, "sturm_chain", counting)
+    recover_cubic_eventual(((2,), (2,)), ((2, 3), (0, 0)))
+    assert len(calls) == 3
+
+
 def test_recover_eventual_matches_pure_on_tail():
     eventual = recover_cubic_eventual(((2,), (2,)), ((2, 3), (0, 0)))
     # the periodic tail's own expansion lives in the same field: its pure
@@ -399,6 +426,23 @@ def test_scan_no_positive_root():
         [(1, 0, 1, 1)], [((1, 0, 0), (1,))], horizon=8
     )
     assert records[0].status == STATUS_SKIPPED_NO_POSITIVE_ROOT
+
+
+def test_scan_nonpositive_beta_is_skipped():
+    # x^3 + x - 1 has its root near 0.68, where alpha^2 - alpha < 0
+    records = conjecture_scan(
+        [(1, 0, 1, -1)], [((1, -1, 0), (1,))], horizon=8
+    )
+    assert [r.status for r in records] == [STATUS_SKIPPED_NONPOSITIVE_BETA]
+    assert records[0].beta_expr == ((1, -1, 0), (1,))
+
+
+def test_scan_beta_pole_is_error():
+    # 1 / (alpha^3 + alpha - 1) divides by the minimal polynomial itself
+    records = conjecture_scan(
+        [(1, 0, 1, -1)], [((1,), (1, 0, 1, -1))], horizon=8
+    )
+    assert [r.status for r in records] == [STATUS_ERROR]
 
 
 def test_scan_statuses_cover_horizon_exhaustion():
