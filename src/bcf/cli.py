@@ -2,12 +2,15 @@
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
-scanner emits one JSON record per line.  Exit codes: 0 for success
-(including a completed validation that found violations), 2 for input
-errors (bad usage, unparsable literals, malformed digit pairs, nonpositive
-inputs, alpha and beta from different fields), 3 for computation errors
-(degenerate recovery systems, exhausted precision in approximate mode,
-an integer too long to print).
+scanner emits one JSON record per line.  Each command parses its text
+(prepare) and hands the values to the library (execute), which checks
+them itself.  Exit codes: 0 for success (including a completed validation
+that found violations); otherwise the error's class decides the code,
+whichever step raises it: 2 for input errors (bad usage, unparsable
+literals, a ratfunc: beta with a pole at alpha, malformed or inadmissible
+digit pairs, nonpositive inputs, alpha and beta from different fields), 3
+for computation errors (degenerate recovery systems, exhausted precision
+in approximate mode, an integer too long to print, a zero division).
 """
 
 from __future__ import annotations
@@ -31,12 +34,7 @@ from .errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from .expansion import (
-    _unify_pair,
-    bcf_expand,
-    bcf_expand_heuristic,
-    bcf_expand_rational,
-)
+from .expansion import bcf_expand, bcf_expand_heuristic, bcf_expand_rational
 from .fields import AlgebraicNumber, _rounded_decimal
 from .literals import (
     RatFunc,
@@ -46,11 +44,7 @@ from .literals import (
     parse_number,
     ratio_str,
 )
-from .recovery import (
-    _validated_periodic_pair,
-    conjecture_scan,
-    recover_cubic_eventual,
-)
+from .recovery import conjecture_scan, recover_cubic_eventual
 from .sequences import SequencePair
 from .treeval import convergent, convergent_sequence, render_tree
 from .validation import validate
@@ -65,7 +59,6 @@ _INPUT_ERRORS = (
     FieldMismatch,
     IndexOutOfRange,
     EmptyInterval,
-    ZeroDivisionError,
 )
 
 _DEFAULT_SCAN_BETAS = (
@@ -183,19 +176,16 @@ def _prepare_expand(args):
                     f"{name}: too large or too small for {precision}-digit "
                     f"decimals"
                 ) from None
-        alpha, beta = parsed
-        if alpha <= 0 or beta <= 0:
-            raise NonPositiveInput("alpha and beta must be positive")
-        return {"mode": "approx", "alpha": alpha, "beta": beta}
+        return {"mode": "approx", "alpha": parsed[0], "beta": parsed[1]}
     alpha = parse_number(args.alpha)
     if isinstance(alpha, RatFunc):
         raise ParseError("ratfunc literals are only legal for --beta")
     beta = parse_number(args.beta)
     if isinstance(beta, RatFunc):
-        beta = beta.evaluate(alpha)
-    alpha, beta = _unify_pair(alpha, beta)
-    if alpha <= 0 or beta <= 0:
-        raise NonPositiveInput("alpha and beta must be positive")
+        try:
+            beta = beta.evaluate(alpha)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"--beta: {exc}") from None
     return {"mode": "exact", "alpha": alpha, "beta": beta}
 
 
@@ -207,7 +197,7 @@ def _execute_expand(args, job):
             max_terms=args.terms,
             guard_digits=args.guard_digits,
         )
-    elif isinstance(job["alpha"], Fraction):
+    elif isinstance(job["alpha"], Fraction) and isinstance(job["beta"], Fraction):
         pair = bcf_expand_rational(job["alpha"], job["beta"], max_terms=args.terms)
     else:
         pair = bcf_expand(job["alpha"], job["beta"], max_terms=args.terms)
@@ -348,16 +338,11 @@ def _execute_validate(args, job):
 
 
 def _prepare_recover(args):
-    period_a = parse_digits(args.period_a)
-    period_b = parse_digits(args.period_b)
-    pre_a = parse_digits(args.preperiod_a)
-    pre_b = parse_digits(args.preperiod_b)
-    period = SequencePair(period_a, period_b)
-    if not period_a:
-        raise InvalidSequence("period digits must be nonempty")
-    preperiod = SequencePair(pre_a, pre_b)
-    _validated_periodic_pair(
-        pre_a + period_a, pre_b + period_b, len(pre_a), len(period_a)
+    period = SequencePair(
+        parse_digits(args.period_a), parse_digits(args.period_b)
+    )
+    preperiod = SequencePair(
+        parse_digits(args.preperiod_a), parse_digits(args.preperiod_b)
     )
     return {"preperiod": preperiod, "period": period}
 
@@ -575,15 +560,10 @@ def run(argv):
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        job = args.prepare(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return args.execute(args, job)
+        return args.execute(args, args.prepare(args))
     except (BcfError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
 
 
 def main():

@@ -30,7 +30,7 @@ class InvalidSequence(BcfError):
 
 
 class MixedFields(BcfError):
-    """Alpha and beta for an expansion live in different fields."""
+    """States handed to detect_period span two number fields."""
 
 
 class DegenerateSystem(BcfError):

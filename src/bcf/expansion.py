@@ -29,7 +29,7 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import FieldMismatch, NonPositiveInput, PrecisionExhausted
-from .fields import AlgebraicNumber, _floor, _normal, _step, floor_of
+from .fields import AlgebraicNumber, _as_exact, _floor, _normal, _step, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
@@ -51,18 +51,6 @@ class Terminated:
     terminal: ExactNumber
 
 
-def _normalize(value, name):
-    if isinstance(value, (Fraction, AlgebraicNumber)):
-        return value
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an exact number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    raise TypeError(
-        f"{name} must be a Fraction or AlgebraicNumber, got {type(value).__name__}"
-    )
-
-
 def _is_integral(value):
     if isinstance(value, AlgebraicNumber):
         return value.is_rational() and value.as_fraction().denominator == 1
@@ -71,8 +59,8 @@ def _is_integral(value):
 
 def _unify_pair(alpha, beta):
     """Normalize two exact numbers into a common arithmetic domain."""
-    alpha = _normalize(alpha, "alpha")
-    beta = _normalize(beta, "beta")
+    alpha = _as_exact(alpha, "alpha")
+    beta = _as_exact(beta, "beta")
     alpha_algebraic = isinstance(alpha, AlgebraicNumber)
     beta_algebraic = isinstance(beta, AlgebraicNumber)
     if alpha_algebraic and beta_algebraic:
@@ -174,7 +162,9 @@ def bcf_expand(alpha, beta, max_terms=64):
 
 
 def _common_denominator_form(alpha, beta):
-    alpha, beta = Fraction(alpha), Fraction(beta)
+    alpha, beta = _as_exact(alpha, "alpha"), _as_exact(beta, "beta")
+    if not (isinstance(alpha, Fraction) and isinstance(beta, Fraction)):
+        raise TypeError("the rational fast path takes no field elements")
     if alpha <= 0 or beta <= 0:
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     w = math.lcm(alpha.denominator, beta.denominator)

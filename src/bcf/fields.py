@@ -608,6 +608,19 @@ class AlgebraicNumber:
 # -- module-level operations ------------------------------------------------
 
 
+def _as_exact(value, what):
+    """value as an exact number: a Fraction or field element as given, an
+    int as a Fraction; anything else (bool, float, str, None) is a
+    TypeError."""
+    if isinstance(value, (Fraction, AlgebraicNumber)):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise TypeError(
+        f"{what} must be an int, Fraction or AlgebraicNumber, got {value!r}"
+    )
+
+
 def floor_of(x):
     """Exact floor of an int, Fraction, or AlgebraicNumber."""
     if isinstance(x, AlgebraicNumber):

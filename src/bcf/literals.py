@@ -197,10 +197,7 @@ def parse_digits(text):
     """Parse a comma-separated digit list; empty text means no digits."""
     if text is None or not text.strip():
         return ()
-    return tuple(
-        _parse_int(token.strip(), i, "<int>,<int>,...")
-        for i, token in enumerate(text.split(","))
-    )
+    return _parse_int_csv(text, 0, "<int>,<int>,...")
 
 
 def fraction_str(value):

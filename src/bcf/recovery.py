@@ -21,6 +21,7 @@ for periodic expansions experimentally.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -389,7 +390,8 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     families, nonpositive betas, and per-candidate failures are recorded
     as skips or errors, never raised.  A hit only reports what was found
     within the horizon; a miss proves nothing.  ``jobs`` > 1 distributes
-    polynomials over a process pool.
+    polynomials over a process pool of at most ``jobs`` workers, and no
+    more than there are polynomials or CPUs.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -403,8 +405,9 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     tasks = [
         (coeffs, candidates, horizon, preview_digits) for coeffs in family
     ]
-    if jobs is not None and jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_single_poly, tasks))
     else:
         chunks = [_scan_single_poly(task) for task in tasks]

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import IndexOutOfRange, InvalidSequence
+from .fields import _as_exact
 
 
 def _check_digits(name, digits):
@@ -52,8 +51,7 @@ class SequencePair:
                     f"terminated pair needs len(b) == len(a) + 1, "
                     f"got len(a)={len(a)}, len(b)={len(b)}"
                 )
-            if isinstance(terminal, int) and not isinstance(terminal, bool):
-                terminal = Fraction(terminal)
+            terminal = _as_exact(terminal, "terminal")
         else:
             if len(b) != len(a):
                 raise InvalidSequence(

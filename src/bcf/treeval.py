@@ -17,7 +17,7 @@ from itertools import islice
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import AlgebraicNumber
+from .fields import _as_exact
 from .sequences import as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
@@ -82,15 +82,7 @@ class ConvergenceDiagnostics:
 
 
 def _exact_positive(value, what):
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    if isinstance(value, int):
-        value = Fraction(value)
-    elif not isinstance(value, (Fraction, AlgebraicNumber)):
-        raise ValueError(
-            f"{what} must be an int, Fraction, or AlgebraicNumber, "
-            f"got {type(value).__name__}"
-        )
+    value = _as_exact(value, what)
     if not value > 0:
         raise ValueError(f"{what} must be positive")
     return value
@@ -103,7 +95,8 @@ def tree_sum(a, b):
     is a nonnegative integer digit, and the final entries are the positive
     terminal values standing at the deepest level.  Folding upward applies
     alpha <- a_k + beta'/alpha' and beta <- b_k + 1/alpha' until the pair
-    [{alpha_0}, {beta_0}] remains.
+    [{alpha_0}, {beta_0}] remains.  A terminal entry that is not an exact
+    number is a TypeError, a nonpositive one a ValueError.
     """
     a, b = list(a), list(b)
     if len(a) != len(b):

@@ -12,6 +12,7 @@ along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import IndexOutOfRange
 from .expansion import _exact, _raw_state, _unify_pair
@@ -52,10 +53,14 @@ def validate(seqs):
     extra b-digit that settles the final lookahead.
     """
     pair = as_pair(seqs)
+    n = len(pair.a)
+    slots = zip(range(1, n), pair.a[1:], pair.b[1:])
+    if pair.periodicity is not None and pair.preperiod == 0:
+        wrap = pair.period * -(-n // pair.period)
+        slots = chain(slots, [(wrap, pair.a[0], pair.b[0])])
     violations = []
     indeterminate = []
-    for i in range(1, len(pair.a)):
-        a_i, b_i = pair.a[i], pair.b[i]
+    for i, a_i, b_i in slots:
         if a_i < 1:
             violations.append((i, RULE_A_BELOW_ONE))
         if a_i < b_i:
@@ -68,21 +73,11 @@ def validate(seqs):
             else:
                 if lookahead == 0:
                     violations.append((i, RULE_EQUAL_THEN_B_ZERO))
-    if pair.periodicity is not None and pair.preperiod == 0:
-        m = pair.period
-        wrap = m * (-(-len(pair.a) // m))
-        a_0, b_0 = pair.a[0], pair.b[0]
-        if a_0 < 1:
-            violations.append((wrap, RULE_A_BELOW_ONE))
-        if a_0 < b_0:
-            violations.append((wrap, RULE_A_LESS_THAN_B))
-        if a_0 == b_0 and pair.digit_b(wrap + 1) == 0:
-            violations.append((wrap, RULE_EQUAL_THEN_B_ZERO))
     return ValidationReport(
         valid=not violations,
         violations=tuple(violations),
         indeterminate=tuple(indeterminate),
-        last_checked=len(pair.a) - 1,
+        last_checked=n - 1,
     )
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcf import bcf_expand, bcf_expand_rational, cli, expansion
+from bcf import bcf_expand, bcf_expand_rational, cli, expansion, validation
 from bcf.cli import _convergent_record, run
+from bcf.errors import DegenerateSystem, OutputTooLarge
 from bcf.fields import _rounded_decimal
 from bcf.treeval import ConvergentTriple
 
@@ -236,7 +237,54 @@ def test_expand_ratfunc_pole_is_input_error(capsys):
     # beta = 1/(alpha - 2) evaluated at alpha = 2 divides by zero
     code = run(["expand", "--alpha", "rat:2", "--beta", "ratfunc:1/1,-2"])
     assert code == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err.startswith("error: --beta: ")
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [(cls, 2) for cls in cli._INPUT_ERRORS]
+    + [(DegenerateSystem, 3), (OutputTooLarge, 3), (ZeroDivisionError, 3)],
+    ids=lambda value: getattr(value, "__name__", str(value)),
+)
+def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
+    # An error leaves with the code of its class, whichever step raised it.
+    def broken(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "render_tree", broken)
+    assert run(["render", "--a", "1,2", "--b", "1,2", "--depth", "1"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: boom\n"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Count calls to module.name through every bcf binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "bcf" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_exact_expand_unifies_its_pair_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, expansion, "_unify_pair")
+    run_json(capsys, ["expand", "--alpha", "alg:1,-1,-1,-1@1,2",
+                      "--beta", "ratfunc:1,1/1,0", "--terms", "8"])
+    assert len(calls) == 1
+
+
+def test_recover_validates_its_digits_once(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, validation, "validate")
+    run_json(capsys, ["recover", "--preperiod-a", "2", "--preperiod-b", "2",
+                      "--period-a", "2,3", "--period-b", "0,0"])
+    assert len(calls) == 1
 
 
 def test_reversed_root_interval_is_input_error(capsys):

@@ -9,9 +9,18 @@ from hypothesis import strategies as st
 
 from bcf import (
     AlgebraicNumber,
+    ExpansionState,
     NumberField,
+    SequencePair,
     approximate,
+    bcf_expand,
+    bcf_expand_rational,
+    bcf_step,
+    check_appropriate,
+    check_proper,
     floor_of,
+    rational_expansion_trace,
+    tree_sum,
 )
 from bcf import polys
 from bcf.errors import (
@@ -345,3 +354,49 @@ def test_rational_elements_hash_like_fractions(data):
     for x in built:
         assert x == q and hash(x) == hash(q)
         assert_normalised(x)
+
+
+# -- exact inputs -----------------------------------------------------------------
+
+# Every caller that takes an exact number, as a function of that number.
+_EXACT_CALLERS = {
+    "bcf_expand": lambda v: bcf_expand(v, Fraction(3, 2), max_terms=4),
+    "bcf_step": lambda v: bcf_step(ExpansionState(v, Fraction(3, 2), 0)),
+    "check_proper": lambda v: check_proper(
+        v, Fraction(3, 2), ((2, 1), (1, 1)), 1
+    ),
+    "check_appropriate": lambda v: check_appropriate(
+        v, Fraction(3, 2), ((2, 1), (1, 1)), 1
+    ),
+    "bcf_expand_rational": lambda v: bcf_expand_rational(v, Fraction(3, 2)),
+    "rational_expansion_trace": lambda v: rational_expansion_trace(
+        v, Fraction(3, 2)
+    ),
+    "tree_sum": lambda v: tree_sum((1, v), (1, Fraction(3, 2))),
+    "SequencePair": lambda v: SequencePair((1,), (1, 0), terminal=v),
+}
+_RATIONAL_ONLY = ("bcf_expand_rational", "rational_expansion_trace")
+
+
+@pytest.mark.parametrize("caller, bad", [
+    (caller, bad)
+    for caller in _EXACT_CALLERS
+    for bad in (True, 1.5, "7/4", None)
+    # terminal=None is how a SequencePair says it is open
+    if not (caller == "SequencePair" and bad is None)
+])
+def test_inexact_inputs_are_type_errors(caller, bad):
+    with pytest.raises(TypeError, match="must be an int, Fraction or"):
+        _EXACT_CALLERS[caller](bad)
+
+
+@pytest.mark.parametrize("caller", list(_EXACT_CALLERS))
+def test_exact_inputs_are_accepted(caller):
+    call = _EXACT_CALLERS[caller]
+    call(2)
+    call(Fraction(7, 4))
+    if caller in _RATIONAL_ONLY:
+        with pytest.raises(TypeError):
+            call(theta())
+    else:
+        call(theta())

@@ -84,6 +84,9 @@ def test_parse_digits():
     assert parse_digits("0") == (0,)
     with pytest.raises(ParseError):
         parse_digits("1,x")
+    # positions are character offsets, as in every other literal error
+    with pytest.raises(ParseError, match="at position 3, got 'x'"):
+        parse_digits("10,x")
 
 
 def test_fraction_str():

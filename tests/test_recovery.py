@@ -1,5 +1,6 @@
 """Periodicity detection, cubic recovery, transfer matrices, the scanner."""
 
+import os
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from bcf import (
     transfer_matrix,
     validate,
 )
+from bcf import recovery
 from bcf.errors import InvalidSequence, MixedFields
 from bcf.recovery import (
     NotFound,
@@ -459,6 +461,33 @@ def test_scan_parallel_matches_serial():
     serial = conjecture_scan(family, betas, horizon=10, jobs=1)
     parallel = conjecture_scan(family, betas, horizon=10, jobs=2)
     assert serial == parallel
+
+
+def test_scan_pool_never_outnumbers_polynomials_or_cpus(monkeypatch):
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(recovery, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    betas = [((1, 0, 0), (1,))]
+    conjecture_scan([(1, 0, 0, -2)], betas, horizon=8, jobs=10**6)
+    assert sizes == []
+    family = [(1, 0, 0, c0) for c0 in (-2, -3, -5)]
+    pooled = conjecture_scan(family, betas, horizon=8, jobs=10**6)
+    assert sizes == [2]
+    assert pooled == conjecture_scan(family, betas, horizon=8, jobs=1)
 
 
 def test_scan_validates_arguments():

@@ -93,6 +93,9 @@ def test_periodic_wrap_constrains_leading_digits():
     # with a nonzero successor digit the same cycle is fine
     report = validate(SequencePair((2, 3), (2, 1), periodicity=(0, 2)))
     assert report.valid
+    # the wrap index is the stored length rounded up to whole periods
+    report = validate(SequencePair((0, 1, 1), (0, 1, 1), periodicity=(0, 2)))
+    assert report.violations == ((4, RULE_A_BELOW_ONE),)
 
 
 def test_preperiod_shields_leading_digits():
