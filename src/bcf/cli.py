@@ -22,6 +22,7 @@ import sys
 from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 
+from . import _kernels
 from .errors import (
     BcfError,
     DegreeOutOfRange,
@@ -46,7 +47,7 @@ from .literals import (
 )
 from .recovery import conjecture_scan, recover_cubic_eventual
 from .sequences import SequencePair
-from .treeval import convergent, convergent_sequence, render_tree
+from .treeval import convergent, render_tree
 from .validation import validate
 
 _INPUT_ERRORS = (
@@ -67,6 +68,9 @@ _DEFAULT_SCAN_BETAS = (
     ((1, 1, 0), (1,)),      # alpha^2 + alpha
     ((1, 1), (1,)),         # alpha + 1
 )
+
+
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _emit_json(payload):
@@ -116,26 +120,35 @@ def _ratio_text(num, den, num_text, den_text):
     return ratio_str(num, den)
 
 
-def _convergent_record(triple, digits):
-    A, B, C = triple.A, triple.B, triple.C
+# A convergent's fields are rendered once, in _RECORD_KEYS (text) order; the
+# JSON templates list their keys sorted.  Every field is made of digits, '-',
+# '/' and '.', so none needs JSON escaping.
+_RECORD_KEYS = ("n", "A", "B", "C", "alpha", "beta", "alpha_dec")
+_RECORD_TEXT = "n={} A={} B={} C={} alpha={} beta={} alpha_dec={}"
+_RECORD_JSON = ('{{"A":"{1}","B":"{2}","C":"{3}","alpha":"{4}",'
+                '"alpha_dec":"{6}","beta":"{5}","n":{0}}}')
+_EXPAND_JSON = ('{{"a":{},"b":{},"convergents":[{}]{},"period":{},'
+                '"preperiod":{},"terminated":{}}}')
+
+
+def _record_fields(n, A, B, C, digits):
     a, b, c = bounded_str(A), bounded_str(B), bounded_str(C)
-    return {
-        "n": triple.n,
-        "A": a,
-        "B": b,
-        "C": c,
-        "alpha": _ratio_text(A, C, a, c),
-        "beta": _ratio_text(B, C, b, c),
-        "alpha_dec": _rounded_decimal(A, C, digits)[1],
-    }
+    return (n, a, b, c, _ratio_text(A, C, a, c), _ratio_text(B, C, b, c),
+            _rounded_decimal(A, C, digits)[1])
 
 
-def _convergent_records(pair, digits):
-    if not pair.a:
-        return []
+def _convergent_record(triple, digits):
+    fields = _record_fields(triple.n, triple.A, triple.B, triple.C, digits)
+    return dict(zip(_RECORD_KEYS, fields))
+
+
+def _convergent_records(pair, digits, template):
+    """Every convergent of an expansion (none for an empty a-side), each
+    rendered through template."""
+    triples = _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1)
     return [
-        _convergent_record(triple, digits)
-        for triple in convergent_sequence(pair, len(pair.a) - 1)
+        template.format(*_record_fields(n, A, B, C, digits))
+        for n, (A, B, C) in enumerate(triples)
     ]
 
 
@@ -190,31 +203,23 @@ def _prepare_expand(args):
 
 
 def _execute_expand(args, job):
-    if job["mode"] == "approx":
-        pair = bcf_expand_heuristic(
-            job["alpha"],
-            job["beta"],
-            max_terms=args.terms,
-            guard_digits=args.guard_digits,
-        )
+    heuristic = job["mode"] == "approx"
+    if heuristic:
+        pair = bcf_expand_heuristic(job["alpha"], job["beta"], max_terms=args.terms,
+                                    guard_digits=args.guard_digits)
     elif isinstance(job["alpha"], Fraction) and isinstance(job["beta"], Fraction):
         pair = bcf_expand_rational(job["alpha"], job["beta"], max_terms=args.terms)
     else:
         pair = bcf_expand(job["alpha"], job["beta"], max_terms=args.terms)
-    records = _convergent_records(pair, args.digits)
     if args.format == "json":
-        payload = {
-            "a": list(pair.a),
-            "b": list(pair.b),
-            "terminated": pair.terminated,
-            "preperiod": pair.preperiod,
-            "period": pair.period,
-            "convergents": records,
-        }
-        if job["mode"] == "approx":
-            payload["heuristic"] = True
-        _emit_json(payload)
+        records = _convergent_records(pair, args.digits, _RECORD_JSON)
+        print(_EXPAND_JSON.format(
+            _dumps(pair.a), _dumps(pair.b), ",".join(records),
+            ',"heuristic":true' if heuristic else "",
+            _dumps(pair.period), _dumps(pair.preperiod), _dumps(pair.terminated),
+        ))
         return 0
+    records = _convergent_records(pair, args.digits, _RECORD_TEXT)
     lines = [
         "a: " + ",".join(str(d) for d in pair.a),
         "b: " + ",".join(str(d) for d in pair.b),
@@ -225,14 +230,9 @@ def _execute_expand(args, job):
     if pair.periodicity is not None:
         lines.append(f"preperiod: {pair.preperiod}")
         lines.append(f"period: {pair.period}")
-    if job["mode"] == "approx":
+    if heuristic:
         lines.append("heuristic: true")
-    for rec in records:
-        lines.append(
-            "n={n} A={A} B={B} C={C} alpha={alpha} beta={beta} "
-            "alpha_dec={alpha_dec}".format(**rec)
-        )
-    print("\n".join(lines))
+    print("\n".join(lines + records))
     return 0
 
 
@@ -254,14 +254,11 @@ def _prepare_eval(args):
 def _execute_eval(args, job):
     triple = convergent(job["pair"], job["n"])
     record = _convergent_record(triple, args.digits)
-    record["beta_dec"] = _rounded_decimal(triple.B, triple.C, args.digits)[1]
+    beta_dec = _rounded_decimal(triple.B, triple.C, args.digits)[1]
     if args.format == "json":
-        _emit_json(record)
+        _emit_json(dict(record, beta_dec=beta_dec))
     else:
-        print(
-            "n={n} A={A} B={B} C={C} alpha={alpha} beta={beta} "
-            "alpha_dec={alpha_dec} beta_dec={beta_dec}".format(**record)
-        )
+        print(_RECORD_TEXT.format(*record.values()), f"beta_dec={beta_dec}")
     return 0
 
 

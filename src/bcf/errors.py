@@ -25,7 +25,7 @@ class NonPositiveInput(BcfError):
     """An input that must be positive (typically >= 1) is not."""
 
 
-class InvalidSequence(BcfError):
+class InvalidSequence(BcfError, ValueError):
     """A digit sequence pair violates a structural requirement."""
 
 

@@ -9,11 +9,12 @@ beta_i non-integral,
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
 terminal value rather than floored.  ``bcf_expand`` validates its input once,
-then loops on raw state: the normalised (num, den) pairs of two field
-elements, stepped by ``fields._step`` (one inversion) and floored from the
-field's cached power bounds; a recurring state is found by that raw state
-itself, and only the terminal becomes an element again.  ``bcf_step`` is the
-validated single-step API over the same step.  Rational inputs always
+then loops on raw state: the primitive integer triple (u, v, w) with
+alpha = u/w and beta = v/w, stepped by ``fields._step`` (one adjugate, one
+product, one gcd) and floored from the field's cached power bounds; the
+triple is canonical, so a recurring state is found by the triple itself, and
+only the terminal becomes an element again.  ``bcf_step`` is the validated
+single-step API over the same step.  Rational inputs always
 terminate and keep Fraction arithmetic in the same loop, the independent
 reference for ``bcf_expand_rational``: an integer-only fast path with an
 optional step cap, which the CLI uses for every exact rational pair.
@@ -29,7 +30,7 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import FieldMismatch, NonPositiveInput, PrecisionExhausted
-from .fields import AlgebraicNumber, _as_exact, _floor, _normal, _step, floor_of
+from .fields import AlgebraicNumber, _as_exact, _element, _floor, _step, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
@@ -77,31 +78,39 @@ def _unify_pair(alpha, beta):
 
 
 def _raw_state(alpha, beta):
-    """(field, alpha, beta) of a unified pair: field elements become their
-    raw normalised (num, den) pairs; a rational pair keeps its Fractions
-    and has field None."""
-    if isinstance(alpha, AlgebraicNumber):
-        return alpha.field, alpha._raw, beta._raw
-    return None, alpha, beta
+    """(field, state) of a unified pair: a field pair becomes its primitive
+    integer triple (u, v, w) with alpha = u/w, beta = v/w and w > 0, which
+    is canonical; a rational pair keeps its Fractions and has field None."""
+    if not isinstance(alpha, AlgebraicNumber):
+        return None, (alpha, beta)
+    (p, dp), (q, dq) = alpha._raw, beta._raw
+    w = math.lcm(dp, dq)
+    u, v = (tuple([c * (w // d) for c in x]) for x, d in ((p, dp), (q, dq)))
+    return alpha.field, (u, v, w)
 
 
-def _exact(field, x):
-    """The exact number of one raw coordinate."""
-    return x if field is None else _normal(field, *x)
-
-
-def _advance(field, alpha, beta):
-    """One step on raw state: (a_i, b_i, next (alpha, beta)), with None for
-    the next state once beta is an integer."""
+def _exact_pair(field, state):
+    """The exact numbers (alpha, beta) of one raw state."""
     if field is None:
+        return state
+    u, v, w = state
+    return _element(field, u, w), _element(field, v, w)
+
+
+def _advance(field, state):
+    """One step on raw state: (a_i, b_i, next state), with None for the
+    next state once beta is an integer."""
+    if field is None:
+        alpha, beta = state
         b_i, a_i = floor_of(beta), floor_of(alpha)
         last = beta.denominator == 1
     else:
-        b_i, a_i = _floor(field, beta), _floor(field, alpha)
-        last = beta[1] == 1 and not any(beta[0][1:])
+        u, v, w = state
+        b_i, a_i = _floor(field, (v, w)), _floor(field, (u, w))
+        last = not any(v[1:]) and v[0] % w == 0
     if last:
         return a_i, b_i, None
-    return a_i, b_i, _step(field, alpha, beta, a_i, b_i)
+    return a_i, b_i, _step(field, state, a_i, b_i)
 
 
 def bcf_step(state):
@@ -109,20 +118,20 @@ def bcf_step(state):
     alpha, beta = _unify_pair(state.alpha, state.beta)
     if state.index == 0 and (alpha <= 0 or beta <= 0):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-    field, x, y = _raw_state(alpha, beta)
-    a_i, b_i, nxt = _advance(field, x, y)
+    field, raw = _raw_state(alpha, beta)
+    a_i, b_i, nxt = _advance(field, raw)
     if nxt is None:
         return a_i, b_i, Terminated(alpha)
-    alpha, beta = (_exact(field, v) for v in nxt)
+    alpha, beta = _exact_pair(field, nxt)
     return a_i, b_i, ExpansionState(alpha, beta, state.index + 1)
 
 
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    The exact orbit is tracked as it is generated, keyed on the raw
-    normalised coordinates of each state (every state of one run lives in
-    one field); if a state recurs before the budget is used up, the
+    The exact orbit is tracked as it is generated, keyed on the primitive
+    integer triple of each state (every state of one run lives in one
+    field); if a state recurs before the budget is used up, the
     remaining digits are read off the cycle and the result's periodicity
     field records (preperiod, period).  Rational inputs terminate instead,
     with the exact final alpha in ``terminal``.
@@ -133,16 +142,15 @@ def bcf_expand(alpha, beta, max_terms=64):
     if alpha <= 0 or beta <= 0:
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
 
-    field, alpha, beta = _raw_state(alpha, beta)
+    field, state = _raw_state(alpha, beta)
     a_digits = []
     b_digits = []
     seen = {}
     terminal = None
     periodicity = None
     for i in range(max_terms):
-        state = alpha, beta
-        if state in seen:
-            k = seen[state]
+        k = seen.setdefault(state, i)
+        if k < i:
             m = i - k
             periodicity = (k, m)
             for j in range(i, max_terms):
@@ -150,14 +158,13 @@ def bcf_expand(alpha, beta, max_terms=64):
                 a_digits.append(a_digits[idx])
                 b_digits.append(b_digits[idx])
             break
-        seen[state] = i
-        a_i, b_i, nxt = _advance(field, alpha, beta)
+        a_i, b_i, nxt = _advance(field, state)
         b_digits.append(b_i)
         if nxt is None:
-            terminal = _exact(field, alpha)
+            terminal = _exact_pair(field, state)[0]
             break
         a_digits.append(a_i)
-        alpha, beta = nxt
+        state = nxt
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 
 

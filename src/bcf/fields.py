@@ -6,13 +6,13 @@ root theta of f.  An :class:`AlgebraicNumber` is an element of such a field,
 stored as integer numerators over one positive common denominator in the
 power basis 1, theta, ..., theta^(d-1), normalised after every operation so
 that the denominator is coprime to the numerators' content.  Products and
-inverses are one closed form per degree on these raw (num, den) pairs: an
-integer convolution reduced modulo f, and the adjugate of the integer
-multiplication matrix.  The expansion step ``_step`` is straight-line code
-over the same closed forms, so a loop can step raw pairs without building
-elements.  All predicates (sign, floor, comparisons) are decided exactly:
-rational elements directly, irrational ones by refining the isolating
-interval until the answer is certified.
+inverses share one closed form per degree on integer numerators: an integer
+convolution reduced modulo f, and the adjugate of the integer multiplication
+matrix.  The expansion step ``_step`` applies both to a pair held as one
+primitive integer triple (u, v, w), alpha = u/w and beta = v/w, and
+normalises the next triple once.  All predicates (sign, floor, comparisons)
+are decided exactly: rational elements directly, irrational ones by
+refining the isolating interval until the answer is certified.
 """
 
 from __future__ import annotations
@@ -128,6 +128,7 @@ class NumberField:
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
+        self._lead_power = self._lead ** (d - 1)  # L in _step
 
     @property
     def min_poly(self):
@@ -191,8 +192,10 @@ class NumberField:
         return _element(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def element(self, value):
-        """Embed a rational number into the field."""
-        value = Fraction(value)
+        """Embed a rational number (an int or Fraction) into the field."""
+        value = _as_exact(value, "value")
+        if not isinstance(value, Fraction):
+            raise TypeError(f"value must be an int or Fraction, got {value!r}")
         zeros = (0,) * (self.degree - 1)
         return _element(self, (value.numerator,) + zeros, value.denominator)
 
@@ -252,79 +255,91 @@ def _sum(x, y, sign):
     return _element(x._field, num, dx * dy)
 
 
-# -- raw arithmetic on normalised (num, den) pairs ---------------------------
+# -- raw arithmetic on integer numerators ------------------------------------
 # With f = lead*x^d + f_(d-1)*x^(d-1) + ... + f_0 (field._lead, field._low),
-# lead*theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)).
+# lead*theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)).  _convolve
+# and _adjugate_row are the one product and one inverse formula per degree.
 
 
-def _multiply(field, x, y):
-    """x * y: the convolution of the numerators reduced modulo f, over
-    den_x * den_y * lead^(d-1), normalised."""
-    (p, dp), (q, dq) = x, y
-    lead, den = field._lead, dp * dq
+def _convolve(field, p, q):
+    """Numerators of lead^(d-1) * p * q: the convolution of p and q reduced
+    modulo f."""
+    lead = field._lead
     if len(p) == 3:
         (p0, p1, p2), (q0, q1, q2), (f0, f1, f2) = p, q, field._low
         c4 = p2 * q2
-        # theta^3 coefficient of lead * x * y once theta^4 is reduced
+        # theta^3 coefficient of lead * p * q once theta^4 is reduced
         c3 = lead * (p1 * q2 + p2 * q1) - c4 * f2
-        num = (
+        return (
             lead * lead * p0 * q0 - c3 * f0,
             lead * (lead * (p0 * q1 + p1 * q0) - c4 * f0) - c3 * f1,
             lead * (lead * (p0 * q2 + p1 * q1 + p2 * q0) - c4 * f1) - c3 * f2,
         )
-        den *= lead * lead
-    elif len(p) == 2:
+    if len(p) == 2:
         (p0, p1), (q0, q1), (f0, f1) = p, q, field._low
         c2 = p1 * q1
-        num = (lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1)
-        den *= lead
-    else:
-        num = (p[0] * q[0],)
-    return _normalised(num, den)
+        return lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1
+    return (p[0] * q[0],)
 
 
-def _inverse(field, x):
-    """1 / x from the adjugate of the integer multiplication matrix.
-
-    Column j of M holds the numerators of x * (lead * theta)^j.  Then 1 / x
-    has numerators den * lead^j * adj(M)[j][0] over det(M), expanded along
-    row 0; normalised.
-    """
-    num, den = x
-    if not any(num):
+def _adjugate_row(field, n):
+    """(J, N) with 1 / n = J / N for nonzero integer numerators n: column j
+    of the integer multiplication matrix M holds the numerators of
+    n * (lead * theta)^j, J_j = lead^j * adj(M)[j][0] and N = det(M)."""
+    if not any(n):
         raise ZeroDivisionError("division by zero field element")
     lead = field._lead
-    if len(num) == 3:
-        (n0, n1, n2), (f0, f1, f2) = num, field._low
+    if len(n) == 3:
+        (n0, n1, n2), (f0, f1, f2) = n, field._low
         m0, m1, m2 = -n2 * f0, lead * n0 - n2 * f1, lead * n1 - n2 * f2
         k0, k1, k2 = -m2 * f0, lead * m0 - m2 * f1, lead * m1 - m2 * f2
         c0, c1, c2 = m1 * k2 - k1 * m2, k1 * n2 - n1 * k2, n1 * m2 - m1 * n2
-        det = n0 * c0 + m0 * c1 + k0 * c2
-        num = (den * c0, den * lead * c1, den * lead * lead * c2)
-    elif len(num) == 2:
-        (n0, n1), (f0, f1) = num, field._low
+        return (c0, lead * c1, lead * lead * c2), n0 * c0 + m0 * c1 + k0 * c2
+    if len(n) == 2:
+        (n0, n1), (f0, f1) = n, field._low
         m1 = lead * n0 - n1 * f1
-        det = n0 * m1 + n1 * n1 * f0
-        num = (den * m1, -den * lead * n1)
-    else:
-        num, det = (den,), num[0]
-    return _normalised(num, det)
+        return (m1, -lead * n1), n0 * m1 + n1 * n1 * f0
+    return (1,), n[0]
 
 
-def _step(field, alpha, beta, a, b):
-    """(1 / (beta - b), (alpha - a) / (beta - b)) with one inversion.
+def _multiply(field, x, y):
+    """x * y for normalised (num, den) pairs, normalised."""
+    (p, dp), (q, dq) = x, y
+    return _normalised(_convolve(field, p, q), dp * dq * field._lead_power)
 
-    a and b are integers.  With a field, alpha and beta are raw normalised
-    (num, den) pairs of its elements, and so is the result; the shifts by a
-    and b keep the denominator.  With field None they are Fractions.
-    Raises ZeroDivisionError when beta == b.
+
+def _inverse(field, x):
+    """1 / x for a normalised (num, den) pair, normalised."""
+    num, den = x
+    row, det = _adjugate_row(field, num)
+    return _normalised(tuple([den * j for j in row]), det)
+
+
+def _step(field, state, a, b):
+    """The state (1 / (beta - b), (alpha - a) / (beta - b)) after digits a, b.
+
+    With a field, state is the primitive integer triple (u, v, w) with
+    alpha = u / w, beta = v / w and w > 0.  With s = v - b*w, r = u - a*w,
+    1 / s = J / N and L = lead^(d-1), the next triple is (w*L*J, L*r*J, N*L)
+    over its one gcd: one adjugate, one convolution, one normalisation.
+    With field None, state is a pair of Fractions.  Raises ZeroDivisionError
+    when beta == b.
     """
     if field is None:
+        alpha, beta = state
         inv = 1 / (beta - b)
         return inv, (alpha - a) * inv
-    (p, dp), (q, dq) = alpha, beta
-    inv = _inverse(field, ((q[0] - b * dq,) + q[1:], dq))
-    return inv, _multiply(field, ((p[0] - a * dp,) + p[1:], dp), inv)
+    u, v, w = state
+    row, det = _adjugate_row(field, (v[0] - b * w,) + v[1:])
+    lead_power = field._lead_power
+    wl = w * lead_power
+    num, den = _normalised(
+        tuple([wl * j for j in row])
+        + _convolve(field, (u[0] - a * w,) + u[1:], row),
+        det * lead_power,
+    )
+    d = len(row)
+    return num[:d], num[d:], den
 
 
 def _bounds(field, x):
@@ -630,10 +645,10 @@ def floor_of(x):
 
 def approximate(x, decimal_digits):
     """Certified decimal approximation of an exact number."""
-    if isinstance(x, AlgebraicNumber):
-        return x.approximate(decimal_digits)
+    value = _as_exact(x, "x")
+    if isinstance(value, AlgebraicNumber):
+        return value.approximate(decimal_digits)
     if decimal_digits < 1:
         raise ValueError("decimal_digits must be at least 1")
-    value = Fraction(x)
     n, text = _rounded_decimal(value.numerator, value.denominator, decimal_digits)
     return DecimalApproximation(text, abs(Fraction(n, 10**decimal_digits) - value))

@@ -18,7 +18,7 @@ from itertools import islice
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
 from .fields import _as_exact
-from .sequences import as_pair as _as_pair
+from .sequences import _check_digits, as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
 # depth 27 is the first depth past it.
@@ -95,8 +95,9 @@ def tree_sum(a, b):
     is a nonnegative integer digit, and the final entries are the positive
     terminal values standing at the deepest level.  Folding upward applies
     alpha <- a_k + beta'/alpha' and beta <- b_k + 1/alpha' until the pair
-    [{alpha_0}, {beta_0}] remains.  A terminal entry that is not an exact
-    number is a TypeError, a nonpositive one a ValueError.
+    [{alpha_0}, {beta_0}] remains.  A bad digit is an InvalidSequence (a
+    ValueError), a terminal entry that is not an exact number a TypeError,
+    and a nonpositive one a ValueError.
     """
     a, b = list(a), list(b)
     if len(a) != len(b):
@@ -105,12 +106,8 @@ def tree_sum(a, b):
         )
     if not a:
         raise ValueError("sequences must be nonempty")
-    for name, digits in (("a", a), ("b", b)):
-        for i, d in enumerate(digits[:-1]):
-            if isinstance(d, bool) or not isinstance(d, int) or d < 0:
-                raise ValueError(
-                    f"{name}[{i}] must be a nonnegative integer digit, got {d!r}"
-                )
+    _check_digits("a", a[:-1])
+    _check_digits("b", b[:-1])
     x = _exact_positive(a[-1], "terminal alpha entry")
     y = _exact_positive(b[-1], "terminal beta entry")
     for k in range(len(a) - 2, -1, -1):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import IndexOutOfRange
-from .expansion import _exact, _raw_state, _unify_pair
+from .expansion import _exact_pair, _raw_state, _unify_pair
 from .fields import _step, floor_of
 from .sequences import as_pair
 
@@ -86,10 +86,10 @@ def _tail_states(alpha, beta, pair, n):
     if n < 0:
         raise IndexOutOfRange(f"n must be nonnegative, got {n}")
     yield 0, alpha, beta
-    field, x, y = _raw_state(alpha, beta)
+    field, state = _raw_state(alpha, beta)
     for i in range(n):
-        x, y = _step(field, x, y, pair.digit_a(i), pair.digit_b(i))
-        yield i + 1, _exact(field, x), _exact(field, y)
+        state = _step(field, state, pair.digit_a(i), pair.digit_b(i))
+        yield i + 1, *_exact_pair(field, state)
 
 
 def check_proper(alpha, beta, seqs, n):

@@ -148,6 +148,48 @@ def test_expand_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# One argv per kind of expand run; each JSON line must already be in the
+# canonical form: sorted keys, compact separators.
+EXPAND_KINDS = {
+    "open": ["--alpha", "alg:1,-2,-2,-2@-3,3", "--beta", "ratfunc:1,1,0/1",
+             "--terms", "20"],
+    "periodic": ["--alpha", "alg:1,-1,-1,-1@1,2", "--beta", "ratfunc:1,1/1,0",
+                 "--terms", "12"],
+    "terminated": ["--alpha", "rat:7/4", "--beta", "rat:3/2"],
+    "empty_a": ["--alpha", "rat:7/4", "--beta", "rat:2"],
+    "approx": ["--approx", "--alpha", "dec:1.7320508", "--beta",
+               "dec:1.4142136", "--terms", "6"],
+}
+
+
+@pytest.mark.parametrize("kind", list(EXPAND_KINDS))
+def test_expand_json_is_canonical(capsys, kind):
+    out = _stdout(capsys, ["expand", *EXPAND_KINDS[kind]])
+    payload = json.loads(out)
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert out == canonical + "\n"
+    assert (payload["period"] is not None) == (kind == "periodic")
+    assert payload["terminated"] == (kind in ("terminated", "empty_a"))
+    assert (payload["a"] == []) == (kind == "empty_a")
+    assert ("heuristic" in payload) == (kind == "approx")
+    assert len(payload["convergents"]) == len(payload["a"])
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_expand_record_too_long_midway_is_exit_3(capsys, fmt):
+    # Digits a = b = 10**100 repeat forever: the first 40 records print, and
+    # from about record 43 on, A, B and C pass the integer-string limit.
+    big = 10**100
+    argv = ["expand", "--alpha", f"alg:1,-{big},-{big},-1@{big},{big + 2}",
+            "--beta", f"ratfunc:1,-{big},0/1", "--format", fmt, "--terms"]
+    assert _stdout(capsys, argv + ["40"])
+    assert run(argv + ["60"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: an integer in the output has more than ")
+
+
 def test_expand_integer_too_long_to_print_is_exit_3(capsys):
     # Digits a = b = 10**100 repeat forever, so A_n has about 100*n digits.
     big = 10**100
@@ -372,6 +414,14 @@ def test_eval_example(capsys):
         "alpha_dec": "2.000000000000",
         "beta_dec": "1.500000000000",
     }
+
+
+def test_eval_text_bytes_pinned(capsys):
+    # alpha = 10/6 and beta = 3/6 are both reduced before printing.
+    out = _stdout(capsys, ["eval", "--a", "1,1,1,1", "--b", "0,1,2,2",
+                           "--format", "text", "--digits", "5"])
+    assert out == ("n=3 A=10 B=3 C=6 alpha=5/3 beta=1/2 alpha_dec=1.66667 "
+                   "beta_dec=0.50000\n")
 
 
 def test_eval_interior_index(capsys):

@@ -29,6 +29,8 @@ from bcf.errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
+from bcf.expansion import _exact_pair, _raw_state
+from bcf.fields import _step
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
@@ -229,6 +231,26 @@ def test_approximate_free_function():
     assert approximate(theta(), 6).text == "1.839287"
 
 
+@pytest.mark.parametrize("call", [
+    lambda: TRIBONACCI.element(0.1),
+    lambda: TRIBONACCI.element(True),
+    lambda: approximate(0.1, 20),
+    lambda: approximate(True, 20),
+], ids=["element-float", "element-bool", "approximate-float", "approximate-bool"])
+def test_inexact_rationals_are_type_errors(call):
+    with pytest.raises(TypeError, match="must be an int, Fraction"):
+        call()
+
+
+def test_exact_rationals_embed_and_approximate():
+    assert TRIBONACCI.element(3).coeffs == (3, 0, 0)
+    assert TRIBONACCI.element(Fraction(-1, 10)).coeffs == (Fraction(-1, 10), 0, 0)
+    assert approximate(Fraction(1, 10), 20).text == "0." + "1".ljust(20, "0")
+    assert approximate(-2, 2).text == "-2.00"
+    with pytest.raises(TypeError):
+        TRIBONACCI.element(theta())
+
+
 # -- randomized properties -------------------------------------------------------
 
 
@@ -340,6 +362,27 @@ def test_arithmetic_matches_fraction_reference(data):
     assert_normalised(x)
     assert (x * y) * x == x * (y * x)
     assert hash((x + y) - y) == hash(x)
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_step_matches_public_operators(data):
+    field = data.draw(small_fields())
+    d = field.degree
+    coords = st.lists(COORD, min_size=d, max_size=d).map(tuple)
+    alpha = AlgebraicNumber(field, data.draw(coords))
+    beta = AlgebraicNumber(field, data.draw(coords))
+    a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
+    assume(beta != b)
+    _, state = _raw_state(alpha, beta)
+    u, v, w = _step(field, state, a, b)
+    assert len(u) == len(v) == d
+    assert w > 0 and math.gcd(w, *u, *v) == 1
+    x, y = _exact_pair(field, (u, v, w))
+    assert x == 1 / (beta - b)
+    assert y == (alpha - a) / (beta - b)
+    # The triple is canonical: the elements map back to the same triple.
+    assert _raw_state(x, y) == (field, (u, v, w))
 
 
 @given(data=st.data())

@@ -96,6 +96,21 @@ def test_tree_sum_rejects_bad_shapes():
         tree_sum((1, 2), (1, 0))  # last b entry must be positive
 
 
+@pytest.mark.parametrize("a, b", [
+    ((1, -1, 2), (1, 0, 1)),
+    ((1, 2), (True, 1)),
+    ((1.0, 2), (1, 1)),
+])
+def test_tree_sum_digit_rule_is_the_sequence_rule(a, b):
+    # tree_sum and SequencePair reject a bad digit alike, with one message.
+    with pytest.raises(InvalidSequence) as from_tree:
+        tree_sum(a, b)
+    with pytest.raises(InvalidSequence) as from_pair:
+        SequencePair(a[:-1], b[:-1])
+    assert str(from_tree.value) == str(from_pair.value)
+    assert isinstance(from_tree.value, ValueError)
+
+
 def test_tree_sum_matches_convergent():
     rng = random.Random(77)
     for _ in range(50):
