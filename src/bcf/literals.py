@@ -21,6 +21,7 @@ and the expected grammar fragment.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
@@ -52,23 +53,36 @@ class RatFunc:
         return polys.evaluate(self.num, alpha) / den_value
 
 
+def _token_error(expected, token, position, grammar, exc):
+    """The ParseError for a token that int() or Fraction() rejected."""
+    if str(exc).startswith("Exceeds the limit"):
+        # A valid number too long to convert: echo a prefix, not the token.
+        return ParseError(
+            f"token at position {position} exceeds the "
+            f"{sys.get_int_max_str_digits()}-digit integer-string limit, "
+            f"got {token[:20]!r}... (grammar: {grammar})"
+        )
+    return ParseError(
+        f"expected {expected} at position {position}, got {token!r} "
+        f"(grammar: {grammar})"
+    )
+
+
 def _parse_int(token, position, grammar):
     try:
         return int(token, 10)
-    except ValueError:
-        raise ParseError(
-            f"expected an integer at position {position}, got {token!r} "
-            f"(grammar: {grammar})"
+    except ValueError as exc:
+        raise _token_error(
+            "an integer", token, position, grammar, exc
         ) from None
 
 
 def _parse_fraction(token, position, grammar):
     try:
         return Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"expected a rational at position {position}, got {token!r} "
-            f"(grammar: {grammar})"
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _token_error(
+            "a rational", token, position, grammar, exc
         ) from None
 
 
@@ -78,9 +92,14 @@ def _parse_int_csv(text, position, grammar):
             f"expected a comma-separated integer list at position {position} "
             f"(grammar: {grammar})"
         )
+    tokens = text.split(",")
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:
+        pass  # the loop below names the first bad token and its position
     values = []
     cursor = position
-    for token in text.split(","):
+    for token in tokens:
         values.append(_parse_int(token.strip(), cursor, grammar))
         cursor += len(token) + 1
     return tuple(values)

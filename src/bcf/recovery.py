@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -407,6 +406,9 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     ]
     workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: only a parallel scan pays the pool's import time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_scan_single_poly, tasks))
     else:

@@ -7,14 +7,17 @@ from .fields import _as_exact
 
 
 def _check_digits(name, digits):
-    out = []
+    digits = tuple(digits)
+    if {int}.issuperset(map(type, digits)) and min(digits, default=0) >= 0:
+        return digits
+    # The loop names the first bad digit; an int subclass other than bool
+    # passes it, as it always has.
     for i, d in enumerate(digits):
         if isinstance(d, bool) or not isinstance(d, int):
             raise InvalidSequence(f"{name}[{i}] must be an int, got {d!r}")
         if d < 0:
             raise InvalidSequence(f"{name}[{i}] must be nonnegative, got {d}")
-        out.append(d)
-    return tuple(out)
+    return digits
 
 
 def as_pair(value):

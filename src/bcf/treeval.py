@@ -28,6 +28,8 @@ _RENDER_NODE_BUDGET = 2**20
 def _digit_lists(pair, n):
     if n < 0:
         raise IndexOutOfRange(f"index must be nonnegative, got {n}")
+    if n < len(pair.a) and n < len(pair.b):
+        return pair.a[:n + 1], pair.b[:n + 1]
     a = [pair.digit_a(i) for i in range(n + 1)]
     b = [pair.digit_b(i) for i in range(n + 1)]
     return a, b

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcf import bcf_expand, bcf_expand_rational, cli, expansion, validation
+from bcf import (
+    bcf_expand, bcf_expand_rational, cli, expansion, literals, validation,
+)
 from bcf.cli import _convergent_record, run
 from bcf.errors import DegenerateSystem, OutputTooLarge
 from bcf.fields import _rounded_decimal
@@ -327,6 +329,35 @@ def test_recover_validates_its_digits_once(monkeypatch, capsys):
     run_json(capsys, ["recover", "--preperiod-a", "2", "--preperiod-b", "2",
                       "--period-a", "2,3", "--period-b", "0,0"])
     assert len(calls) == 1
+
+
+def test_valid_digit_lists_parse_without_the_token_loop(monkeypatch, capsys):
+    calls = _count_calls(monkeypatch, literals, "_parse_int")
+    digits = ",".join(["1"] * 2000)
+    payload = run_json(capsys, ["eval", "--a", digits, "--b", digits])
+    assert payload["n"] == 1999 and calls == []
+    # one bad token takes the loop, which names its position as before
+    assert run(["eval", "--a", "10,x", "--b", "1,1"]) == 2
+    assert "at position 3, got 'x'" in capsys.readouterr().err
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1," + "9" * 5000, "--b", "1,1"],
+    ["expand", "--alpha", "alg:1,0," + "9" * 5000 + "@0,1", "--beta", "rat:1"],
+    ["expand", "--alpha", "rat:" + "9" * 5000, "--beta", "rat:1"],
+    ["expand", "--alpha", "alg:1,0,-2@1," + "9" * 5000, "--beta", "rat:1"],
+])
+def test_integer_past_string_limit_is_named_not_echoed(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: token at position ")
+    assert f"{sys.get_int_max_str_digits()}-digit integer-string limit" in (
+        captured.err
+    )
+    assert len(captured.err) < 200
 
 
 def test_reversed_root_interval_is_input_error(capsys):

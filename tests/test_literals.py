@@ -4,9 +4,12 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf import NumberField, RatFunc, fraction_str, parse_digits, parse_number
 from bcf.errors import ParseError, ReduciblePolynomial
+from bcf.literals import _parse_int
 
 
 def test_rat_literals():
@@ -87,6 +90,47 @@ def test_parse_digits():
     # positions are character offsets, as in every other literal error
     with pytest.raises(ParseError, match="at position 3, got 'x'"):
         parse_digits("10,x")
+
+
+def _token_loop(text):
+    """parse_digits one token at a time: the reference for its fast path."""
+    if not text.strip():
+        return ()
+    values, cursor = [], 0
+    for token in text.split(","):
+        values.append(_parse_int(token.strip(), cursor, "<int>,<int>,..."))
+        cursor += len(token) + 1
+    return tuple(values)
+
+
+# Pieces of digit-list text: signs, underscores, non-ASCII digits, the
+# whitespace that int() strips and the \x1c-\x1f separators that only
+# str.strip() removes, and tokens int() rejects.
+_PIECES = st.sampled_from([
+    "0", "1", "7", "42", "10", "-", "+", "_", "\u0661\u0662", "\u0663",
+    "\uff15", " ", "\t", "\n", "\xa0", "\u2003", "\x1c", "\x1d", "\x1e",
+    "\x1f", "x", "1.5", "0x1",
+])
+_DIGIT_TEXT = st.one_of(
+    st.lists(st.lists(_PIECES, max_size=4).map("".join), min_size=1,
+             max_size=6).map(",".join),
+    st.text(alphabet="0123456789+-_ ,\x1c\x1f\u0661x", max_size=16),
+)
+
+
+@given(_DIGIT_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_parse_digits_matches_the_token_loop(text):
+    try:
+        expected = _token_loop(text)
+    except ParseError as error:
+        with pytest.raises(ParseError) as info:
+            parse_digits(text)
+        assert str(info.value) == str(error)
+    else:
+        got = parse_digits(text)
+        assert got == expected and type(got) is tuple
+        assert all(type(d) is int for d in got)
 
 
 def test_fraction_str():

@@ -1,7 +1,10 @@
 """Periodicity detection, cubic recovery, transfer matrices, the scanner."""
 
+import concurrent.futures
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -20,7 +23,6 @@ from bcf import (
     transfer_matrix,
     validate,
 )
-from bcf import recovery
 from bcf.errors import InvalidSequence, MixedFields
 from bcf.recovery import (
     NotFound,
@@ -479,7 +481,7 @@ def test_scan_pool_never_outnumbers_polynomials_or_cpus(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(recovery, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     betas = [((1, 0, 0), (1,))]
     conjecture_scan([(1, 0, 0, -2)], betas, horizon=8, jobs=10**6)
@@ -488,6 +490,15 @@ def test_scan_pool_never_outnumbers_polynomials_or_cpus(monkeypatch):
     pooled = conjecture_scan(family, betas, horizon=8, jobs=10**6)
     assert sizes == [2]
     assert pooled == conjecture_scan(family, betas, horizon=8, jobs=1)
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    script = "import sys, bcf.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_scan_validates_arguments():

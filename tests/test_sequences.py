@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf import SequencePair
 from bcf.errors import IndexOutOfRange, InvalidSequence
+from bcf.sequences import _check_digits
 
 
 def test_open_pair_shape():
@@ -44,6 +47,47 @@ def test_digit_type_checks():
         SequencePair((True, 2), (1, 0))
     with pytest.raises(InvalidSequence):
         SequencePair((-1, 2), (1, 0))
+
+
+def _digit_loop(name, digits):
+    """_check_digits one digit at a time: the reference for its fast path."""
+    out = []
+    for i, d in enumerate(digits):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InvalidSequence(f"{name}[{i}] must be an int, got {d!r}")
+        if d < 0:
+            raise InvalidSequence(f"{name}[{i}] must be nonnegative, got {d}")
+        out.append(d)
+    return tuple(out)
+
+
+class _Digit(int):
+    """An int subclass: accepted as a digit, but not by the fast path."""
+
+
+_DIGIT_ITEMS = st.one_of(
+    st.integers(-3, 12),
+    st.integers(0, 2**80),
+    st.integers(0, 5).map(_Digit),
+    st.booleans(),
+    st.sampled_from([1.0, "1", None, Fraction(1, 2), Fraction(2)]),
+)
+
+
+@given(st.lists(_DIGIT_ITEMS, max_size=8),
+       st.sampled_from([list, tuple, iter]))
+@settings(max_examples=400, deadline=None)
+def test_check_digits_matches_the_digit_loop(items, container):
+    try:
+        expected = _digit_loop("a", container(items))
+    except InvalidSequence as error:
+        with pytest.raises(InvalidSequence) as info:
+            _check_digits("a", container(items))
+        assert str(info.value) == str(error)
+    else:
+        got = _check_digits("a", container(items))
+        assert type(got) is tuple and got == expected
+        assert list(map(type, got)) == list(map(type, expected))
 
 
 def test_periodic_extension():

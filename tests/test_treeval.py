@@ -209,6 +209,36 @@ def test_three_paths_agree_random(data):
     assert det_invariant((a, b), n) == 1
 
 
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_paths_agree_within_and_beyond_stored_periodic_digits(data):
+    rng = random.Random(data.draw(st.integers(0, 10**9)))
+    a, b = random_valid_digits(rng, rng.randint(1, 8))
+    k = rng.randint(0, len(a) - 1)
+    m = rng.randint(1, len(a) - k)
+    pair = SequencePair(a, b, periodicity=(k, m))
+    extended_a = [pair.digit_a(i) for i in range(3 * len(a) + 2)]
+    extended_b = [pair.digit_b(i) for i in range(3 * len(a) + 2)]
+    for n in range(len(extended_a)):
+        # an open pair of the explicitly extended digits: the reference
+        reference = convergent((extended_a[:n + 1], extended_b[:n + 1]), n)
+        triple = convergent(pair, n)
+        via_matrix = convergent_matrix(pair, n)
+        A_back, B_back, A_tail = convergent_backward(pair, 0, n)
+        assert triple == reference
+        assert (via_matrix.A, via_matrix.B, via_matrix.C) == (
+            triple.A, triple.B, triple.C,
+        )
+        assert (A_back, B_back, A_tail) == (triple.A, triple.B, triple.C)
+
+
+def test_terminated_pair_has_no_convergent_past_its_a_digits():
+    pair = SequencePair((1, 2), (1, 1, 0), terminal=2)
+    assert convergent(pair, 1) == convergent(((1, 2), (1, 1)), 1)
+    with pytest.raises(IndexOutOfRange):
+        convergent(pair, 2)
+
+
 # -- diagnostics --------------------------------------------------------------------
 
 
