@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveInput,
     OutputTooLarge,
     ParseError,
-    PrecisionExhausted,
     ReduciblePolynomial,
     RootCountNotOne,
 )
@@ -31,7 +30,7 @@ from .expansion import (
     ExpansionState,
     Terminated,
     bcf_expand,
-    bcf_expand_heuristic,
+    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     rational_expansion_trace,
@@ -101,7 +100,6 @@ __all__ = [
     "OutputTooLarge",
     "ParseError",
     "PeriodicityResult",
-    "PrecisionExhausted",
     "RatFunc",
     "RecoveredCubic",
     "ReduciblePolynomial",
@@ -115,7 +113,7 @@ __all__ = [
     "ValidationReport",
     "approximate",
     "bcf_expand",
-    "bcf_expand_heuristic",
+    "bcf_expand_box",
     "bcf_expand_rational",
     "bcf_step",
     "check_appropriate",

@@ -9,8 +9,8 @@ that found violations); otherwise the error's class decides the code,
 whichever step raises it: 2 for input errors (bad usage, unparsable
 literals, a ratfunc: beta with a pole at alpha, malformed or inadmissible
 digit pairs, nonpositive inputs, alpha and beta from different fields), 3
-for computation errors (degenerate recovery systems, exhausted precision
-in approximate mode, an integer too long to print, a zero division).
+for computation errors (degenerate recovery systems, an integer too long
+to print, a zero division).
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from decimal import Decimal, Overflow, Underflow, localcontext
 from fractions import Fraction
 
 from . import _kernels
@@ -35,10 +34,11 @@ from .errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from .expansion import bcf_expand, bcf_expand_heuristic, bcf_expand_rational
+from .expansion import bcf_expand, bcf_expand_box, bcf_expand_rational
 from .fields import AlgebraicNumber, _rounded_decimal
 from .literals import (
     RatFunc,
+    _excerpt,
     bounded_str,
     fraction_str,
     parse_digits,
@@ -86,7 +86,7 @@ def _int_at_least(bound):
             value = int(text, 10)
         except ValueError:
             raise argparse.ArgumentTypeError(
-                f"expected an integer, got {text!r}"
+                f"expected an integer, got {_excerpt(text)}"
             )
         if value < bound:
             raise argparse.ArgumentTypeError(
@@ -127,7 +127,7 @@ _RECORD_KEYS = ("n", "A", "B", "C", "alpha", "beta", "alpha_dec")
 _RECORD_TEXT = "n={} A={} B={} C={} alpha={} beta={} alpha_dec={}"
 _RECORD_JSON = ('{{"A":"{1}","B":"{2}","C":"{3}","alpha":"{4}",'
                 '"alpha_dec":"{6}","beta":"{5}","n":{0}}}')
-_EXPAND_JSON = ('{{"a":{},"b":{},"convergents":[{}]{},"period":{},'
+_EXPAND_JSON = ('{{"a":{},"b":{},"convergents":[{}],"period":{},'
                 '"preperiod":{},"terminated":{}}}')
 
 
@@ -153,43 +153,41 @@ def _convergent_records(pair, digits, template):
 
 
 def _ratfunc_str(num, den):
+    """The ratfunc: body of num/den, with the zero polynomial () as 0."""
     return "{}/{}".format(
-        ",".join(str(c) for c in num), ",".join(str(c) for c in den)
+        ",".join(str(c) for c in num) or "0", ",".join(str(c) for c in den)
     )
 
 
 # -- expand ------------------------------------------------------------------
 
 
-def _to_decimal(value, precision):
-    """value rounded once to the heuristic's precision and exponent range."""
-    with localcontext() as ctx:
-        ctx.prec = precision
-        ctx.traps[Underflow] = True
-        if isinstance(value, Decimal):
-            return +value
-        return Decimal(value.numerator) / Decimal(value.denominator)
+def _decimal_box(value, flag):
+    """The closed interval (lo, hi) of the reals that round to a dec:
+    literal at its written precision: x -/+ 10**exponent / 2."""
+    sign, digits, exponent = value.as_tuple()
+    limit = sys.get_int_max_str_digits()
+    if max(len(digits), abs(exponent)) > limit > 0:
+        raise ParseError(f"{flag}: too large or too small for {limit} digits")
+    x = (-1) ** sign * int("".join(map(str, digits)))
+    unit = Fraction(10) ** exponent / 2
+    return (2 * x - 1) * unit, (2 * x + 1) * unit
+
+
+def _approx_value(literal, flag):
+    value = parse_number(literal, allow_decimal=True)
+    if isinstance(value, (AlgebraicNumber, RatFunc)):
+        raise ParseError(
+            f"{flag}: only rat: and dec: literals are valid in approximate mode"
+        )
+    return value if isinstance(value, Fraction) else _decimal_box(value, flag)
 
 
 def _prepare_expand(args):
     if args.approx:
-        parsed = []
-        for name, literal in (("--alpha", args.alpha), ("--beta", args.beta)):
-            value = parse_number(literal, allow_decimal=True)
-            if isinstance(value, (AlgebraicNumber, RatFunc)):
-                raise ParseError(
-                    f"{name}: only rat: and dec: literals are valid in "
-                    f"approximate mode"
-                )
-            precision = args.guard_digits + 30
-            try:
-                parsed.append(_to_decimal(value, precision))
-            except (Overflow, Underflow):
-                raise ParseError(
-                    f"{name}: too large or too small for {precision}-digit "
-                    f"decimals"
-                ) from None
-        return {"mode": "approx", "alpha": parsed[0], "beta": parsed[1]}
+        alpha = _approx_value(args.alpha, "--alpha")
+        beta = _approx_value(args.beta, "--beta")
+        return {"expand": bcf_expand_box, "alpha": alpha, "beta": beta}
     alpha = parse_number(args.alpha)
     if isinstance(alpha, RatFunc):
         raise ParseError("ratfunc literals are only legal for --beta")
@@ -199,23 +197,17 @@ def _prepare_expand(args):
             beta = beta.evaluate(alpha)
         except ZeroDivisionError as exc:
             raise ParseError(f"--beta: {exc}") from None
-    return {"mode": "exact", "alpha": alpha, "beta": beta}
+    rational = isinstance(alpha, Fraction) and isinstance(beta, Fraction)
+    expand = bcf_expand_rational if rational else bcf_expand
+    return {"expand": expand, "alpha": alpha, "beta": beta}
 
 
 def _execute_expand(args, job):
-    heuristic = job["mode"] == "approx"
-    if heuristic:
-        pair = bcf_expand_heuristic(job["alpha"], job["beta"], max_terms=args.terms,
-                                    guard_digits=args.guard_digits)
-    elif isinstance(job["alpha"], Fraction) and isinstance(job["beta"], Fraction):
-        pair = bcf_expand_rational(job["alpha"], job["beta"], max_terms=args.terms)
-    else:
-        pair = bcf_expand(job["alpha"], job["beta"], max_terms=args.terms)
+    pair = job["expand"](job["alpha"], job["beta"], max_terms=args.terms)
     if args.format == "json":
         records = _convergent_records(pair, args.digits, _RECORD_JSON)
         print(_EXPAND_JSON.format(
             _dumps(pair.a), _dumps(pair.b), ",".join(records),
-            ',"heuristic":true' if heuristic else "",
             _dumps(pair.period), _dumps(pair.preperiod), _dumps(pair.terminated),
         ))
         return 0
@@ -230,8 +222,6 @@ def _execute_expand(args, job):
     if pair.periodicity is not None:
         lines.append(f"preperiod: {pair.preperiod}")
         lines.append(f"period: {pair.period}")
-    if heuristic:
-        lines.append("heuristic: true")
     print("\n".join(lines + records))
     return 0
 
@@ -378,15 +368,15 @@ def _execute_recover(args, job):
 def _parse_range(text, flag):
     lo_text, sep, hi_text = text.partition(":")
     if not sep:
-        raise ParseError(f"{flag}: expected LO:HI, got {text!r}")
+        raise ParseError(f"{flag}: expected LO:HI, got {_excerpt(text)}")
     try:
         lo, hi = int(lo_text, 10), int(hi_text, 10)
     except ValueError:
         raise ParseError(
-            f"{flag}: expected integer endpoints, got {text!r}"
+            f"{flag}: expected integer endpoints, got {_excerpt(text)}"
         ) from None
     if lo > hi:
-        raise ParseError(f"{flag}: empty range {text!r}")
+        raise ParseError(f"{flag}: empty range {_excerpt(text)}")
     return range(lo, hi + 1)
 
 
@@ -403,7 +393,8 @@ def _prepare_scan(args):
             value = parse_number(literal)
             if not isinstance(value, RatFunc):
                 raise ParseError(
-                    f"--beta: expected a ratfunc: literal, got {literal!r}"
+                    "--beta: expected a ratfunc: literal, got "
+                    + _excerpt(literal)
                 )
             candidates.append((value.num, value.den))
     else:
@@ -475,9 +466,9 @@ def _build_parser():
     expand.add_argument("--format", choices=("json", "text"), default="json")
     expand.add_argument(
         "--approx", action="store_true",
-        help="heuristic decimal mode (enables dec: literals)",
+        help="expand the box of inputs that round to dec: literals and print "
+             "the digits shared by all of it",
     )
-    expand.add_argument("--guard-digits", type=_positive_int, default=12)
     expand.set_defaults(prepare=_prepare_expand, execute=_execute_expand)
 
     evaluate = sub.add_parser(

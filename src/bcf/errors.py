@@ -37,10 +37,6 @@ class DegenerateSystem(BcfError):
     """A recovery system collapsed and no cubic can be extracted."""
 
 
-class PrecisionExhausted(BcfError):
-    """A heuristic floating-point mode could not certify a digit decision."""
-
-
 class OutputTooLarge(BcfError):
     """A number is too long to render under Python's integer-string limit."""
 

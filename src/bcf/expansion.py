@@ -18,18 +18,20 @@ single-step API over the same step.  Rational inputs always
 terminate and keep Fraction arithmetic in the same loop, the independent
 reference for ``bcf_expand_rational``: an integer-only fast path with an
 optional step cap, which the CLI uses for every exact rational pair.
+``bcf_expand_box`` runs the same integer kernel on the corners of a box of
+rational pairs and keeps the digits they share, which every pair in the
+box shares too (Gosper's rule for inputs known only to an interval).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import ROUND_FLOOR, ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Union
 
 from ._kernels import rational_digits
-from .errors import FieldMismatch, NonPositiveInput, PrecisionExhausted
+from .errors import EmptyInterval, FieldMismatch, NonPositiveInput
 from .fields import AlgebraicNumber, _as_exact, _element, _floor, _step, floor_of
 from .sequences import SequencePair
 
@@ -203,43 +205,45 @@ def rational_expansion_trace(alpha, beta):
     return rational_digits(*_common_denominator_form(alpha, beta))[2]
 
 
-def bcf_expand_heuristic(alpha, beta, max_terms=64, guard_digits=12):
-    """Best-effort decimal expansion for inputs only known approximately.
+def _box_ends(value, name):
+    """The ends of one side of a box: (value,) or the interval (lo, hi)."""
+    if not isinstance(value, tuple):
+        return (value,)
+    ends = tuple(_as_exact(end, name) for end in value)
+    if len(ends) != 2 or not ends[0] < ends[1]:
+        raise EmptyInterval(f"{name}: an interval is a pair (lo, hi) with lo < hi")
+    return ends
 
-    Arithmetic is carried at guard_digits + 30 significant digits.  A beta
-    that lands exactly on an integer terminates the run; a beta within
-    10**-guard_digits of an integer (but not on it) is indistinguishable
-    from actual termination at this precision and raises PrecisionExhausted.
-    Results are heuristic and excluded from the exact-arithmetic contracts.
+
+def bcf_expand_box(alpha, beta, max_terms=64):
+    """The digits shared by every pair in a box of rational pairs.
+
+    Each of alpha and beta is an exact rational (a point) or a closed
+    interval (lo, hi) of rationals with lo < hi.  A pure point gives
+    ``bcf_expand_rational(alpha, beta, max_terms)``, terminal included.
+    Otherwise the rational kernel runs on each distinct corner of the box,
+    and the result is the longest common prefix of the corners' (a_i, b_i)
+    pairs, open: fewer than ``max_terms`` digits means the box split.
+
+    Why every point of the box shares that prefix: after a shared prefix,
+    (alpha_i, beta_i, 1) is the image of (alpha, beta, 1) under one
+    unimodular projective map.  Its denominator is positive at every
+    corner (the kernel's w_i), so it is positive on the whole box, and the
+    image of the box is the convex hull of the corner images.  So a floor
+    the corners share is shared by every point in the box, and a corner
+    whose beta becomes integral ends the prefix.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-    if guard_digits < 1:
-        raise ValueError(f"guard_digits must be at least 1, got {guard_digits}")
-    threshold = Decimal(1).scaleb(-guard_digits)
-    a_digits = []
-    b_digits = []
-    with localcontext() as ctx:
-        ctx.prec = guard_digits + 30
-        alpha = +Decimal(alpha)
-        beta = +Decimal(beta)
-        if alpha <= 0 or beta <= 0:
-            raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-        for i in range(max_terms):
-            nearest = beta.to_integral_value(rounding=ROUND_HALF_EVEN)
-            distance = abs(beta - nearest)
-            if distance == 0:
-                b_digits.append(int(beta))
-                return SequencePair(a_digits, b_digits, terminal=Fraction(alpha))
-            if distance < threshold:
-                raise PrecisionExhausted(
-                    f"at step {i}, beta is within {distance} of an integer; "
-                    f"termination is undecidable with {guard_digits} guard digits"
-                )
-            a_i = int(alpha.to_integral_value(rounding=ROUND_FLOOR))
-            b_i = int(beta.to_integral_value(rounding=ROUND_FLOOR))
-            a_digits.append(a_i)
-            b_digits.append(b_i)
-            den = beta - b_i
-            alpha, beta = 1 / den, (alpha - a_i) / den
-    return SequencePair(a_digits, b_digits)
+    alphas, betas = _box_ends(alpha, "alpha"), _box_ends(beta, "beta")
+    if len(alphas) == len(betas) == 1:
+        return bcf_expand_rational(alpha, beta, max_terms)
+    corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
+    runs = [rational_digits(*corner, max_terms) for corner in corners]
+    shared = 0
+    for column in zip(*(zip(a, b) for a, b, _ in runs)):
+        if len(set(column)) > 1:
+            break
+        shared += 1
+    a, b, _ = runs[0]
+    return SequencePair(a[:shared], b[:shared])

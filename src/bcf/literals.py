@@ -11,11 +11,12 @@ Grammar (one kind per literal, chosen by its prefix):
                                             integer coefficients, only
                                             meaningful for beta,
                                             e.g. ratfunc:1,1/1,0 = (a+1)/a
-    dec:<decimal>                           decimal literal, only valid in
-                                            approximate mode
+    dec:<decimal>                           finite decimal, approximate mode
+                                            only: the reals that round to it
 
 Parse failures raise ParseError naming the offending token, its position,
-and the expected grammar fragment.
+and the expected grammar fragment; a token is quoted only up to a short
+prefix.
 """
 
 from __future__ import annotations
@@ -53,17 +54,21 @@ class RatFunc:
         return polys.evaluate(self.num, alpha) / den_value
 
 
+def _excerpt(text):
+    """repr of user text for an error message, cut to 20 characters and ..."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 def _token_error(expected, token, position, grammar, exc):
     """The ParseError for a token that int() or Fraction() rejected."""
     if str(exc).startswith("Exceeds the limit"):
-        # A valid number too long to convert: echo a prefix, not the token.
         return ParseError(
             f"token at position {position} exceeds the "
             f"{sys.get_int_max_str_digits()}-digit integer-string limit, "
-            f"got {token[:20]!r}... (grammar: {grammar})"
+            f"got {_excerpt(token)} (grammar: {grammar})"
         )
     return ParseError(
-        f"expected {expected} at position {position}, got {token!r} "
+        f"expected {expected} at position {position}, got {_excerpt(token)} "
         f"(grammar: {grammar})"
     )
 
@@ -131,7 +136,7 @@ def _parse_alg(body, position):
     if len(endpoints) != 2:
         raise ParseError(
             f"expected two interval endpoints at position "
-            f"{position + len(coeff_text) + 1}, got {interval_text!r} "
+            f"{position + len(coeff_text) + 1}, got {_excerpt(interval_text)} "
             f"(grammar: {ALG_GRAMMAR})"
         )
     cursor = position + len(coeff_text) + 1
@@ -146,7 +151,8 @@ def _parse_ratfunc(body, position):
     if len(parts) != 2:
         raise ParseError(
             f"expected exactly one '/' in rational-function literal at "
-            f"position {position}, got {body!r} (grammar: {RATFUNC_GRAMMAR})"
+            f"position {position}, got {_excerpt(body)} "
+            f"(grammar: {RATFUNC_GRAMMAR})"
         )
     num = _parse_int_csv(parts[0], position, RATFUNC_GRAMMAR)
     den = _parse_int_csv(
@@ -170,12 +176,12 @@ def _parse_dec(body, position, allow_decimal):
         value = Decimal(body)
     except InvalidOperation:
         raise ParseError(
-            f"expected a decimal at position {position}, got {body!r} "
+            f"expected a decimal at position {position}, got {_excerpt(body)} "
             f"(grammar: {DEC_GRAMMAR})"
         ) from None
     if not value.is_finite():
         raise ParseError(
-            f"decimal literal must be finite, got {body!r} "
+            f"decimal literal must be finite, got {_excerpt(body)} "
             f"(grammar: {DEC_GRAMMAR})"
         )
     return value
@@ -185,7 +191,7 @@ def parse_number(literal, allow_decimal=False):
     """Parse a number literal into its exact (or decimal) value.
 
     Returns a Fraction for rat:, a field element for alg:, a RatFunc for
-    ratfunc:, and a Decimal for dec: (the latter only when allow_decimal
+    ratfunc:, and the Decimal as written for dec: (only when allow_decimal
     is set).  Field-construction failures (reducible polynomial, bad root
     interval, degree out of range) propagate as their own error types.
     """
@@ -194,7 +200,7 @@ def parse_number(literal, allow_decimal=False):
     kind, sep, body = literal.partition(":")
     if not sep:
         raise ParseError(
-            f"number literal needs a '<kind>:' prefix, got {literal!r} "
+            f"number literal needs a '<kind>:' prefix, got {_excerpt(literal)} "
             f"(kinds: rat, alg, ratfunc, dec)"
         )
     position = len(kind) + 1
@@ -207,7 +213,7 @@ def parse_number(literal, allow_decimal=False):
     if kind == "dec":
         return _parse_dec(body, position, allow_decimal)
     raise ParseError(
-        f"unknown literal kind {kind!r} at position 0 "
+        f"unknown literal kind {_excerpt(kind)} at position 0 "
         f"(kinds: rat, alg, ratfunc, dec)"
     )
 

@@ -173,7 +173,7 @@ def test_expand_json_is_canonical(capsys, kind):
     assert (payload["period"] is not None) == (kind == "periodic")
     assert payload["terminated"] == (kind in ("terminated", "empty_a"))
     assert (payload["a"] == []) == (kind == "empty_a")
-    assert ("heuristic" in payload) == (kind == "approx")
+    assert "heuristic" not in out
     assert len(payload["convergents"]) == len(payload["a"])
 
 
@@ -385,25 +385,36 @@ def test_expand_dec_requires_approx(capsys):
     capsys.readouterr()
 
 
-def test_expand_approx_labeled(capsys):
+def test_expand_approx_box_digits(capsys):
+    # dec:1.75 and dec:1.5 stand for [1.745, 1.755] and [1.45, 1.55]: only
+    # the first pair is shared, and the split leaves the pair open.
     payload = run_json(
         capsys,
         ["expand", "--alpha", "dec:1.75", "--beta", "dec:1.5", "--approx"],
     )
-    assert payload["heuristic"] is True
-    assert payload["a"] == [1, 2]
-    assert payload["b"] == [1, 1, 0]
+    assert (payload["a"], payload["b"]) == ([1], [1])
+    assert payload["terminated"] is False
+    exact = run_json(capsys, ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2"])
+    assert set(payload) == set(exact)
 
 
-def test_expand_approx_precision_exhausted_is_exit_3(capsys):
-    code = run(
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_expand_approx_rational_points_match_exact(capsys, fmt):
+    argv = ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2", "--format", fmt]
+    assert _stdout(capsys, argv + ["--approx"]) == _stdout(capsys, argv)
+
+
+def test_expand_approx_split_box_is_exit_0(capsys):
+    # beta's box straddles no integer but sits just above 1; the box splits
+    # after one pair instead of failing.
+    payload = run_json(
+        capsys,
         ["expand", "--approx",
          "--alpha", "dec:2.5",
-         "--beta", "dec:1.0000000000000001"]
+         "--beta", "dec:1.0000000000000001"],
     )
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err
+    assert (payload["a"], payload["b"]) == ([2], [1])
+    assert payload["terminated"] is False
 
 
 @pytest.mark.parametrize("argv", [
@@ -680,6 +691,22 @@ def test_scan_custom_beta(capsys):
     assert records[0]["period"] == 1
 
 
+def test_printed_beta_exprs_parse_back(capsys):
+    # The zero numerator of ratfunc:0/1 is printed as 0, not as nothing.
+    records = run_lines(
+        capsys,
+        ["scan", "--c2=0:0", "--c1=0:0", "--c0=-2:-2",
+         "--beta", "ratfunc:0/1", "--beta", "ratfunc:1,0,0/1"],
+    )
+    recovered = run_json(capsys, ["recover", "--period-a", "2,3",
+                                  "--period-b", "0,0"])
+    exprs = [record["beta_expr"] for record in records]
+    assert exprs == ["0/1", "1,0,0/1"]
+    for expr in exprs + [recovered["beta_expr"]]:
+        assert isinstance(literals.parse_number("ratfunc:" + expr),
+                          literals.RatFunc)
+
+
 def test_scan_bad_range(capsys):
     assert run(["scan", "--c2", "2:-2"]) == 2
     assert run(["scan", "--c2", "x:2"]) == 2
@@ -689,6 +716,25 @@ def test_scan_bad_range(capsys):
 def test_scan_bad_beta_literal(capsys):
     assert run(["scan", "--beta", "rat:1/2"]) == 2
     capsys.readouterr()
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1," + _LONG, "--b", "1,1"],
+    ["expand", "--alpha", _LONG, "--beta", "rat:1"],
+    ["expand", "--alpha", "rat:1", "--beta", "ratfunc:1/1/" + _LONG],
+    ["expand", "--alpha", "alg:1,0,-2@1,2," + _LONG, "--beta", "rat:1"],
+    ["scan", "--c2=" + _LONG],
+    ["expand", "--approx", "--alpha", "rat:1", "--beta", "dec:" + _LONG],
+], ids=["eval-digit", "expand-prefix", "ratfunc", "alg-interval", "scan-range",
+        "dec"])
+def test_bad_long_token_is_quoted_short(capsys, argv):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "xxxxxxxxxxxxxxxx'..." in err
+    assert len(err.encode()) < 300
 
 
 # -- argparse plumbing --------------------------------------------------------------

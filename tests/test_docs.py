@@ -1,5 +1,6 @@
 """The README stays true to the code it names."""
 
+import argparse
 import doctest
 import importlib
 import re
@@ -42,6 +43,23 @@ def _command_lines():
 def test_readme_command_line_runs(capsys, line):
     argv = shlex.split(line)[1:]
     assert cli.run(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_flags_exist():
+    # Every --flag the Command line section names is an option of some
+    # subcommand, so a deleted flag cannot linger in the docs.
+    (subcommands,) = [
+        action.choices for action in cli._PARSER._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    options = {
+        option for parser in subcommands.values()
+        for option in parser._option_string_actions
+    }
+    section = _section("Command line")
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert "--approx" in flags
+    assert flags <= options, sorted(flags - options)
 
 
 def _library_tour_rows():

@@ -1,9 +1,8 @@
-"""Digit expansion: stepping, rational fast path, periodicity, heuristics."""
+"""Digit expansion: stepping, rational fast path, periodicity, certified boxes."""
 
 import hashlib
 import math
 import random
-from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from bcf import (
     SequencePair,
     Terminated,
     bcf_expand,
-    bcf_expand_heuristic,
+    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     rational_expansion_trace,
@@ -27,9 +26,9 @@ from bcf import expansion, fields, polys
 from bcf._kernels import rational_digits
 from bcf.cli import _exact_str
 from bcf.errors import (
+    EmptyInterval,
     FieldMismatch,
     NonPositiveInput,
-    PrecisionExhausted,
 )
 
 from _corpus import random_rational_pair
@@ -433,36 +432,67 @@ def test_capped_fast_path_rejects_zero_terms():
         bcf_expand_rational(Fraction(7, 5), Fraction(3, 2), max_terms=0)
 
 
-# -- heuristic mode ---------------------------------------------------------------
+# -- certified boxes ----------------------------------------------------------------
 
 
-def test_heuristic_matches_exact_on_rationals():
-    exact = bcf_expand(Fraction(7, 4), Fraction(3, 2))
-    heur = bcf_expand_heuristic(Decimal("1.75"), Decimal("1.5"))
-    assert heur.a == exact.a and heur.b == exact.b
-    assert heur.terminated
+def _rational_in(draw, lo, hi):
+    return lo + (hi - lo) * draw(st.fractions(0, 1, max_denominator=10**6))
 
 
-def test_heuristic_precision_exhausted():
-    with pytest.raises(PrecisionExhausted):
-        bcf_expand_heuristic(
-            Decimal("2.5"),
-            Decimal("1.0000000000000001"),
-            guard_digits=12,
-        )
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_box_prefix_holds_at_every_point(data):
+    # Every rational of a random positive box, its corners included, starts
+    # its own expansion with the box's certified digits.
+    draw = data.draw
+    ends = []
+    for _ in range(2):
+        lo = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**5)))
+        width = Fraction(1, draw(st.integers(1, 10**12)))
+        ends.append((lo, lo + width))
+    box = bcf_expand_box(*ends, max_terms=40)
+    assert box.terminal is None and box.periodicity is None
+    n = len(box.a)
+    assert len(box.b) == n
+    for _ in range(4):
+        point = [_rational_in(draw, lo, hi) for lo, hi in ends]
+        exact = bcf_expand_rational(*point, max_terms=40)
+        assert (exact.a[:n], exact.b[:n]) == (box.a, box.b)
+        assert len(exact.a) >= n
 
 
-def test_heuristic_nonpositive():
-    with pytest.raises(NonPositiveInput):
-        bcf_expand_heuristic(Decimal("-1"), Decimal("2"))
-
-
-def test_heuristic_runs_to_horizon():
-    pair = bcf_expand_heuristic(
-        Decimal("1.8392867552141611"),
-        Decimal("2.8392867552141611"),
-        max_terms=4,
-        guard_digits=8,
+def test_box_of_points_is_rational_expansion():
+    # (7/5, 3/2) terminates after three b-digits; a cap below that stays open.
+    alpha, beta = Fraction(7, 5), Fraction(3, 2)
+    for terms in (1, 2, 3, 64):
+        point = bcf_expand_box(alpha, beta, max_terms=terms)
+        assert point == bcf_expand_rational(alpha, beta, max_terms=terms)
+        assert point.terminal == (Fraction(5, 4) if terms >= 3 else None)
+    assert bcf_expand_box(alpha, beta) == SequencePair(
+        (1, 2), (1, 0, 0), terminal=Fraction(5, 4)
     )
-    assert isinstance(pair, SequencePair)
-    assert len(pair.a) <= 4
+
+
+def test_box_of_field_pair_is_prefix():
+    # theta^3 = 2 theta^2 + 2 theta + 2: bounds on (theta, theta^2 + theta)
+    # from a narrow theta interval certify a prefix of the exact expansion.
+    field = NumberField((1, -2, -2, -2), (2, 3))
+    for _ in range(80):
+        field.refine()
+    t = field.generator()
+    box = bcf_expand_box(t.value_interval(), (t * t + t).value_interval())
+    n = len(box.a)
+    assert n >= 10
+    exact = bcf_expand(t, t * t + t, max_terms=n)
+    assert (exact.a, exact.b) == (box.a, box.b)
+
+
+def test_box_needs_positive_ordered_ends():
+    half, two = Fraction(1, 2), Fraction(2)
+    with pytest.raises(NonPositiveInput):
+        bcf_expand_box((Fraction(0), half), (half, two))
+    with pytest.raises(NonPositiveInput):
+        bcf_expand_box(half, (Fraction(-1), two))
+    for bad in ((two, half), (half, half), (half,), (half, two, two)):
+        with pytest.raises(EmptyInterval):
+            bcf_expand_box(bad, two)

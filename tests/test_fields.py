@@ -14,6 +14,7 @@ from bcf import (
     SequencePair,
     approximate,
     bcf_expand,
+    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     check_appropriate,
@@ -412,13 +413,16 @@ _EXACT_CALLERS = {
         v, Fraction(3, 2), ((2, 1), (1, 1)), 1
     ),
     "bcf_expand_rational": lambda v: bcf_expand_rational(v, Fraction(3, 2)),
+    "bcf_expand_box": lambda v: bcf_expand_box(v, Fraction(3, 2)),
     "rational_expansion_trace": lambda v: rational_expansion_trace(
         v, Fraction(3, 2)
     ),
     "tree_sum": lambda v: tree_sum((1, v), (1, Fraction(3, 2))),
     "SequencePair": lambda v: SequencePair((1,), (1, 0), terminal=v),
 }
-_RATIONAL_ONLY = ("bcf_expand_rational", "rational_expansion_trace")
+_RATIONAL_ONLY = (
+    "bcf_expand_rational", "bcf_expand_box", "rational_expansion_trace"
+)
 
 
 @pytest.mark.parametrize("caller, bad", [
