@@ -12,7 +12,8 @@ matrix.  The expansion step ``_step`` applies both to a pair held as one
 primitive integer triple (u, v, w), alpha = u/w and beta = v/w, and
 normalises the next triple once.  All predicates (sign, floor, comparisons)
 are decided exactly: rational elements directly, irrational ones by
-refining the isolating interval until the answer is certified.
+refining the isolating interval, held as integers over one denominator,
+until the answer is certified.
 """
 
 from __future__ import annotations
@@ -56,6 +57,19 @@ def bounded_str(value, render=str):
             f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
             "for integer-to-string conversion"
         ) from None
+
+
+def _check_places(decimal_digits):
+    """Reject a decimal place count below 1 (ValueError) or above Python's
+    integer-to-string limit (OutputTooLarge), before any work is done."""
+    if decimal_digits < 1:
+        raise ValueError("decimal_digits must be at least 1")
+    limit = sys.get_int_max_str_digits()
+    if limit and decimal_digits > limit:
+        raise OutputTooLarge(
+            f"{decimal_digits} decimal places exceed {limit} decimal digits, "
+            "Python's limit for integer-to-string conversion"
+        )
 
 
 def _rounded_decimal(num, den, digits):
@@ -120,11 +134,16 @@ class NumberField:
         self._min_poly = coeffs
         self._root_interval = (lo, hi)
         self._sturm_chain = tuple(chain)
-        # Mutable cache: shrinks monotonically, always contains the root.
-        self._lo = lo
-        self._hi = hi
+        # Mutable cache: the interval (lo_n / q, hi_n / q) over one shared
+        # denominator shrinks monotonically and always contains the root;
+        # f has the sign sign_lo at its lower end.
+        q = math.lcm(lo.denominator, hi.denominator)
+        self._lo_n = lo.numerator * (q // lo.denominator)
+        self._hi_n = hi.numerator * (q // hi.denominator)
+        self._q = q
         self._sign_lo = sign_lo
-        self._powers = None  # _power_bounds of (_lo, _hi); reset by refine
+        self._qir_bits = 2  # bits the next quadratic refinement step tries
+        self._powers = None  # _power_bounds of the interval; reset by refine
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
@@ -144,20 +163,17 @@ class NumberField:
 
     def interval(self):
         """Current cached isolating interval (shrinks as queries refine it)."""
-        return self._lo, self._hi
+        return Fraction(self._lo_n, self._q), Fraction(self._hi_n, self._q)
 
     def _power_bounds(self):
         """Integer bounds on the powers of theta from the cached interval.
 
         Returns (bounds, scale): bounds[k] = (lo_k, hi_k) with
         lo_k <= theta**k * scale <= hi_k for k < degree, where scale is
-        q**(degree - 1) and q the common denominator of the interval ends.
+        q**(degree - 1) and q the interval's shared denominator.
         """
         if self._powers is None:
-            lo, hi = self._lo, self._hi
-            q = math.lcm(lo.denominator, hi.denominator)
-            pl = lo.numerator * (q // lo.denominator)
-            ph = hi.numerator * (q // hi.denominator)
+            pl, ph, q = self._lo_n, self._hi_n, self._q
             top = self.degree - 1
             bounds = []
             for k in range(top + 1):
@@ -169,21 +185,48 @@ class NumberField:
             self._powers = tuple(bounds), q**top
         return self._powers
 
-    def refine(self):
-        """Halve the cached isolating interval, keeping the root inside."""
+    def refine(self, bits=1):
+        """Shrink the cached isolating interval at least 2**bits-fold,
+        keeping the root inside.
+
+        Quadratic interval refinement (J. Abbott, ACM Commun. Comput.
+        Algebra 48, 2014): a step of k bits cuts the interval into 2**k
+        equal cells and keeps the cell that a Newton guess points at once
+        exact signs of f certify the root in it (_qir_cell); k doubles
+        after each full step and halves after a miss, which falls back to
+        one bisection.  No step takes more bits than are still wanted, so
+        refine() is one bisection.  Every step multiplies the shared
+        denominator q by a power of two and keeps the ends integers over it.
+        """
         self._powers = None
-        mid = (self._lo + self._hi) / 2
-        s = polys._sign_at(self._min_poly, mid.numerator, mid.denominator)
-        if s == 0:
-            # Only possible for a degree-1 field, where the root is rational:
-            # shrink symmetrically around the midpoint instead.  The new lo
-            # lies between the old lo and the root, so its sign is unchanged.
-            quarter = (self._hi - self._lo) / 4
-            self._lo, self._hi = mid - quarter, mid + quarter
-        elif s == self._sign_lo:
-            self._lo = mid
-        else:
-            self._hi = mid
+        f, sign_lo = self._min_poly, self._sign_lo
+        lo, hi, q = self._lo_n, self._hi_n, self._q
+        gained = 0
+        while gained < bits:
+            k = min(self._qir_bits, bits - gained)
+            cell = _qir_cell(f, sign_lo, lo, hi, q, k) if k > 1 else None
+            if cell is not None:
+                w = hi - lo
+                lo = (lo << k) + cell * w
+                hi, q = lo + w, q << k
+                gained += k
+                if k == self._qir_bits:
+                    self._qir_bits *= 2
+                continue
+            if k > 1:
+                self._qir_bits = max(2, self._qir_bits // 2)
+            mid = lo + hi
+            s = polys._sign_at(f, mid, 2 * q)
+            if s == 0:
+                # Only possible for a degree-1 field, where the root is
+                # rational: keep the middle half of the interval around it.
+                lo, hi, q = 3 * lo + hi, lo + 3 * hi, 4 * q
+            elif s == sign_lo:
+                lo, hi, q = mid, 2 * hi, 2 * q
+            else:
+                lo, hi, q = 2 * lo, mid, 2 * q
+            gained += 1
+        self._lo_n, self._hi_n, self._q = lo, hi, q
 
     def generator(self):
         """The distinguished root theta as a field element."""
@@ -208,8 +251,8 @@ class NumberField:
             return False
         if self.degree == 1:
             return True  # a degree-1 polynomial has a single root
-        lo = max(self._lo, other._lo)
-        hi = min(self._hi, other._hi)
+        (lo1, hi1), (lo2, hi2) = self.interval(), other.interval()
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo >= hi:
             return False
         return polys.count_roots(self._sturm_chain, lo, hi) == 1
@@ -220,6 +263,45 @@ class NumberField:
     def __repr__(self):
         lo, hi = self._root_interval
         return f"NumberField(min_poly={self._min_poly}, root_interval=({lo}, {hi}))"
+
+
+def _qir_cell(f, sign_lo, lo, hi, q, k):
+    """The index i of the cell [lo + i*w/2**k, lo + (i+1)*w/2**k] / q,
+    w = hi - lo, that holds f's one root in (lo / q, hi / q), or None.
+
+    One Newton step from the midpoint m = (lo + hi) / 2q, with f(m) and
+    f'(m) held as the homogeneous integers p and dp (over (2q)**d and
+    (2q)**(d - 1)), lands n/2 - n*p / (2*w*dp) cells above lo/q, n = 2**k;
+    j is that position rounded to a cell boundary.  The sign of f at j
+    says on which side of it the root lies, and the sign at the next
+    boundary on that side certifies the cell between them: at most two
+    exact sign tests.  None when the guess misses (or f' vanishes at m).
+    """
+    x, e = lo + hi, 2 * q
+    p, dp, ek = f[0], 0, 1
+    for c in f[1:]:
+        ek *= e
+        dp = dp * x + p
+        p = p * x + c * ek
+    if not dp:
+        return None
+    n, w = 1 << k, hi - lo
+    num, den = (n + 1) * w * dp - n * p, 2 * w * dp
+    if den < 0:
+        num, den = -num, -den
+    j = min(max(num // den, 0), n)
+    base, qn = lo << k, q << k
+
+    def sign(i):
+        if 0 < i < n:
+            return polys._sign_at(f, base + i * w, qn)
+        return sign_lo if i == 0 else -sign_lo
+
+    s = sign(j)
+    step = 1 if s == sign_lo else -1
+    if s and sign(j + step) == -s:
+        return min(j, j + step)
+    return None
 
 
 def _normalised(num, den):
@@ -355,6 +437,17 @@ def _bounds(field, x):
             total_lo += c * phi
             total_hi += c * plo
     return total_lo, total_hi, x[1] * scale
+
+
+def _narrowed_bounds(field, x, scale):
+    """_bounds of x once its width is below 1 / scale, each refine call
+    asking for the bits that the width still exceeds that by."""
+    while True:
+        lo, hi, den = _bounds(field, x)
+        excess = (hi - lo) * scale // den
+        if not excess:
+            return lo, hi, den
+        field.refine(excess.bit_length() + 1)
 
 
 def _floor(field, x):
@@ -534,36 +627,30 @@ class AlgebraicNumber:
         The text is the true value rounded half-away-from-zero to
         ``decimal_digits`` places; the bound always satisfies
         error_bound <= 10**-decimal_digits / 2.  For an irrational element
-        the enclosing interval is refined until both endpoints round to the
-        same string, which must happen because the value never sits exactly
-        on a rounding boundary (those are rational).  A rational element's
-        interval is its value, so it needs no refinement.
+        the field is asked once for the bits that bring the enclosing
+        interval under one unit in the last place, and for more only while
+        its ends round apart, which must stop because the value never sits
+        exactly on a rounding boundary (those are rational).  A rational
+        element's interval is its value, so it needs no refinement.  More
+        places than Python prints raise OutputTooLarge before any work.
         """
-        if decimal_digits < 1:
-            raise ValueError("decimal_digits must be at least 1")
-        unit = 10**decimal_digits
+        _check_places(decimal_digits)
+        unit = scale = 10**decimal_digits
         while True:
-            lo, hi, den = _bounds(self._field, self._raw)
-            # Both ends can round alike only once the interval is narrower
-            # than one unit in the last place.
-            if (hi - lo) * unit < den:
-                n, text = _rounded_decimal(lo, den, decimal_digits)
-                if n == _rounded_decimal(hi, den, decimal_digits)[0]:
-                    rounded = Fraction(n, unit)
-                    bound = max(
-                        abs(rounded - Fraction(lo, den)),
-                        abs(rounded - Fraction(hi, den)),
-                    )
-                    return DecimalApproximation(text, bound)
-            self._field.refine()
+            lo, hi, den = _narrowed_bounds(self._field, self._raw, scale)
+            n, text = _rounded_decimal(lo, den, decimal_digits)
+            if n == _rounded_decimal(hi, den, decimal_digits)[0]:
+                rounded = Fraction(n, unit)
+                bound = max(
+                    abs(rounded - Fraction(lo, den)),
+                    abs(rounded - Fraction(hi, den)),
+                )
+                return DecimalApproximation(text, bound)
+            scale <<= 32  # near a rounding boundary: 32 more bits
 
     def __float__(self):
-        lo, hi = self.value_interval()
-        width = Fraction(1, 10**18)
-        while hi - lo >= width:
-            self._field.refine()
-            lo, hi = self.value_interval()
-        return float((lo + hi) / 2)
+        lo, hi, den = _narrowed_bounds(self._field, self._raw, 10**18)
+        return float(Fraction(lo + hi, 2 * den))
 
     def __bool__(self):
         return self.sign() != 0
@@ -648,7 +735,6 @@ def approximate(x, decimal_digits):
     value = _as_exact(x, "x")
     if isinstance(value, AlgebraicNumber):
         return value.approximate(decimal_digits)
-    if decimal_digits < 1:
-        raise ValueError("decimal_digits must be at least 1")
+    _check_places(decimal_digits)
     n, text = _rounded_decimal(value.numerator, value.denominator, decimal_digits)
     return DecimalApproximation(text, abs(Fraction(n, 10**decimal_digits) - value))

@@ -6,7 +6,8 @@ zero polynomial is the empty tuple.  The arithmetic helpers (``evaluate``,
 coefficients and compute in integers only.  Sturm chains have integer
 coefficients and are evaluated at a rational n/d through the homogeneous
 integer form.  ``rational_roots`` bisects the polynomial's own chain on the
-grid its leading coefficient fixes; ``deflate`` divides a root out exactly.
+grid its leading coefficient fixes, and a cell with one root on the sign of
+the square-free part; ``deflate`` divides a root out exactly.
 """
 
 from __future__ import annotations
@@ -177,13 +178,18 @@ def rational_roots(coeffs):
     every rational root is k / |lead| for an integer k, and none lies on
     the half-grid (2k + 1) / (2 |lead|).  The polynomial's own Sturm chain
     is bisected between half-grid points, held as the int k, down to cells
-    holding one grid point, which is then tested exactly.
+    holding one distinct root.  That root is a simple root of the
+    square-free part f / gcd(f, f'), so such a cell is bisected on that
+    part's sign alone (f itself keeps its sign at a double root) down to
+    one grid point, which is then tested exactly.
     """
     if degree(coeffs) < 1:
         return []
     chain = sturm_chain(coeffs)
     c = chain[0]
     lead = abs(c[0])
+    # The chain ends in gcd(f, f'), a constant when f is square-free.
+    free = c if len(chain[-1]) == 1 else _exact_quotient(c, chain[-1])
     # Cauchy: every root has |x| < 1 + max|c_i| / lead = bound / lead.
     bound = lead + max(abs(x) for x in c[1:])
 
@@ -197,6 +203,14 @@ def rational_roots(coeffs):
         lo, hi, v_lo, v_hi = stack.pop()
         if v_lo == v_hi:
             continue
+        if v_lo - v_hi == 1:
+            sign_lo = _sign_at(free, 2 * lo + 1, 2 * lead)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if _sign_at(free, 2 * mid + 1, 2 * lead) == sign_lo:
+                    lo = mid
+                else:
+                    hi = mid
         if hi - lo == 1:
             if _sign_at(c, hi, lead) == 0:
                 roots.append(Fraction(hi, lead))
@@ -208,20 +222,31 @@ def rational_roots(coeffs):
     return sorted(roots)
 
 
+def _exact_quotient(f, g):
+    """f / g for integer polynomials where the primitive g divides f; by
+    Gauss's lemma the quotient has integer coefficients, so the long
+    division runs in integers.  Raises ValueError when g does not divide f.
+    """
+    rem = list(trim(f))
+    top = len(rem) - len(g) + 1
+    quotient = []
+    for i in range(top):
+        q, r = divmod(rem[i], g[0])
+        if r:
+            raise ValueError(f"{g} does not divide {f}")
+        quotient.append(q)
+        for j, gc in enumerate(g[1:], i + 1):
+            rem[j] -= q * gc
+    if top < 1 or any(rem[top:]):
+        raise ValueError(f"{g} does not divide {f}")
+    return tuple(quotient)
+
+
 def deflate(coeffs, root):
     """The quotient of an integer polynomial by q*x - p, where root = p/q
     is one of its roots; by Gauss's lemma the quotient has integer
     coefficients, so the division runs in integers."""
-    p, q = root.numerator, root.denominator
-    quotient = [0]
-    for c in trim(coeffs):
-        top, rem = divmod(c + p * quotient[-1], q)
-        if rem:
-            raise ValueError(f"{root} is not a root of {coeffs}")
-        quotient.append(top)
-    if quotient[-1]:
-        raise ValueError(f"{root} is not a root of {coeffs}")
-    return tuple(quotient[1:-1])
+    return _exact_quotient(coeffs, (root.denominator, -root.numerator))
 
 
 def is_irreducible(coeffs):

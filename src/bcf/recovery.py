@@ -147,31 +147,48 @@ def _strip_rational_roots(relation):
     return h
 
 
-def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
-    if polys.degree(relation) < 1:
-        raise DegenerateSystem("elimination produced a constant relation")
-    min_poly = _strip_rational_roots(relation)
-    if polys.degree(min_poly) < 2:
-        raise DegenerateSystem(
-            "no irrational root remains after removing rational factors"
-        )
-    # alpha_h sits within 144 * max(Delta_{h-2}, Delta_{h-1}, Delta_h) of the
-    # limit: the gap series is dominated by that monotone maximum, which
-    # contracts by 35/36 every four indices, so the tail sum is at most
-    # 4 * 36 times it.  The ball is never empty (consecutive convergent
-    # triples have determinant 1), and the horizon doubles until the field
-    # finds exactly one root of the polynomial in it.
+def _field_in_ball(min_poly, ball_pair):
+    """The number field of min_poly whose root the convergents of ball_pair
+    approach.
+
+    alpha_h sits within 144 * max(Delta_{h-2}, Delta_{h-1}, Delta_h) of the
+    limit: the gap series is dominated by that monotone maximum, which
+    contracts by 35/36 every four indices, so the tail sum is at most
+    4 * 36 times it.  The ball is never empty (consecutive convergent
+    triples have determinant 1), and the horizon doubles until the field
+    finds exactly one root of the polynomial in it.
+    """
     horizon = 8
     while True:
         alphas = [t.alpha for t in convergent_sequence(ball_pair, horizon)[-4:]]
         radius = 144 * max(abs(x - y) for x, y in zip(alphas, alphas[1:]))
         try:
-            field = NumberField(
+            return NumberField(
                 min_poly, (alphas[-1] - radius, alphas[-1] + radius)
             )
-            break
         except RootCountNotOne:
             horizon *= 2
+
+
+def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
+    if polys.degree(relation) < 1:
+        raise DegenerateSystem("elimination produced a constant relation")
+    # The field's irreducibility test is the one rational-root search; the
+    # rational factors are stripped only when it finds one.
+    min_poly = polys.primitive(relation)
+    field = None
+    if polys.degree(min_poly) >= 2:
+        try:
+            field = _field_in_ball(min_poly, ball_pair)
+        except ReduciblePolynomial:
+            pass
+    if field is None:
+        min_poly = _strip_rational_roots(min_poly)
+        if polys.degree(min_poly) < 2:
+            raise DegenerateSystem(
+                "no irrational root remains after removing rational factors"
+            )
+        field = _field_in_ball(min_poly, ball_pair)
     alpha = field.generator()
     beta = RatFunc(beta_num, beta_den).evaluate(alpha)
     return RecoveredCubic(

@@ -517,6 +517,20 @@ def test_decimals_past_digit_limit_are_exit_3(capsys, argv):
     assert "Traceback" not in captured.err
 
 
+def test_recover_past_digit_limit_fails_before_refining(capsys, monkeypatch):
+    from bcf import NumberField
+
+    refines = []
+    monkeypatch.setattr(NumberField, "refine", lambda self, bits=1: refines.append(bits))
+    argv = ["recover", "--period-a", "1", "--period-b", "1", "--digits", "5000"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert refines == []
+
+
 # -- render ---------------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
 """Cubic number fields: construction, exact arithmetic, certified decimals."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,7 @@ from bcf import polys
 from bcf.errors import (
     DegreeOutOfRange,
     FieldMismatch,
+    OutputTooLarge,
     ReduciblePolynomial,
     RootCountNotOne,
 )
@@ -447,3 +449,97 @@ def test_exact_inputs_are_accepted(caller):
             call(theta())
     else:
         call(theta())
+
+
+# -- certified refinement -----------------------------------------------------
+
+
+@st.composite
+def cubic_fields(draw):
+    """Irreducible cubics, leading coefficient 1-5, at any of their real
+    roots."""
+    lead = draw(st.integers(1, 5))
+    rest = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3))
+    poly = polys.primitive((lead, *rest))
+    assume(polys.degree(poly) == 3 and polys.is_irreducible(poly))
+    return NumberField(poly, draw(st.sampled_from(polys.isolating_intervals(poly))))
+
+
+@given(cubic_fields(), st.lists(st.integers(1, 80), min_size=1, max_size=8))
+@settings(max_examples=80, deadline=None)
+def test_refine_shrinks_by_the_bits_asked(field, steps):
+    for bits in steps:
+        lo0, hi0 = field.interval()
+        field.refine(bits)
+        lo, hi = field.interval()
+        assert lo0 <= lo < hi <= hi0
+        assert (hi - lo) * 2**bits <= hi0 - lo0
+        assert polys.count_roots(field._sturm_chain, lo, hi) == 1
+
+
+def _bisection_decimal(field, a, b, c, digits):
+    """(a + b*theta) / c rounded half away from zero to `digits` places, by
+    Fraction bisection of the field's starting interval: the value is
+    monotone in theta, so once both ends round alike so does the value."""
+    f = field.min_poly
+    lo, hi = field.root_interval
+    positive_lo = polys.evaluate(f, lo) > 0
+    unit = 10**digits
+
+    def rounded(t):
+        x = (a + b * t) / c * unit
+        n = math.floor(abs(x) + Fraction(1, 2))
+        return Fraction(n if x >= 0 else -n, unit)
+
+    while True:
+        if abs(b) * (hi - lo) * unit < c and rounded(lo) == rounded(hi):
+            return rounded(lo)
+        mid = (lo + hi) / 2
+        if (polys.evaluate(f, mid) > 0) == positive_lo:
+            lo = mid
+        else:
+            hi = mid
+
+
+@given(
+    cubic_fields(),
+    st.integers(-10, 10),
+    st.integers(-5, 5).filter(bool),
+    st.integers(1, 7),
+    st.integers(1, 300),
+)
+@settings(max_examples=40, deadline=None)
+def test_approximate_matches_bisection(field, a, b, c, digits):
+    approx = ((a + b * field.generator()) / c).approximate(digits)
+    assert approx.value == _bisection_decimal(field, a, b, c, digits)
+    assert len(approx.text.partition(".")[2]) == digits
+    assert approx.error_bound <= Fraction(1, 2 * 10**digits)
+
+
+def test_deep_approximate_takes_few_sign_tests(monkeypatch):
+    # theta^2 + 1 to 4000 places needs about 13,300 bits: one sign test per
+    # bit by bisection, a few per doubling of the step by QIR
+    t = NumberField((1, -1, -1, -1), (1, 2)).generator()
+    calls = []
+    original = polys._sign_at
+
+    def counting(coeffs, n, d):
+        calls.append(d)
+        return original(coeffs, n, d)
+
+    monkeypatch.setattr(polys, "_sign_at", counting)
+    text = (t * t + 1).approximate(4000).text
+    assert text.startswith("4.382975767906237494") and len(text) == 4002
+    assert len(calls) < 200
+
+
+def test_places_past_the_string_limit_fail_before_refining(monkeypatch):
+    refines = []
+    monkeypatch.setattr(NumberField, "refine", lambda self, bits=1: refines.append(bits))
+    places = sys.get_int_max_str_digits() + 1
+    for x in (theta(), Fraction(1, 3), 7):
+        with pytest.raises(OutputTooLarge):
+            approximate(x, places)
+    with pytest.raises(OutputTooLarge):
+        theta().approximate(places)
+    assert refines == []

@@ -1,6 +1,7 @@
 """Periodicity detection, cubic recovery, transfer matrices, the scanner."""
 
 import concurrent.futures
+import math
 import os
 import random
 import subprocess
@@ -14,6 +15,7 @@ from bcf import (
     NumberField,
     SequencePair,
     bcf_expand,
+    bcf_expand_rational,
     bcf_step,
     conjecture_scan,
     detect_period,
@@ -23,9 +25,10 @@ from bcf import (
     transfer_matrix,
     validate,
 )
-from bcf.errors import InvalidSequence, MixedFields
+from bcf.errors import DegenerateSystem, InvalidSequence, MixedFields
 from bcf.recovery import (
     NotFound,
+    _build_result,
     _strip_rational_roots,
     PeriodicityResult,
     STATUS_EXHAUSTED,
@@ -276,9 +279,10 @@ def test_recover_pure_carries_the_period_transfer_matrix():
         assert result.quartic[0] == 0
 
 
-def test_recover_builds_three_sturm_chains(monkeypatch):
-    # one each in the rational-root strip, the field's irreducibility test
-    # and the field's own root count; horizon 8 already isolates this root
+def test_recover_builds_two_sturm_chains(monkeypatch):
+    # one in the field's irreducibility test, the one rational-root search,
+    # and one for the field's own root count; the irreducible relation is
+    # never stripped, and horizon 8 already isolates this root
     calls = []
     original = polys.sturm_chain
 
@@ -288,7 +292,7 @@ def test_recover_builds_three_sturm_chains(monkeypatch):
 
     monkeypatch.setattr(polys, "sturm_chain", counting)
     recover_cubic_eventual(((2,), (2,)), ((2, 3), (0, 0)))
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def test_recover_eventual_matches_pure_on_tail():
@@ -307,6 +311,22 @@ def test_strip_rational_roots_with_multiplicity():
         relation = polys.multiply(relation, factor)
     assert _strip_rational_roots(relation) == (1, 0, -2)
     assert _strip_rational_roots((2, 0, -4)) == (1, 0, -2)
+
+
+def test_reducible_relation_is_stripped_after_the_field_rejects_it():
+    # convergents of a 64-digit prefix close to (sqrt 2, cbrt 2) put the
+    # ball around sqrt 2: the field on (x - 1)(x^2 - 2) raises
+    # ReduciblePolynomial, and the stripped x^2 - 2 gives the field
+    sqrt2 = Fraction(math.isqrt(2 * 10**120), 10**60)
+    cbrt2 = Fraction(1259921049894873164767210607278, 10**30)
+    pair = bcf_expand_rational(sqrt2, cbrt2, max_terms=64)
+    relation = polys.multiply((1, -1), (1, 0, -2))
+    result = _build_result(relation, (1, 0), (1,), pair, (0,) + relation, None)
+    assert result.poly == (1, 0, -2)
+    assert result.alpha.approximate(10).text == "1.4142135624"
+    # only rational roots: the same branch ends in DegenerateSystem
+    with pytest.raises(DegenerateSystem, match="no irrational root remains"):
+        _build_result((1, -3, 2), (1, 0), (1,), pair, (0, 0, 1, -3, 2), None)
 
 
 # Long-period recoveries whose monicised cubic has coefficients past 2^64,
