@@ -19,7 +19,6 @@ from .errors import (
     FieldMismatch,
     IndexOutOfRange,
     InvalidSequence,
-    MixedFields,
     NonPositiveInput,
     OutputTooLarge,
     ParseError,
@@ -44,12 +43,9 @@ from .fields import (
 )
 from .literals import RatFunc, fraction_str, parse_digits, parse_number
 from .recovery import (
-    NotFound,
-    PeriodicityResult,
     RecoveredCubic,
     ScanRecord,
     conjecture_scan,
-    detect_period,
     recover_cubic_eventual,
     recover_cubic_pure,
     transfer_matrix,
@@ -93,13 +89,10 @@ __all__ = [
     "FieldMismatch",
     "IndexOutOfRange",
     "InvalidSequence",
-    "MixedFields",
     "NonPositiveInput",
-    "NotFound",
     "NumberField",
     "OutputTooLarge",
     "ParseError",
-    "PeriodicityResult",
     "RatFunc",
     "RecoveredCubic",
     "ReduciblePolynomial",
@@ -124,7 +117,6 @@ __all__ = [
     "convergent_matrix",
     "convergent_sequence",
     "det_invariant",
-    "detect_period",
     "floor_of",
     "fraction_str",
     "gap_diagnostics",

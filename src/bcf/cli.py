@@ -441,8 +441,24 @@ def _execute_scan(args, job):
 # -- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose usage errors are one short line, like every other
+    error: each long word of the message is cut to an excerpt, and the line
+    to 240 bytes."""
+
+    def error(self, message):
+        words = (
+            _excerpt(word.strip("'")) if len(word) > 25 else word
+            for word in message.split()
+        )
+        line = " ".join(words)
+        if len(line.encode()) > 240:
+            line = line.encode()[:240].decode(errors="ignore") + "..."
+        self.exit(2, f"error: {line}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcf",
         description=(
             "Exact bifurcating continued fractions: expand pairs of numbers "

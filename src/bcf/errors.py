@@ -29,10 +29,6 @@ class InvalidSequence(BcfError, ValueError):
     """A digit sequence pair violates a structural requirement."""
 
 
-class MixedFields(BcfError):
-    """States handed to detect_period span two number fields."""
-
-
 class DegenerateSystem(BcfError):
     """A recovery system collapsed and no cubic can be extracted."""
 

@@ -54,12 +54,6 @@ class Terminated:
     terminal: ExactNumber
 
 
-def _is_integral(value):
-    if isinstance(value, AlgebraicNumber):
-        return value.is_rational() and value.as_fraction().denominator == 1
-    return value.denominator == 1
-
-
 def _unify_pair(alpha, beta):
     """Normalize two exact numbers into a common arithmetic domain."""
     alpha = _as_exact(alpha, "alpha")

@@ -35,17 +35,6 @@ from .errors import (
 )
 
 
-def _coerce_int(value, what):
-    if isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if isinstance(value, int):
-        return value
-    as_fraction = Fraction(value)
-    if as_fraction.denominator != 1:
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return as_fraction.numerator
-
-
 def bounded_str(value, render=str):
     """render(value), raising OutputTooLarge where an integer in it exceeds
     Python's digit limit for integer-to-string conversion."""
@@ -106,7 +95,7 @@ class NumberField:
     """Q adjoined with one certified real root of an irreducible polynomial."""
 
     def __init__(self, min_poly, root_interval):
-        coeffs = polys.trim(_coerce_int(c, "min_poly coefficient") for c in min_poly)
+        coeffs = polys.trim(_as_ints(min_poly, "min_poly"))
         d = polys.degree(coeffs)
         if d < 1 or d > 3:
             raise DegreeOutOfRange(
@@ -117,7 +106,7 @@ class NumberField:
             raise ReduciblePolynomial(
                 f"polynomial {coeffs} is reducible over the rationals"
             )
-        lo, hi = (Fraction(x) for x in root_interval)
+        lo, hi = (_as_rational(x, "root interval end") for x in root_interval)
         if not lo < hi:
             raise EmptyInterval(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
         sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
@@ -236,9 +225,7 @@ class NumberField:
 
     def element(self, value):
         """Embed a rational number (an int or Fraction) into the field."""
-        value = _as_exact(value, "value")
-        if not isinstance(value, Fraction):
-            raise TypeError(f"value must be an int or Fraction, got {value!r}")
+        value = _as_rational(value, "value")
         zeros = (0,) * (self.degree - 1)
         return _element(self, (value.numerator,) + zeros, value.denominator)
 
@@ -468,7 +455,7 @@ class AlgebraicNumber:
     __slots__ = ("_field", "_num", "_den")
 
     def __init__(self, field, coeffs):
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [_as_rational(c, "coordinate") for c in coeffs]
         d = field.degree
         if len(coeffs) > d:
             raise ValueError(
@@ -721,6 +708,25 @@ def _as_exact(value, what):
     raise TypeError(
         f"{what} must be an int, Fraction or AlgebraicNumber, got {value!r}"
     )
+
+
+def _as_rational(value, what):
+    """value as a Fraction by the rule of _as_exact; a field element is a
+    TypeError too."""
+    value = _as_exact(value, what)
+    if not isinstance(value, Fraction):
+        raise TypeError(f"{what} must be an int or Fraction, got {value!r}")
+    return value
+
+
+def _as_ints(values, what):
+    """values as a tuple of ints; a bool, float, str, None or Fraction among
+    them is a TypeError."""
+    values = tuple(values)
+    for value in values:
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise TypeError(f"{what} coefficient must be an int, got {value!r}")
+    return values
 
 
 def floor_of(x):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import polys
 from .errors import ParseError
-from .fields import NumberField, bounded_str
+from .fields import NumberField, _as_rational, bounded_str
 
 RAT_GRAMMAR = "rat:<int>[/<int>]"
 ALG_GRAMMAR = "alg:<c_d>,...,<c_0>@<lo>,<hi>"
@@ -226,8 +226,8 @@ def parse_digits(text):
 
 
 def fraction_str(value):
-    """Render a rational as 'p/q' with the denominator always explicit."""
-    value = Fraction(value)
+    """Render an int or Fraction as 'p/q', the denominator always explicit."""
+    value = _as_rational(value, "value")
     return ratio_str(value.numerator, value.denominator)
 
 

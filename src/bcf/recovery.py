@@ -1,4 +1,4 @@
-"""Periodicity detection and cubic recovery from periodic digit pairs.
+"""Cubic recovery from periodic digit pairs, and a scanner for periodicity.
 
 An eventually periodic expansion pins down its source pair algebraically.
 Each digit pair contributes a unimodular matrix R_i = [[a_i, b_i, 1],
@@ -15,7 +15,8 @@ once, in ``recover_cubic_eventual``; a purely periodic pair is the case
 P = I.  Recovery extracts the relation, certifies it, isolates alpha's
 root in a convergent ball that the number field itself checks, and
 rebuilds the exact (alpha, beta) pair.  A scanner then probes cubic fields
-for periodic expansions experimentally.
+for periodic expansions experimentally; the period of each expansion is the
+one ``bcf_expand`` finds, when a state of its orbit recurs.
 """
 
 from __future__ import annotations
@@ -30,65 +31,16 @@ from .errors import (
     BcfError,
     DegenerateSystem,
     InvalidSequence,
-    MixedFields,
     NonPositiveInput,
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from .expansion import _is_integral, bcf_expand
-from .fields import AlgebraicNumber, NumberField
+from .expansion import bcf_expand
+from .fields import AlgebraicNumber, NumberField, _as_ints
 from .literals import RatFunc
 from .sequences import SequencePair, as_pair
 from .treeval import convergent_sequence
 from .validation import validate
-
-@dataclass(frozen=True)
-class PeriodicityResult:
-    """First exact state repeat: preperiod k, period m, and the state seen
-    at both index k and index k + m."""
-
-    preperiod: int
-    period: int
-    witness: tuple
-
-
-@dataclass(frozen=True)
-class NotFound:
-    """No state repeat within the supplied run; ``terminated`` records
-    whether the run had in fact reached a terminating (integral-beta)
-    state, which rules a period out entirely."""
-
-    terminated: bool
-
-
-def detect_period(states):
-    """Find the first exact repeat among expansion states.
-
-    States must all live over one number field (rational states are
-    field-agnostic and mix freely).  Returns a PeriodicityResult for the
-    first pair of equal states, else NotFound.
-    """
-    states = list(states)
-    field = None
-    for s in states:
-        for value in (s.alpha, s.beta):
-            if isinstance(value, AlgebraicNumber):
-                if field is None:
-                    field = value.field
-                elif field != value.field:
-                    raise MixedFields(
-                        "states span more than one number field: "
-                        f"{field!r} and {value.field!r}"
-                    )
-    seen = {}
-    for i, s in enumerate(states):
-        key = (s.alpha, s.beta)
-        if key in seen:
-            k = seen[key]
-            return PeriodicityResult(preperiod=k, period=i - k, witness=key)
-        seen[key] = i
-    terminated = bool(states) and _is_integral(states[-1].beta)
-    return NotFound(terminated=terminated)
 
 
 @dataclass(frozen=True)
@@ -341,17 +293,8 @@ def _scan_single_poly(task):
 
     def record(status, interval=None, beta_expr=None, preperiod=None,
                period=None, digits=None):
-        records.append(
-            ScanRecord(
-                min_poly=coeffs,
-                interval=interval,
-                beta_expr=beta_expr,
-                status=status,
-                preperiod=preperiod,
-                period=period,
-                digits_preview=digits,
-            )
-        )
+        records.append(ScanRecord(coeffs, interval, beta_expr, status,
+                                  preperiod, period, digits))
 
     if polys.degree(coeffs) != 3:
         record(STATUS_ERROR)
@@ -386,9 +329,7 @@ def _scan_single_poly(task):
                 record(STATUS_TERMINATED, interval, beta_expr, digits=digits)
             elif pair.periodicity is not None:
                 k, m = pair.periodicity
-                record(
-                    STATUS_PERIODIC, interval, beta_expr, k, m, digits
-                )
+                record(STATUS_PERIODIC, interval, beta_expr, k, m, digits)
             else:
                 record(STATUS_EXHAUSTED, interval, beta_expr, digits=digits)
     return records
@@ -400,20 +341,21 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
 
     ``field_family`` iterates integer coefficient tuples of cubic
     polynomials; ``beta_candidates`` iterates (numerator, denominator)
-    coefficient tuples defining beta as a rational function of alpha;
-    ``horizon`` bounds each expansion.  Every (positive root, candidate)
-    combination yields one ScanRecord; reducible polynomials, rootless
-    families, nonpositive betas, and per-candidate failures are recorded
-    as skips or errors, never raised.  A hit only reports what was found
-    within the horizon; a miss proves nothing.  ``jobs`` > 1 distributes
-    polynomials over a process pool of at most ``jobs`` workers, and no
-    more than there are polynomials or CPUs.
+    integer coefficient tuples defining beta as a rational function of
+    alpha; ``horizon`` bounds each expansion.  A coefficient that is not an
+    int is a TypeError.  Every (positive root, candidate) combination
+    yields one ScanRecord; reducible polynomials, rootless families,
+    nonpositive betas, and per-candidate failures are recorded as skips or
+    errors, never raised.  A hit only reports what was found within the
+    horizon; a miss proves nothing.  ``jobs`` > 1 distributes polynomials
+    over a process pool of at most ``jobs`` workers, and no more than there
+    are polynomials or CPUs.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    family = [tuple(int(c) for c in coeffs) for coeffs in field_family]
+    family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
     candidates = [
-        (tuple(int(c) for c in num), tuple(int(c) for c in den))
+        (_as_ints(num, "beta_candidates"), _as_ints(den, "beta_candidates"))
         for num, den in beta_candidates
     ]
     if not candidates:

@@ -1,6 +1,8 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
+import contextlib
 import hashlib
+import io
 import json
 import sys
 from fractions import Fraction
@@ -742,8 +744,12 @@ _LONG = "x" * 5000
     ["expand", "--alpha", "alg:1,0,-2@1,2," + _LONG, "--beta", "rat:1"],
     ["scan", "--c2=" + _LONG],
     ["expand", "--approx", "--alpha", "rat:1", "--beta", "dec:" + _LONG],
+    [_LONG],
+    ["eval", "--a", "1", "--b", "1", "--format", _LONG],
+    ["render", "--a", "1", "--b", "1", "--style", _LONG],
+    ["eval", "--a", "1", "--b", "1", "--" + _LONG],
 ], ids=["eval-digit", "expand-prefix", "ratfunc", "alg-interval", "scan-range",
-        "dec"])
+        "dec", "command", "format-choice", "style-choice", "unknown-option"])
 def test_bad_long_token_is_quoted_short(capsys, argv):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -755,10 +761,14 @@ def test_bad_long_token_is_quoted_short(capsys, argv):
 
 
 def test_usage_error_is_exit_2(capsys):
-    assert run([]) == 2
-    assert run(["expand"]) == 2  # missing required flags
-    assert run(["no-such-command"]) == 2
-    capsys.readouterr()
+    # No command, missing required flags, an unknown command, an ambiguous
+    # flag, and 200 unrecognized arguments: each is one short error line.
+    for argv in ([], ["expand"], ["no-such-command"], ["scan", "--c"],
+                 ["eval", "--a", "1", "--b", "1"] + ["7"] * 200):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+        assert len(err.encode()) < 300
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -780,3 +790,122 @@ def test_help_is_exit_0(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out
     assert "expand" in out and "recover" in out
+
+
+# -- argv fuzz ---------------------------------------------------------------------
+
+
+def _csv(values):
+    return ",".join(map(str, values))
+
+
+def _mostly(good, bad):
+    """good for nine of ten draws, else bad (Hypothesis favours small k)."""
+    return st.integers(0, 9).flatmap(lambda k: bad if k == 9 else good)
+
+
+def _count(lo, hi):
+    return _mostly(st.integers(lo, hi), st.integers(-1, 0)).map(str)
+
+
+_SMALL = st.integers(-3, 5)
+_COEFFS = st.lists(_SMALL, min_size=1, max_size=4).map(_csv)
+_JUNK = st.sampled_from(
+    ["", "x", "--x", "rat:", "alg:1@", "dec:-", "rat:1/0", "1,,2", "é"]
+)
+_RATFUNC = st.builds("ratfunc:{}/{}".format, _COEFFS, _COEFFS)
+_LITERAL = _mostly(
+    st.one_of(
+        st.builds("rat:{}/{}".format, st.integers(1, 30), st.integers(1, 9)),
+        st.builds("dec:{}.{}".format, st.integers(0, 3), st.integers(0, 99999)),
+        st.sampled_from(["alg:1,-1,-1,-1@1,2", "alg:1,0,-2@1,3/2"]),
+        st.builds("alg:{}@{},{}".format, _COEFFS, _SMALL, _SMALL),
+        _RATFUNC,
+    ),
+    _JUNK,
+)
+_RANGE = _mostly(
+    st.builds(lambda lo, width: f"{lo}:{lo + width}", _SMALL, st.integers(0, 2)),
+    st.sampled_from(["2:1", "1", "a:b"]),
+)
+_FORMAT = _mostly(st.sampled_from(["json", "text"]), st.just("xml"))
+_DIGITS = "digits"  # a digit list of the argv's common length, at most 6
+
+
+# Each subcommand's options as (flag, values, how often given): "always" for
+# the options that bound the work (--terms, the scan box, --horizon),
+# "mostly" for the required ones, else half the time.
+_GRAMMAR = {
+    "expand": [
+        ("--alpha", _LITERAL, "mostly"), ("--beta", _LITERAL, "mostly"),
+        ("--terms", _count(1, 40), "always"), ("--digits", _count(1, 30), ""),
+        ("--format", _FORMAT, ""), ("--approx", None, ""),
+    ],
+    "eval": [
+        ("--a", _DIGITS, "mostly"), ("--b", _DIGITS, "mostly"),
+        ("--n", _count(0, 8), ""), ("--digits", _count(1, 30), ""),
+        ("--format", _FORMAT, ""),
+    ],
+    "render": [
+        ("--a", _DIGITS, "mostly"), ("--b", _DIGITS, "mostly"),
+        ("--depth", _count(0, 6), ""),
+        ("--style", _mostly(st.sampled_from(["ascii", "latex"]), st.just("svg")), ""),
+        ("--format", _FORMAT, ""), ("--preperiod", _count(0, 3), ""),
+        ("--period", _count(1, 3), ""),
+    ],
+    "validate": [
+        ("--a", _DIGITS, "mostly"), ("--b", _DIGITS, "mostly"),
+        ("--preperiod", _count(0, 3), ""), ("--period", _count(1, 3), ""),
+        ("--terminal", _LITERAL, ""), ("--format", _FORMAT, ""),
+    ],
+    "recover": [
+        ("--period-a", _DIGITS, "mostly"), ("--period-b", _DIGITS, "mostly"),
+        ("--preperiod-a", _DIGITS, ""), ("--preperiod-b", _DIGITS, ""),
+        ("--digits", _count(1, 30), ""), ("--format", _FORMAT, ""),
+    ],
+    "scan": [
+        ("--c2", _RANGE, "always"), ("--c1", _RANGE, "always"),
+        ("--c0", _RANGE, "always"), ("--beta", _mostly(_RATFUNC, _LITERAL), ""),
+        ("--horizon", _count(1, 12), "always"), ("--jobs", _count(1, 1), ""),
+        ("--preview", _count(1, 8), ""),
+    ],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(_mostly(st.sampled_from(sorted(_GRAMMAR)), _JUNK))
+    length = draw(st.integers(1, 6))
+    digits = _mostly(
+        st.lists(_mostly(st.integers(1, 3), st.just(0)), min_size=length,
+                 max_size=length).map(_csv),
+        _JUNK,
+    )
+    options = []
+    for flag, values, given in _GRAMMAR.get(command, ()):
+        if given != "always" and draw(st.integers(0, 9)) >= (9 if given else 5):
+            continue
+        if values is None:
+            options.append([flag])
+            continue
+        value = draw(digits if values is _DIGITS else values)
+        if draw(st.integers(0, 7)) < 7:
+            options.append([f"{flag}={value}"])
+        else:
+            options.append([flag, value])
+    argv = [command] + [t for option in draw(st.permutations(options)) for t in option]
+    if draw(st.integers(0, 9)) == 9:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_LITERAL))
+    return argv
+
+
+@given(argv=_argvs())
+@settings(max_examples=300, deadline=None)
+def test_argv_fuzz_ends_in_one_line_and_a_known_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 2, 3), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)

@@ -3,15 +3,19 @@
 import argparse
 import doctest
 import importlib
+import inspect
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
+import bcf
 from bcf import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _section(title):
@@ -78,3 +82,43 @@ def test_library_tour_names_resolve():
         for span in re.findall(r"`([^`]+)`", contents):
             name = re.match(r"\w+", span).group()
             assert hasattr(module, name), f"{module_name} has no {name}"
+
+
+def test_library_tour_names_every_public_function():
+    # The reverse of the check above: adding or deleting a public function
+    # updates the tour in the same change.
+    named = {
+        re.match(r"\w+", span).group()
+        for _, contents in _library_tour_rows()
+        for span in re.findall(r"`([^`]+)`", contents)
+    }
+    functions = {
+        name for name in bcf.__all__ if inspect.isfunction(getattr(bcf, name))
+    }
+    assert len(functions) >= 20
+    assert functions <= named, sorted(functions - named)
+
+
+def _performance_rows():
+    for line in _section("Performance").splitlines():
+        cells = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        if len(cells) == 5 and cells[0].startswith("BENCH_"):
+            yield cells
+
+
+def test_performance_table_quotes_each_bench_claim():
+    rows = list(_performance_rows())
+    assert sorted(row[0] for row in rows) == sorted(
+        path.name for path in ROOT.glob("BENCH_*.json")
+    )
+    for name, workload, metric, medians, won in rows:
+        bench = json.loads((ROOT / name).read_text(encoding="utf-8"))
+        assert (bench["claim"]["workload"], bench["claim"]["metric"]) == (
+            workload, metric
+        )
+        summary = bench["summary"][workload]
+        figures = summary["metrics"][metric]
+        assert medians == "{:.2f} → {:.2f}".format(
+            figures["parent_median"], figures["change_median"]
+        )
+        assert won == f"{figures['change_better_pairs']}/{summary['pairs']}"

@@ -20,7 +20,9 @@ from bcf import (
     bcf_step,
     check_appropriate,
     check_proper,
+    conjecture_scan,
     floor_of,
+    fraction_str,
     rational_expansion_trace,
     tree_sum,
 )
@@ -421,9 +423,14 @@ _EXACT_CALLERS = {
     ),
     "tree_sum": lambda v: tree_sum((1, v), (1, Fraction(3, 2))),
     "SequencePair": lambda v: SequencePair((1,), (1, 0), terminal=v),
+    "NumberField interval": lambda v: NumberField((1, 0, -2), (1, v)),
+    "AlgebraicNumber": lambda v: AlgebraicNumber(TRIBONACCI, (1, v)),
+    "element": TRIBONACCI.element,
+    "fraction_str": fraction_str,
 }
 _RATIONAL_ONLY = (
-    "bcf_expand_rational", "bcf_expand_box", "rational_expansion_trace"
+    "bcf_expand_rational", "bcf_expand_box", "rational_expansion_trace",
+    "NumberField interval", "AlgebraicNumber", "element", "fraction_str",
 )
 
 
@@ -449,6 +456,33 @@ def test_exact_inputs_are_accepted(caller):
             call(theta())
     else:
         call(theta())
+
+
+# Every caller that takes an integer coefficient, as a function of it.
+_INTEGER_CALLERS = {
+    "NumberField": lambda v: NumberField((1, v, -3), (0, 2)),
+    "conjecture_scan family": lambda v: conjecture_scan(
+        [(1, 0, 0, v)], [((1, 0, 0), (1,))], 4
+    ),
+    "conjecture_scan candidate": lambda v: conjecture_scan(
+        [(1, 0, 0, -2)], [((v, 0, 0), (1,))], 4
+    ),
+}
+
+
+@pytest.mark.parametrize("caller, bad", [
+    (caller, bad)
+    for caller in _INTEGER_CALLERS
+    for bad in (True, 1.5, "7/4", None, Fraction(2))
+])
+def test_non_integers_are_type_errors(caller, bad):
+    with pytest.raises(TypeError, match="coefficient must be an int, got"):
+        _INTEGER_CALLERS[caller](bad)
+
+
+@pytest.mark.parametrize("caller", list(_INTEGER_CALLERS))
+def test_integers_are_accepted(caller):
+    _INTEGER_CALLERS[caller](1)
 
 
 # -- certified refinement -----------------------------------------------------

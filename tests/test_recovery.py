@@ -1,4 +1,4 @@
-"""Periodicity detection, cubic recovery, transfer matrices, the scanner."""
+"""Periodicity, cubic recovery, transfer matrices, the scanner."""
 
 import concurrent.futures
 import math
@@ -12,25 +12,21 @@ import pytest
 
 from bcf import (
     ExpansionState,
-    NumberField,
     SequencePair,
     bcf_expand,
     bcf_expand_rational,
     bcf_step,
     conjecture_scan,
-    detect_period,
     polys,
     recover_cubic_eventual,
     recover_cubic_pure,
     transfer_matrix,
     validate,
 )
-from bcf.errors import DegenerateSystem, InvalidSequence, MixedFields
+from bcf.errors import DegenerateSystem, InvalidSequence
 from bcf.recovery import (
-    NotFound,
     _build_result,
     _strip_rational_roots,
-    PeriodicityResult,
     STATUS_EXHAUSTED,
     STATUS_ERROR,
     STATUS_PERIODIC,
@@ -42,42 +38,14 @@ from bcf.recovery import (
 
 from _corpus import random_cyclic_pair
 
-TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
-PERIOD_TWO = NumberField((1, -1, -2, -1), (2, 3))
 
-
-def _states(alpha, beta, count):
-    state = ExpansionState(alpha, beta, 0)
-    out = [state]
-    for _ in range(count):
-        _, _, nxt = bcf_step(state)
-        if not isinstance(nxt, ExpansionState):
-            break
-        state = nxt
-        out.append(state)
-    return out
-
-
-# -- periodicity detection ---------------------------------------------------------
-
-
-def test_detect_period_tribonacci():
-    t = TRIBONACCI.generator()
-    states = _states(t, 1 + 1 / t, 6)
-    result = detect_period(states)
-    assert isinstance(result, PeriodicityResult)
-    assert (result.preperiod, result.period) == (0, 1)
-
-
-def test_detect_period_eventually_periodic():
-    r = PERIOD_TWO.generator()
-    states = _states(r, 2 + 1 / r, 8)
-    result = detect_period(states)
-    assert (result.preperiod, result.period) == (1, 2)
+# -- periodicity ------------------------------------------------------------------
 
 
 def test_expand_finds_the_repeat_detect_period_finds():
-    # bcf_expand keys states on raw coordinates, detect_period on values.
+    # bcf_expand keys states on primitive integer triples; the reference here
+    # keys the same orbit on the values (alpha, beta) that bcf_step returns,
+    # as the retired detect_period did, over the same 17 states.
     rng = random.Random(4242)
     for _ in range(10):
         result = recover_cubic_pure(random_cyclic_pair(rng))
@@ -85,35 +53,15 @@ def test_expand_finds_the_repeat_detect_period_finds():
         a = rng.randint(1, 3)
         b = rng.randint(0, a)
         for x, y in ((alpha, beta), (a + beta / alpha, b + 1 / alpha)):
-            found = detect_period(_states(x, y, 16))
-            pair = bcf_expand(x, y, max_terms=17)
-            assert pair.periodicity == (found.preperiod, found.period)
-
-
-def test_detect_period_not_found_on_rationals():
-    states = _states(Fraction(7, 4), Fraction(3, 2), 10)
-    result = detect_period(states)
-    assert isinstance(result, NotFound)
-    assert result.terminated
-
-
-def test_detect_period_open_prefix():
-    r = PERIOD_TWO.generator()
-    states = _states(r, 2 + 1 / r, 1)  # truncated before the first repeat
-    result = detect_period(states)
-    assert isinstance(result, NotFound)
-    assert not result.terminated
-
-
-def test_detect_period_rejects_mixed_fields():
-    t = TRIBONACCI.generator()
-    r = PERIOD_TWO.generator()
-    states = [
-        ExpansionState(t, 1 + 1 / t, 0),
-        ExpansionState(r, 2 + 1 / r, 1),
-    ]
-    with pytest.raises(MixedFields):
-        detect_period(states)
+            state, seen, found = ExpansionState(x, y, 0), {}, None
+            for i in range(17):
+                k = seen.setdefault((state.alpha, state.beta), i)
+                if k < i:
+                    found = (k, i - k)
+                    break
+                state = bcf_step(state)[2]
+            assert found is not None
+            assert bcf_expand(x, y, max_terms=17).periodicity == found
 
 
 # -- pure recovery ------------------------------------------------------------------
@@ -526,3 +474,14 @@ def test_scan_validates_arguments():
         conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], horizon=0)
     with pytest.raises(ValueError):
         conjecture_scan([(1, 0, 0, -2)], [], horizon=8)
+
+
+@pytest.mark.parametrize("family, candidate", [
+    ((1, 0, 0, -2.5), ((1, 0, 0), (1,))),
+    ((1, 0, 0, -2), ((1.5, 0, 0), (1,))),
+], ids=["float-family", "float-candidate"])
+def test_scan_rejects_non_integer_coefficients(family, candidate):
+    # int() would truncate these to x^3 - 2 and to beta = alpha^2, and the
+    # scan would report what it found for those instead.
+    with pytest.raises(TypeError, match="coefficient must be an int"):
+        conjecture_scan([family], [candidate], 8)
