@@ -243,6 +243,10 @@ def _prepare_eval(args):
 
 def _execute_eval(args, job):
     triple = convergent(job["pair"], job["n"])
+    if not triple.C:
+        raise ZeroDivisionError(
+            f"C_n = 0 at n = {triple.n}, so A/C and B/C are undefined"
+        )
     record = _convergent_record(triple, args.digits)
     beta_dec = _rounded_decimal(triple.B, triple.C, args.digits)[1]
     if args.format == "json":
@@ -458,6 +462,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser():
+    """The top-level parser and each subcommand's parser by name."""
     parser = _Parser(
         prog="bcf",
         description=(
@@ -468,8 +473,13 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    expand = sub.add_parser(
+    def add_command(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
+
+    expand = add_command(
         "expand", help="expand a pair (alpha, beta) into digit sequences"
     )
     expand.add_argument("--alpha", required=True, help="number literal")
@@ -487,7 +497,7 @@ def _build_parser():
     )
     expand.set_defaults(prepare=_prepare_expand, execute=_execute_expand)
 
-    evaluate = sub.add_parser(
+    evaluate = add_command(
         "eval", help="evaluate the n-term convergent of a digit pair"
     )
     evaluate.add_argument("--a", required=True, help="comma-separated digits")
@@ -497,7 +507,7 @@ def _build_parser():
     evaluate.add_argument("--format", choices=("json", "text"), default="json")
     evaluate.set_defaults(prepare=_prepare_eval, execute=_execute_eval)
 
-    render = sub.add_parser(
+    render = add_command(
         "render", help="render the fraction towers of a digit pair"
     )
     render.add_argument("--a", required=True)
@@ -509,7 +519,7 @@ def _build_parser():
     render.add_argument("--period", type=_positive_int, default=None)
     render.set_defaults(prepare=_prepare_render, execute=_execute_render)
 
-    check = sub.add_parser(
+    check = add_command(
         "validate", help="apply the admissibility rules to a digit pair"
     )
     check.add_argument("--a", required=True)
@@ -523,7 +533,7 @@ def _build_parser():
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.set_defaults(prepare=_prepare_validate, execute=_execute_validate)
 
-    recover = sub.add_parser(
+    recover = add_command(
         "recover", help="recover the cubic behind a periodic digit pair"
     )
     recover.add_argument("--period-a", required=True)
@@ -534,7 +544,7 @@ def _build_parser():
     recover.add_argument("--format", choices=("json", "text"), default="json")
     recover.set_defaults(prepare=_prepare_recover, execute=_execute_recover)
 
-    scan = sub.add_parser(
+    scan = add_command(
         "scan", help="scan monic cubics for eventually periodic expansions"
     )
     range_hint = "range LO:HI (write --c2=-3:1 when LO is negative)"
@@ -550,16 +560,19 @@ def _build_parser():
     scan.add_argument("--preview", type=_positive_int, default=8)
     scan.set_defaults(prepare=_prepare_scan, execute=_execute_scan)
 
-    return parser
+    return parser, commands
 
 
-_PARSER = _build_parser()
+_PARSER, _COMMANDS = _build_parser()
 
 
 def run(argv):
-    """Run one CLI invocation; returns the process exit code."""
+    """Run one CLI invocation; returns the process exit code.  An argv that
+    names a subcommand goes straight to that subcommand's parser, as the
+    top-level parser would pass it on; any other argv goes to the latter."""
+    command = _COMMANDS.get(argv[0]) if argv else None
     try:
-        args = _PARSER.parse_args(argv)
+        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)

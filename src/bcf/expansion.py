@@ -73,6 +73,13 @@ def _unify_pair(alpha, beta):
     return alpha, beta
 
 
+def _positive(alpha, beta):
+    """Whether both of a unified pair are positive, by exact signs."""
+    if isinstance(alpha, AlgebraicNumber):
+        return alpha.sign() > 0 and beta.sign() > 0
+    return alpha > 0 and beta > 0
+
+
 def _raw_state(alpha, beta):
     """(field, state) of a unified pair: a field pair becomes its primitive
     integer triple (u, v, w) with alpha = u/w, beta = v/w and w > 0, which
@@ -112,7 +119,7 @@ def _advance(field, state):
 def bcf_step(state):
     """Advance one step: returns (a_i, b_i, next state or Terminated)."""
     alpha, beta = _unify_pair(state.alpha, state.beta)
-    if state.index == 0 and (alpha <= 0 or beta <= 0):
+    if state.index == 0 and not _positive(alpha, beta):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     field, raw = _raw_state(alpha, beta)
     a_i, b_i, nxt = _advance(field, raw)
@@ -135,7 +142,7 @@ def bcf_expand(alpha, beta, max_terms=64):
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     alpha, beta = _unify_pair(alpha, beta)
-    if alpha <= 0 or beta <= 0:
+    if not _positive(alpha, beta):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
 
     field, state = _raw_state(alpha, beta)

@@ -102,11 +102,19 @@ class NumberField:
                 f"minimal polynomial must have degree 1-3, got degree {d}"
             )
         coeffs = polys.primitive(coeffs)
-        if not polys.is_irreducible(coeffs):
+        chain = polys.sturm_chain(coeffs)
+        if not polys._irreducible(chain):
             raise ReduciblePolynomial(
                 f"polynomial {coeffs} is reducible over the rationals"
             )
         lo, hi = (_as_rational(x, "root interval end") for x in root_interval)
+        self._setup(chain, lo, hi)
+
+    def _setup(self, chain, lo, hi):
+        """The set-up that __init__ and _field_on_chain share: check that
+        the interval (lo, hi) of Fractions isolates one root of chain[0],
+        counted on its Sturm chain chain, and fill the caches."""
+        coeffs = chain[0]
         if not lo < hi:
             raise EmptyInterval(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
         sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
@@ -114,7 +122,6 @@ class NumberField:
             raise RootCountNotOne(
                 "root interval endpoints must not be roots of the polynomial"
             )
-        chain = polys.sturm_chain(coeffs)
         count = polys.count_roots(chain, lo, hi)
         if count != 1:
             raise RootCountNotOne(
@@ -136,7 +143,7 @@ class NumberField:
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
-        self._lead_power = self._lead ** (d - 1)  # L in _step
+        self._lead_power = self._lead ** (len(coeffs) - 2)  # L in _step
 
     @property
     def min_poly(self):
@@ -250,6 +257,15 @@ class NumberField:
     def __repr__(self):
         lo, hi = self._root_interval
         return f"NumberField(min_poly={self._min_poly}, root_interval=({lo}, {hi}))"
+
+
+def _field_on_chain(chain, lo, hi):
+    """NumberField(chain[0], (lo, hi)) for Fractions lo, hi, built on the
+    Sturm chain of chain[0], a primitive polynomial with a positive lead
+    that the caller has already found irreducible on the same chain."""
+    field = object.__new__(NumberField)
+    field._setup(chain, lo, hi)
+    return field
 
 
 def _qir_cell(f, sign_lo, lo, hi, q, k):
@@ -382,6 +398,19 @@ def _inverse(field, x):
     num, den = x
     row, det = _adjugate_row(field, num)
     return _normalised(tuple([den * j for j in row]), det)
+
+
+def _polynomial_at(field, coeffs, x):
+    """The integer polynomial coeffs (descending) at the normalised pair x,
+    normalised, by Horner: one _multiply per step.  Adding c to num / den
+    gives (num[0] + c*den, num[1], ...) / den, whose gcd with den is still
+    1, so the sum needs no normalisation."""
+    num, den = (0,) * field.degree, 1
+    for c in coeffs:
+        if any(num):
+            num, den = _multiply(field, (num, den), x)
+        num = (num[0] + c * den,) + num[1:]
+    return num, den
 
 
 def _step(field, state, a, b):

@@ -29,7 +29,8 @@ from fractions import Fraction
 
 from . import polys
 from .errors import ParseError
-from .fields import NumberField, _as_rational, bounded_str
+from .fields import (AlgebraicNumber, NumberField, _as_ints, _as_rational,
+                     _inverse, _multiply, _normal, _polynomial_at, bounded_str)
 
 RAT_GRAMMAR = "rat:<int>[/<int>]"
 ALG_GRAMMAR = "alg:<c_d>,...,<c_0>@<lo>,<hi>"
@@ -44,14 +45,26 @@ class RatFunc:
     num: tuple
     den: tuple
 
+    def __post_init__(self):
+        # evaluate computes on integer numerators at a field element
+        for side in ("num", "den"):
+            object.__setattr__(self, side, _as_ints(getattr(self, side), side))
+
     def evaluate(self, alpha):
-        """Exact value at alpha (a Fraction or field element)."""
-        den_value = polys.evaluate(self.den, alpha)
-        if den_value == 0:
-            raise ZeroDivisionError(
-                "rational-function denominator vanishes at alpha"
-            )
-        return polys.evaluate(self.num, alpha) / den_value
+        """Exact value at alpha (a Fraction or field element).  At a field
+        element both polynomials are evaluated on normalised integer
+        (num, den) pairs and divided with one inverse."""
+        if isinstance(alpha, AlgebraicNumber):
+            field = alpha.field
+            num, den = (_polynomial_at(field, p, alpha._raw)
+                        for p in (self.num, self.den))
+            if any(den[0]):
+                return _normal(field, *_multiply(field, num, _inverse(field, den)))
+        else:
+            den = polys.evaluate(self.den, alpha)
+            if den != 0:
+                return polys.evaluate(self.num, alpha) / den
+        raise ZeroDivisionError("rational-function denominator vanishes at alpha")
 
 
 def _excerpt(text):

@@ -7,7 +7,9 @@ coefficients and compute in integers only.  Sturm chains have integer
 coefficients and are evaluated at a rational n/d through the homogeneous
 integer form.  ``rational_roots`` bisects the polynomial's own chain on the
 grid its leading coefficient fixes, and a cell with one root on the sign of
-the square-free part; ``deflate`` divides a root out exactly.
+the square-free part; ``deflate`` divides a root out exactly.  Their private
+twins ``_chain_roots``, ``_irreducible`` and ``_isolate`` take the chain
+itself, so that one chain serves every question asked of one polynomial.
 """
 
 from __future__ import annotations
@@ -185,7 +187,11 @@ def rational_roots(coeffs):
     """
     if degree(coeffs) < 1:
         return []
-    chain = sturm_chain(coeffs)
+    return _chain_roots(sturm_chain(coeffs))
+
+
+def _chain_roots(chain):
+    """rational_roots of chain[0], of degree >= 1, from its Sturm chain."""
     c = chain[0]
     lead = abs(c[0])
     # The chain ends in gcd(f, f'), a constant when f is square-free.
@@ -260,12 +266,16 @@ def is_irreducible(coeffs):
     d = degree(c)
     if d < 1 or d > 3:
         raise ValueError(f"irreducibility test supports degrees 1-3, got {d}")
-    if d == 1:
-        return True
-    if d == 2:
-        disc = c[1] * c[1] - 4 * c[0] * c[2]
-        return not is_perfect_square(disc)
-    return not rational_roots(c)
+    return _irreducible(sturm_chain(c))
+
+
+def _irreducible(chain):
+    """is_irreducible of chain[0], primitive of degree 1 to 3, from its
+    Sturm chain: the rational-root search runs on that chain."""
+    c = chain[0]
+    if len(c) == 3:
+        return not is_perfect_square(c[1] * c[1] - 4 * c[0] * c[2])
+    return len(c) == 2 or not _chain_roots(chain)
 
 
 def isolating_intervals(coeffs):
@@ -276,10 +286,15 @@ def isolating_intervals(coeffs):
     root is rational, so the polynomial (of degree >= 2, since a degree-1
     root is isolated by the starting interval) is reducible.
     """
-    c = trim(coeffs)
-    if degree(c) < 1:
+    if degree(coeffs) < 1:
         return []
-    chain = sturm_chain(c)
+    return _isolate(sturm_chain(coeffs))
+
+
+def _isolate(chain):
+    """isolating_intervals of chain[0], of degree >= 1, from its Sturm
+    chain."""
+    c = chain[0]
     bound = 1 + Fraction(max(abs(x) for x in c[1:]), abs(c[0]))
 
     def variations(x):
@@ -297,7 +312,7 @@ def isolating_intervals(coeffs):
             out.append((lo, hi))
             continue
         mid = (lo + hi) / 2
-        if _sign_at(chain[0], mid.numerator, mid.denominator) == 0:
+        if _sign_at(c, mid.numerator, mid.denominator) == 0:
             raise ReduciblePolynomial(
                 f"polynomial {c} has the rational root {mid}"
             )

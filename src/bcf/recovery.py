@@ -16,7 +16,12 @@ P = I.  Recovery extracts the relation, certifies it, isolates alpha's
 root in a convergent ball that the number field itself checks, and
 rebuilds the exact (alpha, beta) pair.  A scanner then probes cubic fields
 for periodic expansions experimentally; the period of each expansion is the
-one ``bcf_expand`` finds, when a state of its orbit recurs.
+one ``bcf_expand`` finds, when a state of its orbit recurs.  Each scanned
+polynomial gets one Sturm chain.  The rational-root search on it decides
+irreducibility first (a cubic is reducible exactly when it has a rational
+root), whatever the signs of the roots; the same chain isolates the real
+roots; a root's sign is read from its isolating interval and the sign of
+f(0), and a field is built, on that chain, for each positive root only.
 """
 
 from __future__ import annotations
@@ -32,11 +37,10 @@ from .errors import (
     DegenerateSystem,
     InvalidSequence,
     NonPositiveInput,
-    ReduciblePolynomial,
     RootCountNotOne,
 )
 from .expansion import bcf_expand
-from .fields import AlgebraicNumber, NumberField, _as_ints
+from .fields import AlgebraicNumber, NumberField, _as_ints, _field_on_chain
 from .literals import RatFunc
 from .sequences import SequencePair, as_pair
 from .treeval import convergent_sequence
@@ -90,18 +94,21 @@ def _canonical_ratfunc(num, den):
 
 
 def _strip_rational_roots(relation):
-    """Divide out every rational root, with multiplicity, leaving the
-    irrational-root factor (primitive, since each factor q*x - p is)."""
+    """(h, chain): the irrational-root factor h of the relation, primitive,
+    left once every rational root is divided out with multiplicity, and
+    h's Sturm chain, which is the relation's own when no root was found."""
     h = polys.primitive(relation)
-    for r in polys.rational_roots(h):
+    chain = polys.sturm_chain(h)
+    roots = polys._chain_roots(chain)
+    for r in roots:
         while polys.evaluate(h, r) == 0:
             h = polys.deflate(h, r)
-    return h
+    return h, polys.sturm_chain(h) if roots else chain
 
 
-def _field_in_ball(min_poly, ball_pair):
-    """The number field of min_poly whose root the convergents of ball_pair
-    approach.
+def _field_in_ball(chain, ball_pair):
+    """The number field of the irreducible chain[0], on its Sturm chain
+    chain, whose root the convergents of ball_pair approach.
 
     alpha_h sits within 144 * max(Delta_{h-2}, Delta_{h-1}, Delta_h) of the
     limit: the gap series is dominated by that monotone maximum, which
@@ -115,8 +122,8 @@ def _field_in_ball(min_poly, ball_pair):
         alphas = [t.alpha for t in convergent_sequence(ball_pair, horizon)[-4:]]
         radius = 144 * max(abs(x - y) for x, y in zip(alphas, alphas[1:]))
         try:
-            return NumberField(
-                min_poly, (alphas[-1] - radius, alphas[-1] + radius)
+            return _field_on_chain(
+                chain, alphas[-1] - radius, alphas[-1] + radius
             )
         except RootCountNotOne:
             horizon *= 2
@@ -125,22 +132,13 @@ def _field_in_ball(min_poly, ball_pair):
 def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
     if polys.degree(relation) < 1:
         raise DegenerateSystem("elimination produced a constant relation")
-    # The field's irreducibility test is the one rational-root search; the
-    # rational factors are stripped only when it finds one.
-    min_poly = polys.primitive(relation)
-    field = None
-    if polys.degree(min_poly) >= 2:
-        try:
-            field = _field_in_ball(min_poly, ball_pair)
-        except ReduciblePolynomial:
-            pass
-    if field is None:
-        min_poly = _strip_rational_roots(min_poly)
-        if polys.degree(min_poly) < 2:
-            raise DegenerateSystem(
-                "no irrational root remains after removing rational factors"
-            )
-        field = _field_in_ball(min_poly, ball_pair)
+    # Of degree <= 3 and free of rational roots, min_poly is irreducible.
+    min_poly, chain = _strip_rational_roots(relation)
+    if polys.degree(min_poly) < 2:
+        raise DegenerateSystem(
+            "no irrational root remains after removing rational factors"
+        )
+    field = _field_in_ball(chain, ball_pair)
     alpha = field.generator()
     beta = RatFunc(beta_num, beta_den).evaluate(alpha)
     return RecoveredCubic(
@@ -287,6 +285,14 @@ class ScanRecord:
     digits_preview: Optional[tuple]
 
 
+def _root_is_positive(f, lo, hi):
+    """Whether f's one root in (lo, hi) is positive, for f(0) != 0: with 0
+    inside, exactly when f has its sign at lo at 0 too."""
+    if lo < 0 < hi:
+        return polys._sign(f[-1]) == polys._sign_at(f, lo.numerator, lo.denominator)
+    return lo >= 0
+
+
 def _scan_single_poly(task):
     coeffs, candidates, horizon, preview = task
     records = []
@@ -299,16 +305,18 @@ def _scan_single_poly(task):
     if polys.degree(coeffs) != 3:
         record(STATUS_ERROR)
         return records
-    roots = []
-    try:
-        for lo, hi in polys.isolating_intervals(coeffs):
-            field = NumberField(coeffs, (lo, hi))
-            alpha = field.generator()
-            if alpha > 0:
-                roots.append(((lo, hi), alpha))
-    except ReduciblePolynomial:
+    # One chain serves the irreducibility test, the isolation and every
+    # field, which is built for positive roots only.
+    f = polys.primitive(coeffs)
+    chain = polys.sturm_chain(f)
+    if not polys._irreducible(chain):
         record(STATUS_SKIPPED_REDUCIBLE)
         return records
+    roots = [
+        ((lo, hi), _field_on_chain(chain, lo, hi).generator())
+        for lo, hi in polys._isolate(chain)
+        if _root_is_positive(f, lo, hi)
+    ]
     if not roots:
         record(STATUS_SKIPPED_NO_POSITIVE_ROOT)
         return records
@@ -363,7 +371,9 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     tasks = [
         (coeffs, candidates, horizon, preview_digits) for coeffs in family
     ]
-    workers = min(jobs or 1, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs or 1, len(tasks))
+    if workers > 1:  # only then is the CPU count asked for
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         # Imported here: only a parallel scan pays the pool's import time.
         from concurrent.futures import ProcessPoolExecutor

@@ -480,7 +480,9 @@ def test_eval_zero_denominator_is_exit_3(capsys):
     assert run(["eval", "--a", "1,0", "--b", "0,0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: Fraction(0, 0)\n"
+    assert captured.err == (
+        "error: C_n = 0 at n = 1, so A/C and B/C are undefined\n"
+    )
 
 
 def test_eval_length_mismatch(capsys):
@@ -909,3 +911,33 @@ def test_argv_fuzz_ends_in_one_line_and_a_known_code(argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+
+
+def _outcome(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _top_level_outcome(argv):
+    """_outcome(argv) with every argv parsed by the top-level parser."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_COMMANDS", {})
+        return _outcome(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["scan", "-h"], ["expand", "--help"],
+    ["no-such-command"], ["scan", "--no-such-option"], ["scan", "--c"],
+    ["eval", "--a", "1", "--b", "1", "7"], ["expand"], ["recover", "--"],
+    ["eval", "--a", "1,2", "--b", "1,0", "--n", "1"], ["-h", "scan"],
+], ids=repr)
+def test_direct_dispatch_matches_the_top_level_parser(argv):
+    assert _outcome(argv) == _top_level_outcome(argv)
+
+
+@given(argv=_argvs())
+@settings(max_examples=150, deadline=None)
+def test_argv_fuzz_direct_dispatch_matches_the_top_level_parser(argv):
+    assert _outcome(argv) == _top_level_outcome(argv), argv

@@ -1,6 +1,5 @@
 """The README stays true to the code it names."""
 
-import argparse
 import doctest
 import importlib
 import inspect
@@ -52,12 +51,8 @@ def test_readme_command_line_runs(capsys, line):
 def test_readme_flags_exist():
     # Every --flag the Command line section names is an option of some
     # subcommand, so a deleted flag cannot linger in the docs.
-    (subcommands,) = [
-        action.choices for action in cli._PARSER._actions
-        if isinstance(action, argparse._SubParsersAction)
-    ]
     options = {
-        option for parser in subcommands.values()
+        option for parser in cli._COMMANDS.values()
         for option in parser._option_string_actions
     }
     section = _section("Command line")

@@ -4,10 +4,17 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bcf import NumberField, RatFunc, fraction_str, parse_digits, parse_number
+from bcf import (
+    NumberField,
+    RatFunc,
+    fraction_str,
+    parse_digits,
+    parse_number,
+    polys,
+)
 from bcf.errors import ParseError, ReduciblePolynomial
 from bcf.literals import _parse_int
 
@@ -137,3 +144,59 @@ def test_fraction_str():
     assert fraction_str(Fraction(7, 4)) == "7/4"
     assert fraction_str(Fraction(5)) == "5/1"
     assert fraction_str(Fraction(-1, 3)) == "-1/3"
+
+
+def _generic_ratfunc(num, den, x):
+    """num(x) / den(x) by Horner through the generic field operators."""
+    den_value = polys.evaluate(den, x)
+    if den_value == 0:
+        raise ZeroDivisionError("rational-function denominator vanishes at alpha")
+    return polys.evaluate(num, x) / den_value
+
+
+@st.composite
+def _field_points(draw):
+    """(field, x, min_poly): a field of degree 1-3 and one of its elements,
+    the generator half the time."""
+    degree = draw(st.integers(1, 3))
+    rest = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
+    poly = polys.primitive((draw(st.integers(1, 3)), *rest))
+    assume(polys.is_irreducible(poly))
+    intervals = polys.isolating_intervals(poly)
+    assume(intervals)
+    field = NumberField(poly, draw(st.sampled_from(intervals)))
+    x = field.generator()
+    if draw(st.booleans()):
+        coords = draw(st.lists(st.integers(-5, 5), min_size=degree,
+                               max_size=degree))
+        x = sum((c * x**k for k, c in enumerate(coords)), field.element(0))
+        x = x / draw(st.integers(1, 6))
+    return field, x, poly
+
+
+_RATFUNC_POLY = st.lists(st.integers(-4, 4), max_size=4).map(tuple)
+
+
+@given(_field_points(), _RATFUNC_POLY, _RATFUNC_POLY, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_at_a_field_element_matches_generic_horner(point, num, den,
+                                                           pole):
+    field, x, poly = point
+    if pole:
+        den = polys.multiply(den or (1,), poly)  # vanishes at the generator
+    try:
+        expected = _generic_ratfunc(num, den, x)
+    except ZeroDivisionError as error:
+        with pytest.raises(ZeroDivisionError) as info:
+            RatFunc(num, den).evaluate(x)
+        assert str(info.value) == str(error)
+    else:
+        got = RatFunc(num, den).evaluate(x)
+        assert got.field is field and got._raw == expected._raw
+
+
+def test_ratfunc_coefficients_are_ints():
+    assert RatFunc([1, 1], [1, 0]) == RatFunc((1, 1), (1, 0))
+    for num, den in (((Fraction(1, 2),), (1,)), ((1,), (True,)), ((1,), (1.0,))):
+        with pytest.raises(TypeError, match="coefficient must be an int"):
+            RatFunc(num, den)

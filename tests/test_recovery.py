@@ -9,9 +9,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcf import (
     ExpansionState,
+    NumberField,
     SequencePair,
     bcf_expand,
     bcf_expand_rational,
@@ -23,9 +26,17 @@ from bcf import (
     transfer_matrix,
     validate,
 )
-from bcf.errors import DegenerateSystem, InvalidSequence
+from bcf.errors import (
+    BcfError,
+    DegenerateSystem,
+    InvalidSequence,
+    NonPositiveInput,
+    ReduciblePolynomial,
+)
 from bcf.recovery import (
+    ScanRecord,
     _build_result,
+    _canonical_ratfunc,
     _strip_rational_roots,
     STATUS_EXHAUSTED,
     STATUS_ERROR,
@@ -227,20 +238,33 @@ def test_recover_pure_carries_the_period_transfer_matrix():
         assert result.quartic[0] == 0
 
 
-def test_recover_builds_two_sturm_chains(monkeypatch):
-    # one in the field's irreducibility test, the one rational-root search,
-    # and one for the field's own root count; the irreducible relation is
-    # never stripped, and horizon 8 already isolates this root
+def _count_calls(monkeypatch, module, name):
+    """The argument tuples of every call to module.name."""
     calls = []
-    original = polys.sturm_chain
+    original = getattr(module, name)
 
-    def counting(coeffs):
-        calls.append(tuple(coeffs))
-        return original(coeffs)
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(polys, "sturm_chain", counting)
-    recover_cubic_eventual(((2,), (2,)), ((2, 3), (0, 0)))
-    assert len(calls) == 2
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("preperiod, period, fields", [
+    (((2,), (2,)), ((2, 3), (0, 0)), 1),
+    # horizon 8's ball holds no root, so the ball doubles once
+    (((), ()), ((1, 3), (0, 0)), 2),
+], ids=["first-ball", "second-ball"])
+def test_recover_builds_one_sturm_chain(monkeypatch, preperiod, period, fields):
+    # One chain of the irreducible relation serves the one rational-root
+    # search and the root count of every ball the field tries; the
+    # relation is never stripped.
+    chains = _count_calls(monkeypatch, polys, "sturm_chain")
+    searches = _count_calls(monkeypatch, polys, "_chain_roots")
+    counts = _count_calls(monkeypatch, polys, "count_roots")
+    recover_cubic_eventual(preperiod, period)
+    assert (len(chains), len(searches), len(counts)) == (1, 1, fields)
 
 
 def test_recover_eventual_matches_pure_on_tail():
@@ -257,14 +281,15 @@ def test_strip_rational_roots_with_multiplicity():
     relation = (-3,)
     for factor in ((1, -1), (1, -1), (2, 1), (1, 0, -2)):
         relation = polys.multiply(relation, factor)
-    assert _strip_rational_roots(relation) == (1, 0, -2)
-    assert _strip_rational_roots((2, 0, -4)) == (1, 0, -2)
+    stripped, chain = _strip_rational_roots(relation)
+    assert stripped == (1, 0, -2) and chain == polys.sturm_chain(stripped)
+    assert _strip_rational_roots((2, 0, -4))[0] == (1, 0, -2)
 
 
 def test_reducible_relation_is_stripped_after_the_field_rejects_it():
     # convergents of a 64-digit prefix close to (sqrt 2, cbrt 2) put the
-    # ball around sqrt 2: the field on (x - 1)(x^2 - 2) raises
-    # ReduciblePolynomial, and the stripped x^2 - 2 gives the field
+    # ball around sqrt 2: the rational-root search finds the root 1 of
+    # (x - 1)(x^2 - 2), and the stripped x^2 - 2 gives the field
     sqrt2 = Fraction(math.isqrt(2 * 10**120), 10**60)
     cbrt2 = Fraction(1259921049894873164767210607278, 10**30)
     pair = bcf_expand_rational(sqrt2, cbrt2, max_terms=64)
@@ -379,8 +404,8 @@ def test_scan_skips_reducible_and_rootless():
 
 def test_scan_reducible_found_by_isolation_or_field():
     records = conjecture_scan(
-        # x^3 - x: a bisection midpoint is the root 0; (x - 3)(x^2 + 1): one
-        # real root, so NumberField's own check rejects it; tribonacci
+        # x^3 - x: three rational roots; (x - 3)(x^2 + 1): one real root,
+        # and it is rational; both fail the one irreducibility test; tribonacci
         [(1, 0, -1, 0), (1, -3, 1, -3), (1, -1, -1, -1)],
         [((1, 0, 0), (1,))],
         horizon=8,
@@ -458,6 +483,94 @@ def test_scan_pool_never_outnumbers_polynomials_or_cpus(monkeypatch):
     pooled = conjecture_scan(family, betas, horizon=8, jobs=10**6)
     assert sizes == [2]
     assert pooled == conjecture_scan(family, betas, horizon=8, jobs=1)
+
+
+def test_serial_scan_never_asks_for_the_cpu_count(monkeypatch):
+    asked = _count_calls(monkeypatch, os, "cpu_count")
+    for jobs in (None, 1):
+        conjecture_scan([(1, 0, 0, -2), (1, 0, 0, -3)], [((1, 0, 0), (1,))],
+                        horizon=8, jobs=jobs)
+    assert asked == []
+
+
+def test_scan_builds_one_sturm_chain_per_polynomial(monkeypatch):
+    # reducible (x^3 - x, (x - 3)(x^2 + 1)), no positive root, one and three
+    # positive roots: one chain each, and at most one rational-root search
+    chains = _count_calls(monkeypatch, polys, "sturm_chain")
+    searches = _count_calls(monkeypatch, polys, "_chain_roots")
+    for coeffs in [(1, 0, -1, 0), (1, -3, 1, -3), (1, 0, 1, 1),
+                   (1, -1, -1, -1), (1, -6, 9, -3)]:
+        del chains[:], searches[:]
+        conjecture_scan([coeffs], [((1, 0, 0), (1,))], horizon=8)
+        assert len(chains) == 1 and len(searches) <= 1, coeffs
+
+
+def _reference_scan(coeffs, candidates, horizon, preview):
+    """conjecture_scan of one polynomial the long way: a NumberField per
+    real root, the sign of each root by the generic comparison, beta by
+    Horner through the generic field operators, then bcf_expand."""
+    def record(status, interval=None, beta_expr=None, k=None, m=None,
+               digits=None):
+        return ScanRecord(coeffs, interval, beta_expr, status, k, m, digits)
+
+    roots = []
+    try:
+        for lo, hi in polys.isolating_intervals(coeffs):
+            alpha = NumberField(coeffs, (lo, hi)).generator()
+            if alpha > 0:
+                roots.append(((lo, hi), alpha))
+    except ReduciblePolynomial:
+        return [record(STATUS_SKIPPED_REDUCIBLE)]
+    if not roots:
+        return [record(STATUS_SKIPPED_NO_POSITIVE_ROOT)]
+    records = []
+    for interval, alpha in roots:
+        for num, den in candidates:
+            beta_expr = _canonical_ratfunc(num, den)
+            try:
+                den_value = polys.evaluate(den, alpha)
+                if den_value == 0:
+                    raise ZeroDivisionError("pole")
+                beta = polys.evaluate(num, alpha) / den_value
+                if beta <= 0:
+                    raise NonPositiveInput("beta <= 0")
+                pair = bcf_expand(alpha, beta, max_terms=horizon)
+            except NonPositiveInput:
+                records.append(record(STATUS_SKIPPED_NONPOSITIVE_BETA,
+                                      interval, beta_expr))
+                continue
+            except (BcfError, ZeroDivisionError):
+                records.append(record(STATUS_ERROR, interval, beta_expr))
+                continue
+            digits = (pair.a[:preview], pair.b[:preview])
+            if pair.terminated:
+                records.append(record(STATUS_TERMINATED, interval, beta_expr,
+                                      digits=digits))
+            elif pair.periodicity is not None:
+                records.append(record(STATUS_PERIODIC, interval, beta_expr,
+                                      *pair.periodicity, digits))
+            else:
+                records.append(record(STATUS_EXHAUSTED, interval, beta_expr,
+                                      digits=digits))
+    return records
+
+
+_SCAN_POLY = st.lists(st.integers(-4, 4), min_size=3, max_size=3).flatmap(
+    lambda rest: st.integers(1, 3).map(lambda lead: (lead, *rest))
+)
+_BETA_POLY = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(tuple)
+
+
+@given(coeffs=_SCAN_POLY,
+       candidates=st.lists(st.tuples(_BETA_POLY, _BETA_POLY), min_size=1,
+                           max_size=3),
+       horizon=st.integers(1, 16), preview=st.integers(1, 8))
+@settings(max_examples=150, deadline=None)
+def test_scan_matches_the_per_root_reference(coeffs, candidates, horizon,
+                                             preview):
+    records = conjecture_scan([coeffs], candidates, horizon,
+                              preview_digits=preview)
+    assert records == _reference_scan(coeffs, candidates, horizon, preview)
 
 
 def test_cli_import_leaves_the_process_pool_unloaded():
