@@ -8,19 +8,20 @@ beta_i non-integral,
     beta_{i+1}  = (alpha_i - a_i) / (beta_i - b_i).
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
-terminal value rather than floored.  ``bcf_expand`` validates its input once,
-then loops on raw state: the primitive integer triple (u, v, w) with
-alpha = u/w and beta = v/w, stepped by ``fields._step`` (one adjugate, one
-product, one gcd) and floored from the field's cached power bounds; the
-triple is canonical, so a recurring state is found by the triple itself, and
-only the terminal becomes an element again.  ``bcf_step`` is the validated
-single-step API over the same step.  Rational inputs always
-terminate and keep Fraction arithmetic in the same loop, the independent
+terminal value rather than floored.  Each engine is one loop.  ``bcf_expand``
+validates its input once; a field pair is then held as the primitive integer
+triple (u, v, w) with alpha = u/w and beta = v/w, stepped by ``fields._step``
+(one adjugate, one product, one gcd) and floored from the field's cached
+power bounds; the triple is canonical, so a recurring state is found by the
+triple itself, and only the terminal becomes an element again.  Everything
+else steps through the public operators (``_next``): ``bcf_step`` on either
+kind of number, and ``bcf_expand`` on a rational pair, the Fraction
 reference for ``bcf_expand_rational``: an integer-only fast path with an
 optional step cap, which the CLI uses for every exact rational pair.
-``bcf_expand_box`` runs the same integer kernel on the corners of a box of
-rational pairs and keeps the digits they share, which every pair in the
-box shares too (Gosper's rule for inputs known only to an interval).
+``bcf_expand_box`` steps the corners of a box of rational pairs in
+lockstep and stops at the first pair they disagree on; the digits before
+it are shared by every pair in the box (Gosper's rule for inputs known
+only to an interval).
 """
 
 from __future__ import annotations
@@ -81,39 +82,21 @@ def _positive(alpha, beta):
 
 
 def _raw_state(alpha, beta):
-    """(field, state) of a unified pair: a field pair becomes its primitive
-    integer triple (u, v, w) with alpha = u/w, beta = v/w and w > 0, which
-    is canonical; a rational pair keeps its Fractions and has field None."""
-    if not isinstance(alpha, AlgebraicNumber):
-        return None, (alpha, beta)
+    """The primitive integer triple (u, v, w) of a field pair: alpha = u/w,
+    beta = v/w and w > 0.  It is canonical, so equal pairs give equal
+    triples."""
     (p, dp), (q, dq) = alpha._raw, beta._raw
     w = math.lcm(dp, dq)
     u, v = (tuple([c * (w // d) for c in x]) for x, d in ((p, dp), (q, dq)))
-    return alpha.field, (u, v, w)
+    return u, v, w
 
 
-def _exact_pair(field, state):
-    """The exact numbers (alpha, beta) of one raw state."""
-    if field is None:
-        return state
-    u, v, w = state
-    return _element(field, u, w), _element(field, v, w)
-
-
-def _advance(field, state):
-    """One step on raw state: (a_i, b_i, next state), with None for the
-    next state once beta is an integer."""
-    if field is None:
-        alpha, beta = state
-        b_i, a_i = floor_of(beta), floor_of(alpha)
-        last = beta.denominator == 1
-    else:
-        u, v, w = state
-        b_i, a_i = _floor(field, (v, w)), _floor(field, (u, w))
-        last = not any(v[1:]) and v[0] % w == 0
-    if last:
-        return a_i, b_i, None
-    return a_i, b_i, _step(field, state, a_i, b_i)
+def _next(alpha, beta, a, b):
+    """The pair (1 / (beta - b), (alpha - a) / (beta - b)) after digits a, b,
+    through the public operators: one inversion.  Raises ZeroDivisionError
+    when beta == b."""
+    inv = 1 / (beta - b)
+    return inv, (alpha - a) * inv
 
 
 def bcf_step(state):
@@ -121,23 +104,22 @@ def bcf_step(state):
     alpha, beta = _unify_pair(state.alpha, state.beta)
     if state.index == 0 and not _positive(alpha, beta):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-    field, raw = _raw_state(alpha, beta)
-    a_i, b_i, nxt = _advance(field, raw)
-    if nxt is None:
+    b_i, a_i = floor_of(beta), floor_of(alpha)
+    if beta == b_i:
         return a_i, b_i, Terminated(alpha)
-    alpha, beta = _exact_pair(field, nxt)
-    return a_i, b_i, ExpansionState(alpha, beta, state.index + 1)
+    return a_i, b_i, ExpansionState(*_next(alpha, beta, a_i, b_i), state.index + 1)
 
 
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    The exact orbit is tracked as it is generated, keyed on the primitive
-    integer triple of each state (every state of one run lives in one
-    field); if a state recurs before the budget is used up, the
-    remaining digits are read off the cycle and the result's periodicity
-    field records (preperiod, period).  Rational inputs terminate instead,
-    with the exact final alpha in ``terminal``.
+    A field pair is stepped as its primitive integer triple, and the exact
+    orbit is tracked as it is generated, keyed on that triple (every state
+    of one run lives in one field); if a state recurs before the budget is
+    used up, the remaining digits are read off the cycle and the result's
+    periodicity field records (preperiod, period).  Rational inputs
+    terminate instead, with the exact final alpha in ``terminal``; their
+    denominators strictly fall, so no state recurs.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
@@ -145,11 +127,23 @@ def bcf_expand(alpha, beta, max_terms=64):
     if not _positive(alpha, beta):
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
 
-    field, state = _raw_state(alpha, beta)
     a_digits = []
     b_digits = []
-    seen = {}
     terminal = None
+    if not isinstance(alpha, AlgebraicNumber):
+        for _ in range(max_terms):
+            b_i, a_i = floor_of(beta), floor_of(alpha)
+            b_digits.append(b_i)
+            if beta == b_i:
+                terminal = alpha
+                break
+            a_digits.append(a_i)
+            alpha, beta = _next(alpha, beta, a_i, b_i)
+        return SequencePair(a_digits, b_digits, terminal=terminal)
+
+    field = alpha.field
+    state = _raw_state(alpha, beta)
+    seen = {}
     periodicity = None
     for i in range(max_terms):
         k = seen.setdefault(state, i)
@@ -161,13 +155,14 @@ def bcf_expand(alpha, beta, max_terms=64):
                 a_digits.append(a_digits[idx])
                 b_digits.append(b_digits[idx])
             break
-        a_i, b_i, nxt = _advance(field, state)
+        u, v, w = state
+        b_i, a_i = _floor(field, (v, w)), _floor(field, (u, w))
         b_digits.append(b_i)
-        if nxt is None:
-            terminal = _exact_pair(field, state)[0]
+        if not any(v[1:]) and v[0] % w == 0:
+            terminal = _element(field, u, w)
             break
         a_digits.append(a_i)
-        state = nxt
+        state = _step(field, state, a_i, b_i)
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 
 
@@ -222,14 +217,15 @@ def bcf_expand_box(alpha, beta, max_terms=64):
     Each of alpha and beta is an exact rational (a point) or a closed
     interval (lo, hi) of rationals with lo < hi.  A pure point gives
     ``bcf_expand_rational(alpha, beta, max_terms)``, terminal included.
-    Otherwise the rational kernel runs on each distinct corner of the box,
-    and the result is the longest common prefix of the corners' (a_i, b_i)
-    pairs, open: fewer than ``max_terms`` digits means the box split.
+    Otherwise the integer triple recurrence steps each distinct corner of
+    the box in lockstep, and the result is the corners' (a_i, b_i) pairs up
+    to the first index where they differ or some corner's beta is
+    integral, open: fewer than ``max_terms`` digits means the box split.
 
     Why every point of the box shares that prefix: after a shared prefix,
     (alpha_i, beta_i, 1) is the image of (alpha, beta, 1) under one
     unimodular projective map.  Its denominator is positive at every
-    corner (the kernel's w_i), so it is positive on the whole box, and the
+    corner (the corner's w_i), so it is positive on the whole box, and the
     image of the box is the convex hull of the corner images.  So a floor
     the corners share is shared by every point in the box, and a corner
     whose beta becomes integral ends the prefix.
@@ -240,11 +236,14 @@ def bcf_expand_box(alpha, beta, max_terms=64):
     if len(alphas) == len(betas) == 1:
         return bcf_expand_rational(alpha, beta, max_terms)
     corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
-    runs = [rational_digits(*corner, max_terms) for corner in corners]
-    shared = 0
-    for column in zip(*(zip(a, b) for a, b, _ in runs)):
-        if len(set(column)) > 1:
+    a_digits = []
+    b_digits = []
+    while len(b_digits) < max_terms:
+        floors = {(u // w, v // w) for u, v, w in corners}
+        if len(floors) > 1 or any(v % w == 0 for _, v, w in corners):
             break
-        shared += 1
-    a, b, _ = runs[0]
-    return SequencePair(a[:shared], b[:shared])
+        ((a_i, b_i),) = floors
+        a_digits.append(a_i)
+        b_digits.append(b_i)
+        corners = [(w, u - a_i * w, v - b_i * w) for u, v, w in corners]
+    return SequencePair(a_digits, b_digits)

@@ -416,17 +416,12 @@ def _polynomial_at(field, coeffs, x):
 def _step(field, state, a, b):
     """The state (1 / (beta - b), (alpha - a) / (beta - b)) after digits a, b.
 
-    With a field, state is the primitive integer triple (u, v, w) with
+    The state is the primitive integer triple (u, v, w) of a field pair,
     alpha = u / w, beta = v / w and w > 0.  With s = v - b*w, r = u - a*w,
     1 / s = J / N and L = lead^(d-1), the next triple is (w*L*J, L*r*J, N*L)
     over its one gcd: one adjugate, one convolution, one normalisation.
-    With field None, state is a pair of Fractions.  Raises ZeroDivisionError
-    when beta == b.
+    Raises ZeroDivisionError when beta == b.
     """
-    if field is None:
-        alpha, beta = state
-        inv = 1 / (beta - b)
-        return inv, (alpha - a) * inv
     u, v, w = state
     row, det = _adjugate_row(field, (v[0] - b * w,) + v[1:])
     lead_power = field._lead_power

@@ -293,31 +293,30 @@ def isolating_intervals(coeffs):
 
 def _isolate(chain):
     """isolating_intervals of chain[0], of degree >= 1, from its Sturm
-    chain."""
+    chain.  Each cell's ends are integers over one denominator |lead| * 2**e,
+    as in _chain_roots; only the returned intervals become Fractions."""
     c = chain[0]
-    bound = 1 + Fraction(max(abs(x) for x in c[1:]), abs(c[0]))
-
-    def variations(x):
-        return _sign_variations(chain, x.numerator, x.denominator)
-
+    lead = abs(c[0])
+    bound = lead + max(abs(x) for x in c[1:])  # 1 + max|c_i| / lead, over lead
     out = []
-    # (lo, hi, variations at lo, variations at hi)
-    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    # (lo, hi, den, variations at lo / den, variations at hi / den)
+    stack = [(-bound, bound, lead, _sign_variations(chain, -bound, lead),
+              _sign_variations(chain, bound, lead))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
+        lo, hi, den, v_lo, v_hi = stack.pop()
         n = v_lo - v_hi
         if n == 0:
             continue
         if n == 1:
-            out.append((lo, hi))
+            out.append((Fraction(lo, den), Fraction(hi, den)))
             continue
-        mid = (lo + hi) / 2
-        if _sign_at(c, mid.numerator, mid.denominator) == 0:
+        mid, den = lo + hi, 2 * den
+        if _sign_at(c, mid, den) == 0:
             raise ReduciblePolynomial(
-                f"polynomial {c} has the rational root {mid}"
+                f"polynomial {c} has the rational root {Fraction(mid, den)}"
             )
-        v_mid = variations(mid)
-        stack.append((lo, mid, v_lo, v_mid))
-        stack.append((mid, hi, v_mid, v_hi))
+        v_mid = _sign_variations(chain, mid, den)
+        stack.append((2 * lo, mid, den, v_lo, v_mid))
+        stack.append((mid, 2 * hi, den, v_mid, v_hi))
     out.sort()
     return out

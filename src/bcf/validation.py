@@ -4,7 +4,8 @@ A digit pair can only arise from an expansion when, at every index i >= 1,
 a_i >= 1 and a_i >= b_i, and whenever a_i = b_i the following b-digit is
 nonzero.  ``validate`` applies those rules to a stored pair.  The
 representation checks take an exact pair (alpha, beta) plus candidate
-digits, advance the recurrence with the *given* digits, and test the
+digits, advance the recurrence with the *given* digits through the public
+operators (``expansion._next``, one inversion per step), and test the
 defining inequalities (proper) or the floor conditions (appropriate)
 along the way.
 """
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import IndexOutOfRange
-from .expansion import _exact_pair, _raw_state, _unify_pair
-from .fields import _step, floor_of
+from .expansion import _next, _unify_pair
+from .fields import floor_of
 from .sequences import as_pair
 
 RULE_A_BELOW_ONE = "a_below_one"
@@ -86,10 +87,9 @@ def _tail_states(alpha, beta, pair, n):
     if n < 0:
         raise IndexOutOfRange(f"n must be nonnegative, got {n}")
     yield 0, alpha, beta
-    field, state = _raw_state(alpha, beta)
     for i in range(n):
-        state = _step(field, state, pair.digit_a(i), pair.digit_b(i))
-        yield i + 1, *_exact_pair(field, state)
+        alpha, beta = _next(alpha, beta, pair.digit_a(i), pair.digit_b(i))
+        yield i + 1, alpha, beta
 
 
 def check_proper(alpha, beta, seqs, n):

@@ -378,6 +378,42 @@ def test_public_step_reproduces_expand():
         bcf_step(ExpansionState(t, MOORE.generator(), 0))
 
 
+def _step_through(alpha, beta, terms):
+    """(a, b, terminal) from iterating bcf_step up to terms times."""
+    state, a, b = ExpansionState(alpha, beta, 0), [], []
+    for _ in range(terms):
+        a_i, b_i, state = bcf_step(state)
+        b.append(b_i)
+        if isinstance(state, Terminated):
+            return tuple(a), tuple(b), state.terminal
+        a.append(a_i)
+    return tuple(a), tuple(b), None
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_public_step_on_rationals_reproduces_fast_path(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    alpha, beta = random_rational_pair(rng, max_den=10**6)
+    pair = bcf_expand_rational(alpha, beta)
+    a, b, terminal = _step_through(alpha, beta, len(pair.b))
+    assert (a, b) == (pair.a, pair.b)
+    assert type(terminal) is Fraction and terminal == pair.terminal
+
+
+def test_public_step_on_field_pair_reproduces_terminal():
+    # The pair of test_field_terminal_after_steps: beta turns integral in
+    # the field after two steps, and bcf_step says so on an element.
+    t = NumberField((1, -1, -1, -1), (1, 2)).generator()
+    z = (t * t + 1) / 3
+    a1, b1 = 2 + 1 / z, 1 + 1 / z
+    alpha, beta = 3 + b1 / a1, 1 + 1 / a1
+    pair = bcf_expand(alpha, beta)
+    a, b, terminal = _step_through(alpha, beta, 64)
+    assert (a, b) == (pair.a, pair.b) == ((3, 2), (1, 1, 1))
+    assert isinstance(terminal, AlgebraicNumber) and terminal == pair.terminal == z
+
+
 # -- recurrence detection on raw states ---------------------------------------------
 
 
@@ -459,6 +495,65 @@ def test_box_prefix_holds_at_every_point(data):
         exact = bcf_expand_rational(*point, max_terms=40)
         assert (exact.a[:n], exact.b[:n]) == (box.a, box.b)
         assert len(exact.a) >= n
+
+
+def _longest_common_prefix(corners, max_terms):
+    """The (a_i, b_i) pairs that every corner's own expansion shares; a
+    corner's pairs end where its beta turns integral."""
+    runs = []
+    for corner in corners:
+        exact = bcf_expand_rational(*corner, max_terms=max_terms)
+        runs.append(list(zip(exact.a, exact.b)))
+    n = 0
+    while all(n < len(run) for run in runs) and len({run[n] for run in runs}) == 1:
+        n += 1
+    return runs[0][:n]
+
+
+# Box ends per kind: (numerator range, denominator range, 1 / width range).
+_BOX_KINDS = {
+    "split": ((1, 10**4), (1, 10**3), (1, 10**3)),
+    "narrow": ((10**40, 10**42), (10**40, 10**41), (10**80, 10**90)),
+    "short corner": ((1, 200), (1, 20), (10**40, 10**50)),
+}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_box_prefix_is_the_longest(data):
+    # Boxes that split early, boxes that agree up to max_terms, and boxes
+    # with a low-height end, whose corner there terminates mid-run.
+    draw = data.draw
+    max_terms = draw(st.integers(1, 30))
+    nums, dens, widths = _BOX_KINDS[draw(st.sampled_from(sorted(_BOX_KINDS)))]
+    sides = []
+    for _ in range(2):
+        lo = Fraction(draw(st.integers(*nums)), draw(st.integers(*dens)))
+        if draw(st.integers(0, 4)) == 0:
+            sides.append(lo)  # a point side: a box of two corners
+        else:
+            sides.append((lo, lo + Fraction(1, draw(st.integers(*widths)))))
+    assume(any(isinstance(side, tuple) for side in sides))
+    alphas, betas = ((x if isinstance(x, tuple) else (x,)) for x in sides)
+    corners = [(x, y) for x in alphas for y in betas]
+    box = bcf_expand_box(*sides, max_terms=max_terms)
+    prefix = _longest_common_prefix(corners, max_terms)
+    assert list(zip(box.a, box.b)) == prefix
+    assert len(box.a) == len(box.b)
+    assert box.terminal is None and box.periodicity is None
+
+
+def test_box_prefix_stops_at_an_integral_corner():
+    tiny = Fraction(1, 10**30)
+    alpha, beta = Fraction(7, 5), Fraction(3, 2)
+    # The corner beta = 2 terminates at index 0, with the other corners'
+    # floors: nothing is certified.
+    box = bcf_expand_box((alpha, alpha + tiny), (Fraction(2), 2 + tiny))
+    assert (box.a, box.b) == ((), ())
+    # The corner (7/5, 3/2) terminates after the pairs (1, 1), (2, 0),
+    # which the other corners share.
+    box = bcf_expand_box((alpha - tiny, alpha), (beta - tiny, beta))
+    assert (box.a, box.b) == ((1, 2), (1, 0))
 
 
 def test_box_of_points_is_rational_expansion():

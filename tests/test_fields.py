@@ -34,8 +34,8 @@ from bcf.errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from bcf.expansion import _exact_pair, _raw_state
-from bcf.fields import _step
+from bcf.expansion import _raw_state
+from bcf.fields import _element, _step
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
@@ -379,15 +379,14 @@ def test_step_matches_public_operators(data):
     beta = AlgebraicNumber(field, data.draw(coords))
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
     assume(beta != b)
-    _, state = _raw_state(alpha, beta)
-    u, v, w = _step(field, state, a, b)
+    u, v, w = _step(field, _raw_state(alpha, beta), a, b)
     assert len(u) == len(v) == d
     assert w > 0 and math.gcd(w, *u, *v) == 1
-    x, y = _exact_pair(field, (u, v, w))
+    x, y = _element(field, u, w), _element(field, v, w)
     assert x == 1 / (beta - b)
     assert y == (alpha - a) / (beta - b)
     # The triple is canonical: the elements map back to the same triple.
-    assert _raw_state(x, y) == (field, (u, v, w))
+    assert _raw_state(x, y) == (u, v, w)
 
 
 @given(data=st.data())

@@ -118,6 +118,56 @@ def test_isolating_intervals_random_cubics(degree, data):
         assert polys.count_roots(chain, lo, hi) == 1
 
 
+def _fraction_isolate(coeffs):
+    """isolating_intervals by bisection on Fraction endpoints, the
+    reference for the integer bisection: same start, same cell order."""
+    chain = polys.sturm_chain(coeffs)
+    c = chain[0]
+    bound = 1 + Fraction(max(abs(x) for x in c[1:]), abs(c[0]))
+
+    def variations(x):
+        return polys._sign_variations(chain, x.numerator, x.denominator)
+
+    out = []
+    stack = [(-bound, bound, variations(-bound), variations(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        n = v_lo - v_hi
+        if n == 1:
+            out.append((lo, hi))
+        elif n > 1:
+            mid = (lo + hi) / 2
+            if polys._sign_at(c, mid.numerator, mid.denominator) == 0:
+                raise ReduciblePolynomial(
+                    f"polynomial {c} has the rational root {mid}"
+                )
+            v_mid = variations(mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
+    return sorted(out)
+
+
+@given(
+    st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+    st.integers(-12, 12).filter(bool),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_bisection_matches_fraction_bisection(tail, lead):
+    # Random integer polynomials of degree 1 to 3, reducible ones included:
+    # equal interval lists, or the same error for a root at a midpoint.
+    poly = (lead, *tail)
+    try:
+        expected = _fraction_isolate(poly)
+    except ReduciblePolynomial as exc:
+        with pytest.raises(ReduciblePolynomial) as raised:
+            polys.isolating_intervals(poly)
+        assert str(raised.value) == str(exc)
+    else:
+        got = polys.isolating_intervals(poly)
+        assert got == expected
+        assert all(type(x) is Fraction for pair in got for x in pair)
+
+
 BIG = 2**70  # past 2**64, so no coefficient fits a machine word
 
 
