@@ -102,14 +102,13 @@ _nonnegative_int = _int_at_least(0)
 
 
 def _exact_str(value):
-    """Render an exact number as text: rationals as p/q."""
+    """Render an exact number, a Fraction or a field element, as text:
+    rationals as p/q."""
     if isinstance(value, Fraction):
         return fraction_str(value)
-    if isinstance(value, AlgebraicNumber):
-        if value.is_rational():
-            return fraction_str(value.as_fraction())
-        return bounded_str(value, repr)
-    return str(value)
+    if value.is_rational():
+        return fraction_str(value.as_fraction())
+    return bounded_str(value, repr)
 
 
 def _ratio_text(num, den, num_text, den_text):

@@ -11,9 +11,10 @@ convolution reduced modulo f, and the adjugate of the integer multiplication
 matrix.  The expansion step ``_step`` applies both to a pair held as one
 primitive integer triple (u, v, w), alpha = u/w and beta = v/w, and
 normalises the next triple once.  All predicates (sign, floor, comparisons)
-are decided exactly: rational elements directly, irrational ones by
-refining the isolating interval, held as integers over one denominator,
-until the answer is certified.
+are decided exactly: rational elements directly, irrational ones through
+one refinement loop, ``_floor``, which narrows the isolating interval, held
+as integers over one denominator, until both bounds share a floor.  An
+irrational element is never 0, so its floor decides its sign too.
 """
 
 from __future__ import annotations
@@ -578,10 +579,16 @@ class AlgebraicNumber:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if isinstance(other, AlgebraicNumber):
+            return self._coerce(other) * self.inverse()
+        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return other * self.inverse()
+        # A rational numerator scales the adjugate row: no product needed.
+        row, det = _adjugate_row(self._field, self._num)
+        scale = other.numerator * self._den
+        return _element(
+            self._field, tuple([scale * j for j in row]), other.denominator * det
+        )
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -616,14 +623,8 @@ class AlgebraicNumber:
         if self.is_rational():
             return polys._sign(self._num[0])
         # Irrational (a nonconstant element of a minimal field is never
-        # rational), hence nonzero: refinement must eventually decide.
-        while True:
-            lo, hi, _ = _bounds(self._field, self._raw)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self._field.refine()
+        # rational), hence nonzero: its floor decides the sign.
+        return 1 if _floor(self._field, self._raw) >= 0 else -1
 
     def floor(self):
         """Exact floor as a Python int."""
@@ -755,8 +756,6 @@ def _as_ints(values, what):
 
 def floor_of(x):
     """Exact floor of an int, Fraction, or AlgebraicNumber."""
-    if isinstance(x, AlgebraicNumber):
-        return x.floor()
     return math.floor(x)
 
 

@@ -83,10 +83,7 @@ def multiply(f, g):
 
 def content(coeffs):
     """Nonnegative gcd of the integer coefficients (0 for zero polynomial)."""
-    g = 0
-    for c in coeffs:
-        g = math.gcd(g, abs(c))
-    return g
+    return math.gcd(*coeffs)
 
 
 def primitive(coeffs):

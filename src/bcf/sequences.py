@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .errors import IndexOutOfRange, InvalidSequence
 from .fields import _as_exact
 
@@ -28,6 +30,7 @@ def as_pair(value):
     return SequencePair(a, b)
 
 
+@dataclass(frozen=True, slots=True)
 class SequencePair:
     """Two aligned integer digit sequences, optionally terminated or periodic.
 
@@ -39,11 +42,15 @@ class SequencePair:
     stored digits then wraps through the cycle.
     """
 
-    __slots__ = ("_a", "_b", "_terminal", "_periodicity")
+    a: tuple
+    b: tuple
+    terminal: object = None
+    periodicity: tuple = None
 
-    def __init__(self, a, b, terminal=None, periodicity=None):
-        a = _check_digits("a", a)
-        b = _check_digits("b", b)
+    def __post_init__(self):
+        a = _check_digits("a", self.a)
+        b = _check_digits("b", self.b)
+        terminal, periodicity = self.terminal, self.periodicity
         if terminal is not None and periodicity is not None:
             raise InvalidSequence(
                 "a terminated pair cannot also be marked periodic"
@@ -54,7 +61,7 @@ class SequencePair:
                     f"terminated pair needs len(b) == len(a) + 1, "
                     f"got len(a)={len(a)}, len(b)={len(b)}"
                 )
-            terminal = _as_exact(terminal, "terminal")
+            object.__setattr__(self, "terminal", _as_exact(terminal, "terminal"))
         else:
             if len(b) != len(a):
                 raise InvalidSequence(
@@ -75,47 +82,29 @@ class SequencePair:
                     f"periodicity ({k}, {m}) needs at least {k + m} stored "
                     f"digits, have {len(a)}"
                 )
-            periodicity = (k, m)
-        self._a = a
-        self._b = b
-        self._terminal = terminal
-        self._periodicity = periodicity
-
-    @property
-    def a(self):
-        return self._a
-
-    @property
-    def b(self):
-        return self._b
-
-    @property
-    def terminal(self):
-        return self._terminal
-
-    @property
-    def periodicity(self):
-        return self._periodicity
+            object.__setattr__(self, "periodicity", (k, m))
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @property
     def terminated(self):
-        return self._terminal is not None
+        return self.terminal is not None
 
     @property
     def preperiod(self):
-        return None if self._periodicity is None else self._periodicity[0]
+        return None if self.periodicity is None else self.periodicity[0]
 
     @property
     def period(self):
-        return None if self._periodicity is None else self._periodicity[1]
+        return None if self.periodicity is None else self.periodicity[1]
 
     def _extended(self, name, digits, i):
         if i < 0:
             raise IndexOutOfRange(f"digit index must be nonnegative, got {i}")
         if i < len(digits):
             return digits[i]
-        if self._periodicity is not None:
-            k, m = self._periodicity
+        if self.periodicity is not None:
+            k, m = self.periodicity
             return digits[k + (i - k) % m]
         raise IndexOutOfRange(
             f"{name}[{i}] is beyond the {len(digits)} stored digits"
@@ -123,29 +112,16 @@ class SequencePair:
 
     def digit_a(self, i):
         """a[i], following the periodic extension when one is declared."""
-        return self._extended("a", self._a, i)
+        return self._extended("a", self.a, i)
 
     def digit_b(self, i):
         """b[i], following the periodic extension when one is declared."""
-        return self._extended("b", self._b, i)
-
-    def __eq__(self, other):
-        if not isinstance(other, SequencePair):
-            return NotImplemented
-        return (
-            self._a == other._a
-            and self._b == other._b
-            and self._terminal == other._terminal
-            and self._periodicity == other._periodicity
-        )
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._terminal, self._periodicity))
+        return self._extended("b", self.b, i)
 
     def __repr__(self):
-        parts = [f"a={list(self._a)}", f"b={list(self._b)}"]
-        if self._terminal is not None:
-            parts.append(f"terminal={self._terminal!r}")
-        if self._periodicity is not None:
-            parts.append(f"periodicity={self._periodicity}")
+        parts = [f"a={list(self.a)}", f"b={list(self.b)}"]
+        if self.terminal is not None:
+            parts.append(f"terminal={self.terminal!r}")
+        if self.periodicity is not None:
+            parts.append(f"periodicity={self.periodicity}")
         return f"SequencePair({', '.join(parts)})"

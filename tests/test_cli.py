@@ -95,6 +95,20 @@ def test_expand_text_shows_terminal(capsys):
     assert "terminated: true" in out
 
 
+@pytest.mark.parametrize("beta", ["rat:1/2", "rat:7/5"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_degree_one_alg_literal_prints_as_its_rational(capsys, beta, fmt):
+    outputs = []
+    for alpha in ("alg:2,-3@1,2", "rat:3/2"):
+        code = run(["expand", "--alpha", alpha, "--beta", beta, "--format", fmt])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    if fmt == "text":
+        assert "terminal: " in outputs[0]
+
+
 # The first 30-digit pair of the benchmark's digits_recover catalogue.
 ALPHA_30 = "rat:713722173205991698923043325531/865535494447169240923082592683"
 BETA_30 = "rat:381433033348889187677694374246/328022014863927355196443824330"

@@ -26,7 +26,7 @@ from bcf import (
     rational_expansion_trace,
     tree_sum,
 )
-from bcf import polys
+from bcf import fields, polys
 from bcf.errors import (
     DegreeOutOfRange,
     FieldMismatch,
@@ -369,6 +369,47 @@ def test_arithmetic_matches_fraction_reference(data):
     assert hash((x + y) - y) == hash(x)
 
 
+def test_rational_over_element_takes_no_product(monkeypatch):
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    x = t * t + t - 1
+    inverse = x.inverse()
+    count = [0]
+    convolve = fields._convolve
+
+    def counted_convolve(field, p, q):
+        count[0] += 1
+        return convolve(field, p, q)
+
+    monkeypatch.setattr(fields, "_convolve", counted_convolve)
+    one_over = 1 / x
+    three_sevenths_over = Fraction(3, 7) / x
+    assert count[0] == 0
+    monkeypatch.undo()
+    assert one_over == inverse
+    assert_normalised(one_over)
+    assert three_sevenths_over == Fraction(3, 7) * inverse
+    assert 0 / x == 0
+    assert x / x == 1 and t / x == t * inverse
+    with pytest.raises(ZeroDivisionError):
+        1 / (x - x)
+    with pytest.raises(TypeError):
+        True / x
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_over_element_is_times_the_inverse(data):
+    field = data.draw(small_fields())
+    d = field.degree
+    xc = data.draw(st.lists(COORD, min_size=d, max_size=d).map(tuple))
+    assume(any(xc))
+    x = AlgebraicNumber(field, xc)
+    q = data.draw(st.one_of(st.integers(-10**6, 10**6), COORD))
+    got = q / x
+    assert got == q * x.inverse()
+    assert_normalised(got)
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_step_matches_public_operators(data):
@@ -496,6 +537,48 @@ def cubic_fields(draw):
     poly = polys.primitive((lead, *rest))
     assume(polys.degree(poly) == 3 and polys.is_irreducible(poly))
     return NumberField(poly, draw(st.sampled_from(polys.isolating_intervals(poly))))
+
+
+def _loop_sign(x):
+    """The sign by the loop that decided it before the floor did: refine
+    until the value's bounds exclude 0."""
+    if x.is_rational():
+        value = x.as_fraction()
+        return (value > 0) - (value < 0)
+    while True:
+        lo, hi = x.value_interval()
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        x.field.refine()
+
+
+@given(
+    cubic_fields(),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+    st.integers(1, 9),
+    st.integers(-3, 3),
+    st.integers(0, 60),
+)
+@settings(max_examples=120, deadline=None)
+def test_sign_matches_the_bounds_loop(field, coords, den, k, bits):
+    t = field.generator()
+    x = AlgebraicNumber(field, [Fraction(c, den) for c in coords])
+    # k + (theta - r), r a 2**-bits approximation of theta: just below or
+    # just above the integer k.
+    field.refine(bits)
+    lo, hi = field.interval()
+    near = k + (t - (lo + hi) / 2)
+    for value in (x, near):
+        n = math.floor(value)
+        for m in (n - 1, n, n + 1, k):
+            shifted = value - m
+            want = _loop_sign(shifted)
+            assert shifted.sign() == want
+            assert (value < m) == (want < 0)
+            assert (value > m) == (want > 0)
+        assert value.sign() == _loop_sign(value)
 
 
 @given(cubic_fields(), st.lists(st.integers(1, 80), min_size=1, max_size=8))

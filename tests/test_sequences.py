@@ -132,3 +132,50 @@ def test_tuple_construction_helper():
     pair = as_pair(((1, 2), (1, 0)))
     assert isinstance(pair, SequencePair)
     assert as_pair(pair) is pair
+
+
+def test_repr_of_terminated_and_periodic_pairs():
+    terminated = SequencePair([1, 2], [1, 1, 0], terminal=Fraction(3, 2))
+    assert repr(terminated) == (
+        "SequencePair(a=[1, 2], b=[1, 1, 0], terminal=Fraction(3, 2))"
+    )
+    periodic = SequencePair((9, 2, 3), (9, 0, 0), periodicity=[1, 2])
+    assert repr(periodic) == (
+        "SequencePair(a=[9, 2, 3], b=[9, 0, 0], periodicity=(1, 2))"
+    )
+    assert repr(SequencePair((), ())) == "SequencePair(a=[], b=[])"
+
+
+def test_pair_is_immutable():
+    pair = SequencePair((1, 2), (1, 0))
+    for name, value in (("a", (3,)), ("b", (0,)), ("terminal", 1),
+                        ("periodicity", (0, 1))):
+        with pytest.raises(AttributeError):
+            setattr(pair, name, value)
+    assert pair.a == (1, 2) and pair.b == (1, 0)
+
+
+@pytest.mark.parametrize("pair", [
+    SequencePair((1, 2), (1, 0)),
+    SequencePair((1, 2), (1, 1, 0), terminal=Fraction(5, 3)),
+    SequencePair((9, 2, 3), (9, 0, 0), periodicity=(1, 2)),
+])
+def test_pickle_and_deepcopy_round_trip(pair):
+    import copy
+    import pickle
+
+    for clone in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
+        assert clone == pair and hash(clone) == hash(pair)
+        assert repr(clone) == repr(pair)
+
+
+def test_list_and_tuple_inputs_build_equal_pairs():
+    from_lists = SequencePair([9, 2, 3], [9, 0, 0], periodicity=[1, 2])
+    from_tuples = SequencePair((9, 2, 3), (9, 0, 0), periodicity=(1, 2))
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert type(from_lists.a) is tuple and type(from_lists.b) is tuple
+    assert type(from_lists.periodicity) is tuple
+    assert from_lists.periodicity == (1, 2)
+    terminated = SequencePair([1], [1, 0], terminal=2)
+    assert terminated == SequencePair((1,), (1, 0), terminal=Fraction(2))
+    assert type(terminated.terminal) is Fraction
