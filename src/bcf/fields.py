@@ -579,16 +579,10 @@ class AlgebraicNumber:
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        if isinstance(other, AlgebraicNumber):
-            return self._coerce(other) * self.inverse()
-        if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        # A rational numerator scales the adjugate row: no product needed.
-        row, det = _adjugate_row(self._field, self._num)
-        scale = other.numerator * self._den
-        return _element(
-            self._field, tuple([scale * j for j in row]), other.denominator * det
-        )
+        return other * self.inverse()
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):

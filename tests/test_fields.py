@@ -26,7 +26,7 @@ from bcf import (
     rational_expansion_trace,
     tree_sum,
 )
-from bcf import fields, polys
+from bcf import polys
 from bcf.errors import (
     DegreeOutOfRange,
     FieldMismatch,
@@ -367,47 +367,6 @@ def test_arithmetic_matches_fraction_reference(data):
     assert_normalised(x)
     assert (x * y) * x == x * (y * x)
     assert hash((x + y) - y) == hash(x)
-
-
-def test_rational_over_element_takes_no_product(monkeypatch):
-    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
-    x = t * t + t - 1
-    inverse = x.inverse()
-    count = [0]
-    convolve = fields._convolve
-
-    def counted_convolve(field, p, q):
-        count[0] += 1
-        return convolve(field, p, q)
-
-    monkeypatch.setattr(fields, "_convolve", counted_convolve)
-    one_over = 1 / x
-    three_sevenths_over = Fraction(3, 7) / x
-    assert count[0] == 0
-    monkeypatch.undo()
-    assert one_over == inverse
-    assert_normalised(one_over)
-    assert three_sevenths_over == Fraction(3, 7) * inverse
-    assert 0 / x == 0
-    assert x / x == 1 and t / x == t * inverse
-    with pytest.raises(ZeroDivisionError):
-        1 / (x - x)
-    with pytest.raises(TypeError):
-        True / x
-
-
-@given(data=st.data())
-@settings(max_examples=100, deadline=None)
-def test_rational_over_element_is_times_the_inverse(data):
-    field = data.draw(small_fields())
-    d = field.degree
-    xc = data.draw(st.lists(COORD, min_size=d, max_size=d).map(tuple))
-    assume(any(xc))
-    x = AlgebraicNumber(field, xc)
-    q = data.draw(st.one_of(st.integers(-10**6, 10**6), COORD))
-    got = q / x
-    assert got == q * x.inverse()
-    assert_normalised(got)
 
 
 @given(data=st.data())

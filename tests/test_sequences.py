@@ -155,6 +155,17 @@ def test_pair_is_immutable():
     assert pair.a == (1, 2) and pair.b == (1, 0)
 
 
+def test_non_field_assignment_is_a_type_error():
+    # The hand-written slots class raised AttributeError here.  The
+    # __setattr__ that dataclasses generates for a frozen slots class calls
+    # super() on the class that slots=True replaced, so it raises TypeError;
+    # this test fails once CPython raises AttributeError again.
+    pair = SequencePair((1, 2), (1, 0))
+    with pytest.raises(TypeError, match=r"super\(type, obj\)"):
+        pair.other = 0
+    assert not hasattr(pair, "other")
+
+
 @pytest.mark.parametrize("pair", [
     SequencePair((1, 2), (1, 0)),
     SequencePair((1, 2), (1, 1, 0), terminal=Fraction(5, 3)),

@@ -183,24 +183,6 @@ def test_one_inversion_per_tail_step(monkeypatch):
     assert count[0] == 80
 
 
-def test_one_product_per_tail_step(monkeypatch):
-    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
-    beta = t * t + t
-    pair = bcf_expand(t, beta, max_terms=41)
-    count = [0]
-    convolve = fields._convolve
-
-    def counted_convolve(field, p, q):
-        count[0] += 1
-        return convolve(field, p, q)
-
-    monkeypatch.setattr(fields, "_convolve", counted_convolve)
-    # 1 / (beta - b) scales the adjugate row; only (alpha - a) * inv is a
-    # product.
-    assert check_proper(t, beta, pair, 40)
-    assert count[0] == 40
-
-
 def test_tail_index_errors():
     with pytest.raises(IndexOutOfRange):
         check_proper(Fraction(3, 2), Fraction(3, 2), ((1,), (1,)), 2)
