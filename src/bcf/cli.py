@@ -47,7 +47,7 @@ from .literals import (
 )
 from .recovery import conjecture_scan, recover_cubic_eventual
 from .sequences import SequencePair
-from .treeval import convergent, render_tree
+from .treeval import convergent_matrix, render_tree
 from .validation import validate
 
 _INPUT_ERRORS = (
@@ -241,7 +241,7 @@ def _prepare_eval(args):
 
 
 def _execute_eval(args, job):
-    triple = convergent(job["pair"], job["n"])
+    triple = convergent_matrix(job["pair"], job["n"])
     if not triple.C:
         raise ZeroDivisionError(
             f"C_n = 0 at n = {triple.n}, so A/C and B/C are undefined"

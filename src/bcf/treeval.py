@@ -4,16 +4,19 @@ A sequence pair encodes two intertwined towers of fractions (the alpha tree
 and the beta tree).  Truncating both at depth n and collapsing yields the
 n-term convergents alpha_n = A_n/C_n and beta_n = B_n/C_n, where A, B, C
 are integer triple-recurrence sequences.  This module computes those
-convergents by three independent routes (forward recurrence, backward
-recurrence, matrix products), the determinant invariant tying them
-together, exact convergence diagnostics, and text renderings of the trees.
+convergents by three independent routes (a streamed forward recurrence, a
+backward recurrence, and digit-matrix products multiplied in blocks on a
+balanced product tree, the route ``eval`` prints), the determinant
+invariant tying them together, exact convergence diagnostics, and text
+renderings of the trees.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
@@ -121,7 +124,7 @@ def convergent(seqs, n):
     """n-term convergent triple by the forward three-term recurrence."""
     pair = _as_pair(seqs)
     a, b = _digit_lists(pair, n)
-    A, B, C = _kernels.convergent_triples(a, b, n)[-1]
+    A, B, C = deque(_kernels.convergent_triples(a, b, n), maxlen=1).pop()
     return ConvergentTriple(n, A, B, C)
 
 
@@ -152,8 +155,9 @@ def convergent_matrix(seqs, n):
     """n-term convergent triple read off a product of digit matrices.
 
     Each digit pair contributes R_i = [[a_i, b_i, 1], [1, 0, 0], [0, 1, 0]];
-    the accumulated product carries the last three convergent triples as its
-    columns, and (A_n, B_n, C_n) is its first column.
+    the product, multiplied in digit blocks on a balanced tree, carries the
+    last three convergent triples as its columns, and (A_n, B_n, C_n) is its
+    first column.
     """
     pair = _as_pair(seqs)
     a, b = _digit_lists(pair, n)
@@ -189,7 +193,7 @@ def gap_diagnostics(seqs, N):
     triples = _kernels.convergent_triples(a, b, N)
     delta = tuple(
         Fraction(abs(A * C1 - A1 * C), C * C1)
-        for (A1, _, C1), (A, _, C) in zip(triples, triples[1:])
+        for (A1, _, C1), (A, _, C) in pairwise(triples)
     )
     dmax = tuple(
         max(delta[n - 2], delta[n - 3], delta[n - 4]) for n in range(4, N + 1)

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -12,12 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcf import (
-    bcf_expand, bcf_expand_rational, cli, expansion, literals, validation,
+    bcf_expand, bcf_expand_rational, cli, convergent, expansion, literals,
+    validation,
 )
 from bcf.cli import _convergent_record, run
 from bcf.errors import DegenerateSystem, OutputTooLarge
 from bcf.fields import _rounded_decimal
 from bcf.treeval import ConvergentTriple
+
+from _corpus import random_valid_digits
 
 
 def run_json(capsys, argv):
@@ -955,3 +959,46 @@ def test_direct_dispatch_matches_the_top_level_parser(argv):
 @settings(max_examples=150, deadline=None)
 def test_argv_fuzz_direct_dispatch_matches_the_top_level_parser(argv):
     assert _outcome(argv) == _top_level_outcome(argv), argv
+
+
+# -- eval prints the forward route's bytes ---------------------------------------
+
+
+@st.composite
+def eval_inputs(draw):
+    rng = draw(st.randoms(use_true_random=False))
+    a, b = random_valid_digits(rng, draw(st.integers(1, 400)))
+    n = draw(st.integers(0, len(a) - 1))
+    return a, b, n, draw(st.sampled_from(["json", "text"]))
+
+
+@given(eval_inputs())
+@settings(max_examples=80, deadline=None)
+def test_eval_prints_the_forward_convergent(inputs):
+    a, b, n, fmt = inputs
+    triple = convergent((a, b), n)
+    record = _convergent_record(triple, 12)
+    beta_dec = _rounded_decimal(triple.B, triple.C, 12)[1]
+    if fmt == "json":
+        want = json.dumps(dict(record, beta_dec=beta_dec), sort_keys=True,
+                          separators=(",", ":"))
+    else:
+        want = " ".join(f"{key}={value}" for key, value in record.items())
+        want += f" beta_dec={beta_dec}"
+    argv = ["eval", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b)),
+            "--n", str(n), "--format", fmt]
+    assert _outcome(argv) == (0, want + "\n", "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_eval_of_a_long_random_pair_is_output_too_large(fmt):
+    a, b = random_valid_digits(random.Random(9000), 9000)
+    argv = ["eval", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b)),
+            "--format", fmt]
+    code, out, err = _outcome(argv)
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: an integer in the output has more than "
+        f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
+        "for integer-to-string conversion\n"
+    )

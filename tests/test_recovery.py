@@ -1,6 +1,9 @@
 """Periodicity, cubic recovery, transfer matrices, the scanner."""
 
 import concurrent.futures
+import contextlib
+import hashlib
+import io
 import math
 import os
 import random
@@ -26,6 +29,7 @@ from bcf import (
     transfer_matrix,
     validate,
 )
+from bcf.cli import run
 from bcf.errors import (
     BcfError,
     DegenerateSystem,
@@ -598,3 +602,34 @@ def test_scan_rejects_non_integer_coefficients(family, candidate):
     # scan would report what it found for those instead.
     with pytest.raises(TypeError, match="coefficient must be an int"):
         conjecture_scan([family], [candidate], 8)
+
+
+# -- recovery is pinned on the acceptance corpus -----------------------------------
+
+
+def test_recovery_on_the_criterion_9_corpus_is_pinned():
+    # The 100 purely periodic pairs of acceptance criterion 9.  Each pair's
+    # transfer matrix is taken with an empty preperiod and with the previous
+    # pair's period as preperiod, whose adjugate has negative entries.  The
+    # digests were recorded with a per-digit convergent_matrix and a
+    # sum-of-products mat_mul3, so they hold the product tree to those.
+    rng = random.Random(20260818 + 9)
+    pairs = [random_cyclic_pair(rng, max_period=4, max_digit=3)
+             for _ in range(100)]
+    matrices = []
+    out = io.StringIO()
+    for previous, pair in zip(pairs[-1:] + pairs, pairs):
+        matrices.append(transfer_matrix(((), ()), (pair.a, pair.b)))
+        matrices.append(
+            transfer_matrix((previous.a, previous.b), (pair.a, pair.b))
+        )
+        argv = ["recover", "--period-a", ",".join(map(str, pair.a)),
+                "--period-b", ",".join(map(str, pair.b))]
+        with contextlib.redirect_stdout(out):
+            assert run(argv) == 0
+    assert hashlib.sha256(repr(matrices).encode()).hexdigest() == (
+        "8a846cd20742ec092d20d418ab7cf06122f2cfb35202d639e39d914ee9fee070"
+    )
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "1b3fad0a51d028e1dd73fbf99c9987cebfd7021248cbc30455bacd7da2fe642c"
+    )
