@@ -18,6 +18,7 @@ from .errors import (
     EmptyInterval,
     FieldMismatch,
     IndexOutOfRange,
+    InputError,
     InvalidSequence,
     NonPositiveInput,
     OutputTooLarge,
@@ -88,6 +89,7 @@ __all__ = [
     "ExpansionState",
     "FieldMismatch",
     "IndexOutOfRange",
+    "InputError",
     "InvalidSequence",
     "NonPositiveInput",
     "NumberField",

@@ -6,11 +6,12 @@ scanner emits one JSON record per line.  Each command parses its text
 (prepare) and hands the values to the library (execute), which checks
 them itself.  Exit codes: 0 for success (including a completed validation
 that found violations); otherwise the error's class decides the code,
-whichever step raises it: 2 for input errors (bad usage, unparsable
+whichever step raises it: 2 for every InputError (bad usage, unparsable
 literals, a ratfunc: beta with a pole at alpha, malformed or inadmissible
 digit pairs, nonpositive inputs, alpha and beta from different fields), 3
 for computation errors (degenerate recovery systems, an integer too long
-to print, a zero division).
+to print, more --digits than Python's integer-to-string limit, a render
+or a scan box over its budget, a zero division).
 """
 
 from __future__ import annotations
@@ -24,18 +25,13 @@ from fractions import Fraction
 from . import _kernels
 from .errors import (
     BcfError,
-    DegreeOutOfRange,
-    EmptyInterval,
-    FieldMismatch,
     IndexOutOfRange,
-    InvalidSequence,
-    NonPositiveInput,
+    InputError,
+    OutputTooLarge,
     ParseError,
-    ReduciblePolynomial,
-    RootCountNotOne,
 )
 from .expansion import bcf_expand, bcf_expand_box, bcf_expand_rational
-from .fields import AlgebraicNumber, _rounded_decimal
+from .fields import AlgebraicNumber, _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
     _excerpt,
@@ -50,17 +46,7 @@ from .sequences import SequencePair
 from .treeval import convergent_matrix, render_tree
 from .validation import validate
 
-_INPUT_ERRORS = (
-    ParseError,
-    ReduciblePolynomial,
-    RootCountNotOne,
-    DegreeOutOfRange,
-    NonPositiveInput,
-    InvalidSequence,
-    FieldMismatch,
-    IndexOutOfRange,
-    EmptyInterval,
-)
+_SCAN_BUDGET = 10**5  # polynomials in a scan box; -23:22 cubed is 97,336
 
 _DEFAULT_SCAN_BETAS = (
     ((1, 0, 0), (1,)),      # alpha^2
@@ -183,6 +169,7 @@ def _approx_value(literal, flag):
 
 
 def _prepare_expand(args):
+    _check_places(args.digits)
     if args.approx:
         alpha = _approx_value(args.alpha, "--alpha")
         beta = _approx_value(args.beta, "--beta")
@@ -229,6 +216,7 @@ def _execute_expand(args, job):
 
 
 def _prepare_eval(args):
+    _check_places(args.digits)
     pair = SequencePair(parse_digits(args.a), parse_digits(args.b))
     if not pair.a:
         raise IndexOutOfRange("eval needs at least one digit pair")
@@ -387,6 +375,10 @@ def _prepare_scan(args):
     c2 = _parse_range(args.c2, "--c2")
     c1 = _parse_range(args.c1, "--c1")
     c0 = _parse_range(args.c0, "--c0")
+    if math.prod(r.stop - r.start for r in (c2, c1, c0)) > _SCAN_BUDGET:
+        raise OutputTooLarge(
+            f"the scan box holds more than {_SCAN_BUDGET} polynomials"
+        )
     family = [
         (1, x2, x1, x0) for x2 in c2 for x1 in c1 for x0 in c0
     ]
@@ -579,7 +571,7 @@ def run(argv):
         return args.execute(args, args.prepare(args))
     except (BcfError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, _INPUT_ERRORS) else 3
+        return 2 if isinstance(exc, InputError) else 3
 
 
 def main():

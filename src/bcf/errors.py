@@ -5,27 +5,32 @@ class BcfError(Exception):
     """Base class for all bcf-specific errors."""
 
 
-class ReduciblePolynomial(BcfError):
+class InputError(BcfError):
+    """Base class for the errors that reject the caller's input: the CLI
+    exits 2 for these and 3 for every other BcfError."""
+
+
+class ReduciblePolynomial(InputError):
     """A polynomial that must be irreducible over the rationals is not."""
 
 
-class RootCountNotOne(BcfError):
+class RootCountNotOne(InputError):
     """An interval that must isolate exactly one real root does not."""
 
 
-class DegreeOutOfRange(BcfError):
+class DegreeOutOfRange(InputError):
     """A polynomial degree falls outside the supported range."""
 
 
-class FieldMismatch(BcfError):
+class FieldMismatch(InputError):
     """Two algebraic numbers from different fields were combined."""
 
 
-class NonPositiveInput(BcfError):
+class NonPositiveInput(InputError):
     """An input that must be positive (typically >= 1) is not."""
 
 
-class InvalidSequence(BcfError, ValueError):
+class InvalidSequence(InputError, ValueError):
     """A digit sequence pair violates a structural requirement."""
 
 
@@ -34,16 +39,17 @@ class DegenerateSystem(BcfError):
 
 
 class OutputTooLarge(BcfError):
-    """A number is too long to render under Python's integer-string limit."""
+    """An output exceeds a budget: Python's integer-string limit, or the
+    render or scan budget."""
 
 
-class ParseError(BcfError, ValueError):
+class ParseError(InputError, ValueError):
     """A textual literal could not be parsed."""
 
 
-class EmptyInterval(BcfError, ValueError):
+class EmptyInterval(InputError, ValueError):
     """An interval given as (lo, hi) does not satisfy lo < hi."""
 
 
-class IndexOutOfRange(BcfError, IndexError):
+class IndexOutOfRange(InputError, IndexError):
     """A sequence index lies outside the available digit range."""

@@ -20,7 +20,6 @@ irrational element is never 0, so its floor decides its sign too.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -473,6 +472,24 @@ def _floor(field, x):
         field.refine()
 
 
+def _operators(op):
+    """The method and its reflected twin for op(x, y) on two elements of one
+    field, fractions.Fraction's idiom.  The other operand goes through
+    AlgebraicNumber._coerce: an int or Fraction is embedded, an element of
+    another field raises FieldMismatch, and anything else gets
+    NotImplemented."""
+
+    def forward(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    def reverse(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else op(other, self)
+
+    return forward, reverse
+
+
 class AlgebraicNumber:
     """An element of a NumberField: integer numerators over one positive
     denominator, in the power basis of theta."""
@@ -529,60 +546,25 @@ class AlgebraicNumber:
             raise FieldMismatch(
                 f"cannot combine elements of {self._field!r} and {other._field!r}"
             )
-        if isinstance(other, bool):
-            return NotImplemented
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._field.element(other)
         return NotImplemented
 
     # -- ring operations ------------------------------------------------
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sum(self, other, 1)
-
-    __radd__ = __add__
+    __add__, __radd__ = _operators(lambda x, y: _sum(x, y, 1))
+    __sub__, __rsub__ = _operators(lambda x, y: _sum(x, y, -1))
+    __mul__, __rmul__ = _operators(
+        lambda x, y: _normal(x._field, *_multiply(x._field, x._raw, y._raw))
+    )
+    __truediv__, __rtruediv__ = _operators(lambda x, y: x * y.inverse())
 
     def __neg__(self):
         return _element(self._field, tuple(-c for c in self._num), self._den)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sum(self, other, -1)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _sum(other, self, -1)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _normal(self._field, *_multiply(self._field, self._raw, other._raw))
-
-    __rmul__ = __mul__
-
     def inverse(self):
         """1 / self, from the closed-form adjugate (see _inverse)."""
         return _normal(self._field, *_inverse(self._field, self._raw))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
 
     def __pow__(self, exponent):
         if not isinstance(exponent, int):
@@ -662,12 +644,10 @@ class AlgebraicNumber:
         return self.sign() != 0
 
     # -- comparisons ------------------------------------------------------
+    # x > y is the reflection of y < x, as x >= y is of y <= x.
 
-    def _compare(self, other, op):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return op((self - other).sign(), 0)
+    __lt__, __gt__ = _operators(lambda x, y: (x - y).sign() < 0)
+    __le__, __ge__ = _operators(lambda x, y: (x - y).sign() <= 0)
 
     def __eq__(self, other):
         if isinstance(other, AlgebraicNumber):
@@ -685,18 +665,6 @@ class AlgebraicNumber:
         if rational is not None:
             return hash(rational)
         return hash((self._field, self._num, self._den))
-
-    def __lt__(self, other):
-        return self._compare(other, operator.lt)
-
-    def __le__(self, other):
-        return self._compare(other, operator.le)
-
-    def __gt__(self, other):
-        return self._compare(other, operator.gt)
-
-    def __ge__(self, other):
-        return self._compare(other, operator.ge)
 
     def __repr__(self):
         terms = []

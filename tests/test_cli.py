@@ -13,11 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcf import (
-    bcf_expand, bcf_expand_rational, cli, convergent, expansion, literals,
-    validation,
+    bcf_expand, bcf_expand_rational, cli, convergent, errors, expansion,
+    fields, literals, validation,
 )
 from bcf.cli import _convergent_record, run
-from bcf.errors import DegenerateSystem, OutputTooLarge
 from bcf.fields import _rounded_decimal
 from bcf.treeval import ConvergentTriple
 
@@ -304,10 +303,37 @@ def test_expand_ratfunc_pole_is_input_error(capsys):
     assert capsys.readouterr().err.startswith("error: --beta: ")
 
 
+# The exit code of every error class in bcf.errors, decided here by hand so
+# that a new class fails test_every_error_class_has_an_exit_code until its
+# code is chosen.
+_EXIT_CODES = {
+    errors.BcfError: 3,
+    errors.InputError: 2,
+    errors.ParseError: 2,
+    errors.ReduciblePolynomial: 2,
+    errors.RootCountNotOne: 2,
+    errors.DegreeOutOfRange: 2,
+    errors.NonPositiveInput: 2,
+    errors.InvalidSequence: 2,
+    errors.FieldMismatch: 2,
+    errors.IndexOutOfRange: 2,
+    errors.EmptyInterval: 2,
+    errors.DegenerateSystem: 3,
+    errors.OutputTooLarge: 3,
+    ZeroDivisionError: 3,
+}
+
+
+def test_every_error_class_has_an_exit_code():
+    classes = {
+        value for value in vars(errors).values()
+        if isinstance(value, type) and issubclass(value, errors.BcfError)
+    }
+    assert classes == set(_EXIT_CODES) - {ZeroDivisionError}
+
+
 @pytest.mark.parametrize(
-    "error, code",
-    [(cls, 2) for cls in cli._INPUT_ERRORS]
-    + [(DegenerateSystem, 3), (OutputTooLarge, 3), (ZeroDivisionError, 3)],
+    "error, code", list(_EXIT_CODES.items()),
     ids=lambda value: getattr(value, "__name__", str(value)),
 )
 def test_error_class_decides_exit_code(monkeypatch, capsys, error, code):
@@ -553,6 +579,28 @@ def test_recover_past_digit_limit_fails_before_refining(capsys, monkeypatch):
     assert refines == []
 
 
+@pytest.mark.parametrize("places", [sys.get_int_max_str_digits() + 1, 10**7])
+@pytest.mark.parametrize("argv", [
+    ["eval", "--a", "1,2", "--b", "1,1"],
+    ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2"],
+    ["expand", "--approx", "--alpha", "dec:1.75", "--beta", "dec:1.5"],
+], ids=["eval", "expand", "expand-approx"])
+def test_eval_and_expand_past_digit_limit_fail_before_any_work(
+    monkeypatch, capsys, argv, places
+):
+    calls = _count_calls(monkeypatch, fields, "_rounded_decimal")
+    assert run(argv + ["--digits", str(places)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+    assert calls == []
+    # the limit itself still prints
+    limit = str(sys.get_int_max_str_digits())
+    assert run(argv + ["--digits", limit]) == 0, capsys.readouterr().err
+    assert calls
+
+
 # -- render ---------------------------------------------------------------------
 
 
@@ -747,6 +795,25 @@ def test_scan_bad_range(capsys):
     assert run(["scan", "--c2", "2:-2"]) == 2
     assert run(["scan", "--c2", "x:2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--c0=0:99999999"],
+    ["scan", "--c2=0:1", "--c1=0:0", "--c0=0:" + "9" * 4000],
+], ids=["over", "huge-ends"])
+def test_scan_box_over_budget_is_exit_3(monkeypatch, capsys, argv):
+    # A box of more than 10**5 polynomials is refused before any list of
+    # them is built; a box of exactly 10**5 still reaches the scanner.
+    calls = []
+    monkeypatch.setattr(cli, "conjecture_scan",
+                        lambda *args, **kwargs: calls.append(args) or [])
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the scan box holds more than 100000 polynomials\n"
+    assert calls == []
+    assert run(["scan", "--c2=0:0", "--c1=0:99", "--c0=0:999"]) == 0
+    assert len(calls) == 1
 
 
 def test_scan_bad_beta_literal(capsys):

@@ -1,6 +1,7 @@
 """Cubic number fields: construction, exact arithmetic, certified decimals."""
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -129,13 +130,56 @@ def test_inverse_exact():
     assert inv == t**2 - t - 1
 
 
+# The twelve binary operator methods, and the eight operators that reach them.
+_OPERATOR_METHODS = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__lt__", "__gt__", "__le__", "__ge__",
+)
+_OPERATORS = (
+    operator.add, operator.sub, operator.mul, operator.truediv,
+    operator.lt, operator.gt, operator.le, operator.ge,
+)
+
+
 def test_field_mismatch():
     t = theta()
     m = MOORE.generator()
-    with pytest.raises(FieldMismatch):
-        _ = t + m
-    with pytest.raises(FieldMismatch):
-        _ = t * m
+    for name in _OPERATOR_METHODS:
+        for x, y in ((t, m), (m, t)):
+            with pytest.raises(FieldMismatch):
+                getattr(x, name)(y)
+    for op in _OPERATORS:
+        for x, y in ((t, m), (m, t)):
+            with pytest.raises(FieldMismatch):
+                op(x, y)
+
+
+@pytest.mark.parametrize(
+    "other", [3, -1, Fraction(7, 4), Fraction(-2, 5), True, 1.5, "1", None],
+    ids=repr,
+)
+def test_operator_protocol_by_other_operand(other):
+    # An int or Fraction is embedded on either side; anything else leaves
+    # each method NotImplemented, so the operator raises TypeError.
+    rational = isinstance(other, (int, Fraction)) and not isinstance(other, bool)
+    for x in (theta(), TRIBONACCI.element(Fraction(7, 4))):
+        if rational:
+            embedded = TRIBONACCI.element(other)
+            for name in _OPERATOR_METHODS:
+                assert getattr(x, name)(other) == getattr(x, name)(embedded)
+            for op in _OPERATORS:
+                assert op(x, other) == op(x, embedded)
+                assert op(other, x) == op(embedded, x)
+            assert (other < x) == (x > other)
+            assert (other <= x) == (x >= other)
+        else:
+            for name in _OPERATOR_METHODS:
+                assert getattr(x, name)(other) is NotImplemented
+            for op in _OPERATORS:
+                with pytest.raises(TypeError):
+                    op(x, other)
+                with pytest.raises(TypeError):
+                    op(other, x)
 
 
 def test_rational_embedding_equality():
@@ -187,10 +231,15 @@ def test_comparisons():
 
 
 def test_cross_constant_comparison():
-    t = theta()
-    m = MOORE.generator()
-    with pytest.raises(FieldMismatch):
-        _ = t < m
+    # Rational constants of two fields are equal by value, but every
+    # operator method refuses to combine them, in either order.
+    half = TRIBONACCI.element(Fraction(1, 2))
+    other = MOORE.element(Fraction(1, 2))
+    assert half == other
+    for name in _OPERATOR_METHODS:
+        for x, y in ((half, other), (other, half)):
+            with pytest.raises(FieldMismatch):
+                getattr(x, name)(y)
 
 
 # -- certified decimals ---------------------------------------------------------
