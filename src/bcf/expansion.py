@@ -9,19 +9,20 @@ beta_i non-integral,
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
 terminal value rather than floored.  Each engine is one loop.  ``bcf_expand``
-validates its input once; a field pair is then held as the primitive integer
-triple (u, v, w) with alpha = u/w and beta = v/w, stepped by ``fields._step``
-(one adjugate, one product, one gcd) and floored from the field's cached
-power bounds; the triple is canonical, so a recurring state is found by the
-triple itself, and only the terminal becomes an element again.  Everything
-else steps through the public operators (``_next``): ``bcf_step`` on either
-kind of number, and ``bcf_expand`` on a rational pair, the Fraction
-reference for ``bcf_expand_rational``: an integer-only fast path with an
-optional step cap, which the CLI uses for every exact rational pair.
-``bcf_expand_box`` steps the corners of a box of rational pairs in
-lockstep and stops at the first pair they disagree on; the digits before
-it are shared by every pair in the box (Gosper's rule for inputs known
-only to an interval).
+validates its input once; a field pair is then held as a projective triple
+(X : Y : Z) of integer power-basis vectors, alpha = X/Z and beta = Y/Z,
+stepped by the linear map (X, Y, Z) -> (Z, X - aZ, Y - bZ), with no inverse
+and no gcd; every _RENORMALISE steps ``fields._primitive`` reduces the triple
+to its canonical primitive form, which keeps heights down.  Both floors come
+from bounds on X, Y and Z, Z > 0.  A recurrence shows as a repeated window of
+_WINDOW digit pairs and is accepted only by the exact cross-multiplication
+test.  Everything else steps through the public operators (``_next``):
+``bcf_step`` on either kind of number, and ``bcf_expand`` on a rational pair,
+the Fraction reference for ``bcf_expand_rational``: an integer-only fast path
+with an optional step cap, which the CLI uses for every exact rational pair.
+``bcf_expand_box`` steps the corners of a box of rational pairs in lockstep
+and stops at the first pair they disagree on; the digits before it are shared
+by every pair in the box (Gosper's rule for inputs known only to an interval).
 """
 
 from __future__ import annotations
@@ -29,14 +30,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import cycle, islice
 from typing import Union
 
 from ._kernels import rational_digits
 from .errors import EmptyInterval, FieldMismatch, NonPositiveInput
-from .fields import AlgebraicNumber, _as_exact, _element, _floor, _step, floor_of
+from .fields import AlgebraicNumber, _as_exact, _bounds, _convolve, _element
+from .fields import _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
+
+_RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
+_WINDOW = 4  # W: digit pairs in a window that may flag a recurrence
 
 
 @dataclass(frozen=True)
@@ -82,13 +88,34 @@ def _positive(alpha, beta):
 
 
 def _raw_state(alpha, beta):
-    """The primitive integer triple (u, v, w) of a field pair: alpha = u/w,
-    beta = v/w and w > 0.  It is canonical, so equal pairs give equal
-    triples."""
+    """The primitive triple of a field pair (fields._primitive): alpha = u/w
+    and beta = v/w.  It is canonical, so equal pairs give equal triples."""
     (p, dp), (q, dq) = alpha._raw, beta._raw
-    w = math.lcm(dp, dq)
-    u, v = (tuple([c * (w // d) for c in x]) for x, d in ((p, dp), (q, dq)))
-    return u, v, w
+    w, pad = math.lcm(dp, dq), (0,) * (3 - len(p))
+    u, v = (tuple([c * (w // d) for c in x]) + pad for x, d in ((p, dp), (q, dq)))
+    return u, v, (w, 0, 0)
+
+
+def _ratio_floor(n, z, n_bounds, z_bounds):
+    """floor(n / z) for numerator vectors n and z, z > 0, from bounds on both
+    over one scale, or None while they leave it open; n == k*z is tested
+    exactly when the bounds on n / z straddle one integer k."""
+    (nlo, nhi), (zlo, zhi) = n_bounds, z_bounds
+    if zlo <= 0:
+        return None
+    lo = nlo // (zhi if nlo >= 0 else zlo)
+    hi = nhi // (zlo if nhi >= 0 else zhi)
+    decided = lo == hi or hi == lo + 1 and not any([c - hi * e for c, e in zip(n, z)])
+    return hi if decided else None
+
+
+def _same_point(field, s, t):
+    """Whether triples s and t are one point: x_s z_t = x_t z_s, y_s z_t = y_t z_s."""
+    d = field.degree
+    (xs, ys, zs), (xt, yt, zt) = ([v[:d] for v in p] for p in (s, t))
+    return _convolve(field, xs, zt) == _convolve(field, xt, zs) and (
+        _convolve(field, ys, zt) == _convolve(field, yt, zs)
+    )
 
 
 def _next(alpha, beta, a, b):
@@ -113,11 +140,12 @@ def bcf_step(state):
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    A field pair is stepped as its primitive integer triple, and the exact
-    orbit is tracked as it is generated, keyed on that triple (every state
-    of one run lives in one field); if a state recurs before the budget is
-    used up, the remaining digits are read off the cycle and the result's
-    periodicity field records (preperiod, period).  Rational inputs
+    A field pair is stepped as its projective triple.  Equal states have
+    equal digit tails, so a state j that recurs at r <= max_terms - 1 shows
+    as a repeated window of digit pairs at r, up to _WINDOW - 1 steps past
+    the budget, where the exact test confirms it; the remaining digits are
+    read off the cycle and periodicity records (preperiod, period).  A
+    termination in the steps past the budget is not reported.  Rational inputs
     terminate instead, with the exact final alpha in ``terminal``; their
     denominators strictly fall, so no state recurs.
     """
@@ -142,27 +170,50 @@ def bcf_expand(alpha, beta, max_terms=64):
         return SequencePair(a_digits, b_digits, terminal=terminal)
 
     field = alpha.field
-    state = _raw_state(alpha, beta)
-    seen = {}
-    periodicity = None
-    for i in range(max_terms):
-        k = seen.setdefault(state, i)
-        if k < i:
-            m = i - k
-            periodicity = (k, m)
-            for j in range(i, max_terms):
-                idx = k + (j - k) % m
-                a_digits.append(a_digits[idx])
-                b_digits.append(b_digits[idx])
-            break
-        u, v, w = state
-        b_i, a_i = _floor(field, (v, w)), _floor(field, (u, w))
+    state = x, y, z = _raw_state(alpha, beta)
+    states, windows, powers, periodicity = [], {}, None, None
+    for i in range(max_terms + _WINDOW - 1):
+        if i and i % _RENORMALISE == 0:
+            state = x, y, z = _primitive(field, x, y, z)
+            powers = None
+        states.append(state)
+        (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = state
+        while True:
+            if powers is None:
+                powers = field._power_bounds()
+                xb, yb, zb = (_bounds(powers, v) for v in state)
+            b_i = _ratio_floor(y, z, yb, zb)
+            if b_i is not None:
+                s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
+                if not any(s):
+                    break
+                a_i = _ratio_floor(x, z, xb, zb)
+                if a_i is not None:
+                    break
+            _refine_more(field)
+            powers = None
         b_digits.append(b_i)
-        if not any(v[1:]) and v[0] % w == 0:
-            terminal = _element(field, u, w)
+        if not any(s):
+            if i < max_terms:
+                u, _, (w, _, _) = _primitive(field, x, y, z)
+                terminal = _element(field, u[: field.degree], w)
             break
         a_digits.append(a_i)
-        state = _step(field, state, a_i, b_i)
+        r = i + 1 - _WINDOW
+        if r >= 0:
+            starts = windows.setdefault((*a_digits[r:], *b_digits[r:]), [])
+            for j in starts:
+                if _same_point(field, states[j], states[r]):
+                    periodicity = (j, r - j)
+                    for digits in a_digits, b_digits:
+                        digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
+                    break
+            if periodicity:
+                break
+            starts.append(r)
+        state = x, y, z = z, (x0 - a_i * z0, x1 - a_i * z1, x2 - a_i * z2), s
+        xb, yb, zb = zb, _bounds(powers, y), _bounds(powers, s)
+    del a_digits[max_terms:], b_digits[max_terms:]
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 
 

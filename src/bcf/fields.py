@@ -8,13 +8,13 @@ power basis 1, theta, ..., theta^(d-1), normalised after every operation so
 that the denominator is coprime to the numerators' content.  Products and
 inverses share one closed form per degree on integer numerators: an integer
 convolution reduced modulo f, and the adjugate of the integer multiplication
-matrix.  The expansion step ``_step`` applies both to a pair held as one
-primitive integer triple (u, v, w), alpha = u/w and beta = v/w, and
-normalises the next triple once.  All predicates (sign, floor, comparisons)
-are decided exactly: rational elements directly, irrational ones through
-one refinement loop, ``_floor``, which narrows the isolating interval, held
-as integers over one denominator, until both bounds share a floor.  An
-irrational element is never 0, so its floor decides its sign too.
+matrix.  ``_primitive`` applies both to reduce a projective triple of
+numerator vectors, the state of a field expansion, to its canonical form.
+All predicates (sign, floor, comparisons) are decided exactly: rational
+elements directly, irrational ones through one refinement loop, ``_floor``,
+which narrows the isolating interval, held as integers over one
+denominator, by ``_refine_more``'s rule until both bounds share a floor.
+An irrational element is never 0, so its floor decides its sign too.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ class NumberField:
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
         self._lead = coeffs[0]
         self._low = tuple(reversed(coeffs[1:]))
-        self._lead_power = self._lead ** (len(coeffs) - 2)  # L in _step
+        self._lead_power = self._lead ** (len(coeffs) - 2)  # L in _convolve
 
     @property
     def min_poly(self):
@@ -162,23 +162,21 @@ class NumberField:
         return Fraction(self._lo_n, self._q), Fraction(self._hi_n, self._q)
 
     def _power_bounds(self):
-        """Integer bounds on the powers of theta from the cached interval.
-
-        Returns (bounds, scale): bounds[k] = (lo_k, hi_k) with
-        lo_k <= theta**k * scale <= hi_k for k < degree, where scale is
-        q**(degree - 1) and q the interval's shared denominator.
-        """
+        """Integer bounds on the powers of theta from the cached interval
+        as midpoints and radii (m_0, m_1, r_1, m_2, r_2), zero past the
+        degree: |2 * theta**k * q**(degree - 1) - m_k| <= r_k, q the
+        interval's shared denominator, so r_0 = 0."""
         if self._powers is None:
             pl, ph, q = self._lo_n, self._hi_n, self._q
             top = self.degree - 1
-            bounds = []
-            for k in range(top + 1):
+            powers = [2 * q**top]
+            for k in range(1, top + 1):
                 a, b = pl**k * q ** (top - k), ph**k * q ** (top - k)
                 plo, phi = (a, b) if a <= b else (b, a)
-                if k and k % 2 == 0 and pl < 0 < ph:
+                if k % 2 == 0 and pl < 0 < ph:
                     plo = 0
-                bounds.append((plo, phi))
-            self._powers = tuple(bounds), q**top
+                powers += [plo + phi, phi - plo]
+            self._powers = tuple(powers + [0] * (5 - len(powers)))
         return self._powers
 
     def refine(self, bits=1):
@@ -413,48 +411,49 @@ def _polynomial_at(field, coeffs, x):
     return num, den
 
 
-def _step(field, state, a, b):
-    """The state (1 / (beta - b), (alpha - a) / (beta - b)) after digits a, b.
-
-    The state is the primitive integer triple (u, v, w) of a field pair,
-    alpha = u / w, beta = v / w and w > 0.  With s = v - b*w, r = u - a*w,
-    1 / s = J / N and L = lead^(d-1), the next triple is (w*L*J, L*r*J, N*L)
-    over its one gcd: one adjugate, one convolution, one normalisation.
-    Raises ZeroDivisionError when beta == b.
-    """
-    u, v, w = state
-    row, det = _adjugate_row(field, (v[0] - b * w,) + v[1:])
-    lead_power = field._lead_power
-    wl = w * lead_power
-    num, den = _normalised(
-        tuple([wl * j for j in row])
-        + _convolve(field, (u[0] - a * w,) + u[1:], row),
-        det * lead_power,
-    )
-    d = len(row)
-    return num[:d], num[d:], den
+def _primitive(field, x, y, z):
+    """The primitive triple of the projective point (x : y : z) of integer
+    numerator vectors (entries past the degree are zero), z nonzero:
+    (u, v, (w, 0, 0)) with x/z = u/w, y/z = v/w, w > 0 and gcd 1, u and v
+    zero-padded to three entries, so equal points give equal triples.
+    With 1 / z = J / N and L = lead^(d-1), x/z = conv(x, J) / (N*L): one
+    adjugate, two convolutions, one normalisation."""
+    d = field.degree
+    row, det = _adjugate_row(field, z[:d])
+    uv = _convolve(field, x[:d], row) + _convolve(field, y[:d], row)
+    num, den = _normalised(uv, det * field._lead_power)
+    pad = (0,) * (3 - d)
+    return num[:d] + pad, num[d:] + pad, (den, 0, 0)
 
 
-def _bounds(field, x):
-    """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den from the
-    field's cached bounds on the powers of theta."""
-    powers, scale = field._power_bounds()
-    total_lo = total_hi = 0
-    for c, (plo, phi) in zip(x[0], powers):
-        if c > 0:
-            total_lo += c * plo
-            total_hi += c * phi
-        elif c:
-            total_lo += c * phi
-            total_hi += c * plo
-    return total_lo, total_hi, x[1] * scale
+def _bounds(powers, num):
+    """Integers (lo, hi) with lo <= n(theta) * m_0 <= hi for numerators num
+    zero-padded to three, from NumberField._power_bounds: the midpoint
+    sum c_k m_k, plus or minus the radius sum |c_k| r_k."""
+    m0, m1, r1, m2, r2 = powers
+    c0, c1, c2 = num
+    m, r = c0 * m0 + c1 * m1 + c2 * m2, abs(c1) * r1 + abs(c2) * r2
+    return m - r, m + r
+
+
+def _enclosure(field, x):
+    """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den."""
+    num, den = x
+    powers = field._power_bounds()
+    return (*_bounds(powers, num + (0,) * (3 - len(num))), den * powers[0])
+
+
+def _refine_more(field):
+    """The one rule by which a floor left open asks for precision: as many
+    bits as the interval's shared denominator has, so they at least double."""
+    field.refine(field._q.bit_length())
 
 
 def _narrowed_bounds(field, x, scale):
-    """_bounds of x once its width is below 1 / scale, each refine call
+    """_enclosure of x once its width is below 1 / scale, each refine call
     asking for the bits that the width still exceeds that by."""
     while True:
-        lo, hi, den = _bounds(field, x)
+        lo, hi, den = _enclosure(field, x)
         excess = (hi - lo) * scale // den
         if not excess:
             return lo, hi, den
@@ -465,11 +464,11 @@ def _floor(field, x):
     """Exact floor of x, refining the field's interval until both bounds
     agree (a rational's bounds are its value)."""
     while True:
-        lo, hi, den = _bounds(field, x)
+        lo, hi, den = _enclosure(field, x)
         flo = lo // den
         if flo == hi // den:
             return flo
-        field.refine()
+        _refine_more(field)
 
 
 def _operators(op):
@@ -591,7 +590,7 @@ class AlgebraicNumber:
 
     def value_interval(self):
         """Exact rational bounds on the value from the current theta interval."""
-        lo, hi, den = _bounds(self._field, self._raw)
+        lo, hi, den = _enclosure(self._field, self._raw)
         return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self):

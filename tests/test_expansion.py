@@ -266,25 +266,25 @@ def test_pinned_cubic_digests(case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_one_inversion_per_step(monkeypatch):
-    counts = {"inverse": 0, "step": 0}
-    # The step inverts through the adjugate body, not the _inverse wrapper.
-    inverse, step = fields._adjugate_row, expansion._step
+def test_adjugate_once_per_renormalisation(monkeypatch):
+    # The linear step takes no inverse; only the reduction to the primitive
+    # triple, once per expansion._RENORMALISE steps, takes an adjugate.
+    calls = []
+    adjugate = fields._adjugate_row
 
-    def counted_inverse(field, n):
-        counts["inverse"] += 1
-        return inverse(field, n)
+    def counted(field, n):
+        calls.append(n)
+        return adjugate(field, n)
 
-    def counted_step(*args):
-        counts["step"] += 1
-        return step(*args)
-
-    monkeypatch.setattr(fields, "_adjugate_row", counted_inverse)
-    monkeypatch.setattr(expansion, "_step", counted_step)
-    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
-    pair = bcf_expand(t, t * t + t, max_terms=40)
-    assert len(pair.a) == 40 and counts["step"] == 40
-    assert counts["inverse"] == counts["step"]
+    for terms in (40, 256):
+        t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+        beta = t * t + t
+        calls.clear()
+        monkeypatch.setattr(fields, "_adjugate_row", counted)
+        pair = bcf_expand(t, beta, max_terms=terms)
+        monkeypatch.undo()
+        assert len(pair.a) == terms
+        assert len(calls) <= -(-terms // 32) + 1
 
 
 # -- the raw-state loop against the public operators -----------------------------
@@ -324,9 +324,10 @@ def _positive(x):
 
 
 @st.composite
-def field_pairs(draw):
+def field_pairs(draw, max_terms=60):
     """A positive pair in a random field of degree 1-3 whose minimal
-    polynomial has leading coefficient 1-5, and a number of terms."""
+    polynomial has leading coefficient 1-5, and a number of terms up to
+    max_terms."""
     d = draw(st.sampled_from((1, 2, 3, 3)))
     poly = (draw(st.integers(1, 5)),) + tuple(
         draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
@@ -336,7 +337,7 @@ def field_pairs(draw):
     assume(roots)
     field = NumberField(poly, draw(st.sampled_from(roots)))
     theta = field.generator()
-    terms = draw(st.integers(1, 60))
+    terms = draw(st.integers(1, max_terms))
     if draw(st.booleans()):
         assume(theta != 0)
         return _positive(theta), _positive(draw(st.sampled_from(FAMILY))(theta)), terms
@@ -359,6 +360,130 @@ def test_raw_loop_matches_public_operators(case):
     assert pair.periodicity == periodicity
     assert pair.terminal == terminal
     assert (pair.terminal is None) == (terminal is None)
+
+
+def _normalised_step_loop(alpha, beta, terms):
+    """bcf_expand's field loop before the linear step, kept as its reference:
+    the primitive triple (u, v, w) with an integer w, normalised after every
+    step (one adjugate, one convolution, one gcd), each state keyed in a
+    `seen` dict.  Returns (a, b, terminal, periodicity)."""
+    field = alpha.field
+    d, lead_power = field.degree, field._lead_power
+    (p, dp), (q, dq) = alpha._raw, beta._raw
+    w = math.lcm(dp, dq)
+    state = tuple(c * (w // dp) for c in p), tuple(c * (w // dq) for c in q), w
+    seen, a, b = {}, [], []
+    for i in range(terms):
+        k = seen.setdefault(state, i)
+        if k < i:
+            for j in range(i, terms):
+                a.append(a[k + (j - k) % (i - k)])
+                b.append(b[k + (j - k) % (i - k)])
+            return a, b, None, (k, i - k)
+        u, v, w = state
+        b_i, a_i = fields._floor(field, (v, w)), fields._floor(field, (u, w))
+        b.append(b_i)
+        if not any(v[1:]) and v[0] % w == 0:
+            return a, b, fields._element(field, u, w), None
+        a.append(a_i)
+        row, det = fields._adjugate_row(field, (v[0] - b_i * w,) + v[1:])
+        r = fields._convolve(field, (u[0] - a_i * w,) + u[1:], row)
+        num, den = fields._normalised(
+            tuple(w * lead_power * j for j in row) + r, det * lead_power
+        )
+        state = num[:d], num[d:], den
+    return a, b, None, None
+
+
+def _assert_matches_reference(alpha, beta, terms):
+    a, b, terminal, periodicity = _normalised_step_loop(alpha, beta, terms)
+    pair = bcf_expand(alpha, beta, max_terms=terms)
+    assert (pair.a, pair.b) == (tuple(a), tuple(b))
+    assert pair.periodicity == periodicity
+    assert pair.terminal == terminal
+    assert (pair.terminal is None) == (terminal is None)
+    return pair
+
+
+@given(field_pairs(max_terms=300))
+@settings(max_examples=150, deadline=None)
+def test_linear_loop_matches_normalised_reference(case):
+    # Up to 300 terms: several reductions to the primitive triple.
+    _assert_matches_reference(*case)
+
+
+@pytest.mark.parametrize("field, beta, first", [
+    (TRIBONACCI, lambda t: 1 + 1 / t, 1),  # periodicity (0, 1)
+    (PERIOD_TWO, lambda r: 2 + 1 / r, 3),  # periodicity (1, 2)
+], ids=["tribonacci", "preperiod-one"])
+def test_recurrence_at_the_last_index(field, beta, first):
+    # The first recurrence is at index `first`: reported when that is the
+    # last index, max_terms - 1, and not when it is max_terms, although the
+    # loop steps past max_terms to fill the window that starts there.
+    t = field.generator()
+    assert _assert_matches_reference(t, beta(t), first + 1).periodicity is not None
+    assert _assert_matches_reference(t, beta(t), first).periodicity is None
+
+
+def test_termination_past_max_terms_is_not_reported():
+    # beta turns integral at index 2 (test_field_terminal_after_steps); with
+    # max_terms 1 or 2 that is inside the window steps past max_terms.
+    t = TRIBONACCI.generator()
+    z = (t * t + 1) / 3
+    a1, b1 = 2 + 1 / z, 1 + 1 / z
+    alpha, beta = 3 + b1 / a1, 1 + 1 / a1
+    for terms in (1, 2):
+        pair = _assert_matches_reference(alpha, beta, terms)
+        assert pair.terminal is None and len(pair.b) == terms
+    assert _assert_matches_reference(alpha, beta, 3).terminal == z
+
+
+def test_integral_alpha_partway(monkeypatch):
+    # Built backwards from (alpha_2, beta_2) = (3, theta), theta the
+    # tribonacci root, with digits (1, 0) and (2, 1): alpha_2 = X/Z is the
+    # integer 3 with Z irrational, so the bounds on X/Z straddle 3 at any
+    # precision, and only the exact test X == 3Z decides the floor; then
+    # beta_3 = 0 ends the run.
+    t = TRIBONACCI.generator()
+    alpha_1 = 2 + t / 3
+    alpha, beta = 1 + Fraction(4, 3) / alpha_1, 1 / alpha_1
+    exact = []
+    ratio_floor = expansion._ratio_floor
+
+    def spy(n, z, n_bounds, z_bounds):
+        k = ratio_floor(n, z, n_bounds, z_bounds)
+        if k is not None and any(n) and any(z[1:]) and n == tuple(k * e for e in z):
+            exact.append(k)
+        return k
+
+    monkeypatch.setattr(expansion, "_ratio_floor", spy)
+    pair = _assert_matches_reference(alpha, beta, 12)
+    assert (pair.a, pair.b, pair.terminal) == ((1, 2, 3), (0, 1, 1, 0), 1 / (t - 1))
+    assert exact == [3]
+    # In a degree-1 field every bound is exact: (5/4, 3/2) has alpha_1 = 2
+    # and ends with beta_2 = 0.
+    field = NumberField((1, -2), (1, 3))
+    alpha, beta = field.element(Fraction(5, 4)), field.element(Fraction(3, 2))
+    pair = _assert_matches_reference(alpha, beta, 8)
+    assert (pair.a, pair.b, pair.terminal) == ((1, 2), (1, 0, 0), 2)
+    assert pair == bcf_expand_rational(Fraction(5, 4), Fraction(3, 2))
+
+
+def test_false_window_repeat_is_rejected(monkeypatch):
+    # The pinned cubic repeats a window of four digit pairs within 128
+    # terms without a recurrence: the exact check rejects it.
+    verdicts = []
+    same_point = expansion._same_point
+
+    def spy(field, s, t):
+        verdicts.append(same_point(field, s, t))
+        return verdicts[-1]
+
+    monkeypatch.setattr(expansion, "_same_point", spy)
+    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
+    pair = _assert_matches_reference(t, t * t + t, 128)
+    assert (_csv(pair.a), _csv(pair.b)) == (PINNED_A, PINNED_B)
+    assert False in verdicts and True not in verdicts
 
 
 def test_public_step_reproduces_expand():

@@ -36,7 +36,7 @@ from bcf.errors import (
     RootCountNotOne,
 )
 from bcf.expansion import _raw_state
-from bcf.fields import _element, _step
+from bcf.fields import _element, _primitive
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
@@ -428,14 +428,22 @@ def test_step_matches_public_operators(data):
     beta = AlgebraicNumber(field, data.draw(coords))
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
     assume(beta != b)
-    u, v, w = _step(field, _raw_state(alpha, beta), a, b)
-    assert len(u) == len(v) == d
+    # One linear step of the projective triple (vectors zero-padded to
+    # three entries), then its primitive form.
+    x, y, z = _raw_state(alpha, beta)
+    step = (z, tuple(c - a * e for c, e in zip(x, z)),
+            tuple(c - b * e for c, e in zip(y, z)))
+    u, v, (w, *rest) = _primitive(field, *step)
+    assert len(u) == len(v) == 3 and not any(u[d:] + v[d:] + tuple(rest))
     assert w > 0 and math.gcd(w, *u, *v) == 1
-    x, y = _element(field, u, w), _element(field, v, w)
+    x, y = _element(field, u[:d], w), _element(field, v[:d], w)
     assert x == 1 / (beta - b)
     assert y == (alpha - a) / (beta - b)
-    # The triple is canonical: the elements map back to the same triple.
-    assert _raw_state(x, y) == (u, v, w)
+    # The triple is canonical: the elements map back to the same triple,
+    # and so does any multiple of the point.
+    assert _raw_state(x, y) == (u, v, (w, *rest))
+    scaled = tuple(tuple(-3 * c for c in vector) for vector in step)
+    assert _primitive(field, *scaled) == (u, v, (w, *rest))
 
 
 @given(data=st.data())
