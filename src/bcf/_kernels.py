@@ -1,10 +1,12 @@
 """Integer kernels for the digit-sequence loops and 3x3 integer matrices.
 
-Every convergent comes from one third-order recurrence,
-X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}: ``convergent_triples`` streams it
-forward, ``convergent_matrix`` multiplies digit matrices in blocks on a
-product tree, and ``backward_entry`` runs it from the tail.  ``det3``,
-``mat_mul3`` and ``_adjugate`` are the one set of 3x3 integer matrix helpers.
+``rational_digits`` steps the integer triples (u, v, w) of a rational point
+or, in lockstep, of a box's corners.  Every convergent comes from one
+third-order recurrence, X_i = a_i*X_{i-1} + b_i*X_{i-2} + X_{i-3}:
+``convergent_triples`` streams it forward, ``convergent_matrix`` multiplies
+digit matrices in blocks on a product tree, and ``backward_entry`` runs it
+from the tail.  ``det3``, ``mat_mul3`` and ``_adjugate`` are the one set of
+3x3 integer matrix helpers.
 
 Every function works on plain arbitrary-precision integers, Python sequences
 and 3x3 matrices given as tuples of row tuples.
@@ -15,20 +17,20 @@ and 3x3 matrices given as tuples of row tuples.
 _BLOCK = 48
 
 
-def rational_digits(u, v, w, limit=None):
-    """Expand the rational pair (alpha, beta) = (u/w, v/w) digit by digit.
+def rational_digits(corners, limit=None):
+    """Expand rational pairs (alpha, beta) = (u/w, v/w), w > 0, in lockstep.
 
-    Runs the integer triple recurrence u' = w, v' = u - a*w, w' = v - b*w,
-    where a = floor(u/w) and b = floor(v/w), until beta becomes integral
-    (w divides v).  The denominators strictly decrease, so the run always
-    terminates.  With ``limit`` it stops after that many digit pairs, like
-    ``bcf_expand(max_terms=limit)``, unless beta turns integral first.
+    Each of the 1, 2 or 4 triples runs u' = w, v' = u - a*w, w' = v - b*w,
+    where a = floor(u/w) and b = floor(v/w); the denominators strictly
+    decrease.  The run stops before the first index where the triples'
+    pairs (a, b) differ or some beta is integral (w divides v), or after
+    ``limit`` pairs.  Triples after the first need no division: one keeps
+    the first's digits exactly when 0 <= u - a*w < w and 0 < v - b*w < w.
 
-    Returns ``(a, b, trace)``; ``trace`` lists every (u, v, w) triple
-    visited, starting with the input.  A terminated run's b-side carries
-    one digit more than its a-side, and its unreduced terminal alpha is u/w
-    of the last triple; a run stopped by ``limit`` has equal sides.
+    Returns ``(a, b, trace)``: the shared digits, as many a's as b's, and
+    the first triple at each index, from the input to where the run stopped.
     """
+    (u, v, w), rest = corners[0], corners[1:]
     a = []
     b = []
     trace = [(u, v, w)]
@@ -36,9 +38,12 @@ def rational_digits(u, v, w, limit=None):
         bi = v // w
         r = v - bi * w
         if r == 0:
-            b.append(bi)
             break
         ai = u // w
+        if rest:
+            rest = [(z, x - ai * z, y - bi * z) for x, y, z in rest]
+            if not all(0 <= t < z and 0 < s < z for z, t, s in rest):
+                break
         a.append(ai)
         b.append(bi)
         u, v, w = w, u - ai * w, r

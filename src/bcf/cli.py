@@ -30,7 +30,7 @@ from .errors import (
     OutputTooLarge,
     ParseError,
 )
-from .expansion import bcf_expand, bcf_expand_box, bcf_expand_rational
+from .expansion import bcf_expand, bcf_expand_box
 from .fields import AlgebraicNumber, _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
@@ -173,19 +173,19 @@ def _prepare_expand(args):
     if args.approx:
         alpha = _approx_value(args.alpha, "--alpha")
         beta = _approx_value(args.beta, "--beta")
-        return {"expand": bcf_expand_box, "alpha": alpha, "beta": beta}
-    alpha = parse_number(args.alpha)
-    if isinstance(alpha, RatFunc):
-        raise ParseError("ratfunc literals are only legal for --beta")
-    beta = parse_number(args.beta)
-    if isinstance(beta, RatFunc):
-        try:
-            beta = beta.evaluate(alpha)
-        except ZeroDivisionError as exc:
-            raise ParseError(f"--beta: {exc}") from None
-    rational = isinstance(alpha, Fraction) and isinstance(beta, Fraction)
-    expand = bcf_expand_rational if rational else bcf_expand
-    return {"expand": expand, "alpha": alpha, "beta": beta}
+    else:
+        alpha = parse_number(args.alpha)
+        if isinstance(alpha, RatFunc):
+            raise ParseError("ratfunc literals are only legal for --beta")
+        beta = parse_number(args.beta)
+        if isinstance(beta, RatFunc):
+            try:
+                beta = beta.evaluate(alpha)
+            except ZeroDivisionError as exc:
+                raise ParseError(f"--beta: {exc}") from None
+    field = isinstance(alpha, AlgebraicNumber) or isinstance(beta, AlgebraicNumber)
+    return {"expand": bcf_expand if field else bcf_expand_box,
+            "alpha": alpha, "beta": beta}
 
 
 def _execute_expand(args, job):
@@ -316,6 +316,7 @@ def _execute_validate(args, job):
 
 
 def _prepare_recover(args):
+    _check_places(args.digits)
     period = SequencePair(
         parse_digits(args.period_a), parse_digits(args.period_b)
     )

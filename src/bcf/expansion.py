@@ -18,11 +18,11 @@ from bounds on X, Y and Z, Z > 0.  A recurrence shows as a repeated window of
 _WINDOW digit pairs and is accepted only by the exact cross-multiplication
 test.  Everything else steps through the public operators (``_next``):
 ``bcf_step`` on either kind of number, and ``bcf_expand`` on a rational pair,
-the Fraction reference for ``bcf_expand_rational``: an integer-only fast path
-with an optional step cap, which the CLI uses for every exact rational pair.
-``bcf_expand_box`` steps the corners of a box of rational pairs in lockstep
-and stops at the first pair they disagree on; the digits before it are shared
-by every pair in the box (Gosper's rule for inputs known only to an interval).
+the Fraction reference for ``_kernels.rational_digits``, the one integer
+engine: it steps a rational point, or a box's corners in lockstep to the
+first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it for
+``bcf_expand_rational``, ``rational_expansion_trace`` and ``bcf_expand_box``,
+which the CLI uses for every rational pair.
 """
 
 from __future__ import annotations
@@ -227,29 +227,33 @@ def _common_denominator_form(alpha, beta):
     return int(alpha * w), int(beta * w), w
 
 
-def bcf_expand_rational(alpha, beta, max_terms=None):
-    """Expand a positive rational pair with the integer triple recurrence.
-
-    Writing alpha_i = u_i/w_i and beta_i = v_i/w_i over one denominator, a
-    step is u' = w, v' = u - a*w, w' = v - b*w with a = u//w, b = v//w; the
-    denominators strictly decrease, so the run always terminates.  The
-    result is digit-for-digit identical to bcf_expand on the same inputs,
-    and with ``max_terms`` to bcf_expand(max_terms=...): a run cut by the
-    cap is open, with no terminal.  The CLI expands every exact rational
-    pair here.
-    """
+def _rational_run(alphas, betas, max_terms):
+    """Step the corners alphas x betas in lockstep: (SequencePair, trace of
+    the first corner).  A lone point that stops before ``max_terms`` stopped
+    at an integral beta, its last b digit, and terminates with u/w."""
     if max_terms is not None and max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
-    a, b, trace = rational_digits(*_common_denominator_form(alpha, beta), max_terms)
-    if len(b) == len(a):
-        return SequencePair(a, b)
-    u, _, w = trace[-1]
-    return SequencePair(a, b, terminal=Fraction(u, w))
+    corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
+    a, b, trace = rational_digits(corners, max_terms)
+    if len(corners) > 1 or len(b) == max_terms:
+        return SequencePair(a, b), trace
+    u, v, w = trace[-1]
+    b.append(v // w)
+    return SequencePair(a, b, terminal=Fraction(u, w)), trace
+
+
+def bcf_expand_rational(alpha, beta, max_terms=None):
+    """Expand a positive rational pair with the integer triple recurrence;
+    it always terminates.  The result is digit-for-digit identical to
+    bcf_expand on the same inputs, and with ``max_terms`` to
+    bcf_expand(max_terms=...): a run cut by the cap is open, with no terminal.
+    """
+    return _rational_run((alpha,), (beta,), max_terms)[0]
 
 
 def rational_expansion_trace(alpha, beta):
     """All (u, v, w) triples visited by the rational fast path, in order."""
-    return rational_digits(*_common_denominator_form(alpha, beta))[2]
+    return _rational_run((alpha,), (beta,), None)[1]
 
 
 def _box_ends(value, name):
@@ -266,12 +270,13 @@ def bcf_expand_box(alpha, beta, max_terms=64):
     """The digits shared by every pair in a box of rational pairs.
 
     Each of alpha and beta is an exact rational (a point) or a closed
-    interval (lo, hi) of rationals with lo < hi.  A pure point gives
-    ``bcf_expand_rational(alpha, beta, max_terms)``, terminal included.
-    Otherwise the integer triple recurrence steps each distinct corner of
-    the box in lockstep, and the result is the corners' (a_i, b_i) pairs up
-    to the first index where they differ or some corner's beta is
-    integral, open: fewer than ``max_terms`` digits means the box split.
+    interval (lo, hi) of rationals with lo < hi.  The integer triple
+    recurrence steps the box's distinct corners in lockstep, and the result
+    is their shared (a_i, b_i) pairs up to the first index where they differ
+    or some corner's beta is integral, open: fewer than ``max_terms`` digits
+    means the box split.  A box of one corner terminates as in
+    ``bcf_expand_rational``.  With ``max_terms=None`` a box still stops:
+    each corner's denominators strictly fall.
 
     Why every point of the box shares that prefix: after a shared prefix,
     (alpha_i, beta_i, 1) is the image of (alpha, beta, 1) under one
@@ -281,20 +286,5 @@ def bcf_expand_box(alpha, beta, max_terms=64):
     the corners share is shared by every point in the box, and a corner
     whose beta becomes integral ends the prefix.
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     alphas, betas = _box_ends(alpha, "alpha"), _box_ends(beta, "beta")
-    if len(alphas) == len(betas) == 1:
-        return bcf_expand_rational(alpha, beta, max_terms)
-    corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
-    a_digits = []
-    b_digits = []
-    while len(b_digits) < max_terms:
-        floors = {(u // w, v // w) for u, v, w in corners}
-        if len(floors) > 1 or any(v % w == 0 for _, v, w in corners):
-            break
-        ((a_i, b_i),) = floors
-        a_digits.append(a_i)
-        b_digits.append(b_i)
-        corners = [(w, u - a_i * w, v - b_i * w) for u, v, w in corners]
-    return SequencePair(a_digits, b_digits)
+    return _rational_run(alphas, betas, max_terms)[0]

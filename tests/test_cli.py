@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from bcf import (
     bcf_expand, bcf_expand_rational, cli, convergent, errors, expansion,
-    fields, literals, validation,
+    fields, literals, recovery, validation,
 )
 from bcf.cli import _convergent_record, run
 from bcf.fields import _rounded_decimal
@@ -132,7 +132,7 @@ def test_rational_expand_bytes_match_generic_loop(capsys, monkeypatch, fmt, offs
             "--terms", str(length + offset), "--format", fmt]
     kernel = _stdout(capsys, argv)
     with monkeypatch.context() as m:
-        m.setattr(cli, "bcf_expand_rational",
+        m.setattr(cli, "bcf_expand_box",
                   lambda alpha, beta, max_terms: bcf_expand(alpha, beta, max_terms))
         generic = _stdout(capsys, argv)
     assert kernel == generic
@@ -584,17 +584,19 @@ def test_recover_past_digit_limit_fails_before_refining(capsys, monkeypatch):
     ["eval", "--a", "1,2", "--b", "1,1"],
     ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2"],
     ["expand", "--approx", "--alpha", "dec:1.75", "--beta", "dec:1.5"],
-], ids=["eval", "expand", "expand-approx"])
+    ["recover", "--period-a", "1", "--period-b", "1"],
+], ids=["eval", "expand", "expand-approx", "recover"])
 def test_eval_and_expand_past_digit_limit_fail_before_any_work(
     monkeypatch, capsys, argv, places
 ):
     calls = _count_calls(monkeypatch, fields, "_rounded_decimal")
+    recoveries = _count_calls(monkeypatch, recovery, "recover_cubic_eventual")
     assert run(argv + ["--digits", str(places)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: ")
-    assert calls == []
+    assert calls == [] and recoveries == []
     # the limit itself still prints
     limit = str(sys.get_int_max_str_digits())
     assert run(argv + ["--digits", limit]) == 0, capsys.readouterr().err

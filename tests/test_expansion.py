@@ -570,12 +570,57 @@ def test_field_terminal_after_steps():
 
 def test_rational_digits_cap():
     u, v, w = 713722173205991698923043325531, 381433033348889187677694374246, 10**30
-    a, b, trace = rational_digits(u, v, w)
-    assert len(b) == len(a) + 1 > 10
-    capped = rational_digits(u, v, w, 10)
+    a, b, trace = rational_digits([(u, v, w)])
+    assert len(b) == len(a) > 10
+    assert trace[-1][1] % trace[-1][2] == 0  # stopped before an integral beta
+    capped = rational_digits([(u, v, w)], 10)
     assert capped == (a[:10], b[:10], trace[:11])
-    assert rational_digits(u, v, w, len(b)) == (a, b, trace)
-    assert rational_digits(u, v, w, len(b) + 5) == (a, b, trace)
+    assert rational_digits([(u, v, w)], len(b)) == (a, b, trace)
+    assert rational_digits([(u, v, w)], len(b) + 5) == (a, b, trace)
+
+
+def _one_triple_loop(u, v, w, limit=None):
+    """The one-triple rational kernel from before the lockstep engine, kept
+    as its reference.  A terminated run's b-side carries the integral beta
+    as one digit more than its a-side; a run stopped by ``limit`` has equal
+    sides."""
+    a = []
+    b = []
+    trace = [(u, v, w)]
+    while len(b) != limit:
+        bi = v // w
+        r = v - bi * w
+        if r == 0:
+            b.append(bi)
+            break
+        ai = u // w
+        a.append(ai)
+        b.append(bi)
+        u, v, w = w, u - ai * w, r
+        trace.append((u, v, w))
+    return a, b, trace
+
+
+@given(st.lists(st.integers(1, 10**40), min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_one_corner_matches_one_triple_loop(ints):
+    alpha, beta = Fraction(*ints[:2]), Fraction(*ints[2:])
+    w = math.lcm(alpha.denominator, beta.denominator)
+    triple = (alpha.numerator * (w // alpha.denominator),
+              beta.numerator * (w // beta.denominator), w)
+    n = len(_one_triple_loop(*triple)[1])
+    for limit in (None, 1, n - 1, n, n + 1):
+        a, b, trace = _one_triple_loop(*triple, limit)
+        assert rational_digits([triple], limit) == (a, b[:len(a)], trace)
+        if limit == 0:
+            with pytest.raises(ValueError):
+                bcf_expand_rational(alpha, beta, limit)
+            continue
+        u, _, w_last = trace[-1]
+        terminal = Fraction(u, w_last) if len(b) > len(a) else None
+        assert bcf_expand_rational(alpha, beta, limit) == SequencePair(
+            a, b, terminal=terminal
+        )
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 4, 50])
@@ -647,9 +692,10 @@ _BOX_KINDS = {
 @settings(max_examples=200, deadline=None)
 def test_box_prefix_is_the_longest(data):
     # Boxes that split early, boxes that agree up to max_terms, and boxes
-    # with a low-height end, whose corner there terminates mid-run.
+    # with a low-height end, whose corner there terminates mid-run; with no
+    # cap (max_terms None) a box still stops, as its denominators fall.
     draw = data.draw
-    max_terms = draw(st.integers(1, 30))
+    max_terms = draw(st.one_of(st.none(), st.integers(1, 30)))
     nums, dens, widths = _BOX_KINDS[draw(st.sampled_from(sorted(_BOX_KINDS)))]
     sides = []
     for _ in range(2):

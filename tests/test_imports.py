@@ -1,7 +1,9 @@
-"""Every module of src/bcf uses each name it imports.  A deletion can leave
-an import behind; the package has no linter dependency, so this parses
-each module with ast instead.  __init__.py is left out: it imports to
-re-export."""
+"""Every module of src/bcf uses each name it imports, and every private
+top-level function or class of src/bcf is named somewhere in src/bcf
+outside its own definition.  A deletion can leave an import or a helper
+behind; the package has no linter dependency, so this parses each module
+with ast instead.  __init__.py is left out of the import check: it imports
+to re-export."""
 
 import ast
 from pathlib import Path
@@ -9,7 +11,8 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcf"
-MODULES = sorted(path for path in SRC.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(SRC.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def _unused_imports(source):
@@ -34,3 +37,35 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _unused_private_definitions(sources):
+    """Private top-level functions and classes that no top-level statement
+    but their own definition names, across all the given module sources."""
+    defined, named = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                if node.name.startswith("_"):
+                    defined.add(own := node.name)
+            named |= {
+                sub.id if isinstance(sub, ast.Name) else sub.attr
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute))
+            } - {own}
+    return sorted(defined - named)
+
+
+def test_unused_private_definition_is_found():
+    sources = [
+        "def _dead(n):\n    return _dead(n - 1)\nclass _Gone:\n    pass\n",
+        "from . import a\ndef _kept():\n    return a._used()\n"
+        "def _used():\n    return _kept\n",
+    ]
+    assert _unused_private_definitions(sources) == ["_Gone", "_dead"]
+
+
+def test_no_unused_private_definitions():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert _unused_private_definitions(sources) == []
