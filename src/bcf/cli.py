@@ -21,6 +21,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import _kernels
 from .errors import (
@@ -31,7 +32,8 @@ from .errors import (
     ParseError,
 )
 from .expansion import bcf_expand, bcf_expand_box
-from .fields import AlgebraicNumber, _check_places, _rounded_decimal
+from .fields import (AlgebraicNumber, _check_places, _rounded_decimal,
+                     _too_long_to_print)
 from .literals import (
     RatFunc,
     _excerpt,
@@ -39,7 +41,6 @@ from .literals import (
     fraction_str,
     parse_digits,
     parse_number,
-    ratio_str,
 )
 from .recovery import conjecture_scan, recover_cubic_eventual
 from .sequences import SequencePair
@@ -97,44 +98,45 @@ def _exact_str(value):
     return bounded_str(value, repr)
 
 
-def _ratio_text(num, den, num_text, den_text):
-    """ratio_str(num, den), reusing both rendered integers when num/den is
-    already in lowest terms with a positive denominator."""
-    if den > 0 and math.gcd(num, den) == 1:
-        return f"{num_text}/{den_text}"
-    return ratio_str(num, den)
-
-
-# A convergent's fields are rendered once, in _RECORD_KEYS (text) order; the
-# JSON templates list their keys sorted.  Every field is made of digits, '-',
-# '/' and '.', so none needs JSON escaping.
-_RECORD_KEYS = ("n", "A", "B", "C", "alpha", "beta", "alpha_dec")
-_RECORD_TEXT = "n={} A={} B={} C={} alpha={} beta={} alpha_dec={}"
-_RECORD_JSON = ('{{"A":"{1}","B":"{2}","C":"{3}","alpha":"{4}",'
-                '"alpha_dec":"{6}","beta":"{5}","n":{0}}}')
-_EXPAND_JSON = ('{{"a":{},"b":{},"convergents":[{}],"period":{},'
-                '"preperiod":{},"terminated":{}}}')
-
-
-def _record_fields(n, A, B, C, digits):
-    a, b, c = bounded_str(A), bounded_str(B), bounded_str(C)
-    return (n, a, b, c, _ratio_text(A, C, a, c), _ratio_text(B, C, b, c),
-            _rounded_decimal(A, C, digits)[1])
-
-
-def _convergent_record(triple, digits):
-    fields = _record_fields(triple.n, triple.A, triple.B, triple.C, digits)
-    return dict(zip(_RECORD_KEYS, fields))
-
-
-def _convergent_records(pair, digits, template):
-    """Every convergent of an expansion (none for an empty a-side), each
-    rendered through template."""
-    triples = _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1)
-    return [
-        template.format(*_record_fields(n, A, B, C, digits))
-        for n, (A, B, C) in enumerate(triples)
-    ]
+# One loop renders every convergent record: expand's, and eval's one with
+# beta_dec.  Each integer is rendered once, under one guard per call: str()
+# of an integer past Python's digit limit raises ValueError, which becomes
+# OutputTooLarge.  Both ratios share one gcd, h = gcd(A*B, C): gcd(A, C)
+# divides A*B and C, so it divides h, and h divides C, so gcd(A, C) =
+# gcd(A, h), and likewise for B.  When h = 1 and C > 0, about half the
+# time, both ratios reuse the rendered A, B and C.  The JSON keys are
+# sorted; every field is made of digits, '-', '/' and '.', so none needs
+# JSON escaping.
+def _convergent_records(triples, digits, text, n=0, beta_dec=False):
+    """Render the triples (A, B, C) of convergents n, n + 1, ... as text
+    lines or JSON objects; with beta_dec, each also carries B/C rounded."""
+    records = []
+    try:
+        for A, B, C in triples:
+            a, b, c = f"{A}", f"{B}", f"{C}"
+            alpha_dec = _rounded_decimal(A, C, digits)[1]
+            h = gcd(A * B, C)
+            if h == 1 and C > 0:
+                alpha, beta = f"{a}/{c}", f"{b}/{c}"
+            else:
+                ga = gcd(A, h) if C > 0 else -gcd(A, h)
+                gb = gcd(B, h) if C > 0 else -gcd(B, h)
+                alpha = f"{a}/{c}" if ga == 1 else f"{A // ga}/{C // ga}"
+                beta = f"{b}/{c}" if gb == 1 else f"{B // gb}/{C // gb}"
+            more = ""
+            if beta_dec:
+                more = _rounded_decimal(B, C, digits)[1]
+                more = f" beta_dec={more}" if text else f',"beta_dec":"{more}"'
+            records.append(
+                f"n={n} A={a} B={b} C={c} alpha={alpha} beta={beta} "
+                f"alpha_dec={alpha_dec}{more}" if text else
+                f'{{"A":"{a}","B":"{b}","C":"{c}","alpha":"{alpha}",'
+                f'"alpha_dec":"{alpha_dec}","beta":"{beta}"{more},"n":{n}}}'
+            )
+            n += 1
+    except ValueError:
+        raise _too_long_to_print() from None
+    return records
 
 
 def _ratfunc_str(num, den):
@@ -190,14 +192,18 @@ def _prepare_expand(args):
 
 def _execute_expand(args, job):
     pair = job["expand"](job["alpha"], job["beta"], max_terms=args.terms)
-    if args.format == "json":
-        records = _convergent_records(pair, args.digits, _RECORD_JSON)
-        print(_EXPAND_JSON.format(
-            _dumps(pair.a), _dumps(pair.b), ",".join(records),
-            _dumps(pair.period), _dumps(pair.preperiod), _dumps(pair.terminated),
-        ))
+    text = args.format == "text"
+    records = _convergent_records(
+        _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1),
+        args.digits, text,
+    )
+    if not text:
+        print(f'{{"a":{_dumps(pair.a)},"b":{_dumps(pair.b)},'
+              f'"convergents":[{",".join(records)}],'
+              f'"period":{_dumps(pair.period)},'
+              f'"preperiod":{_dumps(pair.preperiod)},'
+              f'"terminated":{_dumps(pair.terminated)}}}')
         return 0
-    records = _convergent_records(pair, args.digits, _RECORD_TEXT)
     lines = [
         "a: " + ",".join(str(d) for d in pair.a),
         "b: " + ",".join(str(d) for d in pair.b),
@@ -234,12 +240,11 @@ def _execute_eval(args, job):
         raise ZeroDivisionError(
             f"C_n = 0 at n = {triple.n}, so A/C and B/C are undefined"
         )
-    record = _convergent_record(triple, args.digits)
-    beta_dec = _rounded_decimal(triple.B, triple.C, args.digits)[1]
-    if args.format == "json":
-        _emit_json(dict(record, beta_dec=beta_dec))
-    else:
-        print(_RECORD_TEXT.format(*record.values()), f"beta_dec={beta_dec}")
+    (record,) = _convergent_records(
+        [(triple.A, triple.B, triple.C)], args.digits,
+        args.format == "text", triple.n, beta_dec=True,
+    )
+    print(record)
     return 0
 
 

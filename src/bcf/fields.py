@@ -35,17 +35,22 @@ from .errors import (
 )
 
 
+def _too_long_to_print():
+    """OutputTooLarge for str()'s ValueError past Python's digit limit."""
+    return OutputTooLarge(
+        "an integer in the output has more than "
+        f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
+        "for integer-to-string conversion"
+    )
+
+
 def bounded_str(value, render=str):
     """render(value), raising OutputTooLarge where an integer in it exceeds
     Python's digit limit for integer-to-string conversion."""
     try:
         return render(value)
     except ValueError:
-        raise OutputTooLarge(
-            "an integer in the output has more than "
-            f"{sys.get_int_max_str_digits()} decimal digits, Python's limit "
-            "for integer-to-string conversion"
-        ) from None
+        raise _too_long_to_print() from None
 
 
 def _check_places(decimal_digits):
@@ -73,7 +78,10 @@ def _rounded_decimal(num, den, digits):
     unit = 10**digits
     n = (2 * abs(num) * unit + den) // (2 * den)
     whole, frac = divmod(n, unit)
-    text = f"{bounded_str(whole)}.{bounded_str(frac).zfill(digits)}"
+    try:
+        text = f"{whole}.{str(frac).zfill(digits)}"
+    except ValueError:
+        raise _too_long_to_print() from None
     if num < 0 and n:
         return -n, "-" + text
     return n, text

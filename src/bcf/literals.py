@@ -21,7 +21,6 @@ prefix.
 
 from __future__ import annotations
 
-import math
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -239,16 +238,7 @@ def parse_digits(text):
 
 
 def fraction_str(value):
-    """Render an int or Fraction as 'p/q', the denominator always explicit."""
+    """Render an int or Fraction as 'p/q', the denominator always explicit.
+    A Fraction is already in lowest terms with a positive denominator."""
     value = _as_rational(value, "value")
-    return ratio_str(value.numerator, value.denominator)
-
-
-def ratio_str(num, den):
-    """fraction_str(Fraction(num, den)) from the two integers, with one gcd."""
-    if not den:
-        raise ZeroDivisionError(f"Fraction({num}, 0)")
-    g = math.gcd(num, den)
-    if den < 0:
-        g = -g
-    return f"{bounded_str(num // g)}/{bounded_str(den // g)}"
+    return bounded_str(value, lambda q: f"{q.numerator}/{q.denominator}")

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -16,9 +17,8 @@ from bcf import (
     bcf_expand, bcf_expand_rational, cli, convergent, errors, expansion,
     fields, literals, recovery, validation,
 )
-from bcf.cli import _convergent_record, run
+from bcf.cli import _convergent_records, run
 from bcf.fields import _rounded_decimal
-from bcf.treeval import ConvergentTriple
 
 from _corpus import random_valid_digits
 
@@ -238,31 +238,65 @@ def _reference_decimal(value, digits):
 BIG = 2**200
 
 
+def _coprime_to(x, c):
+    """x with every prime factor it shares with c divided out."""
+    while (g := math.gcd(x, c)) > 1:
+        x //= g
+    return x
+
+
 @st.composite
 def record_inputs(draw):
+    """(A, B, C, digits): random integers, A / C half a unit in the last
+    place, A * B = 0, or A = g1*x, B = g2*y, C = g1*g2*z built so that
+    exactly the chosen ratios among A/C and B/C are unreduced."""
     digits = draw(st.integers(1, 60))
     sign = draw(st.sampled_from([1, -1]))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["half", "random", "zero", "factors"]))
+    B = draw(st.integers(-BIG, BIG))
+    if kind == "half":
         # A / C exactly half a unit in the last place, unreduced.
         half_units = 2 * draw(st.integers(0, 10**70)) + 1
         scale = draw(st.integers(1, 2**40))
         A, C = sign * half_units * scale, 2 * 10**digits * scale
-    else:
+    elif kind == "random":
         A = draw(st.one_of(st.just(0), st.integers(-BIG, BIG)))
         C = sign * draw(st.integers(1, BIG))
+    elif kind == "zero":
+        A, C = draw(st.integers(-BIG, BIG)), sign * draw(st.integers(1, BIG))
+        if draw(st.booleans()):
+            A, B = 0, A
+        else:
+            B = 0
+    else:
+        reduce_a, reduce_b = draw(st.sampled_from(
+            [(False, False), (True, False), (False, True), (True, True)]
+        ))
+        factor = st.integers(2, 2**64)
+        g1 = draw(factor) if reduce_a else 1
+        g2 = draw(factor) if reduce_b else 1
+        C = sign * g1 * g2 * draw(st.integers(1, BIG))
+        x = draw(st.integers(1, BIG))
+        y = draw(st.integers(1, BIG))
+        if not reduce_a:
+            x = _coprime_to(x, C)
+        if not reduce_b:
+            y = _coprime_to(y, C)
+        A = draw(st.sampled_from([1, -1])) * g1 * x
+        B = draw(st.sampled_from([1, -1])) * g2 * y
+        assert (math.gcd(A, C) > 1, math.gcd(B, C) > 1) == (reduce_a, reduce_b)
     if draw(st.booleans()):
         C = -C
-    B = draw(st.integers(-BIG, BIG))
     return A, B, C, digits
 
 
 @given(record_inputs())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_integer_record_matches_fraction_reference(inputs):
     A, B, C, digits = inputs
     alpha, beta = Fraction(A, C), Fraction(B, C)
     assert _rounded_decimal(A, C, digits) == _reference_decimal(alpha, digits)
-    assert _convergent_record(ConvergentTriple(7, A, B, C), digits) == {
+    want = {
         "n": 7,
         "A": str(A),
         "B": str(B),
@@ -271,6 +305,42 @@ def test_integer_record_matches_fraction_reference(inputs):
         "beta": f"{beta.numerator}/{beta.denominator}",
         "alpha_dec": _reference_decimal(alpha, digits)[1],
     }
+    text = " ".join(f"{key}={value}" for key, value in want.items())
+    assert _convergent_records([(A, B, C)], digits, True, 7) == [text]
+    (line,) = _convergent_records([(A, B, C)], digits, False, 7)
+    assert line == json.dumps(want, sort_keys=True, separators=(",", ":"))
+    # eval's record carries beta_dec too, after alpha_dec
+    want["beta_dec"] = _reference_decimal(beta, digits)[1]
+    text += f" beta_dec={want['beta_dec']}"
+    assert _convergent_records([(A, B, C)], digits, True, 7, True) == [text]
+    (line,) = _convergent_records([(A, B, C)], digits, False, 7, True)
+    assert line == json.dumps(want, sort_keys=True, separators=(",", ":"))
+
+
+_TOO_LONG = (
+    "an integer in the output has more than 640 decimal digits, Python's "
+    "limit for integer-to-string conversion"
+)
+
+
+@pytest.mark.parametrize("text", [True, False], ids=["text", "json"])
+def test_records_past_the_digit_limit_are_output_too_large(text):
+    long_a, short_a = 10**699 + 7, 10**638 + 7  # 700 and 639 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for triple in [(long_a, 1, 3), (3, long_a, 5), (3, 2, long_a)]:
+            with pytest.raises(errors.OutputTooLarge) as info:
+                _convergent_records([(1, 1, 1), triple], 12, text)
+            assert str(info.value) == _TOO_LONG
+        with pytest.raises(errors.OutputTooLarge) as info:
+            _rounded_decimal(long_a, 1, 12)
+        assert str(info.value) == _TOO_LONG
+        (record,) = _convergent_records([(short_a, 1, 1)], 12, text)
+        assert str(short_a) in record
+        assert _rounded_decimal(short_a, 1, 640)[1] == f"{short_a}.{'0' * 640}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_expand_ratfunc_only_for_beta(capsys):
@@ -1046,14 +1116,20 @@ def eval_inputs(draw):
 def test_eval_prints_the_forward_convergent(inputs):
     a, b, n, fmt = inputs
     triple = convergent((a, b), n)
-    record = _convergent_record(triple, 12)
-    beta_dec = _rounded_decimal(triple.B, triple.C, 12)[1]
+    record = {
+        "n": n,
+        "A": str(triple.A),
+        "B": str(triple.B),
+        "C": str(triple.C),
+        "alpha": literals.fraction_str(triple.alpha),
+        "beta": literals.fraction_str(triple.beta),
+        "alpha_dec": _reference_decimal(triple.alpha, 12)[1],
+        "beta_dec": _reference_decimal(triple.beta, 12)[1],
+    }
     if fmt == "json":
-        want = json.dumps(dict(record, beta_dec=beta_dec), sort_keys=True,
-                          separators=(",", ":"))
+        want = json.dumps(record, sort_keys=True, separators=(",", ":"))
     else:
         want = " ".join(f"{key}={value}" for key, value in record.items())
-        want += f" beta_dec={beta_dec}"
     argv = ["eval", "--a", ",".join(map(str, a)), "--b", ",".join(map(str, b)),
             "--n", str(n), "--format", fmt]
     assert _outcome(argv) == (0, want + "\n", "")

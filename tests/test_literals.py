@@ -146,6 +146,23 @@ def test_fraction_str():
     assert fraction_str(Fraction(-1, 3)) == "-1/3"
 
 
+@given(st.one_of(
+    st.integers(-(2**300), 2**300),
+    st.fractions(max_denominator=2**300),
+    st.builds(Fraction, st.integers(-(2**300), 2**300),
+              st.integers(1, 2**300)),
+    st.booleans(), st.floats(), st.text(),
+))
+@settings(max_examples=400, deadline=None)
+def test_fraction_str_is_numerator_over_denominator(value):
+    if isinstance(value, (bool, float, str)):
+        with pytest.raises(TypeError):
+            fraction_str(value)
+        return
+    q = Fraction(value)
+    assert fraction_str(value) == f"{q.numerator}/{q.denominator}"
+
+
 def _generic_ratfunc(num, den, x):
     """num(x) / den(x) by Horner through the generic field operators."""
     den_value = polys.evaluate(den, x)
