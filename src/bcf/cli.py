@@ -2,16 +2,17 @@
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
-scanner emits one JSON record per line.  Each command parses its text
-(prepare) and hands the values to the library (execute), which checks
-them itself.  Exit codes: 0 for success (including a completed validation
-that found violations); otherwise the error's class decides the code,
-whichever step raises it: 2 for every InputError (bad usage, unparsable
-literals, a ratfunc: beta with a pole at alpha, malformed or inadmissible
-digit pairs, nonpositive inputs, alpha and beta from different fields), 3
-for computation errors (degenerate recovery systems, an integer too long
-to print, more --digits than Python's integer-to-string limit, a render
-or a scan box over its budget, a zero division).
+scanner emits one JSON record per line.  Each command has one handler,
+which parses all of its text before it calls the library (which checks
+the values itself) and prints last.  Exit codes: 0 for success (including
+a completed validation that found violations); otherwise the error's
+class decides the code, whether the parsing or the library raises it: 2
+for every InputError (bad usage, unparsable literals, a ratfunc: beta
+with a pole at alpha, malformed or inadmissible digit pairs, nonpositive
+inputs, alpha and beta from different fields), 3 for computation errors
+(degenerate recovery systems, an integer too long to print, more
+--digits than Python's integer-to-string limit, a render or a scan box
+over its budget, a zero division).
 """
 
 from __future__ import annotations
@@ -57,11 +58,8 @@ _DEFAULT_SCAN_BETAS = (
 )
 
 
-_dumps = json.JSONEncoder(separators=(",", ":")).encode
-
-
-def _emit_json(payload):
-    print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+# The one JSON writer: sorted keys, compact separators.
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _int_at_least(bound):
@@ -170,7 +168,7 @@ def _approx_value(literal, flag):
     return value if isinstance(value, Fraction) else _decimal_box(value, flag)
 
 
-def _prepare_expand(args):
+def _expand(args):
     _check_places(args.digits)
     if args.approx:
         alpha = _approx_value(args.alpha, "--alpha")
@@ -186,12 +184,8 @@ def _prepare_expand(args):
             except ZeroDivisionError as exc:
                 raise ParseError(f"--beta: {exc}") from None
     field = isinstance(alpha, AlgebraicNumber) or isinstance(beta, AlgebraicNumber)
-    return {"expand": bcf_expand if field else bcf_expand_box,
-            "alpha": alpha, "beta": beta}
-
-
-def _execute_expand(args, job):
-    pair = job["expand"](job["alpha"], job["beta"], max_terms=args.terms)
+    expand = bcf_expand if field else bcf_expand_box
+    pair = expand(alpha, beta, max_terms=args.terms)
     text = args.format == "text"
     records = _convergent_records(
         _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1),
@@ -203,7 +197,7 @@ def _execute_expand(args, job):
               f'"period":{_dumps(pair.period)},'
               f'"preperiod":{_dumps(pair.preperiod)},'
               f'"terminated":{_dumps(pair.terminated)}}}')
-        return 0
+        return
     lines = [
         "a: " + ",".join(str(d) for d in pair.a),
         "b: " + ",".join(str(d) for d in pair.b),
@@ -215,13 +209,12 @@ def _execute_expand(args, job):
         lines.append(f"preperiod: {pair.preperiod}")
         lines.append(f"period: {pair.period}")
     print("\n".join(lines + records))
-    return 0
 
 
 # -- eval --------------------------------------------------------------------
 
 
-def _prepare_eval(args):
+def _eval(args):
     _check_places(args.digits)
     pair = SequencePair(parse_digits(args.a), parse_digits(args.b))
     if not pair.a:
@@ -231,11 +224,7 @@ def _prepare_eval(args):
         raise IndexOutOfRange(
             f"n must lie in 0..{len(pair.a) - 1}, got {n}"
         )
-    return {"pair": pair, "n": n}
-
-
-def _execute_eval(args, job):
-    triple = convergent_matrix(job["pair"], job["n"])
+    triple = convergent_matrix(pair, n)
     if not triple.C:
         raise ZeroDivisionError(
             f"C_n = 0 at n = {triple.n}, so A/C and B/C are undefined"
@@ -245,7 +234,6 @@ def _execute_eval(args, job):
         args.format == "text", triple.n, beta_dec=True,
     )
     print(record)
-    return 0
 
 
 # -- render ------------------------------------------------------------------
@@ -267,60 +255,48 @@ def _build_pair(args, allow_terminal=False):
     return SequencePair(a, b, terminal=terminal, periodicity=periodicity)
 
 
-def _prepare_render(args):
+def _render(args):
     pair = _build_pair(args)
     pair.digit_a(args.depth)
     pair.digit_b(args.depth)
-    return {"pair": pair}
-
-
-def _execute_render(args, job):
-    text = render_tree(job["pair"], args.depth, format=args.style)
-    if args.format == "json":
-        if args.style == "ascii":
-            alpha_text, beta_text = text.split("\n\n", 1)
-        else:
-            alpha_text, beta_text = text.split("\n", 1)
-        _emit_json({"alpha": alpha_text, "beta": beta_text})
-    else:
+    text = render_tree(pair, args.depth, format=args.style)
+    if args.format == "text":
         print(text)
-    return 0
+        return
+    # A blank line parts the ascii towers, a newline the latex ones.
+    alpha, beta = text.split("\n\n" if args.style == "ascii" else "\n", 1)
+    print(_dumps({"alpha": alpha, "beta": beta}))
 
 
 # -- validate ----------------------------------------------------------------
 
 
-def _prepare_validate(args):
-    return {"pair": _build_pair(args, allow_terminal=True)}
-
-
-def _execute_validate(args, job):
-    report = validate(job["pair"])
-    payload = {
-        "valid": report.valid,
-        "violations": [
-            {"index": index, "rule": rule} for index, rule in report.violations
-        ],
-        "indeterminate": list(report.indeterminate),
-        "last_checked": report.last_checked,
-    }
+def _validate(args):
+    report = validate(_build_pair(args, allow_terminal=True))
     if args.format == "json":
-        _emit_json(payload)
-    else:
-        lines = [f"valid: {'true' if report.valid else 'false'}"]
-        for index, rule in report.violations:
-            lines.append(f"violation index={index} rule={rule}")
-        for index in report.indeterminate:
-            lines.append(f"indeterminate index={index}")
-        lines.append(f"last_checked: {report.last_checked}")
-        print("\n".join(lines))
-    return 0
+        print(_dumps({
+            "valid": report.valid,
+            "violations": [
+                {"index": index, "rule": rule}
+                for index, rule in report.violations
+            ],
+            "indeterminate": list(report.indeterminate),
+            "last_checked": report.last_checked,
+        }))
+        return
+    lines = [f"valid: {'true' if report.valid else 'false'}"]
+    for index, rule in report.violations:
+        lines.append(f"violation index={index} rule={rule}")
+    for index in report.indeterminate:
+        lines.append(f"indeterminate index={index}")
+    lines.append(f"last_checked: {report.last_checked}")
+    print("\n".join(lines))
 
 
 # -- recover -----------------------------------------------------------------
 
 
-def _prepare_recover(args):
+def _recover(args):
     _check_places(args.digits)
     period = SequencePair(
         parse_digits(args.period_a), parse_digits(args.period_b)
@@ -328,35 +304,25 @@ def _prepare_recover(args):
     preperiod = SequencePair(
         parse_digits(args.preperiod_a), parse_digits(args.preperiod_b)
     )
-    return {"preperiod": preperiod, "period": period}
-
-
-def _execute_recover(args, job):
-    result = recover_cubic_eventual(job["preperiod"], job["period"])
-    method = "eventual" if job["preperiod"].a else "pure"
-    lo, hi = result.field.root_interval
-    num, den = result.beta_expr
+    result = recover_cubic_eventual(preperiod, period)
+    lo, hi = (fraction_str(x) for x in result.field.root_interval)
     payload = {
         "min_poly": list(result.poly),
-        "interval": [fraction_str(lo), fraction_str(hi)],
-        "beta_expr": _ratfunc_str(num, den),
+        "interval": [lo, hi],
+        "beta_expr": _ratfunc_str(*result.beta_expr),
         "alpha_dec": result.alpha.approximate(args.digits).text,
         "beta_dec": result.beta.approximate(args.digits).text,
-        "method": method,
+        "method": "eventual" if preperiod.a else "pure",
     }
     if args.format == "json":
-        _emit_json(payload)
-    else:
-        lines = [
-            "min_poly: " + ",".join(str(c) for c in result.poly),
-            f"interval: ({fraction_str(lo)}, {fraction_str(hi)})",
-            f"beta_expr: {payload['beta_expr']}",
-            f"alpha_dec: {payload['alpha_dec']}",
-            f"beta_dec: {payload['beta_dec']}",
-            f"method: {method}",
-        ]
-        print("\n".join(lines))
-    return 0
+        print(_dumps(payload))
+        return
+    print("\n".join([
+        "min_poly: " + ",".join(str(c) for c in result.poly),
+        f"interval: ({lo}, {hi})",
+        *(f"{key}: {payload[key]}"
+          for key in ("beta_expr", "alpha_dec", "beta_dec", "method")),
+    ]))
 
 
 # -- scan --------------------------------------------------------------------
@@ -377,7 +343,7 @@ def _parse_range(text, flag):
     return range(lo, hi + 1)
 
 
-def _prepare_scan(args):
+def _scan(args):
     c2 = _parse_range(args.c2, "--c2")
     c1 = _parse_range(args.c1, "--c1")
     c0 = _parse_range(args.c0, "--c0")
@@ -385,9 +351,6 @@ def _prepare_scan(args):
         raise OutputTooLarge(
             f"the scan box holds more than {_SCAN_BUDGET} polynomials"
         )
-    family = [
-        (1, x2, x1, x0) for x2 in c2 for x1 in c1 for x0 in c0
-    ]
     if args.beta:
         candidates = []
         for literal in args.beta:
@@ -400,43 +363,31 @@ def _prepare_scan(args):
             candidates.append((value.num, value.den))
     else:
         candidates = list(_DEFAULT_SCAN_BETAS)
-    return {"family": family, "candidates": candidates}
-
-
-def _execute_scan(args, job):
     records = conjecture_scan(
-        job["family"],
-        job["candidates"],
+        [(1, x2, x1, x0) for x2 in c2 for x1 in c1 for x0 in c0],
+        candidates,
         horizon=args.horizon,
         jobs=args.jobs,
         preview_digits=args.preview,
     )
     for record in records:
-        interval = None
+        interval = beta_expr = preview = None
         if record.interval is not None:
-            interval = [fraction_str(record.interval[0]),
-                        fraction_str(record.interval[1])]
-        beta_expr = None
+            interval = [fraction_str(x) for x in record.interval]
         if record.beta_expr is not None:
             beta_expr = _ratfunc_str(*record.beta_expr)
-        preview = None
         if record.digits_preview is not None:
-            preview = {
-                "a": list(record.digits_preview[0]),
-                "b": list(record.digits_preview[1]),
-            }
-        _emit_json(
-            {
-                "min_poly": list(record.min_poly),
-                "interval": interval,
-                "beta_expr": beta_expr,
-                "status": record.status,
-                "preperiod": record.preperiod,
-                "period": record.period,
-                "digits_preview": preview,
-            }
-        )
-    return 0
+            preview = {"a": list(record.digits_preview[0]),
+                       "b": list(record.digits_preview[1])}
+        print(_dumps({
+            "min_poly": list(record.min_poly),
+            "interval": interval,
+            "beta_expr": beta_expr,
+            "status": record.status,
+            "preperiod": record.preperiod,
+            "period": record.period,
+            "digits_preview": preview,
+        }))
 
 
 # -- parser ------------------------------------------------------------------
@@ -492,7 +443,7 @@ def _build_parser():
         help="expand the box of inputs that round to dec: literals and print "
              "the digits shared by all of it",
     )
-    expand.set_defaults(prepare=_prepare_expand, execute=_execute_expand)
+    expand.set_defaults(handler=_expand)
 
     evaluate = add_command(
         "eval", help="evaluate the n-term convergent of a digit pair"
@@ -502,7 +453,7 @@ def _build_parser():
     evaluate.add_argument("--n", type=_nonnegative_int, default=None)
     evaluate.add_argument("--digits", type=_positive_int, default=12)
     evaluate.add_argument("--format", choices=("json", "text"), default="json")
-    evaluate.set_defaults(prepare=_prepare_eval, execute=_execute_eval)
+    evaluate.set_defaults(handler=_eval)
 
     render = add_command(
         "render", help="render the fraction towers of a digit pair"
@@ -514,7 +465,7 @@ def _build_parser():
     render.add_argument("--format", choices=("json", "text"), default="text")
     render.add_argument("--preperiod", type=_nonnegative_int, default=None)
     render.add_argument("--period", type=_positive_int, default=None)
-    render.set_defaults(prepare=_prepare_render, execute=_execute_render)
+    render.set_defaults(handler=_render)
 
     check = add_command(
         "validate", help="apply the admissibility rules to a digit pair"
@@ -528,7 +479,7 @@ def _build_parser():
         help="exact terminal value for a terminated pair",
     )
     check.add_argument("--format", choices=("json", "text"), default="json")
-    check.set_defaults(prepare=_prepare_validate, execute=_execute_validate)
+    check.set_defaults(handler=_validate)
 
     recover = add_command(
         "recover", help="recover the cubic behind a periodic digit pair"
@@ -539,7 +490,7 @@ def _build_parser():
     recover.add_argument("--preperiod-b", default="")
     recover.add_argument("--digits", type=_positive_int, default=12)
     recover.add_argument("--format", choices=("json", "text"), default="json")
-    recover.set_defaults(prepare=_prepare_recover, execute=_execute_recover)
+    recover.set_defaults(handler=_recover)
 
     scan = add_command(
         "scan", help="scan monic cubics for eventually periodic expansions"
@@ -555,7 +506,7 @@ def _build_parser():
     scan.add_argument("--horizon", type=_positive_int, default=64)
     scan.add_argument("--jobs", type=_positive_int, default=None)
     scan.add_argument("--preview", type=_positive_int, default=8)
-    scan.set_defaults(prepare=_prepare_scan, execute=_execute_scan)
+    scan.set_defaults(handler=_scan)
 
     return parser, commands
 
@@ -574,10 +525,11 @@ def run(argv):
         code = exc.code
         return code if isinstance(code, int) else (0 if code is None else 2)
     try:
-        return args.execute(args, args.prepare(args))
+        args.handler(args)
     except (BcfError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
+    return 0
 
 
 def main():

@@ -89,7 +89,7 @@ def _positive(alpha, beta):
 
 def _raw_state(alpha, beta):
     """The primitive triple of a field pair (fields._primitive): alpha = u/w
-    and beta = v/w.  It is canonical, so equal pairs give equal triples."""
+    and beta = v/w."""
     (p, dp), (q, dq) = alpha._raw, beta._raw
     w, pad = math.lcm(dp, dq), (0,) * (3 - len(p))
     u, v = (tuple([c * (w // d) for c in x]) + pad for x, d in ((p, dp), (q, dq)))

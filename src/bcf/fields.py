@@ -70,13 +70,14 @@ def _rounded_decimal(num, den, digits):
     """num / den rounded half away from zero to `digits` places.
 
     Returns (n, text): the rounded value is n / 10**digits and text is its
-    decimal rendering, with a minus sign only when n < 0.  One integer
-    division, with no gcd; den == 0 raises ZeroDivisionError.
+    decimal rendering, with a minus sign only when n < 0.  One divmod
+    rounds, with no gcd; den == 0 raises ZeroDivisionError.
     """
     if den < 0:
         num, den = -num, -den
     unit = 10**digits
-    n = (2 * abs(num) * unit + den) // (2 * den)
+    n, r = divmod(abs(num) * unit, den)
+    n += 2 * r >= den
     whole, frac = divmod(n, unit)
     try:
         text = f"{whole}.{str(frac).zfill(digits)}"

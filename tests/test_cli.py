@@ -1,10 +1,12 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -486,8 +488,8 @@ def test_reversed_root_interval_is_input_error(capsys):
 
 
 def test_internal_value_error_is_not_input_error(monkeypatch):
-    # A ValueError from a bug inside prepare is not bad input: it must not
-    # leave through the exit-2 path.
+    # A ValueError from a bug in a handler's parsing is not bad input: it
+    # must not leave through the exit-2 path.
     def broken(text):
         raise ValueError("internal bug")
 
@@ -847,6 +849,26 @@ def test_scan_custom_beta(capsys):
     assert records[0]["period"] == 1
 
 
+def test_scan_pool_prints_the_serial_bytes(monkeypatch, capsys):
+    # --jobs 2 starts a real pool of two workers, also on a one-CPU host.
+    started = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["scan", "--c2=-1:1", "--c1=-1:1", "--c0=-1:1", "--horizon", "16"]
+    pooled = _stdout(capsys, argv + ["--jobs", "2"])
+    assert started == [2]
+    assert pooled == _stdout(capsys, argv + ["--jobs", "1"])
+    assert started == [2]
+    polys = {tuple(json.loads(line)["min_poly"]) for line in pooled.splitlines()}
+    assert len(polys) == 27  # every cubic of the box has its records
+
+
 def test_printed_beta_exprs_parse_back(capsys):
     # The zero numerator of ratfunc:0/1 is printed as 0, not as nothing.
     records = run_lines(
@@ -1068,6 +1090,7 @@ def test_argv_fuzz_ends_in_one_line_and_a_known_code(argv):
     if code:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert out.getvalue() == "", argv
 
 
 def _outcome(argv):

@@ -1,0 +1,75 @@
+"""Pinned work totals: one walk of each benchmark catalogue, counted.
+
+Fixed work is exact, while its CPU time on a shared machine swings widely,
+so these totals show every change in the work a catalogue does.  Each test
+walks one catalogue of ``perfbench/`` once, in catalogue order, through
+``bcf.cli.run`` and counts calls through spies that ``monkeypatch``
+restores.  A change that moves a total re-pins it here and states the old
+and the new value.
+"""
+
+import contextlib
+import io
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from bcf import cli, expansion, fields
+from bcf.cli import run
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import workloads  # noqa: E402
+
+TOTALS = {
+    "cubic_deep": {
+        "_ratio_floor": 33_112, "_convolve": 768, "_primitive": 496,
+        "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
+        "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
+    },
+    "scan_box": {
+        "_ratio_floor": 18_476, "_convolve": 1_014, "_primitive": 324,
+        "_refine_more": 938, "refine_bits": 14_729, "rational_digits": 0,
+        "_rounded_decimal": 0, "stdout_chars": 132_863,
+    },
+    "digits_recover": {
+        "_ratio_floor": 0, "_convolve": 0, "_primitive": 0,
+        "_refine_more": 0, "refine_bits": 5_796, "rational_digits": 60,
+        "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
+    },
+}
+
+
+def _spy(monkeypatch, counts, owner, name, total, weight=lambda *a, **k: 1):
+    """Rebind owner.name to a wrapper that adds weight(*args) to
+    counts[total] on each call."""
+    original = getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        counts[total] += weight(*args, **kwargs)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+
+
+@pytest.mark.parametrize("name", sorted(TOTALS))
+def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
+    counts = Counter()
+    for binding in ("_ratio_floor", "_convolve", "_primitive",
+                    "rational_digits"):
+        _spy(monkeypatch, counts, expansion, binding, binding)
+    for owner in (expansion, fields):
+        _spy(monkeypatch, counts, owner, "_refine_more", "_refine_more")
+    _spy(monkeypatch, counts, fields.NumberField, "refine", "refine_bits",
+         lambda field, bits=1: bits)
+    _spy(monkeypatch, counts, cli, "_rounded_decimal", "_rounded_decimal")
+    for op in workloads.WORKLOADS[name].catalogue():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            run(op["argv"])
+        counts["stdout_chars"] += len(out.getvalue())
+    assert {total: counts[total] for total in TOTALS[name]} == TOTALS[name]
