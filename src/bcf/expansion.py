@@ -14,9 +14,11 @@ validates its input once; a field pair is then held as a projective triple
 stepped by the linear map (X, Y, Z) -> (Z, X - aZ, Y - bZ), with no inverse
 and no gcd; every _RENORMALISE steps ``fields._primitive`` reduces the triple
 to its canonical primitive form, which keeps heights down.  Both floors come
-from bounds on X, Y and Z, Z > 0.  A recurrence shows as a repeated window of
-_WINDOW digit pairs and is accepted only by the exact cross-multiplication
-test.  Everything else steps through the public operators (``_next``):
+from midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
+midpoint is linear in its vector); positivity is read off step 0's floors.
+A recurrence shows as a repeated window of _WINDOW digit pairs and is
+accepted only by the exact cross-multiplication test.  Everything else steps
+through the public operators (``_next``):
 ``bcf_step`` on either kind of number, and ``bcf_expand`` on a rational pair,
 the Fraction reference for ``_kernels.rational_digits``, the one integer
 engine: it steps a rational point, or a box's corners in lockstep to the
@@ -96,17 +98,10 @@ def _raw_state(alpha, beta):
     return u, v, (w, 0, 0)
 
 
-def _ratio_floor(n, z, n_bounds, z_bounds):
-    """floor(n / z) for numerator vectors n and z, z > 0, from bounds on both
-    over one scale, or None while they leave it open; n == k*z is tested
-    exactly when the bounds on n / z straddle one integer k."""
-    (nlo, nhi), (zlo, zhi) = n_bounds, z_bounds
-    if zlo <= 0:
-        return None
-    lo = nlo // (zhi if nlo >= 0 else zlo)
-    hi = nhi // (zlo if nhi >= 0 else zhi)
-    decided = lo == hi or hi == lo + 1 and not any([c - hi * e for c, e in zip(n, z)])
-    return hi if decided else None
+def _multiple(n, z, k):
+    """Whether n == k*z exactly: the test for bounds on n / z that straddle
+    the one integer k."""
+    return not any([c - k * e for c, e in zip(n, z)])
 
 
 def _same_point(field, s, t):
@@ -140,8 +135,9 @@ def bcf_step(state):
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    A field pair is stepped as its projective triple.  Equal states have
-    equal digit tails, so a state j that recurs at r <= max_terms - 1 shows
+    A field pair is stepped as its projective triple, the bounds on its
+    floors with it, and step 0's floors decide positivity.  Equal states
+    have equal digit tails, so a state j that recurs at r <= max_terms - 1 shows
     as a repeated window of digit pairs at r, up to _WINDOW - 1 steps past
     the budget, where the exact test confirms it; the remaining digits are
     read off the cycle and periodicity records (preperiod, period).  A
@@ -152,13 +148,12 @@ def bcf_expand(alpha, beta, max_terms=64):
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     alpha, beta = _unify_pair(alpha, beta)
-    if not _positive(alpha, beta):
-        raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-
     a_digits = []
     b_digits = []
     terminal = None
     if not isinstance(alpha, AlgebraicNumber):
+        if not _positive(alpha, beta):
+            raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
         for _ in range(max_terms):
             b_i, a_i = floor_of(beta), floor_of(alpha)
             b_digits.append(b_i)
@@ -180,18 +175,25 @@ def bcf_expand(alpha, beta, max_terms=64):
         (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = state
         while True:
             if powers is None:
-                powers = field._power_bounds()
-                xb, yb, zb = (_bounds(powers, v) for v in state)
-            b_i = _ratio_floor(y, z, yb, zb)
-            if b_i is not None:
-                s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
-                if not any(s):
-                    break
-                a_i = _ratio_floor(x, z, xb, zb)
-                if a_i is not None:
-                    break
+                powers = _, _, r1, _, r2 = field._power_bounds()
+                (mx, rx), (my, ry), (mz, rz) = (_bounds(powers, v) for v in state)
+            zlo, zhi = mz - rz, mz + rz
+            if zlo > 0:
+                lo = (my - ry) // (zhi if my >= ry else zlo)
+                b_i = (my + ry) // (zlo if my >= -ry else zhi)
+                if lo == b_i or lo + 1 == b_i and _multiple(y, z, b_i):
+                    s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
+                    if not any(s):
+                        break
+                    lo = (mx - rx) // (zhi if mx >= rx else zlo)
+                    a_i = (mx + rx) // (zlo if mx >= -rx else zhi)
+                    if lo == a_i or lo + 1 == a_i and _multiple(x, z, a_i):
+                        break
             _refine_more(field)
             powers = None
+        if not i and not (b_i >= 0 and any(y) and (  # x > 0 iff floor >= 0, x != 0
+                a_i >= 0 and any(x) if any(s) else alpha.sign() > 0)):
+            raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
         b_digits.append(b_i)
         if not any(s):
             if i < max_terms:
@@ -201,18 +203,22 @@ def bcf_expand(alpha, beta, max_terms=64):
         a_digits.append(a_i)
         r = i + 1 - _WINDOW
         if r >= 0:
-            starts = windows.setdefault((*a_digits[r:], *b_digits[r:]), [])
-            for j in starts:
-                if _same_point(field, states[j], states[r]):
-                    periodicity = (j, r - j)
-                    for digits in a_digits, b_digits:
-                        digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
+            starts = windows.get(key := (*a_digits[r:], *b_digits[r:]))
+            if starts is None:
+                windows[key] = [r]
+            else:
+                for j in starts:
+                    if _same_point(field, states[j], states[r]):
+                        periodicity = (j, r - j)
+                        for digits in a_digits, b_digits:
+                            digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
+                        break
+                if periodicity:
                     break
-            if periodicity:
-                break
-            starts.append(r)
+                starts.append(r)
         state = x, y, z = z, (x0 - a_i * z0, x1 - a_i * z1, x2 - a_i * z2), s
-        xb, yb, zb = zb, _bounds(powers, y), _bounds(powers, s)
+        mx, rx, my, mz = mz, rz, mx - a_i * mz, my - b_i * mz
+        ry, rz = abs(y[1]) * r1 + abs(y[2]) * r2, abs(z[1]) * r1 + abs(z[2]) * r2
     del a_digits[max_terms:], b_digits[max_terms:]
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 

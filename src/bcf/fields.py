@@ -436,20 +436,22 @@ def _primitive(field, x, y, z):
 
 
 def _bounds(powers, num):
-    """Integers (lo, hi) with lo <= n(theta) * m_0 <= hi for numerators num
+    """Integers (m, r) with |n(theta) * m_0 - m| <= r for numerators num
     zero-padded to three, from NumberField._power_bounds: the midpoint
-    sum c_k m_k, plus or minus the radius sum |c_k| r_k."""
+    m = sum c_k m_k and the radius r = sum |c_k| r_k.  Callers: _enclosure,
+    and expansion.bcf_expand after each refinement or reduction (between
+    them it steps m, which is linear in num, with its vector)."""
     m0, m1, r1, m2, r2 = powers
     c0, c1, c2 = num
-    m, r = c0 * m0 + c1 * m1 + c2 * m2, abs(c1) * r1 + abs(c2) * r2
-    return m - r, m + r
+    return c0 * m0 + c1 * m1 + c2 * m2, abs(c1) * r1 + abs(c2) * r2
 
 
 def _enclosure(field, x):
     """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den."""
     num, den = x
     powers = field._power_bounds()
-    return (*_bounds(powers, num + (0,) * (3 - len(num))), den * powers[0])
+    m, r = _bounds(powers, num + (0,) * (3 - len(num)))
+    return m - r, m + r, den * powers[0]
 
 
 def _refine_more(field):

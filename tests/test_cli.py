@@ -366,6 +366,12 @@ def test_expand_rejects_bad_literal(capsys):
 def test_expand_rejects_nonpositive(capsys):
     assert run(["expand", "--alpha", "rat:-1", "--beta", "rat:2"]) == 2
     capsys.readouterr()
+    # A field pair: beta = 1 - alpha < 0 in the tribonacci field.
+    assert run(["expand", "--alpha", "alg:1,-1,-1,-1@1,2",
+                "--beta", "ratfunc:-1,1/1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expansion requires alpha > 0 and beta > 0\n"
 
 
 def test_expand_ratfunc_pole_is_input_error(capsys):

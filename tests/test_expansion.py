@@ -193,6 +193,33 @@ def test_nonpositive_inputs_rejected():
         bcf_expand(Fraction(1), Fraction(-2))
     with pytest.raises(NonPositiveInput):
         bcf_expand_rational(Fraction(-1, 2), Fraction(1))
+    # A field pair's positivity is read off the floors of step 0, and off
+    # alpha's exact sign when beta is integral there.
+    t = TRIBONACCI.generator()
+    zero, one, two = (TRIBONACCI.element(k) for k in (0, 1, 2))
+    for alpha, beta in [
+        (-t, t),  # alpha < 0
+        (t - 2, t),  # alpha in (-1, 0)
+        (zero, t),  # alpha = 0
+        (t, zero),  # beta = 0
+        (t - 1, t - t),  # beta = 0, from arithmetic
+        (t, -two),  # beta a negative integer
+        (t, 1 - t),  # beta < 0, irrational
+        (-t, two),  # beta integral at step 0, alpha < 0
+        (t - 2, one),  # beta integral at step 0, alpha in (-1, 0)
+    ]:
+        with pytest.raises(NonPositiveInput) as info:
+            bcf_expand(alpha, beta, max_terms=8)
+        assert str(info.value) == "expansion requires alpha > 0 and beta > 0"
+    # Positive pairs next to those: a zero floor, or beta integral at step 0.
+    for alpha, beta in [
+        (t - 1, t),  # alpha irrational in (0, 1)
+        (t, t - 1),  # beta irrational in (0, 1)
+        (t - 1, t * t - 3),  # both in (0, 1)
+        (t, two),  # beta a positive integer, alpha > 0
+        (t - 1, one),  # beta a positive integer, alpha in (0, 1)
+    ]:
+        _assert_matches_reference(alpha, beta, 40)
 
 
 def test_max_terms_validation():
@@ -448,15 +475,15 @@ def test_integral_alpha_partway(monkeypatch):
     alpha_1 = 2 + t / 3
     alpha, beta = 1 + Fraction(4, 3) / alpha_1, 1 / alpha_1
     exact = []
-    ratio_floor = expansion._ratio_floor
+    multiple = expansion._multiple
 
-    def spy(n, z, n_bounds, z_bounds):
-        k = ratio_floor(n, z, n_bounds, z_bounds)
-        if k is not None and any(n) and any(z[1:]) and n == tuple(k * e for e in z):
+    def spy(n, z, k):
+        verdict = multiple(n, z, k)
+        if verdict and any(n) and any(z[1:]):
             exact.append(k)
-        return k
+        return verdict
 
-    monkeypatch.setattr(expansion, "_ratio_floor", spy)
+    monkeypatch.setattr(expansion, "_multiple", spy)
     pair = _assert_matches_reference(alpha, beta, 12)
     assert (pair.a, pair.b, pair.terminal) == ((1, 2, 3), (0, 1, 1, 0), 1 / (t - 1))
     assert exact == [3]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bcf import cli, expansion, fields
+from bcf import cli, expansion, fields, recovery
 from bcf.cli import run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -26,17 +26,17 @@ import workloads  # noqa: E402
 
 TOTALS = {
     "cubic_deep": {
-        "_ratio_floor": 33_112, "_convolve": 768, "_primitive": 496,
+        "bcf_expand_digits": 16_576, "_convolve": 768, "_primitive": 496,
         "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
         "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
     },
     "scan_box": {
-        "_ratio_floor": 18_476, "_convolve": 1_014, "_primitive": 324,
+        "bcf_expand_digits": 12_386, "_convolve": 1_014, "_primitive": 324,
         "_refine_more": 938, "refine_bits": 14_729, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
     },
     "digits_recover": {
-        "_ratio_floor": 0, "_convolve": 0, "_primitive": 0,
+        "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
         "_refine_more": 0, "refine_bits": 5_796, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
     },
@@ -44,13 +44,14 @@ TOTALS = {
 
 
 def _spy(monkeypatch, counts, owner, name, total, weight=lambda *a, **k: 1):
-    """Rebind owner.name to a wrapper that adds weight(*args) to
-    counts[total] on each call."""
+    """Rebind owner.name to a wrapper that adds weight(result, *args) to
+    counts[total] on each call that returns."""
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        counts[total] += weight(*args, **kwargs)
-        return original(*args, **kwargs)
+        result = original(*args, **kwargs)
+        counts[total] += weight(result, *args, **kwargs)
+        return result
 
     monkeypatch.setattr(owner, name, spy)
 
@@ -58,13 +59,17 @@ def _spy(monkeypatch, counts, owner, name, total, weight=lambda *a, **k: 1):
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     counts = Counter()
-    for binding in ("_ratio_floor", "_convolve", "_primitive",
-                    "rational_digits"):
+    for binding in ("_convolve", "_primitive", "rational_digits"):
         _spy(monkeypatch, counts, expansion, binding, binding)
+    # Digit pairs returned by the field loop: the CLI's expand and scan
+    # reach bcf_expand only with field pairs.
+    for owner in (cli, recovery):
+        _spy(monkeypatch, counts, owner, "bcf_expand", "bcf_expand_digits",
+             lambda pair, *a, **k: len(pair.b))
     for owner in (expansion, fields):
         _spy(monkeypatch, counts, owner, "_refine_more", "_refine_more")
     _spy(monkeypatch, counts, fields.NumberField, "refine", "refine_bits",
-         lambda field, bits=1: bits)
+         lambda _, field, bits=1: bits)
     _spy(monkeypatch, counts, cli, "_rounded_decimal", "_rounded_decimal")
     for op in workloads.WORKLOADS[name].catalogue():
         out = io.StringIO()
