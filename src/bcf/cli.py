@@ -529,6 +529,9 @@ def run(argv):
     except (BcfError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, InputError) else 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 3
     return 0
 
 

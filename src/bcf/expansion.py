@@ -9,22 +9,23 @@ beta_i non-integral,
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
 terminal value rather than floored.  Each engine is one loop.  ``bcf_expand``
-validates its input once; a field pair is then held as a projective triple
-(X : Y : Z) of integer power-basis vectors, alpha = X/Z and beta = Y/Z,
-stepped by the linear map (X, Y, Z) -> (Z, X - aZ, Y - bZ), with no inverse
-and no gcd; every _RENORMALISE steps ``fields._primitive`` reduces the triple
-to its canonical primitive form, which keeps heights down.  Both floors come
-from midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
+validates its input once; a rational pair then runs as two elements of Q,
+the degree-1 field _RATIONALS, whose bounds are exact, so every pair takes
+one loop.  The pair is held as a projective triple (X : Y : Z) of integer
+power-basis vectors, alpha = X/Z and beta = Y/Z, stepped by the linear map
+(X, Y, Z) -> (Z, X - aZ, Y - bZ), with no inverse and no gcd; every
+_RENORMALISE steps ``fields._primitive`` reduces the triple to its canonical
+primitive form, which keeps heights down.  Both floors come from
+midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
 midpoint is linear in its vector); positivity is read off step 0's floors.
 A recurrence shows as a repeated window of _WINDOW digit pairs and is
-accepted only by the exact cross-multiplication test.  Everything else steps
-through the public operators (``_next``):
-``bcf_step`` on either kind of number, and ``bcf_expand`` on a rational pair,
-the Fraction reference for ``_kernels.rational_digits``, the one integer
-engine: it steps a rational point, or a box's corners in lockstep to the
-first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it for
-``bcf_expand_rational``, ``rational_expansion_trace`` and ``bcf_expand_box``,
-which the CLI uses for every rational pair.
+accepted only by the exact cross-multiplication test.  ``bcf_step`` steps
+either kind of number through the public operators (``_next``) and reads
+positivity off its floors too.  ``_kernels.rational_digits`` is the one
+integer engine: it steps a rational point, or a box's corners in lockstep to
+the first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it
+for ``bcf_expand_rational``, ``rational_expansion_trace`` and
+``bcf_expand_box``, which the CLI uses for every rational pair.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import EmptyInterval, FieldMismatch, NonPositiveInput
-from .fields import AlgebraicNumber, _as_exact, _bounds, _convolve, _element
-from .fields import _primitive, _refine_more, floor_of
+from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _convolve
+from .fields import _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
 
 _RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
 _WINDOW = 4  # W: digit pairs in a window that may flag a recurrence
+_RATIONALS = NumberField((1, 0), (-1, 1))  # Q, the degree-1 field of theta = 0
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,6 @@ def _unify_pair(alpha, beta):
     return alpha, beta
 
 
-def _positive(alpha, beta):
-    """Whether both of a unified pair are positive, by exact signs."""
-    if isinstance(alpha, AlgebraicNumber):
-        return alpha.sign() > 0 and beta.sign() > 0
-    return alpha > 0 and beta > 0
-
-
 def _raw_state(alpha, beta):
     """The primitive triple of a field pair (fields._primitive): alpha = u/w
     and beta = v/w."""
@@ -122,11 +117,13 @@ def _next(alpha, beta, a, b):
 
 
 def bcf_step(state):
-    """Advance one step: returns (a_i, b_i, next state or Terminated)."""
+    """Advance one step: returns (a_i, b_i, next state or Terminated).  At
+    index 0 positivity is read off the floors: x > 0 iff floor(x) >= 0 and
+    x != 0."""
     alpha, beta = _unify_pair(state.alpha, state.beta)
-    if state.index == 0 and not _positive(alpha, beta):
-        raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     b_i, a_i = floor_of(beta), floor_of(alpha)
+    if state.index == 0 and not (min(a_i, b_i) >= 0 and alpha != 0 != beta):
+        raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     if beta == b_i:
         return a_i, b_i, Terminated(alpha)
     return a_i, b_i, ExpansionState(*_next(alpha, beta, a_i, b_i), state.index + 1)
@@ -135,38 +132,26 @@ def bcf_step(state):
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    A field pair is stepped as its projective triple, the bounds on its
-    floors with it, and step 0's floors decide positivity.  Equal states
-    have equal digit tails, so a state j that recurs at r <= max_terms - 1 shows
-    as a repeated window of digit pairs at r, up to _WINDOW - 1 steps past
-    the budget, where the exact test confirms it; the remaining digits are
-    read off the cycle and periodicity records (preperiod, period).  A
-    termination in the steps past the budget is not reported.  Rational inputs
-    terminate instead, with the exact final alpha in ``terminal``; their
-    denominators strictly fall, so no state recurs.
+    A rational pair runs as two elements of Q (_RATIONALS), whose bounds
+    are exact.  The pair is stepped as its projective triple, the bounds on
+    its floors with it, and step 0's floors decide positivity.  Equal states
+    have equal digit tails, so a state j that recurs at r <= max_terms - 1
+    shows as a repeated window of digit pairs at r, up to _WINDOW - 1 steps
+    past the budget, where the exact test confirms it; the remaining digits
+    are read off the cycle and periodicity records (preperiod, period).  A
+    termination in the steps past the budget is not reported.  Rational
+    inputs terminate instead, with the exact final alpha, a Fraction, in
+    ``terminal``; their denominators strictly fall, so no state recurs.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
     alpha, beta = _unify_pair(alpha, beta)
-    a_digits = []
-    b_digits = []
-    terminal = None
     if not isinstance(alpha, AlgebraicNumber):
-        if not _positive(alpha, beta):
-            raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-        for _ in range(max_terms):
-            b_i, a_i = floor_of(beta), floor_of(alpha)
-            b_digits.append(b_i)
-            if beta == b_i:
-                terminal = alpha
-                break
-            a_digits.append(a_i)
-            alpha, beta = _next(alpha, beta, a_i, b_i)
-        return SequencePair(a_digits, b_digits, terminal=terminal)
-
+        alpha, beta = _RATIONALS.element(alpha), _RATIONALS.element(beta)
     field = alpha.field
     state = x, y, z = _raw_state(alpha, beta)
-    states, windows, powers, periodicity = [], {}, None, None
+    a_digits, b_digits, states, windows = [], [], [], {}
+    powers = periodicity = terminal = None
     for i in range(max_terms + _WINDOW - 1):
         if i and i % _RENORMALISE == 0:
             state = x, y, z = _primitive(field, x, y, z)
@@ -198,7 +183,8 @@ def bcf_expand(alpha, beta, max_terms=64):
         if not any(s):
             if i < max_terms:
                 u, _, (w, _, _) = _primitive(field, x, y, z)
-                terminal = _element(field, u[: field.degree], w)
+                terminal = (Fraction(u[0], w) if field is _RATIONALS
+                            else _element(field, u[: field.degree], w))
             break
         a_digits.append(a_i)
         r = i + 1 - _WINDOW

@@ -493,6 +493,21 @@ def test_reversed_root_interval_is_input_error(capsys):
     assert captured.err.startswith("error: root interval must satisfy lo < hi")
 
 
+def test_out_of_memory_is_exit_3(monkeypatch, capsys):
+    # A periodic expand with a huge --terms writes out every digit and can
+    # run out of memory; it leaves with one line, not a traceback.
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "bcf_expand", exhausted)
+    code = run(["expand", "--alpha", "alg:1,-1,-1,-1@1,2",
+                "--beta", "ratfunc:1,1/1,0", "--terms", "1000000000"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
 def test_internal_value_error_is_not_input_error(monkeypatch):
     # A ValueError from a bug in a handler's parsing is not bad input: it
     # must not leave through the exit-2 path.
@@ -757,9 +772,35 @@ def test_validate_with_terminal_digit(capsys):
     assert payload["valid"] is True
 
 
+def test_validate_text_lists_each_violation(capsys):
+    code = run(["validate", "--a", "3,2,2,1,0", "--b", "0,2,3,1,0", "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "valid: false\n"
+        "violation index=2 rule=a_less_than_b\n"
+        "violation index=3 rule=equal_then_b_zero\n"
+        "violation index=4 rule=a_below_one\n"
+        "indeterminate index=4\n"
+        "last_checked: 4\n"
+    )
+
+
 def test_validate_shape_error(capsys):
     assert run(["validate", "--a", "1,2", "--b", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--a", "", "--b", ""], "eval needs at least one digit pair"),
+    (["validate", "--a", "1", "--b", "1,0", "--terminal", "ratfunc:1/1"],
+     "--terminal must be a rat: or alg: literal"),
+])
+def test_digit_command_input_errors(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["render", "validate"])
@@ -796,6 +837,23 @@ def test_recover_eventual_json(capsys):
     assert payload["method"] == "eventual"
     assert payload["alpha_dec"] == "2.147899035705"
     assert payload["beta_dec"] == "2.465571231877"
+
+
+def test_recover_text_pinned(capsys):
+    code = run(["recover", "--period-a", "1", "--period-b", "1", "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "min_poly: 1,-1,-1,-1\n"
+        "interval: (-7/1053, 3881/1053)\n"
+        "beta_expr: 1,-1,0/1\n"
+        "alpha_dec: 1.839286755214\n"
+        "beta_dec: 1.543689012692\n"
+        "method: pure\n"
+    )
+    code = run(["recover", "--preperiod-a", "2", "--preperiod-b", "2",
+                "--period-a", "2,3", "--period-b", "0,0", "--format", "text"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("\nmethod: eventual\n")
 
 
 def test_recover_pure_doubles_the_horizon(capsys):

@@ -59,10 +59,17 @@ def test_step_terminates_on_integral_beta():
 
 
 def test_step_rejects_nonpositive_only_at_start():
-    with pytest.raises(NonPositiveInput):
-        bcf_step(ExpansionState(Fraction(-1), Fraction(2), 0))
-    with pytest.raises(NonPositiveInput):
-        bcf_step(ExpansionState(Fraction(1), Fraction(0), 0))
+    # Positivity is read off the floors of index 0 and alpha, beta != 0.
+    for alpha, beta in [
+        (Fraction(-1), Fraction(2)),
+        (Fraction(1), Fraction(0)),
+        (Fraction(0), Fraction(3, 2)),  # alpha = 0 as a Fraction
+        (TRIBONACCI.generator(), TRIBONACCI.element(0)),  # beta = 0 in the field
+        (Fraction(-1, 2), Fraction(2)),  # alpha < 0, beta integral
+    ]:
+        with pytest.raises(NonPositiveInput) as info:
+            bcf_step(ExpansionState(alpha, beta, 0))
+        assert str(info.value) == "expansion requires alpha > 0 and beta > 0"
     # later indices may go nonpositive without error (improper digits)
     a1, b1, _ = bcf_step(ExpansionState(Fraction(-3, 2), Fraction(5, 2), 3))
     assert (a1, b1) == (-2, 2)
@@ -551,6 +558,31 @@ def test_public_step_on_rationals_reproduces_fast_path(data):
     a, b, terminal = _step_through(alpha, beta, len(pair.b))
     assert (a, b) == (pair.a, pair.b)
     assert type(terminal) is Fraction and terminal == pair.terminal
+
+
+_THREE_HALVES = NumberField((2, -3), (1, 2))  # Q again, as the field of 3/2
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_rational_pair_runs_the_field_loop_in_q(data):
+    # bcf_expand runs a rational pair as elements of Q; the same pair in
+    # another degree-1 field, the public step and the integer kernel agree.
+    parts = st.integers(1, 10**30)
+    alpha, beta = (Fraction(data.draw(parts), data.draw(parts)) for _ in range(2))
+    n = len(bcf_expand_rational(alpha, beta).b)
+    terms = data.draw(st.integers(1, n + 1))
+    pair = bcf_expand(alpha, beta, max_terms=terms)
+    embedded = bcf_expand(
+        _THREE_HALVES.element(alpha), _THREE_HALVES.element(beta), max_terms=terms
+    )
+    assert (embedded.a, embedded.b) == (pair.a, pair.b)
+    assert embedded.terminal == pair.terminal
+    assert _step_through(alpha, beta, terms) == (pair.a, pair.b, pair.terminal)
+    assert bcf_expand_rational(alpha, beta, max_terms=terms) == pair
+    assert pair.terminated == (terms >= n)
+    if pair.terminated:
+        assert type(pair.terminal) is Fraction
 
 
 def test_public_step_on_field_pair_reproduces_terminal():

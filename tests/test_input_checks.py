@@ -1,0 +1,119 @@
+"""Library entry points refuse bad input with one exact error, and answer
+edge values exactly."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from bcf import (
+    AlgebraicNumber,
+    NumberField,
+    SequencePair,
+    approximate,
+    conjecture_scan,
+    fraction_str,
+    node_counts,
+    polys,
+)
+from bcf.errors import InvalidSequence, OutputTooLarge, ParseError
+from bcf.literals import parse_number
+from bcf.recovery import ScanRecord, recover_cubic_eventual
+
+TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
+
+
+def _fraction_str_past_the_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        fraction_str(Fraction(10**700, 3))
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+_REFUSALS = {
+    "fraction_str past the string limit": (
+        _fraction_str_past_the_limit, OutputTooLarge,
+        "an integer in the output has more than 640 decimal digits, "
+        "Python's limit for integer-to-string conversion",
+    ),
+    "approximate to 0 places": (
+        lambda: approximate(TRIBONACCI.generator(), 0), ValueError,
+        "decimal_digits must be at least 1",
+    ),
+    "parse_number of an int": (
+        lambda: parse_number(5), ParseError, "number literal must be text, got 5",
+    ),
+    "alg literal without coefficients": (
+        lambda: parse_number("alg:@1,2"), ParseError,
+        "expected a comma-separated integer list at position 4 "
+        "(grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)",
+    ),
+    "four coordinates in a cubic field": (
+        lambda: AlgebraicNumber(TRIBONACCI, [1, 2, 3, 4]), ValueError,
+        "need at most 3 coordinates for a degree-3 field, got 4",
+    ),
+    "as_fraction of an irrational": (
+        lambda: TRIBONACCI.generator().as_fraction(), ValueError,
+        "element is irrational",
+    ),
+    "float power": (
+        lambda: TRIBONACCI.generator() ** 0.5, TypeError,
+        "unsupported operand type(s) for ** or pow(): 'AlgebraicNumber' and 'float'",
+    ),
+    "float preperiod": (
+        lambda: SequencePair((1,), (1,), periodicity=(0.0, 1)), InvalidSequence,
+        "periodicity must be a pair of ints",
+    ),
+    "negative tree depth": (
+        lambda: node_counts(-1), ValueError, "depth must be nonnegative, got -1",
+    ),
+    "Sturm chain of the zero polynomial": (
+        lambda: polys.sturm_chain(()), ValueError,
+        "Sturm chain of the zero polynomial",
+    ),
+    "terminated preperiod": (
+        lambda: recover_cubic_eventual(
+            SequencePair((1,), (1, 0), terminal=Fraction(2)), ((1,), (1,))
+        ),
+        InvalidSequence, "terminated pairs have no period to recover",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_REFUSALS))
+def test_bad_input_raises_its_exact_error(case):
+    call, error, message = _REFUSALS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_number_field_equality():
+    assert (TRIBONACCI == 1) is False
+    assert (TRIBONACCI.generator() == "1") is False
+    # A degree-1 polynomial has one root, whatever interval isolates it.
+    assert NumberField((2, -3), (1, 2)) == NumberField((2, -3), (0, 3))
+    # Disjoint intervals isolate different roots of one polynomial.
+    assert NumberField((1, 0, -2), (1, 2)) != NumberField((1, 0, -2), (-2, -1))
+
+
+def test_degree_one_refinement_keeps_the_middle_half_around_its_root():
+    # The bisection midpoint of (-1, 1) is the root 0 itself.
+    field = NumberField((1, 0), (-1, 1))
+    field.refine()
+    assert field.interval() == (Fraction(-1, 2), Fraction(1, 2))
+
+
+def test_empty_and_constant_polynomials():
+    assert polys.primitive(()) == ()
+    assert polys.isolating_intervals((5,)) == []
+
+
+def test_scan_records_a_non_cubic_as_error():
+    records = conjecture_scan([(1, 0, -2)], [((1, 0, 0), (1,))], 4)
+    assert records == [
+        ScanRecord((1, 0, -2), None, None, "error", None, None, None)
+    ]
