@@ -185,7 +185,14 @@ def _expand(args):
                 raise ParseError(f"--beta: {exc}") from None
     field = isinstance(alpha, AlgebraicNumber) or isinstance(beta, AlgebraicNumber)
     expand = bcf_expand if field else bcf_expand_box
-    pair = expand(alpha, beta, max_terms=args.terms)
+    # Under the digit limit L record 7L + 2 cannot print: a-digits past the
+    # first are >= 1, so C_n >= C_(n-1) + C_(n-3) >= rho**(n - 2), rho the
+    # real root of x**3 = x**2 + 1, and log10(rho) > 1/7.
+    limit = sys.get_int_max_str_digits()
+    cap = 7 * limit + 3 if limit else math.inf
+    pair = expand(alpha, beta, max_terms=min(args.terms, cap))
+    if len(pair.a) == cap:
+        raise _too_long_to_print()
     text = args.format == "text"
     records = _convergent_records(
         _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1),
@@ -239,7 +246,7 @@ def _eval(args):
 # -- render ------------------------------------------------------------------
 
 
-def _build_pair(args, allow_terminal=False):
+def _build_pair(args):
     a = parse_digits(args.a)
     b = parse_digits(args.b)
     periodicity = None
@@ -248,7 +255,7 @@ def _build_pair(args, allow_terminal=False):
     elif args.preperiod is not None:
         raise ParseError("--preperiod needs --period")
     terminal = None
-    if allow_terminal and getattr(args, "terminal", None):
+    if getattr(args, "terminal", None):
         terminal = parse_number(args.terminal)
         if isinstance(terminal, RatFunc):
             raise ParseError("--terminal must be a rat: or alg: literal")
@@ -272,7 +279,7 @@ def _render(args):
 
 
 def _validate(args):
-    report = validate(_build_pair(args, allow_terminal=True))
+    report = validate(_build_pair(args))
     if args.format == "json":
         print(_dumps({
             "valid": report.valid,

@@ -14,7 +14,8 @@ All predicates (sign, floor, comparisons) are decided exactly: rational
 elements directly, irrational ones through one refinement loop, ``_floor``,
 which narrows the isolating interval, held as integers over one
 denominator, by ``_refine_more``'s rule until both bounds share a floor.
-An irrational element is never 0, so its floor decides its sign too.
+An irrational element is never 0 and never on a rounding tie, so floors
+decide its sign, its decimals (``approximate``) and its float() too.
 """
 
 from __future__ import annotations
@@ -460,17 +461,6 @@ def _refine_more(field):
     field.refine(field._q.bit_length())
 
 
-def _narrowed_bounds(field, x, scale):
-    """_enclosure of x once its width is below 1 / scale, each refine call
-    asking for the bits that the width still exceeds that by."""
-    while True:
-        lo, hi, den = _enclosure(field, x)
-        excess = (hi - lo) * scale // den
-        if not excess:
-            return lo, hi, den
-        field.refine(excess.bit_length() + 1)
-
-
 def _floor(field, x):
     """Exact floor of x, refining the field's interval until both bounds
     agree (a rational's bounds are its value)."""
@@ -620,35 +610,22 @@ class AlgebraicNumber:
         return self.floor()
 
     def approximate(self, decimal_digits):
-        """Correctly rounded decimal rendering with a certified error bound.
-
-        The text is the true value rounded half-away-from-zero to
-        ``decimal_digits`` places; the bound always satisfies
-        error_bound <= 10**-decimal_digits / 2.  For an irrational element
-        the field is asked once for the bits that bring the enclosing
-        interval under one unit in the last place, and for more only while
-        its ends round apart, which must stop because the value never sits
-        exactly on a rounding boundary (those are rational).  A rational
-        element's interval is its value, so it needs no refinement.  More
-        places than Python prints raise OutputTooLarge before any work.
-        """
-        _check_places(decimal_digits)
-        unit = scale = 10**decimal_digits
-        while True:
-            lo, hi, den = _narrowed_bounds(self._field, self._raw, scale)
-            n, text = _rounded_decimal(lo, den, decimal_digits)
-            if n == _rounded_decimal(hi, den, decimal_digits)[0]:
-                rounded = Fraction(n, unit)
-                bound = max(
-                    abs(rounded - Fraction(lo, den)),
-                    abs(rounded - Fraction(hi, den)),
-                )
-                return DecimalApproximation(text, bound)
-            scale <<= 32  # near a rounding boundary: 32 more bits
+        """The module-level approximate(self, decimal_digits)."""
+        return approximate(self, decimal_digits)
 
     def __float__(self):
-        lo, hi, den = _narrowed_bounds(self._field, self._raw, 10**18)
-        return float(Fraction(lo + hi, 2 * den))
+        """The nearest float.  An irrational element lies in [n, n + 1) /
+        2**k, n its floor at k = 64, 128, ... until n has 60 bits; then no
+        float rounding boundary lies inside, so the midpoint rounds alike."""
+        if self.is_rational():
+            return float(self.as_fraction())
+        num, den = self._raw
+        k = 64
+        while True:
+            n = _floor(self._field, (tuple([c << k for c in num]), den))
+            if abs(n).bit_length() >= 60:
+                return (2 * n + 1) / (2 << k)
+            k *= 2
 
     def __bool__(self):
         return self.sign() != 0
@@ -732,10 +709,24 @@ def floor_of(x):
 
 
 def approximate(x, decimal_digits):
-    """Certified decimal approximation of an exact number."""
-    value = _as_exact(x, "x")
-    if isinstance(value, AlgebraicNumber):
-        return value.approximate(decimal_digits)
+    """x rounded half away from zero to d = decimal_digits places, with an
+    error_bound <= 10**-d / 2; more places than Python prints raise
+    OutputTooLarge before any work.  A rational is rounded exactly.  An
+    irrational x is never on a tie: it rounds to n = floor(10**d * x + 1/2),
+    and x's enclosure, the exact affine image of the one that decided n,
+    bounds the error."""
+    x = _as_exact(x, "x")
     _check_places(decimal_digits)
-    n, text = _rounded_decimal(value.numerator, value.denominator, decimal_digits)
-    return DecimalApproximation(text, abs(Fraction(n, 10**decimal_digits) - value))
+    unit = 10**decimal_digits
+    if isinstance(x, AlgebraicNumber) and x.is_rational():
+        x = x.as_fraction()
+    if isinstance(x, Fraction):
+        n, text = _rounded_decimal(x.numerator, x.denominator, decimal_digits)
+        return DecimalApproximation(text, abs(Fraction(n, unit) - x))
+    field, (num, den) = x._field, x._raw
+    scaled = tuple([2 * unit * c for c in num])
+    n = _floor(field, ((scaled[0] + den,) + scaled[1:], 2 * den))
+    lo, hi, den = _enclosure(field, x._raw)
+    rounded = Fraction(n, unit)
+    bound = max(abs(rounded - Fraction(lo, den)), abs(rounded - Fraction(hi, den)))
+    return DecimalApproximation(_rounded_decimal(n, unit, decimal_digits)[1], bound)

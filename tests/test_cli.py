@@ -345,6 +345,31 @@ def test_records_past_the_digit_limit_are_output_too_large(text):
         sys.set_int_max_str_digits(limit)
 
 
+def test_huge_terms_stop_at_the_digit_limit(monkeypatch, capsys):
+    # All-(1, 0) digits grow C slowest, and still record 7L + 2 has more
+    # than L digits, so expand asks for at most 7L + 3 pairs.
+    asked = []
+    original = cli.bcf_expand
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs["max_terms"])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "bcf_expand", spy)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = run(["expand", "--alpha", "alg:1,-1,0,-1@1,2",
+                    "--beta", "ratfunc:1,-1,0/1", "--terms", "1000000000"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {_TOO_LONG}\n"
+    assert asked == [7 * 640 + 3]
+
+
 def test_expand_ratfunc_only_for_beta(capsys):
     code = run(
         ["expand", "--alpha", "ratfunc:1/1,0", "--beta", "rat:2"]
@@ -494,8 +519,8 @@ def test_reversed_root_interval_is_input_error(capsys):
 
 
 def test_out_of_memory_is_exit_3(monkeypatch, capsys):
-    # A periodic expand with a huge --terms writes out every digit and can
-    # run out of memory; it leaves with one line, not a traceback.
+    # An expand that runs out of memory leaves with one line, not a
+    # traceback.
     def exhausted(*args, **kwargs):
         raise MemoryError
 

@@ -277,6 +277,28 @@ def test_float_conversion():
     assert abs(float(theta()) - 1.8392867552141612) < 1e-15
 
 
+def test_rational_elements_round_ties_away_from_zero():
+    # floor(10**d * x + 1/2) would print -0.12: a rational is rounded exactly
+    t = theta()
+    approx = approximate(t - t + Fraction(-1, 8), 2)
+    assert (approx.text, approx.error_bound) == ("-0.13", Fraction(1, 200))
+    assert TRIBONACCI.element(Fraction(1, 8)).approximate(2).text == "0.13"
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["positive", "negative"])
+@pytest.mark.parametrize("places", [4, 8, 13])
+def test_float_of_small_elements_is_relative(sign, places):
+    # x = y minus its own decimal, of magnitude about 10**-places (down to
+    # 6.1e-14 for theta - 1.8392867552141), in a fresh field each time: an
+    # absolute error bound reads as fine on an interval already narrowed
+    t = NumberField((1, -1, -1, -1), (1, 2)).generator()
+    for x in (t, t * t - t, t.inverse()):
+        x = sign * (x - Fraction(math.floor(x * 10**places), 10**places))
+        value = float(x)
+        assert 1e-15 < abs(value) < 1e-3
+        assert abs(Fraction(value) - approximate(x, 60).value) <= math.ulp(value)
+
+
 def test_approximate_free_function():
     assert approximate(Fraction(1, 3), 5).text == "0.33333"
     assert approximate(Fraction(2, 3), 5).text == "0.66667"

@@ -3,7 +3,8 @@ top-level function or class of src/bcf is named somewhere in src/bcf
 outside its own definition.  A deletion can leave an import or a helper
 behind; the package has no linter dependency, so this parses each module
 with ast instead.  __init__.py is left out of the import check: it imports
-to re-export."""
+to re-export.  One more rule is pinned the same way: only
+fields._refine_more calls .refine(, so precision is asked for by one rule."""
 
 import ast
 from pathlib import Path
@@ -69,3 +70,34 @@ def test_unused_private_definition_is_found():
 def test_no_unused_private_definitions():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
     assert _unused_private_definitions(sources) == []
+
+
+def _refine_callers(sources):
+    """(module, function) for each function or method in the sources, a
+    dict of module name to source text, whose body calls some .refine(...);
+    a bare refine(...) is not a method call and does not count."""
+    callers = set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Call)
+                        and isinstance(sub.func, ast.Attribute)
+                        and sub.func.attr == "refine"):
+                    callers.add((module, node.name))
+    return sorted(callers)
+
+
+def test_refine_caller_is_found():
+    sources = {
+        "a": "def _more(f):\n    f.refine(3)\nclass K:\n"
+             "    def get(self):\n        self.field.refine()\n",
+        "b": "def refine(x):\n    return x\ndef g(y):\n    return refine(y)\n",
+    }
+    assert _refine_callers(sources) == [("a", "_more"), ("a", "get")]
+
+
+def test_only_refine_more_refines():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert _refine_callers(sources) == [("fields", "_refine_more")]

@@ -37,7 +37,7 @@ TOTALS = {
     },
     "digits_recover": {
         "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
-        "_refine_more": 0, "refine_bits": 5_796, "rational_digits": 60,
+        "_refine_more": 147, "refine_bits": 6_632, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
     },
 }
