@@ -37,7 +37,7 @@ from itertools import cycle, islice
 from typing import Union
 
 from ._kernels import rational_digits
-from .errors import EmptyInterval, FieldMismatch, NonPositiveInput
+from .errors import EmptyInterval, NonPositiveInput
 from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _convolve
 from .fields import _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
@@ -66,31 +66,15 @@ class Terminated:
 
 
 def _unify_pair(alpha, beta):
-    """Normalize two exact numbers into a common arithmetic domain."""
+    """Two Fractions, or two elements of one field, a rational embedded by
+    AlgebraicNumber._coerce, which raises FieldMismatch for two fields."""
     alpha = _as_exact(alpha, "alpha")
     beta = _as_exact(beta, "beta")
-    alpha_algebraic = isinstance(alpha, AlgebraicNumber)
-    beta_algebraic = isinstance(beta, AlgebraicNumber)
-    if alpha_algebraic and beta_algebraic:
-        if alpha.field != beta.field:
-            raise FieldMismatch(
-                "alpha and beta must live in the same field; got "
-                f"{alpha.field!r} and {beta.field!r}"
-            )
-    elif alpha_algebraic:
-        beta = alpha.field.element(beta)
-    elif beta_algebraic:
-        alpha = beta.field.element(alpha)
+    if isinstance(alpha, AlgebraicNumber):
+        beta = alpha._coerce(beta)
+    elif isinstance(beta, AlgebraicNumber):
+        alpha = beta._coerce(alpha)
     return alpha, beta
-
-
-def _raw_state(alpha, beta):
-    """The primitive triple of a field pair (fields._primitive): alpha = u/w
-    and beta = v/w."""
-    (p, dp), (q, dq) = alpha._raw, beta._raw
-    w, pad = math.lcm(dp, dq), (0,) * (3 - len(p))
-    u, v = (tuple([c * (w // d) for c in x]) + pad for x, d in ((p, dp), (q, dq)))
-    return u, v, (w, 0, 0)
 
 
 def _multiple(n, z, k):
@@ -134,14 +118,18 @@ def bcf_expand(alpha, beta, max_terms=64):
 
     A rational pair runs as two elements of Q (_RATIONALS), whose bounds
     are exact.  The pair is stepped as its projective triple, the bounds on
-    its floors with it, and step 0's floors decide positivity.  Equal states
-    have equal digit tails, so a state j that recurs at r <= max_terms - 1
-    shows as a repeated window of digit pairs at r, up to _WINDOW - 1 steps
-    past the budget, where the exact test confirms it; the remaining digits
-    are read off the cycle and periodicity records (preperiod, period).  A
-    termination in the steps past the budget is not reported.  Rational
-    inputs terminate instead, with the exact final alpha, a Fraction, in
-    ``terminal``; their denominators strictly fall, so no state recurs.
+    its floors with it, and step 0's floors decide positivity.  The start
+    (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
+    form: floors and the point test are blind to a positive factor, and
+    ``_primitive`` reduces the triple every _RENORMALISE steps and at the
+    terminal.  Equal states have equal digit tails, so a state j that
+    recurs at r <= max_terms - 1 shows as a repeated window of digit pairs
+    at r, up to _WINDOW - 1 steps past the budget, where the exact test
+    confirms it; the remaining digits are read off the cycle and
+    periodicity records (preperiod, period).  A termination in the steps
+    past the budget is not reported.  Rational inputs terminate instead,
+    with the exact final alpha, a Fraction, in ``terminal``; their
+    denominators strictly fall, so no state recurs.
     """
     if max_terms < 1:
         raise ValueError(f"max_terms must be at least 1, got {max_terms}")
@@ -149,7 +137,9 @@ def bcf_expand(alpha, beta, max_terms=64):
     if not isinstance(alpha, AlgebraicNumber):
         alpha, beta = _RATIONALS.element(alpha), _RATIONALS.element(beta)
     field = alpha.field
-    state = x, y, z = _raw_state(alpha, beta)
+    (p, dp), (q, dq), pad = alpha._raw, beta._raw, (0,) * (3 - field.degree)
+    state = x, y, z = (tuple([c * dq for c in p]) + pad,
+                       tuple([c * dp for c in q]) + pad, (dp * dq, 0, 0))
     a_digits, b_digits, states, windows = [], [], [], {}
     powers = periodicity = terminal = None
     for i in range(max_terms + _WINDOW - 1):

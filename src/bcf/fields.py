@@ -10,12 +10,13 @@ inverses share one closed form per degree on integer numerators: an integer
 convolution reduced modulo f, and the adjugate of the integer multiplication
 matrix.  ``_primitive`` applies both to reduce a projective triple of
 numerator vectors, the state of a field expansion, to its canonical form.
-All predicates (sign, floor, comparisons) are decided exactly: rational
-elements directly, irrational ones through one refinement loop, ``_floor``,
-which narrows the isolating interval, held as integers over one
-denominator, by ``_refine_more``'s rule until both bounds share a floor.
-An irrational element is never 0 and never on a rounding tie, so floors
-decide its sign, its decimals (``approximate``) and its float() too.
+All predicates (sign, floor, comparisons) are decided exactly, every
+element's through one refinement loop, ``_floor``, which narrows the
+isolating interval, held as integers over one denominator, by
+``_refine_more``'s rule until both bounds share a floor (a rational's
+bounds are its value).  A nonzero element's floor decides its sign, and
+an irrational one is never on a rounding tie, so floors decide its
+decimals (``approximate``) and its float() too.
 """
 
 from __future__ import annotations
@@ -544,7 +545,8 @@ class AlgebraicNumber:
             if other._field == self._field:
                 return other
             raise FieldMismatch(
-                f"cannot combine elements of {self._field!r} and {other._field!r}"
+                f"elements of {self._field!r} and {other._field!r} "
+                "are not in the same field"
             )
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._field.element(other)
@@ -595,11 +597,9 @@ class AlgebraicNumber:
         return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self):
-        """Exact sign: -1, 0, or 1."""
-        if self.is_rational():
-            return polys._sign(self._num[0])
-        # Irrational (a nonconstant element of a minimal field is never
-        # rational), hence nonzero: its floor decides the sign.
+        """Exact sign, -1, 0 or 1, read off a nonzero element's floor."""
+        if not any(self._num):
+            return 0
         return 1 if _floor(self._field, self._raw) >= 0 else -1
 
     def floor(self):

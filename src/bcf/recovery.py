@@ -72,11 +72,10 @@ class RecoveredCubic:
 
 
 def _pad5(coeffs):
+    """The relation, trimmed and zero-padded on the left to five entries:
+    beta's numerator has degree <= 2 and its denominator <= 1, so each term
+    of the quartic, or the lone numerator, has degree <= 4."""
     coeffs = polys.trim(coeffs)
-    if len(coeffs) > 5:
-        raise DegenerateSystem(
-            f"elimination produced degree {len(coeffs) - 1} > 4"
-        )
     return (0,) * (5 - len(coeffs)) + tuple(coeffs)
 
 
@@ -350,7 +349,8 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     ``field_family`` iterates integer coefficient tuples of cubic
     polynomials; ``beta_candidates`` iterates (numerator, denominator)
     integer coefficient tuples defining beta as a rational function of
-    alpha; ``horizon`` bounds each expansion.  A coefficient that is not an
+    alpha; ``horizon`` bounds each expansion, whose first ``preview_digits``
+    (>= 0) digit pairs its record keeps.  A coefficient that is not an
     int is a TypeError.  Every (positive root, candidate) combination
     yields one ScanRecord; reducible polynomials, rootless families,
     nonpositive betas, and per-candidate failures are recorded as skips or
@@ -361,6 +361,8 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
+    if preview_digits < 0:
+        raise ValueError(f"preview_digits must be at least 0, got {preview_digits}")
     family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
     candidates = [
         (_as_ints(num, "beta_candidates"), _as_ints(den, "beta_candidates"))

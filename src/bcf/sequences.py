@@ -69,9 +69,11 @@ class SequencePair:
                     f"got len(a)={len(a)}, len(b)={len(b)}"
                 )
         if periodicity is not None:
-            k, m = periodicity
-            if not (isinstance(k, int) and isinstance(m, int)):
+            if not (isinstance(periodicity, (tuple, list)) and len(periodicity) == 2
+                    and all(type(n) is not bool and isinstance(n, int)
+                            for n in periodicity)):
                 raise InvalidSequence("periodicity must be a pair of ints")
+            k, m = periodicity
             if k < 0 or m < 1:
                 raise InvalidSequence(
                     f"periodicity needs preperiod >= 0 and period >= 1, "

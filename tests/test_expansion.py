@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bcf import (
@@ -191,6 +191,55 @@ def test_mixed_fields_rejected():
     m = MOORE.generator()
     with pytest.raises(FieldMismatch):
         bcf_expand(t, m)
+
+
+def _three_branch_unify(alpha, beta):
+    """The rule _unify_pair had before it embedded through
+    AlgebraicNumber._coerce, kept as its reference."""
+    alpha = fields._as_exact(alpha, "alpha")
+    beta = fields._as_exact(beta, "beta")
+    alpha_algebraic = isinstance(alpha, AlgebraicNumber)
+    beta_algebraic = isinstance(beta, AlgebraicNumber)
+    if alpha_algebraic and beta_algebraic:
+        if alpha.field != beta.field:
+            raise FieldMismatch("alpha and beta must live in the same field")
+    elif alpha_algebraic:
+        beta = alpha.field.element(beta)
+    elif beta_algebraic:
+        alpha = beta.field.element(alpha)
+    return alpha, beta
+
+
+# TRIBONACCI_AGAIN is another object, equal to TRIBONACCI.
+TRIBONACCI_AGAIN = NumberField((1, -1, -1, -1), (Fraction(3, 2), 2))
+_RATIONAL = st.one_of(
+    st.integers(-9, 9),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+)
+_EXACT = st.one_of(_RATIONAL, st.builds(
+    AlgebraicNumber,
+    st.sampled_from([TRIBONACCI, TRIBONACCI_AGAIN, MOORE]),
+    st.lists(_RATIONAL, min_size=1, max_size=3),
+))
+
+
+@given(alpha=_EXACT, beta=_EXACT)
+@example(alpha=TRIBONACCI.generator(), beta=TRIBONACCI_AGAIN.generator())
+@example(alpha=MOORE.generator(), beta=TRIBONACCI.element(2))
+@example(alpha=Fraction(1, 3), beta=TRIBONACCI_AGAIN.generator())
+@settings(max_examples=200, deadline=None)
+def test_unify_pair_matches_the_three_branch_rule(alpha, beta):
+    try:
+        want = _three_branch_unify(alpha, beta)
+    except FieldMismatch:
+        with pytest.raises(FieldMismatch, match="same field"):
+            expansion._unify_pair(alpha, beta)
+        return
+    got = expansion._unify_pair(alpha, beta)
+    for x, y in zip(got, want):
+        assert type(x) is type(y) and x == y
+        if isinstance(y, AlgebraicNumber):
+            assert x.field is y.field and x._raw == y._raw
 
 
 def test_nonpositive_inputs_rejected():

@@ -35,7 +35,6 @@ from bcf.errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from bcf.expansion import _raw_state
 from bcf.fields import _element, _primitive
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
@@ -210,6 +209,18 @@ def test_sign_and_floor():
     assert floor_of(-t) == -2
     assert floor_of(Fraction(7, 2)) == 3
     assert floor_of(5) == 5
+
+
+@pytest.mark.parametrize("poly, interval", [
+    ((2, -3), (1, 2)), ((1, 0, -2), (1, 2)), ((1, -1, -1, -1), (1, 2)),
+], ids=["degree-1", "degree-2", "degree-3"])
+def test_sign_of_rational_elements_needs_no_refinement(poly, interval):
+    field = NumberField(poly, interval)
+    before = field.interval()
+    for q in (Fraction(0), Fraction(-7, 3), Fraction(-1), Fraction(1, 10**30),
+              Fraction(5, 2)):
+        assert field.element(q).sign() == (q > 0) - (q < 0)
+    assert field.interval() == before
 
 
 def test_even_power_bound_when_interval_straddles_zero():
@@ -440,6 +451,15 @@ def test_arithmetic_matches_fraction_reference(data):
     assert hash((x + y) - y) == hash(x)
 
 
+def _start_triple(alpha, beta):
+    """The triple bcf_expand starts from: (p dq : q dp : dp dq) for
+    alpha = p/dp and beta = q/dq, vectors zero-padded to three entries."""
+    (p, dp), (q, dq) = alpha._raw, beta._raw
+    pad = (0,) * (3 - len(p))
+    return (tuple(c * dq for c in p) + pad, tuple(c * dp for c in q) + pad,
+            (dp * dq, 0, 0))
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_step_matches_public_operators(data):
@@ -452,7 +472,7 @@ def test_step_matches_public_operators(data):
     assume(beta != b)
     # One linear step of the projective triple (vectors zero-padded to
     # three entries), then its primitive form.
-    x, y, z = _raw_state(alpha, beta)
+    x, y, z = _start_triple(alpha, beta)
     step = (z, tuple(c - a * e for c, e in zip(x, z)),
             tuple(c - b * e for c, e in zip(y, z)))
     u, v, (w, *rest) = _primitive(field, *step)
@@ -461,9 +481,9 @@ def test_step_matches_public_operators(data):
     x, y = _element(field, u[:d], w), _element(field, v[:d], w)
     assert x == 1 / (beta - b)
     assert y == (alpha - a) / (beta - b)
-    # The triple is canonical: the elements map back to the same triple,
-    # and so does any multiple of the point.
-    assert _raw_state(x, y) == (u, v, (w, *rest))
+    # The triple is canonical: the elements' start triple reduces to the
+    # same triple, and so does any multiple of the point.
+    assert _primitive(field, *_start_triple(x, y)) == (u, v, (w, *rest))
     scaled = tuple(tuple(-3 * c for c in vector) for vector in step)
     assert _primitive(field, *scaled) == (u, v, (w, *rest))
 

@@ -3,8 +3,10 @@ top-level function or class of src/bcf is named somewhere in src/bcf
 outside its own definition.  A deletion can leave an import or a helper
 behind; the package has no linter dependency, so this parses each module
 with ast instead.  __init__.py is left out of the import check: it imports
-to re-export.  One more rule is pinned the same way: only
-fields._refine_more calls .refine(, so precision is asked for by one rule."""
+to re-export.  Two more rules are pinned the same way: only
+fields._refine_more calls .refine(, so precision is asked for by one rule,
+and only AlgebraicNumber._coerce raises FieldMismatch, so operands are
+embedded into one field by one rule."""
 
 import ast
 from pathlib import Path
@@ -72,21 +74,36 @@ def test_no_unused_private_definitions():
     assert _unused_private_definitions(sources) == []
 
 
-def _refine_callers(sources):
+def _functions_where(sources, hit):
     """(module, function) for each function or method in the sources, a
-    dict of module name to source text, whose body calls some .refine(...);
-    a bare refine(...) is not a method call and does not count."""
-    callers = set()
+    dict of module name to source text, with some node in its body for
+    which hit(node) holds."""
+    found = set()
     for module, source in sources.items():
         for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for sub in ast.walk(node):
-                if (isinstance(sub, ast.Call)
-                        and isinstance(sub.func, ast.Attribute)
-                        and sub.func.attr == "refine"):
-                    callers.add((module, node.name))
-    return sorted(callers)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    hit(sub) for sub in ast.walk(node)):
+                found.add((module, node.name))
+    return sorted(found)
+
+
+def _calls_refine(node):
+    """A method call .refine(...); a bare refine(...) does not count."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "refine")
+
+
+def _raises_field_mismatch(node):
+    """raise FieldMismatch or raise errors.FieldMismatch, called or not."""
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+    return name == "FieldMismatch"
+
+
+def _sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
 
 
 def test_refine_caller_is_found():
@@ -95,9 +112,26 @@ def test_refine_caller_is_found():
              "    def get(self):\n        self.field.refine()\n",
         "b": "def refine(x):\n    return x\ndef g(y):\n    return refine(y)\n",
     }
-    assert _refine_callers(sources) == [("a", "_more"), ("a", "get")]
+    assert _functions_where(sources, _calls_refine) == [("a", "_more"), ("a", "get")]
 
 
 def test_only_refine_more_refines():
-    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
-    assert _refine_callers(sources) == [("fields", "_refine_more")]
+    assert _functions_where(_sources(), _calls_refine) == [("fields", "_refine_more")]
+
+
+def test_field_mismatch_raiser_is_found():
+    sources = {
+        "a": "class K:\n    def _coerce(self, o):\n"
+             "        raise FieldMismatch(f'{o}')\n"
+             "def bare():\n    raise FieldMismatch\n",
+        "b": "from . import errors\ndef g(x):\n    raise errors.FieldMismatch('x')\n"
+             "def h(x):\n    try:\n        x()\n    except FieldMismatch:\n"
+             "        raise ValueError('y')\n",
+    }
+    assert _functions_where(sources, _raises_field_mismatch) == [
+        ("a", "_coerce"), ("a", "bare"), ("b", "g")]
+
+
+def test_only_coerce_raises_field_mismatch():
+    assert _functions_where(_sources(), _raises_field_mismatch) == [
+        ("fields", "_coerce")]

@@ -591,6 +591,13 @@ def test_scan_validates_arguments():
         conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], horizon=0)
     with pytest.raises(ValueError):
         conjecture_scan([(1, 0, 0, -2)], [], horizon=8)
+    # A negative slice would cut digits off the end of every preview.
+    with pytest.raises(ValueError, match="preview_digits"):
+        conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], horizon=8,
+                        preview_digits=-1)
+    records = conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], horizon=8,
+                              preview_digits=0)
+    assert records and all(r.digits_preview == ((), ()) for r in records)
 
 
 @pytest.mark.parametrize("family, candidate", [

@@ -38,6 +38,9 @@ def test_shape_errors():
         SequencePair((1, 2), (1, 0), periodicity=(0, 0))  # m >= 1
     with pytest.raises(InvalidSequence):
         SequencePair((1, 2), (1, 0), periodicity=(-1, 2))
+    for bad in ((True, 1), (0, False), (0, 1, 2), (0,), 5, (0, 1.0), "01"):
+        with pytest.raises(InvalidSequence, match="pair of ints"):
+            SequencePair((1, 2), (1, 0), periodicity=bad)
 
 
 def test_digit_type_checks():
