@@ -10,14 +10,19 @@ helpers into the integer transfer matrix M = P^-1 Q P, with the row
 eigen-relation (alpha, beta, 1) M = lambda (alpha, beta, 1).  Eliminating
 lambda gives beta as a rational function of alpha and, after substitution,
 an integer polynomial relation for alpha whose degree-4 coefficient cancels
-identically — so alpha is at most cubic.  That elimination is written
-once, in ``recover_cubic_eventual``; a purely periodic pair is the case
-P = I.  Recovery extracts the relation, certifies it, isolates alpha's
-root in a convergent ball that the number field itself checks, and
-rebuilds the exact (alpha, beta) pair.  A scanner then probes cubic fields
-for periodic expansions experimentally; the period of each expansion is the
-one ``bcf_expand`` finds, when a state of its orbit recurs.  Each scanned
-polynomial gets one Sturm chain.  The rational-root search on it decides
+identically.  That elimination is written once, in
+``recover_cubic_eventual``; a purely periodic pair is the case P = I.
+Recovery has one degeneracy guard: M's characteristic polynomial chi, a
+monic integer cubic with constant term -1, must not vanish at 1 or -1,
+its only possible rational roots.  Past the guard chi is irreducible,
+alpha is cubic and the primitive relation is its minimal polynomial;
+recovery isolates alpha's root in a convergent ball that the number field
+itself checks, and rebuilds the exact (alpha, beta) pair.
+
+A scanner then probes cubic fields for periodic expansions
+experimentally; the period of each expansion is the one ``bcf_expand``
+finds, when a state of its orbit recurs.  Each scanned polynomial gets
+one Sturm chain.  The rational-root search on it decides
 irreducibility first (a cubic is reducible exactly when it has a rational
 root), whatever the signs of the roots; the same chain isolates the real
 roots; a root's sign is read from its isolating interval and the sign of
@@ -52,9 +57,9 @@ class RecoveredCubic:
     """Recovered algebraic description of a periodic expansion's source.
 
     ``poly`` is the minimal polynomial of alpha: integer coefficients in
-    descending order, content 1, positive leading coefficient, degree 2 or
-    3.  ``beta_expr`` is (numerator, denominator) integer coefficient
-    tuples expressing beta as a rational function of alpha.  ``field``,
+    descending order, content 1, positive leading coefficient, degree 3.
+    ``beta_expr`` is (numerator, denominator) integer coefficient tuples
+    expressing beta as a rational function of alpha.  ``field``,
     ``alpha``, and ``beta`` carry the reconstructed exact values;
     ``quartic`` is the degree-4 elimination polynomial as a 5-tuple whose
     leading entry is certified zero (its sign is whatever the elimination
@@ -92,19 +97,6 @@ def _canonical_ratfunc(num, den):
     return num, den
 
 
-def _strip_rational_roots(relation):
-    """(h, chain): the irrational-root factor h of the relation, primitive,
-    left once every rational root is divided out with multiplicity, and
-    h's Sturm chain, which is the relation's own when no root was found."""
-    h = polys.primitive(relation)
-    chain = polys.sturm_chain(h)
-    roots = polys._chain_roots(chain)
-    for r in roots:
-        while polys.evaluate(h, r) == 0:
-            h = polys.deflate(h, r)
-    return h, polys.sturm_chain(h) if roots else chain
-
-
 def _field_in_ball(chain, ball_pair):
     """The number field of the irreducible chain[0], on its Sturm chain
     chain, whose root the convergents of ball_pair approach.
@@ -126,29 +118,6 @@ def _field_in_ball(chain, ball_pair):
             )
         except RootCountNotOne:
             horizon *= 2
-
-
-def _build_result(relation, beta_num, beta_den, ball_pair, quartic5, matrix):
-    if polys.degree(relation) < 1:
-        raise DegenerateSystem("elimination produced a constant relation")
-    # Of degree <= 3 and free of rational roots, min_poly is irreducible.
-    min_poly, chain = _strip_rational_roots(relation)
-    if polys.degree(min_poly) < 2:
-        raise DegenerateSystem(
-            "no irrational root remains after removing rational factors"
-        )
-    field = _field_in_ball(chain, ball_pair)
-    alpha = field.generator()
-    beta = RatFunc(beta_num, beta_den).evaluate(alpha)
-    return RecoveredCubic(
-        poly=min_poly,
-        beta_expr=_canonical_ratfunc(beta_num, beta_den),
-        field=field,
-        alpha=alpha,
-        beta=beta,
-        quartic=quartic5,
-        matrix=matrix,
-    )
 
 
 def _validated_periodic_pair(a, b, preperiod, period):
@@ -212,10 +181,20 @@ def recover_cubic_eventual(preperiod, period):
     Builds the transfer matrix M and eliminates the eigenvalue from the
     row relation (alpha, beta, 1) M = lambda (alpha, beta, 1): beta =
     (-M13 a^2 + (M11 - M33) a + M31) / (M23 a - M21), and substitution
-    into the middle column yields the elimination quartic.  If both
-    denominator entries vanish the relation degenerates to the (at most
-    quadratic) numerator itself, with beta read from the middle column
-    instead.
+    into the middle column yields the elimination quartic.
+
+    One guard comes first.  chi(x) = det(xI - M) = x^3 - tr(M) x^2 +
+    tr(adj M) x - 1 is a monic integer cubic with constant term -1, so
+    its only possible rational roots are 1 and -1, and a rational root
+    means that 1, alpha and beta are linearly dependent: DegenerateSystem
+    is raised when chi(1) or chi(-1) is 0.  Past the guard chi is
+    irreducible, so M21 and M23 are not both 0 (row 2 of M would be a
+    left eigenvector with the rational eigenvalue M22), and alpha, which
+    lies in Q(lambda) and is not rational, is cubic.  The relation has
+    degree at most 3 and vanishes at the alpha-coordinates of the three
+    conjugate eigenvectors; it is not zero, since then every alpha would
+    give an eigenvector, which needs a double root of chi.  So the
+    primitive relation is alpha's minimal polynomial.
     """
     pre = as_pair(preperiod)
     per = as_pair(period)
@@ -228,36 +207,43 @@ def recover_cubic_eventual(preperiod, period):
 
     matrix = transfer_matrix(pre, per)
     assert _kernels.det3(matrix) == 1, "transfer matrix must be unimodular"
+    adjugate = _kernels._adjugate(matrix)
+    chi = (1, -(matrix[0][0] + matrix[1][1] + matrix[2][2]),
+           adjugate[0][0] + adjugate[1][1] + adjugate[2][2], -1)
+    if 0 in (polys.evaluate(chi, 1), polys.evaluate(chi, -1)):
+        raise DegenerateSystem(
+            "transfer matrix has eigenvalue 1 or -1: "
+            "1, alpha and beta are linearly dependent"
+        )
     (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = matrix
     beta_num = polys.trim((-m13, m11 - m33, m31))
     beta_den = polys.trim((m23, -m21))
-    if beta_den:
-        quartic = polys.sub(
-            polys.add(
-                polys.multiply(
-                    polys.trim((m12, m32)),
-                    polys.multiply(beta_den, beta_den),
-                ),
-                polys.multiply(
-                    polys.trim((-m13, m22 - m33)),
-                    polys.multiply(beta_num, beta_den),
-                ),
+    quartic = polys.sub(
+        polys.add(
+            polys.multiply(
+                polys.trim((m12, m32)), polys.multiply(beta_den, beta_den)
             ),
-            polys.scale(polys.multiply(beta_num, beta_num), m23),
-        )
-        relation = quartic
-    else:
-        # M21 = M23 = 0: the first column already constrains alpha alone.
-        relation = beta_num
-        beta_num = polys.trim((m12, m32))
-        beta_den = polys.trim((m13, m33 - m22))
-        if not beta_den:
-            raise DegenerateSystem(
-                "transfer matrix determines neither beta relation"
-            )
-    quartic5 = _pad5(relation)
+            polys.multiply(
+                polys.trim((-m13, m22 - m33)),
+                polys.multiply(beta_num, beta_den),
+            ),
+        ),
+        polys.scale(polys.multiply(beta_num, beta_num), m23),
+    )
+    quartic5 = _pad5(quartic)
     assert quartic5[0] == 0, "alpha^4 coefficient must vanish"
-    return _build_result(relation, beta_num, beta_den, pair, quartic5, matrix)
+    min_poly = polys.primitive(quartic)
+    field = _field_in_ball(polys.sturm_chain(min_poly), pair)
+    alpha = field.generator()
+    return RecoveredCubic(
+        poly=min_poly,
+        beta_expr=_canonical_ratfunc(beta_num, beta_den),
+        field=field,
+        alpha=alpha,
+        beta=RatFunc(beta_num, beta_den).evaluate(alpha),
+        quartic=quartic5,
+        matrix=matrix,
+    )
 
 
 # -- experimental scanner ----------------------------------------------------
@@ -355,14 +341,16 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     yields one ScanRecord; reducible polynomials, rootless families,
     nonpositive betas, and per-candidate failures are recorded as skips or
     errors, never raised.  A hit only reports what was found within the
-    horizon; a miss proves nothing.  ``jobs`` > 1 distributes polynomials
-    over a process pool of at most ``jobs`` workers, and no more than there
-    are polynomials or CPUs.
+    horizon; a miss proves nothing.  ``jobs`` is None or at least 1, and
+    ``jobs`` > 1 distributes polynomials over a process pool of at most
+    ``jobs`` workers, and no more than there are polynomials or CPUs.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     if preview_digits < 0:
         raise ValueError(f"preview_digits must be at least 0, got {preview_digits}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
     candidates = [
         (_as_ints(num, "beta_candidates"), _as_ints(den, "beta_candidates"))

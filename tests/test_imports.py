@@ -3,10 +3,12 @@ top-level function or class of src/bcf is named somewhere in src/bcf
 outside its own definition.  A deletion can leave an import or a helper
 behind; the package has no linter dependency, so this parses each module
 with ast instead.  __init__.py is left out of the import check: it imports
-to re-export.  Two more rules are pinned the same way: only
-fields._refine_more calls .refine(, so precision is asked for by one rule,
-and only AlgebraicNumber._coerce raises FieldMismatch, so operands are
-embedded into one field by one rule."""
+to re-export.  Three more rules are pinned the same way: only
+fields._refine_more calls .refine(, so precision is asked for by one rule;
+only AlgebraicNumber._coerce raises FieldMismatch, so operands are
+embedded into one field by one rule; and only
+recovery.recover_cubic_eventual raises DegenerateSystem, so recovery has
+one degeneracy guard."""
 
 import ast
 from pathlib import Path
@@ -93,13 +95,15 @@ def _calls_refine(node):
             and node.func.attr == "refine")
 
 
-def _raises_field_mismatch(node):
-    """raise FieldMismatch or raise errors.FieldMismatch, called or not."""
-    if not isinstance(node, ast.Raise) or node.exc is None:
-        return False
-    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-    name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
-    return name == "FieldMismatch"
+def _raises(error):
+    """A hit for raise error or raise errors.error, called or not."""
+    def hit(node):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            return False
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        name = exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None)
+        return name == error
+    return hit
 
 
 def _sources():
@@ -128,10 +132,27 @@ def test_field_mismatch_raiser_is_found():
              "def h(x):\n    try:\n        x()\n    except FieldMismatch:\n"
              "        raise ValueError('y')\n",
     }
-    assert _functions_where(sources, _raises_field_mismatch) == [
+    assert _functions_where(sources, _raises("FieldMismatch")) == [
         ("a", "_coerce"), ("a", "bare"), ("b", "g")]
 
 
 def test_only_coerce_raises_field_mismatch():
-    assert _functions_where(_sources(), _raises_field_mismatch) == [
+    assert _functions_where(_sources(), _raises("FieldMismatch")) == [
         ("fields", "_coerce")]
+
+
+def test_degenerate_system_raiser_is_found():
+    sources = {
+        "a": "def recover(m):\n    if m:\n        raise DegenerateSystem('x')\n"
+             "class K:\n    def _guard(self):\n"
+             "        raise errors.DegenerateSystem\n",
+        "b": "def g(x):\n    raise FieldMismatch('x')\n"
+             "def h(x):\n    return DegenerateSystem('y')\n",
+    }
+    assert _functions_where(sources, _raises("DegenerateSystem")) == [
+        ("a", "_guard"), ("a", "recover")]
+
+
+def test_only_recover_cubic_eventual_raises_degenerate_system():
+    assert _functions_where(_sources(), _raises("DegenerateSystem")) == [
+        ("recovery", "recover_cubic_eventual")]

@@ -79,6 +79,10 @@ _REFUSALS = {
         ),
         InvalidSequence, "terminated pairs have no period to recover",
     ),
+    "scan with no workers": (
+        lambda: conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8, jobs=0),
+        ValueError, "jobs must be at least 1, got 0",
+    ),
 }
 
 

@@ -4,7 +4,6 @@ import concurrent.futures
 import contextlib
 import hashlib
 import io
-import math
 import os
 import random
 import subprocess
@@ -12,20 +11,21 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import (
     ExpansionState,
     NumberField,
     SequencePair,
+    _kernels,
     bcf_expand,
-    bcf_expand_rational,
     bcf_step,
     conjecture_scan,
     polys,
     recover_cubic_eventual,
     recover_cubic_pure,
+    recovery,
     transfer_matrix,
     validate,
 )
@@ -39,9 +39,7 @@ from bcf.errors import (
 )
 from bcf.recovery import (
     ScanRecord,
-    _build_result,
     _canonical_ratfunc,
-    _strip_rational_roots,
     STATUS_EXHAUSTED,
     STATUS_ERROR,
     STATUS_PERIODIC,
@@ -261,14 +259,14 @@ def _count_calls(monkeypatch, module, name):
     (((), ()), ((1, 3), (0, 0)), 2),
 ], ids=["first-ball", "second-ball"])
 def test_recover_builds_one_sturm_chain(monkeypatch, preperiod, period, fields):
-    # One chain of the irreducible relation serves the one rational-root
-    # search and the root count of every ball the field tries; the
-    # relation is never stripped.
+    # One chain of the relation, alpha's minimal polynomial once the
+    # transfer matrix passes its degeneracy guard, serves the root count of
+    # every ball the field tries; no rational root is searched for.
     chains = _count_calls(monkeypatch, polys, "sturm_chain")
     searches = _count_calls(monkeypatch, polys, "_chain_roots")
     counts = _count_calls(monkeypatch, polys, "count_roots")
     recover_cubic_eventual(preperiod, period)
-    assert (len(chains), len(searches), len(counts)) == (1, 1, fields)
+    assert (len(chains), len(searches), len(counts)) == (1, 0, fields)
 
 
 def test_recover_eventual_matches_pure_on_tail():
@@ -279,31 +277,53 @@ def test_recover_eventual_matches_pure_on_tail():
     assert pure.poly == eventual.poly
 
 
-def test_strip_rational_roots_with_multiplicity():
-    # -3 (x - 1)^2 (2x + 1) (x^2 - 2): content, a negative lead, a double
-    # root and a root that is not an integer; only x^2 - 2 remains
-    relation = (-3,)
-    for factor in ((1, -1), (1, -1), (2, 1), (1, 0, -2)):
-        relation = polys.multiply(relation, factor)
-    stripped, chain = _strip_rational_roots(relation)
-    assert stripped == (1, 0, -2) and chain == polys.sturm_chain(stripped)
-    assert _strip_rational_roots((2, 0, -4))[0] == (1, 0, -2)
+@st.composite
+def _periodic_digits(draw):
+    """(preperiod, period) digit pairs, admissible as an eventually
+    periodic pair: preperiod 0-3, period 1-6, digits at most 9."""
+    k, m = draw(st.integers(0, 3)), draw(st.integers(1, 6))
+    a = tuple(draw(st.lists(st.integers(1, 9), min_size=k + m,
+                            max_size=k + m)))
+    b = tuple(draw(st.integers(0, ai)) for ai in a)
+    assume(validate(SequencePair(a, b, periodicity=(k, m))).valid)
+    return (a[:k], b[:k]), (a[k:], b[k:])
 
 
-def test_reducible_relation_is_stripped_after_the_field_rejects_it():
-    # convergents of a 64-digit prefix close to (sqrt 2, cbrt 2) put the
-    # ball around sqrt 2: the rational-root search finds the root 1 of
-    # (x - 1)(x^2 - 2), and the stripped x^2 - 2 gives the field
-    sqrt2 = Fraction(math.isqrt(2 * 10**120), 10**60)
-    cbrt2 = Fraction(1259921049894873164767210607278, 10**30)
-    pair = bcf_expand_rational(sqrt2, cbrt2, max_terms=64)
-    relation = polys.multiply((1, -1), (1, 0, -2))
-    result = _build_result(relation, (1, 0), (1,), pair, (0,) + relation, None)
-    assert result.poly == (1, 0, -2)
-    assert result.alpha.approximate(10).text == "1.4142135624"
-    # only rational roots: the same branch ends in DegenerateSystem
-    with pytest.raises(DegenerateSystem, match="no irrational root remains"):
-        _build_result((1, -3, 2), (1, 0), (1,), pair, (0, 0, 1, -3, 2), None)
+@given(digits=_periodic_digits())
+@settings(max_examples=300, deadline=None)
+def test_transfer_matrix_has_no_eigenvalue_one_and_poly_is_cubic(digits):
+    # det(+-I - M), by the one determinant helper rather than the trace and
+    # adjugate form of the guard: chi(1) and chi(-1) up to sign.
+    preperiod, period = digits
+    matrix = transfer_matrix(preperiod, period)
+    for s in (1, -1):
+        shifted = tuple(
+            tuple(s * (i == j) - matrix[i][j] for j in range(3))
+            for i in range(3)
+        )
+        assert _kernels.det3(shifted) != 0
+    result = recover_cubic_eventual(preperiod, period)
+    assert polys.degree(result.poly) == 3
+    assert result.poly == polys.primitive(result.quartic)
+
+
+# det 1, M21 = M23 = 0, and eigenvalue 1 (chi = (x - 1)(x^2 - 3x + 1))
+_DEGENERATE = ((2, 0, 1), (0, 1, 0), (1, 0, 1))
+_DEGENERATE_MESSAGE = (
+    "transfer matrix has eigenvalue 1 or -1: "
+    "1, alpha and beta are linearly dependent"
+)
+
+
+def test_eigenvalue_one_is_the_degenerate_system(monkeypatch, capsys):
+    monkeypatch.setattr(recovery, "transfer_matrix", lambda *_: _DEGENERATE)
+    with pytest.raises(DegenerateSystem) as info:
+        recover_cubic_eventual(((), ()), ((1,), (1,)))
+    assert str(info.value) == _DEGENERATE_MESSAGE
+    assert run(["recover", "--period-a", "1", "--period-b", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_DEGENERATE_MESSAGE}\n"
 
 
 # Long-period recoveries whose monicised cubic has coefficients past 2^64,

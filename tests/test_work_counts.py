@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from bcf import cli, expansion, fields, recovery
+from bcf import cli, expansion, fields, polys, recovery
 from bcf.cli import run
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -29,16 +29,19 @@ TOTALS = {
         "bcf_expand_digits": 16_576, "_convolve": 768, "_primitive": 496,
         "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
         "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
+        "_chain_roots": 111,
     },
     "scan_box": {
         "bcf_expand_digits": 12_386, "_convolve": 1_014, "_primitive": 324,
         "_refine_more": 938, "refine_bits": 14_729, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
+        "_chain_roots": 343,
     },
     "digits_recover": {
         "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
         "_refine_more": 147, "refine_bits": 6_632, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
+        "_chain_roots": 0,
     },
 }
 
@@ -71,6 +74,8 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     _spy(monkeypatch, counts, fields.NumberField, "refine", "refine_bits",
          lambda _, field, bits=1: bits)
     _spy(monkeypatch, counts, cli, "_rounded_decimal", "_rounded_decimal")
+    # Rational-root searches: scan's irreducibility test only.
+    _spy(monkeypatch, counts, polys, "_chain_roots", "_chain_roots")
     for op in workloads.WORKLOADS[name].catalogue():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
