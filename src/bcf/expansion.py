@@ -17,9 +17,11 @@ power-basis vectors, alpha = X/Z and beta = Y/Z, stepped by the linear map
 _RENORMALISE steps ``fields._primitive`` reduces the triple to its canonical
 primitive form, which keeps heights down.  Both floors come from
 midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
-midpoint is linear in its vector); positivity is read off step 0's floors.
-A recurrence shows as a repeated window of _WINDOW digit pairs and is
-accepted only by the exact cross-multiplication test.  ``bcf_step`` steps
+midpoint is linear in its vector); bounds that straddle one integer k are
+decided by whether Y - kZ or X - kZ, which the step needs anyway, is zero,
+and positivity is read off both floors of step 0.  A recurrence shows as a
+repeated window of _WINDOW digit pairs and is accepted only by the exact
+cross-multiplication test on the two windows' last states.  ``bcf_step`` steps
 either kind of number through the public operators (``_next``) and reads
 positivity off its floors too.  ``_kernels.rational_digits`` is the one
 integer engine: it steps a rational point, or a box's corners in lockstep to
@@ -77,12 +79,6 @@ def _unify_pair(alpha, beta):
     return alpha, beta
 
 
-def _multiple(n, z, k):
-    """Whether n == k*z exactly: the test for bounds on n / z that straddle
-    the one integer k."""
-    return not any([c - k * e for c, e in zip(n, z)])
-
-
 def _same_point(field, s, t):
     """Whether triples s and t are one point: x_s z_t = x_t z_s, y_s z_t = y_t z_s."""
     d = field.degree
@@ -118,14 +114,16 @@ def bcf_expand(alpha, beta, max_terms=64):
 
     A rational pair runs as two elements of Q (_RATIONALS), whose bounds
     are exact.  The pair is stepped as its projective triple, the bounds on
-    its floors with it, and step 0's floors decide positivity.  The start
+    its floors with it; both floors are decided at every step, so step 0's
+    decide positivity.  The start
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
     ``_primitive`` reduces the triple every _RENORMALISE steps and at the
     terminal.  Equal states have equal digit tails, so a state j that
     recurs at r <= max_terms - 1 shows as a repeated window of digit pairs
-    at r, up to _WINDOW - 1 steps past the budget, where the exact test
-    confirms it; the remaining digits are read off the cycle and
+    at r, up to _WINDOW - 1 steps past the budget; the windows apply the
+    same invertible maps, so the exact test on their last states confirms
+    it; the remaining digits are read off the cycle and
     periodicity records (preperiod, period).  A termination in the steps
     past the budget is not reported.  Rational inputs terminate instead,
     with the exact final alpha, a Fraction, in ``terminal``; their
@@ -140,34 +138,32 @@ def bcf_expand(alpha, beta, max_terms=64):
     (p, dp), (q, dq), pad = alpha._raw, beta._raw, (0,) * (3 - field.degree)
     state = x, y, z = (tuple([c * dq for c in p]) + pad,
                        tuple([c * dp for c in q]) + pad, (dp * dq, 0, 0))
-    a_digits, b_digits, states, windows = [], [], [], {}
+    a_digits, b_digits, windows = [], [], {}
     powers = periodicity = terminal = None
     for i in range(max_terms + _WINDOW - 1):
         if i and i % _RENORMALISE == 0:
             state = x, y, z = _primitive(field, x, y, z)
             powers = None
-        states.append(state)
         (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = state
         while True:
             if powers is None:
                 powers = _, _, r1, _, r2 = field._power_bounds()
                 (mx, rx), (my, ry), (mz, rz) = (_bounds(powers, v) for v in state)
             zlo, zhi = mz - rz, mz + rz
-            if zlo > 0:
+            if zlo > 0:  # bounds on n/z straddling one integer k: n == kz decides
                 lo = (my - ry) // (zhi if my >= ry else zlo)
                 b_i = (my + ry) // (zlo if my >= -ry else zhi)
-                if lo == b_i or lo + 1 == b_i and _multiple(y, z, b_i):
-                    s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
-                    if not any(s):
-                        break
+                s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
+                if lo == b_i or lo + 1 == b_i and not any(s):
                     lo = (mx - rx) // (zhi if mx >= rx else zlo)
                     a_i = (mx + rx) // (zlo if mx >= -rx else zhi)
-                    if lo == a_i or lo + 1 == a_i and _multiple(x, z, a_i):
+                    t = (x0 - a_i * z0, x1 - a_i * z1, x2 - a_i * z2)
+                    if lo == a_i or lo + 1 == a_i and not any(t):
                         break
             _refine_more(field)
             powers = None
-        if not i and not (b_i >= 0 and any(y) and (  # x > 0 iff floor >= 0, x != 0
-                a_i >= 0 and any(x) if any(s) else alpha.sign() > 0)):
+        # x > 0 iff floor(x) >= 0 and x != 0
+        if not i and not (min(a_i, b_i) >= 0 and any(x) and any(y)):
             raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
         b_digits.append(b_i)
         if not any(s):
@@ -179,20 +175,17 @@ def bcf_expand(alpha, beta, max_terms=64):
         a_digits.append(a_i)
         r = i + 1 - _WINDOW
         if r >= 0:
-            starts = windows.get(key := (*a_digits[r:], *b_digits[r:]))
-            if starts is None:
-                windows[key] = [r]
-            else:
-                for j in starts:
-                    if _same_point(field, states[j], states[r]):
-                        periodicity = (j, r - j)
-                        for digits in a_digits, b_digits:
-                            digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
-                        break
-                if periodicity:
+            seen = windows.setdefault((*a_digits[r:], *b_digits[r:]), [])
+            for j, last in seen:
+                if _same_point(field, last, state):
+                    periodicity = (j, r - j)
+                    for digits in a_digits, b_digits:
+                        digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
                     break
-                starts.append(r)
-        state = x, y, z = z, (x0 - a_i * z0, x1 - a_i * z1, x2 - a_i * z2), s
+            if periodicity:
+                break
+            seen.append((r, state))
+        state = x, y, z = z, t, s
         mx, rx, my, mz = mz, rz, mx - a_i * mz, my - b_i * mz
         ry, rz = abs(y[1]) * r1 + abs(y[2]) * r2, abs(z[1]) * r1 + abs(z[2]) * r2
     del a_digits[max_terms:], b_digits[max_terms:]

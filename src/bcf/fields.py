@@ -628,7 +628,7 @@ class AlgebraicNumber:
             k *= 2
 
     def __bool__(self):
-        return self.sign() != 0
+        return any(self._num)
 
     # -- comparisons ------------------------------------------------------
     # x > y is the reflection of y < x, as x >= y is of y <= x.

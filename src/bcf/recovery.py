@@ -130,15 +130,6 @@ def _validated_periodic_pair(a, b, preperiod, period):
     return pair
 
 
-def _digit_product(pair):
-    """R_{n-1} ... R_0 over the pair's n digit matrices (identity if n = 0).
-
-    The convergent-matrix kernel accumulates exactly this product, transposed.
-    """
-    rows = _kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
-    return tuple(zip(*rows))
-
-
 def recover_cubic_pure(seqs):
     """Recover (alpha, beta) from one full period of a purely periodic pair.
 
@@ -168,11 +159,13 @@ def transfer_matrix(preperiod, period):
     P multiplies the preperiod digit matrices in decreasing index order
     (identity for an empty preperiod) and Q does the same over one period;
     every factor has determinant 1, so P^-1 = adj(P) and M is integral and
-    unimodular.
+    unimodular.  ``_kernels.convergent_matrix`` gives the transposes K_P
+    and K_Q, so M is the transpose of K_P K_Q adj(K_P).
     """
-    p = _digit_product(as_pair(preperiod))
-    q = _digit_product(as_pair(period))
-    return _kernels.mat_mul3(_kernels._adjugate(p), _kernels.mat_mul3(q, p))
+    kp, kq = (_kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
+              for pair in (as_pair(preperiod), as_pair(period)))
+    m = _kernels.mat_mul3(kp, _kernels.mat_mul3(kq, _kernels._adjugate(kp)))
+    return tuple(zip(*m))
 
 
 def recover_cubic_eventual(preperiod, period):

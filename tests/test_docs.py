@@ -37,6 +37,14 @@ def test_readme_doctests_pass():
     assert runner.summarize(verbose=False).failed == 0
 
 
+def test_readme_and_pyproject_state_one_python_floor():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (floor,) = re.findall(r'^requires-python = ">=([\d.]+)"$', pyproject, re.M)
+    readme = README.read_text(encoding="utf-8")
+    assert re.findall(r"Requires Python ≥ ([\d.]*\d)", readme) == [floor]
+    assert floor == "3.10.7"
+
+
 def _command_lines():
     (block,) = _fenced_blocks(_section("Command line"), "sh")
     return [line for line in block.splitlines() if line.startswith("bcf ")]

@@ -249,8 +249,9 @@ def test_nonpositive_inputs_rejected():
         bcf_expand(Fraction(1), Fraction(-2))
     with pytest.raises(NonPositiveInput):
         bcf_expand_rational(Fraction(-1, 2), Fraction(1))
-    # A field pair's positivity is read off the floors of step 0, and off
-    # alpha's exact sign when beta is integral there.
+    # A field pair's positivity is read off both floors of step 0, also
+    # when beta is integral there and the run terminates: then the exact
+    # test X == aZ decides an integral alpha's floor.
     t = TRIBONACCI.generator()
     zero, one, two = (TRIBONACCI.element(k) for k in (0, 1, 2))
     for alpha, beta in [
@@ -263,6 +264,7 @@ def test_nonpositive_inputs_rejected():
         (t, 1 - t),  # beta < 0, irrational
         (-t, two),  # beta integral at step 0, alpha < 0
         (t - 2, one),  # beta integral at step 0, alpha in (-1, 0)
+        (zero, two),  # beta integral at step 0, alpha = 0
     ]:
         with pytest.raises(NonPositiveInput) as info:
             bcf_expand(alpha, beta, max_terms=8)
@@ -274,6 +276,7 @@ def test_nonpositive_inputs_rejected():
         (t - 1, t * t - 3),  # both in (0, 1)
         (t, two),  # beta a positive integer, alpha > 0
         (t - 1, one),  # beta a positive integer, alpha in (0, 1)
+        (one, two),  # both positive integers: terminates at step 0
     ]:
         _assert_matches_reference(alpha, beta, 40)
 
@@ -526,23 +529,24 @@ def test_integral_alpha_partway(monkeypatch):
     # tribonacci root, with digits (1, 0) and (2, 1): alpha_2 = X/Z is the
     # integer 3 with Z irrational, so the bounds on X/Z straddle 3 at any
     # precision, and only the exact test X == 3Z decides the floor; then
-    # beta_3 = 0 ends the run.
-    t = TRIBONACCI.generator()
+    # beta_3 = 0 ends the run.  Without that test the loop would refine
+    # forever: on a fresh field the run asks for more precision twice.
+    refinements = []
+    refine_more = expansion._refine_more
+
+    def bounded(field):
+        refinements.append(field)
+        assert len(refinements) <= 2, "a floor the exact test decides was refined"
+        refine_more(field)
+
+    monkeypatch.setattr(expansion, "_refine_more", bounded)
+    t = NumberField((1, -1, -1, -1), (1, 2)).generator()
     alpha_1 = 2 + t / 3
     alpha, beta = 1 + Fraction(4, 3) / alpha_1, 1 / alpha_1
-    exact = []
-    multiple = expansion._multiple
-
-    def spy(n, z, k):
-        verdict = multiple(n, z, k)
-        if verdict and any(n) and any(z[1:]):
-            exact.append(k)
-        return verdict
-
-    monkeypatch.setattr(expansion, "_multiple", spy)
+    bcf_expand(alpha, beta, max_terms=12)
+    assert len(refinements) == 2
     pair = _assert_matches_reference(alpha, beta, 12)
     assert (pair.a, pair.b, pair.terminal) == ((1, 2, 3), (0, 1, 1, 0), 1 / (t - 1))
-    assert exact == [3]
     # In a degree-1 field every bound is exact: (5/4, 3/2) has alpha_1 = 2
     # and ends with beta_2 = 0.
     field = NumberField((1, -2), (1, 3))

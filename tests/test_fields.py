@@ -223,6 +223,17 @@ def test_sign_of_rational_elements_needs_no_refinement(poly, interval):
     assert field.interval() == before
 
 
+def test_truth_needs_no_refinement():
+    # A nonzero element is true whatever its size: bool() reads the
+    # coefficients, so the shared interval stays (1, 2).
+    field = NumberField((1, -1, -1, -1), (1, 2))
+    t = field.generator()
+    before = field.interval()
+    assert bool(t - Fraction(18392867552141, 10**13)) is True
+    assert bool(t - t) is False and bool(field.element(-1)) is True
+    assert field.interval() == before
+
+
 def test_even_power_bound_when_interval_straddles_zero():
     # x^3 - 2 has one real root (~1.26), so (-3, 2) isolates it; theta^2
     # is then only known to lie in [0, 9], not [4, 9].

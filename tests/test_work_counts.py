@@ -1,15 +1,19 @@
 """Pinned work totals: one walk of each benchmark catalogue, counted.
 
 Fixed work is exact, while its CPU time on a shared machine swings widely,
-so these totals show every change in the work a catalogue does.  Each test
-walks one catalogue of ``perfbench/`` once, in catalogue order, through
-``bcf.cli.run`` and counts calls through spies that ``monkeypatch``
-restores.  A change that moves a total re-pins it here and states the old
-and the new value.
+so these totals show every change in the work a catalogue does.  Each
+catalogue test walks one catalogue of ``perfbench/`` once, in catalogue
+order, through ``bcf.cli.run`` and counts calls through spies that
+``monkeypatch`` restores; the deep set runs longer expansions through the
+library with the same spies.  A change that moves a total re-pins it here
+and states the old and the new value.
 """
 
 import contextlib
 import io
+import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,7 +23,8 @@ import pytest
 from bcf import cli, expansion, fields, polys, recovery
 from bcf.cli import run
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
@@ -32,7 +37,7 @@ TOTALS = {
         "_chain_roots": 111,
     },
     "scan_box": {
-        "bcf_expand_digits": 12_386, "_convolve": 1_014, "_primitive": 324,
+        "bcf_expand_digits": 12_386, "_convolve": 1_002, "_primitive": 324,
         "_refine_more": 938, "refine_bits": 14_729, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
         "_chain_roots": 343,
@@ -46,9 +51,10 @@ TOTALS = {
 }
 
 
-def _spy(monkeypatch, counts, owner, name, total, weight=lambda *a, **k: 1):
-    """Rebind owner.name to a wrapper that adds weight(result, *args) to
-    counts[total] on each call that returns."""
+def _spy(patch, counts, owner, name, total, weight=lambda *a, **k: 1):
+    """Rebind owner.name, through patch(owner, name, wrapper), to a wrapper
+    that adds weight(result, *args) to counts[total] on each call that
+    returns."""
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
@@ -56,26 +62,27 @@ def _spy(monkeypatch, counts, owner, name, total, weight=lambda *a, **k: 1):
         counts[total] += weight(result, *args, **kwargs)
         return result
 
-    monkeypatch.setattr(owner, name, spy)
+    patch(owner, name, spy)
 
 
 @pytest.mark.parametrize("name", sorted(TOTALS))
 def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     counts = Counter()
+    patch = monkeypatch.setattr
     for binding in ("_convolve", "_primitive", "rational_digits"):
-        _spy(monkeypatch, counts, expansion, binding, binding)
+        _spy(patch, counts, expansion, binding, binding)
     # Digit pairs returned by the field loop: the CLI's expand and scan
     # reach bcf_expand only with field pairs.
     for owner in (cli, recovery):
-        _spy(monkeypatch, counts, owner, "bcf_expand", "bcf_expand_digits",
+        _spy(patch, counts, owner, "bcf_expand", "bcf_expand_digits",
              lambda pair, *a, **k: len(pair.b))
     for owner in (expansion, fields):
-        _spy(monkeypatch, counts, owner, "_refine_more", "_refine_more")
-    _spy(monkeypatch, counts, fields.NumberField, "refine", "refine_bits",
+        _spy(patch, counts, owner, "_refine_more", "_refine_more")
+    _spy(patch, counts, fields.NumberField, "refine", "refine_bits",
          lambda _, field, bits=1: bits)
-    _spy(monkeypatch, counts, cli, "_rounded_decimal", "_rounded_decimal")
+    _spy(patch, counts, cli, "_rounded_decimal", "_rounded_decimal")
     # Rational-root searches: scan's irreducibility test only.
-    _spy(monkeypatch, counts, polys, "_chain_roots", "_chain_roots")
+    _spy(patch, counts, polys, "_chain_roots", "_chain_roots")
     for op in workloads.WORKLOADS[name].catalogue():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
@@ -83,3 +90,82 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
             run(op["argv"])
         counts["stdout_chars"] += len(out.getvalue())
     assert {total: counts[total] for total in TOTALS[name]} == TOTALS[name]
+
+
+# The deep set: long runs through the library, where the catalogues stop at
+# 256 steps.  (theta, theta^2 + theta) in the field of x^3 - 2x^2 - 2x - 2
+# repeats digit windows without recurring, so its exact window checks grow
+# with the horizon; the scan meets a periodic pair, an eventually periodic
+# one and a termination; the box certifies the same digits on the integer
+# engine from a rational box around the pair.
+_DEEP_POLY, _DEEP_INTERVAL = (1, -2, -2, -2), (-3, 3)
+_DEEP_TERMS = 2_000
+
+DEEP_TOTALS = {
+    "expand": {"pairs": 2_000, "_same_point": 617, "_convolve": 1_234,
+               "_primitive": 62, "refine_bits": 127},
+    "scan": {"records": [["periodic", 1, 2], ["periodic", 1, 1],
+                         ["periodic", 1, 2], ["terminated", None, None]],
+             "_same_point": 3, "_convolve": 12, "_primitive": 1,
+             "refine_bits": 31},
+    "box": {"pairs": 2_000, "matches_expand": True, "_same_point": 0,
+            "_convolve": 0, "_primitive": 0, "refine_bits": 6_000},
+}
+
+
+def deep_work(patch):
+    """The deep set's totals, with spies bound through patch(owner, name,
+    value): monkeypatch.setattr in a test, setattr in a fresh interpreter."""
+    counts = Counter()
+    for binding in ("_same_point", "_convolve", "_primitive"):
+        _spy(patch, counts, expansion, binding, binding)
+    _spy(patch, counts, fields.NumberField, "refine", "refine_bits",
+         lambda _, field, bits=1: bits)
+    _spy(patch, counts, expansion, "rational_digits", "rational_digits",
+         lambda result, *a, **k: len(result[1]))
+
+    def work(**found):
+        """found, and the totals counted since the last call."""
+        for name in ("_same_point", "_convolve", "_primitive", "refine_bits"):
+            found[name] = counts.pop(name, 0)
+        return found
+
+    t = fields.NumberField(_DEEP_POLY, _DEEP_INTERVAL).generator()
+    pair = expansion.bcf_expand(t, t * t + t, max_terms=_DEEP_TERMS)
+    expand = work(pairs=len(pair.b))
+    records = recovery.conjecture_scan(
+        [(1, 0, -3, -3)], list(cli._DEFAULT_SCAN_BETAS), horizon=32)
+    scan = work(records=[[r.status, r.preperiod, r.period] for r in records])
+    field = fields.NumberField(_DEEP_POLY, _DEEP_INTERVAL)
+    field.refine(6_000)
+    t = field.generator()
+    box = expansion.bcf_expand_box(t.value_interval(),
+                                   (t * t + t).value_interval(), _DEEP_TERMS)
+    box = work(pairs=counts["rational_digits"],
+               matches_expand=(box.a, box.b) == (pair.a, pair.b))
+    return {"expand": expand, "scan": scan, "box": box}
+
+
+def test_deep_set_does_the_pinned_work(monkeypatch):
+    assert deep_work(monkeypatch.setattr) == DEEP_TOTALS
+
+
+_DEEP_RUN = (
+    "import json, sys\n"
+    "sys.path.insert(0, 'tests')\n"
+    "import test_work_counts\n"
+    "print(json.dumps(test_work_counts.deep_work(setattr)))\n"
+)
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_deep_set_is_independent_of_the_hash_seed(seed):
+    # A fresh interpreter per seed: str hashes, and so the order of every
+    # set and dict keyed on them, change with PYTHONHASHSEED.
+    env = dict(os.environ, PYTHONPATH="src", PYTHONHASHSEED=seed)
+    proc = subprocess.run(
+        [sys.executable, "-c", _DEEP_RUN], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == DEEP_TOTALS
