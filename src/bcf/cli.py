@@ -4,15 +4,17 @@ All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
 scanner emits one JSON record per line.  Each command has one handler,
 which parses all of its text before it calls the library (which checks
-the values itself) and prints last.  Exit codes: 0 for success (including
-a completed validation that found violations); otherwise the error's
-class decides the code, whether the parsing or the library raises it: 2
-for every InputError (bad usage, unparsable literals, a ratfunc: beta
-with a pole at alpha, malformed or inadmissible digit pairs, nonpositive
-inputs, alpha and beta from different fields), 3 for computation errors
-(degenerate recovery systems, an integer too long to print, more
---digits than Python's integer-to-string limit, a render or a scan box
-over its budget, a zero division).
+the values itself) and prints last; each flag that takes a number literal
+names the kinds it takes, and _literal refuses any other.  Exit codes:
+0 for success (including a completed validation that found violations);
+otherwise the error's class decides the code, whether the parsing or the
+library raises it: 2 for every InputError (bad usage, unparsable or
+refused literals, a ratfunc: beta with a pole at alpha, malformed or
+inadmissible digit pairs, nonpositive inputs, alpha and beta from
+different fields), 3 for computation errors (degenerate recovery
+systems, an integer too long to print, more --digits than Python's
+integer-to-string limit, a render or a scan box over its budget, a zero
+division).
 """
 
 from __future__ import annotations
@@ -147,37 +149,25 @@ def _ratfunc_str(num, den):
 # -- expand ------------------------------------------------------------------
 
 
-def _decimal_box(value, flag):
-    """The closed interval (lo, hi) of the reals that round to a dec:
-    literal at its written precision: x -/+ 10**exponent / 2."""
-    sign, digits, exponent = value.as_tuple()
-    limit = sys.get_int_max_str_digits()
-    if max(len(digits), abs(exponent)) > limit > 0:
-        raise ParseError(f"{flag}: too large or too small for {limit} digits")
-    x = (-1) ** sign * int("".join(map(str, digits)))
-    unit = Fraction(10) ** exponent / 2
-    return (2 * x - 1) * unit, (2 * x + 1) * unit
-
-
-def _approx_value(literal, flag):
-    value = parse_number(literal, allow_decimal=True)
-    if isinstance(value, (AlgebraicNumber, RatFunc)):
+def _literal(text, flag, kinds):
+    """parse_number(text), once the kind before its ':' is one the flag
+    takes: the one place where the CLI refuses a literal's kind."""
+    if text.partition(":")[0] not in kinds:
         raise ParseError(
-            f"{flag}: only rat: and dec: literals are valid in approximate mode"
+            f"{flag}: expected a {' or '.join(k + ':' for k in kinds)} "
+            f"literal, got {_excerpt(text)}"
         )
-    return value if isinstance(value, Fraction) else _decimal_box(value, flag)
+    return parse_number(text)
 
 
 def _expand(args):
     _check_places(args.digits)
     if args.approx:
-        alpha = _approx_value(args.alpha, "--alpha")
-        beta = _approx_value(args.beta, "--beta")
+        alpha = _literal(args.alpha, "--alpha", ("rat", "dec"))
+        beta = _literal(args.beta, "--beta", ("rat", "dec"))
     else:
-        alpha = parse_number(args.alpha)
-        if isinstance(alpha, RatFunc):
-            raise ParseError("ratfunc literals are only legal for --beta")
-        beta = parse_number(args.beta)
+        alpha = _literal(args.alpha, "--alpha", ("rat", "alg"))
+        beta = _literal(args.beta, "--beta", ("rat", "alg", "ratfunc"))
         if isinstance(beta, RatFunc):
             try:
                 beta = beta.evaluate(alpha)
@@ -256,9 +246,7 @@ def _build_pair(args):
         raise ParseError("--preperiod needs --period")
     terminal = None
     if getattr(args, "terminal", None):
-        terminal = parse_number(args.terminal)
-        if isinstance(terminal, RatFunc):
-            raise ParseError("--terminal must be a rat: or alg: literal")
+        terminal = _literal(args.terminal, "--terminal", ("rat", "alg"))
     return SequencePair(a, b, terminal=terminal, periodicity=periodicity)
 
 
@@ -359,15 +347,8 @@ def _scan(args):
             f"the scan box holds more than {_SCAN_BUDGET} polynomials"
         )
     if args.beta:
-        candidates = []
-        for literal in args.beta:
-            value = parse_number(literal)
-            if not isinstance(value, RatFunc):
-                raise ParseError(
-                    "--beta: expected a ratfunc: literal, got "
-                    + _excerpt(literal)
-                )
-            candidates.append((value.num, value.den))
+        funcs = [_literal(text, "--beta", ("ratfunc",)) for text in args.beta]
+        candidates = [(func.num, func.den) for func in funcs]
     else:
         candidates = list(_DEFAULT_SCAN_BETAS)
     records = conjecture_scan(
@@ -437,10 +418,14 @@ def _build_parser():
     expand = add_command(
         "expand", help="expand a pair (alpha, beta) into digit sequences"
     )
-    expand.add_argument("--alpha", required=True, help="number literal")
+    expand.add_argument(
+        "--alpha", required=True,
+        help="rat: or alg: literal (rat: or dec: with --approx)",
+    )
     expand.add_argument(
         "--beta", required=True,
-        help="number literal; ratfunc: literals are evaluated at alpha",
+        help="rat: or alg: or ratfunc: literal, a ratfunc: evaluated at "
+             "alpha (rat: or dec: with --approx)",
     )
     expand.add_argument("--terms", type=_positive_int, default=64)
     expand.add_argument("--digits", type=_positive_int, default=12)
@@ -483,7 +468,8 @@ def _build_parser():
     check.add_argument("--period", type=_positive_int, default=None)
     check.add_argument(
         "--terminal", default=None,
-        help="exact terminal value for a terminated pair",
+        help="rat: or alg: literal, the exact terminal value of a "
+             "terminated pair",
     )
     check.add_argument("--format", choices=("json", "text"), default="json")
     check.set_defaults(handler=_validate)

@@ -11,8 +11,12 @@ Grammar (one kind per literal, chosen by its prefix):
                                             integer coefficients, only
                                             meaningful for beta,
                                             e.g. ratfunc:1,1/1,0 = (a+1)/a
-    dec:<decimal>                           finite decimal, approximate mode
-                                            only: the reals that round to it
+    dec:<decimal>                           finite decimal: the reals that
+                                            round to it, e.g. dec:1.25
+
+Each literal parses to one value: a rat: to a Fraction, an alg: to a field
+element, a ratfunc: to a RatFunc and a dec: to its interval (lo, hi) of
+Fractions; the command line takes a dec: only under expand --approx.
 
 Parse failures raise ParseError naming the offending token, its position,
 and the expected grammar fragment; a token is quoted only up to a short
@@ -178,12 +182,7 @@ def _parse_ratfunc(body, position):
     return RatFunc(num, den)
 
 
-def _parse_dec(body, position, allow_decimal):
-    if not allow_decimal:
-        raise ParseError(
-            "dec: literals are only valid in approximate mode "
-            f"(grammar: {DEC_GRAMMAR})"
-        )
+def _parse_dec(body, position):
     try:
         value = Decimal(body)
     except InvalidOperation:
@@ -196,16 +195,27 @@ def _parse_dec(body, position, allow_decimal):
             f"decimal literal must be finite, got {_excerpt(body)} "
             f"(grammar: {DEC_GRAMMAR})"
         )
-    return value
+    sign, digits, exponent = value.as_tuple()
+    limit = sys.get_int_max_str_digits()
+    if max(len(digits), abs(exponent)) > limit > 0:
+        raise ParseError(
+            f"decimal at position {position} is too large or too small for "
+            f"{limit} digits, got {_excerpt(body)} (grammar: {DEC_GRAMMAR})"
+        )
+    x = (-1) ** sign * int("".join(map(str, digits)))
+    unit = Fraction(10) ** exponent / 2
+    return (2 * x - 1) * unit, (2 * x + 1) * unit
 
 
-def parse_number(literal, allow_decimal=False):
-    """Parse a number literal into its exact (or decimal) value.
+def parse_number(literal):
+    """Parse a number literal into its value.
 
     Returns a Fraction for rat:, a field element for alg:, a RatFunc for
-    ratfunc:, and the Decimal as written for dec: (only when allow_decimal
-    is set).  Field-construction failures (reducible polynomial, bad root
-    interval, degree out of range) propagate as their own error types.
+    ratfunc:, and for dec: the closed interval (lo, hi) of Fractions of the
+    reals that round to it at its written precision, x -/+ 10**exponent / 2
+    (the command line takes it only under expand --approx).  Field
+    construction failures (reducible polynomial, bad root interval, degree
+    out of range) propagate as their own error types.
     """
     if not isinstance(literal, str):
         raise ParseError(f"number literal must be text, got {literal!r}")
@@ -223,7 +233,7 @@ def parse_number(literal, allow_decimal=False):
     if kind == "ratfunc":
         return _parse_ratfunc(body, position)
     if kind == "dec":
-        return _parse_dec(body, position, allow_decimal)
+        return _parse_dec(body, position)
     raise ParseError(
         f"unknown literal kind {_excerpt(kind)} at position 0 "
         f"(kinds: rat, alg, ratfunc, dec)"

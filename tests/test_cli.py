@@ -171,6 +171,33 @@ def test_expand_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# expand --approx: no golden catalogue op runs it, so its bytes are pinned
+# here on dec/dec, dec/rat and rat/dec pairs, a box that splits after one
+# pair, and 1.75 written with an exponent.
+APPROX_STDOUT = {
+    "dec-dec": (["--alpha", "dec:1.7320508", "--beta", "dec:1.4142136"],
+                "2e13285525ec93e5d136b4bf11fdedee6b4e83131ee0d0b290e0bdcd5a5437fe"),
+    "dec-rat": (["--alpha", "dec:3.14159265358979", "--beta", "rat:3/2",
+                 "--format", "text"],
+                "f2fd975da4e02d4636bbdf320b93630e90876c354fa80810b326e821a8d554c1"),
+    "rat-dec": (["--alpha", "rat:7/4", "--beta", "dec:2.718281828", "--terms", "5"],
+                "ea5094225093214f3858e5138238e6ec0ccdcc69b278ca5b7d4f94918570855e"),
+    "split": (["--alpha", "dec:2.5", "--beta", "dec:1.0000000000000001"],
+              "82ae96fced6e8210d54df5711bec3b46cdf037f86a0346a2506c2642154c8412"),
+    "exponent": (["--alpha", "dec:175e-2", "--beta", "dec:1.5", "--format", "text"],
+                 "88fa316d556aea36cd1a27ca662fafc022d736ece9ba69d2d0c9168e2ec068c2"),
+    "upper-exponent": (["--alpha", "dec:1.75E+0", "--beta", "dec:15E-1"],
+                       "9afe2513b028a3631d2f45fe4f72faa104e7b7865994d88246ddb039f1d628e3"),
+}
+
+
+@pytest.mark.parametrize("kind", list(APPROX_STDOUT))
+def test_expand_approx_stdout_pinned(capsys, kind):
+    argv, digest = APPROX_STDOUT[kind]
+    out = _stdout(capsys, ["expand", "--approx", *argv])
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # One argv per kind of expand run; each JSON line must already be in the
 # canonical form: sorted keys, compact separators.
 EXPAND_KINDS = {
@@ -376,7 +403,10 @@ def test_expand_ratfunc_only_for_beta(capsys):
     )
     captured = capsys.readouterr()
     assert code == 2
-    assert "beta" in captured.err
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --alpha: expected a rat: or alg: literal, got 'ratfunc:1/1,0'\n"
+    )
 
 
 def test_expand_rejects_bad_literal(capsys):
@@ -593,7 +623,9 @@ def test_expand_approx_decimal_out_of_range_is_exit_2(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: --alpha: too large or too small")
+    assert captured.err.startswith(
+        "error: decimal at position 4 is too large or too small"
+    )
 
 
 def test_expand_approx_rejects_alg_literals(capsys):
@@ -603,6 +635,43 @@ def test_expand_approx_rejects_alg_literals(capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+_SCAN_ONE = ["scan", "--c2=0:0", "--c1=0:0", "--c0=-1:-1"]
+
+
+# Each flag that takes a number literal names the kinds it takes, and any
+# other kind is refused in one line that names the flag.
+@pytest.mark.parametrize("argv, message", [
+    (["expand", "--alpha", "ratfunc:1/1,0", "--beta", "rat:2"],
+     "--alpha: expected a rat: or alg: literal, got 'ratfunc:1/1,0'"),
+    (["expand", "--alpha", "dec:1.75", "--beta", "rat:2"],
+     "--alpha: expected a rat: or alg: literal, got 'dec:1.75'"),
+    (["expand", "--alpha", "rat:7/4", "--beta", "dec:1.5"],
+     "--beta: expected a rat: or alg: or ratfunc: literal, got 'dec:1.5'"),
+    (["expand", "--approx", "--alpha", "alg:1,-1,-1,-1@1,2", "--beta", "dec:2.8"],
+     "--alpha: expected a rat: or dec: literal, got 'alg:1,-1,-1,-1@1,2'"),
+    (["expand", "--approx", "--alpha", "dec:1.75", "--beta", "ratfunc:1,1/1,0"],
+     "--beta: expected a rat: or dec: literal, got 'ratfunc:1,1/1,0'"),
+    (["validate", "--a", "1", "--b", "1,0", "--terminal", "ratfunc:1/1"],
+     "--terminal: expected a rat: or alg: literal, got 'ratfunc:1/1'"),
+    (["validate", "--a", "1", "--b", "1,0", "--terminal", "dec:0.5"],
+     "--terminal: expected a rat: or alg: literal, got 'dec:0.5'"),
+    (_SCAN_ONE + ["--beta", "rat:1/2"],
+     "--beta: expected a ratfunc: literal, got 'rat:1/2'"),
+    (_SCAN_ONE + ["--beta", "alg:1,0,-2@1,2"],
+     "--beta: expected a ratfunc: literal, got 'alg:1,0,-2@1,2'"),
+    (_SCAN_ONE + ["--beta", "dec:1.5"],
+     "--beta: expected a ratfunc: literal, got 'dec:1.5'"),
+], ids=["expand-alpha-ratfunc", "expand-alpha-dec", "expand-beta-dec",
+        "approx-alpha-alg", "approx-beta-ratfunc", "terminal-ratfunc",
+        "terminal-dec", "scan-beta-rat", "scan-beta-alg", "scan-beta-dec"])
+def test_literal_kind_refusals(capsys, argv, message):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 # -- eval -----------------------------------------------------------------------
@@ -818,7 +887,7 @@ def test_validate_shape_error(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["eval", "--a", "", "--b", ""], "eval needs at least one digit pair"),
     (["validate", "--a", "1", "--b", "1,0", "--terminal", "ratfunc:1/1"],
-     "--terminal must be a rat: or alg: literal"),
+     "--terminal: expected a rat: or alg: literal, got 'ratfunc:1/1'"),
 ])
 def test_digit_command_input_errors(capsys, argv, message):
     code = run(argv)

@@ -299,6 +299,16 @@ def test_float_conversion():
     assert abs(float(theta()) - 1.8392867552141612) < 1e-15
 
 
+def test_float_of_a_rational_element_is_its_fraction():
+    t = theta()
+    third = NumberField((3, -1), (0, 1)).generator()
+    for x, q in ((t - t + Fraction(1, 3), Fraction(1, 3)),
+                 (third, Fraction(1, 3)),
+                 (third * third - 2, Fraction(-17, 9))):
+        assert x.is_rational()
+        assert float(x) == float(q)
+
+
 def test_rational_elements_round_ties_away_from_zero():
     # floor(10**d * x + 1/2) would print -0.12: a rational is rounded exactly
     t = theta()

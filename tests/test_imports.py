@@ -3,12 +3,13 @@ top-level function or class of src/bcf is named somewhere in src/bcf
 outside its own definition.  A deletion can leave an import or a helper
 behind; the package has no linter dependency, so this parses each module
 with ast instead.  __init__.py is left out of the import check: it imports
-to re-export.  Three more rules are pinned the same way: only
+to re-export.  Four more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
-embedded into one field by one rule; and only
-recovery.recover_cubic_eventual raises DegenerateSystem, so recovery has
-one degeneracy guard."""
+embedded into one field by one rule; only recovery.recover_cubic_eventual
+raises DegenerateSystem, so recovery has one degeneracy guard; and only
+cli._literal calls parse_number, so the kinds of literal a flag takes
+are decided by one rule."""
 
 import ast
 from pathlib import Path
@@ -95,6 +96,15 @@ def _calls_refine(node):
             and node.func.attr == "refine")
 
 
+def _calls_parse_number(node):
+    """A call parse_number(...) or literals.parse_number(...)."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return name == "parse_number"
+
+
 def _raises(error):
     """A hit for raise error or raise errors.error, called or not."""
     def hit(node):
@@ -156,3 +166,20 @@ def test_degenerate_system_raiser_is_found():
 def test_only_recover_cubic_eventual_raises_degenerate_system():
     assert _functions_where(_sources(), _raises("DegenerateSystem")) == [
         ("recovery", "recover_cubic_eventual")]
+
+
+def test_parse_number_caller_is_found():
+    sources = {
+        "a": "def _literal(t, flag, kinds):\n    return parse_number(t)\n"
+             "class K:\n    def get(self, t):\n"
+             "        return literals.parse_number(t)\n",
+        "b": "from .literals import parse_number\n"
+             "def parse(t):\n    return parse_digits(t)\n"
+             "def h(f):\n    return f(parse_number)\n",
+    }
+    assert _functions_where(sources, _calls_parse_number) == [
+        ("a", "_literal"), ("a", "get")]
+
+
+def test_only_literal_parses_numbers():
+    assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]

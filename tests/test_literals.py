@@ -61,16 +61,42 @@ def test_ratfunc_literals():
 
 
 def test_dec_literals_gated():
+    value = parse_number("dec:1.75")
+    assert value == (Fraction(349, 200), Fraction(351, 200))
     with pytest.raises(ParseError):
-        parse_number("dec:1.75")
-    value = parse_number("dec:1.75", allow_decimal=True)
-    assert value == Decimal("1.75")
+        parse_number("dec:abc")
     with pytest.raises(ParseError):
-        parse_number("dec:abc", allow_decimal=True)
+        parse_number("dec:NaN")
     with pytest.raises(ParseError):
-        parse_number("dec:NaN", allow_decimal=True)
-    with pytest.raises(ParseError):
-        parse_number("dec:Infinity", allow_decimal=True)
+        parse_number("dec:Infinity")
+
+
+def _decimal_box(value):
+    """Reference: the box of a Decimal, x -/+ 10**exponent / 2, written
+    from its digit tuple."""
+    sign, digits, exponent = value.as_tuple()
+    x = (-1) ** sign * int("".join(map(str, digits)))
+    unit = Fraction(10) ** exponent / 2
+    return (2 * x - 1) * unit, (2 * x + 1) * unit
+
+
+@given(
+    sign=st.sampled_from(["", "+", "-"]),
+    digits=st.text("0123456789", min_size=1, max_size=40),
+    point=st.integers(0, 40),
+    exponent=st.integers(-60, 60),
+    marker=st.sampled_from(["e", "E"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_dec_literal_is_its_box(sign, digits, point, exponent, marker):
+    # A point anywhere in the digits (or none) and an explicit exponent,
+    # so forms like dec:175e-2 and dec:1.75E+0 are drawn too.
+    point = min(point, len(digits))
+    body = sign + digits[:point] + "." + digits[point:] if point else sign + digits
+    body += f"{marker}{exponent:+d}"
+    lo, hi = parse_number("dec:" + body)
+    assert (lo, hi) == _decimal_box(Decimal(body))
+    assert lo < hi
 
 
 def test_unknown_kind():
