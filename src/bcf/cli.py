@@ -139,13 +139,6 @@ def _convergent_records(triples, digits, text, n=0, beta_dec=False):
     return records
 
 
-def _ratfunc_str(num, den):
-    """The ratfunc: body of num/den, with the zero polynomial () as 0."""
-    return "{}/{}".format(
-        ",".join(str(c) for c in num) or "0", ",".join(str(c) for c in den)
-    )
-
-
 # -- expand ------------------------------------------------------------------
 
 
@@ -304,7 +297,7 @@ def _recover(args):
     payload = {
         "min_poly": list(result.poly),
         "interval": [lo, hi],
-        "beta_expr": _ratfunc_str(*result.beta_expr),
+        "beta_expr": str(result.beta_expr),
         "alpha_dec": result.alpha.approximate(args.digits).text,
         "beta_dec": result.beta.approximate(args.digits).text,
         "method": "eventual" if preperiod.a else "pure",
@@ -346,11 +339,8 @@ def _scan(args):
         raise OutputTooLarge(
             f"the scan box holds more than {_SCAN_BUDGET} polynomials"
         )
-    if args.beta:
-        funcs = [_literal(text, "--beta", ("ratfunc",)) for text in args.beta]
-        candidates = [(func.num, func.den) for func in funcs]
-    else:
-        candidates = list(_DEFAULT_SCAN_BETAS)
+    candidates = [_literal(text, "--beta", ("ratfunc",))
+                  for text in args.beta or ()] or _DEFAULT_SCAN_BETAS
     records = conjecture_scan(
         [(1, x2, x1, x0) for x2 in c2 for x1 in c1 for x0 in c0],
         candidates,
@@ -363,7 +353,7 @@ def _scan(args):
         if record.interval is not None:
             interval = [fraction_str(x) for x in record.interval]
         if record.beta_expr is not None:
-            beta_expr = _ratfunc_str(*record.beta_expr)
+            beta_expr = str(record.beta_expr)
         if record.digits_preview is not None:
             preview = {"a": list(record.digits_preview[0]),
                        "b": list(record.digits_preview[1])}

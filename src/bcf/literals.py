@@ -16,7 +16,9 @@ Grammar (one kind per literal, chosen by its prefix):
 
 Each literal parses to one value: a rat: to a Fraction, an alg: to a field
 element, a ratfunc: to a RatFunc and a dec: to its interval (lo, hi) of
-Fractions; the command line takes a dec: only under expand --approx.
+Fractions; the command line takes a dec: only under expand --approx.  A
+literal holds no blanks, underscores or non-ASCII characters.  A RatFunc is
+canonical and str() gives its ratfunc: body: one module reads and writes it.
 
 Parse failures raise ParseError naming the offending token, its position,
 and the expected grammar fragment; a token is quoted only up to a short
@@ -25,8 +27,8 @@ prefix.
 
 from __future__ import annotations
 
+import math
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
@@ -41,17 +43,30 @@ RATFUNC_GRAMMAR = "ratfunc:<n_k>,...,<n_0>/<d_j>,...,<d_0>"
 DEC_GRAMMAR = "dec:<decimal>"
 
 
-@dataclass(frozen=True)
-class RatFunc:
-    """A rational function of alpha: integer coefficients, descending."""
+class RatFunc(tuple):
+    """A rational function of alpha, the pair (num, den) of descending int
+    coefficient tuples, both trimmed, their shared content divided out and
+    den's leading coefficient positive; str() is its ratfunc: body."""
 
-    num: tuple
-    den: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, num, den):
         # evaluate computes on integer numerators at a field element
-        for side in ("num", "den"):
-            object.__setattr__(self, side, _as_ints(getattr(self, side), side))
+        num = polys.trim(_as_ints(num, "num"))
+        den = polys.trim(_as_ints(den, "den"))
+        g = math.gcd(*num, *den) * (-1 if den and den[0] < 0 else 1)
+        if g not in (0, 1):
+            num, den = (tuple(c // g for c in p) for p in (num, den))
+        return super().__new__(cls, (num, den))
+
+    def __getnewargs__(self):  # pickles as RatFunc(num, den)
+        return tuple(self)
+
+    num = property(lambda self: self[0])
+    den = property(lambda self: self[1])
+
+    def __str__(self):
+        return "/".join(",".join(map(str, p)) or "0" for p in self)
 
     def evaluate(self, alpha):
         """Exact value at alpha (a Fraction or field element).  At a field
@@ -59,8 +74,7 @@ class RatFunc:
         (num, den) pairs and divided with one inverse."""
         if isinstance(alpha, AlgebraicNumber):
             field = alpha.field
-            num, den = (_polynomial_at(field, p, alpha._raw)
-                        for p in (self.num, self.den))
+            num, den = (_polynomial_at(field, p, alpha._raw) for p in self)
             if any(den[0]):
                 return _normal(field, *_multiply(field, num, _inverse(field, den)))
         else:
@@ -156,9 +170,9 @@ def _parse_alg(body, position):
             f"(grammar: {ALG_GRAMMAR})"
         )
     cursor = position + len(coeff_text) + 1
-    lo = _parse_fraction(endpoints[0].strip(), cursor, ALG_GRAMMAR)
+    lo = _parse_fraction(endpoints[0], cursor, ALG_GRAMMAR)
     cursor += len(endpoints[0]) + 1
-    hi = _parse_fraction(endpoints[1].strip(), cursor, ALG_GRAMMAR)
+    hi = _parse_fraction(endpoints[1], cursor, ALG_GRAMMAR)
     return NumberField(coeffs, (lo, hi)).generator()
 
 
@@ -207,6 +221,11 @@ def _parse_dec(body, position):
     return (2 * x - 1) * unit, (2 * x + 1) * unit
 
 
+_KINDS = {"rat": (_parse_rat, RAT_GRAMMAR), "alg": (_parse_alg, ALG_GRAMMAR),
+          "ratfunc": (_parse_ratfunc, RATFUNC_GRAMMAR),
+          "dec": (_parse_dec, DEC_GRAMMAR)}
+
+
 def parse_number(literal):
     """Parse a number literal into its value.
 
@@ -225,19 +244,19 @@ def parse_number(literal):
             f"number literal needs a '<kind>:' prefix, got {_excerpt(literal)} "
             f"(kinds: rat, alg, ratfunc, dec)"
         )
+    if kind not in _KINDS:
+        raise ParseError(
+            f"unknown literal kind {_excerpt(kind)} at position 0 "
+            f"(kinds: rat, alg, ratfunc, dec)"
+        )
+    parse, grammar = _KINDS[kind]
     position = len(kind) + 1
-    if kind == "rat":
-        return _parse_rat(body, position)
-    if kind == "alg":
-        return _parse_alg(body, position)
-    if kind == "ratfunc":
-        return _parse_ratfunc(body, position)
-    if kind == "dec":
-        return _parse_dec(body, position)
-    raise ParseError(
-        f"unknown literal kind {_excerpt(kind)} at position 0 "
-        f"(kinds: rat, alg, ratfunc, dec)"
-    )
+    if not body.isascii() or "_" in body or "".join(body.split()) != body:
+        i = next(i for i, ch in enumerate(body)
+                 if ch == "_" or ch.isspace() or not ch.isascii())
+        raise ParseError(f"unexpected character {body[i]!r} at position "
+                         f"{position + i} (grammar: {grammar})")
+    return parse(body, position)
 
 
 def parse_digits(text):

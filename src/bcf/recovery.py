@@ -31,7 +31,6 @@ f(0), and a field is built, on that chain, for each positive root only.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -58,8 +57,8 @@ class RecoveredCubic:
 
     ``poly`` is the minimal polynomial of alpha: integer coefficients in
     descending order, content 1, positive leading coefficient, degree 3.
-    ``beta_expr`` is (numerator, denominator) integer coefficient tuples
-    expressing beta as a rational function of alpha.  ``field``,
+    ``beta_expr`` is the RatFunc, a canonical (numerator, denominator)
+    pair of integer coefficient tuples, giving beta in alpha.  ``field``,
     ``alpha``, and ``beta`` carry the reconstructed exact values;
     ``quartic`` is the degree-4 elimination polynomial as a 5-tuple whose
     leading entry is certified zero (its sign is whatever the elimination
@@ -68,7 +67,7 @@ class RecoveredCubic:
     """
 
     poly: tuple
-    beta_expr: tuple
+    beta_expr: RatFunc
     field: NumberField
     alpha: AlgebraicNumber
     beta: AlgebraicNumber
@@ -82,19 +81,6 @@ def _pad5(coeffs):
     of the quartic, or the lone numerator, has degree <= 4."""
     coeffs = polys.trim(coeffs)
     return (0,) * (5 - len(coeffs)) + tuple(coeffs)
-
-
-def _canonical_ratfunc(num, den):
-    num = polys.trim(num)
-    den = polys.trim(den)
-    g = math.gcd(polys.content(num), polys.content(den))
-    if g > 1:
-        num = tuple(c // g for c in num)
-        den = tuple(c // g for c in den)
-    if den and den[0] < 0:
-        num = polys.negate(num)
-        den = polys.negate(den)
-    return num, den
 
 
 def _field_in_ball(chain, ball_pair):
@@ -228,12 +214,13 @@ def recover_cubic_eventual(preperiod, period):
     min_poly = polys.primitive(quartic)
     field = _field_in_ball(polys.sturm_chain(min_poly), pair)
     alpha = field.generator()
+    beta_expr = RatFunc(beta_num, beta_den)
     return RecoveredCubic(
         poly=min_poly,
-        beta_expr=_canonical_ratfunc(beta_num, beta_den),
+        beta_expr=beta_expr,
         field=field,
         alpha=alpha,
-        beta=RatFunc(beta_num, beta_den).evaluate(alpha),
+        beta=beta_expr.evaluate(alpha),
         quartic=quartic5,
         matrix=matrix,
     )
@@ -252,11 +239,11 @@ STATUS_ERROR = "error"
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One scanner observation: a field/beta candidate and what happened."""
+    """One scanner observation: a field/RatFunc candidate and what happened."""
 
     min_poly: tuple
     interval: Optional[tuple]
-    beta_expr: Optional[tuple]
+    beta_expr: Optional[RatFunc]
     status: str
     preperiod: Optional[int]
     period: Optional[int]
@@ -299,10 +286,9 @@ def _scan_single_poly(task):
         record(STATUS_SKIPPED_NO_POSITIVE_ROOT)
         return records
     for interval, alpha in roots:
-        for num, den in candidates:
-            beta_expr = _canonical_ratfunc(num, den)
+        for beta_expr in candidates:
             try:
-                beta = RatFunc(num, den).evaluate(alpha)
+                beta = beta_expr.evaluate(alpha)
                 pair = bcf_expand(alpha, beta, max_terms=horizon)
             except NonPositiveInput:
                 record(STATUS_SKIPPED_NONPOSITIVE_BETA, interval, beta_expr)
@@ -326,8 +312,8 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     """Probe cubic fields for eventually periodic expansions.
 
     ``field_family`` iterates integer coefficient tuples of cubic
-    polynomials; ``beta_candidates`` iterates (numerator, denominator)
-    integer coefficient tuples defining beta as a rational function of
+    polynomials; ``beta_candidates`` iterates RatFuncs, or (num, den)
+    pairs of integer coefficient tuples that become one, giving beta in
     alpha; ``horizon`` bounds each expansion, whose first ``preview_digits``
     (>= 0) digit pairs its record keeps.  A coefficient that is not an
     int is a TypeError.  Every (positive root, candidate) combination
@@ -345,10 +331,7 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
-    candidates = [
-        (_as_ints(num, "beta_candidates"), _as_ints(den, "beta_candidates"))
-        for num, den in beta_candidates
-    ]
+    candidates = [RatFunc(num, den) for num, den in beta_candidates]
     if not candidates:
         raise ValueError("beta_candidates must be nonempty")
     tasks = [

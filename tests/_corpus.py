@@ -1,4 +1,5 @@
-"""Shared random-corpus generators used across the test modules.
+"""Shared random-corpus generators used across the test modules, and the
+reference rule for a rational function's canonical form.
 
 Everything is seeded by the caller so each test module owns its stream;
 the generators only promise admissibility, not any particular
@@ -7,9 +8,10 @@ distribution.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
-from bcf import SequencePair, validate
+from bcf import SequencePair, polys, validate
 
 
 def random_valid_digits(rng, length):
@@ -59,3 +61,19 @@ def random_rational_pair(rng, max_den=10**6):
     alpha = Fraction(rng.randint(1, 4 * alpha_den), alpha_den)
     beta = Fraction(rng.randint(1, 4 * beta_den), beta_den)
     return alpha, beta
+
+
+def canonical_ratfunc(num, den):
+    """(num, den) trimmed, their shared content divided out and the leading
+    denominator coefficient made positive: the rule RatFunc keeps, written
+    out step by step as the reference its tests compare with."""
+    num = polys.trim(num)
+    den = polys.trim(den)
+    g = math.gcd(polys.content(num), polys.content(den))
+    if g > 1:
+        num = tuple(c // g for c in num)
+        den = tuple(c // g for c in den)
+    if den and den[0] < 0:
+        num = polys.negate(num)
+        den = polys.negate(den)
+    return num, den

@@ -574,11 +574,6 @@ def test_internal_value_error_is_not_input_error(monkeypatch):
         run(["eval", "--a", "1,2", "--b", "2,3"])
 
 
-def test_expand_dec_requires_approx(capsys):
-    assert run(["expand", "--alpha", "dec:1.75", "--beta", "rat:2"]) == 2
-    capsys.readouterr()
-
-
 def test_expand_approx_box_digits(capsys):
     # dec:1.75 and dec:1.5 stand for [1.745, 1.755] and [1.45, 1.55]: only
     # the first pair is shared, and the split leaves the pair open.
@@ -626,15 +621,6 @@ def test_expand_approx_decimal_out_of_range_is_exit_2(capsys, argv):
     assert captured.err.startswith(
         "error: decimal at position 4 is too large or too small"
     )
-
-
-def test_expand_approx_rejects_alg_literals(capsys):
-    code = run(
-        ["expand", "--approx",
-         "--alpha", "alg:1,-1,-1,-1@1,2", "--beta", "dec:2.8"]
-    )
-    assert code == 2
-    capsys.readouterr()
 
 
 _SCAN_ONE = ["scan", "--c2=0:0", "--c1=0:0", "--c0=-1:-1"]
@@ -1066,11 +1052,6 @@ def test_scan_box_over_budget_is_exit_3(monkeypatch, capsys, argv):
     assert calls == []
     assert run(["scan", "--c2=0:0", "--c1=0:99", "--c0=0:999"]) == 0
     assert len(calls) == 1
-
-
-def test_scan_bad_beta_literal(capsys):
-    assert run(["scan", "--beta", "rat:1/2"]) == 2
-    capsys.readouterr()
 
 
 _LONG = "x" * 5000

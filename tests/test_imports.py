@@ -3,13 +3,14 @@ top-level function or class of src/bcf is named somewhere in src/bcf
 outside its own definition.  A deletion can leave an import or a helper
 behind; the package has no linter dependency, so this parses each module
 with ast instead.  __init__.py is left out of the import check: it imports
-to re-export.  Four more rules are pinned the same way: only
-fields._refine_more calls .refine(, so precision is asked for by one rule;
-only AlgebraicNumber._coerce raises FieldMismatch, so operands are
-embedded into one field by one rule; only recovery.recover_cubic_eventual
-raises DegenerateSystem, so recovery has one degeneracy guard; and only
-cli._literal calls parse_number, so the kinds of literal a flag takes
-are decided by one rule."""
+to re-export, so the names it imports must be exactly its __all__ minus
+__version__, and the two lists cannot drift apart.  Four more rules are
+pinned the same way: only fields._refine_more calls .refine(, so
+precision is asked for by one rule; only AlgebraicNumber._coerce raises
+FieldMismatch, so operands are embedded into one field by one rule; only
+recovery.recover_cubic_eventual raises DegenerateSystem, so recovery has
+one degeneracy guard; and only cli._literal calls parse_number, so the
+kinds of literal a flag takes are decided by one rule."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,35 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def _reexport_drift(source):
+    """(imported but not in __all__, in __all__ but not imported), each
+    sorted, for a package __init__ source; __version__ is not imported."""
+    tree = ast.parse(source)
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(target, "id", None) == "__all__" for target in node.targets):
+            exported = set(ast.literal_eval(node.value)) - {"__version__"}
+    return sorted(imported - exported), sorted(exported - imported)
+
+
+def test_reexport_drift_is_found():
+    source = ("from .a import kept, stray\nfrom .b import also\nimport os.path\n"
+              "__version__ = '1'\n"
+              "__all__ = ['kept', 'also', 'missing', '__version__']\n")
+    assert _reexport_drift(source) == (["os", "stray"], ["missing"])
+
+
+def test_init_imports_exactly_its_all():
+    source = (SRC / "__init__.py").read_text(encoding="utf-8")
+    assert _reexport_drift(source) == ([], [])
 
 
 def _unused_private_definitions(sources):

@@ -18,6 +18,8 @@ from bcf import (
 from bcf.errors import ParseError, ReduciblePolynomial
 from bcf.literals import _parse_int
 
+from _corpus import canonical_ratfunc
+
 
 def test_rat_literals():
     assert parse_number("rat:7/4") == Fraction(7, 4)
@@ -104,6 +106,33 @@ def test_unknown_kind():
         parse_number("hex:ff")
     with pytest.raises(ParseError):
         parse_number("7/4")  # bare literal without a kind tag
+
+
+# int(), Fraction() and Decimal() take underscores, surrounding whitespace
+# and non-ASCII digits; a literal refuses them at the first such character.
+@pytest.mark.parametrize("literal, message", [
+    ("rat:1_000", "unexpected character '_' at position 5 "
+                  "(grammar: rat:<int>[/<int>])"),
+    ("rat: 7 ", "unexpected character ' ' at position 4 "
+                "(grammar: rat:<int>[/<int>])"),
+    ("rat:7\t", "unexpected character '\\t' at position 5 "
+                "(grammar: rat:<int>[/<int>])"),
+    ("rat:\u0661\u0662", "unexpected character '\u0661' at position 4 "
+                         "(grammar: rat:<int>[/<int>])"),
+    ("dec: 1_5 ", "unexpected character ' ' at position 4 "
+                  "(grammar: dec:<decimal>)"),
+    ("dec:1.5\x1c", "unexpected character '\\x1c' at position 7 "
+                    "(grammar: dec:<decimal>)"),
+    ("alg:1,0,-2@ 1,2", "unexpected character ' ' at position 11 "
+                        "(grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)"),
+    ("ratfunc:1_0,1/1", "unexpected character '_' at position 9 "
+                        "(grammar: ratfunc:<n_k>,...,<n_0>/<d_j>,...,<d_0>)"),
+], ids=["rat-underscore", "rat-blanks", "rat-tab", "rat-arabic-indic",
+        "dec-blank", "dec-separator", "alg-blank", "ratfunc-underscore"])
+def test_literal_token_refusals(literal, message):
+    with pytest.raises(ParseError) as info:
+        parse_number(literal)
+    assert str(info.value) == message
 
 
 def test_error_messages_carry_position_and_grammar():
@@ -243,3 +272,50 @@ def test_ratfunc_coefficients_are_ints():
     for num, den in (((Fraction(1, 2),), (1,)), ((1,), (True,)), ((1,), (1.0,))):
         with pytest.raises(TypeError, match="coefficient must be an int"):
             RatFunc(num, den)
+
+
+# Coefficient tuples with leading zeros, a shared content (possibly 0 or
+# negative, so a zero numerator and a negative leading denominator are
+# drawn), and, half the time, a denominator with a pole at the point.
+_LEADING = st.integers(0, 2).map(lambda n: (0,) * n)
+_COEFFS = st.lists(st.integers(-4, 4), max_size=3).map(tuple)
+
+
+@given(_LEADING, _COEFFS, _LEADING, _COEFFS,
+       st.integers(-6, 6),
+       st.one_of(st.fractions(-4, 4, max_denominator=5),
+                 _field_points().map(lambda point: point[1])),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ratfunc_is_the_canonical_pair(pad_num, num, pad_den, den, content,
+                                       x, pole):
+    if pole:  # a factor vanishing at x, or at the generator of x's field
+        factor = ((x.denominator, -x.numerator) if isinstance(x, Fraction)
+                  else x.field.min_poly)
+        den = polys.multiply(den or (1,), factor)
+    num = pad_num + tuple(content * c for c in num)
+    den = pad_den + tuple(content * c for c in den)
+    f = RatFunc(num, den)
+    assert f == canonical_ratfunc(num, den)
+    assert RatFunc(*f) == f and (f.num, f.den) == f
+    if f.den:
+        assert parse_number("ratfunc:" + str(f)) == f
+    try:
+        expected = _generic_ratfunc(num, den, x)
+    except ZeroDivisionError as error:
+        with pytest.raises(ZeroDivisionError) as info:
+            f.evaluate(x)
+        assert str(info.value) == str(error)
+    else:
+        got = f.evaluate(x)
+        if isinstance(x, Fraction):
+            assert got == expected
+        else:
+            assert got.field is x.field and got._raw == expected._raw
+
+
+def test_ratfunc_prints_its_literal_body():
+    assert str(RatFunc((0, 2, -4), (-2,))) == "-1,2/1"
+    assert str(RatFunc((), (3, 0))) == "0/1,0"
+    assert str(RatFunc((1,), ())) == "1/0"
+    assert RatFunc((2,), (4, 2)) == ((1,), (2, 1))

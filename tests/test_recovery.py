@@ -39,7 +39,6 @@ from bcf.errors import (
 )
 from bcf.recovery import (
     ScanRecord,
-    _canonical_ratfunc,
     STATUS_EXHAUSTED,
     STATUS_ERROR,
     STATUS_PERIODIC,
@@ -49,7 +48,7 @@ from bcf.recovery import (
     STATUS_TERMINATED,
 )
 
-from _corpus import random_cyclic_pair
+from _corpus import canonical_ratfunc, random_cyclic_pair
 
 
 # -- periodicity ------------------------------------------------------------------
@@ -550,7 +549,7 @@ def _reference_scan(coeffs, candidates, horizon, preview):
     records = []
     for interval, alpha in roots:
         for num, den in candidates:
-            beta_expr = _canonical_ratfunc(num, den)
+            beta_expr = canonical_ratfunc(num, den)
             try:
                 den_value = polys.evaluate(den, alpha)
                 if den_value == 0:
