@@ -100,6 +100,8 @@ def bcf_step(state):
     """Advance one step: returns (a_i, b_i, next state or Terminated).  At
     index 0 positivity is read off the floors: x > 0 iff floor(x) >= 0 and
     x != 0."""
+    if not isinstance(state, ExpansionState):
+        raise TypeError(f"state must be an ExpansionState, got {state!r}")
     alpha, beta = _unify_pair(state.alpha, state.beta)
     b_i, a_i = floor_of(beta), floor_of(alpha)
     if state.index == 0 and not (min(a_i, b_i) >= 0 and alpha != 0 != beta):

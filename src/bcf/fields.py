@@ -56,8 +56,11 @@ def bounded_str(value, render=str):
 
 
 def _check_places(decimal_digits):
-    """Reject a decimal place count below 1 (ValueError) or above Python's
-    integer-to-string limit (OutputTooLarge), before any work is done."""
+    """Reject a decimal place count that is not an int (TypeError), below 1
+    (ValueError) or above Python's integer-to-string limit
+    (OutputTooLarge), before any work is done."""
+    if not isinstance(decimal_digits, int) or isinstance(decimal_digits, bool):
+        raise TypeError(f"decimal_digits must be an int, got {decimal_digits!r}")
     if decimal_digits < 1:
         raise ValueError("decimal_digits must be at least 1")
     limit = sys.get_int_max_str_digits()
@@ -498,6 +501,8 @@ class AlgebraicNumber:
     __slots__ = ("_field", "_num", "_den")
 
     def __init__(self, field, coeffs):
+        if not isinstance(field, NumberField):
+            raise TypeError(f"field must be a NumberField, got {field!r}")
         coeffs = [_as_rational(c, "coordinate") for c in coeffs]
         d = field.degree
         if len(coeffs) > d:

@@ -17,8 +17,9 @@ Grammar (one kind per literal, chosen by its prefix):
 Each literal parses to one value: a rat: to a Fraction, an alg: to a field
 element, a ratfunc: to a RatFunc and a dec: to its interval (lo, hi) of
 Fractions; the command line takes a dec: only under expand --approx.  A
-literal holds no blanks, underscores or non-ASCII characters.  A RatFunc is
-canonical and str() gives its ratfunc: body: one module reads and writes it.
+literal, like a digit list, holds no blanks, underscores or non-ASCII
+characters.  A RatFunc is canonical and str() gives its ratfunc: body: one
+module reads and writes it.
 
 Parse failures raise ParseError naming the offending token, its position,
 and the expected grammar fragment; a token is quoted only up to a short
@@ -41,6 +42,7 @@ RAT_GRAMMAR = "rat:<int>[/<int>]"
 ALG_GRAMMAR = "alg:<c_d>,...,<c_0>@<lo>,<hi>"
 RATFUNC_GRAMMAR = "ratfunc:<n_k>,...,<n_0>/<d_j>,...,<d_0>"
 DEC_GRAMMAR = "dec:<decimal>"
+DIGITS_GRAMMAR = "<int>,<int>,..."
 
 
 class RatFunc(tuple):
@@ -121,6 +123,16 @@ def _parse_fraction(token, position, grammar):
         ) from None
 
 
+def _check_characters(text, position, grammar):
+    """Refuse a '_', a blank or a non-ASCII character in literal text in one
+    line naming its position; C-level string tests pass clean text."""
+    if not text.isascii() or "_" in text or "".join(text.split()) != text:
+        i = next(i for i, ch in enumerate(text)
+                 if ch == "_" or ch.isspace() or not ch.isascii())
+        raise ParseError(f"unexpected character {text[i]!r} at position "
+                         f"{position + i} (grammar: {grammar})")
+
+
 def _parse_int_csv(text, position, grammar):
     if not text:
         raise ParseError(
@@ -135,7 +147,7 @@ def _parse_int_csv(text, position, grammar):
     values = []
     cursor = position
     for token in tokens:
-        values.append(_parse_int(token.strip(), cursor, grammar))
+        values.append(_parse_int(token, cursor, grammar))
         cursor += len(token) + 1
     return tuple(values)
 
@@ -251,19 +263,20 @@ def parse_number(literal):
         )
     parse, grammar = _KINDS[kind]
     position = len(kind) + 1
-    if not body.isascii() or "_" in body or "".join(body.split()) != body:
-        i = next(i for i, ch in enumerate(body)
-                 if ch == "_" or ch.isspace() or not ch.isascii())
-        raise ParseError(f"unexpected character {body[i]!r} at position "
-                         f"{position + i} (grammar: {grammar})")
+    _check_characters(body, position, grammar)
     return parse(body, position)
 
 
 def parse_digits(text):
-    """Parse a comma-separated digit list; empty text means no digits."""
-    if text is None or not text.strip():
+    """Parse a comma-separated digit list; empty text or None means no
+    digits.  Like a literal, the text holds no blanks, underscores or
+    non-ASCII characters."""
+    if text is None:
         return ()
-    return _parse_int_csv(text, 0, "<int>,<int>,...")
+    if not isinstance(text, str):
+        raise TypeError(f"digit list must be text or None, got {text!r}")
+    _check_characters(text, 0, DIGITS_GRAMMAR)
+    return _parse_int_csv(text, 0, DIGITS_GRAMMAR) if text else ()
 
 
 def fraction_str(value):

@@ -5,19 +5,14 @@ zero polynomial is the empty tuple.  The arithmetic helpers (``evaluate``,
 ``add``, ``multiply``, ...) accept any numbers; the rest take integer
 coefficients and compute in integers only.  Sturm chains have integer
 coefficients and are evaluated at a rational n/d through the homogeneous
-integer form.  ``rational_roots`` bisects the polynomial's own chain on the
-grid its leading coefficient fixes, and a cell with one root on the sign of
-the square-free part; ``deflate`` divides a root out exactly.  Their private
-twins ``_chain_roots``, ``_irreducible`` and ``_isolate`` take the chain
-itself, so that one chain serves every question asked of one polynomial.
+integer form.  One chain answers both root questions the package asks of a
+polynomial of degree 1 to 3: ``_irreducible`` and ``_isolate``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-from .errors import ReduciblePolynomial
 
 
 def trim(coeffs):
@@ -166,40 +161,20 @@ def count_roots(chain, lo, hi):
             - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
-def is_perfect_square(n):
-    return n >= 0 and math.isqrt(n) ** 2 == n
-
-
-def rational_roots(coeffs):
-    """Sorted distinct rational roots of an integer polynomial.
-
-    A root p/q in lowest terms has q dividing the leading coefficient, so
-    every rational root is k / |lead| for an integer k, and none lies on
-    the half-grid (2k + 1) / (2 |lead|).  The polynomial's own Sturm chain
-    is bisected between half-grid points, held as the int k, down to cells
-    holding one distinct root.  That root is a simple root of the
-    square-free part f / gcd(f, f'), so such a cell is bisected on that
-    part's sign alone (f itself keeps its sign at a double root) down to
-    one grid point, which is then tested exactly.
-    """
-    if degree(coeffs) < 1:
-        return []
-    return _chain_roots(sturm_chain(coeffs))
-
-
-def _chain_roots(chain):
-    """rational_roots of chain[0], of degree >= 1, from its Sturm chain."""
+def _has_rational_root(chain):
+    """Whether chain[0], square-free of degree >= 1, has a rational root.
+    Every rational root is k / |lead| for an int k, so the chain is bisected
+    between half-grid points (2k + 1) / (2 |lead|), held as k, down to cells
+    with one root; that root is simple, so such a cell is bisected on
+    chain[0]'s own sign down to one grid point, which is tested exactly."""
     c = chain[0]
     lead = abs(c[0])
-    # The chain ends in gcd(f, f'), a constant when f is square-free.
-    free = c if len(chain[-1]) == 1 else _exact_quotient(c, chain[-1])
     # Cauchy: every root has |x| < 1 + max|c_i| / lead = bound / lead.
     bound = lead + max(abs(x) for x in c[1:])
 
     def variations(k):
         return _sign_variations(chain, 2 * k + 1, 2 * lead)
 
-    roots = []
     # (lo, hi, variations at lo, variations at hi), each end a half-grid k.
     stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
     while stack:
@@ -207,91 +182,38 @@ def _chain_roots(chain):
         if v_lo == v_hi:
             continue
         if v_lo - v_hi == 1:
-            sign_lo = _sign_at(free, 2 * lo + 1, 2 * lead)
+            sign_lo = _sign_at(c, 2 * lo + 1, 2 * lead)
             while hi - lo > 1:
                 mid = (lo + hi) // 2
-                if _sign_at(free, 2 * mid + 1, 2 * lead) == sign_lo:
+                if _sign_at(c, 2 * mid + 1, 2 * lead) == sign_lo:
                     lo = mid
                 else:
                     hi = mid
         if hi - lo == 1:
             if _sign_at(c, hi, lead) == 0:
-                roots.append(Fraction(hi, lead))
+                return True
             continue
         mid = (lo + hi) // 2
         v_mid = variations(mid)
         stack.append((lo, mid, v_lo, v_mid))
         stack.append((mid, hi, v_mid, v_hi))
-    return sorted(roots)
-
-
-def _exact_quotient(f, g):
-    """f / g for integer polynomials where the primitive g divides f; by
-    Gauss's lemma the quotient has integer coefficients, so the long
-    division runs in integers.  Raises ValueError when g does not divide f.
-    """
-    rem = list(trim(f))
-    top = len(rem) - len(g) + 1
-    quotient = []
-    for i in range(top):
-        q, r = divmod(rem[i], g[0])
-        if r:
-            raise ValueError(f"{g} does not divide {f}")
-        quotient.append(q)
-        for j, gc in enumerate(g[1:], i + 1):
-            rem[j] -= q * gc
-    if top < 1 or any(rem[top:]):
-        raise ValueError(f"{g} does not divide {f}")
-    return tuple(quotient)
-
-
-def deflate(coeffs, root):
-    """The quotient of an integer polynomial by q*x - p, where root = p/q
-    is one of its roots; by Gauss's lemma the quotient has integer
-    coefficients, so the division runs in integers."""
-    return _exact_quotient(coeffs, (root.denominator, -root.numerator))
-
-
-def is_irreducible(coeffs):
-    """Irreducibility over Q for integer polynomials of degree 1 to 3.
-
-    Degree 1 is always irreducible; degree 2 is reducible exactly when its
-    discriminant is a perfect square; degree 3 is reducible exactly when it
-    has a rational root.
-    """
-    c = primitive(coeffs)
-    d = degree(c)
-    if d < 1 or d > 3:
-        raise ValueError(f"irreducibility test supports degrees 1-3, got {d}")
-    return _irreducible(sturm_chain(c))
+    return False
 
 
 def _irreducible(chain):
-    """is_irreducible of chain[0], primitive of degree 1 to 3, from its
-    Sturm chain: the rational-root search runs on that chain."""
-    c = chain[0]
-    if len(c) == 3:
-        return not is_perfect_square(c[1] * c[1] - 4 * c[0] * c[2])
-    return len(c) == 2 or not _chain_roots(chain)
-
-
-def isolating_intervals(coeffs):
-    """Sorted disjoint open rational intervals, one per distinct real root
-    of an integer polynomial, found by bisection on its Sturm chain.
-
-    Raises ReduciblePolynomial when a bisection midpoint is a root: that
-    root is rational, so the polynomial (of degree >= 2, since a degree-1
-    root is isolated by the starting interval) is reducible.
-    """
-    if degree(coeffs) < 1:
-        return []
-    return _isolate(sturm_chain(coeffs))
+    """Irreducibility over Q of chain[0], primitive of degree 1 to 3, from
+    its Sturm chain: of degree 2 or 3 it is reducible exactly when it has a
+    rational root, as a repeated root is (the chain then ends in a
+    non-constant gcd(f, f'))."""
+    return len(chain[0]) == 2 or (
+        len(chain[-1]) == 1 and not _has_rational_root(chain))
 
 
 def _isolate(chain):
-    """isolating_intervals of chain[0], of degree >= 1, from its Sturm
-    chain.  Each cell's ends are integers over one denominator |lead| * 2**e,
-    as in _chain_roots; only the returned intervals become Fractions."""
+    """Sorted disjoint open rational intervals, one per real root of
+    chain[0], irreducible of degree >= 1, by bisection on its Sturm chain,
+    cell ends held as integers over one denominator |lead| * 2**e; no
+    midpoint is a root, and only the returned intervals become Fractions."""
     c = chain[0]
     lead = abs(c[0])
     bound = lead + max(abs(x) for x in c[1:])  # 1 + max|c_i| / lead, over lead
@@ -308,10 +230,6 @@ def _isolate(chain):
             out.append((Fraction(lo, den), Fraction(hi, den)))
             continue
         mid, den = lo + hi, 2 * den
-        if _sign_at(c, mid, den) == 0:
-            raise ReduciblePolynomial(
-                f"polynomial {c} has the rational root {Fraction(mid, den)}"
-            )
         v_mid = _sign_variations(chain, mid, den)
         stack.append((2 * lo, mid, den, v_lo, v_mid))
         stack.append((mid, 2 * hi, den, v_mid, v_hi))

@@ -1,5 +1,6 @@
-"""Shared random-corpus generators used across the test modules, and the
-reference rule for a rational function's canonical form.
+"""Shared random-corpus generators used across the test modules, the
+reference rule for a rational function's canonical form, and the
+rational-root theorem as the reference for irreducibility.
 
 Everything is seeded by the caller so each test module owns its stream;
 the generators only promise admissibility, not any particular
@@ -77,3 +78,32 @@ def canonical_ratfunc(num, den):
         num = polys.negate(num)
         den = polys.negate(den)
     return num, den
+
+
+def _divisors(n):
+    """The positive divisors of a nonzero int."""
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return {*small, *(n // k for k in small)}
+
+
+def has_rational_root(coeffs):
+    """Whether an integer polynomial of degree >= 1 has a rational root, by
+    brute force over the rational-root theorem: a root p/q in lowest terms
+    has p dividing the constant term and q the leading coefficient, and 0
+    is a root when the constant term is 0."""
+    coeffs = polys.trim(coeffs)
+    if coeffs[-1] == 0:
+        return True
+    return any(polys.evaluate(coeffs, Fraction(s * p, q)) == 0
+               for p in _divisors(coeffs[-1]) for q in _divisors(coeffs[0])
+               for s in (1, -1))
+
+
+def irreducible_roots(coeffs):
+    """The isolating intervals of an integer polynomial of degree 1 to 3
+    that is irreducible over Q, or None when it is reducible: a polynomial
+    of degree at most 3 is reducible exactly when it has a rational root."""
+    if polys.degree(coeffs) > 1 and has_rational_root(coeffs):
+        return None
+    return polys._isolate(polys.sturm_chain(polys.primitive(coeffs)))

@@ -31,7 +31,7 @@ from bcf.errors import (
     NonPositiveInput,
 )
 
-from _corpus import random_rational_pair
+from _corpus import irreducible_roots, random_rational_pair
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
@@ -418,8 +418,7 @@ def field_pairs(draw, max_terms=60):
     poly = (draw(st.integers(1, 5)),) + tuple(
         draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
     )
-    assume(polys.is_irreducible(poly))
-    roots = polys.isolating_intervals(poly)
+    roots = irreducible_roots(poly)
     assume(roots)
     field = NumberField(poly, draw(st.sampled_from(roots)))
     theta = field.generator()

@@ -37,6 +37,8 @@ from bcf.errors import (
 )
 from bcf.fields import _element, _primitive
 
+from _corpus import irreducible_roots
+
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
 PERIOD_TWO = NumberField((1, -1, -2, -1), (2, 3))
@@ -400,8 +402,8 @@ def small_fields(draw):
     lead = draw(st.integers(1, 5))
     rest = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
     poly = polys.primitive((lead, *rest))
-    assume(rest[-1] != 0 and polys.is_irreducible(poly))
-    intervals = polys.isolating_intervals(poly)
+    assume(rest[-1] != 0)
+    intervals = irreducible_roots(poly)
     assume(intervals)
     return NumberField(poly, draw(st.sampled_from(intervals)))
 
@@ -614,8 +616,9 @@ def cubic_fields(draw):
     lead = draw(st.integers(1, 5))
     rest = draw(st.lists(st.integers(-20, 20), min_size=3, max_size=3))
     poly = polys.primitive((lead, *rest))
-    assume(polys.degree(poly) == 3 and polys.is_irreducible(poly))
-    return NumberField(poly, draw(st.sampled_from(polys.isolating_intervals(poly))))
+    intervals = irreducible_roots(poly)
+    assume(intervals)
+    return NumberField(poly, draw(st.sampled_from(intervals)))
 
 
 def _loop_sign(x):

@@ -1,21 +1,25 @@
-"""Every module of src/bcf uses each name it imports, and every private
+"""Every module of src/bcf uses each name it imports, every private
 top-level function or class of src/bcf is named somewhere in src/bcf
-outside its own definition.  A deletion can leave an import or a helper
-behind; the package has no linter dependency, so this parses each module
-with ast instead.  __init__.py is left out of the import check: it imports
-to re-export, so the names it imports must be exactly its __all__ minus
-__version__, and the two lists cannot drift apart.  Four more rules are
-pinned the same way: only fields._refine_more calls .refine(, so
-precision is asked for by one rule; only AlgebraicNumber._coerce raises
-FieldMismatch, so operands are embedded into one field by one rule; only
-recovery.recover_cubic_eventual raises DegenerateSystem, so recovery has
-one degeneracy guard; and only cli._literal calls parse_number, so the
-kinds of literal a flag takes are decided by one rule."""
+outside its own definition, and so is every public one that bcf.__all__
+does not export, so no public helper is kept without a caller.  A deletion
+can leave an import or a helper behind; the package has no linter
+dependency, so this parses each module with ast instead.  __init__.py is
+left out of the import check: it imports to re-export, so the names it
+imports must be exactly its __all__ minus __version__, and the two lists
+cannot drift apart.  Four more rules are pinned the same way: only
+fields._refine_more calls .refine(, so precision is asked for by one rule;
+only AlgebraicNumber._coerce raises FieldMismatch, so operands are
+embedded into one field by one rule; only recovery.recover_cubic_eventual
+raises DegenerateSystem, so recovery has one degeneracy guard; and only
+cli._literal calls parse_number, so the kinds of literal a flag takes are
+decided by one rule."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import bcf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bcf"
 SOURCES = sorted(SRC.glob("*.py"))
@@ -75,15 +79,16 @@ def test_init_imports_exactly_its_all():
     assert _reexport_drift(source) == ([], [])
 
 
-def _unused_private_definitions(sources):
-    """Private top-level functions and classes that no top-level statement
-    but their own definition names, across all the given module sources."""
+def _unnamed_definitions(sources, counted=lambda name: name.startswith("_")):
+    """Top-level functions and classes whose name counted() accepts (by
+    default the private ones) and that no top-level statement but their
+    own definition names, across all the given module sources."""
     defined, named = set(), set()
     for source in sources:
         for node in ast.parse(source).body:
             own = None
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                if node.name.startswith("_"):
+                if counted(node.name):
                     defined.add(own := node.name)
             named |= {
                 sub.id if isinstance(sub, ast.Name) else sub.attr
@@ -99,12 +104,33 @@ def test_unused_private_definition_is_found():
         "from . import a\ndef _kept():\n    return a._used()\n"
         "def _used():\n    return _kept\n",
     ]
-    assert _unused_private_definitions(sources) == ["_Gone", "_dead"]
+    assert _unnamed_definitions(sources) == ["_Gone", "_dead"]
 
 
 def test_no_unused_private_definitions():
     sources = [path.read_text(encoding="utf-8") for path in SOURCES]
-    assert _unused_private_definitions(sources) == []
+    assert _unnamed_definitions(sources) == []
+
+
+def _uncalled_public(exported):
+    """The counted() rule for public names outside exported."""
+    return lambda name: not name.startswith("_") and name not in exported
+
+
+def test_uncalled_public_definition_is_found():
+    sources = [
+        "def wrapper(x):\n    return _core(x)\ndef _core(x):\n    return x\n"
+        "class Helper:\n    pass\ndef exported():\n    return 1\n",
+        "from . import a\ndef used(y):\n    return a.trim(y)\n"
+        "def trim(y):\n    return y\n",
+    ]
+    assert _unnamed_definitions(sources, _uncalled_public({"exported"})) == [
+        "Helper", "used", "wrapper"]
+
+
+def test_every_public_definition_is_exported_or_called():
+    sources = [path.read_text(encoding="utf-8") for path in SOURCES]
+    assert _unnamed_definitions(sources, _uncalled_public(set(bcf.__all__))) == []
 
 
 def _functions_where(sources, hit):

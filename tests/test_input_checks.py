@@ -1,19 +1,27 @@
 """Library entry points refuse bad input with one exact error, and answer
 edge values exactly."""
 
+import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import bcf
 from bcf import (
     AlgebraicNumber,
+    BcfError,
+    ExpansionState,
     NumberField,
     SequencePair,
     approximate,
+    bcf_step,
     conjecture_scan,
     fraction_str,
     node_counts,
+    parse_digits,
     polys,
 )
 from bcf.errors import InvalidSequence, OutputTooLarge, ParseError
@@ -41,6 +49,24 @@ _REFUSALS = {
     "approximate to 0 places": (
         lambda: approximate(TRIBONACCI.generator(), 0), ValueError,
         "decimal_digits must be at least 1",
+    ),
+    "approximate to nan places": (
+        lambda: approximate(TRIBONACCI.generator(), math.nan), TypeError,
+        "decimal_digits must be an int, got nan",
+    ),
+    "approximate to 1.5 places": (
+        lambda: approximate(TRIBONACCI.generator(), 1.5), TypeError,
+        "decimal_digits must be an int, got 1.5",
+    ),
+    "approximate to True places": (
+        lambda: approximate(TRIBONACCI.generator(), True), TypeError,
+        "decimal_digits must be an int, got True",
+    ),
+    "parse_digits of an int": (
+        lambda: parse_digits(5), TypeError, "digit list must be text or None, got 5",
+    ),
+    "bcf_step of a string": (
+        lambda: bcf_step("x"), TypeError, "state must be an ExpansionState, got 'x'",
     ),
     "parse_number of an int": (
         lambda: parse_number(5), ParseError, "number literal must be text, got 5",
@@ -113,7 +139,6 @@ def test_degree_one_refinement_keeps_the_middle_half_around_its_root():
 
 def test_empty_and_constant_polynomials():
     assert polys.primitive(()) == ()
-    assert polys.isolating_intervals((5,)) == []
 
 
 def test_scan_records_a_non_cubic_as_error():
@@ -121,3 +146,40 @@ def test_scan_records_a_non_cubic_as_error():
     assert records == [
         ScanRecord((1, 0, -2), None, None, "error", None, None, None)
     ]
+
+
+# Arguments for every public callable: small ints (every index, size and
+# place count is at most 64), bools, Fractions, floats with nan, None,
+# strings (literals and digit lists among them), field elements of two
+# fields, digit pairs and expansion states, and tuples nesting them.
+_ELEMENTS = [TRIBONACCI.generator(), TRIBONACCI.generator() ** 2 + 1,
+             1 / TRIBONACCI.generator(),
+             NumberField((1, 0, -2), (1, 2)).generator()]
+_OBJECTS = [SequencePair((1, 2), (0, 1)),
+            SequencePair((2, 1), (1, 1), periodicity=(0, 2)),
+            SequencePair((1,), (1, 0), terminal=Fraction(2)),
+            ExpansionState(Fraction(3, 2), Fraction(4, 3), 0)]
+_ATOMS = st.one_of(
+    st.integers(-64, 64), st.booleans(),
+    st.builds(Fraction, st.integers(-64, 64), st.integers(1, 64)),
+    st.floats(-64, 64) | st.just(math.nan), st.none(),
+    st.text(max_size=8) | st.sampled_from([
+        "rat:7/4", "alg:1,-1,-1,-1@1,2", "ratfunc:1,1/1,0", "dec:1.5",
+        "1,2,3", "0,1", "ascii", "latex"]),
+    st.sampled_from(_ELEMENTS + _OBJECTS),
+)
+_ARGUMENTS = st.recursive(
+    _ATOMS, lambda inner: st.lists(inner, max_size=4).map(tuple), max_leaves=10)
+_CALLABLES = sorted(name for name in bcf.__all__ if callable(getattr(bcf, name)))
+
+
+@pytest.mark.parametrize("name", _CALLABLES)
+@given(args=st.lists(_ARGUMENTS, max_size=4))
+@settings(max_examples=30, deadline=None)
+def test_public_callables_raise_only_documented_errors(name, args):
+    if name == "conjecture_scan" and len(args) > 3:
+        args[3] = 1  # jobs: never a worker pool
+    try:
+        getattr(bcf, name)(*args)
+    except (BcfError, TypeError, ValueError, ZeroDivisionError):
+        pass

@@ -18,7 +18,7 @@ from bcf import (
 from bcf.errors import ParseError, ReduciblePolynomial
 from bcf.literals import _parse_int
 
-from _corpus import canonical_ratfunc
+from _corpus import canonical_ratfunc, irreducible_roots
 
 
 def test_rat_literals():
@@ -135,6 +135,20 @@ def test_literal_token_refusals(literal, message):
     assert str(info.value) == message
 
 
+# A digit list takes the literal rule: "1_0, \u0661" was (10, 1) once.
+@pytest.mark.parametrize("text, message", [
+    ("1_0, \u0661", "unexpected character '_' at position 1"),
+    ("1, 2", "unexpected character ' ' at position 2"),
+    (" ", "unexpected character ' ' at position 0"),
+    ("3,\u0661", "unexpected character '\u0661' at position 2"),
+    ("1,2\n", "unexpected character '\\n' at position 3"),
+], ids=["underscore", "blank", "only-blank", "arabic-indic", "newline"])
+def test_digit_list_token_refusals(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_digits(text)
+    assert str(info.value) == message + " (grammar: <int>,<int>,...)"
+
+
 def test_error_messages_carry_position_and_grammar():
     with pytest.raises(ParseError) as info:
         parse_number("rat:x")
@@ -155,12 +169,16 @@ def test_parse_digits():
 
 
 def _token_loop(text):
-    """parse_digits one token at a time: the reference for its fast path."""
-    if not text.strip():
-        return ()
+    """parse_digits one character, then one token, at a time: the
+    reference for its fast path."""
+    grammar = "<int>,<int>,..."
+    for i, ch in enumerate(text):
+        if ch == "_" or ch.isspace() or not ch.isascii():
+            raise ParseError(f"unexpected character {ch!r} at position {i} "
+                             f"(grammar: {grammar})")
     values, cursor = [], 0
-    for token in text.split(","):
-        values.append(_parse_int(token.strip(), cursor, "<int>,<int>,..."))
+    for token in text.split(",") if text else ():
+        values.append(_parse_int(token, cursor, grammar))
         cursor += len(token) + 1
     return tuple(values)
 
@@ -233,8 +251,7 @@ def _field_points(draw):
     degree = draw(st.integers(1, 3))
     rest = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
     poly = polys.primitive((draw(st.integers(1, 3)), *rest))
-    assume(polys.is_irreducible(poly))
-    intervals = polys.isolating_intervals(poly)
+    intervals = irreducible_roots(poly)
     assume(intervals)
     field = NumberField(poly, draw(st.sampled_from(intervals)))
     x = field.generator()

@@ -1,14 +1,14 @@
-"""Exact polynomial utilities: Sturm chains, rational roots, deflation,
-root isolation."""
+"""Exact polynomial utilities: Sturm chains, root counts, the
+irreducibility test and root isolation."""
 
+import math
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import polys
-from bcf.errors import ReduciblePolynomial
+from _corpus import has_rational_root, irreducible_roots
 
 
 def test_trim_and_degree():
@@ -54,55 +54,80 @@ def test_sturm_count_roots():
     assert polys.count_roots(chain2, Fraction(-2), Fraction(2)) == 2
 
 
+def _has_rational_root(coeffs):
+    return polys._has_rational_root(polys.sturm_chain(coeffs))
+
+
 def test_rational_roots():
-    assert sorted(polys.rational_roots((2, -1, -1))) == [
-        Fraction(-1, 2),
-        Fraction(1),
-    ]
-    assert polys.rational_roots((1, -1, -1, -1)) == []
-    assert sorted(polys.rational_roots((6, -5, 1))) == [
-        Fraction(1, 3),
-        Fraction(1, 2),
-    ]
-    assert polys.rational_roots((1, 0, 1)) == []
-    assert polys.rational_roots((1, -1, 0)) == [0, 1]
+    assert _has_rational_root((2, -1, -1))       # (2x + 1)(x - 1)
+    assert not _has_rational_root((1, -1, -1, -1))
+    assert _has_rational_root((6, -5, 1))        # (3x - 1)(2x - 1)
+    assert not _has_rational_root((1, 0, 1))
+    assert _has_rational_root((1, -1, 0))
     # -2x^3 + x^2 + x = -x(2x + 1)(x - 1): a zero root and a negative lead
-    assert polys.rational_roots((-2, 1, 1, 0)) == [Fraction(-1, 2), 0, 1]
-    assert polys.rational_roots((7,)) == []
+    assert _has_rational_root((-2, 1, 1, 0))
+    assert _has_rational_root((3, -2))
 
 
-def test_is_perfect_square():
-    assert polys.is_perfect_square(49)
-    assert polys.is_perfect_square(0)
-    assert not polys.is_perfect_square(2)
-    assert not polys.is_perfect_square(-4)
+def _irreducible(coeffs):
+    return polys._irreducible(polys.sturm_chain(polys.primitive(coeffs)))
 
 
 def test_is_irreducible():
-    assert polys.is_irreducible((1, -1, -1, -1))
-    assert polys.is_irreducible((1, 0, -2))       # x^2 - 2
-    assert not polys.is_irreducible((1, 0, -1))   # (x-1)(x+1)
-    assert not polys.is_irreducible((1, 0, 0, -1))  # x^3 - 1
-    assert polys.is_irreducible((2, -1))          # degree 1
-    with pytest.raises(ValueError):
-        polys.is_irreducible((1, 0, 0, 0, -1))
-    with pytest.raises(ValueError):
-        polys.is_irreducible((5,))
+    assert _irreducible((1, -1, -1, -1))
+    assert _irreducible((1, 0, -2))          # x^2 - 2
+    assert not _irreducible((1, 0, -1))      # (x-1)(x+1)
+    assert not _irreducible((1, 0, 0, -1))   # x^3 - 1
+    assert _irreducible((2, -1))             # degree 1
+    assert not _irreducible((4, 4, 1))       # (2x + 1)^2: a repeated root
+    # (x - 1)^2 (x + 1): the chain ends in x - 1, so no root search runs
+    assert polys.sturm_chain((1, -1, -1, 1))[-1] == (1, -1)
+    assert not _irreducible((1, -1, -1, 1))
+
+
+@st.composite
+def _small_polys(draw):
+    """Primitive integer polynomials of degree 1 to 3 with coefficients in
+    -60..60: random ones, ones with a planted rational root p/q, planted
+    once or twice, and ones with a zero constant term."""
+    degree = draw(st.integers(1, 3))
+    coeff = st.integers(-60, 60)
+    kind = draw(st.sampled_from(("random", "planted", "repeated", "zero")))
+    if kind in ("random", "zero"):
+        poly = (draw(coeff.filter(bool)),
+                *draw(st.lists(coeff, min_size=degree, max_size=degree)))
+        if kind == "zero":
+            poly = poly[:-1] + (0,)
+    else:
+        p, q = draw(st.integers(-7, 7)), draw(st.integers(1, 7))
+        planted = 2 if kind == "repeated" and degree > 1 else 1
+        poly = (draw(coeff.filter(bool)), *draw(st.lists(
+            st.integers(-6, 6), min_size=degree - planted,
+            max_size=degree - planted)))
+        for _ in range(planted):
+            poly = polys.multiply(poly, (q, -p))
+    poly = polys.primitive(poly)
+    assume(max(map(abs, poly)) <= 60)
+    return poly
+
+
+@given(_small_polys())
+@settings(max_examples=500, deadline=None)
+def test_irreducible_is_the_rational_root_theorem(poly):
+    expected = len(poly) == 2 or not has_rational_root(poly)
+    assert polys._irreducible(polys.sturm_chain(poly)) == expected
 
 
 def test_isolating_intervals():
-    intervals = polys.isolating_intervals((1, 0, -2))
-    assert len(intervals) == 2
     chain = polys.sturm_chain((1, 0, -2))
+    intervals = polys._isolate(chain)
+    assert len(intervals) == 2
     for lo, hi in intervals:
         assert lo < hi
         assert polys.count_roots(chain, lo, hi) == 1
-    (lo, hi), (lo2, hi2) = sorted(intervals)
+    (lo, hi), (lo2, hi2) = intervals
     assert lo < -Fraction(14142, 10000) < hi
     assert lo2 < Fraction(14142, 10000) < hi2
-    # x^3 - x = (x + 1) x (x - 1): the first midpoint, 0, is a root
-    with pytest.raises(ReduciblePolynomial):
-        polys.isolating_intervals((1, 0, -1, 0))
 
 
 @given(st.integers(1, 3), st.data())
@@ -110,17 +135,16 @@ def test_isolating_intervals():
 def test_isolating_intervals_random_cubics(degree, data):
     coeffs = [data.draw(st.integers(-5, 5)) for _ in range(degree)]
     poly = polys.trim((1, *coeffs))
-    if polys.rational_roots(poly):
-        return
+    intervals = irreducible_roots(poly)
+    assume(intervals is not None)
     chain = polys.sturm_chain(poly)
-    intervals = polys.isolating_intervals(poly)
     for lo, hi in intervals:
         assert polys.count_roots(chain, lo, hi) == 1
 
 
 def _fraction_isolate(coeffs):
-    """isolating_intervals by bisection on Fraction endpoints, the
-    reference for the integer bisection: same start, same cell order."""
+    """_isolate by bisection on Fraction endpoints, the reference for the
+    integer bisection: same start, same cell order."""
     chain = polys.sturm_chain(coeffs)
     c = chain[0]
     bound = 1 + Fraction(max(abs(x) for x in c[1:]), abs(c[0]))
@@ -137,10 +161,6 @@ def _fraction_isolate(coeffs):
             out.append((lo, hi))
         elif n > 1:
             mid = (lo + hi) / 2
-            if polys._sign_at(c, mid.numerator, mid.denominator) == 0:
-                raise ReduciblePolynomial(
-                    f"polynomial {c} has the rational root {mid}"
-                )
             v_mid = variations(mid)
             stack.append((lo, mid, v_lo, v_mid))
             stack.append((mid, hi, v_mid, v_hi))
@@ -153,19 +173,13 @@ def _fraction_isolate(coeffs):
 )
 @settings(max_examples=300, deadline=None)
 def test_integer_bisection_matches_fraction_bisection(tail, lead):
-    # Random integer polynomials of degree 1 to 3, reducible ones included:
-    # equal interval lists, or the same error for a root at a midpoint.
+    # Random irreducible integer polynomials of degree 1 to 3: equal
+    # interval lists, of Fractions.
     poly = (lead, *tail)
-    try:
-        expected = _fraction_isolate(poly)
-    except ReduciblePolynomial as exc:
-        with pytest.raises(ReduciblePolynomial) as raised:
-            polys.isolating_intervals(poly)
-        assert str(raised.value) == str(exc)
-    else:
-        got = polys.isolating_intervals(poly)
-        assert got == expected
-        assert all(type(x) is Fraction for pair in got for x in pair)
+    got = irreducible_roots(poly)
+    assume(got is not None)
+    assert got == _fraction_isolate(poly)
+    assert all(type(x) is Fraction for pair in got for x in pair)
 
 
 BIG = 2**70  # past 2**64, so no coefficient fits a machine word
@@ -173,10 +187,9 @@ BIG = 2**70  # past 2**64, so no coefficient fits a machine word
 
 @st.composite
 def planted_polys(draw):
-    """(integer polynomial, its distinct rational roots, k or None, every
-    planted root as often as it was planted) built from linear factors
-    q*x - p, some repeated, times x**2 - k when k is drawn (k is never a
-    square, so that factor has no rational root)."""
+    """(integer polynomial, its distinct rational roots, k or None) built
+    from linear factors q*x - p, some repeated, times x**2 - k when k is
+    drawn (k is never a square, so that factor has no rational root)."""
     roots = draw(st.lists(
         st.one_of(
             st.just(Fraction(0)),
@@ -185,18 +198,16 @@ def planted_polys(draw):
         min_size=1, max_size=3,
     ))
     poly = (draw(st.integers(1, BIG)) * draw(st.sampled_from((1, -1))),)
-    planted = []
     for r in roots:
         for _ in range(draw(st.integers(1, 2))):
             poly = polys.multiply(poly, (r.denominator, -r.numerator))
-            planted.append(r)
     k = draw(st.one_of(
         st.none(),
-        st.integers(-6, 12).filter(lambda k: not polys.is_perfect_square(k)),
+        st.integers(-6, 12).filter(lambda k: k < 0 or math.isqrt(k) ** 2 != k),
     ))
     if k is not None:
         poly = polys.multiply(poly, (1, 0, -k))
-    return poly, sorted(set(roots)), k, planted
+    return poly, sorted(set(roots)), k
 
 
 def _endpoint(roots):
@@ -217,9 +228,10 @@ def _above_sqrt(x, k):
 @given(planted_polys(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_planted_roots_found_and_counted(planted, data):
-    poly, roots, k, _ = planted
-    assert polys.rational_roots(poly) == roots
+    poly, roots, k = planted
     chain = polys.sturm_chain(poly)
+    if len(chain[-1]) == 1:  # square-free, as _has_rational_root asks
+        assert polys._has_rational_root(chain)
     assert all(type(c) is int for p in chain for c in p)
     for _ in range(3):
         lo, hi = sorted((data.draw(_endpoint(roots)), data.draw(_endpoint(roots))))
@@ -230,26 +242,3 @@ def test_planted_roots_found_and_counted(planted, data):
             expected += not _above_sqrt(lo, k) and _above_sqrt(hi, k)
             expected += not _above_sqrt(-hi, k) and _above_sqrt(-lo, k)
         assert polys.count_roots(chain, lo, hi) == expected
-
-
-@given(planted_polys())
-@settings(max_examples=60, deadline=None)
-def test_deflate_planted_roots(planted):
-    poly, _, _, planted_roots = planted
-    quotient = poly
-    for r in planted_roots:
-        quotient = polys.deflate(quotient, r)
-        assert all(type(c) is int for c in quotient)
-    assert polys.rational_roots(quotient) == []
-    product = quotient
-    for r in planted_roots:
-        product = polys.multiply(product, (r.denominator, -r.numerator))
-    assert product == poly
-
-
-def test_deflate_rejects_non_root():
-    assert polys.deflate((2, -1, -1), Fraction(-1, 2)) == (1, -1)
-    with pytest.raises(ValueError):
-        polys.deflate((1, 0, -2), Fraction(1))      # remainder -1
-    with pytest.raises(ValueError):
-        polys.deflate((1, 0, -2), Fraction(1, 2))   # 2x - 1 does not divide

@@ -35,7 +35,6 @@ from bcf.errors import (
     DegenerateSystem,
     InvalidSequence,
     NonPositiveInput,
-    ReduciblePolynomial,
 )
 from bcf.recovery import (
     ScanRecord,
@@ -48,7 +47,7 @@ from bcf.recovery import (
     STATUS_TERMINATED,
 )
 
-from _corpus import canonical_ratfunc, random_cyclic_pair
+from _corpus import canonical_ratfunc, irreducible_roots, random_cyclic_pair
 
 
 # -- periodicity ------------------------------------------------------------------
@@ -262,7 +261,7 @@ def test_recover_builds_one_sturm_chain(monkeypatch, preperiod, period, fields):
     # transfer matrix passes its degeneracy guard, serves the root count of
     # every ball the field tries; no rational root is searched for.
     chains = _count_calls(monkeypatch, polys, "sturm_chain")
-    searches = _count_calls(monkeypatch, polys, "_chain_roots")
+    searches = _count_calls(monkeypatch, polys, "_has_rational_root")
     counts = _count_calls(monkeypatch, polys, "count_roots")
     recover_cubic_eventual(preperiod, period)
     assert (len(chains), len(searches), len(counts)) == (1, 0, fields)
@@ -520,7 +519,7 @@ def test_scan_builds_one_sturm_chain_per_polynomial(monkeypatch):
     # reducible (x^3 - x, (x - 3)(x^2 + 1)), no positive root, one and three
     # positive roots: one chain each, and at most one rational-root search
     chains = _count_calls(monkeypatch, polys, "sturm_chain")
-    searches = _count_calls(monkeypatch, polys, "_chain_roots")
+    searches = _count_calls(monkeypatch, polys, "_has_rational_root")
     for coeffs in [(1, 0, -1, 0), (1, -3, 1, -3), (1, 0, 1, 1),
                    (1, -1, -1, -1), (1, -6, 9, -3)]:
         del chains[:], searches[:]
@@ -529,21 +528,22 @@ def test_scan_builds_one_sturm_chain_per_polynomial(monkeypatch):
 
 
 def _reference_scan(coeffs, candidates, horizon, preview):
-    """conjecture_scan of one polynomial the long way: a NumberField per
-    real root, the sign of each root by the generic comparison, beta by
-    Horner through the generic field operators, then bcf_expand."""
+    """conjecture_scan of one polynomial the long way: reducibility by the
+    rational-root theorem, a NumberField per real root, the sign of each
+    root by the generic comparison, beta by Horner through the generic
+    field operators, then bcf_expand."""
     def record(status, interval=None, beta_expr=None, k=None, m=None,
                digits=None):
         return ScanRecord(coeffs, interval, beta_expr, status, k, m, digits)
 
-    roots = []
-    try:
-        for lo, hi in polys.isolating_intervals(coeffs):
-            alpha = NumberField(coeffs, (lo, hi)).generator()
-            if alpha > 0:
-                roots.append(((lo, hi), alpha))
-    except ReduciblePolynomial:
+    intervals = irreducible_roots(coeffs)
+    if intervals is None:
         return [record(STATUS_SKIPPED_REDUCIBLE)]
+    roots = []
+    for lo, hi in intervals:
+        alpha = NumberField(coeffs, (lo, hi)).generator()
+        if alpha > 0:
+            roots.append(((lo, hi), alpha))
     if not roots:
         return [record(STATUS_SKIPPED_NO_POSITIVE_ROOT)]
     records = []
@@ -659,3 +659,44 @@ def test_recovery_on_the_criterion_9_corpus_is_pinned():
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
         "1b3fad0a51d028e1dd73fbf99c9987cebfd7021248cbc30455bacd7da2fe642c"
     )
+
+
+# The pure cubic family theta^3 = d^3 + 1, a measured census and no theorem:
+# (theta, theta^2) and (theta, theta^2 + theta) were periodic for every d
+# measured, with these (preperiod, period) for d = 2..5 and, from d = 6 on,
+# (8, 10) or (11, 13) by d's parity for theta^2 and (1, 13) for theta^2 +
+# theta.  recover returns x^3 - (d^3 + 1) and the input field, and the
+# period's eigenvalue is eps^6 for the unit eps = theta^2 + d theta + d^2
+# (theta^3 - d^3 = 1).
+_FAMILY_SMALL_D = {2: ((8, 10), (10, 10)), 3: ((10, 10), (12, 10)),
+                   4: ((8, 10), (10, 10)), 5: ((23, 10), (10, 10))}
+
+
+def _check_family_member(d):
+    periods = _FAMILY_SMALL_D.get(d) or (
+        (8, 10) if d % 2 == 0 else (11, 13), (1, 13))
+    poly = (1, 0, 0, -(d**3 + 1))
+    field = NumberField(poly, (d, d + 1))
+    theta = field.generator()
+    unit = theta**2 + d * theta + d * d
+    for beta, (k, m) in zip((theta**2, theta**2 + theta), periods):
+        pair = bcf_expand(theta, beta, max_terms=64)
+        assert pair.periodicity == (k, m), (d, beta)
+        pre, per = (pair.a[:k], pair.b[:k]), (pair.a[k:k + m], pair.b[k:k + m])
+        result = recover_cubic_eventual(pre, per)
+        assert (result.poly, result.field, result.alpha, result.beta) == (
+            poly, field, theta, beta)
+        matrix = transfer_matrix(pre, per)
+        assert (theta * matrix[0][2] + beta * matrix[1][2] + matrix[2][2]
+                == unit**6)
+
+
+def test_pure_cubic_family_census():
+    for d in range(2, 61):
+        _check_family_member(d)
+
+
+@given(st.integers(61, 10**30))
+@settings(max_examples=15, deadline=None)
+def test_pure_cubic_family_census_at_large_d(d):
+    _check_family_member(d)
