@@ -40,8 +40,8 @@ from typing import Union
 
 from ._kernels import rational_digits
 from .errors import EmptyInterval, NonPositiveInput
-from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _convolve
-from .fields import _element, _primitive, _refine_more, floor_of
+from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _check_count
+from .fields import _convolve, _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
 ExactNumber = Union[Fraction, AlgebraicNumber]
@@ -131,8 +131,7 @@ def bcf_expand(alpha, beta, max_terms=64):
     with the exact final alpha, a Fraction, in ``terminal``; their
     denominators strictly fall, so no state recurs.
     """
-    if max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+    _check_count(max_terms, "max_terms")
     alpha, beta = _unify_pair(alpha, beta)
     if not isinstance(alpha, AlgebraicNumber):
         alpha, beta = _RATIONALS.element(alpha), _RATIONALS.element(beta)
@@ -208,8 +207,8 @@ def _rational_run(alphas, betas, max_terms):
     """Step the corners alphas x betas in lockstep: (SequencePair, trace of
     the first corner).  A lone point that stops before ``max_terms`` stopped
     at an integral beta, its last b digit, and terminates with u/w."""
-    if max_terms is not None and max_terms < 1:
-        raise ValueError(f"max_terms must be at least 1, got {max_terms}")
+    if max_terms is not None:
+        _check_count(max_terms, "max_terms")
     corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
     a, b, trace = rational_digits(corners, max_terms)
     if len(corners) > 1 or len(b) == max_terms:

@@ -55,14 +55,18 @@ def bounded_str(value, render=str):
         raise _too_long_to_print() from None
 
 
+def _check_count(value, what):
+    """The rule for place and step counts: an int, not a bool, at least 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{what} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
+
+
 def _check_places(decimal_digits):
-    """Reject a decimal place count that is not an int (TypeError), below 1
-    (ValueError) or above Python's integer-to-string limit
-    (OutputTooLarge), before any work is done."""
-    if not isinstance(decimal_digits, int) or isinstance(decimal_digits, bool):
-        raise TypeError(f"decimal_digits must be an int, got {decimal_digits!r}")
-    if decimal_digits < 1:
-        raise ValueError("decimal_digits must be at least 1")
+    """Reject a decimal place count by _check_count's rule or above Python's
+    integer-to-string limit (OutputTooLarge), before any work is done."""
+    _check_count(decimal_digits, "decimal_digits")
     limit = sys.get_int_max_str_digits()
     if limit and decimal_digits > limit:
         raise OutputTooLarge(

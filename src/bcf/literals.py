@@ -21,6 +21,9 @@ literal, like a digit list, holds no blanks, underscores or non-ASCII
 characters.  A RatFunc is canonical and str() gives its ratfunc: body: one
 module reads and writes it.
 
+An integer list is split at its commas and each token mapped through one
+table of the small ints whose misses call int(), all at C level.
+
 Parse failures raise ParseError naming the offending token, its position,
 and the expected grammar fragment; a token is quoted only up to a short
 prefix.
@@ -133,6 +136,16 @@ def _check_characters(text, position, grammar):
                          f"{position + i} (grammar: {grammar})")
 
 
+class _IntTable(dict):
+    """str(k) -> k for k in -255..255, any other token int(token); wider
+    tables parsed digit lists no faster and took longer to build."""
+
+    __missing__ = staticmethod(int)  # called as int(token), at C level
+
+
+_INTS = _IntTable((str(k), k) for k in range(-255, 256))
+
+
 def _parse_int_csv(text, position, grammar):
     if not text:
         raise ParseError(
@@ -141,7 +154,7 @@ def _parse_int_csv(text, position, grammar):
         )
     tokens = text.split(",")
     try:
-        return tuple(map(int, tokens))
+        return tuple(map(_INTS.__getitem__, tokens))
     except ValueError:
         pass  # the loop below names the first bad token and its position
     values = []

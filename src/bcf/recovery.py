@@ -44,7 +44,8 @@ from .errors import (
     RootCountNotOne,
 )
 from .expansion import bcf_expand
-from .fields import AlgebraicNumber, NumberField, _as_ints, _field_on_chain
+from .fields import (AlgebraicNumber, NumberField, _as_ints, _check_count,
+                     _field_on_chain)
 from .literals import RatFunc
 from .sequences import SequencePair, as_pair
 from .treeval import convergent_sequence
@@ -324,8 +325,7 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     ``jobs`` > 1 distributes polynomials over a process pool of at most
     ``jobs`` workers, and no more than there are polynomials or CPUs.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    _check_count(horizon, "horizon")
     if preview_digits < 0:
         raise ValueError(f"preview_digits must be at least 0, got {preview_digits}")
     if jobs is not None and jobs < 1:

@@ -286,6 +286,25 @@ def test_max_terms_validation():
         bcf_expand(Fraction(3, 2), Fraction(3, 2), max_terms=0)
 
 
+# A step count takes approximate's rule; 1.5 and nan once gave digits.
+@pytest.mark.parametrize("expand", [bcf_expand, bcf_expand_rational, bcf_expand_box])
+@pytest.mark.parametrize("count", [1.5, math.nan, True, "3", 0])
+def test_step_count_is_an_int_of_at_least_one(expand, count):
+    error = ValueError if count == 0 else TypeError
+    message = ("max_terms must be at least 1" if count == 0
+               else f"max_terms must be an int, got {count!r}")
+    with pytest.raises(error) as info:
+        expand(Fraction(3, 2), Fraction(4, 3), count)
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_step_count_none_is_documented_where_it_is_taken():
+    with pytest.raises(TypeError, match="max_terms must be an int, got None"):
+        bcf_expand(Fraction(3, 2), Fraction(4, 3), None)
+    for expand in bcf_expand_rational, bcf_expand_box:
+        assert expand(Fraction(3, 2), Fraction(4, 3), None).terminated
+
+
 def test_truncation_keeps_open_shape():
     t = TRIBONACCI.generator()
     pair = bcf_expand(t, 1 + 1 / t, max_terms=5)

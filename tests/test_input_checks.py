@@ -105,6 +105,10 @@ _REFUSALS = {
         ),
         InvalidSequence, "terminated pairs have no period to recover",
     ),
+    "scan to a horizon of 1.5 steps": (
+        lambda: conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 1.5),
+        TypeError, "horizon must be an int, got 1.5",
+    ),
     "scan with no workers": (
         lambda: conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8, jobs=0),
         ValueError, "jobs must be at least 1, got 0",

@@ -31,16 +31,21 @@ def _per_digit_product(a, b, n):
 
 @st.composite
 def digit_runs(draw, length):
-    """(a, b, n): digits for indices 0..n = length - 1, admissible or
-    arbitrary nonnegative, with a few unused digits past n."""
+    """(a, b, n): digits for indices 0..n = length - 1, admissible,
+    arbitrary nonnegative, or at most 9 but for one 10**40 in a leaf (which
+    widens that leaf's packed slots), with a few unused digits past n."""
     rng = draw(st.randoms(use_true_random=False))
     extra = draw(st.integers(0, 3))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["admissible", "arbitrary", "one huge"]))
+    if kind == "admissible":
         a, b = random_valid_digits(rng, length + extra)
     else:
-        top = 10 ** draw(st.integers(0, 30))
+        top = 10 ** draw(st.integers(0, 30)) if kind == "arbitrary" else 9
         a = [rng.randint(0, top) for _ in range(length + extra)]
         b = [rng.randint(0, top) for _ in range(length + extra)]
+        if kind == "one huge" and length:
+            digits = draw(st.sampled_from([a, b]))
+            digits[draw(st.integers(0, length - 1))] = 10**40
     return a, b, length - 1
 
 

@@ -1,5 +1,6 @@
 """Number-literal grammar: accepted forms, rejection messages, helpers."""
 
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from bcf import (
     polys,
 )
 from bcf.errors import ParseError, ReduciblePolynomial
-from bcf.literals import _parse_int
+from bcf.literals import _INTS, _parse_int
 
 from _corpus import canonical_ratfunc, irreducible_roots
 
@@ -198,9 +199,7 @@ _DIGIT_TEXT = st.one_of(
 )
 
 
-@given(_DIGIT_TEXT)
-@settings(max_examples=400, deadline=None)
-def test_parse_digits_matches_the_token_loop(text):
+def _assert_parses_as_the_token_loop(text):
     try:
         expected = _token_loop(text)
     except ParseError as error:
@@ -209,8 +208,31 @@ def test_parse_digits_matches_the_token_loop(text):
         assert str(info.value) == str(error)
     else:
         got = parse_digits(text)
-        assert got == expected and type(got) is tuple
+        assert got == expected and type(got) is tuple, text
         assert all(type(d) is int for d in got)
+
+
+@given(_DIGIT_TEXT)
+@settings(max_examples=400, deadline=None)
+def test_parse_digits_matches_the_token_loop(text):
+    _assert_parses_as_the_token_loop(text)
+
+
+# The edges of the lookup table that parses digit-list tokens: every key,
+# the first ints past it, spellings that int() takes but no key is, an
+# empty token and one past Python's integer-string limit.
+_EDGE_TOKENS = ("256", "-256", "00", "-0", "+1", "007", "")
+
+
+def test_parse_digits_table_edges_match_the_token_loop():
+    past_the_limit = "9" * (sys.get_int_max_str_digits() + 1)
+    for token in (*_INTS, *_EDGE_TOKENS, past_the_limit):
+        _assert_parses_as_the_token_loop(token)
+        _assert_parses_as_the_token_loop(f"1,{token},2")
+
+
+def test_int_table_keys_are_the_values_spelt_by_str():
+    assert all(key == str(value) for key, value in _INTS.items())
 
 
 def test_fraction_str():
