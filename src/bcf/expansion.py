@@ -20,8 +20,9 @@ midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
 midpoint is linear in its vector); bounds that straddle one integer k are
 decided by whether Y - kZ or X - kZ, which the step needs anyway, is zero,
 and positivity is read off both floors of step 0.  A recurrence shows as a
-repeated window of _WINDOW digit pairs and is accepted only by the exact
-cross-multiplication test on the two windows' last states.  ``bcf_step`` steps
+repeated window of _WINDOW digit pairs.  A window keeps only its start; the
+exact cross-multiplication test compares the current state with the earlier
+window's last state, rebuilt from it.  ``bcf_step`` steps
 either kind of number through the public operators (``_next``) and reads
 positivity off its floors too.  ``_kernels.rational_digits`` is the one
 integer engine: it steps a rational point, or a box's corners in lockstep to
@@ -38,7 +39,7 @@ from fractions import Fraction
 from itertools import cycle, islice
 from typing import Union
 
-from ._kernels import rational_digits
+from ._kernels import convergent_matrix, mat_mul3, rational_digits
 from .errors import EmptyInterval, NonPositiveInput
 from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _check_count
 from .fields import _convolve, _element, _primitive, _refine_more, floor_of
@@ -47,7 +48,7 @@ from .sequences import SequencePair
 ExactNumber = Union[Fraction, AlgebraicNumber]
 
 _RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
-_WINDOW = 4  # W: digit pairs in a window that may flag a recurrence
+_WINDOW = 8  # W: digit pairs in a window that may flag a recurrence
 _RATIONALS = NumberField((1, 0), (-1, 1))  # Q, the degree-1 field of theta = 0
 
 
@@ -81,11 +82,9 @@ def _unify_pair(alpha, beta):
 
 def _same_point(field, s, t):
     """Whether triples s and t are one point: x_s z_t = x_t z_s, y_s z_t = y_t z_s."""
-    d = field.degree
-    (xs, ys, zs), (xt, yt, zt) = ([v[:d] for v in p] for p in (s, t))
-    return _convolve(field, xs, zt) == _convolve(field, xt, zs) and (
-        _convolve(field, ys, zt) == _convolve(field, yt, zs)
-    )
+    (xs, ys, zs), (xt, yt, zt) = ([v[:field.degree] for v in p] for p in (s, t))
+    return (_convolve(field, xs, zt) == _convolve(field, xt, zs)
+            and _convolve(field, ys, zt) == _convolve(field, yt, zs))
 
 
 def _next(alpha, beta, a, b):
@@ -116,20 +115,19 @@ def bcf_expand(alpha, beta, max_terms=64):
 
     A rational pair runs as two elements of Q (_RATIONALS), whose bounds
     are exact.  The pair is stepped as its projective triple, the bounds on
-    its floors with it; both floors are decided at every step, so step 0's
-    decide positivity.  The start
+    its floors with it; step 0's floors decide positivity.  The start
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
     ``_primitive`` reduces the triple every _RENORMALISE steps and at the
     terminal.  Equal states have equal digit tails, so a state j that
     recurs at r <= max_terms - 1 shows as a repeated window of digit pairs
-    at r, up to _WINDOW - 1 steps past the budget; the windows apply the
-    same invertible maps, so the exact test on their last states confirms
-    it; the remaining digits are read off the cycle and
-    periodicity records (preperiod, period).  A termination in the steps
-    past the budget is not reported.  Rational inputs terminate instead,
-    with the exact final alpha, a Fraction, in ``terminal``; their
-    denominators strictly fall, so no state recurs.
+    at r, up to _WINDOW - 1 steps past the budget.  A window keeps only its
+    start: the current state carried back through the digits of the r - j
+    steps between is the earlier window's last state, and the exact test on
+    the two confirms the period; the cycle gives the remaining digits, and
+    periodicity records (preperiod, period).  A termination past the budget
+    is not reported.  Rational inputs terminate, with the exact final alpha,
+    a Fraction, in ``terminal``: their denominators fall, so no state recurs.
     """
     _check_count(max_terms, "max_terms")
     alpha, beta = _unify_pair(alpha, beta)
@@ -177,15 +175,17 @@ def bcf_expand(alpha, beta, max_terms=64):
         r = i + 1 - _WINDOW
         if r >= 0:
             seen = windows.setdefault((*a_digits[r:], *b_digits[r:]), [])
-            for j, last in seen:
-                if _same_point(field, last, state):
-                    periodicity = (j, r - j)
+            for j in seen:  # the state at j + _WINDOW - 1, from this one
+                m = r - j
+                back = convergent_matrix(a_digits[i - m:i], b_digits[i - m:i], m - 1)
+                if _same_point(field, mat_mul3(back, state), state):
+                    periodicity = (j, m)
                     for digits in a_digits, b_digits:
                         digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
                     break
             if periodicity:
                 break
-            seen.append((r, state))
+            seen.append(r)
         state = x, y, z = z, t, s
         mx, rx, my, mz = mz, rz, mx - a_i * mz, my - b_i * mz
         ry, rz = abs(y[1]) * r1 + abs(y[2]) * r2, abs(z[1]) * r1 + abs(z[2]) * r2

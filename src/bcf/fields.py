@@ -55,12 +55,12 @@ def bounded_str(value, render=str):
         raise _too_long_to_print() from None
 
 
-def _check_count(value, what):
-    """The rule for place and step counts: an int, not a bool, at least 1."""
+def _check_count(value, what, least=1):
+    """The rule for counts and indices: an int, not a bool, at least `least`."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{what} must be at least 1")
+    if value < least:
+        raise ValueError(f"{what} must be at least {least}")
 
 
 def _check_places(decimal_digits):

@@ -316,20 +316,18 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     polynomials; ``beta_candidates`` iterates RatFuncs, or (num, den)
     pairs of integer coefficient tuples that become one, giving beta in
     alpha; ``horizon`` bounds each expansion, whose first ``preview_digits``
-    (>= 0) digit pairs its record keeps.  A coefficient that is not an
-    int is a TypeError.  Every (positive root, candidate) combination
-    yields one ScanRecord; reducible polynomials, rootless families,
-    nonpositive betas, and per-candidate failures are recorded as skips or
-    errors, never raised.  A hit only reports what was found within the
-    horizon; a miss proves nothing.  ``jobs`` is None or at least 1, and
-    ``jobs`` > 1 distributes polynomials over a process pool of at most
-    ``jobs`` workers, and no more than there are polynomials or CPUs.
+    (>= 0) digit pairs its record keeps; a coefficient or count that is not
+    an int, or is a bool, is a TypeError.  Every (positive root, candidate)
+    combination yields one ScanRecord; reducible polynomials, rootless
+    families, nonpositive betas, and per-candidate failures are recorded as
+    skips or errors, never raised.  A hit reports what was found within the
+    horizon; a miss proves nothing.  ``jobs`` is None or at least 1; above
+    1, min(jobs, polynomials, CPUs) worker processes share the polynomials.
     """
     _check_count(horizon, "horizon")
-    if preview_digits < 0:
-        raise ValueError(f"preview_digits must be at least 0, got {preview_digits}")
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_count(preview_digits, "preview_digits", 0)
+    if jobs is not None:
+        _check_count(jobs, "jobs")
     family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
     candidates = [RatFunc(num, den) for num, den in beta_candidates]
     if not candidates:

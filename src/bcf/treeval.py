@@ -20,7 +20,7 @@ from itertools import islice, pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import _as_exact
+from .fields import _as_exact, _check_count
 from .sequences import _check_digits, as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
@@ -28,14 +28,19 @@ from .sequences import _check_digits, as_pair as _as_pair
 _RENDER_NODE_BUDGET = 2**20
 
 
+def _check_index(n, what="index", error=IndexOutOfRange):
+    """``_check_count``'s rule from 0, but a negative int raises `error`."""
+    if isinstance(n, int) and n < 0:
+        raise error(f"{what} must be nonnegative, got {n}")
+    _check_count(n, what, 0)
+
+
 def _digit_lists(pair, n):
-    if n < 0:
-        raise IndexOutOfRange(f"index must be nonnegative, got {n}")
+    _check_index(n)
     if n < len(pair.a) and n < len(pair.b):
         return pair.a[:n + 1], pair.b[:n + 1]
-    a = [pair.digit_a(i) for i in range(n + 1)]
-    b = [pair.digit_b(i) for i in range(n + 1)]
-    return a, b
+    return ([pair.digit_a(i) for i in range(n + 1)],
+            [pair.digit_b(i) for i in range(n + 1)])
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ def convergent_backward(seqs, m, n):
     pair = _as_pair(seqs)
     if m < 0 or m > n:
         raise IndexOutOfRange(f"need 0 <= m <= n, got m={m}, n={n}")
+    _check_index(m, "m")
     a, b = _digit_lists(pair, n)
     return _kernels.backward_entry(a, b, m, n)
 
@@ -187,9 +193,7 @@ def gap_diagnostics(seqs, N):
     a, b = _digit_lists(pair, N)
     for i in range(1, N + 1):
         if a[i] < 1:
-            raise InvalidSequence(
-                f"diagnostics require a[{i}] >= 1, got {a[i]}"
-            )
+            raise InvalidSequence(f"diagnostics require a[{i}] >= 1, got {a[i]}")
     triples = _kernels.convergent_triples(a, b, N)
     delta = tuple(
         Fraction(abs(A * C1 - A1 * C), C * C1)
@@ -222,8 +226,7 @@ def node_counts(depth):
     the alpha tree starts from a single a-node, the beta tree from a
     single b-node.
     """
-    if depth < 0:
-        raise ValueError(f"depth must be nonnegative, got {depth}")
+    _check_index(depth, "depth", ValueError)
     levels = list(islice(_level_counts(), depth + 1))
     return tuple(a for a, _ in levels), tuple(b for _, b in levels)
 
@@ -279,8 +282,7 @@ def render_tree(seqs, depth, format="ascii"):
     depth 27 on).
     """
     pair = _as_pair(seqs)
-    if depth < 0:
-        raise IndexOutOfRange(f"depth must be nonnegative, got {depth}")
+    _check_index(depth, "depth")
     total = 0
     for alpha_nodes, beta_nodes in islice(_level_counts(), depth + 1):
         total += alpha_nodes + beta_nodes

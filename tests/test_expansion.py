@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -33,6 +37,7 @@ from bcf.errors import (
 
 from _corpus import irreducible_roots, random_rational_pair
 
+ROOT = Path(__file__).resolve().parent.parent
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
 PERIOD_TWO = NumberField((1, -1, -2, -1), (2, 3))
@@ -575,8 +580,10 @@ def test_integral_alpha_partway(monkeypatch):
 
 
 def test_false_window_repeat_is_rejected(monkeypatch):
-    # The pinned cubic repeats a window of four digit pairs within 128
-    # terms without a recurrence: the exact check rejects it.
+    # (theta, theta^2 + theta), theta^3 + 2 theta = 1, finds no period, but
+    # repeats a window of eight digit pairs by chance within 2270 terms: the
+    # exact check runs once, on the earlier window's state rebuilt from the
+    # current one, and rejects it.  The digest is sha256 of "a;b".
     verdicts = []
     same_point = expansion._same_point
 
@@ -585,10 +592,49 @@ def test_false_window_repeat_is_rejected(monkeypatch):
         return verdicts[-1]
 
     monkeypatch.setattr(expansion, "_same_point", spy)
-    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
-    pair = _assert_matches_reference(t, t * t + t, 128)
-    assert (_csv(pair.a), _csv(pair.b)) == (PINNED_A, PINNED_B)
-    assert False in verdicts and True not in verdicts
+    t = NumberField((1, 0, 2, -1), (-3, 3)).generator()
+    pair = bcf_expand(t, t * t + t, max_terms=2270)
+    assert verdicts == [False]
+    assert pair.periodicity is None and not pair.terminated
+    text = f"{_csv(pair.a)};{_csv(pair.b)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d1cf560e9dd9a24d4e9b8b3fc3b2615e08655c78b2c604bb03c2e86b1a843ed7")
+
+
+_DEEP_RUN = (
+    "import hashlib\n"
+    "from bcf import NumberField, bcf_expand\n"
+    "def peak():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        return next(int(line.split()[1]) for line in status\n"
+    "                    if line.startswith('VmHWM:'))\n"
+    "t = NumberField((1, -2, -2, -2), (-3, 3)).generator()\n"
+    "beta = t * t + t\n"
+    "before = peak()\n"
+    "pair = bcf_expand(t, beta, max_terms=16_000)\n"
+    "growth = peak() - before\n"
+    "text = ','.join(map(str, pair.a)) + ';' + ','.join(map(str, pair.b))\n"
+    "print(growth, pair.periodicity, hashlib.sha256(text.encode()).hexdigest())\n"
+)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
+def test_deep_expansion_memory_follows_the_current_state():
+    # A window keeps only its start index, so a run holds one state, whose
+    # height grows linearly: 16,000 steps of the pinned cubic raise the peak
+    # resident set by a few MiB.  A stored state per window would grow it
+    # quadratically, by about 54 MiB here.  The peak is VmHWM (KiB) of a
+    # fresh interpreter: ru_maxrss would also count the peak of the process
+    # that started it, which Linux carries across fork and exec.
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-c", _DEEP_RUN], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    growth, periodicity, digest = proc.stdout.split()
+    assert int(growth) < 20 * 1024
+    assert periodicity == "None"
+    assert digest == (
+        "f97a11ead777d903978584efb9a3da38f5689cb489f3c6a2a9c92e3d90f71254")
 
 
 def test_public_step_reproduces_expand():

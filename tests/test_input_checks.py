@@ -19,10 +19,15 @@ from bcf import (
     approximate,
     bcf_step,
     conjecture_scan,
+    convergent,
+    convergent_backward,
+    convergent_matrix,
     fraction_str,
+    gap_diagnostics,
     node_counts,
     parse_digits,
     polys,
+    render_tree,
 )
 from bcf.errors import InvalidSequence, OutputTooLarge, ParseError
 from bcf.literals import parse_number
@@ -40,6 +45,12 @@ def _fraction_str_past_the_limit():
         sys.set_int_max_str_digits(limit)
 
 
+def _not_an_int(call, what, value):
+    return call, TypeError, f"{what} must be an int, got {value!r}"
+
+
+_PERIODIC = SequencePair((2, 1), (1, 1), periodicity=(0, 2))
+_SCAN = ([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8)
 _REFUSALS = {
     "fraction_str past the string limit": (
         _fraction_str_past_the_limit, OutputTooLarge,
@@ -110,9 +121,35 @@ _REFUSALS = {
         TypeError, "horizon must be an int, got 1.5",
     ),
     "scan with no workers": (
-        lambda: conjecture_scan([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8, jobs=0),
-        ValueError, "jobs must be at least 1, got 0",
+        lambda: conjecture_scan(*_SCAN, jobs=0), ValueError, "jobs must be at least 1",
     ),
+    "scan preview of -1 digits": (
+        lambda: conjecture_scan(*_SCAN, preview_digits=-1), ValueError,
+        "preview_digits must be at least 0",
+    ),
+    # Every count and index argument takes one type rule: an int, not a bool.
+    "scan on 1.5 workers": _not_an_int(
+        lambda: conjecture_scan(*_SCAN, jobs=1.5), "jobs", 1.5),
+    "scan on True workers": _not_an_int(
+        lambda: conjecture_scan(*_SCAN, jobs=True), "jobs", True),
+    "scan preview of True digits": _not_an_int(
+        lambda: conjecture_scan(*_SCAN, preview_digits=True), "preview_digits", True),
+    "scan preview of 1.5 digits": _not_an_int(
+        lambda: conjecture_scan(*_SCAN, preview_digits=1.5), "preview_digits", 1.5),
+    "convergent at True": _not_an_int(
+        lambda: convergent(_PERIODIC, True), "index", True),
+    "convergent at 1.5": _not_an_int(
+        lambda: convergent(_PERIODIC, 1.5), "index", 1.5),
+    "convergent_backward from m 0.5": _not_an_int(
+        lambda: convergent_backward(_PERIODIC, 0.5, 3), "m", 0.5),
+    "convergent_matrix at 2.0": _not_an_int(
+        lambda: convergent_matrix(_PERIODIC, 2.0), "index", 2.0),
+    "gap_diagnostics at 8.5": _not_an_int(
+        lambda: gap_diagnostics(_PERIODIC, 8.5), "index", 8.5),
+    "node_counts at depth 1.5": _not_an_int(
+        lambda: node_counts(1.5), "depth", 1.5),
+    "render_tree at depth True": _not_an_int(
+        lambda: render_tree(_PERIODIC, True), "depth", True),
 }
 
 

@@ -31,22 +31,22 @@ import workloads  # noqa: E402
 
 TOTALS = {
     "cubic_deep": {
-        "bcf_expand_digits": 16_576, "_convolve": 768, "_primitive": 496,
+        "bcf_expand_digits": 16_576, "_convolve": 24, "_primitive": 496,
         "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
         "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
-        "_has_rational_root": 111,
+        "_has_rational_root": 111, "period_checks": 6,
     },
     "scan_box": {
-        "bcf_expand_digits": 12_386, "_convolve": 1_002, "_primitive": 324,
-        "_refine_more": 938, "refine_bits": 14_729, "rational_digits": 0,
+        "bcf_expand_digits": 12_386, "_convolve": 800, "_primitive": 326,
+        "_refine_more": 966, "refine_bits": 16_041, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
-        "_has_rational_root": 328,
+        "_has_rational_root": 328, "period_checks": 200,
     },
     "digits_recover": {
         "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
         "_refine_more": 147, "refine_bits": 6_632, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
-        "_has_rational_root": 0,
+        "_has_rational_root": 0, "period_checks": 0,
     },
 }
 
@@ -71,6 +71,7 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     patch = monkeypatch.setattr
     for binding in ("_convolve", "_primitive", "rational_digits"):
         _spy(patch, counts, expansion, binding, binding)
+    _spy(patch, counts, expansion, "convergent_matrix", "period_checks")
     # Digit pairs returned by the field loop: the CLI's expand and scan
     # reach bcf_expand only with field pairs.
     for owner in (cli, recovery):
@@ -95,21 +96,22 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
 
 # The deep set: long runs through the library, where the catalogues stop at
 # 256 steps.  (theta, theta^2 + theta) in the field of x^3 - 2x^2 - 2x - 2
-# repeats digit windows without recurring, so its exact window checks grow
-# with the horizon; the scan meets a periodic pair, an eventually periodic
-# one and a termination; the box certifies the same digits on the integer
-# engine from a rational box around the pair.
+# does not recur, and repeats no window of expansion._WINDOW digit pairs
+# within 2000 steps, so it makes no exact period check; the scan meets a
+# periodic pair, an eventually periodic one and a termination, one check
+# each for the first three; the box certifies the same digits on the
+# integer engine from a rational box around the pair.
 _DEEP_POLY, _DEEP_INTERVAL = (1, -2, -2, -2), (-3, 3)
 _DEEP_TERMS = 2_000
 
 DEEP_TOTALS = {
-    "expand": {"pairs": 2_000, "_same_point": 617, "_convolve": 1_234,
+    "expand": {"pairs": 2_000, "period_checks": 0, "_convolve": 0,
                "_primitive": 62, "refine_bits": 127},
     "scan": {"records": [["periodic", 1, 2], ["periodic", 1, 1],
                          ["periodic", 1, 2], ["terminated", None, None]],
-             "_same_point": 3, "_convolve": 12, "_primitive": 1,
-             "refine_bits": 31},
-    "box": {"pairs": 2_000, "matches_expand": True, "_same_point": 0,
+             "period_checks": 3, "_convolve": 12, "_primitive": 1,
+             "refine_bits": 63},
+    "box": {"pairs": 2_000, "matches_expand": True, "period_checks": 0,
             "_convolve": 0, "_primitive": 0, "refine_bits": 6_000},
 }
 
@@ -118,8 +120,11 @@ def deep_work(patch):
     """The deep set's totals, with spies bound through patch(owner, name,
     value): monkeypatch.setattr in a test, setattr in a fresh interpreter."""
     counts = Counter()
-    for binding in ("_same_point", "_convolve", "_primitive"):
+    for binding in ("_convolve", "_primitive"):
         _spy(patch, counts, expansion, binding, binding)
+    # Exact period checks: each rebuilds the earlier window's state through
+    # one convergent_matrix.
+    _spy(patch, counts, expansion, "convergent_matrix", "period_checks")
     _spy(patch, counts, fields.NumberField, "refine", "refine_bits",
          lambda _, field, bits=1: bits)
     _spy(patch, counts, expansion, "rational_digits", "rational_digits",
@@ -127,7 +132,7 @@ def deep_work(patch):
 
     def work(**found):
         """found, and the totals counted since the last call."""
-        for name in ("_same_point", "_convolve", "_primitive", "refine_bits"):
+        for name in ("period_checks", "_convolve", "_primitive", "refine_bits"):
             found[name] = counts.pop(name, 0)
         return found
 
