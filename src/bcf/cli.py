@@ -1,5 +1,13 @@
 """Command-line front end: expand, eval, render, validate, recover, scan.
 
+Each subcommand's flags are declared once, on its argparse parser.  An
+argv whose tokens are all exact long flags of the subcommand, each value
+given as --flag=value or as the next token (one that does not start with
+'-'), is read straight off that parser's action table (_direct) into the
+Namespace argparse would build; argparse itself parses every other argv
+(help, abbreviations, '--', stray or option-like tokens, refused values,
+missing flags) and prints --help or its one-line usage error.
+
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
 scanner emits one JSON record per line.  Each command has one handler,
@@ -53,10 +61,10 @@ from .validation import validate
 _SCAN_BUDGET = 10**5  # polynomials in a scan box; -23:22 cubed is 97,336
 
 _DEFAULT_SCAN_BETAS = (
-    ((1, 0, 0), (1,)),      # alpha^2
-    ((1, -1, 0), (1,)),     # alpha^2 - alpha
-    ((1, 1, 0), (1,)),      # alpha^2 + alpha
-    ((1, 1), (1,)),         # alpha + 1
+    RatFunc((1, 0, 0), (1,)),   # alpha^2
+    RatFunc((1, -1, 0), (1,)),  # alpha^2 - alpha
+    RatFunc((1, 1, 0), (1,)),   # alpha^2 + alpha
+    RatFunc((1, 1), (1,)),      # alpha + 1
 )
 
 
@@ -497,16 +505,75 @@ def _build_parser():
 _PARSER, _COMMANDS = _build_parser()
 
 
+def _direct(parser, argv):
+    """parser.parse_args(argv), read straight off the parser's own action
+    table, or None wherever argparse has more to do: a token that is not
+    an exact long flag of a store, append or store_true action (an
+    abbreviation, -h, --help, '--', a positional), a missing value, a separate value that starts with '-', '=value' on a
+    flag that takes none, a value that its type or choices refuse, and a
+    missing required flag."""
+    table = parser._option_string_actions
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = table.get(flag) if token.startswith("--") else None
+        kind = type(action)
+        if kind is argparse._StoreTrueAction and not eq:
+            given[action] = True
+            continue
+        if kind is not argparse._StoreAction and kind is not argparse._AppendAction:
+            return None
+        if not eq:
+            value = next(tokens, "-")  # a missing value reads as a dash
+            if value.startswith("-"):
+                return None
+        if value == "--":  # argparse 3.12 and older drop it from a value
+            return None
+        try:
+            value = action.type(value) if action.type else value
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None  # what argparse turns into a usage error
+        if action.choices is not None and value not in action.choices:
+            return None
+        if kind is argparse._AppendAction:
+            given.setdefault(action, []).append(value)
+        else:
+            given[action] = value
+    args = argparse.Namespace()
+    for action in parser._actions:
+        if action in given:
+            setattr(args, action.dest, given[action])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:
+            default = action.default
+            if isinstance(default, str) and action.type:
+                default = action.type(default)
+            setattr(args, action.dest, default)
+    for dest, value in parser._defaults.items():
+        if not hasattr(args, dest):
+            setattr(args, dest, value)
+    return args
+
+
 def run(argv):
-    """Run one CLI invocation; returns the process exit code.  An argv that
-    names a subcommand goes straight to that subcommand's parser, as the
-    top-level parser would pass it on; any other argv goes to the latter."""
+    """Run one CLI invocation; returns the process exit code.
+
+    An argv that names a subcommand is read by _direct from that
+    subcommand's flag table; when _direct declines, or argv names none,
+    argparse parses it (the subcommand's parser, as the top-level parser
+    would pass it on, or the latter) and prints --help or its one-line
+    usage error."""
     command = _COMMANDS.get(argv[0]) if argv else None
-    try:
-        args = command.parse_args(argv[1:]) if command else _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else (0 if code is None else 2)
+    args = _direct(command, argv[1:]) if command else None
+    if args is None:
+        try:
+            args = (command.parse_args(argv[1:]) if command
+                    else _PARSER.parse_args(argv))
+        except SystemExit as exc:
+            code = exc.code
+            return code if isinstance(code, int) else (0 if code is None else 2)
     try:
         args.handler(args)
     except (BcfError, ZeroDivisionError) as exc:

@@ -568,7 +568,18 @@ class AlgebraicNumber:
     __mul__, __rmul__ = _operators(
         lambda x, y: _normal(x._field, *_multiply(x._field, x._raw, y._raw))
     )
-    __truediv__, __rtruediv__ = _operators(lambda x, y: x * y.inverse())
+    __truediv__ = _operators(lambda x, y: x * y.inverse())[0]
+
+    def __rtruediv__(self, other):
+        """other / self; a rational other scales the adjugate row of 1 / self
+        (see _inverse), normalised once, with no embedding of other."""
+        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
+            other = self._coerce(other)
+            return other if other is NotImplemented else other / self
+        row, det = _adjugate_row(self._field, self._num)
+        scale = other.numerator * self._den
+        return _element(self._field, tuple([scale * j for j in row]),
+                        det * other.denominator)
 
     def __neg__(self):
         return _element(self._field, tuple(-c for c in self._num), self._den)

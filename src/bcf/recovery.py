@@ -329,7 +329,10 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     if jobs is not None:
         _check_count(jobs, "jobs")
     family = [_as_ints(coeffs, "field_family") for coeffs in field_family]
-    candidates = [RatFunc(num, den) for num, den in beta_candidates]
+    candidates = [
+        beta if isinstance(beta, RatFunc) else RatFunc(*beta)
+        for beta in beta_candidates
+    ]
     if not candidates:
         raise ValueError("beta_candidates must be nonempty")
     tasks = [

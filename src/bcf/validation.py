@@ -19,6 +19,7 @@ from .errors import IndexOutOfRange
 from .expansion import _next, _unify_pair
 from .fields import floor_of
 from .sequences import as_pair
+from .treeval import _check_index
 
 RULE_A_BELOW_ONE = "a_below_one"
 RULE_A_LESS_THAN_B = "a_less_than_b"
@@ -84,8 +85,7 @@ def validate(seqs):
 
 def _tail_states(alpha, beta, pair, n):
     """Yield (k, alpha_k, beta_k) for k = 0..n, advancing with given digits."""
-    if n < 0:
-        raise IndexOutOfRange(f"n must be nonnegative, got {n}")
+    _check_index(n, "n")
     yield 0, alpha, beta
     for i in range(n):
         alpha, beta = _next(alpha, beta, pair.digit_a(i), pair.digit_b(i))

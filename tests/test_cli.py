@@ -1,5 +1,6 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -1260,6 +1261,119 @@ def test_direct_dispatch_matches_the_top_level_parser(argv):
 @settings(max_examples=150, deadline=None)
 def test_argv_fuzz_direct_dispatch_matches_the_top_level_parser(argv):
     assert _outcome(argv) == _top_level_outcome(argv), argv
+
+
+# -- argv read straight off each subcommand's flag table --------------------------
+
+
+# Tokens _direct leaves to argparse, or that it reads only in one form: an
+# abbreviation, '--', help, '=value' on a flag that takes none, a separate
+# value that starts with '-', an explicitly empty value, an empty token.
+_ARGV_JUNK = st.sampled_from([
+    ["--alp"], ["--"], ["-h"], ["--help"], ["--approx=1"], ["--c2", "-3:1"],
+    ["--terms=-3"], ["--c2="], [""], ["--a", "--b"], ["--beta=--"],
+])
+
+
+@st.composite
+def _argvs_with_junk(draw):
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, max(1, len(argv))))
+        argv[at:at] = draw(_ARGV_JUNK)
+    return argv
+
+
+@given(argv=_argvs_with_junk())
+@settings(max_examples=300, deadline=None)
+def test_direct_parse_equals_argparse_whenever_it_answers(argv):
+    parser = cli._COMMANDS.get(argv[0])
+    args = cli._direct(parser, argv[1:]) if parser else None
+    if args is not None:
+        assert vars(args) == vars(parser.parse_args(argv[1:])), argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--alpha=rat:1", "--beta", "rat:2", "--terms=3", "--terms", "5"],
+    ["expand", "--approx", "--alpha=dec:1.5", "--beta=dec:2", "--approx"],
+    ["scan", "--beta", "ratfunc:1/1", "--beta=ratfunc:1,0/1", "--c2=0:0"],
+    ["recover", "--period-b=1", "--period-a", "", "--format=text"],
+    ["render", "--a=1", "--b=1", "--depth", "0"],
+], ids=["repeated-store", "repeated-store-true", "append", "empty-value",
+        "zero"])
+def test_direct_parse_rules_match_argparse(argv):
+    parser = cli._COMMANDS[argv[0]]
+    args = cli._direct(parser, argv[1:])
+    assert args is not None and vars(args) == vars(parser.parse_args(argv[1:]))
+    assert "help" not in vars(args) and args.handler
+
+
+def test_direct_parse_sends_a_string_default_through_its_type():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--n", type=int, default="7")
+    parser.set_defaults(n=8, handler=None)
+    parser.add_argument("--m", type=int, default="5")
+    for argv in ([], ["--m=6"], ["--n", "1"]):
+        assert vars(cli._direct(parser, argv)) == vars(parser.parse_args(argv))
+    assert vars(cli._direct(parser, [])) == {"n": 8, "m": 5, "handler": None}
+
+
+def _both_forms(argv):
+    """argv with every flag value written as --flag=value, and with every
+    value that does not start with '-' as its own token."""
+    joined, separate = argv[:1], argv[:1]
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        action = cli._COMMANDS[argv[0]]._option_string_actions[flag]
+        if action.nargs == 0:
+            joined.append(token)
+            separate.append(token)
+            continue
+        if not eq:
+            value = next(tokens)
+        joined.append(f"{flag}={value}")
+        separate += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
+    return joined, separate
+
+
+def test_every_catalogue_argv_takes_the_direct_route(monkeypatch):
+    # The benchmark's ops, as written and in both value forms: none may
+    # fall back to argparse unnoticed.
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS.values():
+        for op in workload.catalogue():
+            parser = cli._COMMANDS[op["argv"][0]]
+            for argv in (op["argv"], *_both_forms(op["argv"])):
+                args = cli._direct(parser, argv[1:])
+                assert args is not None, argv
+                assert vars(args) == vars(parser.parse_args(argv[1:])), argv
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["scan", "--c2", "-3:1"], "argument --c2: expected one argument"),
+    (["expand", "--alpha=rat:1", "--beta=rat:1", "--approx=1"],
+     "argument --approx: ignored explicit argument '1'"),
+    (["expand", "--alph=rat:1", "--beta=rat:1", "--terms=-3"],
+     "argument --terms: expected a positive integer, got -3"),
+    (["eval", "--a=1", "--b=1", "--format=xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["recover", "--period-a=1"],
+     "the following arguments are required: --period-b"),
+    (["eval", "--a=1", "--b=1", "--", "7"], "unrecognized arguments:"),
+], ids=["dash-value", "explicit-on-flag", "abbreviation", "choice", "required",
+        "double-dash"])
+def test_fallback_argv_keeps_argparse_exit_and_line(argv, message):
+    parser = cli._COMMANDS[argv[0]]
+    assert cli._direct(parser, argv[1:]) is None
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+        parser.parse_args(argv[1:])
+    assert exit_.value.code == 2 and message in err.getvalue()
+    assert _outcome(argv) == (2, "", err.getvalue())
 
 
 # -- eval prints the forward route's bytes ---------------------------------------

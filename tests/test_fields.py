@@ -474,6 +474,18 @@ def test_arithmetic_matches_fraction_reference(data):
     assert hash((x + y) - y) == hash(x)
 
 
+@given(data=st.data(), q=st.one_of(st.integers(-9, 9), COORD))
+@settings(max_examples=150, deadline=None)
+def test_rational_over_element_scales_the_inverse(data, q):
+    field = data.draw(small_fields())
+    coords = st.lists(COORD, min_size=field.degree, max_size=field.degree)
+    x = AlgebraicNumber(field, data.draw(coords))
+    assume(x != 0)
+    got = q / x
+    assert got == q * x.inverse() and got._raw == (q * x.inverse())._raw
+    assert_normalised(got)
+
+
 def _start_triple(alpha, beta):
     """The triple bcf_expand starts from: (p dq : q dp : dp dq) for
     alpha = p/dp and beta = q/dq, vectors zero-padded to three entries."""

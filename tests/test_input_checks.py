@@ -18,6 +18,8 @@ from bcf import (
     SequencePair,
     approximate,
     bcf_step,
+    check_appropriate,
+    check_proper,
     conjecture_scan,
     convergent,
     convergent_backward,
@@ -29,7 +31,7 @@ from bcf import (
     polys,
     render_tree,
 )
-from bcf.errors import InvalidSequence, OutputTooLarge, ParseError
+from bcf.errors import IndexOutOfRange, InvalidSequence, OutputTooLarge, ParseError
 from bcf.literals import parse_number
 from bcf.recovery import ScanRecord, recover_cubic_eventual
 
@@ -51,6 +53,7 @@ def _not_an_int(call, what, value):
 
 _PERIODIC = SequencePair((2, 1), (1, 1), periodicity=(0, 2))
 _SCAN = ([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8)
+_TAIL = (Fraction(7, 4), Fraction(3, 2), SequencePair((1, 2), (0, 1)))
 _REFUSALS = {
     "fraction_str past the string limit": (
         _fraction_str_past_the_limit, OutputTooLarge,
@@ -150,6 +153,15 @@ _REFUSALS = {
         lambda: node_counts(1.5), "depth", 1.5),
     "render_tree at depth True": _not_an_int(
         lambda: render_tree(_PERIODIC, True), "depth", True),
+    "check_proper to n 1.5": _not_an_int(
+        lambda: check_proper(*_TAIL, 1.5), "n", 1.5),
+    "check_proper to n True": _not_an_int(
+        lambda: check_proper(*_TAIL, True), "n", True),
+    "check_appropriate to n 2.5": _not_an_int(
+        lambda: check_appropriate(*_TAIL, 2.5), "n", 2.5),
+    "check_appropriate to n -1": (
+        lambda: check_appropriate(*_TAIL, -1), IndexOutOfRange,
+        "n must be nonnegative, got -1"),
 }
 
 

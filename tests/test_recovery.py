@@ -411,6 +411,25 @@ def test_scan_finds_tribonacci_periodicity():
     assert record.min_poly == (1, -1, -1, -1)
 
 
+def test_scan_keeps_ratfunc_candidates_as_given(monkeypatch):
+    # A RatFunc is already canonical: the scan uses it as is, and only a
+    # (num, den) pair is built into one.
+    from bcf import cli
+    from bcf.literals import RatFunc
+
+    assert all(type(beta) is RatFunc for beta in cli._DEFAULT_SCAN_BETAS)
+    built, new = [], RatFunc.__new__
+    monkeypatch.setattr(RatFunc, "__new__",
+                        lambda cls, *pair: built.append(pair) or new(cls, *pair))
+    records = conjecture_scan([(1, -1, -1, -1)], cli._DEFAULT_SCAN_BETAS, 8)
+    assert built == []
+    assert [r.beta_expr for r in records] == list(cli._DEFAULT_SCAN_BETAS)
+    assert all(r.beta_expr is beta
+               for r, beta in zip(records, cli._DEFAULT_SCAN_BETAS))
+    conjecture_scan([(1, -1, -1, -1)], [((2, 0), (2,))], 8)
+    assert built == [((2, 0), (2,))]
+
+
 def test_scan_skips_reducible_and_rootless():
     records = conjecture_scan(
         [(1, 0, 0, -1), (1, 0, 0, 1), (1, 2, 2, 1)],
