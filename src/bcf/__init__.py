@@ -75,7 +75,7 @@ from .validation import (
     validate,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "AlgebraicNumber",

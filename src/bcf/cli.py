@@ -25,8 +25,6 @@ integer-to-string limit, a render or a scan box over its budget, a zero
 division).
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math

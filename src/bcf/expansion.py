@@ -31,13 +31,10 @@ for ``bcf_expand_rational``, ``rational_expansion_trace`` and
 ``bcf_expand_box``, which the CLI uses for every rational pair.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle, islice
-from typing import Union
 
 from ._kernels import convergent_matrix, mat_mul3, rational_digits
 from .errors import EmptyInterval, NonPositiveInput
@@ -45,27 +42,23 @@ from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _check_cou
 from .fields import _convolve, _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
-ExactNumber = Union[Fraction, AlgebraicNumber]
-
 _RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
 _WINDOW = 8  # W: digit pairs in a window that may flag a recurrence
 _RATIONALS = NumberField((1, 0), (-1, 1))  # Q, the degree-1 field of theta = 0
 
 
-@dataclass(frozen=True)
-class ExpansionState:
-    """One point of the expansion orbit: the pair (alpha_i, beta_i) at step i."""
+class ExpansionState(namedtuple("ExpansionState", "alpha beta index")):
+    """One point of the expansion orbit: the pair (alpha_i, beta_i) at step i,
+    exact numbers (ints, Fractions or elements of one field)."""
 
-    alpha: ExactNumber
-    beta: ExactNumber
-    index: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Terminated:
-    """End-of-expansion marker carrying the exact final alpha."""
+class Terminated(namedtuple("Terminated", "terminal")):
+    """End-of-expansion marker carrying the exact final alpha, a Fraction or
+    a field element."""
 
-    terminal: ExactNumber
+    __slots__ = ()
 
 
 def _unify_pair(alpha, beta):

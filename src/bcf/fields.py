@@ -19,11 +19,9 @@ an irrational one is never on a rounding tie, so floors decide its
 decimals (``approximate``) and its float() too.
 """
 
-from __future__ import annotations
-
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import polys
@@ -31,6 +29,7 @@ from .errors import (
     DegreeOutOfRange,
     EmptyInterval,
     FieldMismatch,
+    IndexOutOfRange,
     OutputTooLarge,
     ReduciblePolynomial,
     RootCountNotOne,
@@ -61,6 +60,13 @@ def _check_count(value, what, least=1):
         raise TypeError(f"{what} must be an int, got {value!r}")
     if value < least:
         raise ValueError(f"{what} must be at least {least}")
+
+
+def _check_index(n, what="index", error=IndexOutOfRange):
+    """``_check_count``'s rule from 0, but a negative int raises `error`."""
+    if isinstance(n, int) and n < 0:
+        raise error(f"{what} must be nonnegative, got {n}")
+    _check_count(n, what, 0)
 
 
 def _check_places(decimal_digits):
@@ -97,12 +103,10 @@ def _rounded_decimal(num, den, digits):
     return n, text
 
 
-@dataclass(frozen=True)
-class DecimalApproximation:
+class DecimalApproximation(namedtuple("DecimalApproximation", "text error_bound")):
     """A decimal rendering together with a certified error bound."""
 
-    text: str
-    error_bound: Fraction
+    __slots__ = ()
 
     @property
     def value(self):
@@ -741,12 +745,15 @@ def approximate(x, decimal_digits):
     if isinstance(x, AlgebraicNumber) and x.is_rational():
         x = x.as_fraction()
     if isinstance(x, Fraction):
-        n, text = _rounded_decimal(x.numerator, x.denominator, decimal_digits)
-        return DecimalApproximation(text, abs(Fraction(n, unit) - x))
-    field, (num, den) = x._field, x._raw
-    scaled = tuple([2 * unit * c for c in num])
-    n = _floor(field, ((scaled[0] + den,) + scaled[1:], 2 * den))
-    lo, hi, den = _enclosure(field, x._raw)
-    rounded = Fraction(n, unit)
-    bound = max(abs(rounded - Fraction(lo, den)), abs(rounded - Fraction(hi, den)))
-    return DecimalApproximation(_rounded_decimal(n, unit, decimal_digits)[1], bound)
+        lo = hi = x.numerator
+        den = x.denominator
+        n, text = _rounded_decimal(lo, den, decimal_digits)
+    else:
+        field, (num, den) = x._field, x._raw
+        scaled = tuple([2 * unit * c for c in num])
+        n = _floor(field, ((scaled[0] + den,) + scaled[1:], 2 * den))
+        lo, hi, den = _enclosure(field, x._raw)
+        text = _rounded_decimal(n, unit, decimal_digits)[1]
+    # |n/unit - e/den| over both ends e, with one Fraction
+    error = max(abs(n * den - lo * unit), abs(n * den - hi * unit))
+    return DecimalApproximation(text, Fraction(error, unit * den))

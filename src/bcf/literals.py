@@ -29,8 +29,6 @@ and the expected grammar fragment; a token is quoted only up to a short
 prefix.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 from decimal import Decimal, InvalidOperation

@@ -9,8 +9,6 @@ integer form.  One chain answers both root questions the package asks of a
 polynomial of degree 1 to 3: ``_irreducible`` and ``_isolate``.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

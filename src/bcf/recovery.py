@@ -29,11 +29,8 @@ roots; a root's sign is read from its isolating interval and the sign of
 f(0), and a field is built, on that chain, for each positive root only.
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from . import _kernels, polys
 from .errors import (
@@ -44,16 +41,15 @@ from .errors import (
     RootCountNotOne,
 )
 from .expansion import bcf_expand
-from .fields import (AlgebraicNumber, NumberField, _as_ints, _check_count,
-                     _field_on_chain)
+from .fields import _as_ints, _check_count, _field_on_chain
 from .literals import RatFunc
 from .sequences import SequencePair, as_pair
 from .treeval import convergent_sequence
 from .validation import validate
 
 
-@dataclass(frozen=True)
-class RecoveredCubic:
+class RecoveredCubic(namedtuple(
+        "RecoveredCubic", "poly beta_expr field alpha beta quartic matrix")):
     """Recovered algebraic description of a periodic expansion's source.
 
     ``poly`` is the minimal polynomial of alpha: integer coefficients in
@@ -67,13 +63,7 @@ class RecoveredCubic:
     transfer matrix, the plain period product for a pure period.
     """
 
-    poly: tuple
-    beta_expr: RatFunc
-    field: NumberField
-    alpha: AlgebraicNumber
-    beta: AlgebraicNumber
-    quartic: tuple
-    matrix: tuple
+    __slots__ = ()
 
 
 def _pad5(coeffs):
@@ -238,17 +228,17 @@ STATUS_SKIPPED_NONPOSITIVE_BETA = "skipped-nonpositive-beta"
 STATUS_ERROR = "error"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One scanner observation: a field/RatFunc candidate and what happened."""
+class ScanRecord(namedtuple("ScanRecord", "min_poly interval beta_expr status "
+                             "preperiod period digits_preview")):
+    """One scanner observation: a field/RatFunc candidate and what happened.
 
-    min_poly: tuple
-    interval: Optional[tuple]
-    beta_expr: Optional[RatFunc]
-    status: str
-    preperiod: Optional[int]
-    period: Optional[int]
-    digits_preview: Optional[tuple]
+    ``min_poly`` and ``status`` are always set; ``interval`` (a pair of
+    Fractions), ``beta_expr`` (a RatFunc), ``preperiod``, ``period`` and
+    ``digits_preview`` (an (a, b) pair of digit tuples) are None where the
+    status leaves them unknown.
+    """
+
+    __slots__ = ()
 
 
 def _root_is_positive(f, lo, hi):

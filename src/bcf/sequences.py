@@ -1,11 +1,9 @@
 """Paired digit sequences produced and consumed by the expansion algorithms."""
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import IndexOutOfRange, InvalidSequence
-from .fields import _as_exact
+from .fields import _as_exact, _check_index
 
 
 def _check_digits(name, digits):
@@ -30,8 +28,7 @@ def as_pair(value):
     return SequencePair(a, b)
 
 
-@dataclass(frozen=True, slots=True)
-class SequencePair:
+class SequencePair(namedtuple("SequencePair", "a b terminal periodicity")):
     """Two aligned integer digit sequences, optionally terminated or periodic.
 
     A non-terminated pair has ``len(b) == len(a)``: digit slot i holds
@@ -42,15 +39,11 @@ class SequencePair:
     stored digits then wraps through the cycle.
     """
 
-    a: tuple
-    b: tuple
-    terminal: object = None
-    periodicity: tuple = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = _check_digits("a", self.a)
-        b = _check_digits("b", self.b)
-        terminal, periodicity = self.terminal, self.periodicity
+    def __new__(cls, a, b, terminal=None, periodicity=None):
+        a = _check_digits("a", a)
+        b = _check_digits("b", b)
         if terminal is not None and periodicity is not None:
             raise InvalidSequence(
                 "a terminated pair cannot also be marked periodic"
@@ -61,7 +54,7 @@ class SequencePair:
                     f"terminated pair needs len(b) == len(a) + 1, "
                     f"got len(a)={len(a)}, len(b)={len(b)}"
                 )
-            object.__setattr__(self, "terminal", _as_exact(terminal, "terminal"))
+            terminal = _as_exact(terminal, "terminal")
         else:
             if len(b) != len(a):
                 raise InvalidSequence(
@@ -84,9 +77,13 @@ class SequencePair:
                     f"periodicity ({k}, {m}) needs at least {k + m} stored "
                     f"digits, have {len(a)}"
                 )
-            object.__setattr__(self, "periodicity", (k, m))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+            periodicity = (k, m)
+        return tuple.__new__(cls, (a, b, terminal, periodicity))
+
+    @classmethod
+    def _make(cls, iterable):
+        """The pair of four fields, checked like any other (_replace too)."""
+        return cls(*iterable)
 
     @property
     def terminated(self):
@@ -101,8 +98,9 @@ class SequencePair:
         return None if self.periodicity is None else self.periodicity[1]
 
     def _extended(self, name, digits, i):
-        if i < 0:
-            raise IndexOutOfRange(f"digit index must be nonnegative, got {i}")
+        if type(i) is not int or i < 0:
+            _check_index(i, "digit index")
+            i = int(i)  # an int subclass other than bool passes
         if i < len(digits):
             return digits[i]
         if self.periodicity is not None:

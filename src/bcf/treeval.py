@@ -11,28 +11,18 @@ invariant tying them together, exact convergence diagnostics, and text
 renderings of the trees.
 """
 
-from __future__ import annotations
-
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from fractions import Fraction
 from itertools import islice, pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import _as_exact, _check_count
+from .fields import _as_exact, _check_index
 from .sequences import _check_digits, as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
 # depth 27 is the first depth past it.
 _RENDER_NODE_BUDGET = 2**20
-
-
-def _check_index(n, what="index", error=IndexOutOfRange):
-    """``_check_count``'s rule from 0, but a negative int raises `error`."""
-    if isinstance(n, int) and n < 0:
-        raise error(f"{what} must be nonnegative, got {n}")
-    _check_count(n, what, 0)
 
 
 def _digit_lists(pair, n):
@@ -43,14 +33,10 @@ def _digit_lists(pair, n):
             [pair.digit_b(i) for i in range(n + 1)])
 
 
-@dataclass(frozen=True)
-class ConvergentTriple:
+class ConvergentTriple(namedtuple("ConvergentTriple", "n A B C")):
     """Exact n-term convergent data: integers A, B, C with alpha_n = A/C."""
 
-    n: int
-    A: int
-    B: int
-    C: int
+    __slots__ = ()
 
     @property
     def alpha(self):
@@ -61,8 +47,8 @@ class ConvergentTriple:
         return Fraction(self.B, self.C)
 
 
-@dataclass(frozen=True)
-class ConvergenceDiagnostics:
+class ConvergenceDiagnostics(
+        namedtuple("ConvergenceDiagnostics", "delta dmax certificate")):
     """Exact gap series of a sequence pair.
 
     ``delta`` holds Delta_n = |A_n/C_n - A_{n-1}/C_{n-1}| for n = 1..N;
@@ -72,9 +58,7 @@ class ConvergenceDiagnostics:
     apart — the exact monotone-domination guarantees.
     """
 
-    delta: tuple
-    dmax: tuple
-    certificate: bool
+    __slots__ = ()
 
     def delta_at(self, n):
         if not 1 <= n <= len(self.delta):

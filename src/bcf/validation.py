@@ -10,24 +10,21 @@ defining inequalities (proper) or the floor conditions (appropriate)
 along the way.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from .errors import IndexOutOfRange
 from .expansion import _next, _unify_pair
-from .fields import floor_of
+from .fields import _check_index, floor_of
 from .sequences import as_pair
-from .treeval import _check_index
 
 RULE_A_BELOW_ONE = "a_below_one"
 RULE_A_LESS_THAN_B = "a_less_than_b"
 RULE_EQUAL_THEN_B_ZERO = "equal_then_b_zero"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(namedtuple(
+        "ValidationReport", "valid violations indeterminate last_checked")):
     """Outcome of the admissibility rules on a stored digit pair.
 
     ``violations`` lists (index, rule) pairs; ``valid`` is true exactly when
@@ -37,10 +34,7 @@ class ValidationReport:
     examined (-1 when there are no digits).
     """
 
-    valid: bool
-    violations: tuple
-    indeterminate: tuple
-    last_checked: int
+    __slots__ = ()
 
 
 def validate(seqs):

@@ -35,7 +35,7 @@ from bcf.errors import (
     ReduciblePolynomial,
     RootCountNotOne,
 )
-from bcf.fields import _element, _primitive
+from bcf.fields import _element, _enclosure, _primitive
 
 from _corpus import irreducible_roots
 
@@ -724,6 +724,29 @@ def test_approximate_matches_bisection(field, a, b, c, digits):
     assert approx.value == _bisection_decimal(field, a, b, c, digits)
     assert len(approx.text.partition(".")[2]) == digits
     assert approx.error_bound <= Fraction(1, 2 * 10**digits)
+
+
+@given(
+    cubic_fields(),
+    st.tuples(*[st.integers(-50, 50)] * 3),
+    st.integers(1, 40),
+    st.integers(1, 60),
+    st.booleans(),
+)
+@settings(max_examples=120, deadline=None)
+def test_error_bound_is_the_fraction_distance_to_the_enclosure(
+        field, coords, c, digits, rational):
+    # The bound is computed on integers; the reference subtracts Fractions.
+    x = (field.element(coords[0]) if rational
+         else AlgebraicNumber(field, coords)) / c
+    approx = approximate(x, digits)
+    if x.is_rational():
+        assert approx.error_bound == abs(approx.value - x.as_fraction())
+        return
+    lo, hi, den = _enclosure(field, x._raw)  # the enclosure that decided n
+    rounded = approx.value
+    assert approx.error_bound == max(abs(rounded - Fraction(lo, den)),
+                                     abs(rounded - Fraction(hi, den)))
 
 
 def test_deep_approximate_takes_few_sign_tests(monkeypatch):

@@ -12,9 +12,14 @@ only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
 raises DegenerateSystem, so recovery has one degeneracy guard; and only
 cli._literal calls parse_number, so the kinds of literal a flag takes are
-decided by one rule."""
+decided by one rule.  Last, importing bcf.cli, as every bcf command
+does first, loads none of dataclasses, inspect or typing: their import
+costs each command more than its work on a small input."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -239,3 +244,17 @@ def test_parse_number_caller_is_found():
 
 def test_only_literal_parses_numbers():
     assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]
+
+
+def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+    # -S: site hooks may import typing themselves.
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, bcf.cli; print(' '.join(sorted(sys.modules)))"],
+        cwd=SRC.parent.parent, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "bcf.cli" in loaded
+    assert loaded & {"dataclasses", "inspect", "typing"} == set()

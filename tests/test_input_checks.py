@@ -162,6 +162,20 @@ _REFUSALS = {
     "check_appropriate to n -1": (
         lambda: check_appropriate(*_TAIL, -1), IndexOutOfRange,
         "n must be nonnegative, got -1"),
+    "digit_a at True": _not_an_int(
+        lambda: _PERIODIC.digit_a(True), "digit index", True),
+    "digit_b at False": _not_an_int(
+        lambda: _PERIODIC.digit_b(False), "digit index", False),
+    "digit_a at 1.5": _not_an_int(
+        lambda: _PERIODIC.digit_a(1.5), "digit index", 1.5),
+    "digit_b at 2.0": _not_an_int(
+        lambda: _PERIODIC.digit_b(2.0), "digit index", 2.0),
+    "digit_a at -1": (
+        lambda: _PERIODIC.digit_a(-1), IndexOutOfRange,
+        "digit index must be nonnegative, got -1"),
+    "digit_b of an open pair at -3": (
+        lambda: SequencePair((1, 2), (0, 1)).digit_b(-3), IndexOutOfRange,
+        "digit index must be nonnegative, got -3"),
 }
 
 
