@@ -57,6 +57,7 @@ from .treeval import convergent_matrix, render_tree
 from .validation import validate
 
 _SCAN_BUDGET = 10**5  # polynomials in a scan box; -23:22 cubed is 97,336
+_HORIZON_BUDGET = 65_536  # steps of each scan expansion
 
 _DEFAULT_SCAN_BETAS = (
     RatFunc((1, 0, 0), (1,)),   # alpha^2
@@ -344,6 +345,10 @@ def _scan(args):
     if math.prod(r.stop - r.start for r in (c2, c1, c0)) > _SCAN_BUDGET:
         raise OutputTooLarge(
             f"the scan box holds more than {_SCAN_BUDGET} polynomials"
+        )
+    if args.horizon > _HORIZON_BUDGET:
+        raise OutputTooLarge(
+            f"the scan horizon is more than {_HORIZON_BUDGET} steps"
         )
     candidates = [_literal(text, "--beta", ("ratfunc",))
                   for text in args.beta or ()] or _DEFAULT_SCAN_BETAS

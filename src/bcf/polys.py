@@ -5,8 +5,10 @@ zero polynomial is the empty tuple.  The arithmetic helpers (``evaluate``,
 ``add``, ``multiply``, ...) accept any numbers; the rest take integer
 coefficients and compute in integers only.  Sturm chains have integer
 coefficients and are evaluated at a rational n/d through the homogeneous
-integer form.  One chain answers both root questions the package asks of a
-polynomial of degree 1 to 3: ``_irreducible`` and ``_isolate``.
+integer form.  One bisection of the chain, ``_isolate``, answers both root
+questions the package asks of a polynomial of degree 2 or 3: whether it has
+a rational root, and so is reducible (``_irreducible``), and where its real
+roots lie.
 """
 
 import math
@@ -93,8 +95,8 @@ def primitive(coeffs):
 def _positive_primitive(coeffs):
     """coeffs divided by its content; unlike primitive, signs are kept."""
     coeffs = trim(coeffs)
-    g = content(coeffs) or 1
-    return tuple(c // g for c in coeffs)
+    g = content(coeffs)
+    return coeffs if g <= 1 else tuple(c // g for c in coeffs)
 
 
 def _remainder(f, g):
@@ -159,77 +161,64 @@ def count_roots(chain, lo, hi):
             - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
-def _has_rational_root(chain):
-    """Whether chain[0], square-free of degree >= 1, has a rational root.
-    Every rational root is k / |lead| for an int k, so the chain is bisected
-    between half-grid points (2k + 1) / (2 |lead|), held as k, down to cells
-    with one root; that root is simple, so such a cell is bisected on
-    chain[0]'s own sign down to one grid point, which is tested exactly."""
-    c = chain[0]
-    lead = abs(c[0])
-    # Cauchy: every root has |x| < 1 + max|c_i| / lead = bound / lead.
-    bound = lead + max(abs(x) for x in c[1:])
-
-    def variations(k):
-        return _sign_variations(chain, 2 * k + 1, 2 * lead)
-
-    # (lo, hi, variations at lo, variations at hi), each end a half-grid k.
-    stack = [(-bound - 1, bound, variations(-bound - 1), variations(bound))]
-    while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
-        if v_lo == v_hi:
-            continue
-        if v_lo - v_hi == 1:
-            sign_lo = _sign_at(c, 2 * lo + 1, 2 * lead)
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if _sign_at(c, 2 * mid + 1, 2 * lead) == sign_lo:
-                    lo = mid
-                else:
-                    hi = mid
-        if hi - lo == 1:
-            if _sign_at(c, hi, lead) == 0:
-                return True
-            continue
-        mid = (lo + hi) // 2
-        v_mid = variations(mid)
-        stack.append((lo, mid, v_lo, v_mid))
-        stack.append((mid, hi, v_mid, v_hi))
-    return False
-
-
 def _irreducible(chain):
     """Irreducibility over Q of chain[0], primitive of degree 1 to 3, from
     its Sturm chain: of degree 2 or 3 it is reducible exactly when it has a
-    rational root, as a repeated root is (the chain then ends in a
-    non-constant gcd(f, f'))."""
-    return len(chain[0]) == 2 or (
-        len(chain[-1]) == 1 and not _has_rational_root(chain))
+    rational root, which _isolate reports."""
+    return len(chain[0]) == 2 or _isolate(chain) is not None
 
 
 def _isolate(chain):
     """Sorted disjoint open rational intervals, one per real root of
-    chain[0], irreducible of degree >= 1, by bisection on its Sturm chain,
-    cell ends held as integers over one denominator |lead| * 2**e; no
-    midpoint is a root, and only the returned intervals become Fractions."""
+    chain[0], of degree >= 2 (a degree-1 root is rational), or None when
+    chain[0] has a rational root.
+
+    The chain is bisected on cells whose ends are integers over one
+    denominator |lead| * 2**e, down to cells with one root; only the
+    returned intervals become Fractions.  Every rational root is a grid
+    point k / |lead|, met in one of three ways: a repeated root ends the
+    chain in a non-constant gcd(f, f'); a midpoint on the grid is a root;
+    or a one-root cell holds one, found by bisecting the cell's grid points
+    on chain[0]'s own sign, which at a cell end x is sign(lead) times
+    (-1)**(roots above x).
+    """
+    if len(chain[-1]) > 1:
+        return None
     c = chain[0]
     lead = abs(c[0])
     bound = lead + max(abs(x) for x in c[1:])  # 1 + max|c_i| / lead, over lead
+    v_top = _sign_variations(chain, bound, lead)
     out = []
-    # (lo, hi, den, variations at lo / den, variations at hi / den)
-    stack = [(-bound, bound, lead, _sign_variations(chain, -bound, lead),
-              _sign_variations(chain, bound, lead))]
+    # (lo, hi, e, variations at lo / den, variations at hi / den), where
+    # den = lead * 2**e
+    stack = [(-bound, bound, 0, _sign_variations(chain, -bound, lead), v_top)]
     while stack:
-        lo, hi, den, v_lo, v_hi = stack.pop()
+        lo, hi, e, v_lo, v_hi = stack.pop()
         n = v_lo - v_hi
         if n == 0:
             continue
         if n == 1:
-            out.append((Fraction(lo, den), Fraction(hi, den)))
+            # Grid points a < k < b, a = floor(lo / 2**e), b = ceil(hi / 2**e):
+            # each is on the side of the root where chain[0] has its sign at lo.
+            sign_lo = -_sign(c[0]) if (v_lo - v_top) % 2 else _sign(c[0])
+            a, b = lo >> e, -(-hi >> e)
+            while b - a > 1:
+                k = (a + b) // 2
+                s = _sign_at(c, k, lead)
+                if not s:
+                    return None
+                if s == sign_lo:
+                    a = k
+                else:
+                    b = k
+            out.append((Fraction(lo, lead << e), Fraction(hi, lead << e)))
             continue
-        mid, den = lo + hi, 2 * den
-        v_mid = _sign_variations(chain, mid, den)
-        stack.append((2 * lo, mid, den, v_lo, v_mid))
-        stack.append((mid, 2 * hi, den, v_mid, v_hi))
+        mid, e = lo + hi, e + 1
+        # mid / den is a rational root only on the grid, as (mid >> e) / lead
+        if not mid & ((1 << e) - 1) and not _sign_at(c, mid >> e, lead):
+            return None
+        v_mid = _sign_variations(chain, mid, lead << e)
+        stack.append((2 * lo, mid, e, v_lo, v_mid))
+        stack.append((mid, 2 * hi, e, v_mid, v_hi))
     out.sort()
     return out

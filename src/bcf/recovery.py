@@ -261,16 +261,17 @@ def _scan_single_poly(task):
     if polys.degree(coeffs) != 3:
         record(STATUS_ERROR)
         return records
-    # One chain serves the irreducibility test, the isolation and every
-    # field, which is built for positive roots only.
+    # One chain and one bisection serve the irreducibility test, the
+    # isolation and every field, which is built for positive roots only.
     f = polys.primitive(coeffs)
     chain = polys.sturm_chain(f)
-    if not polys._irreducible(chain):
+    intervals = polys._isolate(chain)
+    if intervals is None:
         record(STATUS_SKIPPED_REDUCIBLE)
         return records
     roots = [
         ((lo, hi), _field_on_chain(chain, lo, hi).generator())
-        for lo, hi in polys._isolate(chain)
+        for lo, hi in intervals
         if _root_is_positive(f, lo, hi)
     ]
     if not roots:

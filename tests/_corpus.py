@@ -101,9 +101,9 @@ def has_rational_root(coeffs):
 
 
 def irreducible_roots(coeffs):
-    """The isolating intervals of an integer polynomial of degree 1 to 3
+    """The isolating intervals of an integer polynomial of degree 2 or 3
     that is irreducible over Q, or None when it is reducible: a polynomial
     of degree at most 3 is reducible exactly when it has a rational root."""
-    if polys.degree(coeffs) > 1 and has_rational_root(coeffs):
+    if has_rational_root(coeffs):
         return None
     return polys._isolate(polys.sturm_chain(polys.primitive(coeffs)))

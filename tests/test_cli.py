@@ -1055,6 +1055,23 @@ def test_scan_box_over_budget_is_exit_3(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
+def test_scan_horizon_over_budget_is_exit_3(monkeypatch, capsys):
+    # A horizon of more than 65,536 steps is refused before any polynomial
+    # is screened; 65,536 itself runs, here on x**3, which is reducible.
+    screened = []
+    monkeypatch.setattr(recovery, "_scan_single_poly",
+                        lambda task: screened.append(task) or [])
+    box = ["--c2=0:0", "--c1=0:0", "--c0=0:0"]
+    assert run(["scan", *box, "--horizon", "65537"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the scan horizon is more than 65536 steps\n"
+    assert screened == []
+    monkeypatch.undo()
+    assert run(["scan", *box, "--horizon", "65536"]) == 0
+    assert '"status":"skipped-reducible"' in capsys.readouterr().out
+
+
 _LONG = "x" * 5000
 
 

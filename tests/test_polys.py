@@ -54,19 +54,19 @@ def test_sturm_count_roots():
     assert polys.count_roots(chain2, Fraction(-2), Fraction(2)) == 2
 
 
-def _has_rational_root(coeffs):
-    return polys._has_rational_root(polys.sturm_chain(coeffs))
+def _isolate_finds_root(coeffs):
+    return polys._isolate(polys.sturm_chain(coeffs)) is None
 
 
 def test_rational_roots():
-    assert _has_rational_root((2, -1, -1))       # (2x + 1)(x - 1)
-    assert not _has_rational_root((1, -1, -1, -1))
-    assert _has_rational_root((6, -5, 1))        # (3x - 1)(2x - 1)
-    assert not _has_rational_root((1, 0, 1))
-    assert _has_rational_root((1, -1, 0))
+    assert _isolate_finds_root((2, -1, -1))       # (2x + 1)(x - 1)
+    assert not _isolate_finds_root((1, -1, -1, -1))
+    assert _isolate_finds_root((6, -5, 1))        # (3x - 1)(2x - 1)
+    assert not _isolate_finds_root((1, 0, 1))
+    assert _isolate_finds_root((1, -1, 0))
     # -2x^3 + x^2 + x = -x(2x + 1)(x - 1): a zero root and a negative lead
-    assert _has_rational_root((-2, 1, 1, 0))
-    assert _has_rational_root((3, -2))
+    assert _isolate_finds_root((-2, 1, 1, 0))
+    assert _isolate_finds_root((4, 4, 1))         # (2x + 1)^2: a repeated root
 
 
 def _irreducible(coeffs):
@@ -130,7 +130,7 @@ def test_isolating_intervals():
     assert lo2 < Fraction(14142, 10000) < hi2
 
 
-@given(st.integers(1, 3), st.data())
+@given(st.integers(2, 3), st.data())
 @settings(max_examples=60, deadline=None)
 def test_isolating_intervals_random_cubics(degree, data):
     coeffs = [data.draw(st.integers(-5, 5)) for _ in range(degree)]
@@ -168,18 +168,106 @@ def _fraction_isolate(coeffs):
 
 
 @given(
-    st.lists(st.integers(-40, 40), min_size=1, max_size=3),
+    st.lists(st.integers(-40, 40), min_size=2, max_size=3),
     st.integers(-12, 12).filter(bool),
 )
 @settings(max_examples=300, deadline=None)
 def test_integer_bisection_matches_fraction_bisection(tail, lead):
-    # Random irreducible integer polynomials of degree 1 to 3: equal
+    # Random irreducible integer polynomials of degree 2 or 3: equal
     # interval lists, of Fractions.
     poly = (lead, *tail)
     got = irreducible_roots(poly)
     assume(got is not None)
     assert got == _fraction_isolate(poly)
     assert all(type(x) is Fraction for pair in got for x in pair)
+
+
+# The one-pass screen: _isolate finds every rational root on its way to the
+# isolating intervals.  Factor sizes per coefficient size, so that products
+# of three factors stay near the coefficient size.
+_FACTOR_SIZE = {60: 7, 10**6: 100, 10**30: 10**10}
+
+
+@st.composite
+def _screen_polys(draw):
+    """(f, planted): f primitive of degree 2 or 3 with coefficients up to
+    about 60, 10**6 or 10**30, and planted whether a rational root was
+    planted in it.  A planted root is 0 or +-1/2 (f then has an even lead),
+    dyadic points that a bisection midpoint can meet; p/q with q odd and
+    above 1, most often met inside a one-root cell; or either kind twice, a
+    repeated root.  Unplanted f are random."""
+    size = draw(st.sampled_from(sorted(_FACTOR_SIZE)))
+    degree = draw(st.integers(2, 3))
+    kind = draw(st.sampled_from(("random", "dyadic", "grid", "repeated")))
+    if kind == "random":
+        coeff = st.integers(-size, size)
+        return (polys.primitive((draw(coeff.filter(bool)), *draw(st.lists(
+            coeff, min_size=degree, max_size=degree)))), False)
+    factor = st.integers(-_FACTOR_SIZE[size], _FACTOR_SIZE[size])
+    if kind == "grid" or kind == "repeated" and draw(st.booleans()):
+        q = 2 * draw(st.integers(1, _FACTOR_SIZE[size])) + 1
+        root = Fraction(draw(factor), q)
+        assume(root.denominator > 1)
+    else:
+        root = draw(st.sampled_from((Fraction(0), Fraction(1, 2),
+                                     Fraction(-1, 2))))
+    planted = 2 if kind == "repeated" else 1
+    poly = (draw(factor.filter(bool)), *draw(st.lists(
+        factor, min_size=degree - planted, max_size=degree - planted)))
+    for _ in range(planted):
+        poly = polys.multiply(poly, (root.denominator, -root.numerator))
+    return polys.primitive(poly), True
+
+
+def _root_free_mod_small_prime(poly):
+    """Whether poly has no root mod some prime l <= 13 that does not divide
+    its lead: then it has no rational root, since a root p/q in lowest
+    terms has q dividing the lead, so p/q mod l would be one."""
+    return any(poly[0] % l and all(polys.evaluate(poly, x) % l
+                                   for x in range(l))
+               for l in (2, 3, 5, 7, 11, 13))
+
+
+@given(_screen_polys())
+@settings(max_examples=400, deadline=None)
+def test_isolate_finds_rational_roots_in_one_pass(drawn):
+    # None exactly when f has a rational root, and otherwise the intervals
+    # of the Fraction bisection.  Whether an unplanted f has a rational
+    # root is the rational-root theorem's answer for small coefficients;
+    # for large ones, only a root-free residue field proves that it has
+    # none, and f with neither answer are skipped.
+    poly, planted = drawn
+    if planted:
+        reducible = True
+    elif max(map(abs, poly)) <= 10**6:
+        reducible = has_rational_root(poly)
+    else:
+        assume(_root_free_mod_small_prime(poly))
+        reducible = False
+    got = polys._isolate(polys.sturm_chain(poly))
+    if reducible:
+        assert got is None
+    else:
+        assert got == _fraction_isolate(poly)
+
+
+def test_isolate_cost_is_linear_in_the_bound_bits(monkeypatch):
+    # theta**3 = d**3 + 1 has one real root, which the first cell already
+    # isolates; that cell's grid points are then bisected on f's own sign,
+    # one evaluation per bit of the Cauchy bound, beside the 2 * 3 of the
+    # chain at the cell's ends.
+    calls = []
+    sign_at = polys._sign_at
+    monkeypatch.setattr(polys, "_sign_at", lambda *a: calls.append(a)
+                        or sign_at(*a))
+    for d in (10**10, 10**20, 10**30):
+        poly = (1, 0, 0, -(d**3 + 1))
+        chain = polys.sturm_chain(poly)
+        del calls[:]
+        intervals = polys._isolate(chain)
+        bits = (1 + d**3 + 1).bit_length()
+        assert bits + 6 <= len(calls) <= bits + 7, d
+        assert intervals == _fraction_isolate(poly) and len(intervals) == 1
 
 
 BIG = 2**70  # past 2**64, so no coefficient fits a machine word
@@ -230,8 +318,8 @@ def _above_sqrt(x, k):
 def test_planted_roots_found_and_counted(planted, data):
     poly, roots, k = planted
     chain = polys.sturm_chain(poly)
-    if len(chain[-1]) == 1:  # square-free, as _has_rational_root asks
-        assert polys._has_rational_root(chain)
+    if len(poly) > 2:  # _isolate takes degree 2 or more
+        assert polys._isolate(chain) is None
     assert all(type(c) is int for p in chain for c in p)
     for _ in range(3):
         lo, hi = sorted((data.draw(_endpoint(roots)), data.draw(_endpoint(roots))))

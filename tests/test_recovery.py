@@ -261,7 +261,7 @@ def test_recover_builds_one_sturm_chain(monkeypatch, preperiod, period, fields):
     # transfer matrix passes its degeneracy guard, serves the root count of
     # every ball the field tries; no rational root is searched for.
     chains = _count_calls(monkeypatch, polys, "sturm_chain")
-    searches = _count_calls(monkeypatch, polys, "_has_rational_root")
+    searches = _count_calls(monkeypatch, polys, "_isolate")
     counts = _count_calls(monkeypatch, polys, "count_roots")
     recover_cubic_eventual(preperiod, period)
     assert (len(chains), len(searches), len(counts)) == (1, 0, fields)
@@ -536,14 +536,15 @@ def test_serial_scan_never_asks_for_the_cpu_count(monkeypatch):
 
 def test_scan_builds_one_sturm_chain_per_polynomial(monkeypatch):
     # reducible (x^3 - x, (x - 3)(x^2 + 1)), no positive root, one and three
-    # positive roots: one chain each, and at most one rational-root search
+    # positive roots: one chain each, and one bisection that both tests
+    # irreducibility and isolates the roots
     chains = _count_calls(monkeypatch, polys, "sturm_chain")
-    searches = _count_calls(monkeypatch, polys, "_has_rational_root")
+    bisections = _count_calls(monkeypatch, polys, "_isolate")
     for coeffs in [(1, 0, -1, 0), (1, -3, 1, -3), (1, 0, 1, 1),
                    (1, -1, -1, -1), (1, -6, 9, -3)]:
-        del chains[:], searches[:]
+        del chains[:], bisections[:]
         conjecture_scan([coeffs], [((1, 0, 0), (1,))], horizon=8)
-        assert len(chains) == 1 and len(searches) <= 1, coeffs
+        assert (len(chains), len(bisections)) == (1, 1), coeffs
 
 
 def _reference_scan(coeffs, candidates, horizon, preview):

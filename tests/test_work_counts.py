@@ -34,19 +34,19 @@ TOTALS = {
         "bcf_expand_digits": 16_576, "_convolve": 24, "_primitive": 496,
         "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
         "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
-        "_has_rational_root": 111, "period_checks": 6,
+        "_sign_variations": 468, "period_checks": 6,
     },
     "scan_box": {
         "bcf_expand_digits": 12_386, "_convolve": 800, "_primitive": 326,
         "_refine_more": 966, "refine_bits": 16_041, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
-        "_has_rational_root": 328, "period_checks": 200,
+        "_sign_variations": 1_069, "period_checks": 200,
     },
     "digits_recover": {
         "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
         "_refine_more": 147, "refine_bits": 6_632, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
-        "_has_rational_root": 0, "period_checks": 0,
+        "_sign_variations": 216, "period_checks": 0,
     },
 }
 
@@ -82,9 +82,10 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     _spy(patch, counts, fields.NumberField, "refine", "refine_bits",
          lambda _, field, bits=1: bits)
     _spy(patch, counts, cli, "_rounded_decimal", "_rounded_decimal")
-    # Rational-root searches: the irreducibility test of each cubic, which
-    # a repeated root (15 of scan_box's 343) settles without one.
-    _spy(patch, counts, polys, "_has_rational_root", "_has_rational_root")
+    # Sturm sign-variation counts: the bisection that tests each cubic for
+    # a rational root and isolates its roots, and every root count of a
+    # field's set-up or comparison.
+    _spy(patch, counts, polys, "_sign_variations", "_sign_variations")
     for op in workloads.WORKLOADS[name].catalogue():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
