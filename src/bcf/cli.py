@@ -1,12 +1,14 @@
 """Command-line front end: expand, eval, render, validate, recover, scan.
 
-Each subcommand's flags are declared once, on its argparse parser.  An
-argv whose tokens are all exact long flags of the subcommand, each value
-given as --flag=value or as the next token (one that does not start with
-'-'), is read straight off that parser's action table (_direct) into the
-Namespace argparse would build; argparse itself parses every other argv
-(help, abbreviations, '--', stray or option-like tokens, refused values,
-missing flags) and prints --help or its one-line usage error.
+Each subcommand is declared once, in the plain table _COMMANDS: its
+handler, its help line and each flag's add_argument keywords.  An argv
+whose tokens are all exact long flags of the subcommand, each value given
+as --flag=value or as the next token (one that does not start with '-'),
+is read straight off that table (_direct) into the namespace argparse
+would build; only every other argv (help, abbreviations, '--', stray or
+option-like tokens, refused values, missing flags) loads argparse, which
+builds its parsers from the same table (_parsers), parses it and prints
+--help or its one-line usage error.
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
@@ -22,15 +24,16 @@ inadmissible digit pairs, nonpositive inputs, alpha and beta from
 different fields), 3 for computation errors (degenerate recovery
 systems, an integer too long to print, more --digits than Python's
 integer-to-string limit, a render or a scan box over its budget, a zero
-division).
+division) and for a standard output closed before the output ended.
 """
 
-import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from . import _kernels
 from .errors import (
@@ -72,21 +75,21 @@ _dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _int_at_least(bound):
-    """argparse type for an integer >= bound, which is 0 or 1."""
+    """add_argument type for an integer >= bound, which is 0 or 1."""
     kind = "positive" if bound == 1 else "nonnegative"
 
     def parse(text):
         try:
             value = int(text, 10)
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected an integer, got {_excerpt(text)}"
-            )
-        if value < bound:
-            raise argparse.ArgumentTypeError(
-                f"expected a {kind} integer, got {value}"
-            )
-        return value
+            value = None
+        if value is not None and value >= bound:
+            return value
+        from argparse import ArgumentTypeError  # only a refusal needs it
+        raise ArgumentTypeError(
+            f"expected an integer, got {_excerpt(text)}" if value is None
+            else f"expected a {kind} integer, got {value}"
+        )
 
     return parse
 
@@ -379,201 +382,185 @@ def _scan(args):
         }))
 
 
-# -- parser ------------------------------------------------------------------
+# -- flags -------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse whose usage errors are one short line, like every other
-    error: each long word of the message is cut to an excerpt, and the line
-    to 240 bytes."""
-
-    def error(self, message):
-        words = (
-            _excerpt(word.strip("'")) if len(word) > 25 else word
-            for word in message.split()
-        )
-        line = " ".join(words)
-        if len(line.encode()) > 240:
-            line = line.encode()[:240].decode(errors="ignore") + "..."
-        self.exit(2, f"error: {line}\n")
-
-
-def _build_parser():
-    """The top-level parser and each subcommand's parser by name."""
-    parser = _Parser(
-        prog="bcf",
-        description=(
-            "Exact bifurcating continued fractions: expand pairs of numbers "
-            "into paired digit sequences, evaluate and render them, validate "
-            "digit pairs, recover cubic polynomials from periodic "
-            "expansions, and scan cubic fields for periodicity."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-
-    def add_command(name, **kwargs):
-        commands[name] = sub.add_parser(name, **kwargs)
-        return commands[name]
-
-    expand = add_command(
-        "expand", help="expand a pair (alpha, beta) into digit sequences"
-    )
-    expand.add_argument(
-        "--alpha", required=True,
-        help="rat: or alg: literal (rat: or dec: with --approx)",
-    )
-    expand.add_argument(
-        "--beta", required=True,
-        help="rat: or alg: or ratfunc: literal, a ratfunc: evaluated at "
-             "alpha (rat: or dec: with --approx)",
-    )
-    expand.add_argument("--terms", type=_positive_int, default=64)
-    expand.add_argument("--digits", type=_positive_int, default=12)
-    expand.add_argument("--format", choices=("json", "text"), default="json")
-    expand.add_argument(
-        "--approx", action="store_true",
-        help="expand the box of inputs that round to dec: literals and print "
-             "the digits shared by all of it",
-    )
-    expand.set_defaults(handler=_expand)
-
-    evaluate = add_command(
-        "eval", help="evaluate the n-term convergent of a digit pair"
-    )
-    evaluate.add_argument("--a", required=True, help="comma-separated digits")
-    evaluate.add_argument("--b", required=True, help="comma-separated digits")
-    evaluate.add_argument("--n", type=_nonnegative_int, default=None)
-    evaluate.add_argument("--digits", type=_positive_int, default=12)
-    evaluate.add_argument("--format", choices=("json", "text"), default="json")
-    evaluate.set_defaults(handler=_eval)
-
-    render = add_command(
-        "render", help="render the fraction towers of a digit pair"
-    )
-    render.add_argument("--a", required=True)
-    render.add_argument("--b", required=True)
-    render.add_argument("--depth", type=_nonnegative_int, default=2)
-    render.add_argument("--style", choices=("ascii", "latex"), default="ascii")
-    render.add_argument("--format", choices=("json", "text"), default="text")
-    render.add_argument("--preperiod", type=_nonnegative_int, default=None)
-    render.add_argument("--period", type=_positive_int, default=None)
-    render.set_defaults(handler=_render)
-
-    check = add_command(
-        "validate", help="apply the admissibility rules to a digit pair"
-    )
-    check.add_argument("--a", required=True)
-    check.add_argument("--b", required=True)
-    check.add_argument("--preperiod", type=_nonnegative_int, default=None)
-    check.add_argument("--period", type=_positive_int, default=None)
-    check.add_argument(
-        "--terminal", default=None,
-        help="rat: or alg: literal, the exact terminal value of a "
-             "terminated pair",
-    )
-    check.add_argument("--format", choices=("json", "text"), default="json")
-    check.set_defaults(handler=_validate)
-
-    recover = add_command(
-        "recover", help="recover the cubic behind a periodic digit pair"
-    )
-    recover.add_argument("--period-a", required=True)
-    recover.add_argument("--period-b", required=True)
-    recover.add_argument("--preperiod-a", default="")
-    recover.add_argument("--preperiod-b", default="")
-    recover.add_argument("--digits", type=_positive_int, default=12)
-    recover.add_argument("--format", choices=("json", "text"), default="json")
-    recover.set_defaults(handler=_recover)
-
-    scan = add_command(
-        "scan", help="scan monic cubics for eventually periodic expansions"
-    )
-    range_hint = "range LO:HI (write --c2=-3:1 when LO is negative)"
-    scan.add_argument("--c2", default="-2:2", help=f"x^2 coefficient {range_hint}")
-    scan.add_argument("--c1", default="-2:2", help=f"x coefficient {range_hint}")
-    scan.add_argument("--c0", default="-2:2", help=f"constant {range_hint}")
-    scan.add_argument(
-        "--beta", action="append", default=None,
-        help="ratfunc: literal for a beta candidate (repeatable)",
-    )
-    scan.add_argument("--horizon", type=_positive_int, default=64)
-    scan.add_argument("--jobs", type=_positive_int, default=None)
-    scan.add_argument("--preview", type=_positive_int, default=8)
-    scan.set_defaults(handler=_scan)
-
-    return parser, commands
+# Each subcommand, declared once: its handler, its help line and its flags,
+# each with its add_argument keywords.
+_JSON_OR_TEXT = ("json", "text")
+_RANGE_HINT = "range LO:HI (write --c2=-3:1 when LO is negative)"
+_COMMANDS = {
+    "expand": (_expand, "expand a pair (alpha, beta) into digit sequences", (
+        ("--alpha", dict(required=True, help="rat: or alg: literal (rat: or "
+                                             "dec: with --approx)")),
+        ("--beta", dict(required=True, help="rat: or alg: or ratfunc: literal, "
+                        "a ratfunc: evaluated at alpha (rat: or dec: with --approx)")),
+        ("--terms", dict(type=_positive_int, default=64)),
+        ("--digits", dict(type=_positive_int, default=12)),
+        ("--format", dict(choices=_JSON_OR_TEXT, default="json")),
+        ("--approx", dict(action="store_true", help="expand the box of inputs "
+                          "that round to dec: literals and print the digits "
+                          "shared by all of it")),
+    )),
+    "eval": (_eval, "evaluate the n-term convergent of a digit pair", (
+        ("--a", dict(required=True, help="comma-separated digits")),
+        ("--b", dict(required=True, help="comma-separated digits")),
+        ("--n", dict(type=_nonnegative_int, default=None)),
+        ("--digits", dict(type=_positive_int, default=12)),
+        ("--format", dict(choices=_JSON_OR_TEXT, default="json")),
+    )),
+    "render": (_render, "render the fraction towers of a digit pair", (
+        ("--a", dict(required=True)),
+        ("--b", dict(required=True)),
+        ("--depth", dict(type=_nonnegative_int, default=2)),
+        ("--style", dict(choices=("ascii", "latex"), default="ascii")),
+        ("--format", dict(choices=_JSON_OR_TEXT, default="text")),
+        ("--preperiod", dict(type=_nonnegative_int, default=None)),
+        ("--period", dict(type=_positive_int, default=None)),
+    )),
+    "validate": (_validate, "apply the admissibility rules to a digit pair", (
+        ("--a", dict(required=True)),
+        ("--b", dict(required=True)),
+        ("--preperiod", dict(type=_nonnegative_int, default=None)),
+        ("--period", dict(type=_positive_int, default=None)),
+        ("--terminal", dict(default=None, help="rat: or alg: literal, the exact "
+                            "terminal value of a terminated pair")),
+        ("--format", dict(choices=_JSON_OR_TEXT, default="json")),
+    )),
+    "recover": (_recover, "recover the cubic behind a periodic digit pair", (
+        ("--period-a", dict(required=True)),
+        ("--period-b", dict(required=True)),
+        ("--preperiod-a", dict(default="")),
+        ("--preperiod-b", dict(default="")),
+        ("--digits", dict(type=_positive_int, default=12)),
+        ("--format", dict(choices=_JSON_OR_TEXT, default="json")),
+    )),
+    "scan": (_scan, "scan monic cubics for eventually periodic expansions", (
+        ("--c2", dict(default="-2:2", help=f"x^2 coefficient {_RANGE_HINT}")),
+        ("--c1", dict(default="-2:2", help=f"x coefficient {_RANGE_HINT}")),
+        ("--c0", dict(default="-2:2", help=f"constant {_RANGE_HINT}")),
+        ("--beta", dict(action="append", default=None, help="ratfunc: literal "
+                        "for a beta candidate (repeatable)")),
+        ("--horizon", dict(type=_positive_int, default=64)),
+        ("--jobs", dict(type=_positive_int, default=None)),
+        ("--preview", dict(type=_positive_int, default=8)),
+    )),
+}
 
 
-_PARSER, _COMMANDS = _build_parser()
+def _row(flag, action="store", type=None, choices=None, default=None,
+         required=False, help=None):
+    """What _direct reads of one flag, from its add_argument keywords:
+    (dest, action, type, choices, default, required)."""
+    if action == "store_true":
+        default = False
+    return flag[2:].replace("-", "_"), action, type, choices, default, required
 
 
-def _direct(parser, argv):
-    """parser.parse_args(argv), read straight off the parser's own action
-    table, or None wherever argparse has more to do: a token that is not
-    an exact long flag of a store, append or store_true action (an
-    abbreviation, -h, --help, '--', a positional), a missing value, a separate value that starts with '-', '=value' on a
-    flag that takes none, a value that its type or choices refuse, and a
-    missing required flag."""
-    table = parser._option_string_actions
+# Each subcommand's handler and its rows by flag, as _direct reads them.
+_ROWS = {
+    name: (handler, {flag: _row(flag, **keywords) for flag, keywords in flags})
+    for name, (handler, _, flags) in _COMMANDS.items()
+}
+
+
+def _direct(command, argv):
+    """The namespace argparse would make of the subcommand's argv, read
+    off its rows, or None wherever argparse has more to do: a token that is
+    not an exact long flag of the subcommand (an abbreviation, -h, --help,
+    '--', a positional), a missing value, a separate value that starts with
+    '-', '=value' on a flag that takes none, a value that its type or
+    choices refuse, and a missing required flag."""
+    handler, rows = _ROWS[command]
     given = {}
     tokens = iter(argv)
     for token in tokens:
         flag, eq, value = token.partition("=")
-        action = table.get(flag) if token.startswith("--") else None
-        kind = type(action)
-        if kind is argparse._StoreTrueAction and not eq:
-            given[action] = True
-            continue
-        if kind is not argparse._StoreAction and kind is not argparse._AppendAction:
+        row = rows.get(flag)
+        if row is None:
             return None
+        dest, action, kind, choices, _, _ = row
+        if action == "store_true":
+            if eq:
+                return None
+            given[dest] = True
+            continue
         if not eq:
             value = next(tokens, "-")  # a missing value reads as a dash
             if value.startswith("-"):
                 return None
         if value == "--":  # argparse 3.12 and older drop it from a value
             return None
-        try:
-            value = action.type(value) if action.type else value
-        except (argparse.ArgumentTypeError, TypeError, ValueError):
-            return None  # what argparse turns into a usage error
-        if action.choices is not None and value not in action.choices:
+        if kind is not None:
+            try:
+                value = kind(value)
+            except Exception:  # argparse reports it, as a usage error or not
+                return None
+        if choices is not None and value not in choices:
             return None
-        if kind is argparse._AppendAction:
-            given.setdefault(action, []).append(value)
+        if action == "append":
+            given.setdefault(dest, []).append(value)
         else:
-            given[action] = value
-    args = argparse.Namespace()
-    for action in parser._actions:
-        if action in given:
-            setattr(args, action.dest, given[action])
-        elif action.required:
+            given[dest] = value
+    values = {}
+    for dest, _, _, _, default, required in rows.values():
+        if required and dest not in given:
             return None
-        elif action.default is not argparse.SUPPRESS:
-            default = action.default
-            if isinstance(default, str) and action.type:
-                default = action.type(default)
-            setattr(args, action.dest, default)
-    for dest, value in parser._defaults.items():
-        if not hasattr(args, dest):
-            setattr(args, dest, value)
-    return args
+        values[dest] = given.get(dest, default)
+    return SimpleNamespace(**values, handler=handler)
+
+
+def _parsers():
+    """The top-level argparse parser and each subcommand's parser by name,
+    built from _COMMANDS; only help and usage errors need them."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """argparse whose usage errors are one short line, like every other
+        error: each long word of the message is cut to an excerpt, and the
+        line to 240 bytes."""
+
+        def error(self, message):
+            words = (
+                _excerpt(word.strip("'")) if len(word) > 25 else word
+                for word in message.split()
+            )
+            line = " ".join(words)
+            if len(line.encode()) > 240:
+                line = line.encode()[:240].decode(errors="ignore") + "..."
+            self.exit(2, f"error: {line}\n")
+
+    parser = Parser(
+        prog="bcf",
+        description="Exact bifurcating continued fractions: expand pairs of "
+                    "numbers into paired digit sequences, evaluate and render "
+                    "them, validate digit pairs, recover cubic polynomials from "
+                    "periodic expansions, and scan cubic fields for periodicity.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, (handler, help, flags) in _COMMANDS.items():
+        command = commands[name] = sub.add_parser(name, help=help)
+        for flag, keywords in flags:
+            command.add_argument(flag, **keywords)
+        command.set_defaults(handler=handler)
+    return parser, commands
 
 
 def run(argv):
     """Run one CLI invocation; returns the process exit code.
 
     An argv that names a subcommand is read by _direct from that
-    subcommand's flag table; when _direct declines, or argv names none,
-    argparse parses it (the subcommand's parser, as the top-level parser
-    would pass it on, or the latter) and prints --help or its one-line
-    usage error."""
-    command = _COMMANDS.get(argv[0]) if argv else None
-    args = _direct(command, argv[1:]) if command else None
+    subcommand's rows; when _direct declines, or argv names none, argparse
+    parses it (the subcommand's parser, as the top-level parser would pass
+    it on, or the latter) and prints --help or its one-line usage error."""
+    args = _direct(argv[0], argv[1:]) if argv and argv[0] in _ROWS else None
     if args is None:
+        parser, commands = _parsers()
+        command = commands.get(argv[0]) if argv else None
         try:
             args = (command.parse_args(argv[1:]) if command
-                    else _PARSER.parse_args(argv))
+                    else parser.parse_args(argv))
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else (0 if code is None else 2)
@@ -589,7 +576,17 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early; point stdout at devnull so that Python's
+        # own flush at exit fails no second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed before the output ended",
+              file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

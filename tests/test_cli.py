@@ -1,6 +1,5 @@
 """Command-line contract: exit codes, frozen JSON schemas, error routing."""
 
-import argparse
 import concurrent.futures
 import contextlib
 import hashlib
@@ -9,6 +8,7 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -1095,6 +1095,24 @@ def test_bad_long_token_is_quoted_short(capsys, argv):
     assert len(err.encode()) < 300
 
 
+def test_closed_stdout_is_one_error_line_and_exit_3():
+    # The box prints about 133 KB, more than a pipe holds, so the scan is
+    # still writing when the reader closes the pipe after one byte.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcf.cli", "scan", "--c2=-3:3", "--c1=-3:3",
+         "--c0=-3:3", "--horizon", "8"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=dict(os.environ, PYTHONPATH="src"),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(1) == b"{"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 3
+    lines = err.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 # -- argparse plumbing --------------------------------------------------------------
 
 
@@ -1127,7 +1145,15 @@ def test_integer_option_out_of_range_is_exit_2(capsys, argv, message):
 def test_help_is_exit_0(capsys):
     assert run(["--help"]) == 0
     out = capsys.readouterr().out
-    assert "expand" in out and "recover" in out
+    assert all(name in out for name in cli._COMMANDS)
+    # Each subcommand's help names each of its flags and that flag's help
+    # text, however argparse wraps the lines.
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        assert run([name, "-h"]) == 0
+        out = "".join(capsys.readouterr().out.split())
+        for flag, keywords in flags:
+            assert flag in out, (name, flag)
+            assert "".join(keywords.get("help", "").split()) in out, (name, flag)
 
 
 # -- argv fuzz ---------------------------------------------------------------------
@@ -1259,8 +1285,10 @@ def _outcome(argv):
 
 def _top_level_outcome(argv):
     """_outcome(argv) with every argv parsed by the top-level parser."""
+    parser, _ = cli._parsers()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_COMMANDS", {})
+        patch.setattr(cli, "_direct", lambda command, argv: None)
+        patch.setattr(cli, "_parsers", lambda: (parser, {}))
         return _outcome(argv)
 
 
@@ -1304,8 +1332,8 @@ def _argvs_with_junk(draw):
 @given(argv=_argvs_with_junk())
 @settings(max_examples=300, deadline=None)
 def test_direct_parse_equals_argparse_whenever_it_answers(argv):
-    parser = cli._COMMANDS.get(argv[0])
-    args = cli._direct(parser, argv[1:]) if parser else None
+    parser = cli._parsers()[1].get(argv[0])
+    args = cli._direct(argv[0], argv[1:]) if parser else None
     if args is not None:
         assert vars(args) == vars(parser.parse_args(argv[1:])), argv
 
@@ -1319,31 +1347,21 @@ def test_direct_parse_equals_argparse_whenever_it_answers(argv):
 ], ids=["repeated-store", "repeated-store-true", "append", "empty-value",
         "zero"])
 def test_direct_parse_rules_match_argparse(argv):
-    parser = cli._COMMANDS[argv[0]]
-    args = cli._direct(parser, argv[1:])
+    parser = cli._parsers()[1][argv[0]]
+    args = cli._direct(argv[0], argv[1:])
     assert args is not None and vars(args) == vars(parser.parse_args(argv[1:]))
     assert "help" not in vars(args) and args.handler
-
-
-def test_direct_parse_sends_a_string_default_through_its_type():
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--n", type=int, default="7")
-    parser.set_defaults(n=8, handler=None)
-    parser.add_argument("--m", type=int, default="5")
-    for argv in ([], ["--m=6"], ["--n", "1"]):
-        assert vars(cli._direct(parser, argv)) == vars(parser.parse_args(argv))
-    assert vars(cli._direct(parser, [])) == {"n": 8, "m": 5, "handler": None}
 
 
 def _both_forms(argv):
     """argv with every flag value written as --flag=value, and with every
     value that does not start with '-' as its own token."""
     joined, separate = argv[:1], argv[:1]
+    actions = cli._parsers()[1][argv[0]]._option_string_actions
     tokens = iter(argv[1:])
     for token in tokens:
         flag, eq, value = token.partition("=")
-        action = cli._COMMANDS[argv[0]]._option_string_actions[flag]
-        if action.nargs == 0:
+        if actions[flag].nargs == 0:
             joined.append(token)
             separate.append(token)
             continue
@@ -1361,11 +1379,12 @@ def test_every_catalogue_argv_takes_the_direct_route(monkeypatch):
         os.path.abspath(__file__))), "perfbench"))
     import workloads
 
+    commands = cli._parsers()[1]
     for workload in workloads.WORKLOADS.values():
         for op in workload.catalogue():
-            parser = cli._COMMANDS[op["argv"][0]]
+            parser = commands[op["argv"][0]]
             for argv in (op["argv"], *_both_forms(op["argv"])):
-                args = cli._direct(parser, argv[1:])
+                args = cli._direct(argv[0], argv[1:])
                 assert args is not None, argv
                 assert vars(args) == vars(parser.parse_args(argv[1:])), argv
 
@@ -1384,8 +1403,8 @@ def test_every_catalogue_argv_takes_the_direct_route(monkeypatch):
 ], ids=["dash-value", "explicit-on-flag", "abbreviation", "choice", "required",
         "double-dash"])
 def test_fallback_argv_keeps_argparse_exit_and_line(argv, message):
-    parser = cli._COMMANDS[argv[0]]
-    assert cli._direct(parser, argv[1:]) is None
+    parser = cli._parsers()[1][argv[0]]
+    assert cli._direct(argv[0], argv[1:]) is None
     err = io.StringIO()
     with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
         parser.parse_args(argv[1:])

@@ -59,10 +59,7 @@ def test_readme_command_line_runs(capsys, line):
 def test_readme_flags_exist():
     # Every --flag the Command line section names is an option of some
     # subcommand, so a deleted flag cannot linger in the docs.
-    options = {
-        option for parser in cli._COMMANDS.values()
-        for option in parser._option_string_actions
-    }
+    options = {flag for _, _, flags in cli._COMMANDS.values() for flag, _ in flags}
     section = _section("Command line")
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
     assert "--approx" in flags

@@ -13,8 +13,9 @@ embedded into one field by one rule; only recovery.recover_cubic_eventual
 raises DegenerateSystem, so recovery has one degeneracy guard; and only
 cli._literal calls parse_number, so the kinds of literal a flag takes are
 decided by one rule.  Last, importing bcf.cli, as every bcf command
-does first, loads none of dataclasses, inspect or typing: their import
-costs each command more than its work on a small input."""
+does first, loads none of dataclasses, inspect or typing, whose import
+costs each command more than its work on a small input, nor argparse,
+shutil, gettext or locale, which only help and usage errors need."""
 
 import ast
 import os
@@ -246,7 +247,7 @@ def test_only_literal_parses_numbers():
     assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]
 
 
-def test_cli_import_loads_no_dataclasses_inspect_or_typing():
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_argparse():
     # -S: site hooks may import typing themselves.
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
@@ -257,4 +258,5 @@ def test_cli_import_loads_no_dataclasses_inspect_or_typing():
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stdout.split())
     assert "bcf.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "typing"} == set()
+    assert loaded & {"dataclasses", "inspect", "typing", "argparse", "shutil",
+                     "gettext", "locale"} == set()
