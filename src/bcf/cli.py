@@ -7,8 +7,8 @@ as --flag=value or as the next token (one that does not start with '-'),
 is read straight off that table (_direct) into the namespace argparse
 would build; only every other argv (help, abbreviations, '--', stray or
 option-like tokens, refused values, missing flags) loads argparse, which
-builds its parsers from the same table (_parsers), parses it and prints
---help or its one-line usage error.
+builds its parsers once from the same table (_parsers), parses it and
+prints --help or its one-line usage error.
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
@@ -32,6 +32,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from types import SimpleNamespace
 
@@ -510,9 +511,10 @@ def _direct(command, argv):
     return SimpleNamespace(**values, handler=handler)
 
 
+@cache
 def _parsers():
     """The top-level argparse parser and each subcommand's parser by name,
-    built from _COMMANDS; only help and usage errors need them."""
+    built from _COMMANDS once; only help and usage errors need them."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -561,6 +563,11 @@ def run(argv):
         try:
             args = (command.parse_args(argv[1:]) if command
                     else parser.parse_args(argv))
+            # argparse 3.12 and older turn an explicit '--' value into []
+            for dest, value in vars(args).items():
+                if value == [] or isinstance(value, list) and [] in value:
+                    parser.error(f"argument --{dest.replace('_', '-')}: "
+                                 "expected one argument")
         except SystemExit as exc:
             code = exc.code
             return code if isinstance(code, int) else (0 if code is None else 2)

@@ -1,14 +1,14 @@
 """Exact polynomial utilities over the integers.
 
 Polynomials are tuples of coefficients in descending order of power; the
-zero polynomial is the empty tuple.  The arithmetic helpers (``evaluate``,
-``add``, ``multiply``, ...) accept any numbers; the rest take integer
-coefficients and compute in integers only.  Sturm chains have integer
-coefficients and are evaluated at a rational n/d through the homogeneous
-integer form.  One bisection of the chain, ``_isolate``, answers both root
-questions the package asks of a polynomial of degree 2 or 3: whether it has
-a rational root, and so is reducible (``_irreducible``), and where its real
-roots lie.
+zero polynomial is the empty tuple.  The arithmetic helpers
+(``evaluate``, ``derivative``, ``negate``, ``multiply``) accept any
+numbers; the rest take integer coefficients and compute in integers only.
+Sturm chains have integer coefficients and are evaluated at a rational n/d
+through the homogeneous integer form.  One bisection of the chain,
+``_isolate``, answers both root questions the package asks of a polynomial
+of degree 2 or 3: whether it has a rational root, and so is reducible
+(``_irreducible``), and where its real roots lie.
 """
 
 import math
@@ -47,24 +47,6 @@ def negate(coeffs):
     return tuple(-c for c in coeffs)
 
 
-def add(f, g):
-    f, g = tuple(f), tuple(g)
-    if len(f) < len(g):
-        f, g = g, f
-    pad = len(f) - len(g)
-    return trim(tuple(f[:pad]) + tuple(fc + gc for fc, gc in zip(f[pad:], g)))
-
-
-def sub(f, g):
-    return add(f, negate(g))
-
-
-def scale(coeffs, k):
-    if k == 0:
-        return ()
-    return tuple(c * k for c in trim(coeffs))
-
-
 def multiply(f, g):
     f, g = trim(f), trim(g)
     if not f or not g:
@@ -83,13 +65,8 @@ def content(coeffs):
 
 def primitive(coeffs):
     """Divide out the content and force a positive leading coefficient."""
-    coeffs = trim(coeffs)
-    if not coeffs:
-        return ()
-    g = content(coeffs)
-    if coeffs[0] < 0:
-        g = -g
-    return tuple(c // g for c in coeffs)
+    coeffs = _positive_primitive(coeffs)
+    return negate(coeffs) if coeffs and coeffs[0] < 0 else coeffs
 
 
 def _positive_primitive(coeffs):

@@ -67,11 +67,11 @@ class RecoveredCubic(namedtuple(
 
 
 def _pad5(coeffs):
-    """The relation, trimmed and zero-padded on the left to five entries:
-    beta's numerator has degree <= 2 and its denominator <= 1, so each term
-    of the quartic, or the lone numerator, has degree <= 4."""
-    coeffs = polys.trim(coeffs)
-    return (0,) * (5 - len(coeffs)) + tuple(coeffs)
+    """One product of the elimination, trimmed as polys.multiply returns it,
+    zero-padded on the left to five entries: beta's numerator has degree
+    <= 2 and its denominator <= 1, so each of the three products that sum
+    to the quartic has degree <= 4."""
+    return (0,) * (5 - len(coeffs)) + coeffs
 
 
 def _field_in_ball(chain, ball_pair):
@@ -188,21 +188,14 @@ def recover_cubic_eventual(preperiod, period):
     (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = matrix
     beta_num = polys.trim((-m13, m11 - m33, m31))
     beta_den = polys.trim((m23, -m21))
-    quartic = polys.sub(
-        polys.add(
-            polys.multiply(
-                polys.trim((m12, m32)), polys.multiply(beta_den, beta_den)
-            ),
-            polys.multiply(
-                polys.trim((-m13, m22 - m33)),
-                polys.multiply(beta_num, beta_den),
-            ),
-        ),
-        polys.scale(polys.multiply(beta_num, beta_num), m23),
+    terms = (
+        polys.multiply((m12, m32), polys.multiply(beta_den, beta_den)),
+        polys.multiply((-m13, m22 - m33), polys.multiply(beta_num, beta_den)),
+        polys.multiply((-m23,), polys.multiply(beta_num, beta_num)),
     )
-    quartic5 = _pad5(quartic)
+    quartic5 = tuple(map(sum, zip(*map(_pad5, terms))))
     assert quartic5[0] == 0, "alpha^4 coefficient must vanish"
-    min_poly = polys.primitive(quartic)
+    min_poly = polys.primitive(quartic5)
     field = _field_in_ball(polys.sturm_chain(min_poly), pair)
     alpha = field.generator()
     beta_expr = RatFunc(beta_num, beta_den)

@@ -1,6 +1,7 @@
 """Shared random-corpus generators used across the test modules, the
-reference rule for a rational function's canonical form, and the
-rational-root theorem as the reference for irreducibility.
+reference rule for a rational function's canonical form, the former body
+of polys.primitive, and the rational-root theorem as the reference for
+irreducibility.
 
 Everything is seeded by the caller so each test module owns its stream;
 the generators only promise admissibility, not any particular
@@ -78,6 +79,18 @@ def canonical_ratfunc(num, den):
         num = polys.negate(num)
         den = polys.negate(den)
     return num, den
+
+
+def former_primitive(coeffs):
+    """polys.primitive as it was before it called _positive_primitive: the
+    reference its current body must match."""
+    coeffs = polys.trim(coeffs)
+    if not coeffs:
+        return ()
+    g = polys.content(coeffs)
+    if coeffs[0] < 0:
+        g = -g
+    return tuple(c // g for c in coeffs)
 
 
 def _divisors(n):

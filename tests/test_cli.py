@@ -1263,7 +1263,25 @@ def _argvs(draw):
     return argv
 
 
-@given(argv=_argvs())
+# Tokens _direct leaves to argparse, or that it reads only in one form: an
+# abbreviation, '--', help, '=value' on a flag that takes none, a separate
+# value that starts with '-', an explicitly empty value, an empty token.
+_ARGV_JUNK = st.sampled_from([
+    ["--alp"], ["--"], ["-h"], ["--help"], ["--approx=1"], ["--c2", "-3:1"],
+    ["--terms=-3"], ["--c2="], [""], ["--a", "--b"], ["--beta=--"],
+])
+
+
+@st.composite
+def _argvs_with_junk(draw):
+    argv = draw(_argvs())
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(1, max(1, len(argv))))
+        argv[at:at] = draw(_ARGV_JUNK)
+    return argv
+
+
+@given(argv=st.one_of(_argvs(), _argvs_with_junk()))
 @settings(max_examples=300, deadline=None)
 def test_argv_fuzz_ends_in_one_line_and_a_known_code(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -1309,24 +1327,6 @@ def test_argv_fuzz_direct_dispatch_matches_the_top_level_parser(argv):
 
 
 # -- argv read straight off each subcommand's flag table --------------------------
-
-
-# Tokens _direct leaves to argparse, or that it reads only in one form: an
-# abbreviation, '--', help, '=value' on a flag that takes none, a separate
-# value that starts with '-', an explicitly empty value, an empty token.
-_ARGV_JUNK = st.sampled_from([
-    ["--alp"], ["--"], ["-h"], ["--help"], ["--approx=1"], ["--c2", "-3:1"],
-    ["--terms=-3"], ["--c2="], [""], ["--a", "--b"], ["--beta=--"],
-])
-
-
-@st.composite
-def _argvs_with_junk(draw):
-    argv = draw(_argvs())
-    for _ in range(draw(st.integers(0, 2))):
-        at = draw(st.integers(1, max(1, len(argv))))
-        argv[at:at] = draw(_ARGV_JUNK)
-    return argv
 
 
 @given(argv=_argvs_with_junk())
@@ -1410,6 +1410,65 @@ def test_fallback_argv_keeps_argparse_exit_and_line(argv, message):
         parser.parse_args(argv[1:])
     assert exit_.value.code == 2 and message in err.getvalue()
     assert _outcome(argv) == (2, "", err.getvalue())
+
+
+def _explicit_dash_argvs():
+    """Each value-taking flag of each subcommand given as --flag=--, with
+    every other required flag given a value, and the line argparse prints
+    for that flag without a value."""
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        for flag, keywords in flags:
+            if keywords.get("action") == "store_true":
+                continue
+            others = [f"{other}=1" for other, more in flags
+                      if more.get("required") and other != flag]
+            yield ([name, *others, f"{flag}=--"],
+                   f"error: argument {flag}: expected one argument\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    *_explicit_dash_argvs(),
+    (["scan", "--beta=ratfunc:1/1", "--beta=--"],
+     "error: argument --beta: expected one argument\n"),
+    (["expand", "--alp=--", "--beta=rat:1"],
+     "error: argument --alpha: expected one argument\n"),
+], ids=repr)
+def test_explicit_double_dash_value_is_a_usage_error(argv, line):
+    # Python 3.11's argparse hands the handler [] for --flag=--; the line
+    # is argparse's own for a flag given no value.
+    assert _outcome(argv) == (2, "", line)
+
+
+def test_explicit_double_dash_value_in_a_child_process():
+    proc = subprocess.run(
+        [sys.executable, "-m", "bcf.cli", "eval", "--a=--", "--b=1"],
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: argument --a: expected one argument\n")
+
+
+def test_abbreviated_flag_still_runs():
+    code, out, err = _outcome(["expand", "--alp=rat:1", "--beta=rat:1/2"])
+    assert (code, err) == (0, "") and json.loads(out)["a"] == [1]
+
+
+def test_parsers_are_built_once():
+    assert cli._parsers() is cli._parsers()
+
+
+def test_kept_parsers_format_help_at_the_current_width(monkeypatch):
+    # argparse reads the terminal width when it formats help, so a parser
+    # kept from a wider run prints what a freshly built one does.
+    for columns in ("200", "80"):
+        monkeypatch.setenv("COLUMNS", columns)
+        kept = _outcome(["scan", "-h"])
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parsers", cli._parsers.__wrapped__)
+        assert _outcome(["scan", "-h"]) == kept
+    assert kept[0] == 0 and max(map(len, kept[1].splitlines())) <= 80
 
 
 # -- eval prints the forward route's bytes ---------------------------------------

