@@ -1,14 +1,13 @@
 """Command-line front end: expand, eval, render, validate, recover, scan.
 
 Each subcommand is declared once, in the plain table _COMMANDS: its
-handler, its help line and each flag's add_argument keywords.  An argv
-whose tokens are all exact long flags of the subcommand, each value given
-as --flag=value or as the next token (one that does not start with '-'),
-is read straight off that table (_direct) into the namespace argparse
-would build; only every other argv (help, abbreviations, '--', stray or
-option-like tokens, refused values, missing flags) loads argparse, which
-builds its parsers once from the same table (_parsers), parses it and
-prints --help or its one-line usage error.
+handler, its help line and each flag's add_argument keywords.  One parser,
+_parse, reads every argv off that table in one pass: exact long flags,
+each value given as --flag=value or as the next token (one that does not
+start with '--'), with '--' ending the flags.  It raises each usage error
+as a ParseError in argparse's words, and returns None for -h or --help;
+only then does _help load argparse, to format the help from the same
+table.
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
@@ -32,7 +31,6 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import cache
 from math import gcd
 from types import SimpleNamespace
 
@@ -75,22 +73,26 @@ _DEFAULT_SCAN_BETAS = (
 _dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
+def _int(text):
+    """int(text, 10) under the literal rule, which refuses the '_', blanks
+    and non-ASCII digits that int() takes."""
+    if text.isascii() and "_" not in text and text.strip() == text:
+        try:
+            return int(text, 10)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {_excerpt(text)}")
+
+
 def _int_at_least(bound):
     """add_argument type for an integer >= bound, which is 0 or 1."""
     kind = "positive" if bound == 1 else "nonnegative"
 
     def parse(text):
-        try:
-            value = int(text, 10)
-        except ValueError:
-            value = None
-        if value is not None and value >= bound:
-            return value
-        from argparse import ArgumentTypeError  # only a refusal needs it
-        raise ArgumentTypeError(
-            f"expected an integer, got {_excerpt(text)}" if value is None
-            else f"expected a {kind} integer, got {value}"
-        )
+        value = _int(text)
+        if value < bound:
+            raise ValueError(f"expected a {kind} integer, got {value}")
+        return value
 
     return parse
 
@@ -332,7 +334,7 @@ def _parse_range(text, flag):
     if not sep:
         raise ParseError(f"{flag}: expected LO:HI, got {_excerpt(text)}")
     try:
-        lo, hi = int(lo_text, 10), int(hi_text, 10)
+        lo, hi = _int(lo_text), _int(hi_text)
     except ValueError:
         raise ParseError(
             f"{flag}: expected integer endpoints, got {_excerpt(text)}"
@@ -389,7 +391,7 @@ def _scan(args):
 # Each subcommand, declared once: its handler, its help line and its flags,
 # each with its add_argument keywords.
 _JSON_OR_TEXT = ("json", "text")
-_RANGE_HINT = "range LO:HI (write --c2=-3:1 when LO is negative)"
+_RANGE_HINT = "range LO:HI"
 _COMMANDS = {
     "expand": (_expand, "expand a pair (alpha, beta) into digit sequences", (
         ("--alpha", dict(required=True, help="rat: or alg: literal (rat: or "
@@ -451,127 +453,115 @@ _COMMANDS = {
 
 def _row(flag, action="store", type=None, choices=None, default=None,
          required=False, help=None):
-    """What _direct reads of one flag, from its add_argument keywords:
+    """What _parse reads of one flag, from its add_argument keywords:
     (dest, action, type, choices, default, required)."""
-    if action == "store_true":
-        default = False
-    return flag[2:].replace("-", "_"), action, type, choices, default, required
+    return (flag[2:].replace("-", "_"), action, type, choices,
+            False if action == "store_true" else default, required)
 
 
-# Each subcommand's handler and its rows by flag, as _direct reads them.
+# Each subcommand's handler and its rows by flag, as _parse reads them.
 _ROWS = {
     name: (handler, {flag: _row(flag, **keywords) for flag, keywords in flags})
     for name, (handler, _, flags) in _COMMANDS.items()
 }
 
 
-def _direct(command, argv):
-    """The namespace argparse would make of the subcommand's argv, read
-    off its rows, or None wherever argparse has more to do: a token that is
-    not an exact long flag of the subcommand (an abbreviation, -h, --help,
-    '--', a positional), a missing value, a separate value that starts with
-    '-', '=value' on a flag that takes none, a value that its type or
-    choices refuse, and a missing required flag."""
+def _usage(message):
+    """The usage error's ParseError, one short line like every other error:
+    each long word is cut to an excerpt, and the line to 240 bytes."""
+    line = " ".join(_excerpt(word.strip("'")) if len(word) > 25 else word
+                    for word in message.split())
+    if len(line.encode()) > 240:
+        line = line.encode()[:240].decode(errors="ignore") + "..."
+    return ParseError(line)
+
+
+def _parse(command, argv):
+    """The subcommand's argv read off its rows in one pass: its namespace,
+    or None for -h or --help.  Each usage error is a ParseError in
+    argparse's words: a missing or refused value at its token, then the
+    missing required flags, then any token that is no exact flag ('--'
+    with every token after it)."""
+    if command not in _ROWS:
+        if command in ("-h", "--help"):
+            return None
+        if command is None or command.startswith("-"):
+            raise _usage("the following arguments are required: command")
+        raise _usage(f"argument command: invalid choice: {command!r} (choose "
+                     f"from {', '.join(map(repr, _COMMANDS))})")
     handler, rows = _ROWS[command]
-    given = {}
+    given, unrecognized = {}, ()
     tokens = iter(argv)
     for token in tokens:
         flag, eq, value = token.partition("=")
         row = rows.get(flag)
         if row is None:
-            return None
+            if token in ("-h", "--help"):
+                return None
+            unrecognized += (token, *tokens) if token == "--" else (token,)
+            continue
         dest, action, kind, choices, _, _ = row
         if action == "store_true":
             if eq:
-                return None
+                raise _usage(f"argument {flag}: ignored explicit argument {value!r}")
             given[dest] = True
             continue
         if not eq:
-            value = next(tokens, "-")  # a missing value reads as a dash
-            if value.startswith("-"):
-                return None
-        if value == "--":  # argparse 3.12 and older drop it from a value
-            return None
+            value = next(tokens, "--")  # a missing value reads as '--'
+            if value.startswith("--"):
+                raise _usage(f"argument {flag}: expected one argument")
+        elif value == "--":
+            raise _usage(f"argument {flag}: expected one argument")
         if kind is not None:
             try:
                 value = kind(value)
-            except Exception:  # argparse reports it, as a usage error or not
-                return None
+            except ValueError as exc:
+                raise _usage(f"argument {flag}: {exc}") from None
         if choices is not None and value not in choices:
-            return None
+            raise _usage(f"argument {flag}: invalid choice: {value!r} (choose "
+                         f"from {', '.join(map(repr, choices))})")
         if action == "append":
             given.setdefault(dest, []).append(value)
         else:
             given[dest] = value
-    values = {}
+    values, missing = {}, ()
     for dest, _, _, _, default, required in rows.values():
         if required and dest not in given:
-            return None
+            missing += (f"--{dest.replace('_', '-')}",)
         values[dest] = given.get(dest, default)
+    if missing:
+        raise _usage(f"the following arguments are required: {', '.join(missing)}")
+    if unrecognized:
+        raise _usage(f"unrecognized arguments: {' '.join(unrecognized)}")
     return SimpleNamespace(**values, handler=handler)
 
 
-@cache
-def _parsers():
-    """The top-level argparse parser and each subcommand's parser by name,
-    built from _COMMANDS once; only help and usage errors need them."""
+def _help(command):
+    """Print the subcommand's help, or bcf's: only help loads argparse."""
     import argparse
 
-    class Parser(argparse.ArgumentParser):
-        """argparse whose usage errors are one short line, like every other
-        error: each long word of the message is cut to an excerpt, and the
-        line to 240 bytes."""
-
-        def error(self, message):
-            words = (
-                _excerpt(word.strip("'")) if len(word) > 25 else word
-                for word in message.split()
-            )
-            line = " ".join(words)
-            if len(line.encode()) > 240:
-                line = line.encode()[:240].decode(errors="ignore") + "..."
-            self.exit(2, f"error: {line}\n")
-
-    parser = Parser(
-        prog="bcf",
-        description="Exact bifurcating continued fractions: expand pairs of "
-                    "numbers into paired digit sequences, evaluate and render "
-                    "them, validate digit pairs, recover cubic polynomials from "
-                    "periodic expansions, and scan cubic fields for periodicity.",
-    )
+    parser = argparse.ArgumentParser(prog="bcf", description=(
+        "Exact bifurcating continued fractions: expand pairs of numbers into "
+        "paired digit sequences, evaluate and render them, validate digit "
+        "pairs, recover cubic polynomials from periodic expansions, and scan "
+        "cubic fields for periodicity."))
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, (handler, help, flags) in _COMMANDS.items():
-        command = commands[name] = sub.add_parser(name, help=help)
+    for name, (_, help, flags) in _COMMANDS.items():
+        subparser = sub.add_parser(name, help=help)
         for flag, keywords in flags:
-            command.add_argument(flag, **keywords)
-        command.set_defaults(handler=handler)
-    return parser, commands
+            subparser.add_argument(flag, **keywords)
+    sub.choices.get(command, parser).print_help()
 
 
 def run(argv):
-    """Run one CLI invocation; returns the process exit code.
-
-    An argv that names a subcommand is read by _direct from that
-    subcommand's rows; when _direct declines, or argv names none, argparse
-    parses it (the subcommand's parser, as the top-level parser would pass
-    it on, or the latter) and prints --help or its one-line usage error."""
-    args = _direct(argv[0], argv[1:]) if argv and argv[0] in _ROWS else None
-    if args is None:
-        parser, commands = _parsers()
-        command = commands.get(argv[0]) if argv else None
-        try:
-            args = (command.parse_args(argv[1:]) if command
-                    else parser.parse_args(argv))
-            # argparse 3.12 and older turn an explicit '--' value into []
-            for dest, value in vars(args).items():
-                if value == [] or isinstance(value, list) and [] in value:
-                    parser.error(f"argument --{dest.replace('_', '-')}: "
-                                 "expected one argument")
-        except SystemExit as exc:
-            code = exc.code
-            return code if isinstance(code, int) else (0 if code is None else 2)
+    """Run one CLI invocation; returns the process exit code.  Help goes to
+    standard output, and every error is one line on standard error."""
+    command = argv[0] if argv else None
     try:
+        args = _parse(command, argv[1:])
+        if args is None:
+            _help(command)
+            return 0
         args.handler(args)
     except (BcfError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1113,11 +1113,11 @@ def test_closed_stdout_is_one_error_line_and_exit_3():
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-# -- argparse plumbing --------------------------------------------------------------
+# -- usage errors and help ---------------------------------------------------------
 
 
 def test_usage_error_is_exit_2(capsys):
-    # No command, missing required flags, an unknown command, an ambiguous
+    # No command, missing required flags, an unknown command, an abbreviated
     # flag, and 200 unrecognized arguments: each is one short error line.
     for argv in ([], ["expand"], ["no-such-command"], ["scan", "--c"],
                  ["eval", "--a", "1", "--b", "1"] + ["7"] * 200):
@@ -1263,9 +1263,9 @@ def _argvs(draw):
     return argv
 
 
-# Tokens _direct leaves to argparse, or that it reads only in one form: an
-# abbreviation, '--', help, '=value' on a flag that takes none, a separate
-# value that starts with '-', an explicitly empty value, an empty token.
+# Tokens outside the usual argv: an abbreviation, '--', help, '=value' on a
+# flag that takes none, a separate value that starts with '-', an explicitly
+# empty value, an empty token, a flag where a value belongs, a '--' value.
 _ARGV_JUNK = st.sampled_from([
     ["--alp"], ["--"], ["-h"], ["--help"], ["--approx=1"], ["--c2", "-3:1"],
     ["--terms=-3"], ["--c2="], [""], ["--a", "--b"], ["--beta=--"],
@@ -1301,115 +1301,119 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def _top_level_outcome(argv):
-    """_outcome(argv) with every argv parsed by the top-level parser."""
-    parser, _ = cli._parsers()
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_direct", lambda command, argv: None)
-        patch.setattr(cli, "_parsers", lambda: (parser, {}))
-        return _outcome(argv)
+# One argv of each kind of usage error, and the line it prints: argparse's
+# wording, which _parse keeps.  A missing or refused value is reported at
+# its token, then the missing required flags, then the unrecognized tokens.
+USAGE_ERRORS = {
+    "unknown-flag": (["scan", "--no-such-option"],
+                     "unrecognized arguments: --no-such-option"),
+    "abbreviation": (["expand", "--alp=rat:1", "--beta=rat:1/2", "--alpha=rat:1"],
+                     "unrecognized arguments: --alp=rat:1"),
+    "missing-value": (["eval", "--a", "--b", "1"],
+                      "argument --a: expected one argument"),
+    "missing-last-value": (["eval", "--a=1", "--b"],
+                           "argument --b: expected one argument"),
+    "double-dash-value": (["eval", "--a=--", "--b=1"],
+                          "argument --a: expected one argument"),
+    "explicit-on-flag": (["expand", "--alpha=rat:1", "--beta=rat:1", "--approx=1"],
+                         "argument --approx: ignored explicit argument '1'"),
+    "refused-int": (["expand", "--alph=rat:1", "--beta=rat:1", "--terms=-3"],
+                    "argument --terms: expected a positive integer, got -3"),
+    "not-an-int": (["eval", "--a", "1", "--b", "1", "--n", "x"],
+                   "argument --n: expected an integer, got 'x'"),
+    "choice": (["eval", "--a=1", "--b=1", "--format=xml"],
+               "argument --format: invalid choice: 'xml' (choose from 'json', "
+               "'text')"),
+    "value-before-required": (["render", "--style", "svg", "--bogus"],
+                              "argument --style: invalid choice: 'svg' (choose "
+                              "from 'ascii', 'latex')"),
+    "required": (["recover", "--period-a=1"],
+                 "the following arguments are required: --period-b"),
+    "required-all": (["expand"],
+                     "the following arguments are required: --alpha, --beta"),
+    "required-before-unrecognized": (["validate", "--b=1", "7"],
+                                     "the following arguments are required: --a"),
+    "unrecognized": (["eval", "--a", "1", "--b", "1", "7", "-x"],
+                     "unrecognized arguments: 7 -x"),
+    "long-unrecognized": (["eval", "--a=1", "--b=1", "--" + _LONG],
+                          "unrecognized arguments: '--xxxxxxxxxxxxxxxxxx'..."),
+    "sevens": (["eval", "--a", "1", "--b", "1"] + ["7"] * 200,
+               "unrecognized arguments: " + "7 " * 108 + "..."),
+    "double-dash": (["eval", "--a=1", "--b=1", "--", "7"],
+                    "unrecognized arguments: -- 7"),
+    "double-dash-then-flags": (["eval", "--a=1", "--", "--b=1", "--n=x"],
+                               "the following arguments are required: --b"),
+    "unknown-command": (["no-such-command"],
+                        "argument command: invalid choice: 'no-such-command' "
+                        "(choose from 'expand', 'eval', 'render', 'validate', "
+                        "'recover', 'scan')"),
+    "no-command": ([], "the following arguments are required: command"),
+    "option-like-command": (["--version"],
+                            "the following arguments are required: command"),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    [], ["-h"], ["--help"], ["scan", "-h"], ["expand", "--help"],
-    ["no-such-command"], ["scan", "--no-such-option"], ["scan", "--c"],
-    ["eval", "--a", "1", "--b", "1", "7"], ["expand"], ["recover", "--"],
-    ["eval", "--a", "1,2", "--b", "1,0", "--n", "1"], ["-h", "scan"],
-], ids=repr)
-def test_direct_dispatch_matches_the_top_level_parser(argv):
-    assert _outcome(argv) == _top_level_outcome(argv)
+@pytest.mark.parametrize("kind", list(USAGE_ERRORS))
+def test_usage_error_line(kind):
+    argv, line = USAGE_ERRORS[kind]
+    assert _outcome(argv) == (2, "", f"error: {line}\n")
 
 
-@given(argv=_argvs())
-@settings(max_examples=150, deadline=None)
-def test_argv_fuzz_direct_dispatch_matches_the_top_level_parser(argv):
-    assert _outcome(argv) == _top_level_outcome(argv), argv
+def _integer_flag_argvs():
+    """Each int-typed flag of each subcommand, and each scan range, given
+    a value with an '_', a blank or a non-ASCII digit, which int() takes
+    and number literals refuse, with the line it prints."""
+    for name, (_, _, flags) in cli._COMMANDS.items():
+        required = [f"{flag}=1" for flag, keywords in flags
+                    if keywords.get("required")]
+        for flag, keywords in flags:
+            for bad in ("1_0", " 1", "١"):
+                if "type" in keywords:
+                    yield pytest.param(
+                        [name, *required, f"{flag}={bad}"],
+                        f"argument {flag}: expected an integer, got {bad!r}",
+                        id=f"{name} {flag}={bad}")
+                elif flag in ("--c2", "--c1", "--c0"):
+                    text = f"{bad}:{bad}"
+                    yield pytest.param(
+                        [name, f"{flag}={text}"],
+                        f"{flag}: expected integer endpoints, got {text!r}",
+                        id=f"{name} {flag}={text}")
 
 
-# -- argv read straight off each subcommand's flag table --------------------------
+@pytest.mark.parametrize("argv, line", _integer_flag_argvs())
+def test_integer_flags_take_the_literal_rule(argv, line):
+    assert _outcome(argv) == (2, "", f"error: {line}\n")
 
 
-@given(argv=_argvs_with_junk())
-@settings(max_examples=300, deadline=None)
-def test_direct_parse_equals_argparse_whenever_it_answers(argv):
-    parser = cli._parsers()[1].get(argv[0])
-    args = cli._direct(argv[0], argv[1:]) if parser else None
-    if args is not None:
-        assert vars(args) == vars(parser.parse_args(argv[1:])), argv
-
-
-@pytest.mark.parametrize("argv", [
-    ["expand", "--alpha=rat:1", "--beta", "rat:2", "--terms=3", "--terms", "5"],
-    ["expand", "--approx", "--alpha=dec:1.5", "--beta=dec:2", "--approx"],
-    ["scan", "--beta", "ratfunc:1/1", "--beta=ratfunc:1,0/1", "--c2=0:0"],
-    ["recover", "--period-b=1", "--period-a", "", "--format=text"],
-    ["render", "--a=1", "--b=1", "--depth", "0"],
+@pytest.mark.parametrize("argv, expected", [
+    (["expand", "--alpha=rat:1", "--beta", "rat:2", "--terms=3", "--terms", "5"],
+     dict(alpha="rat:1", beta="rat:2", terms=5, digits=12, format="json",
+          approx=False)),
+    (["expand", "--approx", "--alpha=dec:1.5", "--beta=dec:2", "--approx"],
+     dict(alpha="dec:1.5", beta="dec:2", terms=64, digits=12, format="json",
+          approx=True)),
+    (["scan", "--beta", "ratfunc:1/1", "--beta=ratfunc:1,0/1", "--c2=0:0"],
+     dict(c2="0:0", c1="-2:2", c0="-2:2", beta=["ratfunc:1/1", "ratfunc:1,0/1"],
+          horizon=64, jobs=None, preview=8)),
+    (["recover", "--period-b=1", "--period-a", "", "--format=text"],
+     dict(period_a="", period_b="1", preperiod_a="", preperiod_b="", digits=12,
+          format="text")),
+    (["render", "--a=1", "--b=1", "--depth", "0"],
+     dict(a="1", b="1", depth=0, style="ascii", format="text", preperiod=None,
+          period=None)),
+    (["scan", "--c2", "-3:1", "-h", "--horizon=0"], None),
+    (["scan", "--c2", "-3:1", "--beta", "-x", "--jobs", "+1"],
+     dict(c2="-3:1", c1="-2:2", c0="-2:2", beta=["-x"], horizon=64, jobs=1,
+          preview=8)),
 ], ids=["repeated-store", "repeated-store-true", "append", "empty-value",
-        "zero"])
-def test_direct_parse_rules_match_argparse(argv):
-    parser = cli._parsers()[1][argv[0]]
-    args = cli._direct(argv[0], argv[1:])
-    assert args is not None and vars(args) == vars(parser.parse_args(argv[1:]))
-    assert "help" not in vars(args) and args.handler
-
-
-def _both_forms(argv):
-    """argv with every flag value written as --flag=value, and with every
-    value that does not start with '-' as its own token."""
-    joined, separate = argv[:1], argv[:1]
-    actions = cli._parsers()[1][argv[0]]._option_string_actions
-    tokens = iter(argv[1:])
-    for token in tokens:
-        flag, eq, value = token.partition("=")
-        if actions[flag].nargs == 0:
-            joined.append(token)
-            separate.append(token)
-            continue
-        if not eq:
-            value = next(tokens)
-        joined.append(f"{flag}={value}")
-        separate += [f"{flag}={value}"] if value.startswith("-") else [flag, value]
-    return joined, separate
-
-
-def test_every_catalogue_argv_takes_the_direct_route(monkeypatch):
-    # The benchmark's ops, as written and in both value forms: none may
-    # fall back to argparse unnoticed.
-    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench"))
-    import workloads
-
-    commands = cli._parsers()[1]
-    for workload in workloads.WORKLOADS.values():
-        for op in workload.catalogue():
-            parser = commands[op["argv"][0]]
-            for argv in (op["argv"], *_both_forms(op["argv"])):
-                args = cli._direct(argv[0], argv[1:])
-                assert args is not None, argv
-                assert vars(args) == vars(parser.parse_args(argv[1:])), argv
-
-
-@pytest.mark.parametrize("argv, message", [
-    (["scan", "--c2", "-3:1"], "argument --c2: expected one argument"),
-    (["expand", "--alpha=rat:1", "--beta=rat:1", "--approx=1"],
-     "argument --approx: ignored explicit argument '1'"),
-    (["expand", "--alph=rat:1", "--beta=rat:1", "--terms=-3"],
-     "argument --terms: expected a positive integer, got -3"),
-    (["eval", "--a=1", "--b=1", "--format=xml"],
-     "argument --format: invalid choice: 'xml'"),
-    (["recover", "--period-a=1"],
-     "the following arguments are required: --period-b"),
-    (["eval", "--a=1", "--b=1", "--", "7"], "unrecognized arguments:"),
-], ids=["dash-value", "explicit-on-flag", "abbreviation", "choice", "required",
-        "double-dash"])
-def test_fallback_argv_keeps_argparse_exit_and_line(argv, message):
-    parser = cli._parsers()[1][argv[0]]
-    assert cli._direct(argv[0], argv[1:]) is None
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_:
-        parser.parse_args(argv[1:])
-    assert exit_.value.code == 2 and message in err.getvalue()
-    assert _outcome(argv) == (2, "", err.getvalue())
+        "zero", "help", "dash-value"])
+def test_parse_reads_each_flag_form(argv, expected):
+    args = cli._parse(argv[0], argv[1:])
+    if expected is None:
+        assert args is None
+    else:
+        assert vars(args) == dict(expected, handler=cli._COMMANDS[argv[0]][0])
 
 
 def _explicit_dash_argvs():
@@ -1431,11 +1435,11 @@ def _explicit_dash_argvs():
     (["scan", "--beta=ratfunc:1/1", "--beta=--"],
      "error: argument --beta: expected one argument\n"),
     (["expand", "--alp=--", "--beta=rat:1"],
-     "error: argument --alpha: expected one argument\n"),
+     "error: the following arguments are required: --alpha\n"),
 ], ids=repr)
 def test_explicit_double_dash_value_is_a_usage_error(argv, line):
-    # Python 3.11's argparse hands the handler [] for --flag=--; the line
-    # is argparse's own for a flag given no value.
+    # A value of '--' counts as missing, with argparse's line for a flag
+    # given no value; '--alp' is no flag, so there --alpha is missing.
     assert _outcome(argv) == (2, "", line)
 
 
@@ -1450,25 +1454,27 @@ def test_explicit_double_dash_value_in_a_child_process():
         2, "", "error: argument --a: expected one argument\n")
 
 
-def test_abbreviated_flag_still_runs():
-    code, out, err = _outcome(["expand", "--alp=rat:1", "--beta=rat:1/2"])
-    assert (code, err) == (0, "") and json.loads(out)["a"] == [1]
+# sha256 of help as argparse formats it at 60 and 120 columns: the bytes
+# of bcf -h and bcf expand -h from when argparse also parsed every argv.
+HELP_SHA256 = {
+    (("-h",), "60"):
+        "652a73efb2fd8f1b880e500eebf7e1aaf25763217667047c564a85f083b34d91",
+    (("-h",), "120"):
+        "00576d531fda069c19e9acc7a6a217f706d5d19c50d23c583ada952e066ed4f9",
+    (("expand", "-h"), "60"):
+        "50990b1da0bd63dc9e87eca91510dec869f29dcd0acf82d609e8149dbfb18a51",
+    (("expand", "-h"), "120"):
+        "0d873fff439c13cfd5bdb5b922bba6048d36227e2a77274e96b410cd56f6e064",
+}
 
 
-def test_parsers_are_built_once():
-    assert cli._parsers() is cli._parsers()
-
-
-def test_kept_parsers_format_help_at_the_current_width(monkeypatch):
-    # argparse reads the terminal width when it formats help, so a parser
-    # kept from a wider run prints what a freshly built one does.
-    for columns in ("200", "80"):
-        monkeypatch.setenv("COLUMNS", columns)
-        kept = _outcome(["scan", "-h"])
-    with monkeypatch.context() as patch:
-        patch.setattr(cli, "_parsers", cli._parsers.__wrapped__)
-        assert _outcome(["scan", "-h"]) == kept
-    assert kept[0] == 0 and max(map(len, kept[1].splitlines())) <= 80
+@pytest.mark.parametrize("argv, columns", list(HELP_SHA256), ids=repr)
+def test_help_follows_the_terminal_width(monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    code, out, err = _outcome(list(argv))
+    assert (code, err) == (0, "")
+    assert max(map(len, out.splitlines())) <= int(columns)
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[argv, columns]
 
 
 # -- eval prints the forward route's bytes ---------------------------------------

@@ -15,9 +15,11 @@ cli._literal calls parse_number, so the kinds of literal a flag takes are
 decided by one rule.  Last, importing bcf.cli, as every bcf command
 does first, loads none of dataclasses, inspect or typing, whose import
 costs each command more than its work on a small input, nor argparse,
-shutil, gettext or locale, which only help and usage errors need."""
+shutil, gettext or locale, which only help needs: a run, or a usage
+error, loads none of them."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -247,16 +249,43 @@ def test_only_literal_parses_numbers():
     assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]
 
 
+# Run in the child after import bcf.cli: one catalogue argv of each
+# subcommand and one usage error of each kind, then scan -h.
+_RUN_PATH = """
+import contextlib, io, json, sys
+import bcf.cli
+loaded = sorted(sys.modules)
+sys.path.insert(0, "perfbench")
+import workloads
+argvs = {}
+for workload in workloads.WORKLOADS.values():
+    for op in workload.catalogue():
+        argvs.setdefault(op["argv"][0], op["argv"])
+argvs = [*argvs.values(), ["scan", "--bogus"], ["eval", "--a", "--b", "1"],
+         ["eval", "--a=--", "--b=1"], ["expand", "--approx=1"],
+         ["scan", "--horizon=0"], ["eval", "--format=xml"], ["recover"],
+         ["eval", "--a=1", "--b=1", "7"], ["eval", "--a=1", "--", "--b=1"],
+         ["no-such-command"], [], ["-x"]]
+with (contextlib.redirect_stdout(io.StringIO()),
+      contextlib.redirect_stderr(io.StringIO())):
+    codes = [bcf.cli.run(argv) for argv in argvs]
+    after_run = "argparse" in sys.modules
+    codes.append(bcf.cli.run(["scan", "-h"]))
+print(json.dumps([loaded, codes, after_run, "argparse" in sys.modules]))
+"""
+
+
 def test_cli_import_loads_no_dataclasses_inspect_typing_or_argparse():
     # -S: site hooks may import typing themselves.
     proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import sys, bcf.cli; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-S", "-c", _RUN_PATH],
         cwd=SRC.parent.parent, env=dict(os.environ, PYTHONPATH="src"),
         capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    loaded, codes, after_run, after_help = json.loads(proc.stdout)
     assert "bcf.cli" in loaded
-    assert loaded & {"dataclasses", "inspect", "typing", "argparse", "shutil",
-                     "gettext", "locale"} == set()
+    assert set(loaded) & {"dataclasses", "inspect", "typing", "argparse",
+                          "shutil", "gettext", "locale"} == set()
+    assert codes == [0] * 6 + [2] * 12 + [0]
+    assert (after_run, after_help) == (False, True)
