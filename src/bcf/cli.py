@@ -43,8 +43,7 @@ from .errors import (
     ParseError,
 )
 from .expansion import bcf_expand, bcf_expand_box
-from .fields import (AlgebraicNumber, _check_places, _rounded_decimal,
-                     _too_long_to_print)
+from .fields import AlgebraicNumber, _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
     _excerpt,
@@ -112,43 +111,46 @@ def _exact_str(value):
 
 
 # One loop renders every convergent record: expand's, and eval's one with
-# beta_dec.  Each integer is rendered once, under one guard per call: str()
-# of an integer past Python's digit limit raises ValueError, which becomes
-# OutputTooLarge.  Both ratios share one gcd, h = gcd(A*B, C): gcd(A, C)
-# divides A*B and C, so it divides h, and h divides C, so gcd(A, C) =
-# gcd(A, h), and likewise for B.  When h = 1 and C > 0, about half the
-# time, both ratios reuse the rendered A, B and C.  The JSON keys are
-# sorted; every field is made of digits, '-', '/' and '.', so none needs
-# JSON escaping.
+# beta_dec.  Every integer a record prints is A, B or C reduced, or split
+# into whole and fraction parts under _check_places, and expand's digits past
+# the first are >= 1, so A, B and C never fall: if the last triple prints,
+# every record does.  Its largest integer is tested first, by str() only past
+# 3.32 L bits (10**L has more, L Python's digit limit), so each record
+# renders each integer once.  Both ratios share one gcd, h = gcd(A*B, C):
+# gcd(A, C) divides A*B and C, so it divides h, and h divides C, so gcd(A, C)
+# = gcd(A, h), and likewise for B.  When h = 1 and C > 0, about half the
+# time, both ratios reuse the rendered A, B and C.  The JSON keys are sorted;
+# every field is made of digits, '-', '/' and '.', so none needs JSON
+# escaping.
 def _convergent_records(triples, digits, text, n=0, beta_dec=False):
-    """Render the triples (A, B, C) of convergents n, n + 1, ... as text
+    """Render a list of triples (A, B, C), convergents n, n + 1, ..., as text
     lines or JSON objects; with beta_dec, each also carries B/C rounded."""
+    top = max(map(abs, triples[-1])) if triples else 0
+    if top.bit_length() > 3.32 * (sys.get_int_max_str_digits() or math.inf):
+        bounded_str(top)
     records = []
-    try:
-        for A, B, C in triples:
-            a, b, c = f"{A}", f"{B}", f"{C}"
-            alpha_dec = _rounded_decimal(A, C, digits)[1]
-            h = gcd(A * B, C)
-            if h == 1 and C > 0:
-                alpha, beta = f"{a}/{c}", f"{b}/{c}"
-            else:
-                ga = gcd(A, h) if C > 0 else -gcd(A, h)
-                gb = gcd(B, h) if C > 0 else -gcd(B, h)
-                alpha = f"{a}/{c}" if ga == 1 else f"{A // ga}/{C // ga}"
-                beta = f"{b}/{c}" if gb == 1 else f"{B // gb}/{C // gb}"
-            more = ""
-            if beta_dec:
-                more = _rounded_decimal(B, C, digits)[1]
-                more = f" beta_dec={more}" if text else f',"beta_dec":"{more}"'
-            records.append(
-                f"n={n} A={a} B={b} C={c} alpha={alpha} beta={beta} "
-                f"alpha_dec={alpha_dec}{more}" if text else
-                f'{{"A":"{a}","B":"{b}","C":"{c}","alpha":"{alpha}",'
-                f'"alpha_dec":"{alpha_dec}","beta":"{beta}"{more},"n":{n}}}'
-            )
-            n += 1
-    except ValueError:
-        raise _too_long_to_print() from None
+    for A, B, C in triples:
+        a, b, c = f"{A}", f"{B}", f"{C}"
+        alpha_dec = _rounded_decimal(A, C, digits)[1]
+        h = gcd(A * B, C)
+        if h == 1 and C > 0:
+            alpha, beta = f"{a}/{c}", f"{b}/{c}"
+        else:
+            ga = gcd(A, h) if C > 0 else -gcd(A, h)
+            gb = gcd(B, h) if C > 0 else -gcd(B, h)
+            alpha = f"{a}/{c}" if ga == 1 else f"{A // ga}/{C // ga}"
+            beta = f"{b}/{c}" if gb == 1 else f"{B // gb}/{C // gb}"
+        more = ""
+        if beta_dec:
+            more = _rounded_decimal(B, C, digits)[1]
+            more = f" beta_dec={more}" if text else f',"beta_dec":"{more}"'
+        records.append(
+            f"n={n} A={a} B={b} C={c} alpha={alpha} beta={beta} "
+            f"alpha_dec={alpha_dec}{more}" if text else
+            f'{{"A":"{a}","B":"{b}","C":"{c}","alpha":"{alpha}",'
+            f'"alpha_dec":"{alpha_dec}","beta":"{beta}"{more},"n":{n}}}'
+        )
+        n += 1
     return records
 
 
@@ -181,17 +183,15 @@ def _expand(args):
                 raise ParseError(f"--beta: {exc}") from None
     field = isinstance(alpha, AlgebraicNumber) or isinstance(beta, AlgebraicNumber)
     expand = bcf_expand if field else bcf_expand_box
-    # Under the digit limit L record 7L + 2 cannot print: a-digits past the
-    # first are >= 1, so C_n >= C_(n-1) + C_(n-3) >= rho**(n - 2), rho the
-    # real root of x**3 = x**2 + 1, and log10(rho) > 1/7.
+    # Under the digit limit L record 7L + 2 cannot print, so no more pairs are
+    # expanded: a-digits past the first are >= 1, so C_n >= C_(n-1) + C_(n-3)
+    # >= rho**(n - 2), rho the real root of x**3 = x**2 + 1, log10(rho) > 1/7.
     limit = sys.get_int_max_str_digits()
     cap = 7 * limit + 3 if limit else math.inf
     pair = expand(alpha, beta, max_terms=min(args.terms, cap))
-    if len(pair.a) == cap:
-        raise _too_long_to_print()
     text = args.format == "text"
     records = _convergent_records(
-        _kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1),
+        list(_kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1)),
         args.digits, text,
     )
     if not text:

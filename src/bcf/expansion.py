@@ -75,7 +75,7 @@ def _unify_pair(alpha, beta):
 
 def _same_point(field, s, t):
     """Whether triples s and t are one point: x_s z_t = x_t z_s, y_s z_t = y_t z_s."""
-    (xs, ys, zs), (xt, yt, zt) = ([v[:field.degree] for v in p] for p in (s, t))
+    (xs, ys, zs), (xt, yt, zt) = s, t
     return (_convolve(field, xs, zt) == _convolve(field, xt, zs)
             and _convolve(field, ys, zt) == _convolve(field, yt, zs))
 
@@ -112,12 +112,15 @@ def bcf_expand(alpha, beta, max_terms=64):
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
     ``_primitive`` reduces the triple every _RENORMALISE steps and at the
-    terminal.  Equal states have equal digit tails, so a state j that
-    recurs at r <= max_terms - 1 shows as a repeated window of digit pairs
-    at r, up to _WINDOW - 1 steps past the budget.  A window keeps only its
-    start: the current state carried back through the digits of the r - j
-    steps between is the earlier window's last state, and the exact test on
-    the two confirms the period; the cycle gives the remaining digits, and
+    terminal.  Equal states have equal digit tails, so a state j that recurs
+    at r <= max_terms - 1 shows as a repeated window of digit pairs at r, up
+    to _WINDOW - 1 steps past the budget, and every earlier window with the
+    same digits is tested exactly: a run left open, with neither period nor
+    terminal, proves that no state recurs with j + m <= max_terms - 1
+    (state_j = state_(j+m), m >= 1).  A window keeps only its start: the
+    current state carried back through the digits of the r - j steps between
+    is the earlier window's last state, and the exact test on the two
+    confirms the period; the cycle gives the remaining digits, and
     periodicity records (preperiod, period).  A termination past the budget
     is not reported.  Rational inputs terminate, with the exact final alpha,
     a Fraction, in ``terminal``: their denominators fall, so no state recurs.
@@ -127,9 +130,9 @@ def bcf_expand(alpha, beta, max_terms=64):
     if not isinstance(alpha, AlgebraicNumber):
         alpha, beta = _RATIONALS.element(alpha), _RATIONALS.element(beta)
     field = alpha.field
-    (p, dp), (q, dq), pad = alpha._raw, beta._raw, (0,) * (3 - field.degree)
-    state = x, y, z = (tuple([c * dq for c in p]) + pad,
-                       tuple([c * dp for c in q]) + pad, (dp * dq, 0, 0))
+    (p, dp), (q, dq) = alpha._raw, beta._raw
+    state = x, y, z = (tuple([c * dq for c in p]), tuple([c * dp for c in q]),
+                       (dp * dq, 0, 0))
     a_digits, b_digits, windows = [], [], {}
     powers = periodicity = terminal = None
     for i in range(max_terms + _WINDOW - 1):
@@ -162,7 +165,7 @@ def bcf_expand(alpha, beta, max_terms=64):
             if i < max_terms:
                 u, _, (w, _, _) = _primitive(field, x, y, z)
                 terminal = (Fraction(u[0], w) if field is _RATIONALS
-                            else _element(field, u[: field.degree], w))
+                            else _element(field, u, w))
             break
         a_digits.append(a_i)
         r = i + 1 - _WINDOW

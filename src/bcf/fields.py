@@ -3,20 +3,20 @@
 A :class:`NumberField` is Q[x]/(f) for an irreducible integer polynomial f
 of degree 1 to 3, together with an open rational interval isolating one real
 root theta of f.  An :class:`AlgebraicNumber` is an element of such a field,
-stored as integer numerators over one positive common denominator in the
-power basis 1, theta, ..., theta^(d-1), normalised after every operation so
-that the denominator is coprime to the numerators' content.  Products and
-inverses share one closed form per degree on integer numerators: an integer
-convolution reduced modulo f, and the adjugate of the integer multiplication
-matrix.  ``_primitive`` applies both to reduce a projective triple of
-numerator vectors, the state of a field expansion, to its canonical form.
-All predicates (sign, floor, comparisons) are decided exactly, every
-element's through one refinement loop, ``_floor``, which narrows the
-isolating interval, held as integers over one denominator, by
-``_refine_more``'s rule until both bounds share a floor (a rational's
-bounds are its value).  A nonzero element's floor decides its sign, and
-an irrational one is never on a rounding tie, so floors decide its
-decimals (``approximate``) and its float() too.
+stored as three integer numerators, zero past the degree d, over one
+positive common denominator in the power basis 1, theta, theta^2, normalised
+after every operation so that the denominator is coprime to the numerators'
+content.  Products and inverses share one closed form per degree on integer
+numerators: an integer convolution reduced modulo f, and the adjugate of the
+integer multiplication matrix.  ``_primitive`` applies both to reduce a
+projective triple of numerator vectors, the state of a field expansion, to
+its canonical form.  Only this module reads d.  All predicates (sign, floor,
+comparisons) are decided exactly, every element's through one refinement
+loop, ``_floor``, which narrows the isolating interval, held as integers
+over one denominator, by ``_refine_more``'s rule until both bounds share a
+floor (a rational's bounds are its value).  A nonzero element's floor
+decides its sign, and an irrational one is never on a rounding tie, so
+floors decide its decimals (``approximate``) and its float() too.
 """
 
 import math
@@ -247,14 +247,13 @@ class NumberField:
     def generator(self):
         """The distinguished root theta as a field element."""
         if self.degree == 1:
-            return _element(self, (-self._low[0],), self._lead)
-        return _element(self, (0, 1) + (0,) * (self.degree - 2), 1)
+            return _element(self, (-self._low[0], 0, 0), self._lead)
+        return _element(self, (0, 1, 0), 1)
 
     def element(self, value):
         """Embed a rational number (an int or Fraction) into the field."""
         value = _as_rational(value, "value")
-        zeros = (0,) * (self.degree - 1)
-        return _element(self, (value.numerator,) + zeros, value.denominator)
+        return _element(self, (value.numerator, 0, 0), value.denominator)
 
     def __eq__(self, other):
         if self is other:
@@ -363,15 +362,16 @@ def _sum(x, y, sign):
 # -- raw arithmetic on integer numerators ------------------------------------
 # With f = lead*x^d + f_(d-1)*x^(d-1) + ... + f_0 (field._lead, field._low),
 # lead*theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)).  _convolve
-# and _adjugate_row are the one product and one inverse formula per degree.
+# and _adjugate_row pick the one product and one inverse formula by field.
 
 
 def _convolve(field, p, q):
     """Numerators of lead^(d-1) * p * q: the convolution of p and q reduced
     modulo f."""
-    lead = field._lead
-    if len(p) == 3:
-        (p0, p1, p2), (q0, q1, q2), (f0, f1, f2) = p, q, field._low
+    lead, low = field._lead, field._low
+    (p0, p1, p2), (q0, q1, q2) = p, q
+    if len(low) == 3:
+        f0, f1, f2 = low
         c4 = p2 * q2
         # theta^3 coefficient of lead * p * q once theta^4 is reduced
         c3 = lead * (p1 * q2 + p2 * q1) - c4 * f2
@@ -380,11 +380,11 @@ def _convolve(field, p, q):
             lead * (lead * (p0 * q1 + p1 * q0) - c4 * f0) - c3 * f1,
             lead * (lead * (p0 * q2 + p1 * q1 + p2 * q0) - c4 * f1) - c3 * f2,
         )
-    if len(p) == 2:
-        (p0, p1), (q0, q1), (f0, f1) = p, q, field._low
+    if len(low) == 2:
+        f0, f1 = low
         c2 = p1 * q1
-        return lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1
-    return (p[0] * q[0],)
+        return lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1, 0
+    return p0 * q0, 0, 0
 
 
 def _adjugate_row(field, n):
@@ -393,18 +393,19 @@ def _adjugate_row(field, n):
     n * (lead * theta)^j, J_j = lead^j * adj(M)[j][0] and N = det(M)."""
     if not any(n):
         raise ZeroDivisionError("division by zero field element")
-    lead = field._lead
-    if len(n) == 3:
-        (n0, n1, n2), (f0, f1, f2) = n, field._low
+    lead, low = field._lead, field._low
+    n0, n1, n2 = n
+    if len(low) == 3:
+        f0, f1, f2 = low
         m0, m1, m2 = -n2 * f0, lead * n0 - n2 * f1, lead * n1 - n2 * f2
         k0, k1, k2 = -m2 * f0, lead * m0 - m2 * f1, lead * m1 - m2 * f2
         c0, c1, c2 = m1 * k2 - k1 * m2, k1 * n2 - n1 * k2, n1 * m2 - m1 * n2
         return (c0, lead * c1, lead * lead * c2), n0 * c0 + m0 * c1 + k0 * c2
-    if len(n) == 2:
-        (n0, n1), (f0, f1) = n, field._low
+    if len(low) == 2:
+        f0, f1 = low
         m1 = lead * n0 - n1 * f1
-        return (m1, -lead * n1), n0 * m1 + n1 * n1 * f0
-    return (1,), n[0]
+        return (m1, -lead * n1, 0), n0 * m1 + n1 * n1 * f0
+    return (1, 0, 0), n0
 
 
 def _multiply(field, x, y):
@@ -425,7 +426,7 @@ def _polynomial_at(field, coeffs, x):
     normalised, by Horner: one _multiply per step.  Adding c to num / den
     gives (num[0] + c*den, num[1], ...) / den, whose gcd with den is still
     1, so the sum needs no normalisation."""
-    num, den = (0,) * field.degree, 1
+    num, den = (0, 0, 0), 1
     for c in coeffs:
         if any(num):
             num, den = _multiply(field, (num, den), x)
@@ -435,22 +436,19 @@ def _polynomial_at(field, coeffs, x):
 
 def _primitive(field, x, y, z):
     """The primitive triple of the projective point (x : y : z) of integer
-    numerator vectors (entries past the degree are zero), z nonzero:
-    (u, v, (w, 0, 0)) with x/z = u/w, y/z = v/w, w > 0 and gcd 1, u and v
-    zero-padded to three entries, so equal points give equal triples.
+    numerator vectors, z nonzero: (u, v, (w, 0, 0)) with x/z = u/w,
+    y/z = v/w, w > 0 and gcd 1, so equal points give equal triples.
     With 1 / z = J / N and L = lead^(d-1), x/z = conv(x, J) / (N*L): one
     adjugate, two convolutions, one normalisation."""
-    d = field.degree
-    row, det = _adjugate_row(field, z[:d])
-    uv = _convolve(field, x[:d], row) + _convolve(field, y[:d], row)
+    row, det = _adjugate_row(field, z)
+    uv = _convolve(field, x, row) + _convolve(field, y, row)
     num, den = _normalised(uv, det * field._lead_power)
-    pad = (0,) * (3 - d)
-    return num[:d] + pad, num[d:] + pad, (den, 0, 0)
+    return num[:3], num[3:], (den, 0, 0)
 
 
 def _bounds(powers, num):
-    """Integers (m, r) with |n(theta) * m_0 - m| <= r for numerators num
-    zero-padded to three, from NumberField._power_bounds: the midpoint
+    """Integers (m, r) with |n(theta) * m_0 - m| <= r for numerators num,
+    always three integers, from NumberField._power_bounds: the midpoint
     m = sum c_k m_k and the radius r = sum |c_k| r_k.  Callers: _enclosure,
     and expansion.bcf_expand after each refinement or reduction (between
     them it steps m, which is linear in num, with its vector)."""
@@ -463,7 +461,7 @@ def _enclosure(field, x):
     """Integers (lo, hi, den), den > 0, with lo/den <= x <= hi/den."""
     num, den = x
     powers = field._power_bounds()
-    m, r = _bounds(powers, num + (0,) * (3 - len(num)))
+    m, r = _bounds(powers, num)
     return m - r, m + r, den * powers[0]
 
 
@@ -518,7 +516,7 @@ class AlgebraicNumber:
                 f"need at most {d} coordinates for a degree-{d} field, "
                 f"got {len(coeffs)}"
             )
-        coeffs += [Fraction(0)] * (d - len(coeffs))
+        coeffs += [Fraction(0)] * (3 - len(coeffs))
         # Over the lcm of reduced denominators the numerators share no
         # prime with it, so this form is already normalised.
         den = math.lcm(*(c.denominator for c in coeffs))
@@ -537,12 +535,13 @@ class AlgebraicNumber:
     @property
     def coeffs(self):
         """Coordinates in ascending powers of theta: c0 + c1*theta + ..."""
-        return tuple(Fraction(n, self._den) for n in self._num)
+        d = self._field.degree
+        return tuple(Fraction(n, self._den) for n in self._num[:d])
 
     # -- classification -------------------------------------------------
 
     def is_rational(self):
-        return self._field.degree == 1 or not any(self._num[1:])
+        return not any(self._num[1:])
 
     def as_fraction(self):
         """Exact rational value; raises ValueError for irrational elements."""

@@ -154,13 +154,10 @@ def _parse_int_csv(text, position, grammar):
     try:
         return tuple(map(_INTS.__getitem__, tokens))
     except ValueError:
-        pass  # the loop below names the first bad token and its position
-    values = []
-    cursor = position
+        pass  # the loop below raises, naming the first bad token's position
     for token in tokens:
-        values.append(_parse_int(token, cursor, grammar))
-        cursor += len(token) + 1
-    return tuple(values)
+        _parse_int(token, position, grammar)
+        position += len(token) + 1
 
 
 def _parse_rat(body, position):

@@ -305,8 +305,10 @@ def conjecture_scan(field_family, beta_candidates, horizon, jobs=None,
     combination yields one ScanRecord; reducible polynomials, rootless
     families, nonpositive betas, and per-candidate failures are recorded as
     skips or errors, never raised.  A hit reports what was found within the
-    horizon; a miss proves nothing.  ``jobs`` is None or at least 1; above
-    1, min(jobs, polynomials, CPUs) worker processes share the polynomials.
+    horizon; an exhausted record proves that no state of its expansion
+    recurs with j + m <= horizon - 1 (see bcf_expand).  ``jobs`` is None or
+    at least 1; above 1, min(jobs, polynomials, CPUs) worker processes share
+    the polynomials.
     """
     _check_count(horizon, "horizon")
     _check_count(preview_digits, "preview_digits", 0)

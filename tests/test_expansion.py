@@ -477,7 +477,7 @@ def _normalised_step_loop(alpha, beta, terms):
     step (one adjugate, one convolution, one gcd), each state keyed in a
     `seen` dict.  Returns (a, b, terminal, periodicity)."""
     field = alpha.field
-    d, lead_power = field.degree, field._lead_power
+    lead_power = field._lead_power
     (p, dp), (q, dq) = alpha._raw, beta._raw
     w = math.lcm(dp, dq)
     state = tuple(c * (w // dp) for c in p), tuple(c * (w // dq) for c in q), w
@@ -500,7 +500,7 @@ def _normalised_step_loop(alpha, beta, terms):
         num, den = fields._normalised(
             tuple(w * lead_power * j for j in row) + r, det * lead_power
         )
-        state = num[:d], num[d:], den
+        state = num[:3], num[3:], den
     return a, b, None, None
 
 

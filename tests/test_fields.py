@@ -440,9 +440,10 @@ def ref_inverse(min_poly, x):
 
 
 def assert_normalised(x):
-    assert x._den > 0
+    d = x.field.degree
+    assert x._den > 0 and len(x._num) == 3 and not any(x._num[d:])
     assert math.gcd(x._den, *x._num) == 1
-    assert x.coeffs == tuple(Fraction(n, x._den) for n in x._num)
+    assert x.coeffs == tuple(Fraction(n, x._den) for n in x._num[:d])
 
 
 @given(data=st.data())
@@ -488,11 +489,9 @@ def test_rational_over_element_scales_the_inverse(data, q):
 
 def _start_triple(alpha, beta):
     """The triple bcf_expand starts from: (p dq : q dp : dp dq) for
-    alpha = p/dp and beta = q/dq, vectors zero-padded to three entries."""
+    alpha = p/dp and beta = q/dq."""
     (p, dp), (q, dq) = alpha._raw, beta._raw
-    pad = (0,) * (3 - len(p))
-    return (tuple(c * dq for c in p) + pad, tuple(c * dp for c in q) + pad,
-            (dp * dq, 0, 0))
+    return tuple(c * dq for c in p), tuple(c * dp for c in q), (dp * dq, 0, 0)
 
 
 @given(data=st.data())
@@ -505,15 +504,15 @@ def test_step_matches_public_operators(data):
     beta = AlgebraicNumber(field, data.draw(coords))
     a, b = data.draw(st.integers(-5, 5)), data.draw(st.integers(-5, 5))
     assume(beta != b)
-    # One linear step of the projective triple (vectors zero-padded to
-    # three entries), then its primitive form.
+    # One linear step of the projective triple (vectors of three entries,
+    # zero past the degree), then its primitive form.
     x, y, z = _start_triple(alpha, beta)
     step = (z, tuple(c - a * e for c, e in zip(x, z)),
             tuple(c - b * e for c, e in zip(y, z)))
     u, v, (w, *rest) = _primitive(field, *step)
     assert len(u) == len(v) == 3 and not any(u[d:] + v[d:] + tuple(rest))
     assert w > 0 and math.gcd(w, *u, *v) == 1
-    x, y = _element(field, u[:d], w), _element(field, v[:d], w)
+    x, y = _element(field, u, w), _element(field, v, w)
     assert x == 1 / (beta - b)
     assert y == (alpha - a) / (beta - b)
     # The triple is canonical: the elements' start triple reduces to the

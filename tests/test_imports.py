@@ -6,13 +6,15 @@ can leave an import or a helper behind; the package has no linter
 dependency, so this parses each module with ast instead.  __init__.py is
 left out of the import check: it imports to re-export, so the names it
 imports must be exactly its __all__ minus __version__, and the two lists
-cannot drift apart.  Four more rules are pinned the same way: only
+cannot drift apart.  Five more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
-raises DegenerateSystem, so recovery has one degeneracy guard; and only
+raises DegenerateSystem, so recovery has one degeneracy guard; only
 cli._literal calls parse_number, so the kinds of literal a flag takes are
-decided by one rule.  Last, importing bcf.cli, as every bcf command
+decided by one rule; and outside fields no code reads .degree but as
+polys.degree, so fields alone knows that a numerator vector is three
+integers, zero past the degree.  Last, importing bcf.cli, as every bcf command
 does first, loads none of dataclasses, inspect or typing, whose import
 costs each command more than its work on a small input, nor argparse,
 shutil, gettext or locale, which only help needs: a run, or a usage
@@ -180,6 +182,19 @@ def _raises(error):
     return hit
 
 
+def _reads_degree(node):
+    """A read of an attribute .degree other than polys.degree."""
+    return (isinstance(node, ast.Attribute) and node.attr == "degree"
+            and not (isinstance(node.value, ast.Name) and node.value.id == "polys"))
+
+
+def _lines_where(sources, hit):
+    """(module, line) of each node anywhere in the sources, a dict of module
+    name to source text, for which hit(node) holds."""
+    return sorted((module, node.lineno) for module, source in sources.items()
+                  for node in ast.walk(ast.parse(source)) if hit(node))
+
+
 def _sources():
     return {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
 
@@ -247,6 +262,20 @@ def test_parse_number_caller_is_found():
 
 def test_only_literal_parses_numbers():
     assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]
+
+
+def test_degree_read_is_found():
+    sources = {
+        "a": "def f(x):\n    return x.field.degree\nD = K.degree\n",
+        "b": "from . import polys\ndef g(c):\n    return polys.degree(c)\n"
+             "def degree(x):\n    return degree(x)\n",
+    }
+    assert _lines_where(sources, _reads_degree) == [("a", 2), ("a", 3)]
+
+
+def test_only_fields_reads_the_degree():
+    sources = {m: s for m, s in _sources().items() if m != "fields"}
+    assert _lines_where(sources, _reads_degree) == []
 
 
 # Run in the child after import bcf.cli: one catalogue argv of each

@@ -160,7 +160,7 @@ def test_error_messages_carry_position_and_grammar():
 
 def test_parse_digits():
     assert parse_digits("1,2,3") == (1, 2, 3)
-    assert parse_digits("") == ()
+    assert parse_digits("") == parse_digits(None) == ()
     assert parse_digits("0") == (0,)
     with pytest.raises(ParseError):
         parse_digits("1,x")

@@ -504,6 +504,27 @@ def test_scan_finds_tribonacci_periodicity():
     assert record.min_poly == (1, -1, -1, -1)
 
 
+def test_open_run_bound_is_tight_on_a_scan_box():
+    # A run left open at horizon H proves that no state recurs with
+    # j + m <= H - 1 (bcf_expand), and no more: each periodic record (j, m)
+    # of the monic -2:2 box is found at max_terms = j + m + 1, and at
+    # j + m the run is open.
+    from bcf import cli
+
+    box = [(1, c2, c1, c0) for c2 in range(-2, 3) for c1 in range(-2, 3)
+           for c0 in range(-2, 3)]
+    records = [r for r in conjecture_scan(box, cli._DEFAULT_SCAN_BETAS, 128)
+               if r.status == STATUS_PERIODIC]
+    assert len(records) == 73
+    for r in records:
+        alpha = NumberField(r.min_poly, r.interval).generator()
+        beta, horizon = r.beta_expr.evaluate(alpha), r.preperiod + r.period
+        found = bcf_expand(alpha, beta, max_terms=horizon + 1)
+        assert found.periodicity == (r.preperiod, r.period)
+        open_run = bcf_expand(alpha, beta, max_terms=horizon)
+        assert open_run.periodicity is None and not open_run.terminated
+
+
 def test_scan_keeps_ratfunc_candidates_as_given(monkeypatch):
     # A RatFunc is already canonical: the scan uses it as is, and only a
     # (num, den) pair is built into one.
