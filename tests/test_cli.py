@@ -1365,6 +1365,15 @@ def test_usage_error_line(kind):
     assert _outcome(argv) == (2, "", f"error: {line}\n")
 
 
+# --n is the one nonnegative flag whose range USAGE_ERRORS does not probe.
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--a", "1", "--b", "1", "--n", "-1"],
+     "argument --n: expected a nonnegative integer, got -1"),
+], ids=["n"])
+def test_integer_option_out_of_range_is_exit_2(argv, message):
+    assert _outcome(argv) == (2, "", f"error: {message}\n")
+
+
 def _integer_flag_argvs():
     """Each int-typed flag of each subcommand, and each scan range, given
     a value with an '_', a blank or a non-ASCII digit, which int() takes
