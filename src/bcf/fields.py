@@ -54,10 +54,15 @@ def bounded_str(value, render=str):
         raise _too_long_to_print() from None
 
 
-def _check_count(value, what, least=1):
-    """The rule for counts and indices: an int, not a bool, at least `least`."""
+def _check_int(value, what):
+    """The type rule for counts and indices: an int, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise TypeError(f"{what} must be an int, got {value!r}")
+
+
+def _check_count(value, what, least=1):
+    """The rule for counts and indices: _check_int's, and at least `least`."""
+    _check_int(value, what)
     if value < least:
         raise ValueError(f"{what} must be at least {least}")
 
@@ -213,7 +218,9 @@ class NumberField:
         one bisection.  No step takes more bits than are still wanted, so
         refine() is one bisection.  Every step multiplies the shared
         denominator q by a power of two and keeps the ends integers over it.
+        bits takes the count rule from 0.
         """
+        _check_count(bits, "bits", 0)
         self._powers = None
         f, sign_lo = self._min_poly, self._sign_lo
         lo, hi, q = self._lo_n, self._hi_n, self._q
@@ -571,18 +578,7 @@ class AlgebraicNumber:
     __mul__, __rmul__ = _operators(
         lambda x, y: _normal(x._field, *_multiply(x._field, x._raw, y._raw))
     )
-    __truediv__ = _operators(lambda x, y: x * y.inverse())[0]
-
-    def __rtruediv__(self, other):
-        """other / self; a rational other scales the adjugate row of 1 / self
-        (see _inverse), normalised once, with no embedding of other."""
-        if not isinstance(other, (int, Fraction)) or isinstance(other, bool):
-            other = self._coerce(other)
-            return other if other is NotImplemented else other / self
-        row, det = _adjugate_row(self._field, self._num)
-        scale = other.numerator * self._den
-        return _element(self._field, tuple([scale * j for j in row]),
-                        det * other.denominator)
+    __truediv__, __rtruediv__ = _operators(lambda x, y: x * y.inverse())
 
     def __neg__(self):
         return _element(self._field, tuple(-c for c in self._num), self._den)

@@ -58,11 +58,6 @@ def multiply(f, g):
     return tuple(out)
 
 
-def content(coeffs):
-    """Nonnegative gcd of the integer coefficients (0 for zero polynomial)."""
-    return math.gcd(*coeffs)
-
-
 def primitive(coeffs):
     """Divide out the content and force a positive leading coefficient."""
     coeffs = _positive_primitive(coeffs)
@@ -72,7 +67,7 @@ def primitive(coeffs):
 def _positive_primitive(coeffs):
     """coeffs divided by its content; unlike primitive, signs are kept."""
     coeffs = trim(coeffs)
-    g = content(coeffs)
+    g = math.gcd(*coeffs)
     return coeffs if g <= 1 else tuple(c // g for c in coeffs)
 
 

@@ -21,10 +21,16 @@ def _check_digits(name, digits):
 
 
 def as_pair(value):
-    """Coerce a SequencePair or a raw (a, b) pair of digit sequences."""
+    """Coerce a SequencePair or a raw (a, b) pair of digit sequences; any
+    other value is a TypeError that names it."""
     if isinstance(value, SequencePair):
         return value
-    a, b = value
+    try:
+        a, b = value
+        a, b = tuple(a), tuple(b)
+    except (TypeError, ValueError):
+        raise TypeError("expected a SequencePair or an (a, b) pair of digit "
+                        f"sequences, got {value!r}") from None
     return SequencePair(a, b)
 
 

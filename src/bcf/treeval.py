@@ -17,7 +17,7 @@ from itertools import islice, pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import _as_exact, _check_index
+from .fields import _as_exact, _check_index, _check_int
 from .sequences import _check_digits, as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
@@ -25,7 +25,16 @@ from .sequences import _check_digits, as_pair as _as_pair
 _RENDER_NODE_BUDGET = 2**20
 
 
-def _digit_lists(pair, n):
+def _digit_lists(seqs, n, refusal=None):
+    """Digits 0..n of seqs (through as_pair) as two lists: the one reader of
+    the six convergent routes.  n must be an int, not a bool; then the
+    route's range test refusal(n) may return an error to raise, and the
+    index rule refuses a negative n, before any digit is read."""
+    pair = _as_pair(seqs)
+    _check_int(n, "index")
+    error = refusal and refusal(n)
+    if error:
+        raise error
     _check_index(n)
     if n < len(pair.a) and n < len(pair.b):
         return pair.a[:n + 1], pair.b[:n + 1]
@@ -111,16 +120,14 @@ def tree_sum(a, b):
 
 def convergent(seqs, n):
     """n-term convergent triple by the forward three-term recurrence."""
-    pair = _as_pair(seqs)
-    a, b = _digit_lists(pair, n)
+    a, b = _digit_lists(seqs, n)
     A, B, C = deque(_kernels.convergent_triples(a, b, n), maxlen=1).pop()
     return ConvergentTriple(n, A, B, C)
 
 
 def convergent_sequence(seqs, n):
     """All convergent triples for indices 0..n (one forward pass)."""
-    pair = _as_pair(seqs)
-    a, b = _digit_lists(pair, n)
+    a, b = _digit_lists(seqs, n)
     return [
         ConvergentTriple(i, A, B, C)
         for i, (A, B, C) in enumerate(_kernels.convergent_triples(a, b, n))
@@ -133,11 +140,10 @@ def convergent_backward(seqs, m, n):
     The recurrence runs over the first index at fixed n; at m = 0 the
     entries coincide with the forward convergent (A_n, B_n) and C_n.
     """
-    pair = _as_pair(seqs)
-    if m < 0 or m > n:
-        raise IndexOutOfRange(f"need 0 <= m <= n, got m={m}, n={n}")
-    _check_index(m, "m")
-    a, b = _digit_lists(pair, n)
+    _check_int(m, "m")
+    a, b = _digit_lists(
+        seqs, n, lambda n: not 0 <= m <= n
+        and IndexOutOfRange(f"need 0 <= m <= n, got m={m}, n={n}"))
     return _kernels.backward_entry(a, b, m, n)
 
 
@@ -149,18 +155,15 @@ def convergent_matrix(seqs, n):
     last three convergent triples as its columns, and (A_n, B_n, C_n) is its
     first column.
     """
-    pair = _as_pair(seqs)
-    a, b = _digit_lists(pair, n)
+    a, b = _digit_lists(seqs, n)
     rows = _kernels.convergent_matrix(a, b, n)
     return ConvergentTriple(n, rows[0][0], rows[1][0], rows[2][0])
 
 
 def det_invariant(seqs, n):
     """Determinant of the last three convergent triples (expected value 1)."""
-    pair = _as_pair(seqs)
-    if n < 2:
-        raise IndexOutOfRange(f"determinant needs n >= 2, got {n}")
-    a, b = _digit_lists(pair, n)
+    a, b = _digit_lists(seqs, n, lambda n: n < 2 and IndexOutOfRange(
+        f"determinant needs n >= 2, got {n}"))
     return _kernels.det3(_kernels.convergent_matrix(a, b, n))
 
 
@@ -171,10 +174,8 @@ def gap_diagnostics(seqs, N):
     a_i >= 1 for 1 <= i <= N, the hypothesis under which the gap series
     is guaranteed to shrink.
     """
-    pair = _as_pair(seqs)
-    if N < 8:
-        raise ValueError(f"diagnostics need N >= 8, got {N}")
-    a, b = _digit_lists(pair, N)
+    a, b = _digit_lists(seqs, N, lambda N: N < 8 and ValueError(
+        f"diagnostics need N >= 8, got {N}"))
     for i in range(1, N + 1):
         if a[i] < 1:
             raise InvalidSequence(f"diagnostics require a[{i}] >= 1, got {a[i]}")

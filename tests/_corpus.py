@@ -71,7 +71,7 @@ def canonical_ratfunc(num, den):
     out step by step as the reference its tests compare with."""
     num = polys.trim(num)
     den = polys.trim(den)
-    g = math.gcd(polys.content(num), polys.content(den))
+    g = math.gcd(*num, *den)
     if g > 1:
         num = tuple(c // g for c in num)
         den = tuple(c // g for c in den)
@@ -87,7 +87,7 @@ def former_primitive(coeffs):
     coeffs = polys.trim(coeffs)
     if not coeffs:
         return ()
-    g = polys.content(coeffs)
+    g = math.gcd(*coeffs)
     if coeffs[0] < 0:
         g = -g
     return tuple(c // g for c in coeffs)

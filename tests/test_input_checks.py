@@ -24,11 +24,13 @@ from bcf import (
     convergent,
     convergent_backward,
     convergent_matrix,
+    det_invariant,
     fraction_str,
     gap_diagnostics,
     node_counts,
     parse_digits,
     polys,
+    recover_cubic_pure,
     render_tree,
 )
 from bcf.errors import IndexOutOfRange, InvalidSequence, OutputTooLarge, ParseError
@@ -54,6 +56,9 @@ def _not_an_int(call, what, value):
 _PERIODIC = SequencePair((2, 1), (1, 1), periodicity=(0, 2))
 _SCAN = ([(1, 0, 0, -2)], [((1, 0, 0), (1,))], 8)
 _TAIL = (Fraction(7, 4), Fraction(3, 2), SequencePair((1, 2), (0, 1)))
+_TWELVE = SequencePair([1] * 12, [0] * 12)
+_SHORT = SequencePair([1] * 3, [0] * 3)
+_NOT_A_PAIR = "expected a SequencePair or an (a, b) pair of digit sequences, got "
 _REFUSALS = {
     "fraction_str past the string limit": (
         _fraction_str_past_the_limit, OutputTooLarge,
@@ -176,7 +181,53 @@ _REFUSALS = {
     "digit_b of an open pair at -3": (
         lambda: SequencePair((1, 2), (0, 1)).digit_b(-3), IndexOutOfRange,
         "digit index must be nonnegative, got -3"),
+    # An int index keeps each route's own range test, message and class.
+    "det_invariant at 1": (
+        lambda: det_invariant(_TWELVE, 1), IndexOutOfRange,
+        "determinant needs n >= 2, got 1"),
+    "gap_diagnostics at 7 on three digits": (
+        lambda: gap_diagnostics(_SHORT, 7), ValueError,
+        "diagnostics need N >= 8, got 7"),
+    "gap_diagnostics at 5 on three digits": (
+        lambda: gap_diagnostics(_SHORT, 5), ValueError,
+        "diagnostics need N >= 8, got 5"),
+    "convergent_backward from m -1": (
+        lambda: convergent_backward(_TWELVE, -1, 3), IndexOutOfRange,
+        "need 0 <= m <= n, got m=-1, n=3"),
+    "convergent_backward from m past n": (
+        lambda: convergent_backward(_TWELVE, 4, 3), IndexOutOfRange,
+        "need 0 <= m <= n, got m=4, n=3"),
+    # One rule reads a digit pair: a SequencePair or two digit sequences.
+    "convergent of None": (
+        lambda: convergent(None, 3), TypeError, _NOT_A_PAIR + "None"),
+    "convergent of three sequences": (
+        lambda: convergent(((1,), (1,), (1,)), 3), TypeError,
+        _NOT_A_PAIR + "((1,), (1,), (1,))"),
+    "recover_cubic_pure of one digit list": (
+        lambda: recover_cubic_pure([1, 2]), TypeError, _NOT_A_PAIR + "[1, 2]"),
+    # refine takes the count rule from 0.
+    "refine by 'x' bits": _not_an_int(
+        lambda: TRIBONACCI.refine("x"), "bits", "x"),
+    "refine by 1.5 bits": _not_an_int(
+        lambda: TRIBONACCI.refine(1.5), "bits", 1.5),
+    "refine by True bits": _not_an_int(
+        lambda: TRIBONACCI.refine(True), "bits", True),
+    "refine by -3 bits": (
+        lambda: TRIBONACCI.refine(-3), ValueError, "bits must be at least 0"),
 }
+# The six treeval routes read the pair and the index through one reader,
+# which refuses a non-int index before any route's range test.
+for _value in (True, 1.5, "3", None):
+    _REFUSALS.update({
+        f"det_invariant at {_value!r}": _not_an_int(
+            lambda v=_value: det_invariant(_TWELVE, v), "index", _value),
+        f"gap_diagnostics at {_value!r}": _not_an_int(
+            lambda v=_value: gap_diagnostics(_TWELVE, v), "index", _value),
+        f"convergent_backward from m {_value!r} to 0": _not_an_int(
+            lambda v=_value: convergent_backward(_TWELVE, v, 0), "m", _value),
+        f"convergent_backward from 2 to n {_value!r}": _not_an_int(
+            lambda v=_value: convergent_backward(_TWELVE, 2, v), "index", _value),
+    })
 
 
 @pytest.mark.parametrize("case", list(_REFUSALS))

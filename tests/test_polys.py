@@ -34,10 +34,10 @@ def test_arithmetic():
 
 
 def test_content_primitive_clear():
-    assert polys.content((4, -6, 2)) == 2
+    assert math.gcd(4, -6, 2) == 2
     assert polys.primitive((4, -6, 2)) == (2, -3, 1)
     assert polys.primitive((-4, -6)) == (2, 3)
-    assert polys.content((-4, -6)) == 2
+    assert math.gcd(-4, -6) == 2
 
 
 @given(coeffs=st.lists(st.integers(-50, 50), max_size=6),

@@ -525,6 +525,21 @@ def test_open_run_bound_is_tight_on_a_scan_box():
         assert open_run.periodicity is None and not open_run.terminated
 
 
+def test_period_is_found_past_a_repeated_window():
+    # The pure period of m = 18 digits repeats its first window at 9, where
+    # no state recurs, so the window at 18 has two earlier starts with its
+    # digits, 0 and 9, and only the first is the recurrence: a loop that
+    # tests only the latest earlier start misses it.
+    a = (2,) * 8 + (3,) + (2,) * 8 + (4,)
+    b = (1,) * 8 + (0,) + (1,) * 8 + (0,)
+    result = recover_cubic_pure((a, b))
+    assert bcf_expand(result.alpha, result.beta, max_terms=18).periodicity is None
+    for horizon in (19, 40):
+        found = bcf_expand(result.alpha, result.beta, max_terms=horizon)
+        assert found.periodicity == (0, 18)
+        assert (found.a[:18], found.b[:18]) == (a, b)
+
+
 def test_scan_keeps_ratfunc_candidates_as_given(monkeypatch):
     # A RatFunc is already canonical: the scan uses it as is, and only a
     # (num, den) pair is built into one.
