@@ -43,7 +43,7 @@ from .errors import (
     ParseError,
 )
 from .expansion import bcf_expand, bcf_expand_box
-from .fields import AlgebraicNumber, _check_places, _rounded_decimal
+from .fields import _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
     _excerpt,
@@ -181,8 +181,7 @@ def _expand(args):
                 beta = beta.evaluate(alpha)
             except ZeroDivisionError as exc:
                 raise ParseError(f"--beta: {exc}") from None
-    field = isinstance(alpha, AlgebraicNumber) or isinstance(beta, AlgebraicNumber)
-    expand = bcf_expand if field else bcf_expand_box
+    expand = bcf_expand_box if args.approx else bcf_expand
     # Under the digit limit L record 7L + 2 cannot print, so no more pairs are
     # expanded: a-digits past the first are >= 1, so C_n >= C_(n-1) + C_(n-3)
     # >= rho**(n - 2), rho the real root of x**3 = x**2 + 1, log10(rho) > 1/7.
@@ -365,6 +364,9 @@ def _scan(args):
         jobs=args.jobs,
         preview_digits=args.preview,
     )
+    # Every record is rendered before any prints, so an unprintable one
+    # leaves standard output empty.
+    lines = []
     for record in records:
         interval = beta_expr = preview = None
         if record.interval is not None:
@@ -374,7 +376,7 @@ def _scan(args):
         if record.digits_preview is not None:
             preview = {"a": list(record.digits_preview[0]),
                        "b": list(record.digits_preview[1])}
-        print(_dumps({
+        lines.append(bounded_str({
             "min_poly": list(record.min_poly),
             "interval": interval,
             "beta_expr": beta_expr,
@@ -382,7 +384,9 @@ def _scan(args):
             "preperiod": record.preperiod,
             "period": record.period,
             "digits_preview": preview,
-        }))
+        }, _dumps))
+    for line in lines:
+        print(line)
 
 
 # -- flags -------------------------------------------------------------------

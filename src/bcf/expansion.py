@@ -9,10 +9,10 @@ beta_i non-integral,
 
 The run ends when some beta_n is an integer; the exact alpha_n is kept as the
 terminal value rather than floored.  Each engine is one loop.  ``bcf_expand``
-validates its input once; a rational pair then runs as two elements of Q,
-the degree-1 field _RATIONALS, whose bounds are exact, so every pair takes
-one loop.  The pair is held as a projective triple (X : Y : Z) of integer
-power-basis vectors, alpha = X/Z and beta = Y/Z, stepped by the linear map
+validates its input once; a rational pair then runs on the integer kernel
+below, and a pair of field elements on the field loop.  That loop holds the
+pair as a projective triple (X : Y : Z) of integer power-basis vectors,
+alpha = X/Z and beta = Y/Z, stepped by the linear map
 (X, Y, Z) -> (Z, X - aZ, Y - bZ), with no inverse and no gcd; every
 _RENORMALISE steps ``fields._primitive`` reduces the triple to its canonical
 primitive form, which keeps heights down.  Both floors come from
@@ -27,8 +27,8 @@ either kind of number through the public operators (``_next``) and reads
 positivity off its floors too.  ``_kernels.rational_digits`` is the one
 integer engine: it steps a rational point, or a box's corners in lockstep to
 the first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it
-for ``bcf_expand_rational``, ``rational_expansion_trace`` and
-``bcf_expand_box``, which the CLI uses for every rational pair.
+for ``bcf_expand`` on a rational pair, ``bcf_expand_rational``,
+``rational_expansion_trace`` and ``bcf_expand_box``.
 """
 
 import math
@@ -38,13 +38,12 @@ from itertools import cycle, islice
 
 from ._kernels import convergent_matrix, mat_mul3, rational_digits
 from .errors import EmptyInterval, NonPositiveInput
-from .fields import AlgebraicNumber, NumberField, _as_exact, _bounds, _check_count
+from .fields import AlgebraicNumber, _as_exact, _bounds, _check_count
 from .fields import _convolve, _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
 _RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
 _WINDOW = 8  # W: digit pairs in a window that may flag a recurrence
-_RATIONALS = NumberField((1, 0), (-1, 1))  # Q, the degree-1 field of theta = 0
 
 
 class ExpansionState(namedtuple("ExpansionState", "alpha beta index")):
@@ -106,8 +105,8 @@ def bcf_step(state):
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    A rational pair runs as two elements of Q (_RATIONALS), whose bounds
-    are exact.  The pair is stepped as its projective triple, the bounds on
+    A rational pair runs on the integer kernel, as ``bcf_expand_rational``
+    does.  A field pair is stepped as its projective triple, the bounds on
     its floors with it; step 0's floors decide positivity.  The start
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
@@ -128,7 +127,7 @@ def bcf_expand(alpha, beta, max_terms=64):
     _check_count(max_terms, "max_terms")
     alpha, beta = _unify_pair(alpha, beta)
     if not isinstance(alpha, AlgebraicNumber):
-        alpha, beta = _RATIONALS.element(alpha), _RATIONALS.element(beta)
+        return _rational_run((alpha,), (beta,), max_terms)[0]
     field = alpha.field
     (p, dp), (q, dq) = alpha._raw, beta._raw
     state = x, y, z = (tuple([c * dq for c in p]), tuple([c * dp for c in q]),
@@ -164,8 +163,7 @@ def bcf_expand(alpha, beta, max_terms=64):
         if not any(s):
             if i < max_terms:
                 u, _, (w, _, _) = _primitive(field, x, y, z)
-                terminal = (Fraction(u[0], w) if field is _RATIONALS
-                            else _element(field, u, w))
+                terminal = _element(field, u, w)
             break
         a_digits.append(a_i)
         r = i + 1 - _WINDOW
@@ -216,9 +214,9 @@ def _rational_run(alphas, betas, max_terms):
 
 def bcf_expand_rational(alpha, beta, max_terms=None):
     """Expand a positive rational pair with the integer triple recurrence;
-    it always terminates.  The result is digit-for-digit identical to
-    bcf_expand on the same inputs, and with ``max_terms`` to
-    bcf_expand(max_terms=...): a run cut by the cap is open, with no terminal.
+    it always terminates.  ``bcf_expand`` runs the same kernel on a rational
+    pair; with no ``max_terms`` this one runs to the terminal, and a run cut
+    by the cap is open, with no terminal.
     """
     return _rational_run((alpha,), (beta,), max_terms)[0]
 

@@ -724,7 +724,7 @@ def _as_ints(values, what):
 
 def floor_of(x):
     """Exact floor of an int, Fraction, or AlgebraicNumber."""
-    return math.floor(x)
+    return math.floor(_as_exact(x, "x"))
 
 
 def approximate(x, decimal_digits):

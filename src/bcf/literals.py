@@ -5,8 +5,9 @@ Grammar (one kind per literal, chosen by its prefix):
     rat:<int>[/<int>]                       exact rational, e.g. rat:7/4
     alg:<c_d>,...,<c_0>@<lo>,<hi>           root of an integer polynomial
                                             (descending coefficients) inside
-                                            the open interval (lo, hi),
-                                            e.g. alg:1,-1,-1,-1@1,2
+                                            the open interval (lo, hi), each
+                                            end <int>[/<int>] as in rat:,
+                                            e.g. alg:1,-1,-1,-1@3/2,2
     ratfunc:<n_k>,...,<n_0>/<d_j>,...,<d_0> rational function of alpha with
                                             integer coefficients, only
                                             meaningful for beta,
@@ -24,9 +25,10 @@ module reads and writes it.
 An integer list is split at its commas and each token mapped through one
 table of the small ints whose misses call int(), all at C level.
 
-Parse failures raise ParseError naming the offending token, its position,
-and the expected grammar fragment; a token is quoted only up to a short
-prefix.
+Every integer, interval ends included, is read by int() under Python's
+digit limit.  Parse failures raise ParseError naming the offending token,
+its position, and the expected grammar fragment; a token is quoted only up
+to a short prefix.
 """
 
 import math
@@ -36,8 +38,9 @@ from fractions import Fraction
 
 from . import polys
 from .errors import ParseError
-from .fields import (AlgebraicNumber, NumberField, _as_ints, _as_rational,
-                     _inverse, _multiply, _normal, _polynomial_at, bounded_str)
+from .fields import (AlgebraicNumber, NumberField, _as_exact, _as_ints,
+                     _as_rational, _inverse, _multiply, _normal, _polynomial_at,
+                     bounded_str)
 
 RAT_GRAMMAR = "rat:<int>[/<int>]"
 ALG_GRAMMAR = "alg:<c_d>,...,<c_0>@<lo>,<hi>"
@@ -72,8 +75,8 @@ class RatFunc(tuple):
         return "/".join(",".join(map(str, p)) or "0" for p in self)
 
     def evaluate(self, alpha):
-        """Exact value at alpha (a Fraction or field element).  At a field
-        element both polynomials are evaluated on normalised integer
+        """Exact value at alpha (an int, Fraction or field element).  At a
+        field element both polynomials are evaluated on normalised integer
         (num, den) pairs and divided with one inverse."""
         if isinstance(alpha, AlgebraicNumber):
             field = alpha.field
@@ -81,6 +84,7 @@ class RatFunc(tuple):
             if any(den[0]):
                 return _normal(field, *_multiply(field, num, _inverse(field, den)))
         else:
+            alpha = _as_exact(alpha, "alpha")
             den = polys.evaluate(self.den, alpha)
             if den != 0:
                 return polys.evaluate(self.num, alpha) / den
@@ -92,8 +96,8 @@ def _excerpt(text):
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
-def _token_error(expected, token, position, grammar, exc):
-    """The ParseError for a token that int() or Fraction() rejected."""
+def _token_error(token, position, grammar, exc):
+    """The ParseError for a token that int() rejected."""
     if str(exc).startswith("Exceeds the limit"):
         return ParseError(
             f"token at position {position} exceeds the "
@@ -101,7 +105,7 @@ def _token_error(expected, token, position, grammar, exc):
             f"got {_excerpt(token)} (grammar: {grammar})"
         )
     return ParseError(
-        f"expected {expected} at position {position}, got {_excerpt(token)} "
+        f"expected an integer at position {position}, got {_excerpt(token)} "
         f"(grammar: {grammar})"
     )
 
@@ -110,18 +114,7 @@ def _parse_int(token, position, grammar):
     try:
         return int(token, 10)
     except ValueError as exc:
-        raise _token_error(
-            "an integer", token, position, grammar, exc
-        ) from None
-
-
-def _parse_fraction(token, position, grammar):
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise _token_error(
-            "a rational", token, position, grammar, exc
-        ) from None
+        raise _token_error(token, position, grammar, exc) from None
 
 
 def _check_characters(text, position, grammar):
@@ -160,16 +153,18 @@ def _parse_int_csv(text, position, grammar):
         position += len(token) + 1
 
 
-def _parse_rat(body, position):
+def _parse_rat(body, position, grammar=RAT_GRAMMAR):
+    """<int>[/<int>] as a Fraction: a rat: body, or an alg: interval end
+    with the alg: grammar in its messages."""
     head, sep, tail = body.partition("/")
-    p = _parse_int(head, position, RAT_GRAMMAR)
+    p = _parse_int(head, position, grammar)
     if not sep:
         return Fraction(p)
-    q = _parse_int(tail, position + len(head) + 1, RAT_GRAMMAR)
+    q = _parse_int(tail, position + len(head) + 1, grammar)
     if q == 0:
         raise ParseError(
             f"zero denominator at position {position + len(head) + 1} "
-            f"(grammar: {RAT_GRAMMAR})"
+            f"(grammar: {grammar})"
         )
     return Fraction(p, q)
 
@@ -190,9 +185,8 @@ def _parse_alg(body, position):
             f"(grammar: {ALG_GRAMMAR})"
         )
     cursor = position + len(coeff_text) + 1
-    lo = _parse_fraction(endpoints[0], cursor, ALG_GRAMMAR)
-    cursor += len(endpoints[0]) + 1
-    hi = _parse_fraction(endpoints[1], cursor, ALG_GRAMMAR)
+    lo = _parse_rat(endpoints[0], cursor, ALG_GRAMMAR)
+    hi = _parse_rat(endpoints[1], cursor + len(endpoints[0]) + 1, ALG_GRAMMAR)
     return NumberField(coeffs, (lo, hi)).generator()
 
 

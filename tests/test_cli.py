@@ -17,9 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcf import (
-    bcf_expand, bcf_expand_rational, cli, convergent, errors, expansion,
-    fields, literals, recovery, validation,
+    NumberField, bcf_expand, bcf_expand_rational, cli, convergent, errors,
+    expansion, fields, literals, recovery, validation,
 )
+from bcf._kernels import rational_digits
 from bcf.cli import _convergent_records, run
 from bcf.fields import _rounded_decimal
 
@@ -127,6 +128,9 @@ def _stdout(capsys, argv):
     return captured.out
 
 
+_Q = NumberField((1, 0), (-1, 1))  # Q, as the field of theta = 0
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_rational_expand_bytes_match_generic_loop(capsys, monkeypatch, fmt, offset):
@@ -135,8 +139,9 @@ def test_rational_expand_bytes_match_generic_loop(capsys, monkeypatch, fmt, offs
             "--terms", str(length + offset), "--format", fmt]
     kernel = _stdout(capsys, argv)
     with monkeypatch.context() as m:
-        m.setattr(cli, "bcf_expand_box",
-                  lambda alpha, beta, max_terms: bcf_expand(alpha, beta, max_terms))
+        # the field loop, run on the pair embedded in a degree-1 field
+        m.setattr(cli, "bcf_expand", lambda alpha, beta, max_terms: bcf_expand(
+            _Q.element(alpha), _Q.element(beta), max_terms))
         generic = _stdout(capsys, argv)
     assert kernel == generic
     assert ("terminal: " in kernel or '"terminated":true' in kernel) == (offset >= 0)
@@ -146,11 +151,20 @@ def test_rational_expand_skips_generic_loop(capsys, monkeypatch):
     def generic(*args, **kwargs):
         raise AssertionError("the generic loop ran")
 
-    monkeypatch.setattr(cli, "bcf_expand", generic)
+    calls = []
+
+    def kernel(*args):
+        calls.append(args)
+        return rational_digits(*args)
+
+    # the field loop's first step calls _bounds
+    monkeypatch.setattr(expansion, "_bounds", generic)
     monkeypatch.setattr(expansion, "bcf_step", generic)
+    monkeypatch.setattr(expansion, "rational_digits", kernel)
     out = _stdout(capsys, ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2",
                            "--terms", "2", "--format", "text"])
     assert out.splitlines()[:3] == ["a: 1,2", "b: 1,1", "terminated: false"]
+    assert len(calls) == 1
 
 
 # (argv, sha256 of stdout): one depth-256 cubic expansion and one 30-digit
@@ -572,6 +586,21 @@ def test_reversed_root_interval_is_input_error(capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error: root interval must satisfy lo < hi")
+
+
+# An interval end takes the rat: rule: a decimal or exponent end is refused
+# at its token, before any field is set up.
+@pytest.mark.parametrize("alpha, token", [
+    ("alg:1,0,-2@1e5000,1e5001", "'1e5000'"),
+    ("alg:1,0,-2@1.41,1.42", "'1.41'"),
+    ("alg:1,0,-2@-1e999999,2", "'-1e999999'"),
+])
+def test_alg_interval_end_takes_the_rat_rule(capsys, alpha, token):
+    assert run(["expand", "--alpha", alpha, "--beta", "rat:1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: expected an integer at position 11, got "
+                            f"{token} (grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)\n")
 
 
 def test_out_of_memory_is_exit_3(monkeypatch, capsys):
@@ -1080,6 +1109,21 @@ def test_scan_box_over_budget_is_exit_3(monkeypatch, capsys, argv):
     assert len(calls) == 1
 
 
+def test_unprintable_scan_record_is_exit_3_with_empty_stdout(capsys):
+    # beta = (10**L - 1) alpha on x^3 - 2, L the digit limit: its first b
+    # digit has L + 1 digits.  The printable alpha^2 record before it is
+    # not printed either.
+    nines = "9" * sys.get_int_max_str_digits()
+    code = run(["scan", "--c2=0:0", "--c1=0:0", "--c0=-2:-2", "--beta",
+                "ratfunc:1,0,0/1", "--beta", f"ratfunc:{nines},0/1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: an integer in the output has more than {len(nines)} decimal "
+        f"digits, Python's limit for integer-to-string conversion\n")
+
+
 def test_scan_horizon_over_budget_is_exit_3(monkeypatch, capsys):
     # A horizon of more than 65,536 steps is refused before any polynomial
     # is screened; 65,536 itself runs, here on x**3, which is reducible.
@@ -1177,15 +1221,29 @@ _JUNK = st.sampled_from(
     ["", "x", "--x", "rat:", "alg:1@", "dec:-", "rat:1/0", "1,,2", "é"]
 )
 _RATFUNC = st.builds("ratfunc:{}/{}".format, _COEFFS, _COEFFS)
+_HUGE = "9" * sys.get_int_max_str_digits()  # the longest int a literal takes
+# An interval end: an int or p/q, else a decimal, an exponent form or an
+# int at or past the digit limit.
+_END = _mostly(
+    _SMALL.map(str) | st.builds("{}/{}".format, _SMALL, st.integers(1, 4)),
+    st.sampled_from(["1.41", "-0.5", "1e-1", "1e5000", "-1e999999", _HUGE,
+                     "-" + _HUGE, "1/" + _HUGE, _HUGE + "9"]),
+)
 _LITERAL = _mostly(
     st.one_of(
         st.builds("rat:{}/{}".format, st.integers(1, 30), st.integers(1, 9)),
         st.builds("dec:{}.{}".format, st.integers(0, 3), st.integers(0, 99999)),
         st.sampled_from(["alg:1,-1,-1,-1@1,2", "alg:1,0,-2@1,3/2"]),
-        st.builds("alg:{}@{},{}".format, _COEFFS, _SMALL, _SMALL),
+        st.builds("alg:{}@{},{}".format, _COEFFS, _END, _END),
         _RATFUNC,
     ),
     _JUNK,
+)
+# A scan beta, sometimes with a coefficient at the digit limit, whose
+# preview digits may be too long to print.
+_SCAN_BETA = _mostly(
+    _RATFUNC,
+    _LITERAL | st.sampled_from([f"ratfunc:{_HUGE},0/1", f"ratfunc:1,0,0/{_HUGE}"]),
 )
 _RANGE = _mostly(
     st.builds(lambda lo, width: f"{lo}:{lo + width}", _SMALL, st.integers(0, 2)),
@@ -1228,7 +1286,7 @@ _GRAMMAR = {
     ],
     "scan": [
         ("--c2", _RANGE, "always"), ("--c1", _RANGE, "always"),
-        ("--c0", _RANGE, "always"), ("--beta", _mostly(_RATFUNC, _LITERAL), ""),
+        ("--c0", _RANGE, "always"), ("--beta", _SCAN_BETA, ""),
         ("--horizon", _count(1, 12), "always"), ("--jobs", _count(1, 1), ""),
         ("--preview", _count(1, 8), ""),
     ],

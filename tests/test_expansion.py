@@ -682,9 +682,9 @@ _THREE_HALVES = NumberField((2, -3), (1, 2))  # Q again, as the field of 3/2
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
-def test_rational_pair_runs_the_field_loop_in_q(data):
-    # bcf_expand runs a rational pair as elements of Q; the same pair in
-    # another degree-1 field, the public step and the integer kernel agree.
+def test_rational_pair_matches_the_field_loop_in_q(data):
+    # bcf_expand runs a rational pair on the integer kernel; the field loop
+    # on the same pair in a degree-1 field and the public step agree.
     parts = st.integers(1, 10**30)
     alpha, beta = (Fraction(data.draw(parts), data.draw(parts)) for _ in range(2))
     n = len(bcf_expand_rational(alpha, beta).b)

@@ -15,6 +15,7 @@ from bcf import (
     BcfError,
     ExpansionState,
     NumberField,
+    RatFunc,
     SequencePair,
     approximate,
     bcf_step,
@@ -25,6 +26,7 @@ from bcf import (
     convergent_backward,
     convergent_matrix,
     det_invariant,
+    floor_of,
     fraction_str,
     gap_diagnostics,
     node_counts,
@@ -215,6 +217,16 @@ _REFUSALS = {
     "refine by -3 bits": (
         lambda: TRIBONACCI.refine(-3), ValueError, "bits must be at least 0"),
 }
+# RatFunc.evaluate and floor_of take exact numbers only, by _as_exact's rule.
+_EXACT = "must be an int, Fraction or AlgebraicNumber, got "
+for _value in (1.5, True, "3"):
+    _REFUSALS.update({
+        f"RatFunc.evaluate at {_value!r}": (
+            lambda v=_value: RatFunc((1, 1), (2,)).evaluate(v), TypeError,
+            f"alpha {_EXACT}{_value!r}"),
+        f"floor_of {_value!r}": (
+            lambda v=_value: floor_of(v), TypeError, f"x {_EXACT}{_value!r}"),
+    })
 # The six treeval routes read the pair and the index through one reader,
 # which refuses a non-int index before any route's range test.
 for _value in (True, 1.5, "3", None):
@@ -237,6 +249,13 @@ def test_bad_input_raises_its_exact_error(case):
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_evaluate_and_floor_of_take_an_int():
+    value = RatFunc((1, 0), (1,)).evaluate(3)
+    assert type(value) is Fraction and value == 3
+    assert RatFunc((1, 1), (2,)).evaluate(Fraction(3, 2)) == Fraction(5, 4)
+    assert floor_of(5) == 5 and floor_of(Fraction(-3, 2)) == -2
 
 
 def test_number_field_equality():

@@ -38,9 +38,13 @@ def test_alg_literals():
     value = parse_number("alg:1,-1,-1,-1@1,2")
     field = NumberField((1, -1, -1, -1), (1, 2))
     assert value == field.generator()
-    # fractional and decimal interval endpoints both parse
-    value2 = parse_number("alg:1,-1,-1,-1@3/2,1.9")
+    # interval ends take the rat: rule: fractions parse, decimals do not
+    value2 = parse_number("alg:1,-1,-1,-1@3/2,19/10")
     assert value2 == value
+    with pytest.raises(ParseError) as info:
+        parse_number("alg:1,-1,-1,-1@3/2,1.9")
+    assert str(info.value) == ("expected an integer at position 19, got '1.9' "
+                               "(grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)")
     with pytest.raises(ParseError):
         parse_number("alg:1,-1,-1,-1")  # missing interval
     with pytest.raises(ParseError):

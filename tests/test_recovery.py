@@ -540,6 +540,25 @@ def test_period_is_found_past_a_repeated_window():
         assert (found.a[:18], found.b[:18]) == (a, b)
 
 
+@given(digits=_periodic_digits())
+@settings(max_examples=300, deadline=None)
+def test_open_run_bound_is_tight_on_recovered_pairs(digits):
+    # The pair behind a marked preperiod of k digits and period of m digits
+    # recurs with j + p <= k + m for its reported (j, p), which max_terms =
+    # j + p + 1 finds and max_terms = j + p leaves open.
+    preperiod, period = digits
+    result = recover_cubic_eventual(preperiod, period)
+    k, m = len(preperiod[0]), len(period[0])
+    found = bcf_expand(result.alpha, result.beta, max_terms=k + m + 1)
+    assert found.periodicity is not None
+    j, p = found.periodicity
+    assert j + p <= k + m
+    again = bcf_expand(result.alpha, result.beta, max_terms=j + p + 1)
+    assert again.periodicity == (j, p)
+    open_run = bcf_expand(result.alpha, result.beta, max_terms=j + p)
+    assert open_run.periodicity is None and not open_run.terminated
+
+
 def test_scan_keeps_ratfunc_candidates_as_given(monkeypatch):
     # A RatFunc is already canonical: the scan uses it as is, and only a
     # (num, den) pair is built into one.

@@ -43,7 +43,7 @@ TOTALS = {
         "_sign_variations": 1_069, "period_checks": 200,
     },
     "digits_recover": {
-        "bcf_expand_digits": 0, "_convolve": 0, "_primitive": 0,
+        "bcf_expand_digits": 6_743, "_convolve": 0, "_primitive": 0,
         "_refine_more": 147, "refine_bits": 6_632, "rational_digits": 60,
         "_rounded_decimal": 6_803, "stdout_chars": 2_408_515,
         "_sign_variations": 216, "period_checks": 0,
@@ -72,8 +72,8 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
     for binding in ("_convolve", "_primitive", "rational_digits"):
         _spy(patch, counts, expansion, binding, binding)
     _spy(patch, counts, expansion, "convergent_matrix", "period_checks")
-    # Digit pairs returned by the field loop: the CLI's expand and scan
-    # reach bcf_expand only with field pairs.
+    # Digit pairs that bcf_expand returns to expand and scan: the field
+    # loop's, and on a rational pair (digits_recover) the integer kernel's.
     for owner in (cli, recovery):
         _spy(patch, counts, owner, "bcf_expand", "bcf_expand_digits",
              lambda pair, *a, **k: len(pair.b))
