@@ -30,7 +30,6 @@ from .expansion import (
     ExpansionState,
     Terminated,
     bcf_expand,
-    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     rational_expansion_trace,
@@ -75,7 +74,7 @@ from .validation import (
     validate,
 )
 
-__version__ = "3.0.0"
+__version__ = "4.0.0"
 
 __all__ = [
     "AlgebraicNumber",
@@ -108,7 +107,6 @@ __all__ = [
     "ValidationReport",
     "approximate",
     "bcf_expand",
-    "bcf_expand_box",
     "bcf_expand_rational",
     "bcf_step",
     "check_appropriate",

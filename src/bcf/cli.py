@@ -42,7 +42,7 @@ from .errors import (
     OutputTooLarge,
     ParseError,
 )
-from .expansion import bcf_expand, bcf_expand_box
+from .expansion import bcf_expand
 from .fields import _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
@@ -170,24 +170,22 @@ def _literal(text, flag, kinds):
 
 def _expand(args):
     _check_places(args.digits)
-    if args.approx:
-        alpha = _literal(args.alpha, "--alpha", ("rat", "dec"))
-        beta = _literal(args.beta, "--beta", ("rat", "dec"))
-    else:
-        alpha = _literal(args.alpha, "--alpha", ("rat", "alg"))
-        beta = _literal(args.beta, "--beta", ("rat", "alg", "ratfunc"))
-        if isinstance(beta, RatFunc):
-            try:
-                beta = beta.evaluate(alpha)
-            except ZeroDivisionError as exc:
-                raise ParseError(f"--beta: {exc}") from None
-    expand = bcf_expand_box if args.approx else bcf_expand
+    # A dec: literal on either side makes a box, whose corners must be rational.
+    box = args.alpha.startswith("dec:") or args.beta.startswith("dec:")
+    alpha = _literal(args.alpha, "--alpha", ("rat", "dec") if box else ("rat", "alg"))
+    beta = _literal(args.beta, "--beta",
+                    ("rat", "dec") if box else ("rat", "alg", "ratfunc"))
+    if isinstance(beta, RatFunc):
+        try:
+            beta = beta.evaluate(alpha)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"--beta: {exc}") from None
     # Under the digit limit L record 7L + 2 cannot print, so no more pairs are
     # expanded: a-digits past the first are >= 1, so C_n >= C_(n-1) + C_(n-3)
     # >= rho**(n - 2), rho the real root of x**3 = x**2 + 1, log10(rho) > 1/7.
     limit = sys.get_int_max_str_digits()
     cap = 7 * limit + 3 if limit else math.inf
-    pair = expand(alpha, beta, max_terms=min(args.terms, cap))
+    pair = bcf_expand(alpha, beta, max_terms=min(args.terms, cap))
     text = args.format == "text"
     records = _convergent_records(
         list(_kernels.convergent_triples(pair.a, pair.b, len(pair.a) - 1)),
@@ -222,7 +220,7 @@ def _eval(args):
     if not pair.a:
         raise IndexOutOfRange("eval needs at least one digit pair")
     n = args.n if args.n is not None else len(pair.a) - 1
-    if n < 0 or n >= len(pair.a):
+    if n >= len(pair.a):
         raise IndexOutOfRange(
             f"n must lie in 0..{len(pair.a) - 1}, got {n}"
         )
@@ -398,16 +396,14 @@ _JSON_OR_TEXT = ("json", "text")
 _RANGE_HINT = "range LO:HI"
 _COMMANDS = {
     "expand": (_expand, "expand a pair (alpha, beta) into digit sequences", (
-        ("--alpha", dict(required=True, help="rat: or alg: literal (rat: or "
-                                             "dec: with --approx)")),
+        ("--alpha", dict(required=True, help="rat: or alg: literal; rat: or "
+                         "dec: when either side is dec:")),
         ("--beta", dict(required=True, help="rat: or alg: or ratfunc: literal, "
-                        "a ratfunc: evaluated at alpha (rat: or dec: with --approx)")),
+                        "a ratfunc: evaluated at alpha; rat: or dec: when either "
+                        "side is dec:, and then the digits hold for its whole box")),
         ("--terms", dict(type=_positive_int, default=64)),
         ("--digits", dict(type=_positive_int, default=12)),
         ("--format", dict(choices=_JSON_OR_TEXT, default="json")),
-        ("--approx", dict(action="store_true", help="expand the box of inputs "
-                          "that round to dec: literals and print the digits "
-                          "shared by all of it")),
     )),
     "eval": (_eval, "evaluate the n-term convergent of a digit pair", (
         ("--a", dict(required=True, help="comma-separated digits")),
@@ -459,8 +455,7 @@ def _row(flag, action="store", type=None, choices=None, default=None,
          required=False, help=None):
     """What _parse reads of one flag, from its add_argument keywords:
     (dest, action, type, choices, default, required)."""
-    return (flag[2:].replace("-", "_"), action, type, choices,
-            False if action == "store_true" else default, required)
+    return flag[2:].replace("-", "_"), action, type, choices, default, required
 
 
 # Each subcommand's handler and its rows by flag, as _parse reads them.
@@ -505,11 +500,6 @@ def _parse(command, argv):
             unrecognized += (token, *tokens) if token == "--" else (token,)
             continue
         dest, action, kind, choices, _, _ = row
-        if action == "store_true":
-            if eq:
-                raise _usage(f"argument {flag}: ignored explicit argument {value!r}")
-            given[dest] = True
-            continue
         if not eq:
             value = next(tokens, "--")  # a missing value reads as '--'
             if value.startswith("--"):

@@ -27,8 +27,8 @@ either kind of number through the public operators (``_next``) and reads
 positivity off its floors too.  ``_kernels.rational_digits`` is the one
 integer engine: it steps a rational point, or a box's corners in lockstep to
 the first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it
-for ``bcf_expand`` on a rational pair, ``bcf_expand_rational``,
-``rational_expansion_trace`` and ``bcf_expand_box``.
+for ``bcf_expand`` on a rational pair or box, ``bcf_expand_rational`` and
+``rational_expansion_trace``.
 """
 
 import math
@@ -72,6 +72,16 @@ def _unify_pair(alpha, beta):
     return alpha, beta
 
 
+def _box_ends(value, name):
+    """The ends of one side of a box: (value,) or the interval (lo, hi)."""
+    if not isinstance(value, tuple):
+        return (value,)
+    ends = tuple(_as_exact(end, name) for end in value)
+    if len(ends) != 2 or not ends[0] < ends[1]:
+        raise EmptyInterval(f"{name}: an interval is a pair (lo, hi) with lo < hi")
+    return ends
+
+
 def _same_point(field, s, t):
     """Whether triples s and t are one point: x_s z_t = x_t z_s, y_s z_t = y_t z_s."""
     (xs, ys, zs), (xt, yt, zt) = s, t
@@ -105,8 +115,18 @@ def bcf_step(state):
 def bcf_expand(alpha, beta, max_terms=64):
     """Expand a positive pair into digit sequences, up to max_terms steps.
 
-    A rational pair runs on the integer kernel, as ``bcf_expand_rational``
-    does.  A field pair is stepped as its projective triple, the bounds on
+    Each of alpha and beta is an exact number or a closed interval (lo, hi)
+    of rationals, lo < hi.  A box, a pair with an interval side, steps its
+    corners on the integer kernel in lockstep and returns, open, the pairs
+    they share before they differ or some corner's beta turns integral:
+    fewer than max_terms pairs means the box split.  Every point of the box
+    shares them: after a shared prefix, (alpha_i, beta_i, 1) is the image of
+    (alpha, beta, 1) under one unimodular projective map whose denominator,
+    positive at every corner (its w_i), is positive on the box, and the
+    box's image is the convex hull of the corners' images.
+
+    A rational point is a box of one corner, as in ``bcf_expand_rational``.
+    A field pair is stepped as its projective triple, the bounds on
     its floors with it; step 0's floors decide positivity.  The start
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
@@ -125,6 +145,9 @@ def bcf_expand(alpha, beta, max_terms=64):
     a Fraction, in ``terminal``: their denominators fall, so no state recurs.
     """
     _check_count(max_terms, "max_terms")
+    if isinstance(alpha, tuple) or isinstance(beta, tuple):
+        alphas, betas = _box_ends(alpha, "alpha"), _box_ends(beta, "beta")
+        return _rational_run(alphas, betas, max_terms)[0]
     alpha, beta = _unify_pair(alpha, beta)
     if not isinstance(alpha, AlgebraicNumber):
         return _rational_run((alpha,), (beta,), max_terms)[0]
@@ -225,36 +248,3 @@ def rational_expansion_trace(alpha, beta):
     """All (u, v, w) triples visited by the rational fast path, in order."""
     return _rational_run((alpha,), (beta,), None)[1]
 
-
-def _box_ends(value, name):
-    """The ends of one side of a box: (value,) or the interval (lo, hi)."""
-    if not isinstance(value, tuple):
-        return (value,)
-    ends = tuple(_as_exact(end, name) for end in value)
-    if len(ends) != 2 or not ends[0] < ends[1]:
-        raise EmptyInterval(f"{name}: an interval is a pair (lo, hi) with lo < hi")
-    return ends
-
-
-def bcf_expand_box(alpha, beta, max_terms=64):
-    """The digits shared by every pair in a box of rational pairs.
-
-    Each of alpha and beta is an exact rational (a point) or a closed
-    interval (lo, hi) of rationals with lo < hi.  The integer triple
-    recurrence steps the box's distinct corners in lockstep, and the result
-    is their shared (a_i, b_i) pairs up to the first index where they differ
-    or some corner's beta is integral, open: fewer than ``max_terms`` digits
-    means the box split.  A box of one corner terminates as in
-    ``bcf_expand_rational``.  With ``max_terms=None`` a box still stops:
-    each corner's denominators strictly fall.
-
-    Why every point of the box shares that prefix: after a shared prefix,
-    (alpha_i, beta_i, 1) is the image of (alpha, beta, 1) under one
-    unimodular projective map.  Its denominator is positive at every
-    corner (the corner's w_i), so it is positive on the whole box, and the
-    image of the box is the convex hull of the corner images.  So a floor
-    the corners share is shared by every point in the box, and a corner
-    whose beta becomes integral ends the prefix.
-    """
-    alphas, betas = _box_ends(alpha, "alpha"), _box_ends(beta, "beta")
-    return _rational_run(alphas, betas, max_terms)[0]

@@ -54,6 +54,18 @@ def bounded_str(value, render=str):
         raise _too_long_to_print() from None
 
 
+def _shown(x):
+    """str(x), an int or Fraction, for an error message that quotes a
+    caller's number; past Python's digit limit, its size in bits."""
+    try:
+        return str(x)
+    except ValueError:
+        size = f"{x.numerator.bit_length()} bits"
+        if x.denominator > 1:
+            size += f" over {x.denominator.bit_length()} bits"
+        return f"{'a negative' if x < 0 else 'a positive'} number of {size}"
+
+
 def _check_int(value, what):
     """The type rule for counts and indices: an int, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
@@ -70,7 +82,7 @@ def _check_count(value, what, least=1):
 def _check_index(n, what="index", error=IndexOutOfRange):
     """``_check_count``'s rule from 0, but a negative int raises `error`."""
     if isinstance(n, int) and n < 0:
-        raise error(f"{what} must be nonnegative, got {n}")
+        raise error(f"{what} must be nonnegative, got {_shown(n)}")
     _check_count(n, what, 0)
 
 
@@ -143,7 +155,8 @@ class NumberField:
         counted on its Sturm chain chain, and fill the caches."""
         coeffs = chain[0]
         if not lo < hi:
-            raise EmptyInterval(f"root interval must satisfy lo < hi, got ({lo}, {hi})")
+            raise EmptyInterval("root interval must satisfy lo < hi, "
+                                f"got ({_shown(lo)}, {_shown(hi)})")
         sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
         if not sign_lo or not polys._sign_at(coeffs, hi.numerator, hi.denominator):
             raise RootCountNotOne(
@@ -151,19 +164,24 @@ class NumberField:
             )
         count = polys.count_roots(chain, lo, hi)
         if count != 1:
-            raise RootCountNotOne(
-                f"interval ({lo}, {hi}) contains {count} roots, expected exactly 1"
-            )
+            raise RootCountNotOne(f"interval ({_shown(lo)}, {_shown(hi)}) contains "
+                                  f"{count} roots, expected exactly 1")
         self._min_poly = coeffs
         self._root_interval = (lo, hi)
         self._sturm_chain = tuple(chain)
         # Mutable cache: the interval (lo_n / q, hi_n / q) over one shared
         # denominator shrinks monotonically and always contains the root;
-        # f has the sign sign_lo at its lower end.
+        # f has the sign sign_lo at its lower end.  It starts inside
+        # (-bound, bound) / lead, which holds every root (polys._isolate).
         q = math.lcm(lo.denominator, hi.denominator)
-        self._lo_n = lo.numerator * (q // lo.denominator)
-        self._hi_n = hi.numerator * (q // hi.denominator)
-        self._q = q
+        lo_n = lo.numerator * (q // lo.denominator)
+        hi_n = hi.numerator * (q // hi.denominator)
+        lead = abs(coeffs[0])
+        bound = lead + max(map(abs, coeffs[1:]))
+        if max(-lo_n, hi_n) * lead > bound * q:
+            lo_n, hi_n = max(lo_n * lead, -bound * q), min(hi_n * lead, bound * q)
+            q *= lead
+        self._lo_n, self._hi_n, self._q = lo_n, hi_n, q
         self._sign_lo = sign_lo
         self._qir_bits = 2  # bits the next quadratic refinement step tries
         self._powers = None  # _power_bounds of the interval; reset by refine

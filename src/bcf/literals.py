@@ -17,10 +17,10 @@ Grammar (one kind per literal, chosen by its prefix):
 
 Each literal parses to one value: a rat: to a Fraction, an alg: to a field
 element, a ratfunc: to a RatFunc and a dec: to its interval (lo, hi) of
-Fractions; the command line takes a dec: only under expand --approx.  A
-literal, like a digit list, holds no blanks, underscores or non-ASCII
-characters.  A RatFunc is canonical and str() gives its ratfunc: body: one
-module reads and writes it.
+Fractions, which expand takes beside a rat: or dec:.  A literal, like a
+digit list, holds no blanks, underscores or non-ASCII characters.  A
+RatFunc is canonical and str() gives its ratfunc: body: one module reads
+and writes it.
 
 An integer list is split at its commas and each token mapped through one
 table of the small ints whose misses call int(), all at C level.
@@ -245,8 +245,8 @@ def parse_number(literal):
 
     Returns a Fraction for rat:, a field element for alg:, a RatFunc for
     ratfunc:, and for dec: the closed interval (lo, hi) of Fractions of the
-    reals that round to it at its written precision, x -/+ 10**exponent / 2
-    (the command line takes it only under expand --approx).  Field
+    reals that round to it at its written precision, x -/+ 10**exponent / 2,
+    a side of the box that ``bcf_expand`` expands.  Field
     construction failures (reducible polynomial, bad root interval, degree
     out of range) propagate as their own error types.
     """

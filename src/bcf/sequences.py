@@ -3,7 +3,7 @@
 from collections import namedtuple
 
 from .errors import IndexOutOfRange, InvalidSequence
-from .fields import _as_exact, _check_index
+from .fields import _as_exact, _check_index, _shown
 
 
 def _check_digits(name, digits):
@@ -16,7 +16,7 @@ def _check_digits(name, digits):
         if isinstance(d, bool) or not isinstance(d, int):
             raise InvalidSequence(f"{name}[{i}] must be an int, got {d!r}")
         if d < 0:
-            raise InvalidSequence(f"{name}[{i}] must be nonnegative, got {d}")
+            raise InvalidSequence(f"{name}[{i}] must be nonnegative, got {_shown(d)}")
     return digits
 
 
@@ -76,12 +76,12 @@ class SequencePair(namedtuple("SequencePair", "a b terminal periodicity")):
             if k < 0 or m < 1:
                 raise InvalidSequence(
                     f"periodicity needs preperiod >= 0 and period >= 1, "
-                    f"got ({k}, {m})"
+                    f"got ({_shown(k)}, {_shown(m)})"
                 )
             if k + m > len(a):
                 raise InvalidSequence(
-                    f"periodicity ({k}, {m}) needs at least {k + m} stored "
-                    f"digits, have {len(a)}"
+                    f"periodicity ({_shown(k)}, {_shown(m)}) needs at least "
+                    f"{_shown(k + m)} stored digits, have {len(a)}"
                 )
             periodicity = (k, m)
         return tuple.__new__(cls, (a, b, terminal, periodicity))
@@ -113,7 +113,7 @@ class SequencePair(namedtuple("SequencePair", "a b terminal periodicity")):
             k, m = self.periodicity
             return digits[k + (i - k) % m]
         raise IndexOutOfRange(
-            f"{name}[{i}] is beyond the {len(digits)} stored digits"
+            f"{name}[{_shown(i)}] is beyond the {len(digits)} stored digits"
         )
 
     def digit_a(self, i):

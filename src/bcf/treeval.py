@@ -17,7 +17,7 @@ from itertools import islice, pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import _as_exact, _check_index, _check_int
+from .fields import _as_exact, _check_index, _check_int, _shown
 from .sequences import _check_digits, as_pair as _as_pair
 
 # render_tree writes at most this many nodes (node_counts over both towers);
@@ -72,14 +72,15 @@ class ConvergenceDiagnostics(
     def delta_at(self, n):
         if not 1 <= n <= len(self.delta):
             raise IndexOutOfRange(
-                f"delta is available for 1 <= n <= {len(self.delta)}, got {n}"
+                f"delta is available for 1 <= n <= {len(self.delta)}, got {_shown(n)}"
             )
         return self.delta[n - 1]
 
     def dmax_at(self, n):
         if not 4 <= n <= len(self.dmax) + 3:
             raise IndexOutOfRange(
-                f"dmax is available for 4 <= n <= {len(self.dmax) + 3}, got {n}"
+                f"dmax is available for 4 <= n <= {len(self.dmax) + 3}, "
+                f"got {_shown(n)}"
             )
         return self.dmax[n - 4]
 
@@ -143,7 +144,7 @@ def convergent_backward(seqs, m, n):
     _check_int(m, "m")
     a, b = _digit_lists(
         seqs, n, lambda n: not 0 <= m <= n
-        and IndexOutOfRange(f"need 0 <= m <= n, got m={m}, n={n}"))
+        and IndexOutOfRange(f"need 0 <= m <= n, got m={_shown(m)}, n={_shown(n)}"))
     return _kernels.backward_entry(a, b, m, n)
 
 
@@ -163,7 +164,7 @@ def convergent_matrix(seqs, n):
 def det_invariant(seqs, n):
     """Determinant of the last three convergent triples (expected value 1)."""
     a, b = _digit_lists(seqs, n, lambda n: n < 2 and IndexOutOfRange(
-        f"determinant needs n >= 2, got {n}"))
+        f"determinant needs n >= 2, got {_shown(n)}"))
     return _kernels.det3(_kernels.convergent_matrix(a, b, n))
 
 
@@ -175,7 +176,7 @@ def gap_diagnostics(seqs, N):
     is guaranteed to shrink.
     """
     a, b = _digit_lists(seqs, N, lambda N: N < 8 and ValueError(
-        f"diagnostics need N >= 8, got {N}"))
+        f"diagnostics need N >= 8, got {_shown(N)}"))
     for i in range(1, N + 1):
         if a[i] < 1:
             raise InvalidSequence(f"diagnostics require a[{i}] >= 1, got {a[i]}")

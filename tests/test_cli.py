@@ -186,9 +186,9 @@ def test_expand_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# expand --approx: no golden catalogue op runs it, so its bytes are pinned
-# here on dec/dec, dec/rat and rat/dec pairs, a box that splits after one
-# pair, and 1.75 written with an exponent.
+# expand of a dec: box: no golden catalogue op runs it, so its bytes are
+# pinned here on dec/dec, dec/rat and rat/dec pairs, a box that splits after
+# one pair, and 1.75 written with an exponent.
 APPROX_STDOUT = {
     "dec-dec": (["--alpha", "dec:1.7320508", "--beta", "dec:1.4142136"],
                 "2e13285525ec93e5d136b4bf11fdedee6b4e83131ee0d0b290e0bdcd5a5437fe"),
@@ -209,7 +209,7 @@ APPROX_STDOUT = {
 @pytest.mark.parametrize("kind", list(APPROX_STDOUT))
 def test_expand_approx_stdout_pinned(capsys, kind):
     argv, digest = APPROX_STDOUT[kind]
-    out = _stdout(capsys, ["expand", "--approx", *argv])
+    out = _stdout(capsys, ["expand", *argv])
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -222,8 +222,8 @@ EXPAND_KINDS = {
                  "--terms", "12"],
     "terminated": ["--alpha", "rat:7/4", "--beta", "rat:3/2"],
     "empty_a": ["--alpha", "rat:7/4", "--beta", "rat:2"],
-    "approx": ["--approx", "--alpha", "dec:1.7320508", "--beta",
-               "dec:1.4142136", "--terms", "6"],
+    "approx": ["--alpha", "dec:1.7320508", "--beta", "dec:1.4142136",
+               "--terms", "6"],
 }
 
 
@@ -634,7 +634,7 @@ def test_expand_approx_box_digits(capsys):
     # the first pair is shared, and the split leaves the pair open.
     payload = run_json(
         capsys,
-        ["expand", "--alpha", "dec:1.75", "--beta", "dec:1.5", "--approx"],
+        ["expand", "--alpha", "dec:1.75", "--beta", "dec:1.5"],
     )
     assert (payload["a"], payload["b"]) == ([1], [1])
     assert payload["terminated"] is False
@@ -642,10 +642,21 @@ def test_expand_approx_box_digits(capsys):
     assert set(payload) == set(exact)
 
 
+# sha256 of what expand --approx printed on two rat: points, the exact bytes;
+# the flag is gone, and the same argv without it prints them.
+APPROX_RATIONAL_SHA256 = {
+    "json": "0c9dbe6c01d46f8951d29a9a59424319825fcc74f8452b0cb3213f70d1063676",
+    "text": "8c2e794ffce157412d8bdcd9c463cc9039c976ebe425e69e6cfa5848010f8ba3",
+}
+
+
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_expand_approx_rational_points_match_exact(capsys, fmt):
     argv = ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2", "--format", fmt]
-    assert _stdout(capsys, argv + ["--approx"]) == _stdout(capsys, argv)
+    out = _stdout(capsys, argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == APPROX_RATIONAL_SHA256[fmt]
+    assert _outcome(argv + ["--approx"]) == (
+        2, "", "error: unrecognized arguments: --approx\n")
 
 
 def test_expand_approx_split_box_is_exit_0(capsys):
@@ -653,7 +664,7 @@ def test_expand_approx_split_box_is_exit_0(capsys):
     # after one pair instead of failing.
     payload = run_json(
         capsys,
-        ["expand", "--approx",
+        ["expand",
          "--alpha", "dec:2.5",
          "--beta", "dec:1.0000000000000001"],
     )
@@ -662,8 +673,8 @@ def test_expand_approx_split_box_is_exit_0(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["expand", "--approx", "--alpha", "dec:1e999999999", "--beta", "rat:1"],
-    ["expand", "--approx", "--alpha", "dec:1e-999999999", "--beta", "rat:1/2"],
+    ["expand", "--alpha", "dec:1e999999999", "--beta", "rat:1"],
+    ["expand", "--alpha", "dec:1e-999999999", "--beta", "rat:1/2"],
 ], ids=["overflow", "underflow"])
 def test_expand_approx_decimal_out_of_range_is_exit_2(capsys, argv):
     # A decimal outside the heuristic's exponent range is bad input; it must
@@ -682,17 +693,18 @@ _SCAN_ONE = ["scan", "--c2=0:0", "--c1=0:0", "--c0=-1:-1"]
 
 
 # Each flag that takes a number literal names the kinds it takes, and any
-# other kind is refused in one line that names the flag.
+# other kind is refused in one line that names the flag; a dec: on either
+# side of expand leaves rat: or dec: to the other.
 @pytest.mark.parametrize("argv, message", [
     (["expand", "--alpha", "ratfunc:1/1,0", "--beta", "rat:2"],
      "--alpha: expected a rat: or alg: literal, got 'ratfunc:1/1,0'"),
-    (["expand", "--alpha", "dec:1.75", "--beta", "rat:2"],
-     "--alpha: expected a rat: or alg: literal, got 'dec:1.75'"),
-    (["expand", "--alpha", "rat:7/4", "--beta", "dec:1.5"],
-     "--beta: expected a rat: or alg: or ratfunc: literal, got 'dec:1.5'"),
-    (["expand", "--approx", "--alpha", "alg:1,-1,-1,-1@1,2", "--beta", "dec:2.8"],
+    (["expand", "--alpha", "dec:1.75", "--beta", "alg:1,0,-2@1,2"],
+     "--beta: expected a rat: or dec: literal, got 'alg:1,0,-2@1,2'"),
+    (["expand", "--alpha", "ratfunc:1/1,0", "--beta", "dec:1.5"],
+     "--alpha: expected a rat: or dec: literal, got 'ratfunc:1/1,0'"),
+    (["expand", "--alpha", "alg:1,-1,-1,-1@1,2", "--beta", "dec:2.8"],
      "--alpha: expected a rat: or dec: literal, got 'alg:1,-1,-1,-1@1,2'"),
-    (["expand", "--approx", "--alpha", "dec:1.75", "--beta", "ratfunc:1,1/1,0"],
+    (["expand", "--alpha", "dec:1.75", "--beta", "ratfunc:1,1/1,0"],
      "--beta: expected a rat: or dec: literal, got 'ratfunc:1,1/1,0'"),
     (["validate", "--a", "1", "--b", "1,0", "--terminal", "ratfunc:1/1"],
      "--terminal: expected a rat: or alg: literal, got 'ratfunc:1/1'"),
@@ -811,7 +823,7 @@ def test_recover_past_digit_limit_fails_before_refining(capsys, monkeypatch):
 @pytest.mark.parametrize("argv", [
     ["eval", "--a", "1,2", "--b", "1,1"],
     ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2"],
-    ["expand", "--approx", "--alpha", "dec:1.75", "--beta", "dec:1.5"],
+    ["expand", "--alpha", "dec:1.75", "--beta", "dec:1.5"],
     ["recover", "--period-a", "1", "--period-b", "1"],
 ], ids=["eval", "expand", "expand-approx", "recover"])
 def test_eval_and_expand_past_digit_limit_fail_before_any_work(
@@ -1150,7 +1162,7 @@ _LONG = "x" * 5000
     ["expand", "--alpha", "rat:1", "--beta", "ratfunc:1/1/" + _LONG],
     ["expand", "--alpha", "alg:1,0,-2@1,2," + _LONG, "--beta", "rat:1"],
     ["scan", "--c2=" + _LONG],
-    ["expand", "--approx", "--alpha", "rat:1", "--beta", "dec:" + _LONG],
+    ["expand", "--alpha", "rat:1", "--beta", "dec:" + _LONG],
     [_LONG],
     ["eval", "--a", "1", "--b", "1", "--format", _LONG],
     ["render", "--a", "1", "--b", "1", "--style", _LONG],
@@ -1239,6 +1251,16 @@ _LITERAL = _mostly(
     ),
     _JUNK,
 )
+# An expand side: any literal, or a dec: literal in plain or exponent form,
+# or with its digits or its exponent at or past the digit limit; a dec: on
+# one side and an alg: or ratfunc: on the other meet the pairing refusal.
+_LIMIT = sys.get_int_max_str_digits()
+_EXPAND_LITERAL = _LITERAL | st.one_of(
+    st.builds("dec:{}e{}".format, st.integers(-9, 999), st.integers(-6, 3)),
+    st.sampled_from([f"dec:{_HUGE}", f"dec:{_HUGE}9", f"dec:0.{_HUGE}",
+                     f"dec:1e{_LIMIT}", f"dec:1e-{_LIMIT}", f"dec:1e{_LIMIT + 1}",
+                     "dec:1E+2", "dec:0", "dec:inf", "dec:nan"]),
+)
 # A scan beta, sometimes with a coefficient at the digit limit, whose
 # preview digits may be too long to print.
 _SCAN_BETA = _mostly(
@@ -1258,9 +1280,10 @@ _DIGITS = "digits"  # a digit list of the argv's common length, at most 6
 # "mostly" for the required ones, else half the time.
 _GRAMMAR = {
     "expand": [
-        ("--alpha", _LITERAL, "mostly"), ("--beta", _LITERAL, "mostly"),
+        ("--alpha", _EXPAND_LITERAL, "mostly"),
+        ("--beta", _EXPAND_LITERAL, "mostly"),
         ("--terms", _count(1, 40), "always"), ("--digits", _count(1, 30), ""),
-        ("--format", _FORMAT, ""), ("--approx", None, ""),
+        ("--format", _FORMAT, ""),
     ],
     "eval": [
         ("--a", _DIGITS, "mostly"), ("--b", _DIGITS, "mostly"),
@@ -1306,9 +1329,6 @@ def _argvs(draw):
     for flag, values, given in _GRAMMAR.get(command, ()):
         if given != "always" and draw(st.integers(0, 9)) >= (9 if given else 5):
             continue
-        if values is None:
-            options.append([flag])
-            continue
         value = draw(digits if values is _DIGITS else values)
         if draw(st.integers(0, 7)) < 7:
             options.append([f"{flag}={value}"])
@@ -1320,11 +1340,11 @@ def _argvs(draw):
     return argv
 
 
-# Tokens outside the usual argv: an abbreviation, '--', help, '=value' on a
-# flag that takes none, a separate value that starts with '-', an explicitly
-# empty value, an empty token, a flag where a value belongs, a '--' value.
+# Tokens outside the usual argv: an abbreviation, '--', help, a removed flag,
+# a separate value that starts with '-', an explicitly empty value, an empty
+# token, a flag where a value belongs, a '--' value.
 _ARGV_JUNK = st.sampled_from([
-    ["--alp"], ["--"], ["-h"], ["--help"], ["--approx=1"], ["--c2", "-3:1"],
+    ["--alp"], ["--"], ["-h"], ["--help"], ["--approx"], ["--c2", "-3:1"],
     ["--terms=-3"], ["--c2="], [""], ["--a", "--b"], ["--beta=--"],
 ])
 
@@ -1373,8 +1393,8 @@ USAGE_ERRORS = {
                            "argument --b: expected one argument"),
     "double-dash-value": (["eval", "--a=--", "--b=1"],
                           "argument --a: expected one argument"),
-    "explicit-on-flag": (["expand", "--alpha=rat:1", "--beta=rat:1", "--approx=1"],
-                         "argument --approx: ignored explicit argument '1'"),
+    "removed-flag": (["expand", "--alpha=dec:1.5", "--beta=dec:2", "--approx"],
+                     "unrecognized arguments: --approx"),
     "refused-int": (["expand", "--alph=rat:1", "--beta=rat:1", "--terms=-3"],
                     "argument --terms: expected a positive integer, got -3"),
     "zero-terms": (["expand", "--alpha", "rat:1", "--beta", "rat:1", "--terms", "0"],
@@ -1461,11 +1481,7 @@ def test_integer_flags_take_the_literal_rule(argv, line):
 
 @pytest.mark.parametrize("argv, expected", [
     (["expand", "--alpha=rat:1", "--beta", "rat:2", "--terms=3", "--terms", "5"],
-     dict(alpha="rat:1", beta="rat:2", terms=5, digits=12, format="json",
-          approx=False)),
-    (["expand", "--approx", "--alpha=dec:1.5", "--beta=dec:2", "--approx"],
-     dict(alpha="dec:1.5", beta="dec:2", terms=64, digits=12, format="json",
-          approx=True)),
+     dict(alpha="rat:1", beta="rat:2", terms=5, digits=12, format="json")),
     (["scan", "--beta", "ratfunc:1/1", "--beta=ratfunc:1,0/1", "--c2=0:0"],
      dict(c2="0:0", c1="-2:2", c0="-2:2", beta=["ratfunc:1/1", "ratfunc:1,0/1"],
           horizon=64, jobs=None, preview=8)),
@@ -1479,7 +1495,7 @@ def test_integer_flags_take_the_literal_rule(argv, line):
     (["scan", "--c2", "-3:1", "--beta", "-x", "--jobs", "+1"],
      dict(c2="-3:1", c1="-2:2", c0="-2:2", beta=["-x"], horizon=64, jobs=1,
           preview=8)),
-], ids=["repeated-store", "repeated-store-true", "append", "empty-value",
+], ids=["repeated-store", "append", "empty-value",
         "zero", "help", "dash-value"])
 def test_parse_reads_each_flag_form(argv, expected):
     args = cli._parse(argv[0], argv[1:])
@@ -1490,13 +1506,11 @@ def test_parse_reads_each_flag_form(argv, expected):
 
 
 def _explicit_dash_argvs():
-    """Each value-taking flag of each subcommand given as --flag=--, with
-    every other required flag given a value, and the line argparse prints
-    for that flag without a value."""
+    """Each flag of each subcommand given as --flag=--, with every other
+    required flag given a value, and the line argparse prints for that flag
+    without a value."""
     for name, (_, _, flags) in cli._COMMANDS.items():
-        for flag, keywords in flags:
-            if keywords.get("action") == "store_true":
-                continue
+        for flag, _ in flags:
             others = [f"{other}=1" for other, more in flags
                       if more.get("required") and other != flag]
             yield ([name, *others, f"{flag}=--"],
@@ -1528,16 +1542,17 @@ def test_explicit_double_dash_value_in_a_child_process():
 
 
 # sha256 of help as argparse formats it at 60 and 120 columns: the bytes
-# of bcf -h and bcf expand -h from when argparse also parsed every argv.
+# of bcf -h from when argparse also parsed every argv, and of bcf expand -h
+# since expand lost its one flag that took no value.
 HELP_SHA256 = {
     (("-h",), "60"):
         "652a73efb2fd8f1b880e500eebf7e1aaf25763217667047c564a85f083b34d91",
     (("-h",), "120"):
         "00576d531fda069c19e9acc7a6a217f706d5d19c50d23c583ada952e066ed4f9",
     (("expand", "-h"), "60"):
-        "50990b1da0bd63dc9e87eca91510dec869f29dcd0acf82d609e8149dbfb18a51",
+        "c1f0532dcd2782fc4239c0fc83652f4c20a696f4f07e77d3c543013fd838024d",
     (("expand", "-h"), "120"):
-        "0d873fff439c13cfd5bdb5b922bba6048d36227e2a77274e96b410cd56f6e064",
+        "928dfeb6a4ba9cc561618fd5d053596450dda2b77d4b9b335c72d9d05a9bd4d3",
 }
 
 

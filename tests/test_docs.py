@@ -62,7 +62,7 @@ def test_readme_flags_exist():
     options = {flag for _, _, flags in cli._COMMANDS.values() for flag, _ in flags}
     section = _section("Command line")
     flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
-    assert "--approx" in flags
+    assert "--terms" in flags
     assert flags <= options, sorted(flags - options)
 
 

@@ -20,7 +20,6 @@ from bcf import (
     SequencePair,
     Terminated,
     bcf_expand,
-    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     rational_expansion_trace,
@@ -291,8 +290,14 @@ def test_max_terms_validation():
         bcf_expand(Fraction(3, 2), Fraction(3, 2), max_terms=0)
 
 
-# A step count takes approximate's rule; 1.5 and nan once gave digits.
-@pytest.mark.parametrize("expand", [bcf_expand, bcf_expand_rational, bcf_expand_box])
+# A step count takes approximate's rule; 1.5 and nan once gave digits.  The
+# case bcf_expand_box is bcf_expand on the box [alpha, alpha + 1] x {beta}.
+_ON_A_BOX = pytest.param(
+    lambda alpha, beta, count: bcf_expand((alpha, alpha + 1), beta, count),
+    id="bcf_expand_box")
+
+
+@pytest.mark.parametrize("expand", [bcf_expand, bcf_expand_rational, _ON_A_BOX])
 @pytest.mark.parametrize("count", [1.5, math.nan, True, "3", 0])
 def test_step_count_is_an_int_of_at_least_one(expand, count):
     error = ValueError if count == 0 else TypeError
@@ -306,8 +311,7 @@ def test_step_count_is_an_int_of_at_least_one(expand, count):
 def test_step_count_none_is_documented_where_it_is_taken():
     with pytest.raises(TypeError, match="max_terms must be an int, got None"):
         bcf_expand(Fraction(3, 2), Fraction(4, 3), None)
-    for expand in bcf_expand_rational, bcf_expand_box:
-        assert expand(Fraction(3, 2), Fraction(4, 3), None).terminated
+    assert bcf_expand_rational(Fraction(3, 2), Fraction(4, 3), None).terminated
 
 
 def test_truncation_keeps_open_shape():
@@ -832,7 +836,7 @@ def test_box_prefix_holds_at_every_point(data):
         lo = Fraction(draw(st.integers(1, 10**6)), draw(st.integers(1, 10**5)))
         width = Fraction(1, draw(st.integers(1, 10**12)))
         ends.append((lo, lo + width))
-    box = bcf_expand_box(*ends, max_terms=40)
+    box = bcf_expand(*ends, max_terms=40)
     assert box.terminal is None and box.periodicity is None
     n = len(box.a)
     assert len(box.b) == n
@@ -868,10 +872,10 @@ _BOX_KINDS = {
 @settings(max_examples=200, deadline=None)
 def test_box_prefix_is_the_longest(data):
     # Boxes that split early, boxes that agree up to max_terms, and boxes
-    # with a low-height end, whose corner there terminates mid-run; with no
-    # cap (max_terms None) a box still stops, as its denominators fall.
+    # with a low-height end, whose corner there terminates mid-run; under a
+    # cap no box reaches (10**6) a box still stops, as its denominators fall.
     draw = data.draw
-    max_terms = draw(st.one_of(st.none(), st.integers(1, 30)))
+    max_terms = draw(st.one_of(st.just(10**6), st.integers(1, 30)))
     nums, dens, widths = _BOX_KINDS[draw(st.sampled_from(sorted(_BOX_KINDS)))]
     sides = []
     for _ in range(2):
@@ -883,7 +887,7 @@ def test_box_prefix_is_the_longest(data):
     assume(any(isinstance(side, tuple) for side in sides))
     alphas, betas = ((x if isinstance(x, tuple) else (x,)) for x in sides)
     corners = [(x, y) for x in alphas for y in betas]
-    box = bcf_expand_box(*sides, max_terms=max_terms)
+    box = bcf_expand(*sides, max_terms=max_terms)
     prefix = _longest_common_prefix(corners, max_terms)
     assert list(zip(box.a, box.b)) == prefix
     assert len(box.a) == len(box.b)
@@ -895,11 +899,11 @@ def test_box_prefix_stops_at_an_integral_corner():
     alpha, beta = Fraction(7, 5), Fraction(3, 2)
     # The corner beta = 2 terminates at index 0, with the other corners'
     # floors: nothing is certified.
-    box = bcf_expand_box((alpha, alpha + tiny), (Fraction(2), 2 + tiny))
+    box = bcf_expand((alpha, alpha + tiny), (Fraction(2), 2 + tiny))
     assert (box.a, box.b) == ((), ())
     # The corner (7/5, 3/2) terminates after the pairs (1, 1), (2, 0),
     # which the other corners share.
-    box = bcf_expand_box((alpha - tiny, alpha), (beta - tiny, beta))
+    box = bcf_expand((alpha - tiny, alpha), (beta - tiny, beta))
     assert (box.a, box.b) == ((1, 2), (1, 0))
 
 
@@ -907,10 +911,10 @@ def test_box_of_points_is_rational_expansion():
     # (7/5, 3/2) terminates after three b-digits; a cap below that stays open.
     alpha, beta = Fraction(7, 5), Fraction(3, 2)
     for terms in (1, 2, 3, 64):
-        point = bcf_expand_box(alpha, beta, max_terms=terms)
+        point = bcf_expand(alpha, beta, max_terms=terms)
         assert point == bcf_expand_rational(alpha, beta, max_terms=terms)
         assert point.terminal == (Fraction(5, 4) if terms >= 3 else None)
-    assert bcf_expand_box(alpha, beta) == SequencePair(
+    assert bcf_expand(alpha, beta) == SequencePair(
         (1, 2), (1, 0, 0), terminal=Fraction(5, 4)
     )
 
@@ -922,7 +926,7 @@ def test_box_of_field_pair_is_prefix():
     for _ in range(80):
         field.refine()
     t = field.generator()
-    box = bcf_expand_box(t.value_interval(), (t * t + t).value_interval())
+    box = bcf_expand(t.value_interval(), (t * t + t).value_interval())
     n = len(box.a)
     assert n >= 10
     exact = bcf_expand(t, t * t + t, max_terms=n)
@@ -932,9 +936,9 @@ def test_box_of_field_pair_is_prefix():
 def test_box_needs_positive_ordered_ends():
     half, two = Fraction(1, 2), Fraction(2)
     with pytest.raises(NonPositiveInput):
-        bcf_expand_box((Fraction(0), half), (half, two))
+        bcf_expand((Fraction(0), half), (half, two))
     with pytest.raises(NonPositiveInput):
-        bcf_expand_box(half, (Fraction(-1), two))
+        bcf_expand(half, (Fraction(-1), two))
     for bad in ((two, half), (half, half), (half,), (half, two, two)):
         with pytest.raises(EmptyInterval):
-            bcf_expand_box(bad, two)
+            bcf_expand(bad, two)

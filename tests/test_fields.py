@@ -16,7 +16,6 @@ from bcf import (
     SequencePair,
     approximate,
     bcf_expand,
-    bcf_expand_box,
     bcf_expand_rational,
     bcf_step,
     check_appropriate,
@@ -71,6 +70,25 @@ def test_field_validates_interval():
         NumberField((1, 0, -2), (-2, 2))  # both roots of x^2 - 2
     with pytest.raises(RootCountNotOne):
         NumberField((1, -2), (2, 5))  # root sits at the excluded endpoint
+
+
+def test_wide_root_interval_starts_at_the_root_bound(monkeypatch):
+    # Every root lies strictly inside (-B, B), B = 1 + max|c_i| / |lead|, so
+    # the cached interval starts no wider: a floor of a root given by a wide
+    # interval takes a few bits, not one per bit of the width.
+    # root_interval stays as given.
+    wide = NumberField((1, 0, -2), (1, 10**300))
+    assert wide.root_interval == (1, 10**300)
+    assert wide.interval() == (1, 3)
+    bits, refine = [], NumberField.refine
+    monkeypatch.setattr(NumberField, "refine",
+                        lambda self, n=1: bits.append(n) or refine(self, n))
+    assert floor_of(wide.generator() * 7) == 9
+    assert sum(bits) <= 8
+    negative = NumberField((2, 0, -3), (-10**300, Fraction(-1, 2)))
+    assert negative.interval() == (Fraction(-5, 2), Fraction(-1, 2))
+    narrow = NumberField((1, 0, -2), (Fraction(1, 3), Fraction(5, 2)))
+    assert narrow.interval() == narrow.root_interval
 
 
 def test_field_normalizes_and_compares():
@@ -549,7 +567,8 @@ _EXACT_CALLERS = {
         v, Fraction(3, 2), ((2, 1), (1, 1)), 1
     ),
     "bcf_expand_rational": lambda v: bcf_expand_rational(v, Fraction(3, 2)),
-    "bcf_expand_box": lambda v: bcf_expand_box(v, Fraction(3, 2)),
+    # bcf_expand on a box: each interval end is read as an exact number
+    "bcf_expand_box": lambda v: bcf_expand((v, Fraction(9)), Fraction(3, 2)),
     "rational_expansion_trace": lambda v: rational_expansion_trace(
         v, Fraction(3, 2)
     ),

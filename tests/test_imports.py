@@ -6,15 +6,19 @@ can leave an import or a helper behind; the package has no linter
 dependency, so this parses each module with ast instead.  __init__.py is
 left out of the import check: it imports to re-export, so the names it
 imports must be exactly its __all__ minus __version__, and the two lists
-cannot drift apart.  Five more rules are pinned the same way: only
+cannot drift apart.  Six more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
 raises DegenerateSystem, so recovery has one degeneracy guard; only
 cli._literal calls parse_number, so the kinds of literal a flag takes are
-decided by one rule; and outside fields no code reads .degree but as
+decided by one rule; outside fields no code reads .degree but as
 polys.degree, so fields alone knows that a numerator vector is three
-integers, zero past the degree.  Last, importing bcf.cli, as every bcf command
+integers, zero past the degree; and cli takes exactly bcf_expand from
+expansion, so expansion alone picks the engine for a pair.  Every flag of
+cli._COMMANDS has an action that cli._parse reads, store or append, so a
+flag that takes no value cannot be read as one that does.  Last, importing
+bcf.cli, as every bcf command
 does first, loads none of dataclasses, inspect or typing, whose import
 costs each command more than its work on a small input, nor argparse,
 shutil, gettext or locale, which only help needs: a run, or a usage
@@ -278,6 +282,38 @@ def test_only_fields_reads_the_degree():
     assert _lines_where(sources, _reads_degree) == []
 
 
+def _expansion_imports(source):
+    """What a module imports of expansion: each name it takes from
+    .expansion, and 'expansion' for the whole module."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "expansion":
+                names += [alias.name for alias in node.names]
+            elif node.module is None:
+                names += [a.name for a in node.names if a.name == "expansion"]
+    return names
+
+
+def test_expansion_import_is_found():
+    source = ("from .expansion import bcf_expand, _rational_run\n"
+              "from . import _kernels, expansion\nfrom .fields import floor_of\n")
+    assert _expansion_imports(source) == ["bcf_expand", "_rational_run", "expansion"]
+
+
+def test_cli_takes_one_expand_entry_point():
+    assert _expansion_imports(_sources()["cli"]) == ["bcf_expand"]
+
+
+def test_every_flag_has_an_action_parse_reads():
+    from bcf import cli
+
+    unread = [(name, flag) for name, (_, _, flags) in cli._COMMANDS.items()
+              for flag, keywords in flags
+              if keywords.get("action", "store") not in ("store", "append")]
+    assert unread == []
+
+
 # Run in the child after import bcf.cli: one catalogue argv of each
 # subcommand and one usage error of each kind, then scan -h.
 _RUN_PATH = """
@@ -291,7 +327,7 @@ for workload in workloads.WORKLOADS.values():
     for op in workload.catalogue():
         argvs.setdefault(op["argv"][0], op["argv"])
 argvs = [*argvs.values(), ["scan", "--bogus"], ["eval", "--a", "--b", "1"],
-         ["eval", "--a=--", "--b=1"], ["expand", "--approx=1"],
+         ["eval", "--a=--", "--b=1"], ["expand", "--alpha"],
          ["scan", "--horizon=0"], ["eval", "--format=xml"], ["recover"],
          ["eval", "--a=1", "--b=1", "7"], ["eval", "--a=1", "--", "--b=1"],
          ["no-such-command"], [], ["-x"]]

@@ -35,20 +35,29 @@ from bcf import (
     recover_cubic_pure,
     render_tree,
 )
-from bcf.errors import IndexOutOfRange, InvalidSequence, OutputTooLarge, ParseError
+from bcf.errors import (EmptyInterval, IndexOutOfRange, InvalidSequence,
+                        OutputTooLarge, ParseError, RootCountNotOne)
 from bcf.literals import parse_number
 from bcf.recovery import ScanRecord, recover_cubic_eventual
 
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 
 
-def _fraction_str_past_the_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        fraction_str(Fraction(10**700, 3))
-    finally:
-        sys.set_int_max_str_digits(limit)
+def _past_the_limit(call):
+    """call, to be run under a digit limit of 640, which 10**700 is past."""
+    def run():
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            call()
+        finally:
+            sys.set_int_max_str_digits(limit)
+    return run
+
+
+# A number past the digit limit, and how a message quotes it: by its size.
+_HUGE = 10**700
+_HUGE_BITS = f"number of {_HUGE.bit_length()} bits"
 
 
 def _not_an_int(call, what, value):
@@ -63,7 +72,7 @@ _SHORT = SequencePair([1] * 3, [0] * 3)
 _NOT_A_PAIR = "expected a SequencePair or an (a, b) pair of digit sequences, got "
 _REFUSALS = {
     "fraction_str past the string limit": (
-        _fraction_str_past_the_limit, OutputTooLarge,
+        _past_the_limit(lambda: fraction_str(Fraction(10**700, 3))), OutputTooLarge,
         "an integer in the output has more than 640 decimal digits, "
         "Python's limit for integer-to-string conversion",
     ),
@@ -216,6 +225,34 @@ _REFUSALS = {
         lambda: TRIBONACCI.refine(True), "bits", True),
     "refine by -3 bits": (
         lambda: TRIBONACCI.refine(-3), ValueError, "bits must be at least 0"),
+    # A message quotes a caller's number past the digit limit by its size.
+    "NumberField on an interval past the limit": (
+        _past_the_limit(lambda: NumberField((1, 0, -2), (_HUGE, 10 * _HUGE))),
+        RootCountNotOne,
+        f"interval (a positive {_HUGE_BITS}, a positive number of "
+        f"{(10 * _HUGE).bit_length()} bits) contains 0 roots, expected exactly 1"),
+    "NumberField on a reversed interval past the limit": (
+        _past_the_limit(lambda: NumberField((1, 0, -2), (Fraction(_HUGE, 3), 1))),
+        EmptyInterval,
+        f"root interval must satisfy lo < hi, got (a positive number of "
+        f"{_HUGE.bit_length()} bits over 2 bits, 1)"),
+    "convergent at an index past the limit": (
+        _past_the_limit(lambda: convergent(_SHORT, -_HUGE)), IndexOutOfRange,
+        f"index must be nonnegative, got a negative {_HUGE_BITS}"),
+    "det_invariant at an index past the limit": (
+        _past_the_limit(lambda: det_invariant(_SHORT, -_HUGE)), IndexOutOfRange,
+        f"determinant needs n >= 2, got a negative {_HUGE_BITS}"),
+    "SequencePair of a digit past the limit": (
+        _past_the_limit(lambda: SequencePair([-_HUGE], [0])), InvalidSequence,
+        f"a[0] must be nonnegative, got a negative {_HUGE_BITS}"),
+    "SequencePair of a period past the limit": (
+        _past_the_limit(lambda: SequencePair([1], [1], periodicity=(_HUGE, 1))),
+        InvalidSequence,
+        f"periodicity (a positive {_HUGE_BITS}, 1) needs at least a positive "
+        f"{_HUGE_BITS} stored digits, have 1"),
+    "digit_a past the limit": (
+        _past_the_limit(lambda: _SHORT.digit_a(_HUGE)), IndexOutOfRange,
+        f"a[a positive {_HUGE_BITS}] is beyond the 3 stored digits"),
 }
 # RatFunc.evaluate and floor_of take exact numbers only, by _as_exact's rule.
 _EXACT = "must be an int, Fraction or AlgebraicNumber, got "

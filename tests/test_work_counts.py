@@ -146,8 +146,8 @@ def deep_work(patch):
     field = fields.NumberField(_DEEP_POLY, _DEEP_INTERVAL)
     field.refine(6_000)
     t = field.generator()
-    box = expansion.bcf_expand_box(t.value_interval(),
-                                   (t * t + t).value_interval(), _DEEP_TERMS)
+    box = expansion.bcf_expand(t.value_interval(),
+                               (t * t + t).value_interval(), _DEEP_TERMS)
     box = work(pairs=counts["rational_digits"],
                matches_expand=(box.a, box.b) == (pair.a, pair.b))
     return {"expand": expand, "scan": scan, "box": box}
