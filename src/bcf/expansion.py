@@ -19,10 +19,11 @@ primitive form, which keeps heights down.  Both floors come from
 midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
 midpoint is linear in its vector); bounds that straddle one integer k are
 decided by whether Y - kZ or X - kZ, which the step needs anyway, is zero,
-and positivity is read off both floors of step 0.  A recurrence shows as a
-repeated window of _WINDOW digit pairs.  A window keeps only its start; the
-exact cross-multiplication test compares the current state with the earlier
-window's last state, rebuilt from it.  ``bcf_step`` steps
+and positivity is read off both floors of step 0.  Read in cells of
+2**-_CELL_BITS, the bounds also file each state by index under its cells;
+equal states share a cell, and the exact cross-multiplication test compares
+the current state with each earlier one in its cells, rebuilt from it.  A
+field's first refinement reaches _START_BITS.  ``bcf_step`` steps
 either kind of number through the public operators (``_next``) and reads
 positivity off its floors too.  ``_kernels.rational_digits`` is the one
 integer engine: it steps a rational point, or a box's corners in lockstep to
@@ -42,8 +43,9 @@ from .fields import AlgebraicNumber, _as_exact, _bounds, _check_count
 from .fields import _convolve, _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
-_RENORMALISE = 32  # K: steps of a field expansion between primitive reductions
-_WINDOW = 8  # W: digit pairs in a window that may flag a recurrence
+_RENORMALISE = 32  # steps of a field expansion between primitive reductions
+_CELL_BITS = 16  # K: a state's cell is (floor(2**K alpha), floor(2**K beta))
+_START_BITS = 128  # the precision a field run's first refinement reaches
 
 
 class ExpansionState(namedtuple("ExpansionState", "alpha beta index")):
@@ -131,18 +133,17 @@ def bcf_expand(alpha, beta, max_terms=64):
     (p dq : q dp : dp dq), alpha = p/dp and beta = q/dq, needs no normal
     form: floors and the point test are blind to a positive factor, and
     ``_primitive`` reduces the triple every _RENORMALISE steps and at the
-    terminal.  Equal states have equal digit tails, so a state j that recurs
-    at r <= max_terms - 1 shows as a repeated window of digit pairs at r, up
-    to _WINDOW - 1 steps past the budget, and every earlier window with the
-    same digits is tested exactly: a run left open, with neither period nor
-    terminal, proves that no state recurs with j + m <= max_terms - 1
-    (state_j = state_(j+m), m >= 1).  A window keeps only its start: the
-    current state carried back through the digits of the r - j steps between
-    is the earlier window's last state, and the exact test on the two
-    confirms the period; the cycle gives the remaining digits, and
-    periodicity records (preperiod, period).  A termination past the budget
-    is not reported.  Rational inputs terminate, with the exact final alpha,
-    a Fraction, in ``terminal``: their denominators fall, so no state recurs.
+    terminal.  Each step i <= max_terms - 1 decides its floors and its cell
+    (floor(2**K alpha_i), floor(2**K beta_i)), K = _CELL_BITS, up to one
+    boundary per coordinate.  Equal states share a cell, and every earlier
+    state filed under one of i's cells is tested exactly at i: a run left
+    open, with neither period nor terminal, proves that no state recurs with
+    j + m <= max_terms - 1 (state_j = state_(j+m), m >= 1).  Cells keep only
+    indices: the current state carried back m steps through the digits is
+    state j, and the exact test on the two confirms the period at i = j + m;
+    periodicity records (preperiod, period), and the cycle gives the rest of
+    the digits.  Rational inputs terminate, with the exact final alpha, a
+    Fraction, in ``terminal``: their denominators fall, so no state recurs.
     """
     _check_count(max_terms, "max_terms")
     if isinstance(alpha, tuple) or isinstance(beta, tuple):
@@ -155,9 +156,9 @@ def bcf_expand(alpha, beta, max_terms=64):
     (p, dp), (q, dq) = alpha._raw, beta._raw
     state = x, y, z = (tuple([c * dq for c in p]), tuple([c * dp for c in q]),
                        (dp * dq, 0, 0))
-    a_digits, b_digits, windows = [], [], {}
+    a_digits, b_digits, cells, k = [], [], {}, _CELL_BITS
     powers = periodicity = terminal = None
-    for i in range(max_terms + _WINDOW - 1):
+    for i in range(max_terms):
         if i and i % _RENORMALISE == 0:
             state = x, y, z = _primitive(field, x, y, z)
             powers = None
@@ -167,46 +168,48 @@ def bcf_expand(alpha, beta, max_terms=64):
                 powers = _, _, r1, _, r2 = field._power_bounds()
                 (mx, rx), (my, ry), (mz, rz) = (_bounds(powers, v) for v in state)
             zlo, zhi = mz - rz, mz + rz
-            if zlo > 0:  # bounds on n/z straddling one integer k: n == kz decides
-                lo = (my - ry) // (zhi if my >= ry else zlo)
-                b_i = (my + ry) // (zlo if my >= -ry else zhi)
+            if zlo > 0:  # 2**-k cells bound n/z; n == jz decides one straddled j
+                blo = ((my - ry) << k) // (zhi if my >= ry else zlo)
+                bhi = ((my + ry) << k) // (zlo if my >= -ry else zhi)
+                b_i = bhi >> k
                 s = (y0 - b_i * z0, y1 - b_i * z1, y2 - b_i * z2)
-                if lo == b_i or lo + 1 == b_i and not any(s):
-                    lo = (mx - rx) // (zhi if mx >= rx else zlo)
-                    a_i = (mx + rx) // (zlo if mx >= -rx else zhi)
+                if bhi - blo <= 1 and (blo >> k == b_i or not any(s)):
+                    alo = ((mx - rx) << k) // (zhi if mx >= rx else zlo)
+                    ahi = ((mx + rx) << k) // (zlo if mx >= -rx else zhi)
+                    a_i = ahi >> k
                     t = (x0 - a_i * z0, x1 - a_i * z1, x2 - a_i * z2)
-                    if lo == a_i or lo + 1 == a_i and not any(t):
+                    if ahi - alo <= 1 and (alo >> k == a_i or not any(t)):
                         break
-            _refine_more(field)
+            _refine_more(field, _START_BITS)
             powers = None
         # x > 0 iff floor(x) >= 0 and x != 0
         if not i and not (min(a_i, b_i) >= 0 and any(x) and any(y)):
             raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
         b_digits.append(b_i)
         if not any(s):
-            if i < max_terms:
-                u, _, (w, _, _) = _primitive(field, x, y, z)
-                terminal = _element(field, u, w)
+            u, _, (w, _, _) = _primitive(field, x, y, z)
+            terminal = _element(field, u, w)
+            break
+        earlier = []  # the states filed under this one's cells, where it goes too
+        for cell in ((alo, blo),) if alo == ahi and blo == bhi else {
+                (alo, blo), (alo, bhi), (ahi, blo), (ahi, bhi)}:
+            seen = cells.setdefault(cell, [])
+            earlier += seen
+            seen.append(i)
+        for j in sorted(earlier):  # a state in two of them is tested twice
+            m = i - j  # state j, from this one through the m digits between
+            back = convergent_matrix(a_digits[j:i], b_digits[j:i], m - 1)
+            if _same_point(field, mat_mul3(back, state), state):
+                periodicity = (j, m)
+                for digits in a_digits, b_digits:
+                    digits[i:] = islice(cycle(digits[j:i]), max_terms - i)
+                break
+        if periodicity:
             break
         a_digits.append(a_i)
-        r = i + 1 - _WINDOW
-        if r >= 0:
-            seen = windows.setdefault((*a_digits[r:], *b_digits[r:]), [])
-            for j in seen:  # the state at j + _WINDOW - 1, from this one
-                m = r - j
-                back = convergent_matrix(a_digits[i - m:i], b_digits[i - m:i], m - 1)
-                if _same_point(field, mat_mul3(back, state), state):
-                    periodicity = (j, m)
-                    for digits in a_digits, b_digits:
-                        digits[r:] = islice(cycle(digits[j:r]), max_terms - r)
-                    break
-            if periodicity:
-                break
-            seen.append(r)
         state = x, y, z = z, t, s
         mx, rx, my, mz = mz, rz, mx - a_i * mz, my - b_i * mz
         ry, rz = abs(y[1]) * r1 + abs(y[2]) * r2, abs(z[1]) * r1 + abs(z[2]) * r2
-    del a_digits[max_terms:], b_digits[max_terms:]
     return SequencePair(a_digits, b_digits, terminal=terminal, periodicity=periodicity)
 
 

@@ -54,22 +54,24 @@ def bounded_str(value, render=str):
         raise _too_long_to_print() from None
 
 
-def _shown(x):
-    """str(x), an int or Fraction, for an error message that quotes a
-    caller's number; past Python's digit limit, its size in bits."""
+def _shown(x, render=str):
+    """render(x), str of a number or repr where the message is about its
+    type, for an error message that quotes a caller's value; past Python's
+    digit limit, an int or Fraction's size in bits (and type, under repr)."""
     try:
-        return str(x)
+        return render(x)
     except ValueError:
         size = f"{x.numerator.bit_length()} bits"
         if x.denominator > 1:
             size += f" over {x.denominator.bit_length()} bits"
-        return f"{'a negative' if x < 0 else 'a positive'} number of {size}"
+        kind = type(x).__name__ if render is repr else "number"
+        return f"{'a negative' if x < 0 else 'a positive'} {kind} of {size}"
 
 
 def _check_int(value, what):
     """The type rule for counts and indices: an int, not a bool."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise TypeError(f"{what} must be an int, got {value!r}")
+        raise TypeError(f"{what} must be an int, got {_shown(value, repr)}")
 
 
 def _check_count(value, what, least=1):
@@ -490,10 +492,11 @@ def _enclosure(field, x):
     return m - r, m + r, den * powers[0]
 
 
-def _refine_more(field):
-    """The one rule by which a floor left open asks for precision: as many
-    bits as the interval's shared denominator has, so they at least double."""
-    field.refine(field._q.bit_length())
+def _refine_more(field, least=0):
+    """The one rule by which a floor left open asks for precision: the bits
+    of the interval's shared denominator at least double, and reach `least`."""
+    bits = field._q.bit_length()
+    field.refine(max(bits, least - bits))
 
 
 def _floor(field, x):
@@ -736,7 +739,8 @@ def _as_ints(values, what):
     values = tuple(values)
     for value in values:
         if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(f"{what} coefficient must be an int, got {value!r}")
+            raise TypeError(
+                f"{what} coefficient must be an int, got {_shown(value, repr)}")
     return values
 
 

@@ -14,7 +14,7 @@ def _check_digits(name, digits):
     # passes it, as it always has.
     for i, d in enumerate(digits):
         if isinstance(d, bool) or not isinstance(d, int):
-            raise InvalidSequence(f"{name}[{i}] must be an int, got {d!r}")
+            raise InvalidSequence(f"{name}[{i}] must be an int, got {_shown(d, repr)}")
         if d < 0:
             raise InvalidSequence(f"{name}[{i}] must be nonnegative, got {_shown(d)}")
     return digits

@@ -11,9 +11,10 @@ invariant tying them together, exact convergence diagnostics, and text
 renderings of the trees.
 """
 
+import sys
 from collections import deque, namedtuple
 from fractions import Fraction
-from itertools import islice, pairwise
+from itertools import pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
@@ -196,10 +197,10 @@ def gap_diagnostics(seqs, N):
     return ConvergenceDiagnostics(delta, dmax, monotone and contracting)
 
 
-def _level_counts():
-    """Yield (alpha-tree a-nodes, beta-tree b-nodes) for levels 0, 1, ..."""
+def _level_counts(depth):
+    """Yield (alpha-tree a-nodes, beta-tree b-nodes) for levels 0 to depth."""
     fa, fb, beta = 1, 0, 1
-    while True:
+    for _ in range(depth + 1):
         yield fa, beta
         fa, fb, beta = fa + fb, fa, fb
 
@@ -210,10 +211,12 @@ def node_counts(depth):
     Within either tree the level counts follow the Fibonacci rule
     count(L+1) = count(L) + count(L-1) once both node kinds are summed;
     the alpha tree starts from a single a-node, the beta tree from a
-    single b-node.
+    single b-node.  A depth of sys.maxsize or more raises OutputTooLarge.
     """
     _check_index(depth, "depth", ValueError)
-    levels = list(islice(_level_counts(), depth + 1))
+    if depth >= sys.maxsize:
+        raise OutputTooLarge(f"depth {_shown(depth)}: more levels than a tuple holds")
+    levels = list(_level_counts(depth))
     return tuple(a for a, _ in levels), tuple(b for _, b in levels)
 
 
@@ -270,11 +273,11 @@ def render_tree(seqs, depth, format="ascii"):
     pair = _as_pair(seqs)
     _check_index(depth, "depth")
     total = 0
-    for alpha_nodes, beta_nodes in islice(_level_counts(), depth + 1):
+    for alpha_nodes, beta_nodes in _level_counts(depth):
         total += alpha_nodes + beta_nodes
         if total > _RENDER_NODE_BUDGET:
             raise OutputTooLarge(
-                f"depth {depth} renders more than {_RENDER_NODE_BUDGET} nodes"
+                f"depth {_shown(depth)} renders more than {_RENDER_NODE_BUDGET} nodes"
             )
     if format == "ascii":
         return _render_ascii(pair, depth)

@@ -872,8 +872,10 @@ def test_render_depth_beyond_digits(capsys):
 
 
 @pytest.mark.parametrize("style", ["ascii", "latex"])
-@pytest.mark.parametrize("depth", ["27", "2000"])
+@pytest.mark.parametrize("depth", ["27", "2000", str(2**63 - 1), str(10**30)])
 def test_render_beyond_the_node_budget_is_exit_3(capsys, style, depth):
+    # Depths of sys.maxsize and more too: the budget is counted level by
+    # level, never by slicing to depth + 1.
     code = run(["render", "--a", "1", "--b", "1", "--period", "1",
                 "--depth", depth, "--style", style])
     captured = capsys.readouterr()

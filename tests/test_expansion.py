@@ -23,6 +23,7 @@ from bcf import (
     bcf_expand_rational,
     bcf_step,
     rational_expansion_trace,
+    recover_cubic_pure,
     validate,
 )
 from bcf import expansion, fields, polys
@@ -34,7 +35,7 @@ from bcf.errors import (
     NonPositiveInput,
 )
 
-from _corpus import irreducible_roots, random_rational_pair
+from _corpus import irreducible_roots, random_cyclic_pair, random_rational_pair
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
@@ -531,8 +532,7 @@ def test_linear_loop_matches_normalised_reference(case):
 ], ids=["tribonacci", "preperiod-one"])
 def test_recurrence_at_the_last_index(field, beta, first):
     # The first recurrence is at index `first`: reported when that is the
-    # last index, max_terms - 1, and not when it is max_terms, although the
-    # loop steps past max_terms to fill the window that starts there.
+    # last index, max_terms - 1, and not when it is max_terms.
     t = field.generator()
     assert _assert_matches_reference(t, beta(t), first + 1).periodicity is not None
     assert _assert_matches_reference(t, beta(t), first).periodicity is None
@@ -540,7 +540,7 @@ def test_recurrence_at_the_last_index(field, beta, first):
 
 def test_termination_past_max_terms_is_not_reported():
     # beta turns integral at index 2 (test_field_terminal_after_steps); with
-    # max_terms 1 or 2 that is inside the window steps past max_terms.
+    # max_terms 1 or 2 the run ends open before it.
     t = TRIBONACCI.generator()
     z = (t * t + 1) / 3
     a1, b1 = 2 + 1 / z, 1 + 1 / z
@@ -557,21 +557,22 @@ def test_integral_alpha_partway(monkeypatch):
     # integer 3 with Z irrational, so the bounds on X/Z straddle 3 at any
     # precision, and only the exact test X == 3Z decides the floor; then
     # beta_3 = 0 ends the run.  Without that test the loop would refine
-    # forever: on a fresh field the run asks for more precision twice.
+    # forever: on a fresh field the run asks for more precision once, to
+    # its start precision.
     refinements = []
     refine_more = expansion._refine_more
 
-    def bounded(field):
+    def bounded(field, least=0):
         refinements.append(field)
         assert len(refinements) <= 2, "a floor the exact test decides was refined"
-        refine_more(field)
+        refine_more(field, least)
 
     monkeypatch.setattr(expansion, "_refine_more", bounded)
     t = NumberField((1, -1, -1, -1), (1, 2)).generator()
     alpha_1 = 2 + t / 3
     alpha, beta = 1 + Fraction(4, 3) / alpha_1, 1 / alpha_1
     bcf_expand(alpha, beta, max_terms=12)
-    assert len(refinements) == 2
+    assert len(refinements) == 1
     pair = _assert_matches_reference(alpha, beta, 12)
     assert (pair.a, pair.b, pair.terminal) == ((1, 2, 3), (0, 1, 1, 0), 1 / (t - 1))
     # In a degree-1 field every bound is exact: (5/4, 3/2) has alpha_1 = 2
@@ -583,26 +584,111 @@ def test_integral_alpha_partway(monkeypatch):
     assert pair == bcf_expand_rational(Fraction(5, 4), Fraction(3, 2))
 
 
-def test_false_window_repeat_is_rejected(monkeypatch):
-    # (theta, theta^2 + theta), theta^3 + 2 theta = 1, finds no period, but
-    # repeats a window of eight digit pairs by chance within 2270 terms: the
-    # exact check runs once, on the earlier window's state rebuilt from the
-    # current one, and rejects it.  The digest is sha256 of "a;b".
-    verdicts = []
+def _point_tests(patch):
+    """(t, verdict) of each exact point test _same_point(field, s, t), t the
+    current state, through a spy bound with patch(owner, name, value)."""
+    tests = []
     same_point = expansion._same_point
 
     def spy(field, s, t):
-        verdicts.append(same_point(field, s, t))
-        return verdicts[-1]
+        tests.append((t, same_point(field, s, t)))
+        return tests[-1][1]
 
-    monkeypatch.setattr(expansion, "_same_point", spy)
+    patch(expansion, "_same_point", spy)
+    return tests
+
+
+def test_false_window_repeat_is_rejected(monkeypatch):
+    # (theta, theta^2 + theta), theta^3 + 2 theta = 1, finds no period.  At
+    # _CELL_BITS = 0 a state's cell is its digit pair, a window of one pair,
+    # which repeats by chance thousands of times within 200 terms: each exact
+    # check, on the earlier state rebuilt from the current one, rejects it,
+    # and the digits are those of the default cells.  Those make no check
+    # within 2270 terms.  The digests are sha256 of "a;b".
     t = NumberField((1, 0, 2, -1), (-3, 3)).generator()
+    tests = _point_tests(monkeypatch.setattr)
+    monkeypatch.setattr(expansion, "_CELL_BITS", 0)
+    pair = bcf_expand(t, t * t + t, max_terms=200)
+    assert tests and not any(verdict for _, verdict in tests)
+    assert pair.periodicity is None and not pair.terminated
+    text = f"{_csv(pair.a)};{_csv(pair.b)}"
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b81bc235be0439c4eee5e97648ed30ff756aa56080a4b53115daef304378ec21")
+    monkeypatch.undo()
+    tests = _point_tests(monkeypatch.setattr)
+    assert bcf_expand(t, t * t + t, max_terms=200) == pair
     pair = bcf_expand(t, t * t + t, max_terms=2270)
-    assert verdicts == [False]
+    assert tests == []
     assert pair.periodicity is None and not pair.terminated
     text = f"{_csv(pair.a)};{_csv(pair.b)}"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d1cf560e9dd9a24d4e9b8b3fc3b2615e08655c78b2c604bb03c2e86b1a843ed7")
+
+
+def _at_cell_bits(k, alpha, beta, terms):
+    """bcf_expand with expansion._CELL_BITS set to k for the one call."""
+    saved, expansion._CELL_BITS = expansion._CELL_BITS, k
+    try:
+        return bcf_expand(alpha, beta, max_terms=terms)
+    finally:
+        expansion._CELL_BITS = saved
+
+
+def _assert_blind_to_cell_bits(alpha, beta, terms):
+    # Cells only choose which earlier states get the exact test, so the
+    # digits, the period and the terminal are the same at any size.
+    pair = bcf_expand(alpha, beta, max_terms=terms)
+    for k in (0, 1, 16, 40):
+        assert _at_cell_bits(k, alpha, beta, terms) == pair
+
+
+@given(seed=st.integers(0, 2**32), terms=st.integers(1, 30))
+@settings(max_examples=100, deadline=None)
+def test_cells_are_blind_to_their_size_on_the_criterion_9_corpus(seed, terms):
+    # Acceptance criterion 9's purely periodic pairs, recovered as (alpha, beta).
+    result = recover_cubic_pure(random_cyclic_pair(random.Random(seed),
+                                                   max_period=4, max_digit=3))
+    _assert_blind_to_cell_bits(result.alpha, result.beta, terms)
+
+
+@given(field_pairs(max_terms=100))
+@settings(max_examples=100, deadline=None)
+def test_cells_are_blind_to_their_size_on_field_pairs(case):
+    _assert_blind_to_cell_bits(*case)
+
+
+def _period_eighteen():
+    # A pure period of 18 digits that repeats its first 9 digits at 9.
+    a = (2,) * 8 + (3,) + (2,) * 8 + (4,)
+    b = (1,) * 8 + (0,) + (1,) * 8 + (0,)
+    result = recover_cubic_pure((a, b))
+    return result.alpha, result.beta
+
+
+def _period_two():
+    r = PERIOD_TWO.generator()
+    return r, 2 + 1 / r
+
+
+@pytest.mark.parametrize("pair, periodicity", [
+    (_period_two, (1, 2)), (_period_eighteen, (0, 18)),
+], ids=["preperiod-one", "period-eighteen"])
+def test_period_is_confirmed_at_the_recurrence(monkeypatch, pair, periodicity):
+    # The last floor decision of a periodic run is at index j + m, the state
+    # that recurs: its cell finds state j, and the exact test that confirms
+    # the period is made on state j + m, with the budget far past it.
+    alpha, beta = pair()
+    tests = _point_tests(monkeypatch.setattr)
+    found = bcf_expand(alpha, beta, max_terms=40)
+    last, confirmed = tests[-1]
+    assert found.periodicity == periodicity and confirmed
+    state = ExpansionState(alpha, beta, 0)
+    for _ in range(sum(periodicity)):
+        state = bcf_step(state)[2]
+    (p, dp), (q, dq) = state.alpha._raw, state.beta._raw
+    recurring = tuple(c * dq for c in p), tuple(c * dp for c in q), (dp * dq, 0, 0)
+    monkeypatch.undo()
+    assert expansion._same_point(alpha.field, last, recurring)
 
 
 _DEEP_RUN = (
@@ -624,9 +710,9 @@ _DEEP_RUN = (
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmHWM from /proc")
 def test_deep_expansion_memory_follows_the_current_state():
-    # A window keeps only its start index, so a run holds one state, whose
+    # A cell keeps only state indices, so a run holds one state, whose
     # height grows linearly: 16,000 steps of the pinned cubic raise the peak
-    # resident set by a few MiB.  A stored state per window would grow it
+    # resident set by a few MiB.  A stored state per step would grow it
     # quadratically, by about 54 MiB here.  The peak is VmHWM (KiB) of a
     # fresh interpreter: ru_maxrss would also count the peak of the process
     # that started it, which Linux carries across fork and exec.

@@ -18,6 +18,7 @@ from bcf import (
     RatFunc,
     SequencePair,
     approximate,
+    bcf_expand,
     bcf_step,
     check_appropriate,
     check_proper,
@@ -124,6 +125,16 @@ _REFUSALS = {
     ),
     "negative tree depth": (
         lambda: node_counts(-1), ValueError, "depth must be nonnegative, got -1",
+    ),
+    # node_counts returns one entry per level, which no tuple holds from
+    # sys.maxsize levels on.
+    "tree depth 2**63 - 1": (
+        lambda: node_counts(2**63 - 1), OutputTooLarge,
+        "depth 9223372036854775807: more levels than a tuple holds",
+    ),
+    "tree depth 10**30": (
+        lambda: node_counts(10**30), OutputTooLarge,
+        f"depth {10**30}: more levels than a tuple holds",
     ),
     "Sturm chain of the zero polynomial": (
         lambda: polys.sturm_chain(()), ValueError,
@@ -253,6 +264,24 @@ _REFUSALS = {
     "digit_a past the limit": (
         _past_the_limit(lambda: _SHORT.digit_a(_HUGE)), IndexOutOfRange,
         f"a[a positive {_HUGE_BITS}] is beyond the 3 stored digits"),
+    # A type refusal quotes a value past the limit by its type and size.
+    "SequencePair of a Fraction digit past the limit": (
+        _past_the_limit(lambda: SequencePair([Fraction(_HUGE)], [0])),
+        InvalidSequence, f"a[0] must be an int, got a positive Fraction of "
+        f"{_HUGE.bit_length()} bits"),
+    "refine by a Fraction past the limit": (
+        _past_the_limit(lambda: NumberField((1, 0, -2), (1, 2)).refine(
+            Fraction(_HUGE))), TypeError,
+        f"bits must be an int, got a positive Fraction of {_HUGE.bit_length()} bits"),
+    "bcf_expand to a Fraction past the limit": (
+        _past_the_limit(lambda: bcf_expand(Fraction(3, 2), Fraction(4, 3),
+                                           Fraction(-_HUGE, 3))), TypeError,
+        f"max_terms must be an int, got a negative Fraction of "
+        f"{_HUGE.bit_length()} bits over 2 bits"),
+    "NumberField of a Fraction coefficient past the limit": (
+        _past_the_limit(lambda: NumberField((1, 0, Fraction(_HUGE, 3)), (1, 2))),
+        TypeError, f"min_poly coefficient must be an int, got a positive "
+        f"Fraction of {_HUGE.bit_length()} bits over 2 bits"),
 }
 # RatFunc.evaluate and floor_of take exact numbers only, by _as_exact's rule.
 _EXACT = "must be an int, Fraction or AlgebraicNumber, got "

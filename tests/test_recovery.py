@@ -526,10 +526,10 @@ def test_open_run_bound_is_tight_on_a_scan_box():
 
 
 def test_period_is_found_past_a_repeated_window():
-    # The pure period of m = 18 digits repeats its first window at 9, where
-    # no state recurs, so the window at 18 has two earlier starts with its
-    # digits, 0 and 9, and only the first is the recurrence: a loop that
-    # tests only the latest earlier start misses it.
+    # The pure period of m = 18 digits repeats its first 9 digit pairs at 9,
+    # where no state recurs, so a window of digits at 18 has two earlier
+    # starts, 0 and 9, and only the first is the recurrence: a loop that
+    # tests only the latest earlier candidate misses it.
     a = (2,) * 8 + (3,) + (2,) * 8 + (4,)
     b = (1,) * 8 + (0,) + (1,) * 8 + (0,)
     result = recover_cubic_pure((a, b))

@@ -31,14 +31,14 @@ import workloads  # noqa: E402
 
 TOTALS = {
     "cubic_deep": {
-        "bcf_expand_digits": 16_576, "_convolve": 24, "_primitive": 496,
-        "_refine_more": 774, "refine_bits": 14_856, "rational_digits": 0,
+        "bcf_expand_digits": 16_576, "_convolve": 24, "_primitive": 391,
+        "_refine_more": 156, "refine_bits": 19_848, "rational_digits": 0,
         "_rounded_decimal": 16_576, "stdout_chars": 7_297_676,
         "_sign_variations": 468, "period_checks": 6,
     },
     "scan_box": {
-        "bcf_expand_digits": 12_386, "_convolve": 800, "_primitive": 326,
-        "_refine_more": 966, "refine_bits": 16_041, "rational_digits": 0,
+        "bcf_expand_digits": 12_386, "_convolve": 800, "_primitive": 145,
+        "_refine_more": 159, "refine_bits": 20_201, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
         "_sign_variations": 1_069, "period_checks": 200,
     },
@@ -97,8 +97,8 @@ def test_catalogue_walk_does_the_pinned_work(monkeypatch, name):
 
 # The deep set: long runs through the library, where the catalogues stop at
 # 256 steps.  (theta, theta^2 + theta) in the field of x^3 - 2x^2 - 2x - 2
-# does not recur, and repeats no window of expansion._WINDOW digit pairs
-# within 2000 steps, so it makes no exact period check; the scan meets a
+# does not recur, and no two of its first 2000 states share a cell of
+# expansion._CELL_BITS, so it makes no exact period check; the scan meets a
 # periodic pair, an eventually periodic one and a termination, one check
 # each for the first three; the box certifies the same digits on the
 # integer engine from a rational box around the pair.
@@ -107,11 +107,11 @@ _DEEP_TERMS = 2_000
 
 DEEP_TOTALS = {
     "expand": {"pairs": 2_000, "period_checks": 0, "_convolve": 0,
-               "_primitive": 62, "refine_bits": 127},
+               "_primitive": 62, "refine_bits": 255},
     "scan": {"records": [["periodic", 1, 2], ["periodic", 1, 1],
                          ["periodic", 1, 2], ["terminated", None, None]],
              "period_checks": 3, "_convolve": 12, "_primitive": 1,
-             "refine_bits": 63},
+             "refine_bits": 127},
     "box": {"pairs": 2_000, "matches_expand": True, "period_checks": 0,
             "_convolve": 0, "_primitive": 0, "refine_bits": 6_000},
 }
@@ -123,8 +123,8 @@ def deep_work(patch):
     counts = Counter()
     for binding in ("_convolve", "_primitive"):
         _spy(patch, counts, expansion, binding, binding)
-    # Exact period checks: each rebuilds the earlier window's state through
-    # one convergent_matrix.
+    # Exact period checks: each rebuilds an earlier state in the current
+    # state's cells through one convergent_matrix.
     _spy(patch, counts, expansion, "convergent_matrix", "period_checks")
     _spy(patch, counts, fields.NumberField, "refine", "refine_bits",
          lambda _, field, bits=1: bits)
