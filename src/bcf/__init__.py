@@ -74,7 +74,7 @@ from .validation import (
     validate,
 )
 
-__version__ = "4.0.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "AlgebraicNumber",

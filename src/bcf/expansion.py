@@ -39,7 +39,7 @@ from itertools import cycle, islice
 
 from ._kernels import convergent_matrix, mat_mul3, rational_digits
 from .errors import EmptyInterval, NonPositiveInput
-from .fields import AlgebraicNumber, _as_exact, _bounds, _check_count
+from .fields import AlgebraicNumber, _as_exact, _as_rational, _bounds, _check_count
 from .fields import _convolve, _element, _primitive, _refine_more, floor_of
 from .sequences import SequencePair
 
@@ -78,7 +78,7 @@ def _box_ends(value, name):
     """The ends of one side of a box: (value,) or the interval (lo, hi)."""
     if not isinstance(value, tuple):
         return (value,)
-    ends = tuple(_as_exact(end, name) for end in value)
+    ends = tuple(_as_rational(end, name) for end in value)
     if len(ends) != 2 or not ends[0] < ends[1]:
         raise EmptyInterval(f"{name}: an interval is a pair (lo, hi) with lo < hi")
     return ends
@@ -214,9 +214,7 @@ def bcf_expand(alpha, beta, max_terms=64):
 
 
 def _common_denominator_form(alpha, beta):
-    alpha, beta = _as_exact(alpha, "alpha"), _as_exact(beta, "beta")
-    if not (isinstance(alpha, Fraction) and isinstance(beta, Fraction)):
-        raise TypeError("the rational fast path takes no field elements")
+    alpha, beta = _as_rational(alpha, "alpha"), _as_rational(beta, "beta")
     if alpha <= 0 or beta <= 0:
         raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
     w = math.lcm(alpha.denominator, beta.denominator)

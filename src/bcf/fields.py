@@ -1,12 +1,13 @@
-"""Exact arithmetic in rational, quadratic, and cubic number fields.
+"""Exact arithmetic in quadratic and cubic number fields.
 
 A :class:`NumberField` is Q[x]/(f) for an irreducible integer polynomial f
-of degree 1 to 3, together with an open rational interval isolating one real
-root theta of f.  An :class:`AlgebraicNumber` is an element of such a field,
-stored as three integer numerators, zero past the degree d, over one
-positive common denominator in the power basis 1, theta, theta^2, normalised
-after every operation so that the denominator is coprime to the numerators'
-content.  Products and inverses share one closed form per degree on integer
+of degree 2 or 3, together with an open rational interval isolating one real
+root theta of f; a rational is a Fraction, not a degree-1 field.  An
+:class:`AlgebraicNumber` is an element of such a field, stored as three
+integer numerators, zero past the degree d, over one positive common
+denominator in the power basis 1, theta, theta^2, normalised after every
+operation so that the denominator is coprime to the numerators' content.
+Products and inverses share one closed form per degree on integer
 numerators: an integer convolution reduced modulo f, and the adjugate of the
 integer multiplication matrix.  ``_primitive`` applies both to reduce a
 projective triple of numerator vectors, the state of a field expansion, to
@@ -57,10 +58,13 @@ def bounded_str(value, render=str):
 def _shown(x, render=str):
     """render(x), str of a number or repr where the message is about its
     type, for an error message that quotes a caller's value; past Python's
-    digit limit, an int or Fraction's size in bits (and type, under repr)."""
+    digit limit, an int or Fraction's size in bits (and type, under repr),
+    or any other value's type, such as a field element's or a container's."""
     try:
         return render(x)
     except ValueError:
+        if not isinstance(x, (int, Fraction)):
+            return f"a value of type {type(x).__name__} too long to print"
         size = f"{x.numerator.bit_length()} bits"
         if x.denominator > 1:
             size += f" over {x.denominator.bit_length()} bits"
@@ -138,13 +142,13 @@ class NumberField:
     def __init__(self, min_poly, root_interval):
         coeffs = polys.trim(_as_ints(min_poly, "min_poly"))
         d = polys.degree(coeffs)
-        if d < 1 or d > 3:
+        if d < 2 or d > 3:
             raise DegreeOutOfRange(
-                f"minimal polynomial must have degree 1-3, got degree {d}"
+                f"minimal polynomial must have degree 2-3, got degree {d}"
             )
         coeffs = polys.primitive(coeffs)
         chain = polys.sturm_chain(coeffs)
-        if not polys._irreducible(chain):
+        if polys._isolate(chain) is None:
             raise ReduciblePolynomial(
                 f"polynomial {coeffs} is reducible over the rationals"
             )
@@ -154,16 +158,12 @@ class NumberField:
     def _setup(self, chain, lo, hi):
         """The set-up that __init__ and _field_on_chain share: check that
         the interval (lo, hi) of Fractions isolates one root of chain[0],
-        counted on its Sturm chain chain, and fill the caches."""
+        counted on its Sturm chain chain, and fill the caches.  chain[0] is
+        irreducible of degree 2 or 3, so no rational end is a root."""
         coeffs = chain[0]
         if not lo < hi:
             raise EmptyInterval("root interval must satisfy lo < hi, "
                                 f"got ({_shown(lo)}, {_shown(hi)})")
-        sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
-        if not sign_lo or not polys._sign_at(coeffs, hi.numerator, hi.denominator):
-            raise RootCountNotOne(
-                "root interval endpoints must not be roots of the polynomial"
-            )
         count = polys.count_roots(chain, lo, hi)
         if count != 1:
             raise RootCountNotOne(f"interval ({_shown(lo)}, {_shown(hi)}) contains "
@@ -184,7 +184,7 @@ class NumberField:
             lo_n, hi_n = max(lo_n * lead, -bound * q), min(hi_n * lead, bound * q)
             q *= lead
         self._lo_n, self._hi_n, self._q = lo_n, hi_n, q
-        self._sign_lo = sign_lo
+        self._sign_lo = polys._sign_at(coeffs, lo.numerator, lo.denominator)
         self._qir_bits = 2  # bits the next quadratic refinement step tries
         self._powers = None  # _power_bounds of the interval; reset by refine
         # theta^d = -(f_0 + f_1 theta + ... + f_(d-1) theta^(d-1)) / lead.
@@ -259,12 +259,7 @@ class NumberField:
             if k > 1:
                 self._qir_bits = max(2, self._qir_bits // 2)
             mid = lo + hi
-            s = polys._sign_at(f, mid, 2 * q)
-            if s == 0:
-                # Only possible for a degree-1 field, where the root is
-                # rational: keep the middle half of the interval around it.
-                lo, hi, q = 3 * lo + hi, lo + 3 * hi, 4 * q
-            elif s == sign_lo:
+            if polys._sign_at(f, mid, 2 * q) == sign_lo:
                 lo, hi, q = mid, 2 * hi, 2 * q
             else:
                 lo, hi, q = 2 * lo, mid, 2 * q
@@ -273,8 +268,6 @@ class NumberField:
 
     def generator(self):
         """The distinguished root theta as a field element."""
-        if self.degree == 1:
-            return _element(self, (-self._low[0], 0, 0), self._lead)
         return _element(self, (0, 1, 0), 1)
 
     def element(self, value):
@@ -289,8 +282,6 @@ class NumberField:
             return NotImplemented
         if self._min_poly != other._min_poly:
             return False
-        if self.degree == 1:
-            return True  # a degree-1 polynomial has a single root
         (lo1, hi1), (lo2, hi2) = self.interval(), other.interval()
         lo, hi = max(lo1, lo2), min(hi1, hi2)
         if lo >= hi:
@@ -348,7 +339,7 @@ def _qir_cell(f, sign_lo, lo, hi, q, k):
 
     s = sign(j)
     step = 1 if s == sign_lo else -1
-    if s and sign(j + step) == -s:
+    if sign(j + step) == -s:
         return min(j, j + step)
     return None
 
@@ -407,11 +398,9 @@ def _convolve(field, p, q):
             lead * (lead * (p0 * q1 + p1 * q0) - c4 * f0) - c3 * f1,
             lead * (lead * (p0 * q2 + p1 * q1 + p2 * q0) - c4 * f1) - c3 * f2,
         )
-    if len(low) == 2:
-        f0, f1 = low
-        c2 = p1 * q1
-        return lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1, 0
-    return p0 * q0, 0, 0
+    f0, f1 = low
+    c2 = p1 * q1
+    return lead * p0 * q0 - c2 * f0, lead * (p0 * q1 + p1 * q0) - c2 * f1, 0
 
 
 def _adjugate_row(field, n):
@@ -428,11 +417,9 @@ def _adjugate_row(field, n):
         k0, k1, k2 = -m2 * f0, lead * m0 - m2 * f1, lead * m1 - m2 * f2
         c0, c1, c2 = m1 * k2 - k1 * m2, k1 * n2 - n1 * k2, n1 * m2 - m1 * n2
         return (c0, lead * c1, lead * lead * c2), n0 * c0 + m0 * c1 + k0 * c2
-    if len(low) == 2:
-        f0, f1 = low
-        m1 = lead * n0 - n1 * f1
-        return (m1, -lead * n1, 0), n0 * m1 + n1 * n1 * f0
-    return (1, 0, 0), n0
+    f0, f1 = low
+    m1 = lead * n0 - n1 * f1
+    return (m1, -lead * n1, 0), n0 * m1 + n1 * n1 * f0
 
 
 def _multiply(field, x, y):
@@ -719,9 +706,8 @@ def _as_exact(value, what):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(
-        f"{what} must be an int, Fraction or AlgebraicNumber, got {value!r}"
-    )
+    raise TypeError(f"{what} must be an int, Fraction or AlgebraicNumber, "
+                    f"got {_shown(value, repr)}")
 
 
 def _as_rational(value, what):
@@ -729,7 +715,7 @@ def _as_rational(value, what):
     TypeError too."""
     value = _as_exact(value, what)
     if not isinstance(value, Fraction):
-        raise TypeError(f"{what} must be an int or Fraction, got {value!r}")
+        raise TypeError(f"{what} must be an int or Fraction, got {_shown(value, repr)}")
     return value
 
 

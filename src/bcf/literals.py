@@ -3,7 +3,8 @@
 Grammar (one kind per literal, chosen by its prefix):
 
     rat:<int>[/<int>]                       exact rational, e.g. rat:7/4
-    alg:<c_d>,...,<c_0>@<lo>,<hi>           root of an integer polynomial
+    alg:<c_d>,...,<c_0>@<lo>,<hi>           root of an irreducible integer
+                                            polynomial of degree 2 or 3
                                             (descending coefficients) inside
                                             the open interval (lo, hi), each
                                             end <int>[/<int>] as in rat:,

@@ -7,8 +7,8 @@ numbers; the rest take integer coefficients and compute in integers only.
 Sturm chains have integer coefficients and are evaluated at a rational n/d
 through the homogeneous integer form.  One bisection of the chain,
 ``_isolate``, answers both root questions the package asks of a polynomial
-of degree 2 or 3: whether it has a rational root, and so is reducible
-(``_irreducible``), and where its real roots lie.
+of degree 2 or 3: whether it has a rational root, and so is reducible, and
+where its real roots lie.
 """
 
 import math
@@ -133,17 +133,10 @@ def count_roots(chain, lo, hi):
             - _sign_variations(chain, hi.numerator, hi.denominator))
 
 
-def _irreducible(chain):
-    """Irreducibility over Q of chain[0], primitive of degree 1 to 3, from
-    its Sturm chain: of degree 2 or 3 it is reducible exactly when it has a
-    rational root, which _isolate reports."""
-    return len(chain[0]) == 2 or _isolate(chain) is not None
-
-
 def _isolate(chain):
     """Sorted disjoint open rational intervals, one per real root of
-    chain[0], of degree >= 2 (a degree-1 root is rational), or None when
-    chain[0] has a rational root.
+    chain[0], of degree >= 2, or None when chain[0] has a rational root: of
+    degree 2 or 3 it is then reducible over Q, and only then.
 
     The chain is bisected on cells whose ends are integers over one
     denominator |lead| * 2**e, down to cells with one root; only the

@@ -30,7 +30,7 @@ def as_pair(value):
         a, b = tuple(a), tuple(b)
     except (TypeError, ValueError):
         raise TypeError("expected a SequencePair or an (a, b) pair of digit "
-                        f"sequences, got {value!r}") from None
+                        f"sequences, got {_shown(value, repr)}") from None
     return SequencePair(a, b)
 
 

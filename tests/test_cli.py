@@ -104,16 +104,16 @@ def test_expand_text_shows_terminal(capsys):
 
 @pytest.mark.parametrize("beta", ["rat:1/2", "rat:7/5"])
 @pytest.mark.parametrize("fmt", ["json", "text"])
-def test_degree_one_alg_literal_prints_as_its_rational(capsys, beta, fmt):
-    outputs = []
-    for alpha in ("alg:2,-3@1,2", "rat:3/2"):
-        code = run(["expand", "--alpha", alpha, "--beta", beta, "--format", fmt])
-        captured = capsys.readouterr()
-        assert code == 0, captured.err
-        outputs.append(captured.out)
-    assert outputs[0] == outputs[1]
-    if fmt == "text":
-        assert "terminal: " in outputs[0]
+def test_degree_one_alg_literal_is_refused(capsys, beta, fmt):
+    # A rational has one literal, rat:; a field starts at degree 2.
+    assert run(["expand", "--alpha", "rat:3/2", "--beta", beta, "--format", fmt]) == 0
+    capsys.readouterr()
+    code = run(["expand", "--alpha", "alg:2,-3@1,2", "--beta", beta, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: minimal polynomial must have degree 2-3, got degree 1\n")
 
 
 # The first 30-digit pair of the benchmark's digits_recover catalogue.
@@ -128,7 +128,7 @@ def _stdout(capsys, argv):
     return captured.out
 
 
-_Q = NumberField((1, 0), (-1, 1))  # Q, as the field of theta = 0
+_Q = NumberField((1, 0, -2), (1, 2))  # Q(sqrt 2); a rational has radius 0 there
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
@@ -139,7 +139,7 @@ def test_rational_expand_bytes_match_generic_loop(capsys, monkeypatch, fmt, offs
             "--terms", str(length + offset), "--format", fmt]
     kernel = _stdout(capsys, argv)
     with monkeypatch.context() as m:
-        # the field loop, run on the pair embedded in a degree-1 field
+        # the field loop, run on the pair embedded in a quadratic field
         m.setattr(cli, "bcf_expand", lambda alpha, beta, max_terms: bcf_expand(
             _Q.element(alpha), _Q.element(beta), max_terms))
         generic = _stdout(capsys, argv)

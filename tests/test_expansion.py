@@ -440,10 +440,10 @@ def _positive(x):
 
 @st.composite
 def field_pairs(draw, max_terms=60):
-    """A positive pair in a random field of degree 1-3 whose minimal
+    """A positive pair in a random field of degree 2 or 3 whose minimal
     polynomial has leading coefficient 1-5, and a number of terms up to
     max_terms."""
-    d = draw(st.sampled_from((1, 2, 3, 3)))
+    d = draw(st.sampled_from((2, 3, 3)))
     poly = (draw(st.integers(1, 5)),) + tuple(
         draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
     )
@@ -575,9 +575,9 @@ def test_integral_alpha_partway(monkeypatch):
     assert len(refinements) == 1
     pair = _assert_matches_reference(alpha, beta, 12)
     assert (pair.a, pair.b, pair.terminal) == ((1, 2, 3), (0, 1, 1, 0), 1 / (t - 1))
-    # In a degree-1 field every bound is exact: (5/4, 3/2) has alpha_1 = 2
-    # and ends with beta_2 = 0.
-    field = NumberField((1, -2), (1, 3))
+    # A rational element's bound is exact: (5/4, 3/2) in Q(sqrt 2) has
+    # alpha_1 = 2 and ends with beta_2 = 0.
+    field = NumberField((1, 0, -2), (1, 2))
     alpha, beta = field.element(Fraction(5, 4)), field.element(Fraction(3, 2))
     pair = _assert_matches_reference(alpha, beta, 8)
     assert (pair.a, pair.b, pair.terminal) == ((1, 2), (1, 0, 0), 2)
@@ -767,21 +767,21 @@ def test_public_step_on_rationals_reproduces_fast_path(data):
     assert type(terminal) is Fraction and terminal == pair.terminal
 
 
-_THREE_HALVES = NumberField((2, -3), (1, 2))  # Q again, as the field of 3/2
+_SQRT_TWO = NumberField((1, 0, -2), (1, 2))  # a rational has radius 0 here
 
 
 @given(st.data())
 @settings(max_examples=100, deadline=None)
 def test_rational_pair_matches_the_field_loop_in_q(data):
     # bcf_expand runs a rational pair on the integer kernel; the field loop
-    # on the same pair in a degree-1 field and the public step agree.
+    # on the same pair in Q(sqrt 2) and the public step agree.
     parts = st.integers(1, 10**30)
     alpha, beta = (Fraction(data.draw(parts), data.draw(parts)) for _ in range(2))
     n = len(bcf_expand_rational(alpha, beta).b)
     terms = data.draw(st.integers(1, n + 1))
     pair = bcf_expand(alpha, beta, max_terms=terms)
     embedded = bcf_expand(
-        _THREE_HALVES.element(alpha), _THREE_HALVES.element(beta), max_terms=terms
+        _SQRT_TWO.element(alpha), _SQRT_TWO.element(beta), max_terms=terms
     )
     assert (embedded.a, embedded.b) == (pair.a, pair.b)
     assert embedded.terminal == pair.terminal

@@ -68,8 +68,6 @@ def test_field_validates_interval():
         NumberField((1, -1, -1, -1), (3, 4))  # no root there
     with pytest.raises(RootCountNotOne):
         NumberField((1, 0, -2), (-2, 2))  # both roots of x^2 - 2
-    with pytest.raises(RootCountNotOne):
-        NumberField((1, -2), (2, 5))  # root sits at the excluded endpoint
 
 
 def test_wide_root_interval_starts_at_the_root_bound(monkeypatch):
@@ -102,10 +100,12 @@ def test_field_normalizes_and_compares():
     assert negated.min_poly == (1, -1, -1, -1)
 
 
-def test_degree_one_field_is_rational():
-    line = NumberField((2, -7), (3, 4))  # root 7/2
-    x = line.generator()
-    assert x.is_rational() and x.as_fraction() == Fraction(7, 2)
+def test_degree_one_field_is_refused():
+    # A rational is a Fraction, written rat:; a field starts at degree 2.
+    for poly, interval in (((2, -7), (3, 4)), ((1, 0), (-1, 1))):
+        with pytest.raises(DegreeOutOfRange, match=(
+                "^minimal polynomial must have degree 2-3, got degree 1$")):
+            NumberField(poly, interval)
 
 
 def test_refine_shrinks_interval():
@@ -232,8 +232,8 @@ def test_sign_and_floor():
 
 
 @pytest.mark.parametrize("poly, interval", [
-    ((2, -3), (1, 2)), ((1, 0, -2), (1, 2)), ((1, -1, -1, -1), (1, 2)),
-], ids=["degree-1", "degree-2", "degree-3"])
+    ((1, 0, -2), (1, 2)), ((1, -1, -1, -1), (1, 2)),
+], ids=["degree-2", "degree-3"])
 def test_sign_of_rational_elements_needs_no_refinement(poly, interval):
     field = NumberField(poly, interval)
     before = field.interval()
@@ -321,7 +321,8 @@ def test_float_conversion():
 
 def test_float_of_a_rational_element_is_its_fraction():
     t = theta()
-    third = NumberField((3, -1), (0, 1)).generator()
+    s = NumberField((1, 0, -2), (1, 2)).generator()
+    third = s * s / 6
     for x, q in ((t - t + Fraction(1, 3), Fraction(1, 3)),
                  (third, Fraction(1, 3)),
                  (third * third - 2, Fraction(-17, 9))):
@@ -415,8 +416,8 @@ def test_floor_brackets_value(x):
 
 @st.composite
 def small_fields(draw):
-    """Irreducible polynomials of degree 1-3, leading coefficient 1-5."""
-    d = draw(st.integers(1, 3))
+    """Irreducible polynomials of degree 2 or 3, leading coefficient 1-5."""
+    d = draw(st.integers(2, 3))
     lead = draw(st.integers(1, 5))
     rest = draw(st.lists(st.integers(-6, 6), min_size=d, max_size=d))
     poly = polys.primitive((lead, *rest))

@@ -6,12 +6,13 @@ can leave an import or a helper behind; the package has no linter
 dependency, so this parses each module with ast instead.  __init__.py is
 left out of the import check: it imports to re-export, so the names it
 imports must be exactly its __all__ minus __version__, and the two lists
-cannot drift apart.  Six more rules are pinned the same way: only
+cannot drift apart.  Seven more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
 raises DegenerateSystem, so recovery has one degeneracy guard; only
-cli._literal calls parse_number, so the kinds of literal a flag takes are
+fields raises DegreeOutOfRange, ReduciblePolynomial and RootCountNotOne, so
+one module decides what a number field is; only cli._literal calls parse_number, so the kinds of literal a flag takes are
 decided by one rule; outside fields no code reads .degree but as
 polys.degree, so fields alone knows that a numerator vector is three
 integers, zero past the degree; and cli takes exactly bcf_expand from
@@ -249,6 +250,32 @@ def test_degenerate_system_raiser_is_found():
 def test_only_recover_cubic_eventual_raises_degenerate_system():
     assert _functions_where(_sources(), _raises("DegenerateSystem")) == [
         ("recovery", "recover_cubic_eventual")]
+
+
+_FIELD_ERRORS = ("DegreeOutOfRange", "ReduciblePolynomial", "RootCountNotOne")
+
+
+def _raises_a_field_error(node):
+    """A hit of _raises for any of the errors that refuse a number field."""
+    return any(_raises(error)(node) for error in _FIELD_ERRORS)
+
+
+def test_field_error_raiser_is_found():
+    sources = {
+        "a": "class F:\n    def __init__(self, f):\n"
+             "        raise DegreeOutOfRange('x')\n"
+             "def _setup(c):\n    raise errors.RootCountNotOne\n",
+        "b": "def scan(f):\n    try:\n        F(f)\n    except RootCountNotOne:\n"
+             "        return None\ndef g(f):\n    raise ReduciblePolynomial(f)\n"
+             "def h(x):\n    raise FieldMismatch('y')\n",
+    }
+    assert _functions_where(sources, _raises_a_field_error) == [
+        ("a", "__init__"), ("a", "_setup"), ("b", "g")]
+
+
+def test_only_fields_raises_field_errors():
+    found = _functions_where(_sources(), _raises_a_field_error)
+    assert {module for module, _ in found} == {"fields"}
 
 
 def test_parse_number_caller_is_found():

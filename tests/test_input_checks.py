@@ -19,6 +19,7 @@ from bcf import (
     SequencePair,
     approximate,
     bcf_expand,
+    bcf_expand_rational,
     bcf_step,
     check_appropriate,
     check_proper,
@@ -282,6 +283,31 @@ _REFUSALS = {
         _past_the_limit(lambda: NumberField((1, 0, Fraction(_HUGE, 3)), (1, 2))),
         TypeError, f"min_poly coefficient must be an int, got a positive "
         f"Fraction of {_HUGE.bit_length()} bits over 2 bits"),
+    # A field element or a container past the limit is quoted by its type.
+    "element of a field element past the limit": (
+        _past_the_limit(lambda: TRIBONACCI.element(
+            AlgebraicNumber(TRIBONACCI, [_HUGE, 1]))), TypeError,
+        "value must be an int or Fraction, got a value of type AlgebraicNumber "
+        "too long to print"),
+    "convergent of a digit tuple past the limit": (
+        _past_the_limit(lambda: convergent((_HUGE,), 3)), TypeError,
+        "expected a SequencePair or an (a, b) pair of digit sequences, got a "
+        "value of type tuple too long to print"),
+    "floor_of a list past the limit": (
+        _past_the_limit(lambda: floor_of([_HUGE])), TypeError,
+        "x must be an int, Fraction or AlgebraicNumber, got a value of type "
+        "list too long to print"),
+    # A box side or a rational point is a rational: a field element is refused
+    # by the one reader of rationals.
+    "bcf_expand of a field element beside an interval": (
+        lambda: bcf_expand(TRIBONACCI.generator(), (1, 2), 5), TypeError,
+        "alpha must be an int or Fraction, got <AlgebraicNumber 1*theta>"),
+    "bcf_expand of an interval beside a field element": (
+        lambda: bcf_expand((1, 2), TRIBONACCI.generator(), 5), TypeError,
+        "beta must be an int or Fraction, got <AlgebraicNumber 1*theta>"),
+    "bcf_expand_rational of a field element": (
+        lambda: bcf_expand_rational(TRIBONACCI.generator(), 1), TypeError,
+        "alpha must be an int or Fraction, got <AlgebraicNumber 1*theta>"),
 }
 # RatFunc.evaluate and floor_of take exact numbers only, by _as_exact's rule.
 _EXACT = "must be an int, Fraction or AlgebraicNumber, got "
@@ -327,17 +353,10 @@ def test_evaluate_and_floor_of_take_an_int():
 def test_number_field_equality():
     assert (TRIBONACCI == 1) is False
     assert (TRIBONACCI.generator() == "1") is False
-    # A degree-1 polynomial has one root, whatever interval isolates it.
-    assert NumberField((2, -3), (1, 2)) == NumberField((2, -3), (0, 3))
+    # One root of a polynomial, whatever interval isolates it.
+    assert NumberField((1, 0, -2), (1, 2)) == NumberField((1, 0, -2), (0, 3))
     # Disjoint intervals isolate different roots of one polynomial.
     assert NumberField((1, 0, -2), (1, 2)) != NumberField((1, 0, -2), (-2, -1))
-
-
-def test_degree_one_refinement_keeps_the_middle_half_around_its_root():
-    # The bisection midpoint of (-1, 1) is the root 0 itself.
-    field = NumberField((1, 0), (-1, 1))
-    field.refine()
-    assert field.interval() == (Fraction(-1, 2), Fraction(1, 2))
 
 
 def test_empty_and_constant_polynomials():

@@ -272,9 +272,9 @@ def _generic_ratfunc(num, den, x):
 
 @st.composite
 def _field_points(draw):
-    """(field, x, min_poly): a field of degree 1-3 and one of its elements,
-    the generator half the time."""
-    degree = draw(st.integers(1, 3))
+    """(field, x, min_poly): a field of degree 2 or 3 and one of its
+    elements, the generator half the time."""
+    degree = draw(st.integers(2, 3))
     rest = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree))
     poly = polys.primitive((draw(st.integers(1, 3)), *rest))
     intervals = irreducible_roots(poly)

