@@ -27,11 +27,9 @@ from .errors import (
     RootCountNotOne,
 )
 from .expansion import (
-    ExpansionState,
-    Terminated,
     bcf_expand,
     bcf_expand_rational,
-    bcf_step,
+    floor_of,
     rational_expansion_trace,
 )
 from .fields import (
@@ -39,7 +37,6 @@ from .fields import (
     DecimalApproximation,
     NumberField,
     approximate,
-    floor_of,
 )
 from .literals import RatFunc, fraction_str, parse_digits, parse_number
 from .recovery import (
@@ -74,7 +71,7 @@ from .validation import (
     validate,
 )
 
-__version__ = "5.0.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "AlgebraicNumber",
@@ -85,7 +82,6 @@ __all__ = [
     "DegenerateSystem",
     "DegreeOutOfRange",
     "EmptyInterval",
-    "ExpansionState",
     "FieldMismatch",
     "IndexOutOfRange",
     "InputError",
@@ -103,12 +99,10 @@ __all__ = [
     "RULE_EQUAL_THEN_B_ZERO",
     "ScanRecord",
     "SequencePair",
-    "Terminated",
     "ValidationReport",
     "approximate",
     "bcf_expand",
     "bcf_expand_rational",
-    "bcf_step",
     "check_appropriate",
     "check_proper",
     "conjecture_scan",

@@ -74,12 +74,15 @@ _dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 def _int(text):
     """int(text, 10) under the literal rule, which refuses the '_', blanks
-    and non-ASCII digits that int() takes."""
+    and non-ASCII digits that int() takes, and names Python's digit limit."""
     if text.isascii() and "_" not in text and text.strip() == text:
         try:
             return int(text, 10)
-        except ValueError:
-            pass
+        except ValueError as exc:
+            if str(exc).startswith("Exceeds the limit"):
+                raise ParseError(
+                    f"value exceeds the {sys.get_int_max_str_digits()}-digit "
+                    f"integer-string limit, got {_excerpt(text)}") from None
     raise ValueError(f"expected an integer, got {_excerpt(text)}")
 
 
@@ -158,14 +161,17 @@ def _convergent_records(triples, digits, text, n=0, beta_dec=False):
 
 
 def _literal(text, flag, kinds):
-    """parse_number(text), once the kind before its ':' is one the flag
-    takes: the one place where the CLI refuses a literal's kind."""
+    """parse_number(text) of a kind the flag takes, each refusal naming the
+    flag: the one place where the CLI refuses a literal's kind."""
     if text.partition(":")[0] not in kinds:
         raise ParseError(
             f"{flag}: expected a {' or '.join(k + ':' for k in kinds)} "
             f"literal, got {_excerpt(text)}"
         )
-    return parse_number(text)
+    try:
+        return parse_number(text)
+    except InputError as exc:
+        raise type(exc)(f"{flag}: {exc}") from None
 
 
 def _expand(args):
@@ -332,6 +338,8 @@ def _parse_range(text, flag):
         raise ParseError(f"{flag}: expected LO:HI, got {_excerpt(text)}")
     try:
         lo, hi = _int(lo_text), _int(hi_text)
+    except ParseError as exc:  # past the digit limit
+        raise ParseError(f"{flag}: {exc}") from None
     except ValueError:
         raise ParseError(
             f"{flag}: expected integer endpoints, got {_excerpt(text)}"

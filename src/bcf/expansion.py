@@ -23,43 +23,27 @@ and positivity is read off both floors of step 0.  Read in cells of
 2**-_CELL_BITS, the bounds also file each state by index under its cells;
 equal states share a cell, and the exact cross-multiplication test compares
 the current state with each earlier one in its cells, rebuilt from it.  A
-field's first refinement reaches _START_BITS.  ``bcf_step`` steps
-either kind of number through the public operators (``_next``) and reads
-positivity off its floors too.  ``_kernels.rational_digits`` is the one
-integer engine: it steps a rational point, or a box's corners in lockstep to
-the first pair they disagree on (Gosper's rule).  ``_rational_run`` runs it
-for ``bcf_expand`` on a rational pair or box, ``bcf_expand_rational`` and
-``rational_expansion_trace``.
+field's first refinement reaches _START_BITS.  ``_kernels.rational_digits``
+is the one integer engine: it steps a rational point, or a box's corners in
+lockstep to the first pair they disagree on (Gosper's rule).
+``_rational_run`` runs it for ``bcf_expand`` on a rational pair or box,
+``bcf_expand_rational`` and ``rational_expansion_trace``.  ``floor_of``
+floors one exact number, for ``validation``'s checks of given digits.
 """
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from itertools import cycle, islice
 
 from ._kernels import convergent_matrix, mat_mul3, rational_digits
 from .errors import EmptyInterval, NonPositiveInput
 from .fields import AlgebraicNumber, _as_exact, _as_rational, _bounds, _check_count
-from .fields import _convolve, _element, _primitive, _refine_more, floor_of
+from .fields import _convolve, _element, _primitive, _refine_more
 from .sequences import SequencePair
 
 _RENORMALISE = 32  # steps of a field expansion between primitive reductions
 _CELL_BITS = 16  # K: a state's cell is (floor(2**K alpha), floor(2**K beta))
 _START_BITS = 128  # the precision a field run's first refinement reaches
-
-
-class ExpansionState(namedtuple("ExpansionState", "alpha beta index")):
-    """One point of the expansion orbit: the pair (alpha_i, beta_i) at step i,
-    exact numbers (ints, Fractions or elements of one field)."""
-
-    __slots__ = ()
-
-
-class Terminated(namedtuple("Terminated", "terminal")):
-    """End-of-expansion marker carrying the exact final alpha, a Fraction or
-    a field element."""
-
-    __slots__ = ()
 
 
 def _unify_pair(alpha, beta):
@@ -72,6 +56,11 @@ def _unify_pair(alpha, beta):
     elif isinstance(beta, AlgebraicNumber):
         alpha = beta._coerce(alpha)
     return alpha, beta
+
+
+def floor_of(x):
+    """Exact floor of an int, Fraction, or AlgebraicNumber."""
+    return math.floor(_as_exact(x, "x"))
 
 
 def _box_ends(value, name):
@@ -89,29 +78,6 @@ def _same_point(field, s, t):
     (xs, ys, zs), (xt, yt, zt) = s, t
     return (_convolve(field, xs, zt) == _convolve(field, xt, zs)
             and _convolve(field, ys, zt) == _convolve(field, yt, zs))
-
-
-def _next(alpha, beta, a, b):
-    """The pair (1 / (beta - b), (alpha - a) / (beta - b)) after digits a, b,
-    through the public operators: one inversion.  Raises ZeroDivisionError
-    when beta == b."""
-    inv = 1 / (beta - b)
-    return inv, (alpha - a) * inv
-
-
-def bcf_step(state):
-    """Advance one step: returns (a_i, b_i, next state or Terminated).  At
-    index 0 positivity is read off the floors: x > 0 iff floor(x) >= 0 and
-    x != 0."""
-    if not isinstance(state, ExpansionState):
-        raise TypeError(f"state must be an ExpansionState, got {state!r}")
-    alpha, beta = _unify_pair(state.alpha, state.beta)
-    b_i, a_i = floor_of(beta), floor_of(alpha)
-    if state.index == 0 and not (min(a_i, b_i) >= 0 and alpha != 0 != beta):
-        raise NonPositiveInput("expansion requires alpha > 0 and beta > 0")
-    if beta == b_i:
-        return a_i, b_i, Terminated(alpha)
-    return a_i, b_i, ExpansionState(*_next(alpha, beta, a_i, b_i), state.index + 1)
 
 
 def bcf_expand(alpha, beta, max_terms=64):

@@ -730,11 +730,6 @@ def _as_ints(values, what):
     return values
 
 
-def floor_of(x):
-    """Exact floor of an int, Fraction, or AlgebraicNumber."""
-    return math.floor(_as_exact(x, "x"))
-
-
 def approximate(x, decimal_digits):
     """x rounded half away from zero to d = decimal_digits places, with an
     error_bound <= 10**-d / 2; more places than Python prints raise

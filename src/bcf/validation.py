@@ -5,17 +5,16 @@ a_i >= 1 and a_i >= b_i, and whenever a_i = b_i the following b-digit is
 nonzero.  ``validate`` applies those rules to a stored pair.  The
 representation checks take an exact pair (alpha, beta) plus candidate
 digits, advance the recurrence with the *given* digits through the public
-operators (``expansion._next``, one inversion per step), and test the
-defining inequalities (proper) or the floor conditions (appropriate)
-along the way.
+operators (one inversion per step), and test the defining inequalities
+(proper) or the floor conditions (appropriate) along the way.
 """
 
 from collections import namedtuple
 from itertools import chain
 
 from .errors import IndexOutOfRange
-from .expansion import _next, _unify_pair
-from .fields import _check_index, floor_of
+from .expansion import _unify_pair, floor_of
+from .fields import _check_index
 from .sequences import as_pair
 
 RULE_A_BELOW_ONE = "a_below_one"
@@ -82,7 +81,9 @@ def _tail_states(alpha, beta, pair, n):
     _check_index(n, "n")
     yield 0, alpha, beta
     for i in range(n):
-        alpha, beta = _next(alpha, beta, pair.digit_a(i), pair.digit_b(i))
+        a, b = pair.digit_a(i), pair.digit_b(i)
+        inv = 1 / (beta - b)
+        alpha, beta = inv, (alpha - a) * inv
         yield i + 1, alpha, beta
 
 

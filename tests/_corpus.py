@@ -1,7 +1,7 @@
 """Shared random-corpus generators used across the test modules, the
 reference rule for a rational function's canonical form, the former body
-of polys.primitive, and the rational-root theorem as the reference for
-irreducibility.
+of polys.primitive, the rational-root theorem as the reference for
+irreducibility, and one expansion step through public operators.
 
 Everything is seeded by the caller so each test module owns its stream;
 the generators only promise admissibility, not any particular
@@ -63,6 +63,17 @@ def random_rational_pair(rng, max_den=10**6):
     alpha = Fraction(rng.randint(1, 4 * alpha_den), alpha_den)
     beta = Fraction(rng.randint(1, 4 * beta_den), beta_den)
     return alpha, beta
+
+
+def public_step(alpha, beta):
+    """One expansion step through public operators only (floor, -, 1 / x
+    and *): (a, b, the next pair), the next pair None where beta == b ends
+    the run."""
+    a, b = math.floor(alpha), math.floor(beta)
+    if beta == b:
+        return a, b, None
+    inv = 1 / (beta - b)
+    return a, b, (inv, (alpha - a) * inv)
 
 
 def canonical_ratfunc(num, den):

@@ -113,7 +113,7 @@ def test_degree_one_alg_literal_is_refused(capsys, beta, fmt):
     assert code == 2
     assert captured.out == ""
     assert captured.err == (
-        "error: minimal polynomial must have degree 2-3, got degree 1\n")
+        "error: --alpha: minimal polynomial must have degree 2-3, got degree 1\n")
 
 
 # The first 30-digit pair of the benchmark's digits_recover catalogue.
@@ -159,7 +159,6 @@ def test_rational_expand_skips_generic_loop(capsys, monkeypatch):
 
     # the field loop's first step calls _bounds
     monkeypatch.setattr(expansion, "_bounds", generic)
-    monkeypatch.setattr(expansion, "bcf_step", generic)
     monkeypatch.setattr(expansion, "rational_digits", kernel)
     out = _stdout(capsys, ["expand", "--alpha", "rat:7/4", "--beta", "rat:3/2",
                            "--terms", "2", "--format", "text"])
@@ -572,7 +571,8 @@ def test_integer_past_string_limit_is_named_not_echoed(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: token at position ")
+    assert captured.err.startswith(
+        "error: token at position " if argv[0] == "eval" else "error: --alpha: token")
     assert f"{sys.get_int_max_str_digits()}-digit integer-string limit" in (
         captured.err
     )
@@ -585,7 +585,7 @@ def test_reversed_root_interval_is_input_error(capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert captured.err.startswith("error: root interval must satisfy lo < hi")
+    assert captured.err.startswith("error: --alpha: root interval must satisfy lo < hi")
 
 
 # An interval end takes the rat: rule: a decimal or exponent end is refused
@@ -599,8 +599,45 @@ def test_alg_interval_end_takes_the_rat_rule(capsys, alpha, token):
     assert run(["expand", "--alpha", alpha, "--beta", "rat:1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"error: expected an integer at position 11, got "
-                            f"{token} (grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)\n")
+    assert captured.err == ("error: --alpha: expected an integer at position 11, "
+                            f"got {token} (grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)\n")
+
+
+_ALG = "(grammar: alg:<c_d>,...,<c_0>@<lo>,<hi>)"
+_RATFUNC = "(grammar: ratfunc:<n_k>,...,<n_0>/<d_j>,...,<d_0>)"
+
+
+# Every refusal of a literal, by the parser or by the field it builds, names
+# the flag that gave it and keeps its error's class, so the exit code is 2.
+@pytest.mark.parametrize("argv, line", [
+    (["expand", "--alpha", "alg:1,0,-1@0,2", "--beta", "rat:1"],
+     "--alpha: polynomial (1, 0, -1) is reducible over the rationals"),
+    (["expand", "--alpha", "alg:2,-3@1,2", "--beta", "rat:1"],
+     "--alpha: minimal polynomial must have degree 2-3, got degree 1"),
+    (["expand", "--alpha", "alg:1,x@1,2", "--beta", "rat:1"],
+     f"--alpha: expected an integer at position 6, got 'x' {_ALG}"),
+    (["expand", "--alpha", "alg:1,0,-2@2,3", "--beta", "rat:1"],
+     "--alpha: interval (2, 3) contains 0 roots, expected exactly 1"),
+    (["validate", "--a", "1", "--b", "1,0", "--terminal", "alg:1,0,-1@0,2"],
+     "--terminal: polynomial (1, 0, -1) is reducible over the rationals"),
+    (["scan", "--c2", "0:0", "--beta", "ratfunc:1,x/1"],
+     f"--beta: expected an integer at position 10, got 'x' {_RATFUNC}"),
+], ids=["reducible", "degree-one", "token", "no-root", "terminal", "scan-beta"])
+def test_literal_refusals_name_their_flag(argv, line):
+    assert _outcome(argv) == (2, "", f"error: {line}\n")
+
+
+# An integer flag or a scan range past Python's digit limit names the limit,
+# in the words of a literal's token.
+@pytest.mark.parametrize("argv, flag", [
+    (["expand", "--alpha", "rat:1", "--beta", "rat:1", "--terms", "1" * 5000],
+     "argument --terms"),
+    (["scan", "--c2", "1:" + "1" * 5000], "--c2"),
+], ids=["terms", "c2"])
+def test_integer_flag_past_the_digit_limit_names_it(argv, flag):
+    assert _outcome(argv) == (2, "", (
+        f"error: {flag}: value exceeds the {sys.get_int_max_str_digits()}-digit "
+        f"integer-string limit, got '{'1' * 20}'...\n"))
 
 
 def test_out_of_memory_is_exit_3(monkeypatch, capsys):
@@ -685,7 +722,7 @@ def test_expand_approx_decimal_out_of_range_is_exit_2(capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(
-        "error: decimal at position 4 is too large or too small"
+        "error: --alpha: decimal at position 4 is too large or too small"
     )
 
 

@@ -15,13 +15,10 @@ from hypothesis import strategies as st
 
 from bcf import (
     AlgebraicNumber,
-    ExpansionState,
     NumberField,
     SequencePair,
-    Terminated,
     bcf_expand,
     bcf_expand_rational,
-    bcf_step,
     rational_expansion_trace,
     recover_cubic_pure,
     validate,
@@ -35,49 +32,13 @@ from bcf.errors import (
     NonPositiveInput,
 )
 
-from _corpus import irreducible_roots, random_cyclic_pair, random_rational_pair
+from _corpus import (irreducible_roots, public_step, random_cyclic_pair,
+                     random_rational_pair)
 
 ROOT = Path(__file__).resolve().parent.parent
 TRIBONACCI = NumberField((1, -1, -1, -1), (1, 2))
 MOORE = NumberField((1, -1, 0, -1), (1, 2))
 PERIOD_TWO = NumberField((1, -1, -2, -1), (2, 3))
-
-
-# -- single steps --------------------------------------------------------------
-
-
-def test_step_produces_digits_and_next_state():
-    state = ExpansionState(Fraction(7, 4), Fraction(3, 2), 0)
-    a0, b0, nxt = bcf_step(state)
-    assert (a0, b0) == (1, 1)
-    assert isinstance(nxt, ExpansionState)
-    assert nxt.alpha == Fraction(2) and nxt.beta == Fraction(3, 2)
-    assert nxt.index == 1
-
-
-def test_step_terminates_on_integral_beta():
-    state = ExpansionState(Fraction(5, 2), Fraction(2), 0)
-    a0, b0, nxt = bcf_step(state)
-    assert (a0, b0) == (2, 2)
-    assert isinstance(nxt, Terminated)
-    assert nxt.terminal == Fraction(5, 2)
-
-
-def test_step_rejects_nonpositive_only_at_start():
-    # Positivity is read off the floors of index 0 and alpha, beta != 0.
-    for alpha, beta in [
-        (Fraction(-1), Fraction(2)),
-        (Fraction(1), Fraction(0)),
-        (Fraction(0), Fraction(3, 2)),  # alpha = 0 as a Fraction
-        (TRIBONACCI.generator(), TRIBONACCI.element(0)),  # beta = 0 in the field
-        (Fraction(-1, 2), Fraction(2)),  # alpha < 0, beta integral
-    ]:
-        with pytest.raises(NonPositiveInput) as info:
-            bcf_step(ExpansionState(alpha, beta, 0))
-        assert str(info.value) == "expansion requires alpha > 0 and beta > 0"
-    # later indices may go nonpositive without error (improper digits)
-    a1, b1, _ = bcf_step(ExpansionState(Fraction(-3, 2), Fraction(5, 2), 3))
-    assert (a1, b1) == (-2, 2)
 
 
 # -- rational oracles -----------------------------------------------------------
@@ -406,7 +367,7 @@ def test_adjugate_once_per_renormalisation(monkeypatch):
 
 
 def _reference_expand(alpha, beta, terms):
-    """bcf_expand through public operators only: floor, -, 1 / x, * and ==."""
+    """bcf_expand through public operators only: public_step and ==."""
     a, b, states = [], [], []
     for i in range(terms):
         for k, state in enumerate(states):
@@ -417,14 +378,13 @@ def _reference_expand(alpha, beta, terms):
                     b.append(b[k + (j - k) % m])
                 return a, b, None, (k, m)
         states.append((alpha, beta))
-        a_i, b_i = math.floor(alpha), math.floor(beta)
+        a_i, b_i, after = public_step(alpha, beta)
         b.append(b_i)
-        if beta == b_i:
+        if after is None:
             return a, b, alpha, None
         a.append(a_i)
-        inv = 1 / (beta - b_i)
-        assert inv * (beta - b_i) == 1
-        alpha, beta = inv, (alpha - a_i) * inv
+        assert after[0] * (beta - b_i) == 1
+        alpha, beta = after
     return a, b, None, None
 
 
@@ -682,10 +642,10 @@ def test_period_is_confirmed_at_the_recurrence(monkeypatch, pair, periodicity):
     found = bcf_expand(alpha, beta, max_terms=40)
     last, confirmed = tests[-1]
     assert found.periodicity == periodicity and confirmed
-    state = ExpansionState(alpha, beta, 0)
+    state = alpha, beta
     for _ in range(sum(periodicity)):
-        state = bcf_step(state)[2]
-    (p, dp), (q, dq) = state.alpha._raw, state.beta._raw
+        state = public_step(*state)[2]
+    (p, dp), (q, dq) = (x._raw for x in state)
     recurring = tuple(c * dq for c in p), tuple(c * dp for c in q), (dp * dq, 0, 0)
     monkeypatch.undo()
     assert expansion._same_point(alpha.field, last, recurring)
@@ -727,32 +687,16 @@ def test_deep_expansion_memory_follows_the_current_state():
         "f97a11ead777d903978584efb9a3da38f5689cb489f3c6a2a9c92e3d90f71254")
 
 
-def test_public_step_reproduces_expand():
-    t = NumberField((1, -2, -2, -2), (-3, 3)).generator()
-    state = ExpansionState(t, t * t + t, 0)
-    a, b = [], []
-    for _ in range(64):
-        a_i, b_i, state = bcf_step(state)
-        a.append(a_i)
-        b.append(b_i)
-    pair = bcf_expand(t, t * t + t, max_terms=64)
-    assert (tuple(a), tuple(b)) == (pair.a, pair.b)
-    assert state.index == 64
-    with pytest.raises(NonPositiveInput):
-        bcf_step(ExpansionState(-t, t, 0))
-    with pytest.raises(FieldMismatch):
-        bcf_step(ExpansionState(t, MOORE.generator(), 0))
-
-
 def _step_through(alpha, beta, terms):
-    """(a, b, terminal) from iterating bcf_step up to terms times."""
-    state, a, b = ExpansionState(alpha, beta, 0), [], []
+    """(a, b, terminal) from iterating public_step up to terms times."""
+    a, b = [], []
     for _ in range(terms):
-        a_i, b_i, state = bcf_step(state)
+        a_i, b_i, after = public_step(alpha, beta)
         b.append(b_i)
-        if isinstance(state, Terminated):
-            return tuple(a), tuple(b), state.terminal
+        if after is None:
+            return tuple(a), tuple(b), alpha
         a.append(a_i)
+        alpha, beta = after
     return tuple(a), tuple(b), None
 
 
@@ -794,7 +738,7 @@ def test_rational_pair_matches_the_field_loop_in_q(data):
 
 def test_public_step_on_field_pair_reproduces_terminal():
     # The pair of test_field_terminal_after_steps: beta turns integral in
-    # the field after two steps, and bcf_step says so on an element.
+    # the field after two steps, and public_step says so on an element.
     t = NumberField((1, -1, -1, -1), (1, 2)).generator()
     z = (t * t + 1) / 3
     a1, b1 = 2 + 1 / z, 1 + 1 / z

@@ -11,13 +11,11 @@ from hypothesis import strategies as st
 
 from bcf import (
     AlgebraicNumber,
-    ExpansionState,
     NumberField,
     SequencePair,
     approximate,
     bcf_expand,
     bcf_expand_rational,
-    bcf_step,
     check_appropriate,
     check_proper,
     conjecture_scan,
@@ -560,7 +558,6 @@ def test_rational_elements_hash_like_fractions(data):
 # Every caller that takes an exact number, as a function of that number.
 _EXACT_CALLERS = {
     "bcf_expand": lambda v: bcf_expand(v, Fraction(3, 2), max_terms=4),
-    "bcf_step": lambda v: bcf_step(ExpansionState(v, Fraction(3, 2), 0)),
     "check_proper": lambda v: check_proper(
         v, Fraction(3, 2), ((2, 1), (1, 1)), 1
     ),

@@ -13,14 +13,12 @@ import bcf
 from bcf import (
     AlgebraicNumber,
     BcfError,
-    ExpansionState,
     NumberField,
     RatFunc,
     SequencePair,
     approximate,
     bcf_expand,
     bcf_expand_rational,
-    bcf_step,
     check_appropriate,
     check_proper,
     conjecture_scan,
@@ -96,9 +94,6 @@ _REFUSALS = {
     ),
     "parse_digits of an int": (
         lambda: parse_digits(5), TypeError, "digit list must be text or None, got 5",
-    ),
-    "bcf_step of a string": (
-        lambda: bcf_step("x"), TypeError, "state must be an ExpansionState, got 'x'",
     ),
     "parse_number of an int": (
         lambda: parse_number(5), ParseError, "number literal must be text, got 5",
@@ -373,14 +368,13 @@ def test_scan_records_a_non_cubic_as_error():
 # Arguments for every public callable: small ints (every index, size and
 # place count is at most 64), bools, Fractions, floats with nan, None,
 # strings (literals and digit lists among them), field elements of two
-# fields, digit pairs and expansion states, and tuples nesting them.
+# fields, digit pairs, and tuples nesting them.
 _ELEMENTS = [TRIBONACCI.generator(), TRIBONACCI.generator() ** 2 + 1,
              1 / TRIBONACCI.generator(),
              NumberField((1, 0, -2), (1, 2)).generator()]
 _OBJECTS = [SequencePair((1, 2), (0, 1)),
             SequencePair((2, 1), (1, 1), periodicity=(0, 2)),
-            SequencePair((1,), (1, 0), terminal=Fraction(2)),
-            ExpansionState(Fraction(3, 2), Fraction(4, 3), 0)]
+            SequencePair((1,), (1, 0), terminal=Fraction(2))]
 _ATOMS = st.one_of(
     st.integers(-64, 64), st.booleans(),
     st.builds(Fraction, st.integers(-64, 64), st.integers(1, 64)),

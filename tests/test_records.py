@@ -5,15 +5,12 @@ own repr, and every way of building one checks its digits."""
 
 import copy
 import pickle
-from fractions import Fraction
 
 import pytest
 
 from bcf import (
-    ExpansionState,
     NumberField,
     SequencePair,
-    Terminated,
     approximate,
     conjecture_scan,
     convergent,
@@ -29,11 +26,6 @@ _RECORDS = {
         SequencePair((9, 2, 3), (9, 0, 0), periodicity=(1, 2)),
         ("a", "b", "terminal", "periodicity"),
     ),
-    "ExpansionState": (
-        ExpansionState(Fraction(3, 2), Fraction(4, 3), 0),
-        ("alpha", "beta", "index"),
-    ),
-    "Terminated": (Terminated(Fraction(5, 3)), ("terminal",)),
     "DecimalApproximation": (
         approximate(NumberField((1, -1, -1, -1), (1, 2)).generator(), 6),
         ("text", "error_bound"),

@@ -15,12 +15,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bcf import (
-    ExpansionState,
     NumberField,
     SequencePair,
     _kernels,
     bcf_expand,
-    bcf_step,
     conjecture_scan,
     polys,
     recover_cubic_eventual,
@@ -48,7 +46,7 @@ from bcf.recovery import (
 )
 
 from _corpus import (canonical_ratfunc, former_primitive, irreducible_roots,
-                     random_cyclic_pair)
+                     public_step, random_cyclic_pair)
 
 
 # -- periodicity ------------------------------------------------------------------
@@ -56,8 +54,8 @@ from _corpus import (canonical_ratfunc, former_primitive, irreducible_roots,
 
 def test_expand_finds_the_repeat_detect_period_finds():
     # bcf_expand keys states on primitive integer triples; the reference here
-    # keys the same orbit on the values (alpha, beta) that bcf_step returns,
-    # as the retired detect_period did, over the same 17 states.
+    # keys the same orbit on the values (alpha, beta) that public_step
+    # returns, as the retired detect_period did, over the same 17 states.
     rng = random.Random(4242)
     for _ in range(10):
         result = recover_cubic_pure(random_cyclic_pair(rng))
@@ -65,13 +63,13 @@ def test_expand_finds_the_repeat_detect_period_finds():
         a = rng.randint(1, 3)
         b = rng.randint(0, a)
         for x, y in ((alpha, beta), (a + beta / alpha, b + 1 / alpha)):
-            state, seen, found = ExpansionState(x, y, 0), {}, None
+            state, seen, found = (x, y), {}, None
             for i in range(17):
-                k = seen.setdefault((state.alpha, state.beta), i)
+                k = seen.setdefault(state, i)
                 if k < i:
                     found = (k, i - k)
                     break
-                state = bcf_step(state)[2]
+                state = public_step(*state)[2]
             assert found is not None
             assert bcf_expand(x, y, max_terms=17).periodicity == found
 

@@ -100,6 +100,19 @@ def test_periodic_extension():
     assert pair.preperiod == 1 and pair.period == 2
 
 
+class _Index(int):
+    """An int subclass other than bool, as an index."""
+
+
+def test_int_subclass_index_reads_the_plain_ints_digits():
+    pair = SequencePair((9, 2, 3), (9, 0, 0), periodicity=(1, 2))
+    for i in range(3, 9):  # past the stored digits
+        assert pair.digit_a(_Index(i)) == pair.digit_a(i)
+        assert pair.digit_b(_Index(i)) == pair.digit_b(i)
+    with pytest.raises(IndexOutOfRange, match="must be nonnegative, got -1"):
+        pair.digit_a(_Index(-1))
+
+
 def test_open_pair_extension_stops():
     pair = SequencePair((1, 2), (1, 0))
     assert pair.digit_a(1) == 2
