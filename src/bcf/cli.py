@@ -39,6 +39,8 @@ from .errors import (
     BcfError,
     IndexOutOfRange,
     InputError,
+    InvalidSequence,
+    NonPositiveInput,
     OutputTooLarge,
     ParseError,
 )
@@ -114,21 +116,21 @@ def _exact_str(value):
 
 
 # One loop renders every convergent record: expand's, and eval's one with
-# beta_dec.  Every integer a record prints is A, B or C reduced, or split
-# into whole and fraction parts under _check_places, and expand's digits past
-# the first are >= 1, so A, B and C never fall: if the last triple prints,
-# every record does.  Its largest integer is tested first, by str() only past
-# 3.32 L bits (10**L has more, L Python's digit limit), so each record
-# renders each integer once.  Both ratios share one gcd, h = gcd(A*B, C):
-# gcd(A, C) divides A*B and C, so it divides h, and h divides C, so gcd(A, C)
-# = gcd(A, h), and likewise for B.  When h = 1 and C > 0, about half the
-# time, both ratios reuse the rendered A, B and C.  The JSON keys are sorted;
-# every field is made of digits, '-', '/' and '.', so none needs JSON
-# escaping.
+# beta_dec.  Each triple has A, B >= 0 and C >= 1: digits are >= 0, eval
+# refuses C = 0, and expand's C starts at 1 and never falls, nor do A and B,
+# as its a-digits past the first are >= 1.  Every integer a record prints is
+# A, B or C, reduced or split into whole and fraction parts under
+# _check_places, so if the last triple prints, every record does.  Its largest
+# integer is tested first, by str() only past 3.32 L bits (10**L has more, L
+# Python's digit limit), so each record renders each integer once.  Both
+# ratios share one gcd, h = gcd(A*B, C): gcd(A, C) divides A*B and C, so it
+# divides h, and h divides C, so gcd(A, C) = gcd(h, A), and likewise for B;
+# gcd(1, x) returns at once, and a ratio in lowest terms reuses the rendered
+# integers.  Fields are digits, '/' and '.', so none needs JSON escaping.
 def _convergent_records(triples, digits, text, n=0, beta_dec=False):
     """Render a list of triples (A, B, C), convergents n, n + 1, ..., as text
     lines or JSON objects; with beta_dec, each also carries B/C rounded."""
-    top = max(map(abs, triples[-1])) if triples else 0
+    top = max(triples[-1]) if triples else 0
     if top.bit_length() > 3.32 * (sys.get_int_max_str_digits() or math.inf):
         bounded_str(top)
     records = []
@@ -136,13 +138,9 @@ def _convergent_records(triples, digits, text, n=0, beta_dec=False):
         a, b, c = f"{A}", f"{B}", f"{C}"
         alpha_dec = _rounded_decimal(A, C, digits)[1]
         h = gcd(A * B, C)
-        if h == 1 and C > 0:
-            alpha, beta = f"{a}/{c}", f"{b}/{c}"
-        else:
-            ga = gcd(A, h) if C > 0 else -gcd(A, h)
-            gb = gcd(B, h) if C > 0 else -gcd(B, h)
-            alpha = f"{a}/{c}" if ga == 1 else f"{A // ga}/{C // ga}"
-            beta = f"{b}/{c}" if gb == 1 else f"{B // gb}/{C // gb}"
+        ga, gb = gcd(h, A), gcd(h, B)
+        alpha = f"{a}/{c}" if ga == 1 else f"{A // ga}/{C // ga}"
+        beta = f"{b}/{c}" if gb == 1 else f"{B // gb}/{C // gb}"
         more = ""
         if beta_dec:
             more = _rounded_decimal(B, C, digits)[1]
@@ -222,14 +220,12 @@ def _expand(args):
 
 def _eval(args):
     _check_places(args.digits)
-    pair = SequencePair(parse_digits(args.a), parse_digits(args.b))
+    pair = _digit_pair(args)
     if not pair.a:
         raise IndexOutOfRange("eval needs at least one digit pair")
     n = args.n if args.n is not None else len(pair.a) - 1
     if n >= len(pair.a):
-        raise IndexOutOfRange(
-            f"n must lie in 0..{len(pair.a) - 1}, got {n}"
-        )
+        raise IndexOutOfRange(f"n must lie in 0..{len(pair.a) - 1}, got {n}")
     triple = convergent_matrix(pair, n)
     if not triple.C:
         raise ZeroDivisionError(
@@ -245,22 +241,36 @@ def _eval(args):
 # -- render ------------------------------------------------------------------
 
 
-def _build_pair(args):
-    a = parse_digits(args.a)
-    b = parse_digits(args.b)
-    periodicity = None
-    if args.period is not None:
+def _digit_pair(args, flags=("--a", "--b")):
+    """The SequencePair of the digit lists that flags give, marked by any
+    --terminal or --period: the CLI's one digit reader.  A list's refusal
+    names its flag, a length mismatch both, and a mark's keeps its words."""
+    lists = []
+    for flag in flags:
+        try:
+            lists.append(parse_digits(getattr(args, flag[2:].replace("-", "_"))))
+        except InputError as exc:
+            raise type(exc)(f"{flag}: {exc}") from None
+    periodicity = terminal = None
+    if getattr(args, "period", None) is not None:
         periodicity = (args.preperiod or 0, args.period)
-    elif args.preperiod is not None:
+    elif getattr(args, "preperiod", None) is not None:
         raise ParseError("--preperiod needs --period")
-    terminal = None
     if getattr(args, "terminal", None):
         terminal = _literal(args.terminal, "--terminal", ("rat", "alg"))
-    return SequencePair(a, b, terminal=terminal, periodicity=periodicity)
+        if not terminal > 0:  # as is every terminal that an expansion gives
+            raise NonPositiveInput(f"--terminal: expected a positive value, "
+                                   f"got {_excerpt(args.terminal)}")
+    try:
+        pair = SequencePair(*lists, terminal)
+    except InvalidSequence as exc:  # a negative digit, or lengths that differ
+        names = [f for f, d in zip(flags, lists) if min(d, default=0) < 0][:1]
+        raise InvalidSequence(f"{', '.join(names or flags)}: {exc}") from None
+    return pair if periodicity is None else pair._replace(periodicity=periodicity)
 
 
 def _render(args):
-    pair = _build_pair(args)
+    pair = _digit_pair(args)
     pair.digit_a(args.depth)
     pair.digit_b(args.depth)
     text = render_tree(pair, args.depth, format=args.style)
@@ -276,7 +286,7 @@ def _render(args):
 
 
 def _validate(args):
-    report = validate(_build_pair(args))
+    report = validate(_digit_pair(args))
     if args.format == "json":
         print(_dumps({
             "valid": report.valid,
@@ -302,12 +312,8 @@ def _validate(args):
 
 def _recover(args):
     _check_places(args.digits)
-    period = SequencePair(
-        parse_digits(args.period_a), parse_digits(args.period_b)
-    )
-    preperiod = SequencePair(
-        parse_digits(args.preperiod_a), parse_digits(args.preperiod_b)
-    )
+    period = _digit_pair(args, ("--period-a", "--period-b"))
+    preperiod = _digit_pair(args, ("--preperiod-a", "--preperiod-b"))
     result = recover_cubic_eventual(preperiod, period)
     lo, hi = (fraction_str(x) for x in result.field.root_interval)
     payload = {

@@ -19,16 +19,14 @@ primitive form, which keeps heights down.  Both floors come from
 midpoint-radius bounds on X, Y and Z, Z > 0, stepped with the state (a
 midpoint is linear in its vector); bounds that straddle one integer k are
 decided by whether Y - kZ or X - kZ, which the step needs anyway, is zero,
-and positivity is read off both floors of step 0.  Read in cells of
-2**-_CELL_BITS, the bounds also file each state by index under its cells;
-equal states share a cell, and the exact cross-multiplication test compares
-the current state with each earlier one in its cells, rebuilt from it.  A
-field's first refinement reaches _START_BITS.  ``_kernels.rational_digits``
-is the one integer engine: it steps a rational point, or a box's corners in
-lockstep to the first pair they disagree on (Gosper's rule).
-``_rational_run`` runs it for ``bcf_expand`` on a rational pair or box,
-``bcf_expand_rational`` and ``rational_expansion_trace``.  ``floor_of``
-floors one exact number, for ``validation``'s checks of given digits.
+and positivity is read off both floors of step 0.  The bounds also file
+each state under its cells of 2**-_CELL_BITS, where an exact test finds a
+period.  A field's first refinement reaches _START_BITS.
+``_kernels.rational_digits`` is the one integer engine: it steps a rational
+point, or a box's corners in lockstep to the first pair they disagree on
+(Gosper's rule).  ``_rational_run`` runs it for ``bcf_expand`` on a rational
+pair or box, ``bcf_expand_rational`` and ``rational_expansion_trace``.
+``floor_of`` floors one exact number, for ``validation``'s checks of digits.
 """
 
 import math
@@ -106,10 +104,14 @@ def bcf_expand(alpha, beta, max_terms=64):
     open, with neither period nor terminal, proves that no state recurs with
     j + m <= max_terms - 1 (state_j = state_(j+m), m >= 1).  Cells keep only
     indices: the current state carried back m steps through the digits is
-    state j, and the exact test on the two confirms the period at i = j + m;
-    periodicity records (preperiod, period), and the cycle gives the rest of
-    the digits.  Rational inputs terminate, with the exact final alpha, a
-    Fraction, in ``terminal``: their denominators fall, so no state recurs.
+    state j, so periodicity (j, m) is confirmed at i = j + m, and the cycle
+    gives the rest of the digits.  Rational inputs terminate, with the exact
+    final alpha, a Fraction, in ``terminal``: denominators fall, so no state
+    recurs.  A run that never terminates is eventually periodic if and only
+    if h_i, the largest bit length in ``_primitive``(x, y, z) at state i,
+    stays bounded.  Proof: that triple and the state determine each other;
+    bounded h_i leaves finitely many triples, so a state recurs and the
+    step repeats from it; a periodic run has finitely many states.
     """
     _check_count(max_terms, "max_terms")
     if isinstance(alpha, tuple) or isinstance(beta, tuple):
@@ -188,11 +190,9 @@ def _common_denominator_form(alpha, beta):
 
 
 def _rational_run(alphas, betas, max_terms):
-    """Step the corners alphas x betas in lockstep: (SequencePair, trace of
-    the first corner).  A lone point that stops before ``max_terms`` stopped
-    at an integral beta, its last b digit, and terminates with u/w."""
-    if max_terms is not None:
-        _check_count(max_terms, "max_terms")
+    """Step the corners alphas x betas in lockstep, up to max_terms steps (a
+    checked count, or None): (SequencePair, trace of the first corner).  A
+    lone point that stops early hit an integral beta, its last b, at u/w."""
     corners = [_common_denominator_form(x, y) for x in alphas for y in betas]
     a, b, trace = rational_digits(corners, max_terms)
     if len(corners) > 1 or len(b) == max_terms:
@@ -208,10 +208,12 @@ def bcf_expand_rational(alpha, beta, max_terms=None):
     pair; with no ``max_terms`` this one runs to the terminal, and a run cut
     by the cap is open, with no terminal.
     """
+    if max_terms is not None:
+        _check_count(max_terms, "max_terms")
     return _rational_run((alpha,), (beta,), max_terms)[0]
 
 
 def rational_expansion_trace(alpha, beta):
-    """All (u, v, w) triples visited by the rational fast path, in order."""
+    """All (u, v, w) triples that the integer kernel visits, in order."""
     return _rational_run((alpha,), (beta,), None)[1]
 

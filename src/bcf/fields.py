@@ -105,14 +105,12 @@ def _check_places(decimal_digits):
 
 
 def _rounded_decimal(num, den, digits):
-    """num / den rounded half away from zero to `digits` places.
+    """num / den, den > 0, rounded half away from zero to `digits` places.
 
     Returns (n, text): the rounded value is n / 10**digits and text is its
     decimal rendering, with a minus sign only when n < 0.  One divmod
-    rounds, with no gcd; den == 0 raises ZeroDivisionError.
-    """
-    if den < 0:
-        num, den = -num, -den
+    rounds, with no gcd.  Callers pass a Fraction's denominator, 10**d or a
+    convergent's C >= 1."""
     unit = 10**digits
     n, r = divmod(abs(num) * unit, den)
     n += 2 * r >= den
@@ -153,14 +151,6 @@ class NumberField:
                 f"polynomial {coeffs} is reducible over the rationals"
             )
         lo, hi = (_as_rational(x, "root interval end") for x in root_interval)
-        self._setup(chain, lo, hi)
-
-    def _setup(self, chain, lo, hi):
-        """The set-up that __init__ and _field_on_chain share: check that
-        the interval (lo, hi) of Fractions isolates one root of chain[0],
-        counted on its Sturm chain chain, and fill the caches.  chain[0] is
-        irreducible of degree 2 or 3, so no rational end is a root."""
-        coeffs = chain[0]
         if not lo < hi:
             raise EmptyInterval("root interval must satisfy lo < hi, "
                                 f"got ({_shown(lo)}, {_shown(hi)})")
@@ -168,6 +158,13 @@ class NumberField:
         if count != 1:
             raise RootCountNotOne(f"interval ({_shown(lo)}, {_shown(hi)}) contains "
                                   f"{count} roots, expected exactly 1")
+        self._setup(chain, lo, hi)
+
+    def _setup(self, chain, lo, hi):
+        """Fill the caches for the irreducible chain[0], on its Sturm chain,
+        and Fractions lo < hi around one of its roots.  No check: __init__
+        checks a caller's interval, and _field_on_chain's callers their own."""
+        coeffs = chain[0]
         self._min_poly = coeffs
         self._root_interval = (lo, hi)
         self._sturm_chain = tuple(chain)
@@ -297,9 +294,9 @@ class NumberField:
 
 
 def _field_on_chain(chain, lo, hi):
-    """NumberField(chain[0], (lo, hi)) for Fractions lo, hi, built on the
-    Sturm chain of chain[0], a primitive polynomial with a positive lead
-    that the caller has already found irreducible on the same chain."""
+    """NumberField(chain[0], (lo, hi)), unchecked, on the Sturm chain of
+    chain[0]: the caller has found that primitive polynomial with a positive
+    lead irreducible, and one root in (lo, hi), Fractions lo < hi, on it."""
     field = object.__new__(NumberField)
     field._setup(chain, lo, hi)
     return field

@@ -16,8 +16,8 @@ Recovery has one degeneracy guard: M's characteristic polynomial chi, a
 monic integer cubic with constant term -1, must not vanish at 1 or -1,
 its only possible rational roots.  Past the guard chi is irreducible,
 alpha is cubic and the primitive relation is its minimal polynomial;
-recovery isolates alpha's root in a convergent ball that the number field
-itself checks, and rebuilds the exact (alpha, beta) pair.
+recovery isolates alpha's root in a convergent ball that alpha's Sturm
+chain checks, and rebuilds the exact (alpha, beta) pair.
 
 A scanner then probes cubic fields for periodic expansions
 experimentally; the period of each expansion is the one ``bcf_expand``
@@ -38,7 +38,6 @@ from .errors import (
     DegenerateSystem,
     InvalidSequence,
     NonPositiveInput,
-    RootCountNotOne,
 )
 from .expansion import bcf_expand
 from .fields import _as_ints, _check_count, _field_on_chain
@@ -82,19 +81,17 @@ def _field_in_ball(chain, ball_pair):
     limit: the gap series is dominated by that monotone maximum, which
     contracts by 35/36 every four indices, so the tail sum is at most
     4 * 36 times it.  The ball is never empty (consecutive convergent
-    triples have determinant 1), and the horizon doubles until the field
-    finds exactly one root of the polynomial in it.
+    triples have determinant 1), and the horizon doubles until the chain
+    counts exactly one root of the polynomial in it.
     """
     horizon = 8
     while True:
         alphas = [t.alpha for t in convergent_sequence(ball_pair, horizon)[-4:]]
         radius = 144 * max(abs(x - y) for x, y in zip(alphas, alphas[1:]))
-        try:
-            return _field_on_chain(
-                chain, alphas[-1] - radius, alphas[-1] + radius
-            )
-        except RootCountNotOne:
-            horizon *= 2
+        lo, hi = alphas[-1] - radius, alphas[-1] + radius
+        if polys.count_roots(chain, lo, hi) == 1:
+            return _field_on_chain(chain, lo, hi)
+        horizon *= 2
 
 
 def _validated_periodic_pair(a, b, preperiod, period):
@@ -166,8 +163,7 @@ def recover_cubic_eventual(preperiod, period):
     give an eigenvector, which needs a double root of chi.  So the
     primitive relation is alpha's minimal polynomial.
     """
-    pre = as_pair(preperiod)
-    per = as_pair(period)
+    pre, per = as_pair(preperiod), as_pair(period)
     if pre.terminated or per.terminated:
         raise InvalidSequence("terminated pairs have no period to recover")
     k, m = len(pre.a), len(per.a)
@@ -176,7 +172,6 @@ def recover_cubic_eventual(preperiod, period):
     pair = _validated_periodic_pair(pre.a + per.a, pre.b + per.b, k, m)
 
     matrix = transfer_matrix(pre, per)
-    assert _kernels.det3(matrix) == 1, "transfer matrix must be unimodular"
     adjugate = _kernels._adjugate(matrix)
     chi = (1, -(matrix[0][0] + matrix[1][1] + matrix[2][2]),
            adjugate[0][0] + adjugate[1][1] + adjugate[2][2], -1)
@@ -194,7 +189,6 @@ def recover_cubic_eventual(preperiod, period):
         polys.multiply((-m23,), polys.multiply(beta_num, beta_num)),
     )
     quartic5 = tuple(map(sum, zip(*map(_pad5, terms))))
-    assert quartic5[0] == 0, "alpha^4 coefficient must vanish"
     min_poly = polys.primitive(quartic5)
     field = _field_in_ball(polys.sturm_chain(min_poly), pair)
     alpha = field.generator()

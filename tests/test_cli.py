@@ -290,9 +290,10 @@ def _coprime_to(x, c):
 
 @st.composite
 def record_inputs(draw):
-    """(A, B, C, digits): random integers, A / C half a unit in the last
-    place, A * B = 0, or A = g1*x, B = g2*y, C = g1*g2*z built so that
-    exactly the chosen ratios among A/C and B/C are unreduced."""
+    """(A, B, C, digits): random integers, C >= 1 as in every convergent
+    record, A / C half a unit in the last place, A * B = 0, or A = g1*x,
+    B = g2*y, C = g1*g2*z built so that exactly the chosen ratios among A/C
+    and B/C are unreduced."""
     digits = draw(st.integers(1, 60))
     sign = draw(st.sampled_from([1, -1]))
     kind = draw(st.sampled_from(["half", "random", "zero", "factors"]))
@@ -304,9 +305,9 @@ def record_inputs(draw):
         A, C = sign * half_units * scale, 2 * 10**digits * scale
     elif kind == "random":
         A = draw(st.one_of(st.just(0), st.integers(-BIG, BIG)))
-        C = sign * draw(st.integers(1, BIG))
+        C = draw(st.integers(1, BIG))
     elif kind == "zero":
-        A, C = draw(st.integers(-BIG, BIG)), sign * draw(st.integers(1, BIG))
+        A, C = draw(st.integers(-BIG, BIG)), draw(st.integers(1, BIG))
         if draw(st.booleans()):
             A, B = 0, A
         else:
@@ -318,7 +319,7 @@ def record_inputs(draw):
         factor = st.integers(2, 2**64)
         g1 = draw(factor) if reduce_a else 1
         g2 = draw(factor) if reduce_b else 1
-        C = sign * g1 * g2 * draw(st.integers(1, BIG))
+        C = g1 * g2 * draw(st.integers(1, BIG))
         x = draw(st.integers(1, BIG))
         y = draw(st.integers(1, BIG))
         if not reduce_a:
@@ -328,8 +329,6 @@ def record_inputs(draw):
         A = draw(st.sampled_from([1, -1])) * g1 * x
         B = draw(st.sampled_from([1, -1])) * g2 * y
         assert (math.gcd(A, C) > 1, math.gcd(B, C) > 1) == (reduce_a, reduce_b)
-    if draw(st.booleans()):
-        C = -C
     return A, B, C, digits
 
 
@@ -572,7 +571,8 @@ def test_integer_past_string_limit_is_named_not_echoed(capsys, argv):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(
-        "error: token at position " if argv[0] == "eval" else "error: --alpha: token")
+        "error: --a: token at position " if argv[0] == "eval"
+        else "error: --alpha: token")
     assert f"{sys.get_int_max_str_digits()}-digit integer-string limit" in (
         captured.err
     )
@@ -987,6 +987,43 @@ def test_digit_command_input_errors(capsys, argv, message):
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "--a", "1", "--b", "1,2"],
+     "--a, --b: open pair needs len(b) == len(a), got len(a)=1, len(b)=2"),
+    (["recover", "--period-a", "1", "--period-b", "1", "--preperiod-b", "1"],
+     "--preperiod-a, --preperiod-b: open pair needs len(b) == len(a), "
+     "got len(a)=0, len(b)=1"),
+    (["recover", "--period-a", "1", "--period-b", "-1"],
+     "--period-b: b[0] must be nonnegative, got -1"),
+    (["eval", "--a", "1,x", "--b", "1,2"],
+     "--a: expected an integer at position 2, got 'x' (grammar: <int>,<int>,...)"),
+    (["render", "--a", "1,-2", "--b", "1,1"],
+     "--a: a[1] must be nonnegative, got -2"),
+    (["validate", "--a", "1", "--b", "1", "--terminal", "rat:2"],
+     "--a, --b: terminated pair needs len(b) == len(a) + 1, "
+     "got len(a)=1, len(b)=1"),
+])
+def test_digit_pair_refusals_name_their_flags(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("terminal", ["rat:0", "rat:-1", "alg:1,0,-2@-2,-1"])
+def test_validate_refuses_a_nonpositive_terminal(capsys, terminal):
+    # Every terminal an expansion gives is positive, as tree_sum asks.
+    assert run(["validate", "--a", "1", "--b", "1,1", "--terminal", terminal]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --terminal: expected a positive value, got {terminal!r}\n")
+    for positive in ("rat:1/2", "alg:1,0,-2@1,2"):
+        payload = run_json(capsys, ["validate", "--a", "1", "--b", "1,1",
+                                    "--terminal", positive])
+        assert payload["valid"] is True
 
 
 @pytest.mark.parametrize("command", ["render", "validate"])

@@ -6,14 +6,16 @@ can leave an import or a helper behind; the package has no linter
 dependency, so this parses each module with ast instead.  __init__.py is
 left out of the import check: it imports to re-export, so the names it
 imports must be exactly its __all__ minus __version__, and the two lists
-cannot drift apart.  Seven more rules are pinned the same way: only
+cannot drift apart.  Eight more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
 raises DegenerateSystem, so recovery has one degeneracy guard; only
 fields raises DegreeOutOfRange, ReduciblePolynomial and RootCountNotOne, so
-one module decides what a number field is; only cli._literal calls parse_number, so the kinds of literal a flag takes are
-decided by one rule; outside fields no code reads .degree but as
+one module decides what a number field is; only cli._literal calls
+parse_number, so the kinds of literal a flag takes are decided by one rule;
+only cli._digit_pair calls parse_digits, so every digit-list refusal names
+its flag; outside fields no code reads .degree but as
 polys.degree, so fields alone knows that a numerator vector is three
 integers, zero past the degree; and cli takes exactly bcf_expand from
 expansion, so expansion alone picks the engine for a pair.  Every flag of
@@ -167,13 +169,18 @@ def _calls_refine(node):
             and node.func.attr == "refine")
 
 
-def _calls_parse_number(node):
-    """A call parse_number(...) or literals.parse_number(...)."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    return name == "parse_number"
+def _calls(name):
+    """A hit for a call name(...) or literals.name(...)."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        func = node.func
+        return name == (func.id if isinstance(func, ast.Name)
+                        else getattr(func, "attr", None))
+    return hit
+
+
+_calls_parse_number = _calls("parse_number")
 
 
 def _raises(error):
@@ -293,6 +300,24 @@ def test_parse_number_caller_is_found():
 
 def test_only_literal_parses_numbers():
     assert _functions_where(_sources(), _calls_parse_number) == [("cli", "_literal")]
+
+
+def test_parse_digits_caller_is_found():
+    sources = {
+        "a": "def _digit_pair(args, flags):\n    return parse_digits(args.a)\n"
+             "class K:\n    def get(self, t):\n"
+             "        return literals.parse_digits(t)\n",
+        "b": "from .literals import parse_digits\n"
+             "def parse(t):\n    return parse_number(t)\n"
+             "def h(f):\n    return f(parse_digits)\n",
+    }
+    assert _functions_where(sources, _calls("parse_digits")) == [
+        ("a", "_digit_pair"), ("a", "get")]
+
+
+def test_only_digit_pair_parses_digits():
+    assert _functions_where(_sources(), _calls("parse_digits")) == [
+        ("cli", "_digit_pair")]
 
 
 def test_degree_read_is_found():

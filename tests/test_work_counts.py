@@ -40,7 +40,7 @@ TOTALS = {
         "bcf_expand_digits": 12_386, "_convolve": 800, "_primitive": 145,
         "_refine_more": 159, "refine_bits": 20_201, "rational_digits": 0,
         "_rounded_decimal": 0, "stdout_chars": 132_863,
-        "_sign_variations": 1_069, "period_checks": 200,
+        "_sign_variations": 779, "period_checks": 200,
     },
     "digits_recover": {
         "bcf_expand_digits": 6_743, "_convolve": 0, "_primitive": 0,
