@@ -85,10 +85,10 @@ def _check_count(value, what, least=1):
         raise ValueError(f"{what} must be at least {least}")
 
 
-def _check_index(n, what="index", error=IndexOutOfRange):
-    """``_check_count``'s rule from 0, but a negative int raises `error`."""
+def _check_index(n, what="index"):
+    """``_check_count``'s rule from 0, but a negative int is IndexOutOfRange."""
     if isinstance(n, int) and n < 0:
-        raise error(f"{what} must be nonnegative, got {_shown(n)}")
+        raise IndexOutOfRange(f"{what} must be nonnegative, got {_shown(n)}")
     _check_count(n, what, 0)
 
 

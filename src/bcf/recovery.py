@@ -94,16 +94,6 @@ def _field_in_ball(chain, ball_pair):
         horizon *= 2
 
 
-def _validated_periodic_pair(a, b, preperiod, period):
-    pair = SequencePair(a, b, periodicity=(preperiod, period))
-    report = validate(pair)
-    if not report.valid:
-        raise InvalidSequence(
-            f"digits fail the admissibility rules at {list(report.violations)}"
-        )
-    return pair
-
-
 def recover_cubic_pure(seqs):
     """Recover (alpha, beta) from one full period of a purely periodic pair.
 
@@ -134,10 +124,16 @@ def transfer_matrix(preperiod, period):
     (identity for an empty preperiod) and Q does the same over one period;
     every factor has determinant 1, so P^-1 = adj(P) and M is integral and
     unimodular.  ``_kernels.convergent_matrix`` gives the transposes K_P
-    and K_Q, so M is the transpose of K_P K_Q adj(K_P).
+    and K_Q, so M is the transpose of K_P K_Q adj(K_P).  A terminated
+    argument, or an empty period, raises InvalidSequence.
     """
+    pre, per = as_pair(preperiod), as_pair(period)
+    if pre.terminated or per.terminated:
+        raise InvalidSequence("terminated pairs have no period to recover")
+    if not per.a:
+        raise InvalidSequence("period must contain at least one digit pair")
     kp, kq = (_kernels.convergent_matrix(pair.a, pair.b, len(pair.a) - 1)
-              for pair in (as_pair(preperiod), as_pair(period)))
+              for pair in (pre, per))
     m = _kernels.mat_mul3(kp, _kernels.mat_mul3(kq, _kernels._adjugate(kp)))
     return tuple(zip(*m))
 
@@ -164,14 +160,14 @@ def recover_cubic_eventual(preperiod, period):
     primitive relation is alpha's minimal polynomial.
     """
     pre, per = as_pair(preperiod), as_pair(period)
-    if pre.terminated or per.terminated:
-        raise InvalidSequence("terminated pairs have no period to recover")
-    k, m = len(pre.a), len(per.a)
-    if m < 1:
-        raise InvalidSequence("period must contain at least one digit pair")
-    pair = _validated_periodic_pair(pre.a + per.a, pre.b + per.b, k, m)
-
     matrix = transfer_matrix(pre, per)
+    pair = SequencePair(pre.a + per.a, pre.b + per.b,
+                        periodicity=(len(pre.a), len(per.a)))
+    report = validate(pair)
+    if not report.valid:
+        raise InvalidSequence(
+            f"digits fail the admissibility rules at {list(report.violations)}"
+        )
     adjugate = _kernels._adjugate(matrix)
     chi = (1, -(matrix[0][0] + matrix[1][1] + matrix[2][2]),
            adjugate[0][0] + adjugate[1][1] + adjugate[2][2], -1)

@@ -18,12 +18,13 @@ from itertools import pairwise
 
 from . import _kernels
 from .errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
-from .fields import _as_exact, _check_index, _check_int, _shown
+from .fields import _as_exact, _check_count, _check_index, _check_int, _shown
 from .sequences import _check_digits, as_pair as _as_pair
 
-# render_tree writes at most this many nodes (node_counts over both towers);
-# depth 27 is the first depth past it.
-_RENDER_NODE_BUDGET = 2**20
+# Through depth d, render_tree writes F(d + 5) - 3 digit nodes (F(1) = F(2)
+# = 1): 1,346,266 at depth 26 and 2,178,306 at depth 27, past the budget.
+_RENDER_NODE_BUDGET = 2**21
+_RENDER_DEPTH_LIMIT = 26
 
 
 def _digit_lists(seqs, n, refusal=None):
@@ -197,14 +198,6 @@ def gap_diagnostics(seqs, N):
     return ConvergenceDiagnostics(delta, dmax, monotone and contracting)
 
 
-def _level_counts(depth):
-    """Yield (alpha-tree a-nodes, beta-tree b-nodes) for levels 0 to depth."""
-    fa, fb, beta = 1, 0, 1
-    for _ in range(depth + 1):
-        yield fa, beta
-        fa, fb, beta = fa + fb, fa, fb
-
-
 def node_counts(depth):
     """Nodes per level: a-nodes of the alpha tree, b-nodes of the beta tree.
 
@@ -213,11 +206,14 @@ def node_counts(depth):
     the alpha tree starts from a single a-node, the beta tree from a
     single b-node.  A depth of sys.maxsize or more raises OutputTooLarge.
     """
-    _check_index(depth, "depth", ValueError)
+    _check_count(depth, "depth", 0)
     if depth >= sys.maxsize:
         raise OutputTooLarge(f"depth {_shown(depth)}: more levels than a tuple holds")
-    levels = list(_level_counts(depth))
-    return tuple(a for a, _ in levels), tuple(b for _, b in levels)
+    levels, fa, fb, beta = [], 1, 0, 1
+    for _ in range(depth + 1):
+        levels.append((fa, beta))
+        fa, fb, beta = fa + fb, fa, fb
+    return tuple(zip(*levels))
 
 
 def _render_ascii(pair, depth):
@@ -266,19 +262,16 @@ def render_tree(seqs, depth, format="ascii"):
     a literal ``num 1`` and a ``den`` branch.  Nodes at the cutoff level
     show just their digit.  In ``latex`` format each tower collapses to one
     line of nested ``\\cfrac`` markup.  Output uses LF separators, has no
-    trailing whitespace, and carries no trailing newline.  Raises
-    OutputTooLarge when the two towers hold more than 2**20 nodes (from
-    depth 27 on).
+    trailing whitespace, and carries no trailing newline.  Through depth d
+    the towers hold F(d + 5) - 3 digit nodes (F(1) = F(2) = 1), more than
+    2**21 from depth 27 on, where OutputTooLarge is raised.
     """
     pair = _as_pair(seqs)
     _check_index(depth, "depth")
-    total = 0
-    for alpha_nodes, beta_nodes in _level_counts(depth):
-        total += alpha_nodes + beta_nodes
-        if total > _RENDER_NODE_BUDGET:
-            raise OutputTooLarge(
-                f"depth {_shown(depth)} renders more than {_RENDER_NODE_BUDGET} nodes"
-            )
+    if depth > _RENDER_DEPTH_LIMIT:
+        raise OutputTooLarge(
+            f"depth {_shown(depth)} renders more than {_RENDER_NODE_BUDGET} nodes"
+        )
     if format == "ascii":
         return _render_ascii(pair, depth)
     if format == "latex":

@@ -911,15 +911,15 @@ def test_render_depth_beyond_digits(capsys):
 @pytest.mark.parametrize("style", ["ascii", "latex"])
 @pytest.mark.parametrize("depth", ["27", "2000", str(2**63 - 1), str(10**30)])
 def test_render_beyond_the_node_budget_is_exit_3(capsys, style, depth):
-    # Depths of sys.maxsize and more too: the budget is counted level by
-    # level, never by slicing to depth + 1.
+    # Depths of sys.maxsize and more too: the depth is compared with the
+    # render limit before any level is built.
     code = run(["render", "--a", "1", "--b", "1", "--period", "1",
                 "--depth", depth, "--style", style])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert captured.err == (
-        f"error: depth {depth} renders more than 1048576 nodes\n"
+        f"error: depth {depth} renders more than 2097152 nodes\n"
     )
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import bcf
-from bcf import cli
+from bcf import cli, treeval
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -122,3 +122,51 @@ def test_performance_table_quotes_each_bench_claim():
             figures["parent_median"], figures["change_median"]
         )
         assert won == f"{figures['change_better_pairs']}/{summary['pairs']}"
+
+
+# Each budget figure of the README's exit-code 3 row, as a pattern over the
+# row, its reading as an int, and the code constant it must equal.
+_BUDGET_FIGURES = {
+    "first refused render depth": (
+        r"`--depth` (\d+) and beyond", int, treeval._RENDER_DEPTH_LIMIT + 1),
+    "scan box": (
+        r"box of more than 10\^(\d+) polynomials", lambda e: 10 ** int(e),
+        cli._SCAN_BUDGET),
+    "scan horizon": (
+        r"horizon` of more than ([\d,]+) steps", lambda n: int(n.replace(",", "")),
+        cli._HORIZON_BUDGET),
+}
+
+
+def _exit_code_row(code):
+    (row,) = (line for line in _section("Command line").splitlines()
+              if line.startswith(f"| {code} |"))
+    return row
+
+
+def _budget_drift(row):
+    """(figure, the values the row states, the code's value) for each budget
+    figure that the row does not state exactly once, as the code has it."""
+    drift = []
+    for name, (pattern, read, constant) in _BUDGET_FIGURES.items():
+        stated = [read(text) for text in re.findall(pattern, row)]
+        if stated != [constant]:
+            drift.append((name, stated, constant))
+    return drift
+
+
+def test_budget_drift_is_found():
+    row = _exit_code_row(3)
+    stale = (row.replace("`--depth` 27", "`--depth` 28")
+             .replace("65,536 steps", "4,096 steps"))
+    assert _budget_drift(stale) == [
+        ("first refused render depth", [28], 27),
+        ("scan horizon", [4096], 65_536),
+    ]
+    assert _budget_drift(row.replace("10^5", "10⁵")) == [
+        ("scan box", [], 10**5),
+    ]
+
+
+def test_readme_exit_code_row_states_the_code_budgets():
+    assert _budget_drift(_exit_code_row(3)) == []

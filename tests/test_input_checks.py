@@ -120,7 +120,7 @@ _REFUSALS = {
         "periodicity must be a pair of ints",
     ),
     "negative tree depth": (
-        lambda: node_counts(-1), ValueError, "depth must be nonnegative, got -1",
+        lambda: node_counts(-1), ValueError, "depth must be at least 0",
     ),
     # node_counts returns one entry per level, which no tuple holds from
     # sys.maxsize levels on.

@@ -202,6 +202,23 @@ def test_transfer_matrix_unimodular():
     )
 
 
+_TERMINATED = bcf_expand(Fraction(7, 4), Fraction(3, 2))
+
+
+@pytest.mark.parametrize("preperiod, period, message", [
+    (((), ()), ((), ()), "period must contain at least one digit pair"),
+    (_TERMINATED, ((1,), (1,)), "terminated pairs have no period to recover"),
+    (((), ()), _TERMINATED, "terminated pairs have no period to recover"),
+], ids=["empty period", "terminated preperiod", "terminated period"])
+def test_transfer_matrix_refuses_a_pair_without_a_period(preperiod, period, message):
+    # Neither an empty period nor a terminated pair has a period product, so
+    # the public transfer_matrix refuses them as recover_cubic_eventual does.
+    assert _TERMINATED.terminated
+    with pytest.raises(InvalidSequence) as info:
+        transfer_matrix(preperiod, period)
+    assert str(info.value) == message
+
+
 def test_recover_eventual_period_two():
     result = recover_cubic_eventual(((2,), (2,)), ((2, 3), (0, 0)))
     assert result.poly == (1, -1, -2, -1)

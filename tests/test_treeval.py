@@ -1,6 +1,7 @@
 """Tree evaluation: convergents, three computation paths, diagnostics, render."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,8 @@ from bcf import (
     render_tree,
     tree_sum,
 )
-from bcf import _kernels
-from bcf.errors import IndexOutOfRange, InvalidSequence
+from bcf import _kernels, treeval
+from bcf.errors import IndexOutOfRange, InvalidSequence, OutputTooLarge
 
 from _corpus import random_valid_digits, random_valid_pair
 
@@ -344,6 +345,31 @@ def test_render_periodic_extension():
     pair = SequencePair((1, 1), (1, 1), periodicity=(0, 1))
     deep = render_tree(pair, 5, format="latex")
     assert deep.count("\\cfrac") > 4
+
+
+def _fibonacci(n):
+    """F(n) with F(1) = F(2) = 1."""
+    previous, current = 0, 1
+    for _ in range(n - 1):
+        previous, current = current, previous + current
+    return current
+
+
+def test_render_node_budget_is_the_depth_limit():
+    # Through depth d the two towers hold F(d + 5) - 3 digit nodes, so the
+    # depth alone fixes the size of a render: the limit L is the last depth
+    # within the node budget, and L + 1 is refused before any node is built.
+    ones = SequencePair((1,), (1,), periodicity=(0, 1))
+    for depth in range(17):
+        text = render_tree(ones, depth, format="ascii")
+        nodes = len(re.findall(r"\b[ab]\[\d+\]=", text))
+        assert nodes == _fibonacci(depth + 5) - 3, depth
+    limit, budget = treeval._RENDER_DEPTH_LIMIT, treeval._RENDER_NODE_BUDGET
+    assert budget == 2**21
+    assert _fibonacci(limit + 5) - 3 <= budget < _fibonacci(limit + 6) - 3
+    with pytest.raises(OutputTooLarge) as info:
+        render_tree(ones, limit + 1)
+    assert str(info.value) == f"depth {limit + 1} renders more than {budget} nodes"
 
 
 def test_render_errors():
