@@ -11,10 +11,12 @@ table.
 
 All commands emit deterministic JSON (sorted keys, compact separators) on
 standard output unless ``--format text`` selects the plain rendering; the
-scanner emits one JSON record per line.  Each command has one handler,
-which parses all of its text before it calls the library (which checks
-the values itself) and prints last; each flag that takes a number literal
-names the kinds it takes, and _literal refuses any other.  Exit codes:
+scanner emits one JSON record per line.  _parse reads each integer flag,
+and each command's one handler the rest of its text, before it calls the
+library (which checks the values itself) and prints last: every integer
+in a flag value, a literal, a digit list or a scan range is read by the
+one reader in literals.  Each flag that takes a number literal names the
+kinds it takes, and _literal refuses any other.  Exit codes:
 0 for success (including a completed validation that found violations);
 otherwise the error's class decides the code, whether the parsing or the
 library raises it: 2 for every InputError (bad usage, unparsable or
@@ -48,7 +50,10 @@ from .expansion import bcf_expand
 from .fields import _check_places, _rounded_decimal
 from .literals import (
     RatFunc,
+    _check_characters,
     _excerpt,
+    _ints,
+    _parse_int,
     bounded_str,
     fraction_str,
     parse_digits,
@@ -74,26 +79,13 @@ _DEFAULT_SCAN_BETAS = (
 _dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
-def _int(text):
-    """int(text, 10) under the literal rule, which refuses the '_', blanks
-    and non-ASCII digits that int() takes, and names Python's digit limit."""
-    if text.isascii() and "_" not in text and text.strip() == text:
-        try:
-            return int(text, 10)
-        except ValueError as exc:
-            if str(exc).startswith("Exceeds the limit"):
-                raise ParseError(
-                    f"value exceeds the {sys.get_int_max_str_digits()}-digit "
-                    f"integer-string limit, got {_excerpt(text)}") from None
-    raise ValueError(f"expected an integer, got {_excerpt(text)}")
-
-
 def _int_at_least(bound):
     """add_argument type for an integer >= bound, which is 0 or 1."""
     kind = "positive" if bound == 1 else "nonnegative"
 
     def parse(text):
-        value = _int(text)
+        _check_characters(text, 0, "<int>")
+        value = _parse_int(text, 0, "<int>")
         if value < bound:
             raise ValueError(f"expected a {kind} integer, got {value}")
         return value
@@ -343,13 +335,10 @@ def _parse_range(text, flag):
     if not sep:
         raise ParseError(f"{flag}: expected LO:HI, got {_excerpt(text)}")
     try:
-        lo, hi = _int(lo_text), _int(hi_text)
-    except ParseError as exc:  # past the digit limit
+        _check_characters(text, 0, "<int>:<int>")
+        lo, hi = _ints([lo_text, hi_text], 0, "<int>:<int>")
+    except ParseError as exc:
         raise ParseError(f"{flag}: {exc}") from None
-    except ValueError:
-        raise ParseError(
-            f"{flag}: expected integer endpoints, got {_excerpt(text)}"
-        ) from None
     if lo > hi:
         raise ParseError(f"{flag}: empty range {_excerpt(text)}")
     return range(lo, hi + 1)

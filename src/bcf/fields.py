@@ -721,9 +721,7 @@ def _as_ints(values, what):
     them is a TypeError."""
     values = tuple(values)
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise TypeError(
-                f"{what} coefficient must be an int, got {_shown(value, repr)}")
+        _check_int(value, f"{what} coefficient")
     return values
 
 

@@ -23,13 +23,13 @@ digit list, holds no blanks, underscores or non-ASCII characters.  A
 RatFunc is canonical and str() gives its ratfunc: body: one module reads
 and writes it.
 
-An integer list is split at its commas and each token mapped through one
-table of the small ints whose misses call int(), all at C level.
-
-Every integer, interval ends included, is read by int() under Python's
-digit limit.  Parse failures raise ParseError naming the offending token,
-its position, and the expected grammar fragment; a token is quoted only up
-to a short prefix.
+One reader takes all integer text, the CLI's integer flags and scan ranges
+as much as literals and digit lists: _ints maps the tokens of a text
+through one table of the small ints whose misses call int(), all at C
+level, and _parse_int, run on a flag value or on a miss, reads a token
+under Python's digit limit.  Parse failures raise ParseError naming the
+offending token, its position, and the expected grammar fragment; a token
+is quoted only up to a short prefix.
 """
 
 import math
@@ -97,25 +97,18 @@ def _excerpt(text):
     return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
 
 
-def _token_error(token, position, grammar, exc):
-    """The ParseError for a token that int() rejected."""
-    if str(exc).startswith("Exceeds the limit"):
-        return ParseError(
-            f"token at position {position} exceeds the "
-            f"{sys.get_int_max_str_digits()}-digit integer-string limit, "
-            f"got {_excerpt(token)} (grammar: {grammar})"
-        )
-    return ParseError(
-        f"expected an integer at position {position}, got {_excerpt(token)} "
-        f"(grammar: {grammar})"
-    )
-
-
 def _parse_int(token, position, grammar):
+    """int(token, 10), the one reading of integer text; a refusal names the
+    token's position and grammar, and Python's digit limit if it is past."""
     try:
         return int(token, 10)
     except ValueError as exc:
-        raise _token_error(token, position, grammar, exc) from None
+        what = (f"token at position {position} exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit integer-string limit"
+                if str(exc).startswith("Exceeds the limit")
+                else f"expected an integer at position {position}")
+        raise ParseError(f"{what}, got {_excerpt(token)} (grammar: {grammar})"
+                         ) from None
 
 
 def _check_characters(text, position, grammar):
@@ -138,36 +131,39 @@ class _IntTable(dict):
 _INTS = _IntTable((str(k), k) for k in range(-255, 256))
 
 
+def _ints(tokens, position, grammar):
+    """The ints of tokens, the parts of one text each followed by one
+    separator, mapped through _INTS at C level; only a miss runs the loop,
+    which names the first bad token's position."""
+    try:
+        return tuple(map(_INTS.__getitem__, tokens))
+    except ValueError:
+        pass
+    for token in tokens:
+        _parse_int(token, position, grammar)
+        position += len(token) + 1
+
+
 def _parse_int_csv(text, position, grammar):
     if not text:
         raise ParseError(
             f"expected a comma-separated integer list at position {position} "
             f"(grammar: {grammar})"
         )
-    tokens = text.split(",")
-    try:
-        return tuple(map(_INTS.__getitem__, tokens))
-    except ValueError:
-        pass  # the loop below raises, naming the first bad token's position
-    for token in tokens:
-        _parse_int(token, position, grammar)
-        position += len(token) + 1
+    return _ints(text.split(","), position, grammar)
 
 
 def _parse_rat(body, position, grammar=RAT_GRAMMAR):
     """<int>[/<int>] as a Fraction: a rat: body, or an alg: interval end
     with the alg: grammar in its messages."""
-    head, sep, tail = body.partition("/")
-    p = _parse_int(head, position, grammar)
-    if not sep:
-        return Fraction(p)
-    q = _parse_int(tail, position + len(head) + 1, grammar)
-    if q == 0:
+    tokens = body.split("/", 1)
+    p, *q = _ints(tokens, position, grammar)
+    if q == [0]:
         raise ParseError(
-            f"zero denominator at position {position + len(head) + 1} "
+            f"zero denominator at position {position + len(tokens[0]) + 1} "
             f"(grammar: {grammar})"
         )
-    return Fraction(p, q)
+    return Fraction(p, *q)
 
 
 def _parse_alg(body, position):

@@ -72,6 +72,7 @@ class ConvergenceDiagnostics(
     __slots__ = ()
 
     def delta_at(self, n):
+        _check_int(n, "n")
         if not 1 <= n <= len(self.delta):
             raise IndexOutOfRange(
                 f"delta is available for 1 <= n <= {len(self.delta)}, got {_shown(n)}"
@@ -79,6 +80,7 @@ class ConvergenceDiagnostics(
         return self.delta[n - 1]
 
     def dmax_at(self, n):
+        _check_int(n, "n")
         if not 4 <= n <= len(self.dmax) + 3:
             raise IndexOutOfRange(
                 f"dmax is available for 4 <= n <= {len(self.dmax) + 3}, "

@@ -629,15 +629,16 @@ def test_literal_refusals_name_their_flag(argv, line):
 
 # An integer flag or a scan range past Python's digit limit names the limit,
 # in the words of a literal's token.
-@pytest.mark.parametrize("argv, flag", [
+@pytest.mark.parametrize("argv, head, grammar", [
     (["expand", "--alpha", "rat:1", "--beta", "rat:1", "--terms", "1" * 5000],
-     "argument --terms"),
-    (["scan", "--c2", "1:" + "1" * 5000], "--c2"),
+     "argument --terms: token at position 0", "<int>"),
+    (["scan", "--c2", "1:" + "1" * 5000], "--c2: token at position 2",
+     "<int>:<int>"),
 ], ids=["terms", "c2"])
-def test_integer_flag_past_the_digit_limit_names_it(argv, flag):
+def test_integer_flag_past_the_digit_limit_names_it(argv, head, grammar):
     assert _outcome(argv) == (2, "", (
-        f"error: {flag}: value exceeds the {sys.get_int_max_str_digits()}-digit "
-        f"integer-string limit, got '{'1' * 20}'...\n"))
+        f"error: {head} exceeds the {sys.get_int_max_str_digits()}-digit "
+        f"integer-string limit, got '{'1' * 20}'... (grammar: {grammar})\n"))
 
 
 def test_out_of_memory_is_exit_3(monkeypatch, capsys):
@@ -1178,6 +1179,17 @@ def test_scan_bad_range(capsys):
     capsys.readouterr()
 
 
+# A range's bad end is named by its position, the high end's as the low's.
+@pytest.mark.parametrize("argv, line", [
+    (["scan", "--c2=-1:x"],
+     "--c2: expected an integer at position 3, got 'x' (grammar: <int>:<int>)"),
+    (["scan", "--c0=1:"],
+     "--c0: expected an integer at position 2, got '' (grammar: <int>:<int>)"),
+], ids=["bad-high-end", "empty-high-end"])
+def test_scan_range_names_its_bad_end(argv, line):
+    assert _outcome(argv) == (2, "", f"error: {line}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["scan", "--c0=0:99999999"],
     ["scan", "--c2=0:1", "--c1=0:0", "--c0=0:" + "9" * 4000],
@@ -1480,7 +1492,8 @@ USAGE_ERRORS = {
     "zero-horizon": (["scan", "--horizon", "0"],
                      "argument --horizon: expected a positive integer, got 0"),
     "not-an-int": (["eval", "--a", "1", "--b", "1", "--n", "x"],
-                   "argument --n: expected an integer, got 'x'"),
+                   "argument --n: expected an integer at position 0, got 'x' "
+                   "(grammar: <int>)"),
     "choice": (["eval", "--a=1", "--b=1", "--format=xml"],
                "argument --format: invalid choice: 'xml' (choose from 'json', "
                "'text')"),
@@ -1531,22 +1544,24 @@ def test_integer_option_out_of_range_is_exit_2(argv, message):
 def _integer_flag_argvs():
     """Each int-typed flag of each subcommand, and each scan range, given
     a value with an '_', a blank or a non-ASCII digit, which int() takes
-    and number literals refuse, with the line it prints."""
+    and number literals refuse, with the line it prints: a literal's,
+    naming the character, its position and the grammar."""
     for name, (_, _, flags) in cli._COMMANDS.items():
         required = [f"{flag}=1" for flag, keywords in flags
                     if keywords.get("required")]
         for flag, keywords in flags:
-            for bad in ("1_0", " 1", "١"):
+            for bad, at in (("1_0", 1), (" 1", 0), ("١", 0)):
+                refused = f"unexpected character {bad[at]!r} at position {at}"
                 if "type" in keywords:
                     yield pytest.param(
                         [name, *required, f"{flag}={bad}"],
-                        f"argument {flag}: expected an integer, got {bad!r}",
+                        f"argument {flag}: {refused} (grammar: <int>)",
                         id=f"{name} {flag}={bad}")
                 elif flag in ("--c2", "--c1", "--c0"):
                     text = f"{bad}:{bad}"
                     yield pytest.param(
                         [name, f"{flag}={text}"],
-                        f"{flag}: expected integer endpoints, got {text!r}",
+                        f"{flag}: {refused} (grammar: <int>:<int>)",
                         id=f"{name} {flag}={text}")
 
 

@@ -6,7 +6,7 @@ can leave an import or a helper behind; the package has no linter
 dependency, so this parses each module with ast instead.  __init__.py is
 left out of the import check: it imports to re-export, so the names it
 imports must be exactly its __all__ minus __version__, and the two lists
-cannot drift apart.  Eight more rules are pinned the same way: only
+cannot drift apart.  Nine more rules are pinned the same way: only
 fields._refine_more calls .refine(, so precision is asked for by one rule;
 only AlgebraicNumber._coerce raises FieldMismatch, so operands are
 embedded into one field by one rule; only recovery.recover_cubic_eventual
@@ -15,7 +15,9 @@ fields raises DegreeOutOfRange, ReduciblePolynomial and RootCountNotOne, so
 one module decides what a number field is; only cli._literal calls
 parse_number, so the kinds of literal a flag takes are decided by one rule;
 only cli._digit_pair calls parse_digits, so every digit-list refusal names
-its flag; outside fields no code reads .degree but as
+its flag; only literals._parse_int calls int( with a base, so one rule
+reads integer text, a flag's or a scan range's as much as a literal's;
+outside fields no code reads .degree but as
 polys.degree, so fields alone knows that a numerator vector is three
 integers, zero past the degree; and cli takes exactly bcf_expand from
 expansion, so expansion alone picks the engine for a pair.  Every flag of
@@ -318,6 +320,28 @@ def test_parse_digits_caller_is_found():
 def test_only_digit_pair_parses_digits():
     assert _functions_where(_sources(), _calls("parse_digits")) == [
         ("cli", "_digit_pair")]
+
+
+def _reads_int_text(node):
+    """A call int(x, base) or int(x, base=b): a reading of integer text."""
+    return (_calls("int")(node) and isinstance(node.func, ast.Name)
+            and (len(node.args) > 1 or any(k.arg == "base" for k in node.keywords)))
+
+
+def test_integer_text_reader_is_found():
+    sources = {
+        "a": "def _parse_int(t, p, g):\n    return int(t, 10)\n"
+             "class K:\n    def get(self, t):\n        return int(t, base=16)\n",
+        "b": "def f(x):\n    return int(x)\ndef g(d):\n    return d.int(x, 10)\n"
+             "T = {'1': 1}\ndef h(t):\n    return map(int, t)\n",
+    }
+    assert _functions_where(sources, _reads_int_text) == [
+        ("a", "_parse_int"), ("a", "get")]
+
+
+def test_only_parse_int_reads_integer_text():
+    assert _functions_where(_sources(), _reads_int_text) == [
+        ("literals", "_parse_int")]
 
 
 def test_degree_read_is_found():

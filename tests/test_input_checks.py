@@ -327,6 +327,15 @@ for _value in (True, 1.5, "3", None):
         f"convergent_backward from 2 to n {_value!r}": _not_an_int(
             lambda v=_value: convergent_backward(_TWELVE, 2, v), "index", _value),
     })
+# The diagnostics' own lookups take the same type rule for their n.
+_DIAGNOSTICS = gap_diagnostics(_TWELVE, 11)
+for _value in (True, 1.5, "3", None):
+    _REFUSALS.update({
+        f"delta_at {_value!r}": _not_an_int(
+            lambda v=_value: _DIAGNOSTICS.delta_at(v), "n", _value),
+        f"dmax_at {_value!r}": _not_an_int(
+            lambda v=_value: _DIAGNOSTICS.dmax_at(v), "n", _value),
+    })
 
 
 @pytest.mark.parametrize("case", list(_REFUSALS))
